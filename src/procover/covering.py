@@ -397,38 +397,34 @@ class DeckGroup:
 
 
 def deck_group(c: Covering) -> DeckGroup:
-    """All covering transformations, found by attempting one lift per fiber
-    point over the basepoint; uniqueness of lifts makes this exhaustive."""
+    """All covering transformations of a connected cover: the lifts of the
+    covering through itself, one attempt per point of the fiber through the
+    first vertex ``a0`` (fiber order puts the identity first).  Lifts are
+    unique, so each element is fixed by its image of ``a0``, and the
+    composition table is read off those images."""
     if not is_connected(c.domain):
         raise ValueError("cover is not connected")
     a0 = c.domain.vertices[0]
-    fiber = c.vertex_fibers[c.map.vmap[a0]]
     elements = []
-    for a in fiber:
+    for a in c.vertex_fibers[c.map.vmap[a0]]:
         try:
-            h = lift(c.map, c, a0, a)
+            elements.append(lift(c.map, c, a0, a))
         except LiftObstruction:
             continue
-        elements.append((a, h))
-    ordered = [h for a, h in elements if a == a0]
-    ordered += [h for a, h in elements if a != a0]
-    for h in ordered[1:]:
-        fixed = [v for v in c.domain.vertices if h.vmap[v] == v]
-        fixed += [d for d in c.domain.darts if h.dmap[d] == d]
-        assert not fixed, "deck transformation with a fixed element"
-    index = {h: i for i, h in enumerate(ordered)}
-    table = []
-    for hi in ordered:
-        row = []
-        for hj in ordered:
-            composite = compose(hi, hj)
-            if composite not in index:
-                raise RuntimeError("deck transformations are not closed "
-                                   "under composition (internal error)")
-            row.append(index[composite])
-        table.append(row)
-    assert c.degree % len(ordered) == 0, "deck order must divide the degree"
-    return DeckGroup(c, ordered, table)
+    for h in elements[1:]:
+        if any(h.vmap[v] == v for v in c.domain.vertices) or \
+                any(h.dmap[d] == d for d in c.domain.darts):
+            raise RuntimeError("deck transformation with a fixed element "
+                               "(internal error)")
+    at = {h.vmap[a0]: i for i, h in enumerate(elements)}
+    try:
+        table = [[at[hi.vmap[hj.vmap[a0]]] for hj in elements] for hi in elements]
+    except KeyError:
+        raise RuntimeError("deck transformations are not closed "
+                           "under composition (internal error)") from None
+    if c.degree % len(elements):
+        raise RuntimeError("deck order must divide the degree (internal error)")
+    return DeckGroup(c, elements, table)
 
 
 @dataclass(frozen=True)

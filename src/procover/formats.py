@@ -67,7 +67,7 @@ def _get(obj, key, kind):
     if key not in obj:
         raise FormatError("missing key %r" % key)
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError("key %r has the wrong type" % key)
     return value
 
@@ -102,6 +102,8 @@ def graph_to_obj(g: FiniteGraph) -> dict:
 def graph_from_obj(obj) -> FiniteGraph:
     _expect(obj, GRAPH_FORMAT)
     vertices = _get(obj, "vertices", list)
+    if not all(isinstance(v, str) for v in vertices):
+        raise FormatError("vertex ids must be strings")
     edges = []
     for entry in _get(obj, "edges", list):
         if not isinstance(entry, dict):
@@ -263,9 +265,12 @@ def rep_to_obj(rep: PermRep) -> dict:
 
 def rep_from_obj(obj) -> PermRep:
     _expect(obj, REP_FORMAT)
+    perms = _get(obj, "perms", list)
+    if not all(isinstance(p, list) and all(type(x) is int for x in p)
+               for p in perms):
+        raise FormatError("perms must be lists of integers")
     try:
-        return PermRep(_get(obj, "rank", int), _get(obj, "degree", int),
-                       _get(obj, "perms", list))
+        return PermRep(_get(obj, "rank", int), _get(obj, "degree", int), perms)
     except NotTransitiveError:
         # a semantic verdict, not a format problem: callers report the orbits
         raise

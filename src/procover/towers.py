@@ -296,11 +296,11 @@ class DeckTowerResult:
 def deck_tower(t: Tower) -> DeckTowerResult:
     """Deck group of every level plus the connecting homomorphisms.
 
-    Each deck transformation upstairs projects through the cover-side
-    bonding morphism to a unique deck transformation downstairs (existence
-    uses simple transitivity, so every level must be regular); the
-    projection is verified pointwise and as a group homomorphism, and each
-    step records whether it is surjective.
+    Each level's deck group is computed once, and its order must equal the
+    degree (every level regular: projecting uses simple transitivity).  A
+    deck transformation upstairs projects through the cover-side bonding
+    morphism to the unique one downstairs with the same image of one vertex;
+    this is verified pointwise and as a group homomorphism.
     """
     require_valid_tower(t)
     for i, cov in enumerate(t.coverings):
@@ -308,23 +308,20 @@ def deck_tower(t: Tower) -> DeckTowerResult:
             raise TowerError("level %d is not connected" % i)
     decks = []
     for i, cov in enumerate(t.coverings):
-        if not is_regular(cov).regular:
+        deck = deck_group(cov)
+        if deck.order != cov.degree:
             raise TowerError("level %d is not a regular covering" % i)
-        decks.append(deck_group(cov))
+        decks.append(deck)
     steps = []
     for i in range(t.top):
         phi = t.cover_steps[i]
         upper, lower = decks[i + 1], decks[i]
         x0 = phi.domain.vertices[0]
+        start = phi.vmap[x0]
+        at = {beta.vmap[start]: b for b, beta in enumerate(lower.elements)}
         hom = []
         for a_idx, alpha in enumerate(upper.elements):
-            want = phi.vmap[alpha.vmap[x0]]
-            start = phi.vmap[x0]
-            beta_idx = None
-            for b_idx, beta in enumerate(lower.elements):
-                if beta.vmap[start] == want:
-                    beta_idx = b_idx
-                    break
+            beta_idx = at.get(phi.vmap[alpha.vmap[x0]])
             if beta_idx is None:
                 raise TowerError(
                     "deck element %d at level %d does not project" % (a_idx, i + 1),

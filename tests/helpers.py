@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import procover as pc
@@ -151,3 +152,64 @@ def b2_homology_spec() -> pc.UniversalSpec:
         quotients=[pc.Congruence.diagonal(b2)] * 3,
         normals=[trivial_rep(2), pc.translation_kernel_rep(2, 2),
                  pc.translation_kernel_rep(2, 4)])
+
+
+@functools.lru_cache(maxsize=None)
+def rank2_reps():
+    return tuple(pc.low_index_reps(2, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def b2_covers():
+    """Every cover of the two-loop bouquet of degree at most four."""
+    b2 = pc.bouquet_graph(2)
+    out = []
+    for h in rank2_reps():
+        cover, base, cov = pc.cover_from_subgroup(b2, "v0", h)
+        out.append((h, base, cov))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclic_family():
+    return tuple(pc.as_covering(wrap_morphism(3 * m, 3)) for m in range(1, 9))
+
+
+def composed_deck_oracle(cov: pc.Covering):
+    """Deck group of a connected cover built from full morphisms.
+
+    Elements are the lifts over the fiber of the first vertex, identity
+    first; the table composes them pairwise with ``compose`` and matches
+    each composite to an element by morphism equality.  Returns
+    (elements, table, inverse) in the layout of ``pc.DeckGroup``.
+    """
+    a0 = cov.domain.vertices[0]
+    lifts = {}
+    for a in cov.vertex_fibers[cov.map.vmap[a0]]:
+        try:
+            lifts[a] = pc.lift(cov.map, cov, a0, a)
+        except pc.LiftObstruction:
+            pass
+    elements = [lifts[a0]] + [h for a, h in lifts.items() if a != a0]
+    index = {h: i for i, h in enumerate(elements)}
+    table = tuple(tuple(index[pc.compose(hi, hj)] for hj in elements)
+                  for hi in elements)
+    ident = pc.GraphMorphism.identity(cov.domain)
+    inverse = tuple(next(j for j, hj in enumerate(elements)
+                         if pc.compose(hi, hj) == ident)
+                    for hi in elements)
+    return tuple(elements), table, inverse
+
+
+def scanned_deck_hom(phi: pc.GraphMorphism, upper: pc.DeckGroup,
+                     lower: pc.DeckGroup) -> tuple[int, ...]:
+    """Projection of deck groups through a bonding map by linear scan: the
+    index of the one lower element beta with beta o phi == phi o alpha."""
+    hom = []
+    for alpha in upper.elements:
+        target = pc.compose(phi, alpha)
+        found = [b for b, beta in enumerate(lower.elements)
+                 if pc.compose(beta, phi) == target]
+        assert len(found) == 1
+        hom.append(found[0])
+    return tuple(hom)

@@ -14,7 +14,6 @@ from procover import (
     LiftObstruction,
     PermRep,
     action_deck_isomorphism,
-    as_covering,
     compose,
     cover_from_subgroup,
     deck_action,
@@ -34,12 +33,15 @@ from procover import (
     validate_tower,
 )
 from helpers import (
+    b2_covers,
     b2_homology_spec,
     brute_force_canonical_keys,
     cycle_with_loop,
     cycle_with_parallel,
+    cyclic_family,
     cyclic_rep,
     factorial_spec,
+    rank2_reps,
     rotation_action,
     s3_regular_rep,
     theta_graph,
@@ -61,27 +63,6 @@ def criterion(number, label):
             print("criterion %d (%s): PASS" % (number, label))
         return run
     return decorate
-
-
-@functools.lru_cache(maxsize=None)
-def rank2_reps():
-    return tuple(low_index_reps(2, 4))
-
-
-@functools.lru_cache(maxsize=None)
-def b2_covers():
-    """Every cover of the two-loop bouquet of degree at most four."""
-    b2 = pc.bouquet_graph(2)
-    out = []
-    for h in rank2_reps():
-        cover, base, cov = cover_from_subgroup(b2, "v0", h)
-        out.append((h, base, cov))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def cyclic_family():
-    return tuple(as_covering(wrap_morphism(3 * m, 3)) for m in range(1, 9))
 
 
 @criterion(1, "subgroup/cover round trip over the two-loop bouquet")

@@ -105,6 +105,30 @@ class TestExitCodes:
         assert "not transitive" in out
         assert "orbits: [[0, 1], [2, 3]]" in out
 
+    @pytest.mark.parametrize("kind, doc", [
+        ("graph", {"format": formats.GRAPH_FORMAT, "vertices": ["v0", 3],
+                   "edges": []}),
+        ("rep", {"format": formats.REP_FORMAT, "rank": 1, "degree": True,
+                 "perms": [[0]]}),
+        ("rep", {"format": formats.REP_FORMAT, "rank": 1, "degree": 2,
+                 "perms": [[True, False]]}),
+        ("rep", {"format": formats.REP_FORMAT, "rank": 1, "degree": 2,
+                 "perms": [1]}),
+    ])
+    def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
+        path = str(tmp_path / "doc.json")
+        formats.save_json(path, doc)
+        if kind == "graph":
+            argv = ["validate", path]
+        else:
+            c3 = str(tmp_path / "c3.json")
+            formats.save_graph(c3, pc.cycle_graph(3))
+            argv = ["cover-from-rep", c3, path]
+        out, code = run_cli(argv)
+        assert code == 2
+        assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_not_a_covering_is_1(self, tmp_path):
         p2, c3 = pc.path_graph(2), pc.cycle_graph(3)
         f = pc.GraphMorphism(p2, c3, {"v0": "v0", "v1": "v1"},

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import procover as pc
 from procover import (
@@ -30,9 +31,13 @@ from procover import (
     subgroup_leq,
     transport_basepoint,
 )
+from procover.freegroup import NotTransitiveError
 from helpers import (
+    b2_covers,
+    composed_deck_oracle,
     cycle_with_loop,
     cycle_with_parallel,
+    cyclic_family,
     cyclic_rep,
     rotation,
     rotation_action,
@@ -277,6 +282,58 @@ class TestDeckGroup:
         assert sizes == [1, 2, 4]
         assert deck.is_subgroup([0, 2])
         assert not deck.is_subgroup([0, 1])
+
+
+@st.composite
+def rank2_covers(draw):
+    """A cover of a rank-2 base from a random transitive action."""
+    base = draw(st.sampled_from([pc.bouquet_graph(2), theta_graph(),
+                                 cycle_with_loop(), cycle_with_parallel()]))
+    n = draw(st.integers(1, 6))
+    perms = [draw(st.permutations(range(n))) for _ in range(2)]
+    try:
+        rep = PermRep(2, n, perms)
+    except NotTransitiveError:
+        assume(False)
+    return cover_from_subgroup(base, "v0", rep)[2]
+
+
+class TestDeckGroupOracle:
+    """deck_group against the table built by composing full morphisms."""
+
+    @staticmethod
+    def check(cov):
+        deck = deck_group(cov)
+        elements, table, inverse = composed_deck_oracle(cov)
+        assert [h.vmap for h in deck.elements] == [h.vmap for h in elements]
+        assert deck.elements == elements
+        assert deck.table == table
+        assert deck.inverse == inverse
+
+    def test_b2_covers(self):
+        for _h, _base, cov in b2_covers():
+            self.check(cov)
+
+    def test_cyclic_family(self):
+        for cov in cyclic_family():
+            self.check(cov)
+
+    def test_s3_regular_cover(self):
+        _, _, cov = cover_from_subgroup(pc.bouquet_graph(2), "v0", s3_regular_rep())
+        self.check(cov)
+
+    def test_wrap_covers(self):
+        for n in (3, 6, 9, 12, 24, 48):
+            self.check(as_covering(wrap_morphism(n, 3)))
+
+    def test_abelian_covers(self):
+        for rep in (pc.translation_kernel_rep(2, 3), pc.mod_p_kernel_rep(2, 3)):
+            self.check(cover_from_subgroup(pc.bouquet_graph(2), "v0", rep)[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank2_covers())
+    def test_generated_covers(self, cov):
+        self.check(cov)
 
 
 class TestRegularity:

@@ -32,6 +32,7 @@ from helpers import (
     factorial_spec,
     pro2_tower,
     rotation,
+    scanned_deck_hom,
     trivial_rep,
     wrap_morphism,
 )
@@ -169,6 +170,30 @@ class TestDeckTower:
         assert result.orders == [2, 2]
         assert result.steps[0].hom == (0, 0)
         assert not result.steps[0].surjective
+
+
+class TestDeckTowerOracle:
+    """deck_tower's projections against a linear scan of full morphisms."""
+
+    @staticmethod
+    def check(t):
+        result = deck_tower(t)
+        assert len(result.steps) == t.top
+        for i, step in enumerate(result.steps):
+            assert step.hom == scanned_deck_hom(
+                t.cover_steps[i], result.decks[i + 1], result.decks[i])
+
+    def test_pro2_tower(self):
+        self.check(pro2_tower(3))
+
+    def test_homology_tower(self):
+        self.check(universal_tower(b2_homology_spec()))
+
+    def test_factorial_tower(self):
+        self.check(universal_tower(factorial_spec()))
+
+    def test_constant_tower(self):
+        self.check(constant_tower(2))
 
 
 class TestUniversalTower:
