@@ -29,6 +29,7 @@ from .covering import (
     ActionError,
     LiftObstruction,
     NotACoveringError,
+    _regularity,
     action_deck_isomorphism,
     as_covering,
     cover_from_subgroup,
@@ -263,7 +264,7 @@ def cmd_orbit_quotient(args):
         "degree": cov.degree,
         "vertices": len(qg.vertices),
         "edges": qg.edge_count(),
-        "regular": is_regular(cov).regular,
+        "regular": _regularity(cov, deck).regular,
         "deck_isomorphism": {str(k): v for k, v in mapping.items()},
     }
     if args.out:

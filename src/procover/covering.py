@@ -450,7 +450,12 @@ def is_regular(c: Covering) -> RegularityReport:
     """
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("regularity needs connected cover and base")
-    deck = deck_group(c)
+    return _regularity(c, deck_group(c))
+
+
+def _regularity(c: Covering, deck: DeckGroup) -> RegularityReport:
+    """The three-way regularity decision of :func:`is_regular` for a
+    connected cover whose deck group ``deck`` is already computed."""
     a0 = c.domain.vertices[0]
     p = pi1_data(c.codomain, c.map.vmap[a0])
     rep = image_subgroup(c, a0, p)

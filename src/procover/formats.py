@@ -64,6 +64,8 @@ def _expect(obj, fmt: str):
 
 
 def _get(obj, key, kind):
+    if not isinstance(obj, dict):
+        raise FormatError("expected an object with key %r" % key)
     if key not in obj:
         raise FormatError("missing key %r" % key)
     value = obj[key]
@@ -229,7 +231,13 @@ def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
     _expect(obj, CONGRUENCE_FORMAT)
     edges = {eid: (pos, neg) for eid, pos, neg in _edge_table(base)}
     dart_classes = set()
+    vertex_classes = _get(obj, "vertex_classes", list)
+    if not all(isinstance(c, list) and all(isinstance(v, str) for v in c)
+               for c in vertex_classes):
+        raise FormatError("vertex_classes must be lists of vertex ids")
     for cls in _get(obj, "edge_classes", list):
+        if not isinstance(cls, list):
+            raise FormatError("edge_classes must be lists of edge entries")
         darts = []
         for entry in cls:
             eid = _get(entry, "edge", str)
@@ -240,7 +248,7 @@ def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
             darts.append(neg if flip else pos)
         dart_classes.add(frozenset(darts))
         dart_classes.add(frozenset(base.inv[d] for d in darts))
-    return Congruence(base, _get(obj, "vertex_classes", list),
+    return Congruence(base, vertex_classes,
                       [sorted(c) for c in sorted(dart_classes, key=sorted)])
 
 
@@ -319,6 +327,8 @@ def action_to_obj(act: GroupAction) -> dict:
 def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
     _expect(obj, ACTION_FORMAT)
     names = _get(obj, "elements", list)
+    if not all(isinstance(g, str) for g in names):
+        raise FormatError("element names must be strings")
     maps = _get(obj, "maps", dict)
     if set(names) != set(maps):
         raise FormatError("elements and maps disagree")

@@ -12,6 +12,12 @@ from 0, scanning moves in the order x0, x0^-1, x1, x1^-1, ..., assigns each
 coset action a unique table.  Two actions describe the same subgroup
 exactly when their canonical tables agree, and the low-index enumerator
 generates precisely the canonical tables, so each subgroup appears once.
+
+The enumerator is one iterative backtracking search (C. Sims, *Computation
+with Finitely Presented Groups*, 1994, ch. 5).  Asked for normal subgroups
+only, it prunes while searching: a partial table is cut as soon as some
+map 0 -> c forced by its defined edges fails to be a bijection, because
+the action of a normal subgroup has an automorphism 0 -> c for every c.
 """
 
 from __future__ import annotations
@@ -349,48 +355,96 @@ def subgroup_count(rank: int, index: int) -> int:
     return total
 
 
-def _canonical_tables(rank: int, degree: int):
+def _forced_map_clash(moves, used: int) -> bool:
+    """Whether the partial table admits no automorphism 0 -> c for some c.
+
+    For each point c in 1..used-1 the map 0 -> c is pushed along every edge
+    defined at a point and at its image.  A point with two images, or two
+    points with one image, rules out every completion in which Stab(0) =
+    Stab(c), hence every normal completion.  On a complete table the map
+    is total, so no clash means each 0 -> c extends to an automorphism of
+    the action: exactly the normal tables pass.
+    """
+    for c in range(1, used):
+        image = [-1] * used
+        preimage = [-1] * used
+        image[0], preimage[c] = c, 0
+        queue = [0]
+        for a in queue:
+            ma = image[a]
+            for table in moves:
+                b, mb = table[a], table[ma]
+                if b < 0 or mb < 0:
+                    continue
+                if image[b] < 0:
+                    if preimage[mb] >= 0:
+                        return True
+                    image[b], preimage[mb] = mb, b
+                    queue.append(b)
+                elif image[b] != mb:
+                    return True
+    return False
+
+
+def _canonical_tables(rank: int, degree: int, normal_only: bool):
     """Yield every canonically-labelled transitive table of the given degree.
 
     The table is filled slot by slot in scan order (point, generator, sign
     with forward before backward), and a fresh point may only receive the
     next unused label.  A completed table is therefore labelled exactly in
     breadth-first discovery order, which makes the output one table per
-    subgroup, in a fixed lexicographic order.
+    subgroup, in a fixed lexicographic order.  The search is a loop over a
+    slot cursor with an explicit stack of definitions, so its depth is not
+    bounded by the interpreter's recursion limit.
+
+    With ``normal_only`` every definition that closes onto an existing
+    point is followed by :func:`_forced_map_clash`, and the branch is cut
+    on a clash.  The last definition of a complete table always closes onto
+    an existing point, so exactly the normal tables are yielded.
     """
     if rank == 0:
         if degree == 1:
             yield ()
         return
-    fwd = [[-1] * degree for _ in range(rank)]
-    bwd = [[-1] * degree for _ in range(rank)]
-    slots = [(p, i, s) for p in range(degree) for i in range(rank) for s in (0, 1)]
-
-    def rec(si: int, used: int):
-        if si == len(slots):
-            if used == degree:
-                yield tuple(tuple(row) for row in fwd)
+    # moves[2i] is x_i and moves[2i+1] its inverse, partial while searching
+    moves = [[-1] * degree for _ in range(2 * rank)]
+    slots = [(p, moves[k], moves[k ^ 1])
+             for p in range(degree) for k in range(2 * rank)]
+    nslots = len(slots)
+    stack: list[tuple[int, int, int]] = []  # (slot, point defined, used before)
+    si, q, used = 0, 0, 1
+    while True:
+        while si < nslots:
+            p, table, other = slots[si]
+            if table[p] < 0:
+                break
+            si += 1
+        if si == nslots:
+            # every slot is filled, so every point was created: used == degree
+            yield tuple(tuple(row) for row in moves[::2])
+        elif p < used:
+            # (p >= used: every created point is fully scanned, so no new
+            # point can ever appear and the branch is dead)
+            top = min(used + 1, degree)
+            while q < top:
+                if other[q] < 0:
+                    table[p], other[q] = q, p
+                    if (q == used or not normal_only
+                            or not _forced_map_clash(moves, used)):
+                        break
+                    table[p] = other[q] = -1
+                q += 1
+            if q < top:
+                stack.append((si, q, used))
+                used = max(used, q + 1)
+                si, q = si + 1, 0
+                continue
+        if not stack:
             return
-        p, i, s = slots[si]
-        if p >= used:
-            # every created point has been fully scanned, so no new point
-            # can ever appear: dead branch unless already complete
-            return
-        table, other = (fwd[i], bwd[i]) if s == 0 else (bwd[i], fwd[i])
-        if table[p] != -1:
-            yield from rec(si + 1, used)
-            return
-        for q in range(used):
-            if other[q] == -1:
-                table[p], other[q] = q, p
-                yield from rec(si + 1, used)
-                table[p], other[q] = -1, -1
-        if used < degree:
-            table[p], other[used] = used, p
-            yield from rec(si + 1, used + 1)
-            table[p], other[used] = -1, -1
-
-    yield from rec(0, 1)
+        si, q, used = stack.pop()
+        p, table, other = slots[si]
+        table[p] = other[q] = -1
+        q += 1
 
 
 def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
@@ -398,9 +452,12 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     """All subgroups of index <= max_degree, one canonical action each.
 
     Results are ordered by degree and then lexicographically by table.
-    Refuses with ResourceLimitError when the predicted number of subgroups
-    exceeds ``max_work`` (the bound counts all subgroups even when only
-    normal ones are kept, since the search still visits them).
+    With ``normal_only`` the search cuts non-normal branches as it goes and
+    records each kept subgroup as normal, so ``is_normal`` on a result is a
+    cache read.  Refuses with ResourceLimitError when the predicted number
+    of subgroups exceeds ``max_work``; the bound counts all subgroups even
+    when only normal ones are kept, so refusals do not depend on
+    ``normal_only`` and overestimate the pruned search's work.
     """
     if rank < 0 or max_degree < 1:
         raise ValueError("need rank >= 0 and max_degree >= 1")
@@ -412,10 +469,10 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
             % (rank, max_degree, predicted, max_work))
     out = []
     for degree in range(1, max_degree + 1):
-        for table in _canonical_tables(rank, degree):
+        for table in _canonical_tables(rank, degree, normal_only):
             rep = PermRep(rank, degree, table)
-            if normal_only and not is_normal(rep):
-                continue
+            if normal_only:
+                rep._normal = True
             out.append(rep)
     return out
 

@@ -119,6 +119,79 @@ def brute_force_canonical_keys(rank: int, degree: int) -> set:
     return keys
 
 
+@functools.lru_cache(maxsize=None)
+def recursive_canonical_tables(rank: int, degree: int) -> tuple:
+    """Oracle for the low-index search: the recursive generator it replaced.
+
+    Fills the table slot by slot in scan order (point, generator, sign with
+    forward before backward), one recursion level per slot, giving a fresh
+    point only the next unused label; returns the completed tables in the
+    order visited.
+    """
+    if rank == 0:
+        return ((),) if degree == 1 else ()
+    fwd = [[-1] * degree for _ in range(rank)]
+    bwd = [[-1] * degree for _ in range(rank)]
+    slots = [(p, i, s) for p in range(degree) for i in range(rank) for s in (0, 1)]
+
+    def rec(si: int, used: int):
+        if si == len(slots):
+            if used == degree:
+                yield tuple(tuple(row) for row in fwd)
+            return
+        p, i, s = slots[si]
+        if p >= used:
+            return
+        table, other = (fwd[i], bwd[i]) if s == 0 else (bwd[i], fwd[i])
+        if table[p] != -1:
+            yield from rec(si + 1, used)
+            return
+        for q in range(used):
+            if other[q] == -1:
+                table[p], other[q] = q, p
+                yield from rec(si + 1, used)
+                table[p], other[q] = -1, -1
+        if used < degree:
+            table[p], other[used] = used, p
+            yield from rec(si + 1, used + 1)
+            table[p], other[used] = -1, -1
+
+    return tuple(rec(0, 1))
+
+
+def semiregular(tables) -> bool:
+    """Whether every generator's permutation has all cycles of one length.
+
+    Necessary for normality: a normal subgroup's coset action is regular,
+    so an element fixing one point fixes all, and each power of a generator
+    fixes either every point or none.
+    """
+    for perm in tables:
+        seen = set()
+        lengths = set()
+        for a in range(len(perm)):
+            n, b = 0, a
+            while b not in seen:
+                seen.add(b)
+                b, n = perm[b], n + 1
+            if n:
+                lengths.add(n)
+        if len(lengths) > 1:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def normal_tables_oracle(rank: int, degree: int) -> tuple:
+    """The oracle's tables whose subgroup ``pc.is_normal`` accepts, in order.
+
+    Tables failing :func:`semiregular` are skipped without the ``is_normal``
+    call, which does not change the result and keeps index-5 cases cheap.
+    """
+    return tuple(t for t in recursive_canonical_tables(rank, degree)
+                 if semiregular(t) and pc.is_normal(pc.PermRep(rank, degree, t)))
+
+
 def pro2_tower(k: int) -> pc.Tower:
     """Levels C(3*2^i) wrapping onto C3, bondings the 2-fold wraps."""
     coverings = [pc.as_covering(wrap_morphism(3 * 2 ** i, 3)) for i in range(k + 1)]

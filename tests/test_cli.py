@@ -114,19 +114,35 @@ class TestExitCodes:
                  "perms": [[True, False]]}),
         ("rep", {"format": formats.REP_FORMAT, "rank": 1, "degree": 2,
                  "perms": [1]}),
+        ("action", {"format": formats.ACTION_FORMAT, "elements": [[1]],
+                    "maps": {}}),
+        ("congruence", {"format": formats.CONGRUENCE_FORMAT,
+                        "vertex_classes": [[1, 2]], "edge_classes": []}),
+        ("congruence", {"format": formats.CONGRUENCE_FORMAT,
+                        "vertex_classes": [], "edge_classes": [1]}),
+        ("congruence", {"format": formats.CONGRUENCE_FORMAT,
+                        "vertex_classes": [], "edge_classes": [[1]]}),
     ])
     def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
         path = str(tmp_path / "doc.json")
         formats.save_json(path, doc)
-        if kind == "graph":
-            argv = ["validate", path]
-        else:
-            c3 = str(tmp_path / "c3.json")
-            formats.save_graph(c3, pc.cycle_graph(3))
-            argv = ["cover-from-rep", c3, path]
+        c3 = str(tmp_path / "c3.json")
+        formats.save_graph(c3, pc.cycle_graph(3))
+        argv = {"graph": ["validate", path],
+                "rep": ["cover-from-rep", c3, path],
+                "action": ["orbit-quotient", c3, path],
+                "congruence": ["quotient", c3, path]}[kind]
         out, code = run_cli(argv)
         assert code == 2
         assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_deep_low_index_search_is_0(self, capsys):
+        out, code = run_cli(["--json", "low-index", "--rank", "600",
+                             "--max-degree", "1"])
+        assert code == 0
+        details = json.loads(out)["details"]
+        assert details["total"] == 1 and len(details["reps"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
     def test_not_a_covering_is_1(self, tmp_path):

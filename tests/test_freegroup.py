@@ -18,7 +18,13 @@ from procover import (
     substitute,
     translation_kernel_rep,
 )
-from helpers import brute_force_canonical_keys, cyclic_rep, trivial_rep
+from helpers import (
+    brute_force_canonical_keys,
+    cyclic_rep,
+    normal_tables_oracle,
+    recursive_canonical_tables,
+    trivial_rep,
+)
 
 X = FreeWord.generator(0)
 Y = FreeWord.generator(1)
@@ -255,6 +261,34 @@ class TestLowIndex:
     def test_rank_zero(self):
         reps = low_index_reps(0, 3)
         assert len(reps) == 1 and reps[0].degree == 1
+
+
+class TestSearchAgainstRecursiveOracle:
+    """The iterative search, pruned or not, against the recursive generator
+    it replaced: identical tables in identical order."""
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_all_subgroups(self, rank):
+        want = [t for d in range(1, 6) for t in recursive_canonical_tables(rank, d)]
+        assert [rep.perms for rep in low_index_reps(rank, 5)] == want
+
+    @pytest.mark.parametrize("rank, max_degree",
+                             [(0, 5), (1, 5), (2, 5), (3, 5), (4, 3), (5, 3), (10, 2)])
+    def test_normal_only(self, rank, max_degree):
+        want = [t for d in range(1, max_degree + 1)
+                for t in normal_tables_oracle(rank, d)]
+        reps = low_index_reps(rank, max_degree, normal_only=True)
+        assert [rep.perms for rep in reps] == want
+        assert all(rep._normal for rep in reps)
+
+    def test_every_index_two_subgroup_is_normal(self):
+        assert len(low_index_reps(10, 2, normal_only=True)) == 2 ** 10
+
+    @pytest.mark.parametrize("rank, degree", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+    def test_semiregular_prefilter_is_exact(self, rank, degree):
+        want = tuple(t for t in recursive_canonical_tables(rank, degree)
+                     if is_normal(PermRep(rank, degree, t)))
+        assert normal_tables_oracle(rank, degree) == want
 
 
 class TestSubstitution:
