@@ -29,7 +29,6 @@ from .covering import (
     ActionError,
     LiftObstruction,
     NotACoveringError,
-    _regularity,
     action_deck_isomorphism,
     as_covering,
     cover_from_subgroup,
@@ -264,7 +263,7 @@ def cmd_orbit_quotient(args):
         "degree": cov.degree,
         "vertices": len(qg.vertices),
         "edges": qg.edge_count(),
-        "regular": _regularity(cov, deck).regular,
+        "regular": is_regular(cov).regular,
         "deck_isomorphism": {str(k): v for k, v in mapping.items()},
     }
     if args.out:
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("morphism")
     p.set_defaults(handler=cmd_deck)
 
-    p = sub.add_parser("regular", help="decide regularity three ways")
+    p = sub.add_parser("regular", help="decide whether a cover is regular")
     p.add_argument("morphism")
     p.set_defaults(handler=cmd_regular)
 

@@ -4,8 +4,15 @@ A covering is a graph morphism that restricts to a bijection on the star of
 darts at every vertex.  This module recognizes coverings, builds them from
 subgroups (voltage construction), reads subgroups back off as monodromy,
 lifts maps through them, computes deck transformation groups, decides
-regularity three independent ways, and forms quotients by free group
-actions and by deck subgroups.
+regularity, and forms quotients by free group actions and by deck subgroups.
+
+Deck groups and regularity rest on one test.  For a connected cover with
+monodromy subgroup H at a fiber point, the deck transformations correspond
+to the fiber points whose stabilizer equals H, that is to N(H)/H, and the
+cover is regular exactly when every fiber point qualifies (H is normal).
+Those points are read off the monodromy action by
+:func:`~procover.freegroup.normalizer_points`; no lift is attempted at a
+point that cannot carry a deck transformation.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .graphs import (
     quotient,
     spanning_tree,
 )
-from .freegroup import FreeWord, PermRep, is_normal
+from .freegroup import FreeWord, PermRep, normalizer_points
 
 
 class NotACoveringError(ValueError):
@@ -109,7 +116,9 @@ def as_covering(f: GraphMorphism) -> Covering:
     component_degrees = []
     for comp in components(cod):
         sizes = {len(vertex_fibers[u]) for u in comp}
-        assert len(sizes) == 1, "fiber sizes differ inside one component"
+        if len(sizes) != 1:
+            raise RuntimeError("fiber sizes differ inside one component "
+                               "(internal error)")
         component_degrees.append((comp[0], sizes.pop()))
     sizes = {n for _, n in component_degrees}
     degree = sizes.pop() if len(sizes) == 1 else None
@@ -125,8 +134,9 @@ def fiber_transport(c: Covering, e: str) -> dict[str, str]:
     out = {}
     for lifted in c.dart_fibers[e]:
         out[c.domain.src[lifted]] = c.domain.target(lifted)
-    assert len(out) == len(c.vertex_fibers[c.codomain.src[e]])
-    assert len(set(out.values())) == len(out)
+    if len(out) != len(c.vertex_fibers[c.codomain.src[e]]) or \
+            len(set(out.values())) != len(out):
+        raise RuntimeError("fiber transport is not a bijection (internal error)")
     return out
 
 
@@ -178,7 +188,8 @@ def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
             basis.append(min(d, e))
     basis.sort()
     data = Pi1Data(g, base, tree, basis)
-    assert data.rank == g.edge_count() - len(g.vertices) + 1
+    if data.rank != g.edge_count() - len(g.vertices) + 1:
+        raise RuntimeError("basis size is not the cycle rank (internal error)")
     return data
 
 
@@ -242,7 +253,9 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
     proj = GraphMorphism(cover, base, vmap, dmap)
     cov = as_covering(proj)
-    assert is_connected(cover), "transitive action must give a connected cover"
+    if not is_connected(cover):
+        raise RuntimeError("transitive action gave a disconnected cover "
+                           "(internal error)")
     return cover, vert(basepoint, 0), cov
 
 
@@ -329,7 +342,8 @@ def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
                 back = tuple(sigma.inv[e] for e in reversed(path_to[w]))
                 raise LiftObstruction(path_to[x] + (d,) + back)
     h = GraphMorphism(sigma, gamma, hv, hd)
-    assert compose(c.map, h) == g
+    if compose(c.map, h) != g:
+        raise RuntimeError("lift does not cover the map (internal error)")
     return h
 
 
@@ -396,21 +410,33 @@ class DeckGroup:
             for g in range(self.order) for h in s)
 
 
-def deck_group(c: Covering) -> DeckGroup:
-    """All covering transformations of a connected cover: the lifts of the
-    covering through itself, one attempt per point of the fiber through the
-    first vertex ``a0`` (fiber order puts the identity first).  Lifts are
-    unique, so each element is fixed by its image of ``a0``, and the
-    composition table is read off those images."""
-    if not is_connected(c.domain):
-        raise ValueError("cover is not connected")
+def _first_fiber_monodromy(c: Covering) -> tuple[str, PermRep]:
+    """The first vertex ``a0`` of a connected cover over a connected base
+    and the monodromy action on its fiber, with fiber point k labelled k
+    (``a0`` is the least vertex, so it is label 0)."""
+    if not is_connected(c.domain) or not is_connected(c.codomain):
+        raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
-    elements = []
-    for a in c.vertex_fibers[c.map.vmap[a0]]:
-        try:
-            elements.append(lift(c.map, c, a0, a))
-        except LiftObstruction:
-            continue
+    return a0, image_subgroup(c, a0, pi1_data(c.codomain, c.map.vmap[a0]))
+
+
+def deck_group(c: Covering) -> DeckGroup:
+    """All covering transformations of a connected cover of a connected base.
+
+    A deck transformation is the unique lift of the covering through itself
+    sending the first vertex ``a0`` to a fiber point whose stabilizer under
+    monodromy equals that of ``a0``; those points are the cosets of the
+    image subgroup in its normalizer (:func:`normalizer_points`), in fiber
+    order with the identity first.  One lift is made per such point, and
+    the composition table is read off the images of ``a0``.
+    """
+    a0, rep = _first_fiber_monodromy(c)
+    fiber = c.vertex_fibers[c.map.vmap[a0]]
+    try:
+        elements = [lift(c.map, c, a0, fiber[k]) for k in normalizer_points(rep)]
+    except LiftObstruction as exc:
+        raise RuntimeError("no deck transformation at a normalizer point "
+                           "(internal error)") from exc
     for h in elements[1:]:
         if any(h.vmap[v] == v for v in c.domain.vertices) or \
                 any(h.dmap[d] == d for d in c.domain.darts):
@@ -429,7 +455,14 @@ def deck_group(c: Covering) -> DeckGroup:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Three independently computed regularity verdicts; they must agree."""
+    """Regularity of a connected cover with the numbers behind it.
+
+    ``deck_order`` is [N(H) : H] for the monodromy image H, and the cover is
+    regular when it equals the degree.  ``image_normal`` (H is normal) and
+    ``fiber_transitive`` (deck transformations act transitively on every
+    fiber) are equivalent to that by the Galois correspondence, so they
+    always equal ``regular``.
+    """
 
     regular: bool
     degree: int
@@ -442,39 +475,18 @@ class RegularityReport:
 
 
 def is_regular(c: Covering) -> RegularityReport:
-    """Decide regularity three ways and cross-check.
+    """Decide regularity from the monodromy image subgroup H alone.
 
-    (i) deck order equals the degree; (ii) the monodromy image subgroup is
-    normal; (iii) the deck group is transitive on every vertex fiber.  Any
-    disagreement is an internal error and raises RuntimeError.
+    The deck order is the number of fiber points whose stabilizer equals H
+    (:func:`normalizer_points`), and the cover is regular exactly when that
+    is the whole fiber.  No deck transformation is constructed.
     """
-    if not is_connected(c.domain) or not is_connected(c.codomain):
-        raise ValueError("regularity needs connected cover and base")
-    return _regularity(c, deck_group(c))
-
-
-def _regularity(c: Covering, deck: DeckGroup) -> RegularityReport:
-    """The three-way regularity decision of :func:`is_regular` for a
-    connected cover whose deck group ``deck`` is already computed."""
-    a0 = c.domain.vertices[0]
-    p = pi1_data(c.codomain, c.map.vmap[a0])
-    rep = image_subgroup(c, a0, p)
-    by_order = deck.order == c.degree
-    by_normal = is_normal(rep)
-    by_transitive = True
-    for u in c.codomain.vertices:
-        fiber = c.vertex_fibers[u]
-        orbit = {h.vmap[fiber[0]] for h in deck.elements}
-        if orbit != set(fiber):
-            by_transitive = False
-            break
-    if not (by_order == by_normal == by_transitive):
-        raise RuntimeError(
-            "regularity verdicts disagree (order=%r normal=%r transitive=%r)"
-            % (by_order, by_normal, by_transitive))
-    return RegularityReport(regular=by_order, degree=c.degree,
-                            deck_order=deck.order, image_normal=by_normal,
-                            fiber_transitive=by_transitive)
+    _a0, rep = _first_fiber_monodromy(c)
+    deck_order = len(normalizer_points(rep))
+    regular = deck_order == c.degree
+    return RegularityReport(regular=regular, degree=c.degree,
+                            deck_order=deck_order, image_normal=regular,
+                            fiber_transitive=regular)
 
 
 class GroupAction:
@@ -580,6 +592,10 @@ class GroupAction:
 def deck_action(deck: DeckGroup, indices: Iterable[int]) -> GroupAction:
     """The action of a set of deck elements (must be a subgroup) on the cover."""
     chosen = sorted(set(indices))
+    bad = [i for i in chosen if not 0 <= i < deck.order]
+    if bad:
+        raise ValueError("deck element index %r is outside 0..%d"
+                         % (bad[0], deck.order - 1))
     if not deck.is_subgroup(chosen):
         raise ActionError("deck elements %r are not a subgroup" % (chosen,),
                           witness=tuple(chosen))
@@ -616,7 +632,9 @@ def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     r = Congruence(act.graph, vorbits, dorbits)
     qg, proj = quotient(act.graph, r)
     cov = as_covering(proj)
-    assert cov.degree == len(act.elements)
+    if cov.degree != len(act.elements):
+        raise RuntimeError("orbit map degree is not the group order "
+                           "(internal error)")
     return qg, cov
 
 
@@ -657,9 +675,13 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     dmap = {d: c.map.dmap[d] for d in qg.darts}
     down = GraphMorphism(qg, c.codomain, vmap, dmap)
     f_h = as_covering(down)
-    assert compose(f_h.map, h_map.map) == c.map
-    assert h_map.degree == len(act.elements)
-    assert f_h.degree * h_map.degree == c.degree
+    if compose(f_h.map, h_map.map) != c.map:
+        raise RuntimeError("factor maps do not compose to the covering "
+                           "(internal error)")
+    if h_map.degree != len(act.elements) or \
+            f_h.degree * h_map.degree != c.degree:
+        raise RuntimeError("factor degrees do not match the subgroup order "
+                           "and the degree (internal error)")
     return qg, h_map, f_h
 
 

@@ -74,6 +74,13 @@ def _get(obj, key, kind):
     return value
 
 
+def _str_list(obj, key):
+    value = _get(obj, key, list)
+    if not all(isinstance(x, str) for x in value):
+        raise FormatError("key %r must hold a list of strings" % key)
+    return value
+
+
 # -- graphs -----------------------------------------------------------------
 
 def _edge_table(g: FiniteGraph) -> list[tuple[str, str, str]]:
@@ -103,9 +110,7 @@ def graph_to_obj(g: FiniteGraph) -> dict:
 
 def graph_from_obj(obj) -> FiniteGraph:
     _expect(obj, GRAPH_FORMAT)
-    vertices = _get(obj, "vertices", list)
-    if not all(isinstance(v, str) for v in vertices):
-        raise FormatError("vertex ids must be strings")
+    vertices = _str_list(obj, "vertices")
     edges = []
     for entry in _get(obj, "edges", list):
         if not isinstance(entry, dict):
@@ -140,6 +145,8 @@ def _maps_to_obj(f: GraphMorphism) -> dict:
 
 def _maps_from_obj(obj, domain: FiniteGraph, codomain: FiniteGraph):
     vmap = _get(obj, "vertex_map", dict)
+    if not all(isinstance(v, str) for v in vmap.values()):
+        raise FormatError("vertex_map values must be vertex ids")
     edge_entries = _get(obj, "edge_map", dict)
     cod_edges = {eid: (pos, neg) for eid, pos, neg in _edge_table(codomain)}
     dmap = {}
@@ -326,9 +333,7 @@ def action_to_obj(act: GroupAction) -> dict:
 
 def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
     _expect(obj, ACTION_FORMAT)
-    names = _get(obj, "elements", list)
-    if not all(isinstance(g, str) for g in names):
-        raise FormatError("element names must be strings")
+    names = _str_list(obj, "elements")
     maps = _get(obj, "maps", dict)
     if set(names) != set(maps):
         raise FormatError("elements and maps disagree")
@@ -373,12 +378,14 @@ def load_tower_pieces(path: str):
         fs.append(load_morphism(resolve(_get(entry, "f", str)),
                                 domain=gamma, codomain=delta))
     phis = [load_morphism(resolve(p), domain=gammas[i + 1], codomain=gammas[i])
-            for i, p in enumerate(_get(obj, "phi", list))]
+            for i, p in enumerate(_str_list(obj, "phi"))]
     psis = [load_morphism(resolve(p), domain=deltas[i + 1], codomain=deltas[i])
-            for i, p in enumerate(_get(obj, "psi", list))]
+            for i, p in enumerate(_str_list(obj, "psi"))]
     if len(phis) != len(fs) - 1 or len(psis) != len(fs) - 1:
         raise FormatError("expected %d bonding maps per side" % (len(fs) - 1))
-    basepoints = obj.get("basepoints")
+    basepoints = None
+    if obj.get("basepoints") is not None:
+        basepoints = _str_list(obj, "basepoints")
     return fs, phis, psis, basepoints
 
 
@@ -429,7 +436,7 @@ def load_universal_spec(path: str) -> UniversalSpec:
 
     base = load_graph(resolve(_get(obj, "base", str)))
     quotients = [load_congruence(resolve(p), base)
-                 for p in _get(obj, "quotients", list)]
-    normals = [load_rep(resolve(p)) for p in _get(obj, "normals", list)]
+                 for p in _str_list(obj, "quotients")]
+    normals = [load_rep(resolve(p)) for p in _str_list(obj, "normals")]
     return UniversalSpec(base=base, basepoint=_get(obj, "basepoint", str),
                          quotients=quotients, normals=normals)

@@ -18,6 +18,12 @@ with Finitely Presented Groups*, 1994, ch. 5).  Asked for normal subgroups
 only, it prunes while searching: a partial table is cut as soon as some
 map 0 -> c forced by its defined edges fails to be a bijection, because
 the action of a normal subgroup has an automorphism 0 -> c for every c.
+
+That forced-map test is the one place that decides Stab(c) = Stab(0).
+On a complete table it passes exactly for the cosets of H in its
+normalizer N(H) (:func:`normalizer_points`), so the search, :func:`is_normal`
+and, through the monodromy action, deck groups and regularity of coverings
+all read the same decision.
 """
 
 from __future__ import annotations
@@ -312,12 +318,23 @@ def subgroup_leq(h: PermRep, k: PermRep) -> bool:
 
 
 def is_normal(rep: PermRep) -> bool:
-    """Whether Stab(0) is normal: every Schreier generator fixes every coset."""
+    """Whether Stab(0) is normal: every map 0 -> c extends to an
+    automorphism of the action (no forced-map clash on the table)."""
     if rep._normal is None:
-        rep._normal = all(rep.act(p, w) == p
-                          for w in rep.schreier_generators()
-                          for p in range(rep.degree))
+        rep._normal = not _forced_map_clash(_tables(rep), rep.degree)
     return rep._normal
+
+
+def normalizer_points(rep: PermRep) -> tuple[int, ...]:
+    """The points c with Stab(c) = Stab(0), in increasing order.
+
+    These are the cosets of H = Stab(0) in its normalizer, so there are
+    [N(H) : H] of them; 0 is always first.  Each one is the image of 0
+    under exactly one automorphism of the action.
+    """
+    tables = _tables(rep)
+    return (0,) + tuple(c for c in range(1, rep.degree)
+                        if _forced_map_extends(tables, rep.degree, c))
 
 
 def rep_equivalent(a: PermRep, b: PermRep) -> bool:
@@ -355,34 +372,50 @@ def subgroup_count(rank: int, index: int) -> int:
     return total
 
 
-def _forced_map_clash(moves, used: int) -> bool:
-    """Whether the partial table admits no automorphism 0 -> c for some c.
+def _tables(rep: PermRep) -> list[tuple[int, ...]]:
+    """Every generator's permutation and its inverse, in move order."""
+    return [table for _i, _s, table in rep._moves()]
 
-    For each point c in 1..used-1 the map 0 -> c is pushed along every edge
-    defined at a point and at its image.  A point with two images, or two
-    points with one image, rules out every completion in which Stab(0) =
-    Stab(c), hence every normal completion.  On a complete table the map
-    is total, so no clash means each 0 -> c extends to an automorphism of
-    the action: exactly the normal tables pass.
+
+def _forced_map_extends(moves, used: int, c: int) -> bool:
+    """Whether the map 0 -> c extends along the partial table.
+
+    The map is pushed along every edge defined at a point and at its image.
+    A point with two images, or two points with one image, rules out every
+    completion in which Stab(0) = Stab(c).  On a complete transitive table
+    the map becomes total, so passing means 0 -> c extends to an
+    automorphism of the action, that is Stab(c) = Stab(0).
+    """
+    image = [-1] * used
+    preimage = [-1] * used
+    image[0], preimage[c] = c, 0
+    queue = [0]
+    for a in queue:
+        ma = image[a]
+        for table in moves:
+            b, mb = table[a], table[ma]
+            if b < 0 or mb < 0:
+                continue
+            if image[b] < 0:
+                if preimage[mb] >= 0:
+                    return False
+                image[b], preimage[mb] = mb, b
+                queue.append(b)
+            elif image[b] != mb:
+                return False
+    return True
+
+
+def _forced_map_clash(moves, used: int) -> bool:
+    """Whether some map 0 -> c with c in 1..used-1 fails to extend.
+
+    A clash rules out every normal completion, since the action of a
+    normal subgroup has an automorphism 0 -> c for every c; on a complete
+    table no clash means exactly that the table is normal.
     """
     for c in range(1, used):
-        image = [-1] * used
-        preimage = [-1] * used
-        image[0], preimage[c] = c, 0
-        queue = [0]
-        for a in queue:
-            ma = image[a]
-            for table in moves:
-                b, mb = table[a], table[ma]
-                if b < 0 or mb < 0:
-                    continue
-                if image[b] < 0:
-                    if preimage[mb] >= 0:
-                        return True
-                    image[b], preimage[mb] = mb, b
-                    queue.append(b)
-                elif image[b] != mb:
-                    return True
+        if not _forced_map_extends(moves, used, c):
+            return True
     return False
 
 

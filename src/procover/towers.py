@@ -265,7 +265,7 @@ def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:
     """
     j = t.top if top is None else top
     if not 0 <= j <= t.top:
-        raise TowerError("no level %r in this tower" % (top,))
+        raise ValueError("no level %r in this tower" % (top,))
     f_top = t.coverings[j].map
     records = []
     for i in range(j + 1):

@@ -181,15 +181,25 @@ def semiregular(tables) -> bool:
     return True
 
 
+def schreier_is_normal(rep: pc.PermRep) -> bool:
+    """Oracle for ``pc.is_normal``: Stab(0) is normal exactly when every
+    Schreier generator fixes every coset."""
+    return all(rep.act(p, w) == p
+               for w in rep.schreier_generators()
+               for p in range(rep.degree))
+
+
 @functools.lru_cache(maxsize=None)
 def normal_tables_oracle(rank: int, degree: int) -> tuple:
-    """The oracle's tables whose subgroup ``pc.is_normal`` accepts, in order.
+    """The oracle's tables whose subgroup :func:`schreier_is_normal`
+    accepts, in order.
 
-    Tables failing :func:`semiregular` are skipped without the ``is_normal``
-    call, which does not change the result and keeps index-5 cases cheap.
+    Tables failing :func:`semiregular` are skipped without the Schreier
+    check, which does not change the result and keeps index-5 cases cheap.
     """
     return tuple(t for t in recursive_canonical_tables(rank, degree)
-                 if semiregular(t) and pc.is_normal(pc.PermRep(rank, degree, t)))
+                 if semiregular(t)
+                 and schreier_is_normal(pc.PermRep(rank, degree, t)))
 
 
 def pro2_tower(k: int) -> pc.Tower:
@@ -286,3 +296,26 @@ def scanned_deck_hom(phi: pc.GraphMorphism, upper: pc.DeckGroup,
         assert len(found) == 1
         hom.append(found[0])
     return tuple(hom)
+
+
+def three_way_regularity_oracle(cov: pc.Covering) -> pc.RegularityReport:
+    """Regularity of a connected cover decided three independent ways.
+
+    (i) the order of the composed deck group equals the degree; (ii) the
+    monodromy image subgroup passes :func:`schreier_is_normal`; (iii) the
+    composed deck group is transitive on every vertex fiber.  The three
+    must agree; the report carries them in the layout of ``pc.is_regular``.
+    """
+    elements, _table, _inverse = composed_deck_oracle(cov)
+    a0 = cov.domain.vertices[0]
+    p = pc.pi1_data(cov.codomain, cov.map.vmap[a0])
+    by_order = len(elements) == cov.degree
+    by_normal = schreier_is_normal(pc.image_subgroup(cov, a0, p))
+    by_transitive = all(
+        {h.vmap[fiber[0]] for h in elements} == set(fiber)
+        for fiber in cov.vertex_fibers.values())
+    assert by_order == by_normal == by_transitive
+    return pc.RegularityReport(regular=by_order, degree=cov.degree,
+                               deck_order=len(elements),
+                               image_normal=by_normal,
+                               fiber_transitive=by_transitive)

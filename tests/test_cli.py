@@ -12,10 +12,15 @@ from helpers import (
     b2_homology_spec,
     pro2_tower,
     rotation_action,
+    two_cycles,
     wrap_morphism,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+C3_IDENTITY = formats.morphism_to_obj(
+    pc.GraphMorphism.identity(pc.cycle_graph(3)))
+ONE_LEVEL = [{"gamma": "c3.json", "delta": "c3.json", "f": "id.json"}]
 
 
 def run_cli(argv):
@@ -122,19 +127,60 @@ class TestExitCodes:
                         "vertex_classes": [], "edge_classes": [1]}),
         ("congruence", {"format": formats.CONGRUENCE_FORMAT,
                         "vertex_classes": [], "edge_classes": [[1]]}),
+        ("morphism", dict(C3_IDENTITY,
+                          vertex_map={"v0": ["v0"], "v1": "v1", "v2": "v2"})),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": [], "psi": [], "basepoints": 5}),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": [], "psi": [], "basepoints": [["v0"]]}),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": [5], "psi": []}),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": [], "psi": [5]}),
+        ("universal", {"format": formats.UNIVERSAL_FORMAT, "base": "c3.json",
+                       "basepoint": "v0", "quotients": [5], "normals": []}),
+        ("universal", {"format": formats.UNIVERSAL_FORMAT, "base": "c3.json",
+                       "basepoint": "v0", "quotients": [], "normals": [5]}),
     ])
     def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
         path = str(tmp_path / "doc.json")
         formats.save_json(path, doc)
         c3 = str(tmp_path / "c3.json")
         formats.save_graph(c3, pc.cycle_graph(3))
+        formats.save_json(str(tmp_path / "id.json"), C3_IDENTITY)
         argv = {"graph": ["validate", path],
                 "rep": ["cover-from-rep", c3, path],
                 "action": ["orbit-quotient", c3, path],
-                "congruence": ["quotient", c3, path]}[kind]
+                "congruence": ["quotient", c3, path],
+                "morphism": ["check-cover", path],
+                "tower": ["tower", "deck", path],
+                "universal": ["tower", "universal", path]}[kind]
         out, code = run_cli(argv)
         assert code == 2
         assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["deck"],
+                                         ["deck-quotient", "--elements", "0"]])
+    def test_disconnected_base_is_2(self, tmp_path, capsys, command):
+        c3 = pc.cycle_graph(3)
+        f = pc.GraphMorphism(c3, two_cycles(3),
+                             {"v%d" % i: "a%d" % i for i in range(3)},
+                             {d: "ea" + d[1:] for d in c3.darts})
+        path = str(tmp_path / "c3_into_2c3.json")
+        formats.save_morphism(path, f)
+        out, code = run_cli(command[:1] + [path] + command[1:])
+        assert code == 2
+        assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("elements", ["0,99", "-1", "4"])
+    def test_deck_index_out_of_range_is_2(self, tmp_path, capsys, elements):
+        f = str(tmp_path / "c12.json")
+        formats.save_morphism(f, wrap_morphism(12, 3))
+        out, code = run_cli(["deck-quotient", f, "--elements", elements])
+        assert code == 2
+        assert "verdict: error" in out and "outside 0..3" in out
         assert "Traceback" not in capsys.readouterr().err
 
     def test_deep_low_index_search_is_0(self, capsys):
@@ -264,6 +310,12 @@ class TestTowerCommands:
     def test_good_pairs(self, manifest):
         out, code = run_cli(["tower", "good-pairs", manifest])
         assert code == 0 and "regular_good" in out
+
+    @pytest.mark.parametrize("top", ["9", "4", "-1"])
+    def test_good_pairs_missing_level_is_2(self, manifest, top):
+        out, code = run_cli(["tower", "good-pairs", manifest, "--top", top])
+        assert code == 2
+        assert "verdict: error" in out and "no level" in out
 
     def test_deck(self, manifest):
         out, code = run_cli(["tower", "deck", manifest])

@@ -43,6 +43,7 @@ from helpers import (
     rotation_action,
     s3_regular_rep,
     theta_graph,
+    three_way_regularity_oracle,
     trivial_rep,
     wrap_morphism,
 )
@@ -299,7 +300,8 @@ def rank2_covers(draw):
 
 
 class TestDeckGroupOracle:
-    """deck_group against the table built by composing full morphisms."""
+    """deck_group against the table built by composing full morphisms, and
+    is_regular against the three-way regularity decision."""
 
     @staticmethod
     def check(cov):
@@ -309,6 +311,7 @@ class TestDeckGroupOracle:
         assert deck.elements == elements
         assert deck.table == table
         assert deck.inverse == inverse
+        assert is_regular(cov) == three_way_regularity_oracle(cov)
 
     def test_b2_covers(self):
         for _h, _base, cov in b2_covers():

@@ -18,11 +18,13 @@ from procover import (
     substitute,
     translation_kernel_rep,
 )
+from procover.freegroup import normalizer_points
 from helpers import (
     brute_force_canonical_keys,
     cyclic_rep,
     normal_tables_oracle,
     recursive_canonical_tables,
+    schreier_is_normal,
     trivial_rep,
 )
 
@@ -187,6 +189,13 @@ class TestNormality:
             rebased_all_equal = all(
                 rep_equivalent(rep.rebased(p), rep) for p in range(rep.degree))
             assert rebased_all_equal == is_normal(rep)
+            assert is_normal(rep) == schreier_is_normal(rep)
+
+    def test_normalizer_points_are_the_equal_stabilizers(self):
+        for rep in low_index_reps(2, 4):
+            want = tuple(c for c in range(rep.degree)
+                         if rep_equivalent(rep.rebased(c), rep))
+            assert normalizer_points(rep) == want
 
 
 class TestEquivalence:
