@@ -109,6 +109,8 @@ def _load_graph_arg(path):
 
 def _default_basepoint(graph, given, what="vertex"):
     if given is None:
+        if not graph.vertices:
+            raise GraphError("the graph has no vertices: no default %s" % what)
         return graph.vertices[0]
     if given not in graph._vertex_set:
         raise GraphError("unknown %s %r" % (what, given))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Mapping
 
 from .graphs import (
@@ -77,6 +78,18 @@ class Covering:
         self.dart_fibers = dart_fibers
         self.degree = degree
         self.component_degrees = component_degrees
+        self._stars_by_image: dict[str, dict[str, str]] = {}
+
+    def _star_by_image(self, u: str) -> dict[str, str]:
+        """The star of cover vertex ``u`` keyed by image dart (a bijection
+        onto the star of its image, by local bijectivity).  Built on first
+        use and kept: every lift through this covering reads it."""
+        index = self._stars_by_image.get(u)
+        if index is None:
+            dmap = self.map.dmap
+            index = {dmap[d]: d for d in self.domain.star(u)}
+            self._stars_by_image[u] = index
+        return index
 
     @property
     def domain(self) -> FiniteGraph:
@@ -301,6 +314,11 @@ def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
     once the basepoint image is fixed; ``dart_order`` only reorders the
     traversal and never changes the result.  When some closed path blocks
     the lift, raises LiftObstruction carrying that path.
+
+    The result is verified twice: constructing it as a
+    :class:`~procover.graphs.GraphMorphism` checks incidence and the
+    involution, and ``c.map o h == g`` is checked vertex by vertex and dart
+    by dart on the maps themselves, without building the composite.
     """
     if g.codomain != c.codomain:
         raise GraphError("map and covering have different codomains")
@@ -315,34 +333,42 @@ def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
         raise ValueError("source graph is not connected")
     order = dart_order or (lambda darts: darts)
     sigma, gamma = g.domain, c.domain
-    star_index: dict[str, dict[str, str]] = {}
+    sstar, ssrc, sinv = sigma._star, sigma.src, sigma.inv
+    gsrc, ginv, gd = gamma.src, gamma.inv, g.dmap
 
-    def lifted_dart(u, image):
-        if u not in star_index:
-            star_index[u] = {c.map.dmap[d]: d for d in gamma.star(u)}
-        return star_index[u][image]
+    def path_to(v):
+        # the tree path from base_c, read back along the discovery darts
+        back = []
+        while v != base_c:
+            d = reached_by[v]
+            back.append(d)
+            v = ssrc[d]
+        return tuple(reversed(back))
 
     hv = {base_c: base_a}
     hd: dict[str, str] = {}
-    path_to: dict[str, tuple[str, ...]] = {base_c: ()}
+    reached_by: dict[str, str] = {}
     queue = deque([base_c])
     while queue:
         x = queue.popleft()
-        for d in order(sigma.star(x)):
-            up = lifted_dart(hv[x], g.dmap[d])
+        over = c._star_by_image(hv[x])
+        for d in order(sstar[x]):
+            up = over[gd[d]]
+            e, up_e = sinv[d], ginv[up]
             hd[d] = up
-            hd[sigma.inv[d]] = gamma.inv[up]
-            w = sigma.target(d)
-            lw = gamma.target(up)
+            hd[e] = up_e
+            w, lw = ssrc[e], gsrc[up_e]
             if w not in hv:
                 hv[w] = lw
-                path_to[w] = path_to[x] + (d,)
+                reached_by[w] = d
                 queue.append(w)
             elif hv[w] != lw:
-                back = tuple(sigma.inv[e] for e in reversed(path_to[w]))
-                raise LiftObstruction(path_to[x] + (d,) + back)
+                back = tuple(sinv[b] for b in reversed(path_to(w)))
+                raise LiftObstruction(path_to(x) + (d,) + back)
     h = GraphMorphism(sigma, gamma, hv, hd)
-    if compose(c.map, h) != g:
+    cv, cd = c.map.vmap, c.map.dmap
+    if [cv[a] for a in h.vmap.values()] != [g.vmap[v] for v in h.vmap] or \
+            [cd[e] for e in h.dmap.values()] != [gd[d] for d in h.dmap]:
         raise RuntimeError("lift does not cover the map (internal error)")
     return h
 
@@ -414,6 +440,8 @@ def _first_fiber_monodromy(c: Covering) -> tuple[str, PermRep]:
     """The first vertex ``a0`` of a connected cover over a connected base
     and the monodromy action on its fiber, with fiber point k labelled k
     (``a0`` is the least vertex, so it is label 0)."""
+    if not c.domain.vertices:
+        raise ValueError("the cover has no vertices")
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
@@ -438,8 +466,8 @@ def deck_group(c: Covering) -> DeckGroup:
         raise RuntimeError("no deck transformation at a normalizer point "
                            "(internal error)") from exc
     for h in elements[1:]:
-        if any(h.vmap[v] == v for v in c.domain.vertices) or \
-                any(h.dmap[d] == d for d in c.domain.darts):
+        if any(map(eq, h.vmap, h.vmap.values())) or \
+                any(map(eq, h.dmap, h.dmap.values())):
             raise RuntimeError("deck transformation with a fixed element "
                                "(internal error)")
     at = {h.vmap[a0]: i for i, h in enumerate(elements)}

@@ -10,6 +10,12 @@ All values in this module are immutable after construction and every
 operation is a pure function; values may be shared freely between threads.
 All ids are opaque strings, and every traversal orders by id, so equal
 inputs always produce identical outputs.
+
+Immutability is also what makes two lazily filled caches safe: a graph
+keeps its component partition after the first :func:`components` call, and
+a morphism keeps its hash after the first ``hash()``.  Each is a pure
+function of the value, so a racing second computation stores the same
+answer.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ class FiniteGraph:
         self._key = (self.vertices, self.darts,
                      tuple(self.src[d] for d in self.darts),
                      tuple(self.inv[d] for d in self.darts))
+        self._components: tuple[tuple[str, ...], ...] | None = None
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str],
@@ -195,7 +202,17 @@ def require_valid(g: FiniteGraph) -> FiniteGraph:
 
 
 def components(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
-    """Partition of the vertices into connected components (sorted)."""
+    """Partition of the vertices into connected components (sorted).
+
+    Computed by one breadth-first pass on the first call and kept on the
+    graph, which is immutable; later calls return the stored partition.
+    """
+    if g._components is None:
+        g._components = _component_partition(g)
+    return g._components
+
+
+def _component_partition(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
     seen: set[str] = set()
     comps = []
     for v in g.vertices:
@@ -217,6 +234,8 @@ def components(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
 
 
 def is_connected(g: FiniteGraph) -> bool:
+    """Whether ``g`` has at most one component (a lookup after the first
+    :func:`components` call on ``g``)."""
     return len(g.vertices) <= 1 or len(components(g)) == 1
 
 
@@ -278,7 +297,12 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
 
 
 class GraphMorphism:
-    """Map of graphs: commutes with ``src`` and with the involution."""
+    """Map of graphs: commutes with ``src`` and with the involution.
+
+    Construction validates the whole map.  Two morphisms are equal when
+    their graphs and their vertex and dart maps are equal; the hash is
+    computed on first use and kept.
+    """
 
     def __init__(self, domain: FiniteGraph, codomain: FiniteGraph,
                  vmap: Mapping[str, str], dmap: Mapping[str, str]):
@@ -292,19 +316,23 @@ class GraphMorphism:
         if self.dmap.keys() != domain._dart_set:
             bad = sorted(self.dmap.keys() ^ domain._dart_set)[0]
             raise GraphError("dart map domain mismatch at %r" % bad)
-        for v, w in self.vmap.items():
-            if w not in codomain._vertex_set:
-                raise GraphError("vertex %r maps outside the codomain (to %r)" % (v, w))
-        for d, e in self.dmap.items():
-            if e not in codomain._dart_set:
-                raise GraphError("dart %r maps outside the codomain (to %r)" % (d, e))
+        if not codomain._vertex_set.issuperset(self.vmap.values()):
+            v, w = next((v, w) for v, w in self.vmap.items()
+                        if w not in codomain._vertex_set)
+            raise GraphError("vertex %r maps outside the codomain (to %r)" % (v, w))
+        if not codomain._dart_set.issuperset(self.dmap.values()):
+            d, e = next((d, e) for d, e in self.dmap.items()
+                        if e not in codomain._dart_set)
+            raise GraphError("dart %r maps outside the codomain (to %r)" % (d, e))
+        vmap, dmap = self.vmap, self.dmap
+        dsrc, dinv, csrc, cinv = domain.src, domain.inv, codomain.src, codomain.inv
         for d in domain.darts:
-            if self.vmap[domain.src[d]] != codomain.src[self.dmap[d]]:
+            e = dmap[d]
+            if vmap[dsrc[d]] != csrc[e]:
                 raise GraphError("morphism breaks incidence at dart %r" % d)
-            if self.dmap[domain.inv[d]] != codomain.inv[self.dmap[d]]:
+            if dmap[dinv[d]] != cinv[e]:
                 raise GraphError("morphism breaks the involution at dart %r" % d)
-        self._key = (tuple(sorted(self.vmap.items())),
-                     tuple(sorted(self.dmap.items())))
+        self._hash: int | None = None
 
     @classmethod
     def identity(cls, g: FiniteGraph) -> "GraphMorphism":
@@ -330,10 +358,14 @@ class GraphMorphism:
         return (isinstance(other, GraphMorphism)
                 and self.domain == other.domain
                 and self.codomain == other.codomain
-                and self._key == other._key)
+                and self.vmap == other.vmap
+                and self.dmap == other.dmap)
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash((tuple(sorted(self.vmap.items())),
+                               tuple(sorted(self.dmap.items()))))
+        return self._hash
 
     def __repr__(self):
         return "GraphMorphism(%r -> %r)" % (self.domain.name, self.codomain.name)

@@ -300,7 +300,9 @@ def deck_tower(t: Tower) -> DeckTowerResult:
     degree (every level regular: projecting uses simple transitivity).  A
     deck transformation upstairs projects through the cover-side bonding
     morphism to the unique one downstairs with the same image of one vertex;
-    this is verified pointwise and as a group homomorphism.
+    this is verified as a group homomorphism and pointwise: the square
+    ``beta o phi == phi o alpha`` is checked at every vertex and dart
+    without building either composite.
     """
     require_valid_tower(t)
     for i, cov in enumerate(t.coverings):
@@ -315,6 +317,7 @@ def deck_tower(t: Tower) -> DeckTowerResult:
     steps = []
     for i in range(t.top):
         phi = t.cover_steps[i]
+        pv, pd = phi.vmap, phi.dmap
         upper, lower = decks[i + 1], decks[i]
         x0 = phi.domain.vertices[0]
         start = phi.vmap[x0]
@@ -326,7 +329,11 @@ def deck_tower(t: Tower) -> DeckTowerResult:
                 raise TowerError(
                     "deck element %d at level %d does not project" % (a_idx, i + 1),
                     witness=(i + 1, a_idx))
-            if compose(lower.elements[beta_idx], phi) != compose(phi, alpha):
+            beta = lower.elements[beta_idx]
+            if [beta.vmap[y] for y in pv.values()] != \
+                    [pv[alpha.vmap[x]] for x in pv] or \
+                    [beta.dmap[e] for e in pd.values()] != \
+                    [pd[alpha.dmap[d]] for d in pd]:
                 raise TowerError(
                     "deck element %d at level %d projects inconsistently"
                     % (a_idx, i + 1), witness=(i + 1, a_idx))

@@ -319,3 +319,47 @@ def three_way_regularity_oracle(cov: pc.Covering) -> pc.RegularityReport:
                                deck_order=len(elements),
                                image_normal=by_normal,
                                fiber_transitive=by_transitive)
+
+
+def composed_lift_oracle(g: pc.GraphMorphism, cov: pc.Covering,
+                         h: pc.GraphMorphism) -> bool:
+    """The check ``lift`` used to make: ``c.map o h == g`` through a
+    composed, re-validated morphism compared with ``==``."""
+    return pc.compose(cov.map, h) == g
+
+
+def composed_square_oracle(phi: pc.GraphMorphism, alpha: pc.GraphMorphism,
+                           beta: pc.GraphMorphism) -> bool:
+    """The check ``deck_tower`` used to make for a projected deck element:
+    ``beta o phi == phi o alpha`` as composed morphisms."""
+    return pc.compose(beta, phi) == pc.compose(phi, alpha)
+
+
+def sorted_item_key(m: pc.GraphMorphism) -> tuple:
+    """The eager equality key morphisms used to carry: both maps as sorted
+    item tuples (``hash(m)`` was ``hash`` of it)."""
+    return (tuple(sorted(m.vmap.items())), tuple(sorted(m.dmap.items())))
+
+
+def fresh_components(g: pc.FiniteGraph) -> tuple:
+    """Oracle for ``pc.components``: a depth-first search over ``src`` and
+    ``inv`` that keeps nothing, components ordered by least vertex."""
+    out_darts: dict = {v: [] for v in g.vertices}
+    for d in g.darts:
+        out_darts[g.src[d]].append(d)
+    seen: set = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp, stack = [v], [v]
+        while stack:
+            for d in out_darts[stack.pop()]:
+                w = g.src[g.inv[d]]
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))

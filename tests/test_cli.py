@@ -174,6 +174,23 @@ class TestExitCodes:
         assert "verdict: error" in out
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["pi1", "graph"], ["cover-from-rep", "graph", "rep"],
+        ["image-subgroup", "morphism"], ["deck", "morphism"],
+        ["regular", "morphism"], ["deck-quotient", "morphism", "--elements", "0"]])
+    def test_empty_graph_is_2(self, tmp_path, capsys, command):
+        empty = pc.FiniteGraph([], [], {}, {})
+        paths = {"graph": str(tmp_path / "empty.json"),
+                 "morphism": str(tmp_path / "empty_id.json"),
+                 "rep": str(tmp_path / "rep.json")}
+        formats.save_graph(paths["graph"], empty)
+        formats.save_morphism(paths["morphism"], pc.GraphMorphism.identity(empty))
+        formats.save_rep(paths["rep"], pc.PermRep(0, 1, []))
+        out, code = run_cli([paths.get(x, x) for x in command])
+        assert code == 2
+        assert "verdict: error" in out and "no vertices" in out
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("elements", ["0,99", "-1", "4"])
     def test_deck_index_out_of_range_is_2(self, tmp_path, capsys, elements):
         f = str(tmp_path / "c12.json")

@@ -35,6 +35,7 @@ from procover.freegroup import NotTransitiveError
 from helpers import (
     b2_covers,
     composed_deck_oracle,
+    composed_lift_oracle,
     cycle_with_loop,
     cycle_with_parallel,
     cyclic_family,
@@ -337,6 +338,44 @@ class TestDeckGroupOracle:
     @given(rank2_covers())
     def test_generated_covers(self, cov):
         self.check(cov)
+
+
+class TestLiftOracle:
+    """Every lift ``lift`` returns passes the composed check it replaced:
+    ``compose(c.map, h) == g``.  Lifts of each cover through itself at every
+    point over the first vertex's image, plus lifts of each B2 cover into
+    the B2 covers of degree at most two."""
+
+    @staticmethod
+    def check(g, cov, base_c):
+        made = 0
+        for a in cov.vertex_fibers[g.vmap[base_c]]:
+            try:
+                h = lift(g, cov, base_c, a)
+            except LiftObstruction:
+                continue
+            assert composed_lift_oracle(g, cov, h)
+            made += 1
+        return made
+
+    def test_b2_covers(self):
+        small = [(base, cov) for _h, base, cov in b2_covers() if cov.degree <= 2]
+        made = 0
+        for _h, base, cov in b2_covers():
+            made += self.check(cov.map, cov, base)
+            for _base, down in small:
+                made += self.check(cov.map, down, base)
+        assert made > len(b2_covers())
+
+    def test_cyclic_family(self):
+        for cov in cyclic_family():
+            assert self.check(cov.map, cov, "v0") == cov.degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank2_covers())
+    def test_generated_covers(self, cov):
+        a0 = cov.domain.vertices[0]
+        assert self.check(cov.map, cov, a0) == deck_group(cov).order
 
 
 class TestRegularity:

@@ -14,7 +14,14 @@ from procover import (
     quotient,
     validate_graph,
 )
-from helpers import two_cycles, wrap_morphism
+from helpers import (
+    b2_covers,
+    fresh_components,
+    rotation,
+    sorted_item_key,
+    two_cycles,
+    wrap_morphism,
+)
 
 
 def antipodal_congruence(c6):
@@ -222,3 +229,82 @@ class TestMorphismAlgebra:
         dmap["e0+"] = "e1+"
         with pytest.raises(GraphError):
             GraphMorphism(c3, c3, vmap, dmap)
+
+
+class TestMorphismEquality:
+    """``==`` and ``hash`` against the sorted-item-tuple key morphisms used
+    to build eagerly."""
+
+    def test_insertion_order_is_irrelevant(self):
+        f = wrap_morphism(12, 3)
+        g = GraphMorphism(f.domain, f.codomain,
+                          dict(reversed(list(f.vmap.items()))),
+                          dict(reversed(list(f.dmap.items()))))
+        assert list(g.vmap) != list(f.vmap)
+        assert f == g and hash(f) == hash(g)
+        assert sorted_item_key(f) == sorted_item_key(g)
+        assert hash(f) == hash(sorted_item_key(f))
+
+    def test_one_edge_apart(self):
+        # B2 onto itself: swap the images of one loop's two darts
+        b2 = pc.bouquet_graph(2)
+        ident = GraphMorphism.identity(b2)
+        flipped = GraphMorphism(b2, b2, dict(ident.vmap),
+                                dict(ident.dmap, **{"e1+": "e1-", "e1-": "e1+"}))
+        assert ident != flipped
+        assert sorted_item_key(ident) != sorted_item_key(flipped)
+        assert {ident, flipped, GraphMorphism.identity(b2)} == {ident, flipped}
+
+    def test_same_maps_other_codomain(self):
+        c3 = pc.cycle_graph(3)
+        bigger = FiniteGraph(c3.vertices + ("w",), c3.darts, c3.src, c3.inv)
+        ident = GraphMorphism.identity(c3)
+        into = GraphMorphism(c3, bigger, ident.vmap, ident.dmap)
+        assert sorted_item_key(into) == sorted_item_key(ident)
+        assert into != ident and ident != into
+
+    def test_agrees_with_sorted_key_on_deck_elements(self):
+        pairs = 0
+        for _h, _base, cov in b2_covers():
+            if cov.degree < 3:
+                continue
+            a0 = cov.domain.vertices[0]
+            maps = [rotation(6, k) for k in range(6)]
+            for a in cov.vertex_fibers[cov.map.vmap[a0]]:
+                try:
+                    maps.append(pc.lift(cov.map, cov, a0, a))
+                except pc.LiftObstruction:
+                    pass
+            for m in maps:
+                assert hash(m) == hash(sorted_item_key(m))
+                for n in maps:
+                    same_graphs = (m.domain == n.domain
+                                   and m.codomain == n.codomain)
+                    assert (m == n) == (same_graphs and sorted_item_key(m)
+                                        == sorted_item_key(n))
+                    pairs += 1
+        assert pairs > 1000
+
+
+class TestComponentCache:
+    def graphs(self):
+        yield FiniteGraph([], [], {}, {})
+        yield pc.path_graph(1)
+        yield pc.cycle_graph(7)
+        yield two_cycles(4)
+        yield FiniteGraph.from_edges(["a", "b", "c", "d", "e"],
+                                     [("x", "a", "c"), ("y", "e", "e")])
+        for _h, _base, cov in b2_covers():
+            yield cov.domain
+
+    def test_matches_fresh_search(self):
+        for g in self.graphs():
+            first = pc.components(g)
+            assert first == fresh_components(g)
+            assert pc.components(g) is first
+            assert pc.is_connected(g) == (len(first) <= 1)
+
+    def test_equal_graphs_cache_separately(self):
+        g, h = two_cycles(3), two_cycles(3)
+        assert pc.components(g) == pc.components(h) == fresh_components(h)
+        assert not pc.is_connected(g) and not pc.is_connected(h)

@@ -27,6 +27,7 @@ from procover import (
 from procover.covering import image_subgroup
 from helpers import (
     b2_homology_spec,
+    composed_square_oracle,
     constant_tower,
     cyclic_rep,
     factorial_spec,
@@ -182,6 +183,32 @@ class TestDeckTowerOracle:
         for i, step in enumerate(result.steps):
             assert step.hom == scanned_deck_hom(
                 t.cover_steps[i], result.decks[i + 1], result.decks[i])
+
+    def test_pro2_tower(self):
+        self.check(pro2_tower(3))
+
+    def test_homology_tower(self):
+        self.check(universal_tower(b2_homology_spec()))
+
+    def test_factorial_tower(self):
+        self.check(universal_tower(factorial_spec()))
+
+    def test_constant_tower(self):
+        self.check(constant_tower(2))
+
+
+class TestDeckTowerSquareOracle:
+    """Every projection ``deck_tower`` accepts passes the composed check it
+    replaced: ``compose(beta, phi) == compose(phi, alpha)``."""
+
+    @staticmethod
+    def check(t):
+        result = deck_tower(t)
+        for i, step in enumerate(result.steps):
+            upper, lower = result.decks[i + 1], result.decks[i]
+            for alpha, b in zip(upper.elements, step.hom):
+                assert composed_square_oracle(t.cover_steps[i], alpha,
+                                              lower.elements[b])
 
     def test_pro2_tower(self):
         self.check(pro2_tower(3))
