@@ -150,6 +150,8 @@ def cmd_quotient(args):
 
 def cmd_check_cover(args):
     f = formats.load_morphism(args.morphism)
+    if not f.codomain.vertices:
+        raise GraphError("the base graph has no vertices: no degree")
     cov = as_covering(f)
     details = {"degree": cov.degree}
     if cov.degree is None:
@@ -376,7 +378,8 @@ def cmd_tower_universal(args):
 
 def cmd_tower_pi1_trivial(args):
     t = formats.load_tower(args.manifest)
-    report = pi1_triviality_check(t, args.max_index, max_work=args.max_work)
+    report = pi1_triviality_check(t, args.max_index, max_work=args.max_work,
+                                  all_levels=args.all_levels)
     rows = []
     for row in report.rows:
         rows.append({"level": row.level, "index": row.index,
@@ -527,6 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("pi1-trivial", help="triviality criterion to an index bound")
     p.add_argument("manifest")
     p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--all-levels", action="store_true",
+                   help="report the normal subgroups of every level, not "
+                        "only the level-0 ones the verdict reads")
     p.set_defaults(handler=cmd_tower_pi1_trivial)
 
     p = tsub.add_parser("fibers", help="fiber sizes along a vertex thread")

@@ -234,9 +234,10 @@ def _component_partition(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    """Whether ``g`` has at most one component (a lookup after the first
+    """Whether ``g`` has exactly one component, so the graph with no
+    vertices is not connected (a lookup after the first
     :func:`components` call on ``g``)."""
-    return len(g.vertices) <= 1 or len(components(g)) == 1
+    return len(components(g)) == 1
 
 
 class SpanningTreeData:

@@ -125,7 +125,11 @@ class Tower:
         return self.coverings[i].codomain
 
     def cover_map_to(self, i: int, j: int) -> GraphMorphism:
-        """Composite bonding morphism from level j down to level i (j >= i)."""
+        """Composite bonding morphism from level j down to level i (j >= i).
+
+        Each call builds its own chain of j - i compositions; the tower
+        operations below keep one running chain instead of calling this.
+        """
         if not 0 <= i <= j <= self.top:
             raise TowerError("bad level pair (%d, %d)" % (i, j))
         out = GraphMorphism.identity(self.cover_graph(j))
@@ -164,7 +168,10 @@ def validate_tower_pieces(level_maps: list[GraphMorphism],
 
     Checks local bijectivity of every level, pointwise commutativity of
     every square, and (warning level) surjectivity of the bonding maps.
-    Lists every violation with a witness element.
+    Lists every violation with a witness element.  A square
+    ``f_i o phi_i == psi_i o f_{i+1}`` is read vertex by vertex and dart by
+    dart without building either composite; maps that do not compose raise
+    the GraphError of :func:`compose`.
     """
     report = TowerReport()
     for i, f in enumerate(level_maps):
@@ -175,21 +182,19 @@ def validate_tower_pieces(level_maps: list[GraphMorphism],
                 "kind": "not-locally-bijective", "level": i,
                 "witness": exc.vertex, "reason": exc.reason})
     for i, (phi, psi) in enumerate(zip(cover_steps, base_steps)):
-        left = compose(level_maps[i], phi)
-        right = compose(psi, level_maps[i + 1])
-        for v in left.domain.vertices:
-            if left.vmap[v] != right.vmap[v]:
-                report.violations.append({
-                    "kind": "square", "step": i, "witness": v,
-                    "via-cover": left.vmap[v], "via-base": right.vmap[v]})
-                break
-        else:
-            for d in left.domain.darts:
-                if left.dmap[d] != right.dmap[d]:
-                    report.violations.append({
-                        "kind": "square", "step": i, "witness": d,
-                        "via-cover": left.dmap[d], "via-base": right.dmap[d]})
-                    break
+        f, g = level_maps[i], level_maps[i + 1]
+        if phi.codomain != f.domain or g.codomain != psi.domain:
+            raise GraphError("morphisms do not compose: codomain/domain mismatch")
+        violation = _square_violation(phi.domain.vertices, phi.vmap, f.vmap,
+                                      g.vmap, psi.vmap)
+        if violation is None:
+            violation = _square_violation(phi.domain.darts, phi.dmap, f.dmap,
+                                          g.dmap, psi.dmap)
+        if violation is not None:
+            x, via_cover, via_base = violation
+            report.violations.append({
+                "kind": "square", "step": i, "witness": x,
+                "via-cover": via_cover, "via-base": via_base})
         for m, side in ((phi, "cover"), (psi, "base")):
             if not m.is_surjective():
                 missing = sorted(m.codomain._vertex_set - set(m.vmap.values())
@@ -198,6 +203,16 @@ def validate_tower_pieces(level_maps: list[GraphMorphism],
                     "kind": "bonding-not-surjective", "step": i,
                     "side": side, "witness": missing[0]})
     return report
+
+
+def _square_violation(elements, phi, f, g, psi):
+    """The first element x with ``f[phi[x]] != psi[g[x]]``, with both
+    values, or None when the square commutes on ``elements``."""
+    for x in elements:
+        via_cover, via_base = f[phi[x]], psi[g[x]]
+        if via_cover != via_base:
+            return x, via_cover, via_base
+    return None
 
 
 def validate_tower(t: Tower) -> TowerReport:
@@ -248,6 +263,8 @@ def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
         return GoodPairRecord(r, s, "half", induced=induced,
                               witness=(exc.vertex, exc.reason),
                               level=level, top=top)
+    if not induced.domain.vertices:
+        raise ValueError("the cover has no vertices")
     if is_connected(induced.domain) and is_connected(induced.codomain) \
             and is_regular(cov).regular:
         verdict = "regular_good"
@@ -261,18 +278,29 @@ def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:
 
     For each i the pair is (kernel of the cover-side composite, kernel of
     the base-side composite) taken on the top level's covering.  In a valid
-    tower every record is at least ``good``.
+    tower every record is at least ``good``.  The composites are built as
+    one running chain per side, each step one :func:`compose` onto the
+    previous composite, so a depth-k tower makes at most 2k compositions.
     """
     j = t.top if top is None else top
     if not 0 <= j <= t.top:
         raise ValueError("no level %r in this tower" % (top,))
     f_top = t.coverings[j].map
-    records = []
-    for i in range(j + 1):
-        r = kernel_congruence(t.cover_map_to(i, j))
-        s = kernel_congruence(t.base_map_to(i, j))
-        records.append(classify_pair(f_top, r, s, level=i, top=j))
-    return records
+    pairs = [(Congruence.diagonal(t.cover_graph(j)),
+              Congruence.diagonal(t.base_graph(j)))]
+    down_cover = down_base = None
+    for i in range(j - 1, -1, -1):
+        down_cover = _extend_down(t.cover_steps[i], down_cover)
+        down_base = _extend_down(t.base_steps[i], down_base)
+        pairs.append((kernel_congruence(down_cover), kernel_congruence(down_base)))
+    pairs.reverse()
+    return [classify_pair(f_top, r, s, level=i, top=j)
+            for i, (r, s) in enumerate(pairs)]
+
+
+def _extend_down(step: GraphMorphism, chain: GraphMorphism | None) -> GraphMorphism:
+    """``step o chain``, or ``step`` itself when the chain is still empty."""
+    return step if chain is None else compose(step, chain)
 
 
 @dataclass
@@ -306,13 +334,16 @@ def deck_tower(t: Tower) -> DeckTowerResult:
     """
     require_valid_tower(t)
     for i, cov in enumerate(t.coverings):
+        if not cov.domain.vertices:
+            raise ValueError("the cover has no vertices")
         if not is_connected(cov.domain) or not is_connected(cov.codomain):
-            raise TowerError("level %d is not connected" % i)
+            raise TowerError("level %d is not connected" % i, witness=(i,))
     decks = []
     for i, cov in enumerate(t.coverings):
         deck = deck_group(cov)
         if deck.order != cov.degree:
-            raise TowerError("level %d is not a regular covering" % i)
+            raise TowerError("level %d is not a regular covering" % i,
+                             witness=(i,))
         decks.append(deck)
     steps = []
     for i in range(t.top):
@@ -461,9 +492,11 @@ class TrivialityReport:
 
     ``trivial`` certifies only the base level within this truncation:
     every normal subgroup of index <= max_index at level 0 absorbs the
-    whole image of some deeper level.  Rows for higher levels are reported
-    as evidence; a pair at the top level can never be satisfied unless it
-    is the full group, and a truncation can never speak for the limit.
+    whole image of some deeper level.  ``rows`` holds the level-0 rows the
+    verdict reads, or, for a check run with ``all_levels``, one row per
+    normal subgroup at every level; the rows for higher levels are evidence
+    only: a pair at the top level can never be satisfied unless it is the
+    full group, and a truncation can never speak for the limit.
     """
 
     max_index: int
@@ -473,35 +506,55 @@ class TrivialityReport:
 
 
 def pi1_triviality_check(t: Tower, max_index: int,
-                         max_work: int = DEFAULT_MAX_WORK) -> TrivialityReport:
-    """For every level i and normal subgroup H of index <= max_index in the
-    fundamental group there, find the first level j >= i whose whole image
-    lands inside H, if any within the tower."""
+                         max_work: int = DEFAULT_MAX_WORK,
+                         all_levels: bool = False) -> TrivialityReport:
+    """For every normal subgroup H of index <= max_index in the fundamental
+    group of level 0 (of every level i, with ``all_levels``), find the first
+    level j >= i whose whole image lands inside H, if any within the tower.
+
+    The image of level j shrinks as j grows, so H is tested at the top
+    level first, and the levels above i are scanned for the first
+    satisfying one only when the top level satisfies H.  The maps from
+    level j down to level i are built as one running chain of
+    compositions; by default only level 0 is enumerated, so a depth-k
+    tower makes k compositions and one low-index search.
+    """
     basepoints = t.require_basepoints()
     p = []
     for i in range(t.top + 1):
         if not is_connected(t.cover_graph(i)):
-            raise TowerError("level %d is not connected" % i)
+            raise TowerError("level %d is not connected" % i, witness=(i,))
         p.append(pi1_data(t.cover_graph(i), basepoints[i]))
-    homs: dict[tuple[int, int], GeneratorImages] = {}
-    for i in range(t.top + 1):
-        for j in range(i, t.top + 1):
-            homs[(i, j)] = induced_hom(t.cover_map_to(i, j), p[j], p[i])
     rows = []
-    for i in range(t.top + 1):
+    for i in range(t.top + 1 if all_levels else 1):
+        homs = _homs_down_to(t, p, i)
         for rep in low_index_reps(p[i].rank, max_index, normal_only=True,
                                   max_work=max_work):
             satisfied_at = None
-            for j in range(i, t.top + 1):
-                images = homs[(i, j)]
-                if all(rep.act(0, w) == 0 for w in images.images):
-                    satisfied_at = j
-                    break
+            if _absorbs(rep, homs[-1]):
+                satisfied_at = next(j for j, images in enumerate(homs, i)
+                                    if _absorbs(rep, images))
             rows.append(TrivialityRow(level=i, rep=rep, index=rep.degree,
                                       satisfied_at=satisfied_at))
     trivial = all(row.satisfied_at is not None for row in rows if row.level == 0)
     return TrivialityReport(max_index=max_index, depth=t.top, rows=rows,
                             trivial=trivial)
+
+
+def _homs_down_to(t: Tower, p: list[Pi1Data], i: int) -> list[GeneratorImages]:
+    """The homomorphisms induced from level j into level i, for j = i..top,
+    read off one running chain of bonding composites."""
+    down = GraphMorphism.identity(t.cover_graph(i))
+    homs = [induced_hom(down, p[i], p[i])]
+    for j in range(i + 1, t.top + 1):
+        down = compose(down, t.cover_steps[j - 1])
+        homs.append(induced_hom(down, p[j], p[i]))
+    return homs
+
+
+def _absorbs(rep: PermRep, images: GeneratorImages) -> bool:
+    """Whether every image generator lies in the subgroup Stab(0) of ``rep``."""
+    return all(rep.act(0, w) == 0 for w in images.images)
 
 
 @dataclass

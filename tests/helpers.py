@@ -6,6 +6,7 @@ import functools
 import itertools
 
 import procover as pc
+from procover import towers
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
@@ -363,3 +364,84 @@ def fresh_components(g: pc.FiniteGraph) -> tuple:
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return tuple(sorted(comps))
+
+
+def all_pairs_triviality_oracle(t: pc.Tower, max_index: int,
+                                max_work: int = pc.DEFAULT_MAX_WORK
+                                ) -> towers.TrivialityReport:
+    """The triviality check ``pi1_triviality_check`` replaced: the induced
+    homomorphism of ``t.cover_map_to(i, j)`` for every pair i <= j, the
+    normal subgroups of every level, and a scan of every j >= i per row."""
+    basepoints = t.require_basepoints()
+    p = []
+    for i in range(t.top + 1):
+        if not pc.is_connected(t.cover_graph(i)):
+            raise pc.TowerError("level %d is not connected" % i)
+        p.append(pc.pi1_data(t.cover_graph(i), basepoints[i]))
+    homs = {}
+    for i in range(t.top + 1):
+        for j in range(i, t.top + 1):
+            homs[(i, j)] = pc.induced_hom(t.cover_map_to(i, j), p[j], p[i])
+    rows = []
+    for i in range(t.top + 1):
+        for rep in pc.low_index_reps(p[i].rank, max_index, normal_only=True,
+                                     max_work=max_work):
+            satisfied_at = None
+            for j in range(i, t.top + 1):
+                if all(rep.act(0, w) == 0 for w in homs[(i, j)].images):
+                    satisfied_at = j
+                    break
+            rows.append(towers.TrivialityRow(level=i, rep=rep,
+                                             index=rep.degree,
+                                             satisfied_at=satisfied_at))
+    trivial = all(row.satisfied_at is not None for row in rows if row.level == 0)
+    return towers.TrivialityReport(max_index=max_index, depth=t.top,
+                                   rows=rows, trivial=trivial)
+
+
+def composed_square_validation_oracle(level_maps, cover_steps, base_steps
+                                      ) -> towers.TowerReport:
+    """The tower validation ``validate_tower_pieces`` replaced: both
+    composites of every square built with ``compose`` and compared."""
+    report = towers.TowerReport()
+    for i, f in enumerate(level_maps):
+        try:
+            pc.as_covering(f)
+        except pc.NotACoveringError as exc:
+            report.violations.append({
+                "kind": "not-locally-bijective", "level": i,
+                "witness": exc.vertex, "reason": exc.reason})
+    for i, (phi, psi) in enumerate(zip(cover_steps, base_steps)):
+        left = pc.compose(level_maps[i], phi)
+        right = pc.compose(psi, level_maps[i + 1])
+        for v in left.domain.vertices:
+            if left.vmap[v] != right.vmap[v]:
+                report.violations.append({
+                    "kind": "square", "step": i, "witness": v,
+                    "via-cover": left.vmap[v], "via-base": right.vmap[v]})
+                break
+        else:
+            for d in left.domain.darts:
+                if left.dmap[d] != right.dmap[d]:
+                    report.violations.append({
+                        "kind": "square", "step": i, "witness": d,
+                        "via-cover": left.dmap[d], "via-base": right.dmap[d]})
+                    break
+        for m, side in ((phi, "cover"), (psi, "base")):
+            if not m.is_surjective():
+                missing = sorted(m.codomain._vertex_set - set(m.vmap.values())
+                                 or m.codomain._dart_set - set(m.dmap.values()))
+                report.warnings.append({
+                    "kind": "bonding-not-surjective", "step": i,
+                    "side": side, "witness": missing[0]})
+    return report
+
+
+def per_pair_good_pairs_oracle(t: pc.Tower, top: int) -> list:
+    """``kernel_good_pairs`` as it was: the kernels of ``cover_map_to(i, top)``
+    and ``base_map_to(i, top)``, each composite built afresh per level."""
+    f_top = t.coverings[top].map
+    return [pc.classify_pair(f_top, pc.kernel_congruence(t.cover_map_to(i, top)),
+                             pc.kernel_congruence(t.base_map_to(i, top)),
+                             level=i, top=top)
+            for i in range(top + 1)]

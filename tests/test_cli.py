@@ -177,7 +177,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ["pi1", "graph"], ["cover-from-rep", "graph", "rep"],
         ["image-subgroup", "morphism"], ["deck", "morphism"],
-        ["regular", "morphism"], ["deck-quotient", "morphism", "--elements", "0"]])
+        ["regular", "morphism"], ["deck-quotient", "morphism", "--elements", "0"],
+        ["check-cover", "morphism"]])
     def test_empty_graph_is_2(self, tmp_path, capsys, command):
         empty = pc.FiniteGraph([], [], {}, {})
         paths = {"graph": str(tmp_path / "empty.json"),
@@ -190,6 +191,13 @@ class TestExitCodes:
         assert code == 2
         assert "verdict: error" in out and "no vertices" in out
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_empty_graph_is_not_connected(self, tmp_path):
+        path = str(tmp_path / "empty.json")
+        formats.save_graph(path, pc.FiniteGraph([], [], {}, {}))
+        out, code = run_cli(["--json", "validate", path])
+        assert code == 0
+        assert json.loads(out)["details"]["connected"] is False
 
     @pytest.mark.parametrize("elements", ["0,99", "-1", "4"])
     def test_deck_index_out_of_range_is_2(self, tmp_path, capsys, elements):
@@ -345,6 +353,46 @@ class TestTowerCommands:
         out, code = run_cli(["tower", "pi1-trivial", manifest,
                              "--max-index", "3"])
         assert code == 1 and "not trivial to index 3" in out
+
+    def test_pi1_trivial_all_levels(self, manifest):
+        out, code = run_cli(["--json", "tower", "pi1-trivial", manifest,
+                             "--max-index", "2"])
+        default = json.loads(out)
+        assert code == 0
+        assert {row["level"] for row in default["details"]["pairs"]} == {0}
+        out, code = run_cli(["--json", "tower", "pi1-trivial", manifest,
+                             "--max-index", "2", "--all-levels"])
+        full = json.loads(out)
+        assert code == 0 and full["verdict"] == default["verdict"]
+        rows = full["details"]["pairs"]
+        assert [row["level"] for row in rows] == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert [row for row in rows if row["level"] == 0] == \
+            default["details"]["pairs"]
+
+    def test_deck_irregular_level_has_witness(self, tmp_path):
+        _, _, cov = pc.cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.PermRep(2, 3, [(1, 0, 2), (0, 2, 1)]))
+        manifest = formats.save_tower(str(tmp_path), pc.Tower([cov], [], []))
+        out, code = run_cli(["--json", "tower", "deck", manifest])
+        report = json.loads(out)
+        assert code == 1
+        assert report["details"]["error"] == "level 0 is not a regular covering"
+        assert report["details"]["witness"] == ["0"]
+
+    def test_disconnected_level_has_witness(self, tmp_path):
+        both = two_cycles(3)
+        f = pc.GraphMorphism(both, pc.cycle_graph(3),
+                             {v: "v" + v[1:] for v in both.vertices},
+                             {d: "e" + d[2:] for d in both.darts})
+        manifest = formats.save_tower(
+            str(tmp_path), pc.Tower([pc.as_covering(f)], [], [], basepoints=["a0"]))
+        for command in (["deck"], ["pi1-trivial", "--max-index", "2"]):
+            out, code = run_cli(["--json", "tower", command[0], manifest]
+                                + command[1:])
+            report = json.loads(out)
+            assert code == 1
+            assert report["details"]["error"] == "level 0 is not connected"
+            assert report["details"]["witness"] == ["0"]
 
     def test_fibers(self, manifest):
         out, code = run_cli(["tower", "fibers", manifest, "--vertex", "v0"])

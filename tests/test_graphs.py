@@ -302,7 +302,7 @@ class TestComponentCache:
             first = pc.components(g)
             assert first == fresh_components(g)
             assert pc.components(g) is first
-            assert pc.is_connected(g) == (len(first) <= 1)
+            assert pc.is_connected(g) == (len(first) == 1)
 
     def test_equal_graphs_cache_separately(self):
         g, h = two_cycles(3), two_cycles(3)

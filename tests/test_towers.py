@@ -24,17 +24,22 @@ from procover import (
     universal_tower,
     validate_tower,
 )
+from procover import towers
 from procover.covering import image_subgroup
 from helpers import (
+    all_pairs_triviality_oracle,
     b2_homology_spec,
     composed_square_oracle,
+    composed_square_validation_oracle,
     constant_tower,
     cyclic_rep,
     factorial_spec,
+    per_pair_good_pairs_oracle,
     pro2_tower,
     rotation,
     scanned_deck_hom,
     trivial_rep,
+    two_cycles,
     wrap_morphism,
 )
 
@@ -285,7 +290,8 @@ class TestUniversalTower:
 class TestTriviality:
     def test_pro2_two_trivial(self):
         t = pro2_tower(4)
-        report = pi1_triviality_check(t, 2)
+        report = pi1_triviality_check(t, 2, all_levels=True)
+        assert {row.level for row in report.rows} == set(range(t.top + 1))
         assert report.trivial
         for row in report.rows:
             if row.index == 2 and row.level < t.top:
@@ -315,6 +321,198 @@ class TestTriviality:
         bare = Tower(t.coverings, t.cover_steps, t.base_steps)
         with pytest.raises(TowerError):
             pi1_triviality_check(bare, 2)
+
+    def test_default_reports_level_zero_only(self):
+        t = pro2_tower(3)
+        default = pi1_triviality_check(t, 3)
+        full = pi1_triviality_check(t, 3, all_levels=True)
+        assert {row.level for row in default.rows} == {0}
+        assert default.rows == [row for row in full.rows if row.level == 0]
+        assert default.trivial == full.trivial
+
+    def test_deeper_refusal_only_with_all_levels(self):
+        # level 1 of the B2 homology tower has rank 5: its index-3 search is
+        # refused at a budget the rank-2 level-0 search fits in
+        t = universal_tower(b2_homology_spec())
+        report = pi1_triviality_check(t, 3, max_work=5000)
+        assert not report.trivial
+        with pytest.raises(pc.ResourceLimitError):
+            pi1_triviality_check(t, 3, max_work=5000, all_levels=True)
+
+    def test_disconnected_level_has_witness(self):
+        both = two_cycles(3)
+        f = GraphMorphism(both, pc.cycle_graph(3),
+                          {v: "v" + v[1:] for v in both.vertices},
+                          {d: "e" + d[2:] for d in both.darts})
+        t = Tower([as_covering(f)], [], [], basepoints=["a0"])
+        with pytest.raises(TowerError) as err:
+            pi1_triviality_check(t, 2)
+        assert err.value.witness == (0,)
+
+
+def oracle_towers():
+    yield pro2_tower(3)
+    yield universal_tower(b2_homology_spec())
+    yield universal_tower(factorial_spec())
+    yield constant_tower(3)
+
+
+def truncated_b2_homology_tower():
+    """The first two levels of the B2 homology tower (ranks 2 and 5), whose
+    every level can be searched to index 3 in milliseconds."""
+    spec = b2_homology_spec()
+    return universal_tower(UniversalSpec(spec.base, spec.basepoint,
+                                         spec.quotients[:2], spec.normals[:2]))
+
+
+class TestTrivialityOracle:
+    """The level-0 check with monotone search and running chains against
+    the all-pairs check it replaced."""
+
+    @staticmethod
+    def check(t, max_index):
+        old = all_pairs_triviality_oracle(t, max_index)
+        assert pi1_triviality_check(t, max_index, all_levels=True) == old
+        default = pi1_triviality_check(t, max_index)
+        assert default.rows == [r for r in old.rows if r.level == 0]
+        assert (default.trivial, default.depth, default.max_index) == \
+            (old.trivial, old.depth, old.max_index)
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3, 4])
+    def test_pro2_tower(self, max_index):
+        self.check(pro2_tower(3), max_index)
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3])
+    def test_homology_tower(self, max_index):
+        self.check(truncated_b2_homology_tower(), max_index)
+
+    def test_full_homology_tower(self):
+        # index 2 at the rank-17 top level is 131,071 subgroups; index 1 is not
+        self.check(universal_tower(b2_homology_spec()), 1)
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3, 4])
+    def test_factorial_tower(self, max_index):
+        self.check(universal_tower(factorial_spec()), max_index)
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3])
+    def test_constant_tower(self, max_index):
+        self.check(constant_tower(3), max_index)
+
+
+class TestGoodPairsOracle:
+    """Running bonding chains against one fresh composite per level."""
+
+    def test_against_per_pair_composites(self):
+        for t in oracle_towers():
+            for top in range(t.top + 1):
+                assert kernel_good_pairs(t, top) == \
+                    per_pair_good_pairs_oracle(t, top)
+
+
+def broken_towers():
+    """Tower data (level maps, cover steps, base steps) that fails
+    validation in each way the report knows."""
+    t = pro2_tower(3)
+    fs, phis, psis = [c.map for c in t.coverings], list(t.cover_steps), \
+        list(t.base_steps)
+    phis[0] = compose(rotation(3, 1), phis[0])
+    phis[2] = compose(rotation(12, 5), phis[2])
+    yield fs, phis, psis
+    # a square that commutes on vertices and fails on darts only
+    b2 = pc.bouquet_graph(2)
+    swap = GraphMorphism(b2, b2, {"v0": "v0"},
+                         {"e0+": "e1+", "e0-": "e1-", "e1+": "e0+", "e1-": "e0-"})
+    ident = GraphMorphism.identity(b2)
+    yield [ident, ident], [ident], [swap]
+    # a level that is not locally bijective
+    p2 = pc.path_graph(2)
+    fold = GraphMorphism(p2, pc.cycle_graph(3), {"v0": "v0", "v1": "v1"},
+                         {"e0+": "e0+", "e0-": "e0-"})
+    yield [fold], [], []
+    # a bonding map that misses half of level 0
+    both = two_cycles(6)
+    c3, c6 = pc.cycle_graph(3), pc.cycle_graph(6)
+    f0 = GraphMorphism(both, c3, {v: "v%d" % (int(v[1:]) % 3) for v in both.vertices},
+                       {d: "e%d%s" % (int(d[2:-1]) % 3, d[-1]) for d in both.darts})
+    into_a = GraphMorphism(c6, both, {"v%d" % i: "a%d" % i for i in range(6)},
+                           {d: "ea" + d[1:] for d in c6.darts})
+    yield [f0, wrap_morphism(6, 3)], [into_a], [GraphMorphism.identity(c3)]
+
+
+class TestValidationOracle:
+    """Pointwise squares against the composed squares they replaced."""
+
+    def test_valid_towers(self):
+        for t in oracle_towers():
+            pieces = ([c.map for c in t.coverings], list(t.cover_steps),
+                      list(t.base_steps))
+            report = pc.validate_tower_pieces(*pieces)
+            assert report.ok
+            assert report == composed_square_validation_oracle(*pieces)
+
+    def test_broken_towers(self):
+        kinds = set()
+        for pieces in broken_towers():
+            report = pc.validate_tower_pieces(*pieces)
+            assert report == composed_square_validation_oracle(*pieces)
+            kinds |= {v["kind"] for v in report.violations + report.warnings}
+        assert kinds == {"square", "not-locally-bijective",
+                         "bonding-not-surjective"}
+        square = pc.validate_tower_pieces(*next(broken_towers()))
+        assert [v["step"] for v in square.violations] == [0, 2]
+
+    def test_dart_only_square(self):
+        pieces = list(broken_towers())[1]
+        report = pc.validate_tower_pieces(*pieces)
+        assert report.violations == [{"kind": "square", "step": 0,
+                                      "witness": "e0+", "via-cover": "e0+",
+                                      "via-base": "e1+"}]
+
+    def test_shape_mismatch_raises_like_compose(self):
+        t = pro2_tower(1)
+        fs = [c.map for c in t.coverings]
+        for phis, psis in (([wrap_morphism(12, 6)], list(t.base_steps)),
+                           (list(t.cover_steps),
+                            [GraphMorphism.identity(pc.cycle_graph(6))])):
+            for check in (pc.validate_tower_pieces,
+                          composed_square_validation_oracle):
+                with pytest.raises(pc.GraphError, match="do not compose"):
+                    check(fs, phis, psis)
+
+
+class TestDepthCost:
+    """A depth-30 tower costs O(depth) compositions and, by default, one
+    low-index search."""
+
+    DEPTH = 30
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"compose": 0, "low_index_reps": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(towers, name, counting(name, getattr(towers, name)))
+        return calls
+
+    def test_triviality_check(self, counted):
+        t = constant_tower(self.DEPTH)
+        report = pi1_triviality_check(t, 2)
+        assert report.trivial is False
+        assert [r.satisfied_at for r in report.rows] == [0, None]
+        assert counted["compose"] <= self.DEPTH
+        assert counted["low_index_reps"] == 1
+
+    def test_kernel_good_pairs(self, counted):
+        t = constant_tower(self.DEPTH)
+        records = kernel_good_pairs(t)
+        assert len(records) == self.DEPTH + 1
+        assert counted["compose"] <= 2 * self.DEPTH
 
 
 class TestInducedHom:
