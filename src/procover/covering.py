@@ -28,7 +28,6 @@ from .graphs import (
     GraphError,
     GraphMorphism,
     components,
-    compose,
     edge_stem,
     is_connected,
     quotient,
@@ -305,15 +304,14 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     return PermRep(p.rank, len(fiber), perms)
 
 
-def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
-         dart_order=None) -> GraphMorphism:
+def lift(g: GraphMorphism, c: Covering, base_c: str,
+         base_a: str) -> GraphMorphism:
     """The unique lift of ``g`` through the covering, sending base_c to base_a.
 
     Proceeds breadth-first: each dart of the (connected) source has exactly
     one possible image by local bijectivity, so the whole lift is forced
-    once the basepoint image is fixed; ``dart_order`` only reorders the
-    traversal and never changes the result.  When some closed path blocks
-    the lift, raises LiftObstruction carrying that path.
+    once the basepoint image is fixed.  When some closed path blocks the
+    lift, raises LiftObstruction carrying that path.
 
     The result is verified twice: constructing it as a
     :class:`~procover.graphs.GraphMorphism` checks incidence and the
@@ -331,7 +329,6 @@ def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
                          % (base_c, g.vmap[base_c], base_a, c.map.vmap[base_a]))
     if not is_connected(g.domain):
         raise ValueError("source graph is not connected")
-    order = dart_order or (lambda darts: darts)
     sigma, gamma = g.domain, c.domain
     sstar, ssrc, sinv = sigma._star, sigma.src, sigma.inv
     gsrc, ginv, gd = gamma.src, gamma.inv, g.dmap
@@ -352,7 +349,7 @@ def lift(g: GraphMorphism, c: Covering, base_c: str, base_a: str,
     while queue:
         x = queue.popleft()
         over = c._star_by_image(hv[x])
-        for d in order(sstar[x]):
+        for d in sstar[x]:
             up = over[gd[d]]
             e, up_e = sinv[d], ginv[up]
             hd[d] = up
@@ -397,16 +394,19 @@ class DeckGroup:
         return len(self.elements)
 
     def closure(self, indices: Iterable[int]) -> frozenset[int]:
-        """Smallest subgroup containing the given elements."""
-        seen = {0} | set(indices)
-        frontier = list(seen)
-        while frontier:
-            i = frontier.pop()
-            for j in list(seen):
-                for k in (self.table[i][j], self.table[j][i], self.inverse[i]):
-                    if k not in seen:
-                        seen.add(k)
-                        frontier.append(k)
+        """Smallest subgroup containing the given elements: a breadth-first
+        walk from the identity multiplying by them through ``table`` (in a
+        finite group the products reached already hold every inverse)."""
+        gens = set(indices)
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            for g in gens:
+                k = self.table[g][i]
+                if k not in seen:
+                    seen.add(k)
+                    queue.append(k)
         return frozenset(seen)
 
     def is_subgroup(self, indices: Iterable[int]) -> bool:
@@ -423,6 +423,8 @@ class DeckGroup:
         while frontier:
             s = frontier.pop()
             for i in range(self.order):
+                if i in s:
+                    continue
                 bigger = self.closure(s | {i})
                 if bigger not in found:
                     found.add(bigger)
@@ -518,89 +520,59 @@ def is_regular(c: Covering) -> RegularityReport:
 
 
 class GroupAction:
-    """A finite group acting on a graph by automorphisms.
+    """A finite group acting on a graph, given by the map of each element.
 
-    Elements are opaque ids; ``table[(g, h)]`` is the product "h then g",
-    matching composition of the morphisms.  Construction verifies the group
-    laws, that every element acts by an automorphism, that the action is a
-    homomorphism, and that no dart is sent to its own inverse.
+    Construction checks that every map is an endomorphism of ``graph``,
+    that no two elements act alike, that one acts as the identity, that the
+    maps are closed under composition, that each is bijective and that none
+    sends a dart to its inverse.  ``table[(g, h)]`` is the element acting
+    as "h then g", read off the closure check by looking up the composite's
+    vertex and dart images; no composite morphism is built.  The group laws
+    need no check: composition of maps is associative and the maps are
+    distinct, so the table is; and a finite set of bijections closed under
+    composition is a group (every inverse is a power).  ``elements`` holds
+    the ids sorted by ``str``.
     """
 
-    def __init__(self, graph: FiniteGraph, elements: Iterable,
-                 identity, table: Mapping, morphisms: Mapping):
+    def __init__(self, graph: FiniteGraph, morphisms: Mapping):
         self.graph = graph
-        self.elements = tuple(elements)
-        self.identity = identity
-        self.table = dict(table)
         self.morphisms = dict(morphisms)
-        if len(set(self.elements)) != len(self.elements):
-            raise ActionError("duplicate element ids")
-        if identity not in self.elements:
-            raise ActionError("identity %r is not an element" % (identity,))
-        if set(self.morphisms) != set(self.elements):
-            raise ActionError("every element needs an action morphism")
         for g, m in self.morphisms.items():
             if m.domain != graph or m.codomain != graph:
                 raise ActionError("element %r does not act on the graph" % (g,))
-            if not m.is_bijective():
-                raise ActionError("element %r does not act bijectively" % (g,))
-        if self.morphisms[identity] != GraphMorphism.identity(graph):
-            raise ActionError("identity element must act as the identity map")
-        for g in self.elements:
-            for h in self.elements:
-                if (g, h) not in self.table:
-                    raise ActionError("composition table is missing (%r, %r)" % (g, h))
-                gh = self.table[(g, h)]
-                if gh not in self.morphisms:
-                    raise ActionError("table value %r is not an element" % (gh,))
-                if self.morphisms[gh] != compose(self.morphisms[g], self.morphisms[h]):
-                    raise ActionError(
-                        "action is not a homomorphism at (%r, %r)" % (g, h),
-                        witness=(g, h))
-        for g in self.elements:
-            for h in self.elements:
-                for k in self.elements:
-                    if self.table[(self.table[(g, h)], k)] != \
-                            self.table[(g, self.table[(h, k)])]:
-                        raise ActionError("composition table is not associative",
-                                          witness=(g, h, k))
-        for g in self.elements:
-            if not any(self.table[(g, h)] == identity for h in self.elements):
-                raise ActionError("element %r has no inverse" % (g,))
-        for g in self.elements:
-            m = self.morphisms[g]
-            for d in graph.darts:
-                if m.dmap[d] == graph.inv[d]:
-                    raise ActionError("element %r inverts an edge" % (g,),
-                                      witness=(g, d))
-
-    @classmethod
-    def from_morphisms(cls, graph: FiniteGraph,
-                       morphisms: Mapping) -> "GroupAction":
-        """Assemble an action from automorphisms; the composition table is
-        derived by composing and matching (must be closed)."""
-        ident = GraphMorphism.identity(graph)
+        vertices, darts = graph.vertices, graph.darts
+        images = {g: (tuple(map(m.vmap.__getitem__, vertices)),
+                      tuple(map(m.dmap.__getitem__, darts)))
+                  for g, m in self.morphisms.items()}
         lookup = {}
-        identity = None
-        for g, m in morphisms.items():
-            if m in lookup:
+        for g, key in images.items():
+            if key in lookup:
                 raise ActionError("elements %r and %r act identically"
-                                  % (lookup[m], g), witness=(lookup[m], g))
-            lookup[m] = g
-            if m == ident:
-                identity = g
-        if identity is None:
+                                  % (lookup[key], g), witness=(lookup[key], g))
+            lookup[key] = g
+        self.identity = lookup.get((vertices, darts))
+        if self.identity is None:
             raise ActionError("no element acts as the identity map")
-        table = {}
-        for g, mg in morphisms.items():
-            for h, mh in morphisms.items():
-                composite = compose(mg, mh)
-                if composite not in lookup:
+        self.table = {}
+        for g, mg in self.morphisms.items():
+            gv, gd = mg.vmap.__getitem__, mg.dmap.__getitem__
+            for h, (hv, hd) in images.items():
+                gh = lookup.get((tuple(map(gv, hv)), tuple(map(gd, hd))))
+                if gh is None:
                     raise ActionError(
                         "morphisms are not closed under composition",
                         witness=(g, h))
-                table[(g, h)] = lookup[composite]
-        return cls(graph, sorted(morphisms, key=str), identity, table, morphisms)
+                self.table[(g, h)] = gh
+        for g, m in self.morphisms.items():
+            if not m.is_bijective():
+                raise ActionError("element %r does not act bijectively" % (g,))
+        self.elements = tuple(sorted(self.morphisms, key=str))
+        for g in self.elements:
+            m = self.morphisms[g]
+            for d in darts:
+                if m.dmap[d] == graph.inv[d]:
+                    raise ActionError("element %r inverts an edge" % (g,),
+                                      witness=(g, d))
 
     def free_violation(self):
         """A pair (g, fixed element) with g not the identity, or None."""
@@ -617,8 +589,9 @@ class GroupAction:
         return None
 
 
-def deck_action(deck: DeckGroup, indices: Iterable[int]) -> GroupAction:
-    """The action of a set of deck elements (must be a subgroup) on the cover."""
+def _deck_subgroup(deck: DeckGroup, indices: Iterable[int]) -> list[int]:
+    """The given deck element indices, sorted, once they are checked to be
+    in range and to form a subgroup."""
     chosen = sorted(set(indices))
     bad = [i for i in chosen if not 0 <= i < deck.order]
     if bad:
@@ -627,9 +600,39 @@ def deck_action(deck: DeckGroup, indices: Iterable[int]) -> GroupAction:
     if not deck.is_subgroup(chosen):
         raise ActionError("deck elements %r are not a subgroup" % (chosen,),
                           witness=tuple(chosen))
-    morphisms = {i: deck.elements[i] for i in chosen}
-    table = {(i, j): deck.table[i][j] for i in chosen for j in chosen}
-    return GroupAction(deck.covering.domain, chosen, 0, table, morphisms)
+    return chosen
+
+
+def deck_action(deck: DeckGroup, indices: Iterable[int]) -> GroupAction:
+    """The action of a deck subgroup (indices in range, forming a subgroup)
+    on the cover, its maps checked like any other :class:`GroupAction`.
+    :func:`quotient_by_deck_subgroup` needs no action and builds none."""
+    chosen = _deck_subgroup(deck, indices)
+    return GroupAction(deck.covering.domain,
+                       {i: deck.elements[i] for i in chosen})
+
+
+def _orbit_quotient(graph: FiniteGraph, maps: list[GraphMorphism]
+                    ) -> tuple[FiniteGraph, Covering]:
+    """Orbit graph and orbit map of a group acting by ``maps``; the caller
+    has checked that the graph is connected and the action free and
+    inversion-free."""
+    orbits = []
+    for points, images in ((graph.vertices, [m.vmap for m in maps]),
+                           (graph.darts, [m.dmap for m in maps])):
+        classes, seen = [], set()
+        for x in points:
+            if x not in seen:
+                orbit = sorted({image[x] for image in images})
+                seen.update(orbit)
+                classes.append(orbit)
+        orbits.append(classes)
+    qg, proj = quotient(graph, Congruence(graph, *orbits))
+    cov = as_covering(proj)
+    if cov.degree != len(maps):
+        raise RuntimeError("orbit map degree is not the group order "
+                           "(internal error)")
+    return qg, cov
 
 
 def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
@@ -643,27 +646,7 @@ def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     bad = act.free_violation()
     if bad is not None:
         raise ActionError("action is not free: %r fixes %r" % bad, witness=bad)
-    vorbits, seen = [], set()
-    for v in act.graph.vertices:
-        if v in seen:
-            continue
-        orbit = sorted({act.morphisms[g].vmap[v] for g in act.elements})
-        seen.update(orbit)
-        vorbits.append(orbit)
-    dorbits, seen = [], set()
-    for d in act.graph.darts:
-        if d in seen:
-            continue
-        orbit = sorted({act.morphisms[g].dmap[d] for g in act.elements})
-        seen.update(orbit)
-        dorbits.append(orbit)
-    r = Congruence(act.graph, vorbits, dorbits)
-    qg, proj = quotient(act.graph, r)
-    cov = as_covering(proj)
-    if cov.degree != len(act.elements):
-        raise RuntimeError("orbit map degree is not the group order "
-                           "(internal error)")
-    return qg, cov
+    return _orbit_quotient(act.graph, [act.morphisms[g] for g in act.elements])
 
 
 def action_deck_isomorphism(act: GroupAction, deck: DeckGroup) -> dict:
@@ -693,23 +676,28 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
 
     Returns (intermediate graph, quotient map onto it, induced covering of
     the original base); the two maps compose dart-for-dart to the original.
+    Only the indices are checked (in range, a subgroup); the orbits are
+    read straight off the deck elements.  :func:`deck_group` has checked
+    connectivity, closure and freeness, and no deck transformation inverts
+    an edge, as the covering map would send a dart and its inverse to one
+    base dart.
     """
     c = deck.covering
-    act = deck_action(deck, indices)
-    qg, h_map = quotient_by_group(act)
+    chosen = _deck_subgroup(deck, indices)
+    qg, h_map = _orbit_quotient(c.domain, [deck.elements[i] for i in chosen])
     # orbit class ids are member ids of the cover, so the original covering
     # map restricts to them directly (it is constant on orbits)
     vmap = {v: c.map.vmap[v] for v in qg.vertices}
     dmap = {d: c.map.dmap[d] for d in qg.darts}
-    down = GraphMorphism(qg, c.codomain, vmap, dmap)
-    f_h = as_covering(down)
-    if compose(f_h.map, h_map.map) != c.map:
+    f_h = as_covering(GraphMorphism(qg, c.codomain, vmap, dmap))
+    hv, hd = h_map.map.vmap, h_map.map.dmap
+    if any(vmap[hv[v]] != u for v, u in c.map.vmap.items()) or \
+            any(dmap[hd[d]] != e for d, e in c.map.dmap.items()):
         raise RuntimeError("factor maps do not compose to the covering "
                            "(internal error)")
-    if h_map.degree != len(act.elements) or \
-            f_h.degree * h_map.degree != c.degree:
-        raise RuntimeError("factor degrees do not match the subgroup order "
-                           "and the degree (internal error)")
+    if f_h.degree * h_map.degree != c.degree:
+        raise RuntimeError("factor degrees do not multiply to the degree "
+                           "(internal error)")
     return qg, h_map, f_h
 
 

@@ -344,7 +344,7 @@ def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
             morphisms[g] = GraphMorphism(graph, graph, vmap, dmap)
         except GraphError as exc:
             raise FormatError("element %r is not a graph map: %s" % (g, exc)) from exc
-    return GroupAction.from_morphisms(graph, morphisms)
+    return GroupAction(graph, morphisms)
 
 
 def load_action(path: str, graph: FiniteGraph) -> GroupAction:

@@ -192,15 +192,6 @@ def validate_graph(g: FiniteGraph) -> list[dict]:
     return out
 
 
-def require_valid(g: FiniteGraph) -> FiniteGraph:
-    """Raise GraphError unless ``g`` satisfies all graph invariants."""
-    bad = validate_graph(g)
-    if bad:
-        raise GraphError("invalid graph: %s at %r (%d violations total)"
-                         % (bad[0]["kind"], bad[0]["witness"], len(bad)))
-    return g
-
-
 def components(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the vertices into connected components (sorted).
 

@@ -146,8 +146,9 @@ class Tower:
         return out
 
     def require_basepoints(self) -> tuple[str, ...]:
+        """The basepoint thread; a tower without one raises ValueError."""
         if self.basepoints is None:
-            raise TowerError("this operation needs a basepoint thread")
+            raise ValueError("this operation needs a basepoint thread")
         return self.basepoints
 
 
@@ -415,27 +416,29 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     Level i is the cover of base/quotients[i] built from normals[i]; the
     base bondings are induced quotient maps and the cover bondings are the
     unique lifts, which the compatibility condition guarantees to exist.
+    A malformed spec raises ValueError; a subgroup that is not normal
+    raises TowerError with its level as the witness.
     """
     if len(spec.quotients) != len(spec.normals) or not spec.quotients:
-        raise TowerError("need the same positive number of quotients and subgroups")
+        raise ValueError("need the same positive number of quotients and subgroups")
     if not is_connected(spec.base):
-        raise TowerError("base graph is not connected")
+        raise ValueError("base graph is not connected")
     if spec.basepoint not in spec.base._vertex_set:
-        raise TowerError("unknown basepoint %r" % spec.basepoint)
+        raise ValueError("unknown basepoint %r" % spec.basepoint)
     k = len(spec.quotients) - 1
     levels = []
     for i, (cong, rep) in enumerate(zip(spec.quotients, spec.normals)):
         if cong.base != spec.base:
-            raise TowerError("quotient %d is not a congruence on the base" % i)
+            raise ValueError("quotient %d is not a congruence on the base" % i)
         delta, _ = quotient(spec.base, cong)
         b_i = cong.vertex_rep(spec.basepoint)
         p_i = pi1_data(delta, b_i)
         if rep.rank != p_i.rank:
-            raise TowerError(
+            raise ValueError(
                 "subgroup %d has rank %d but level %d needs rank %d"
                 % (i, rep.rank, i, p_i.rank))
         if not is_normal(rep):
-            raise TowerError("subgroup %d is not normal" % i)
+            raise TowerError("subgroup %d is not normal" % i, witness=(i,))
         cover, a_i, cov = cover_from_subgroup(delta, b_i, rep)
         levels.append((delta, b_i, p_i, cover, a_i, cov))
     base_steps = []

@@ -37,7 +37,7 @@ def rotation_action(n: int, step: int) -> pc.GroupAction:
     assert n % step == 0
     order = n // step
     morphisms = {"r%d" % j: rotation(n, j * step) for j in range(order)}
-    return pc.GroupAction.from_morphisms(pc.cycle_graph(n), morphisms)
+    return pc.GroupAction(pc.cycle_graph(n), morphisms)
 
 
 def theta_graph() -> pc.FiniteGraph:
@@ -445,3 +445,151 @@ def per_pair_good_pairs_oracle(t: pc.Tower, top: int) -> list:
                              pc.kernel_congruence(t.base_map_to(i, top)),
                              level=i, top=top)
             for i in range(top + 1)]
+
+
+class TableCheckedAction:
+    """Oracle for ``pc.GroupAction``: the constructor it replaced.
+
+    Takes a caller-supplied composition table and re-verifies it: one
+    composed morphism per pair of elements, an associativity scan over
+    every triple and an inverse scan, besides the checks on the maps.
+    :meth:`from_morphisms` derives the table by composing and matching.
+    """
+
+    def __init__(self, graph, elements, identity, table, morphisms):
+        self.graph = graph
+        self.elements = tuple(elements)
+        self.identity = identity
+        self.table = dict(table)
+        self.morphisms = dict(morphisms)
+        if len(set(self.elements)) != len(self.elements):
+            raise pc.ActionError("duplicate element ids")
+        if identity not in self.elements:
+            raise pc.ActionError("identity %r is not an element" % (identity,))
+        if set(self.morphisms) != set(self.elements):
+            raise pc.ActionError("every element needs an action morphism")
+        for g, m in self.morphisms.items():
+            if m.domain != graph or m.codomain != graph:
+                raise pc.ActionError("element %r does not act on the graph" % (g,))
+            if not m.is_bijective():
+                raise pc.ActionError("element %r does not act bijectively" % (g,))
+        if self.morphisms[identity] != pc.GraphMorphism.identity(graph):
+            raise pc.ActionError("identity element must act as the identity map")
+        for g in self.elements:
+            for h in self.elements:
+                if (g, h) not in self.table:
+                    raise pc.ActionError(
+                        "composition table is missing (%r, %r)" % (g, h))
+                gh = self.table[(g, h)]
+                if gh not in self.morphisms:
+                    raise pc.ActionError("table value %r is not an element" % (gh,))
+                if self.morphisms[gh] != pc.compose(self.morphisms[g],
+                                                    self.morphisms[h]):
+                    raise pc.ActionError(
+                        "action is not a homomorphism at (%r, %r)" % (g, h),
+                        witness=(g, h))
+        for g in self.elements:
+            for h in self.elements:
+                for k in self.elements:
+                    if self.table[(self.table[(g, h)], k)] != \
+                            self.table[(g, self.table[(h, k)])]:
+                        raise pc.ActionError(
+                            "composition table is not associative",
+                            witness=(g, h, k))
+        for g in self.elements:
+            if not any(self.table[(g, h)] == identity for h in self.elements):
+                raise pc.ActionError("element %r has no inverse" % (g,))
+        for g in self.elements:
+            m = self.morphisms[g]
+            for d in graph.darts:
+                if m.dmap[d] == graph.inv[d]:
+                    raise pc.ActionError("element %r inverts an edge" % (g,),
+                                         witness=(g, d))
+
+    @classmethod
+    def from_morphisms(cls, graph, morphisms):
+        ident = pc.GraphMorphism.identity(graph)
+        lookup = {}
+        identity = None
+        for g, m in morphisms.items():
+            if m in lookup:
+                raise pc.ActionError("elements %r and %r act identically"
+                                     % (lookup[m], g), witness=(lookup[m], g))
+            lookup[m] = g
+            if m == ident:
+                identity = g
+        if identity is None:
+            raise pc.ActionError("no element acts as the identity map")
+        table = {}
+        for g, mg in morphisms.items():
+            for h, mh in morphisms.items():
+                composite = pc.compose(mg, mh)
+                if composite not in lookup:
+                    raise pc.ActionError(
+                        "morphisms are not closed under composition",
+                        witness=(g, h))
+                table[(g, h)] = lookup[composite]
+        return cls(graph, sorted(morphisms, key=str), identity, table, morphisms)
+
+    @classmethod
+    def of_deck(cls, deck, indices):
+        """The action ``deck_action`` used to build: the deck group's own
+        table restricted to the (checked) subgroup, re-verified."""
+        chosen = sorted(set(indices))
+        if not deck.is_subgroup(chosen):
+            raise pc.ActionError("deck elements %r are not a subgroup"
+                                 % (chosen,), witness=tuple(chosen))
+        morphisms = {i: deck.elements[i] for i in chosen}
+        table = {(i, j): deck.table[i][j] for i in chosen for j in chosen}
+        return cls(deck.covering.domain, chosen, 0, table, morphisms)
+
+
+def rejected_action_documents() -> dict:
+    """One action per rejection the constructor can make on documents read
+    from a file, as (graph, morphisms by element id)."""
+    c6, c2, b2 = pc.cycle_graph(6), pc.cycle_graph(2), pc.bouquet_graph(2)
+    swap = pc.GraphMorphism(c2, c2, {"v0": "v1", "v1": "v0"},
+                            {"e0+": "e0-", "e0-": "e0+",
+                             "e1+": "e1-", "e1-": "e1+"})
+    fold = pc.GraphMorphism(b2, b2, {"v0": "v0"},
+                            {"e0+": "e0+", "e0-": "e0-",
+                             "e1+": "e0+", "e1-": "e0-"})
+    return {
+        "duplicate map": (c6, {"id": pc.GraphMorphism.identity(c6),
+                               "r": rotation(6, 3), "s": rotation(6, 3)}),
+        "no identity": (c6, {"r": rotation(6, 3)}),
+        "not closed": (c6, {"id": pc.GraphMorphism.identity(c6),
+                            "r": rotation(6, 2)}),
+        "non-bijective idempotent": (b2, {"id": pc.GraphMorphism.identity(b2),
+                                          "f": fold}),
+        "inverted edge": (c2, {"id": pc.GraphMorphism.identity(c2), "s": swap}),
+    }
+
+
+def pairwise_closure(deck: pc.DeckGroup, indices) -> frozenset:
+    """Oracle for ``DeckGroup.closure``: the closure it replaced, which
+    adds both products of every pair of members and every inverse until
+    nothing new appears."""
+    seen = {0} | set(indices)
+    frontier = list(seen)
+    while frontier:
+        i = frontier.pop()
+        for j in list(seen):
+            for k in (deck.table[i][j], deck.table[j][i], deck.inverse[i]):
+                if k not in seen:
+                    seen.add(k)
+                    frontier.append(k)
+    return frozenset(seen)
+
+
+@functools.lru_cache(maxsize=None)
+def small_deck_groups() -> tuple:
+    """Deck groups of order at most eight: every cover of the two-loop
+    bouquet of degree at most four, the Klein-four and the symmetric-group
+    covers of the bouquet, and the cyclic wraps onto the triangle."""
+    b2 = pc.bouquet_graph(2)
+    covs = [cov for _, _, cov in b2_covers()]
+    covs += [pc.cover_from_subgroup(b2, "v0", rep)[2]
+             for rep in (pc.mod_p_kernel_rep(2, 2), s3_regular_rep())]
+    covs += cyclic_family()
+    return tuple(pc.deck_group(cov) for cov in covs)

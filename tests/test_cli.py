@@ -10,6 +10,7 @@ from procover import formats
 from procover.cli import format_report, main, parse_report
 from helpers import (
     b2_homology_spec,
+    cyclic_rep,
     pro2_tower,
     rotation_action,
     two_cycles,
@@ -393,6 +394,66 @@ class TestTowerCommands:
             assert code == 1
             assert report["details"]["error"] == "level 0 is not connected"
             assert report["details"]["witness"] == ["0"]
+
+    def test_pi1_trivial_without_basepoints_is_2(self, tmp_path, capsys):
+        t = pro2_tower(1)
+        manifest = formats.save_tower(
+            str(tmp_path), pc.Tower(t.coverings, t.cover_steps, t.base_steps))
+        out, code = run_cli(["--json", "tower", "pi1-trivial", manifest,
+                             "--max-index", "2"])
+        report = json.loads(out)
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert report["details"]["error"] == "this operation needs a basepoint thread"
+        assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def universal_spec(tmp_path, base, basepoint, normals):
+        """Write a universal-tower spec over ``base`` with one diagonal
+        quotient; returns its path."""
+        formats.save_graph(str(tmp_path / "base.json"), base)
+        formats.save_congruence(str(tmp_path / "diag.json"),
+                                pc.Congruence.diagonal(base))
+        for i, rep in enumerate(normals):
+            formats.save_rep(str(tmp_path / ("n%d.json" % i)), rep)
+        path = str(tmp_path / "spec.json")
+        formats.save_json(path, {
+            "format": formats.UNIVERSAL_FORMAT, "base": "base.json",
+            "basepoint": basepoint, "quotients": ["diag.json"],
+            "normals": ["n%d.json" % i for i in range(len(normals))]})
+        return path
+
+    @pytest.mark.parametrize("case, error", [
+        ("disconnected base", "base graph is not connected"),
+        ("unknown basepoint", "unknown basepoint 'zz'"),
+        ("list lengths", "need the same positive number of quotients and subgroups"),
+        ("rank mismatch", "subgroup 0 has rank 2 but level 0 needs rank 1"),
+    ])
+    def test_universal_input_error_is_2(self, tmp_path, capsys, case, error):
+        c3, trivial2 = pc.cycle_graph(3), pc.PermRep(2, 1, [(0,), (0,)])
+        base, basepoint, normals = {
+            "disconnected base": (two_cycles(1), "a0", [trivial2]),
+            "unknown basepoint": (c3, "zz", [cyclic_rep(2)]),
+            "list lengths": (c3, "v0", [cyclic_rep(2), cyclic_rep(4)]),
+            "rank mismatch": (c3, "v0", [trivial2]),
+        }[case]
+        spec = self.universal_spec(tmp_path, base, basepoint, normals)
+        out, code = run_cli(["--json", "tower", "universal", spec])
+        report = json.loads(out)
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert report["details"]["error"] == error
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_universal_nonnormal_subgroup_has_witness(self, tmp_path):
+        spec = self.universal_spec(
+            tmp_path, pc.bouquet_graph(2), "v0",
+            [pc.PermRep(2, 3, [(1, 0, 2), (0, 2, 1)])])
+        out, code = run_cli(["--json", "tower", "universal", spec])
+        report = json.loads(out)
+        assert code == 1
+        assert report["details"]["error"] == "subgroup 0 is not normal"
+        assert report["details"]["witness"] == ["0"]
 
     def test_fibers(self, manifest):
         out, code = run_cli(["tower", "fibers", manifest, "--vertex", "v0"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from procover import (
 )
 from procover.freegroup import NotTransitiveError
 from helpers import (
+    TableCheckedAction,
     b2_covers,
     composed_deck_oracle,
     composed_lift_oracle,
@@ -40,9 +42,12 @@ from helpers import (
     cycle_with_parallel,
     cyclic_family,
     cyclic_rep,
+    pairwise_closure,
+    rejected_action_documents,
     rotation,
     rotation_action,
     s3_regular_rep,
+    small_deck_groups,
     theta_graph,
     three_way_regularity_oracle,
     trivial_rep,
@@ -220,14 +225,6 @@ class TestLift:
         h = lift(g, f, "p", "v3")
         assert h.vmap == {"p": "v3"}
 
-    def test_traversal_order_irrelevant(self):
-        f = as_covering(wrap_morphism(12, 3))
-        g = wrap_morphism(12, 3)
-        h1 = lift(g, f, "v0", "v0")
-        h2 = lift(g, f, "v0", "v0",
-                  dart_order=lambda darts: tuple(reversed(darts)))
-        assert h1 == h2
-
     def test_matches_containment_criterion(self):
         rng = random.Random(11)
         bases = [pc.bouquet_graph(1), pc.bouquet_graph(2), pc.cycle_graph(3),
@@ -284,6 +281,19 @@ class TestDeckGroup:
         assert sizes == [1, 2, 4]
         assert deck.is_subgroup([0, 2])
         assert not deck.is_subgroup([0, 1])
+
+    def test_closure_matches_pairwise_oracle(self):
+        for deck in small_deck_groups():
+            for size in (0, 1, 2):
+                for s in itertools.combinations(range(deck.order), size):
+                    assert deck.closure(s) == pairwise_closure(deck, s)
+
+    def test_subgroups_are_the_closures_of_all_subsets(self):
+        for deck in small_deck_groups():
+            every = {pairwise_closure(deck, s)
+                     for size in range(deck.order + 1)
+                     for s in itertools.combinations(range(deck.order), size)}
+            assert deck.subgroups() == sorted(every, key=lambda s: (len(s), sorted(s)))
 
 
 @st.composite
@@ -437,7 +447,7 @@ class TestGroupActions:
             dmap["e%d+" % i] = "e%d-" % ((5 - i) % 6)
             dmap["e%d-" % i] = "e%d+" % ((5 - i) % 6)
         refl = GraphMorphism(c6, c6, vmap, dmap)
-        act = pc.GroupAction.from_morphisms(
+        act = pc.GroupAction(
             c6, {"id": GraphMorphism.identity(c6), "r": refl})
         with pytest.raises(ActionError) as err:
             quotient_by_group(act)
@@ -449,14 +459,52 @@ class TestGroupActions:
         dmap = {"e0+": "e0-", "e0-": "e0+", "e1+": "e1-", "e1-": "e1+"}
         swap = GraphMorphism(c2, c2, vmap, dmap)
         with pytest.raises(ActionError):
-            pc.GroupAction.from_morphisms(
+            pc.GroupAction(
                 c2, {"id": GraphMorphism.identity(c2), "s": swap})
 
     def test_non_action_table_rejected(self):
         c6 = pc.cycle_graph(6)
         morphs = {"id": GraphMorphism.identity(c6), "r": rotation(6, 2)}
         with pytest.raises(ActionError):
-            pc.GroupAction.from_morphisms(c6, morphs)
+            pc.GroupAction(c6, morphs)
+
+    @staticmethod
+    def assert_same_action(act, oracle):
+        assert act.elements == oracle.elements
+        assert act.identity == oracle.identity
+        assert act.table == oracle.table
+
+    @pytest.mark.parametrize("n, step", [(1, 1), (6, 1), (6, 2), (6, 3),
+                                         (6, 6), (8, 2), (12, 1)])
+    def test_rotation_actions_match_table_checked_oracle(self, n, step):
+        act = rotation_action(n, step)
+        self.assert_same_action(act, TableCheckedAction.from_morphisms(
+            act.graph, act.morphisms))
+
+    def test_deck_actions_match_table_checked_oracle(self):
+        for deck in small_deck_groups():
+            for s in deck.subgroups():
+                act = deck_action(deck, s)
+                self.assert_same_action(act, TableCheckedAction.of_deck(deck, s))
+                self.assert_same_action(act, TableCheckedAction.from_morphisms(
+                    act.graph, act.morphisms))
+
+    @pytest.mark.parametrize("name", sorted(rejected_action_documents()))
+    def test_rejections_match_table_checked_oracle(self, name):
+        graph, morphisms = rejected_action_documents()[name]
+        with pytest.raises(ActionError) as new:
+            pc.GroupAction(graph, morphisms)
+        with pytest.raises(ActionError) as old:
+            TableCheckedAction.from_morphisms(graph, morphisms)
+        assert str(new.value) == str(old.value)
+        assert new.value.witness == old.value.witness
+
+    def test_foreign_map_rejected(self):
+        c6 = pc.cycle_graph(6)
+        with pytest.raises(ActionError) as err:
+            pc.GroupAction(c6, {"id": GraphMorphism.identity(c6),
+                                "w": wrap_morphism(6, 3)})
+        assert str(err.value) == "element 'w' does not act on the graph"
 
 
 class TestDeckQuotient:
@@ -489,6 +537,15 @@ class TestDeckQuotient:
         deck = deck_group(cov)
         with pytest.raises(ActionError):
             quotient_by_deck_subgroup(deck, [1])
+
+    def test_matches_quotient_by_deck_action(self):
+        for deck in small_deck_groups():
+            cov = deck.covering
+            for s in deck.subgroups():
+                qg, h_map, f_h = quotient_by_deck_subgroup(deck, s)
+                oqg, ocov = quotient_by_group(deck_action(deck, s))
+                assert qg == oqg and h_map.map == ocov.map
+                assert compose(f_h.map, h_map.map) == cov.map
 
     def test_s3_cover_nonnormal_subgroup_gives_irregular_intermediate(self):
         _, _, cov = cover_from_subgroup(pc.bouquet_graph(2), "v0", s3_regular_rep())

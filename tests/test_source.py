@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import procover
 
@@ -14,3 +15,22 @@ def test_no_assert_in_library():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_name_is_used():
+    """Every top-level function and class of the library is referenced in
+    ``src/``, ``tests/`` or ``benchmarks/`` besides its own definition."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = root / "src" / "procover"
+    texts = [path.read_text(encoding="utf-8")
+             for folder in ("src", "tests", "benchmarks")
+             for path in sorted((root / folder).rglob("*.py"))]
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                word = re.compile(r"\b%s\b" % re.escape(node.name))
+                if sum(len(word.findall(text)) for text in texts) < 2:
+                    unused.append("%s:%s" % (path.name, node.name))
+    assert unused == []

@@ -283,8 +283,20 @@ class TestUniversalTower:
         b2 = pc.bouquet_graph(2)
         spec = UniversalSpec(b2, "v0", [Congruence.diagonal(b2)],
                              [pc.PermRep(2, 3, [(1, 0, 2), (0, 2, 1)])])
-        with pytest.raises(TowerError):
+        with pytest.raises(TowerError) as err:
             universal_tower(spec)
+        assert err.value.witness == (0,)
+
+    def test_foreign_congruence_is_an_input_error(self):
+        # the CLI cannot produce this case: its loader builds every
+        # congruence on the spec's own base graph
+        c3 = pc.cycle_graph(3)
+        spec = UniversalSpec(c3, "v0", [Congruence.diagonal(pc.cycle_graph(6))],
+                             [cyclic_rep(2)])
+        with pytest.raises(ValueError) as err:
+            universal_tower(spec)
+        assert not isinstance(err.value, TowerError)
+        assert str(err.value) == "quotient 0 is not a congruence on the base"
 
 
 class TestTriviality:
@@ -319,8 +331,9 @@ class TestTriviality:
     def test_needs_basepoints(self):
         t = pro2_tower(1)
         bare = Tower(t.coverings, t.cover_steps, t.base_steps)
-        with pytest.raises(TowerError):
+        with pytest.raises(ValueError) as err:
             pi1_triviality_check(bare, 2)
+        assert not isinstance(err.value, TowerError)
 
     def test_default_reports_level_zero_only(self):
         t = pro2_tower(3)
