@@ -552,7 +552,8 @@ class GroupAction:
             lookup[key] = g
         self.identity = lookup.get((vertices, darts))
         if self.identity is None:
-            raise ActionError("no element acts as the identity map")
+            raise ActionError("no element acts as the identity map",
+                              witness=tuple(sorted(self.morphisms, key=str)))
         self.table = {}
         for g, mg in self.morphisms.items():
             gv, gd = mg.vmap.__getitem__, mg.dmap.__getitem__
@@ -563,9 +564,12 @@ class GroupAction:
                         "morphisms are not closed under composition",
                         witness=(g, h))
                 self.table[(g, h)] = gh
-        for g, m in self.morphisms.items():
-            if not m.is_bijective():
-                raise ActionError("element %r does not act bijectively" % (g,))
+        for g, (gv, gd) in images.items():
+            missing = (sorted(graph._vertex_set.difference(gv))
+                       or sorted(graph._dart_set.difference(gd)))
+            if missing:
+                raise ActionError("element %r does not act bijectively" % (g,),
+                                  witness=(g, missing[0]))
         self.elements = tuple(sorted(self.morphisms, key=str))
         for g in self.elements:
             m = self.morphisms[g]

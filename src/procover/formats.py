@@ -242,6 +242,9 @@ def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
     if not all(isinstance(c, list) and all(isinstance(v, str) for v in c)
                for c in vertex_classes):
         raise FormatError("vertex_classes must be lists of vertex ids")
+    unknown = [v for c in vertex_classes for v in c if v not in base._vertex_set]
+    if unknown:
+        raise FormatError("unknown vertex %r in a class" % unknown[0])
     for cls in _get(obj, "edge_classes", list):
         if not isinstance(cls, list):
             raise FormatError("edge_classes must be lists of edge entries")
@@ -285,7 +288,12 @@ def rep_from_obj(obj) -> PermRep:
                for p in perms):
         raise FormatError("perms must be lists of integers")
     try:
-        return PermRep(_get(obj, "rank", int), _get(obj, "degree", int), perms)
+        rank, degree = _get(obj, "rank", int), _get(obj, "degree", int)
+        if rank == 0 and degree > 1:
+            # no content backs the degree, and the trivial group is
+            # transitive on one point only
+            raise ValueError("rank 0 needs degree 1, got %d" % degree)
+        return PermRep(rank, degree, perms)
     except NotTransitiveError:
         # a semantic verdict, not a format problem: callers report the orbits
         raise

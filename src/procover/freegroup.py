@@ -3,9 +3,9 @@
 A subgroup of finite index n in the free group on generators x0..x{r-1} is
 stored as the action of the group on the n cosets: one permutation of
 {0..n-1} per generator, transitive, with the subgroup itself recovered as
-the stabilizer of the base coset 0.  Every lattice question (membership,
-containment, normality, equality) reduces to running words through the
-action, which keeps all answers exact.
+the stabilizer of the base coset 0.  Membership runs a word through the
+action; containment, equality and normality are one forced-map test, so
+every answer is exact.
 
 Canonical form: relabelling the points in breadth-first discovery order
 from 0, scanning moves in the order x0, x0^-1, x1, x1^-1, ..., assigns each
@@ -16,19 +16,19 @@ generates precisely the canonical tables, so each subgroup appears once.
 The enumerator is one iterative backtracking search (C. Sims, *Computation
 with Finitely Presented Groups*, 1994, ch. 5).  Asked for normal subgroups
 only, it prunes while searching: a partial table is cut as soon as some
-map 0 -> c forced by its defined edges fails to be a bijection, because
+map 0 -> c forced by its defined edges fails to be well defined, because
 the action of a normal subgroup has an automorphism 0 -> c for every c.
 
-That forced-map test is the one place that decides Stab(c) = Stab(0).
-On a complete table it passes exactly for the cosets of H in its
-normalizer N(H) (:func:`normalizer_points`), so the search, :func:`is_normal`
-and, through the monodromy action, deck groups and regularity of coverings
-all read the same decision.
+That forced-map test (:func:`_forced_map`) asks whether the coset map
+0 -> c extends along the moves of one table into another.  From a table
+into itself it passes exactly for the cosets of H in its normalizer N(H)
+(:func:`normalizer_points`), which the search, :func:`is_normal`, deck
+groups and regularity all read; into another table with c = 0 it decides
+containment, equality and the containment of an image.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -171,7 +171,12 @@ def substitute(w: FreeWord, images: GeneratorImages) -> FreeWord:
 
 class PermRep:
     """Transitive action of a free group on {0..degree-1}; Stab(0) is the
-    subgroup represented.  Index = degree."""
+    subgroup represented.  Index = degree.
+
+    The coset table is held once, in scan order: ``_moves[2i]`` is the
+    permutation of x_i and ``_moves[2i + 1]`` its inverse, the layout the
+    low-index search fills.  ``perms`` is ``_moves[::2]``.
+    """
 
     def __init__(self, rank: int, degree: int, perms: Sequence[Sequence[int]]):
         if rank < 0:
@@ -182,21 +187,18 @@ class PermRep:
             raise ValueError("expected %d permutations, got %d" % (rank, len(perms)))
         self.rank = rank
         self.degree = degree
-        self.perms = tuple(tuple(p) for p in perms)
-        for p in self.perms:
-            if sorted(p) != list(range(degree)):
+        points = range(degree)
+        moves: list[tuple[int, ...]] = []
+        for p in tuple(tuple(p) for p in perms):
+            if sorted(p) != list(points):
                 raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
-        inv = []
-        for p in self.perms:
-            q = [0] * degree
-            for a, b in enumerate(p):
-                q[b] = a
-            inv.append(tuple(q))
-        self._inv = tuple(inv)
+            moves += (p, tuple(sorted(points, key=p.__getitem__)))
+        self._moves = tuple(moves)
+        self.perms = self._moves[::2]
         if len(self._orbit_order(0)) != degree:
             orbits = []
             placed: set[int] = set()
-            for p in range(degree):
+            for p in points:
                 if p not in placed:
                     orbit = sorted(self._orbit_order(p))
                     placed.update(orbit)
@@ -207,19 +209,12 @@ class PermRep:
         self._canonical_key: tuple | None = None
         self._normal: bool | None = None
 
-    def _moves(self):
-        for i in range(self.rank):
-            yield i, 1, self.perms[i]
-            yield i, -1, self._inv[i]
-
     def _orbit_order(self, start: int) -> list[int]:
+        """The orbit of ``start`` in breadth-first discovery order."""
         seen = {start}
         order = [start]
-        qi = 0
-        while qi < len(order):
-            a = order[qi]
-            qi += 1
-            for _i, _s, table in self._moves():
+        for a in order:
+            for table in self._moves:
                 b = table[a]
                 if b not in seen:
                     seen.add(b)
@@ -234,7 +229,7 @@ class PermRep:
             if i >= self.rank:
                 raise ValueError("word %s uses a generator outside rank %d"
                                  % (w, self.rank))
-            point = self.perms[i][point] if s > 0 else self._inv[i][point]
+            point = self._moves[2 * i + (s < 0)][point]
         return point
 
     def contains(self, w: FreeWord) -> bool:
@@ -244,14 +239,13 @@ class PermRep:
     def transversal(self) -> tuple[FreeWord, ...]:
         """Coset representative words from the canonical BFS, one per point."""
         words: dict[int, FreeWord] = {0: FreeWord()}
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for i, s, table in self._moves():
+        order = [0]
+        for a in order:
+            for k, table in enumerate(self._moves):
                 b = table[a]
                 if b not in words:
-                    words[b] = words[a] * FreeWord.generator(i, s)
-                    queue.append(b)
+                    words[b] = words[a] * FreeWord.generator(k >> 1, 1 - 2 * (k & 1))
+                    order.append(b)
         return tuple(words[p] for p in range(self.degree))
 
     def schreier_generators(self) -> tuple[FreeWord, ...]:
@@ -307,21 +301,20 @@ class PermRep:
 
 
 def subgroup_leq(h: PermRep, k: PermRep) -> bool:
-    """Whether the subgroup of ``h`` is contained in the subgroup of ``k``.
-
-    Decided by pushing every Schreier generator of ``h`` through the action
-    of ``k``: containment holds exactly when they all fix the base coset.
+    """Whether the subgroup of ``h`` is contained in the subgroup of ``k``:
+    the coset map 0 -> 0 extends from the table of ``h`` into that of ``k``.
     """
     if h.rank != k.rank:
         raise ValueError("rank mismatch: %d vs %d" % (h.rank, k.rank))
-    return all(k.act(0, w) == 0 for w in h.schreier_generators())
+    return _forced_map(h._moves, k._moves, h.degree, 0)
 
 
 def is_normal(rep: PermRep) -> bool:
     """Whether Stab(0) is normal: every map 0 -> c extends to an
-    automorphism of the action (no forced-map clash on the table)."""
+    automorphism of the action (:func:`_forced_map`)."""
     if rep._normal is None:
-        rep._normal = not _forced_map_clash(_tables(rep), rep.degree)
+        moves, n = rep._moves, rep.degree
+        rep._normal = all(_forced_map(moves, moves, n, c) for c in range(1, n))
     return rep._normal
 
 
@@ -332,30 +325,36 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
     [N(H) : H] of them; 0 is always first.  Each one is the image of 0
     under exactly one automorphism of the action.
     """
-    tables = _tables(rep)
-    return (0,) + tuple(c for c in range(1, rep.degree)
-                        if _forced_map_extends(tables, rep.degree, c))
+    moves, n = rep._moves, rep.degree
+    return (0,) + tuple(c for c in range(1, n) if _forced_map(moves, moves, n, c))
 
 
 def rep_equivalent(a: PermRep, b: PermRep) -> bool:
-    """Whether two actions describe the same subgroup (0-fixing relabelling)."""
+    """Whether two actions describe the same subgroup: equal index and
+    containment one way, which together force equality."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch: %d vs %d" % (a.rank, b.rank))
-    return a.canonical_key() == b.canonical_key()
+    return a.degree == b.degree and subgroup_leq(a, b)
 
 
 def pushforward_leq(n_src: PermRep, images: GeneratorImages,
                     n_tgt: PermRep) -> bool:
     """Whether the homomorphism maps the subgroup of ``n_src`` into the
-    subgroup of ``n_tgt``."""
+    subgroup of ``n_tgt``: phi(H) <= K is H <= phi^-1(K), the stabilizer
+    of 0 in the target action pulled back through the images.
+    """
     if n_src.rank != images.source_rank:
         raise ValueError("source rank mismatch: %d vs %d"
                          % (n_src.rank, images.source_rank))
     if n_tgt.rank != images.target_rank:
         raise ValueError("target rank mismatch: %d vs %d"
                          % (n_tgt.rank, images.target_rank))
-    return all(n_tgt.act(0, substitute(w, images)) == 0
-               for w in n_src.schreier_generators())
+    points = range(n_tgt.degree)
+    pulled: list[tuple[int, ...]] = []
+    for w in images.images:
+        t = tuple(n_tgt.act(p, w) for p in points)
+        pulled += (t, tuple(sorted(points, key=t.__getitem__)))
+    return _forced_map(n_src._moves, pulled, n_src.degree, 0)
 
 
 @lru_cache(maxsize=None)
@@ -372,51 +371,32 @@ def subgroup_count(rank: int, index: int) -> int:
     return total
 
 
-def _tables(rep: PermRep) -> list[tuple[int, ...]]:
-    """Every generator's permutation and its inverse, in move order."""
-    return [table for _i, _s, table in rep._moves()]
+def _forced_map(src, dst, n: int, c: int) -> bool:
+    """Whether 0 -> c extends to a map from the points of ``src`` to those
+    of ``dst`` commuting with every move defined at both ends.
 
-
-def _forced_map_extends(moves, used: int, c: int) -> bool:
-    """Whether the map 0 -> c extends along the partial table.
-
-    The map is pushed along every edge defined at a point and at its image.
-    A point with two images, or two points with one image, rules out every
-    completion in which Stab(0) = Stab(c).  On a complete transitive table
-    the map becomes total, so passing means 0 -> c extends to an
-    automorphism of the action, that is Stab(c) = Stab(0).
+    The tables are in scan order (x0, x0^-1, x1, ...), -1 marking an entry
+    not yet defined, and ``src`` uses the points 0..n-1.  On complete
+    tables with ``src`` transitive, passing means Stab_src(0) <= Stab_dst(c);
+    for ``src`` = ``dst`` the indices agree, so Stab(0) = Stab(c).  On a
+    partial table a failure rules out every completion with Stab(0) = Stab(c).
     """
-    image = [-1] * used
-    preimage = [-1] * used
-    image[0], preimage[c] = c, 0
+    pairs = list(zip(src, dst))
+    image = [-1] * n
+    image[0] = c
     queue = [0]
     for a in queue:
         ma = image[a]
-        for table in moves:
-            b, mb = table[a], table[ma]
+        for s, d in pairs:
+            b, mb = s[a], d[ma]
             if b < 0 or mb < 0:
                 continue
             if image[b] < 0:
-                if preimage[mb] >= 0:
-                    return False
-                image[b], preimage[mb] = mb, b
+                image[b] = mb
                 queue.append(b)
             elif image[b] != mb:
                 return False
     return True
-
-
-def _forced_map_clash(moves, used: int) -> bool:
-    """Whether some map 0 -> c with c in 1..used-1 fails to extend.
-
-    A clash rules out every normal completion, since the action of a
-    normal subgroup has an automorphism 0 -> c for every c; on a complete
-    table no clash means exactly that the table is normal.
-    """
-    for c in range(1, used):
-        if not _forced_map_extends(moves, used, c):
-            return True
-    return False
 
 
 def _canonical_tables(rank: int, degree: int, normal_only: bool):
@@ -431,15 +411,18 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
     bounded by the interpreter's recursion limit.
 
     With ``normal_only`` every definition that closes onto an existing
-    point is followed by :func:`_forced_map_clash`, and the branch is cut
-    on a clash.  The last definition of a complete table always closes onto
-    an existing point, so exactly the normal tables are yielded.
+    point is followed by :func:`_forced_map` for each c in 1..used-1, and
+    the branch is cut as soon as one map 0 -> c fails to extend, since the
+    action of a normal subgroup has an automorphism 0 -> c for every c.
+    The last definition of a complete table always closes onto an existing
+    point, so exactly the normal tables are yielded.
     """
     if rank == 0:
         if degree == 1:
             yield ()
         return
-    # moves[2i] is x_i and moves[2i+1] its inverse, partial while searching
+    # the layout of PermRep._moves: moves[2i] is x_i and moves[2i+1] its
+    # inverse, partial while searching
     moves = [[-1] * degree for _ in range(2 * rank)]
     slots = [(p, moves[k], moves[k ^ 1])
              for p in range(degree) for k in range(2 * rank)]
@@ -463,7 +446,8 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
                 if other[q] < 0:
                     table[p], other[q] = q, p
                     if (q == used or not normal_only
-                            or not _forced_map_clash(moves, used)):
+                            or all(_forced_map(moves, moves, used, c)
+                                   for c in range(1, used))):
                         break
                     table[p] = other[q] = -1
                 q += 1

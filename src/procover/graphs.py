@@ -447,9 +447,6 @@ class Congruence:
     def dart_rep(self, d: str) -> str:
         return self._drep[d]
 
-    def same_vertex(self, a: str, b: str) -> bool:
-        return self._vrep[a] == self._vrep[b]
-
     def same_dart(self, a: str, b: str) -> bool:
         return self._drep[a] == self._drep[b]
 

@@ -449,8 +449,12 @@ def universal_tower(spec: UniversalSpec) -> Tower:
                                    spec.quotients[i + 1], spec.quotients[i])
         images = induced_hom(psi, levels[i + 1][2], levels[i][2])
         if not pushforward_leq(spec.normals[i + 1], images, spec.normals[i]):
-            bad = next(w for w in spec.normals[i + 1].schreier_generators()
-                       if spec.normals[i].act(0, substitute(w, images)) != 0)
+            bad = next((w for w in spec.normals[i + 1].schreier_generators()
+                        if spec.normals[i].act(0, substitute(w, images)) != 0),
+                       None)
+            if bad is None:
+                raise RuntimeError("no Schreier generator leaves the subgroup "
+                                   "(internal error)")
             raise CompatibilityError((i, i + 1), bad)
         base_steps.append(psi)
         lowered = compose(psi, levels[i + 1][5].map)

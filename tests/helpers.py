@@ -190,6 +190,80 @@ def schreier_is_normal(rep: pc.PermRep) -> bool:
                for p in range(rep.degree))
 
 
+def schreier_subgroup_leq(h: pc.PermRep, k: pc.PermRep) -> bool:
+    """Oracle for ``pc.subgroup_leq``: the decider it replaced, which pushes
+    every Schreier generator of ``h`` through the action of ``k``."""
+    if h.rank != k.rank:
+        raise ValueError("rank mismatch: %d vs %d" % (h.rank, k.rank))
+    return all(k.act(0, w) == 0 for w in h.schreier_generators())
+
+
+def schreier_pushforward_leq(n_src: pc.PermRep, images: pc.GeneratorImages,
+                             n_tgt: pc.PermRep) -> bool:
+    """Oracle for ``pc.pushforward_leq``: every Schreier generator of
+    ``n_src``, substituted through the images, fixes the target's 0."""
+    return all(n_tgt.act(0, pc.substitute(w, images)) == 0
+               for w in n_src.schreier_generators())
+
+
+def canonical_key_equivalent(a: pc.PermRep, b: pc.PermRep) -> bool:
+    """Oracle for ``pc.rep_equivalent``: equal canonical relabellings."""
+    if a.rank != b.rank:
+        raise ValueError("rank mismatch: %d vs %d" % (a.rank, b.rank))
+    return a.canonical_key() == b.canonical_key()
+
+
+def injective_forced_map_extends(moves, used: int, c: int) -> bool:
+    """Oracle for the forced-map test: the version that also failed when
+    two points were forced onto one image."""
+    image = [-1] * used
+    preimage = [-1] * used
+    image[0], preimage[c] = c, 0
+    queue = [0]
+    for a in queue:
+        ma = image[a]
+        for table in moves:
+            b, mb = table[a], table[ma]
+            if b < 0 or mb < 0:
+                continue
+            if image[b] < 0:
+                if preimage[mb] >= 0:
+                    return False
+                image[b], preimage[mb] = mb, b
+                queue.append(b)
+            elif image[b] != mb:
+                return False
+    return True
+
+
+def injective_normalizer_points(rep: pc.PermRep) -> tuple:
+    """Oracle for ``normalizer_points``: the injective forced map run over
+    tables rebuilt from ``perms`` alone."""
+    moves = []
+    for p in rep.perms:
+        inv = [0] * rep.degree
+        for a, b in enumerate(p):
+            inv[b] = a
+        moves += [p, inv]
+    return tuple(c for c in range(rep.degree)
+                 if injective_forced_map_extends(moves, rep.degree, c))
+
+
+def relabelled(rep: pc.PermRep, c: int, rng) -> pc.PermRep:
+    """The conjugate Stab(c) as an action whose points are shuffled at
+    random, with c relabelled 0."""
+    rest = [p for p in range(rep.degree) if p != c]
+    rng.shuffle(rest)
+    label = {p: k for k, p in enumerate([c] + rest)}
+    perms = []
+    for p in rep.perms:
+        q = [0] * rep.degree
+        for a in range(rep.degree):
+            q[label[a]] = label[p[a]]
+        perms.append(q)
+    return pc.PermRep(rep.rank, rep.degree, perms)
+
+
 @functools.lru_cache(maxsize=None)
 def normal_tables_oracle(rank: int, degree: int) -> tuple:
     """The oracle's tables whose subgroup :func:`schreier_is_normal`

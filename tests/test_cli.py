@@ -12,6 +12,7 @@ from helpers import (
     b2_homology_spec,
     cyclic_rep,
     pro2_tower,
+    rejected_action_documents,
     rotation_action,
     two_cycles,
     wrap_morphism,
@@ -142,6 +143,14 @@ class TestExitCodes:
                        "basepoint": "v0", "quotients": [5], "normals": []}),
         ("universal", {"format": formats.UNIVERSAL_FORMAT, "base": "c3.json",
                        "basepoint": "v0", "quotients": [], "normals": [5]}),
+        ("rep", {"format": formats.REP_FORMAT, "rank": 0, "degree": 2,
+                 "perms": []}),
+        ("rep", {"format": formats.REP_FORMAT, "rank": 0, "degree": 10 ** 6,
+                 "perms": []}),
+        ("congruence", {"format": formats.CONGRUENCE_FORMAT,
+                        "vertex_classes": [["v0", "w9"]], "edge_classes": []}),
+        ("good-pair", {"format": formats.CONGRUENCE_FORMAT,
+                       "vertex_classes": [["w9"]], "edge_classes": []}),
     ])
     def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
         path = str(tmp_path / "doc.json")
@@ -153,6 +162,8 @@ class TestExitCodes:
                 "rep": ["cover-from-rep", c3, path],
                 "action": ["orbit-quotient", c3, path],
                 "congruence": ["quotient", c3, path],
+                "good-pair": ["good-pair", str(tmp_path / "id.json"),
+                                    path, path],
                 "morphism": ["check-cover", path],
                 "tower": ["tower", "deck", path],
                 "universal": ["tower", "universal", path]}[kind]
@@ -160,6 +171,20 @@ class TestExitCodes:
         assert code == 2
         assert "verdict: error" in out
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, witness", [
+        ("no identity", ["r"]), ("non-bijective idempotent", ["f", "e1+"])])
+    def test_action_rejection_has_witness(self, tmp_path, name, witness):
+        graph, morphisms = rejected_action_documents()[name]
+        g, action = str(tmp_path / "g.json"), str(tmp_path / "action.json")
+        formats.save_graph(g, graph)
+        formats.save_json(action, {
+            "format": formats.ACTION_FORMAT, "elements": sorted(morphisms),
+            "maps": {e: formats.morphism_to_obj(m, embed_graphs=False)
+                     for e, m in morphisms.items()}})
+        out, code = run_cli(["--json", "orbit-quotient", g, action])
+        assert code == 1
+        assert json.loads(out)["details"]["witness"] == witness
 
     @pytest.mark.parametrize("command", [["deck"],
                                          ["deck-quotient", "--elements", "0"]])

@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from procover import (
     FreeWord,
@@ -21,10 +22,15 @@ from procover import (
 from procover.freegroup import normalizer_points
 from helpers import (
     brute_force_canonical_keys,
+    canonical_key_equivalent,
     cyclic_rep,
+    injective_normalizer_points,
     normal_tables_oracle,
     recursive_canonical_tables,
+    relabelled,
     schreier_is_normal,
+    schreier_pushforward_leq,
+    schreier_subgroup_leq,
     trivial_rep,
 )
 
@@ -371,3 +377,80 @@ class TestKernelReps:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             translation_kernel_rep(2, 4, max_work=10)
+
+
+# every subgroup of rank 1 and index <= 6, rank 2 and index <= 4, rank 3
+# and index <= 3
+LATTICE_SIZES = {1: 6, 2: 4, 3: 3}
+
+
+@functools.lru_cache(maxsize=None)
+def lattice(rank):
+    return tuple(low_index_reps(rank, LATTICE_SIZES[rank]))
+
+
+@st.composite
+def pushforward_cases(draw):
+    """A source action (relabelled, so not always canonical), generator
+    images and a target action, ranks 1-3 on both sides."""
+    src_rank, tgt_rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    src = draw(st.sampled_from(lattice(src_rank)))
+    src = relabelled(src, draw(st.integers(0, src.degree - 1)),
+                     random.Random(draw(st.integers(0, 2 ** 16))))
+    tgt = draw(st.sampled_from(lattice(tgt_rank)))
+    letter = st.tuples(st.integers(0, tgt_rank - 1), st.sampled_from([1, -1]))
+    words = tuple(FreeWord(draw(st.lists(letter, max_size=6)))
+                  for _ in range(src_rank))
+    return src, GeneratorImages(src_rank, tgt_rank, words), tgt
+
+
+class TestForcedMapAgainstOracles:
+    """Containment, equality, image containment and normalizers, all read
+    off the one forced-map test, against the deciders it replaced."""
+
+    @pytest.mark.parametrize("rank", sorted(LATTICE_SIZES))
+    def test_every_ordered_pair(self, rank):
+        reps = lattice(rank)
+        for a in reps:
+            for b in reps:
+                assert subgroup_leq(a, b) == schreier_subgroup_leq(a, b)
+                assert rep_equivalent(a, b) == canonical_key_equivalent(a, b)
+
+    @pytest.mark.parametrize("rank", sorted(LATTICE_SIZES))
+    def test_relabelled_conjugates(self, rank):
+        rng = random.Random(rank)
+        reps = lattice(rank)
+        for a in reps:
+            for c in range(a.degree):
+                q = relabelled(a, c, rng)
+                assert rep_equivalent(q, a.rebased(c))
+                b = rng.choice(reps)
+                for x, y in ((a, q), (q, a), (q, b), (b, q)):
+                    assert subgroup_leq(x, y) == schreier_subgroup_leq(x, y)
+                    assert rep_equivalent(x, y) == canonical_key_equivalent(x, y)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pushforward_cases())
+    def test_pushforward(self, case):
+        assert pushforward_leq(*case) == schreier_pushforward_leq(*case)
+
+    def test_normalizer_points_of_every_rank_two_table(self):
+        rng = random.Random(2)
+        for rep in low_index_reps(2, 5):
+            want = injective_normalizer_points(rep)
+            assert normalizer_points(rep) == want
+            fresh = relabelled(rep, 0, rng)
+            assert is_normal(fresh) == (len(want) == rep.degree)
+
+    def test_rank_zero(self):
+        t = trivial_rep(0)
+        assert subgroup_leq(t, t) and rep_equivalent(t, t) and is_normal(t)
+        assert normalizer_points(t) == (0,)
+        for rank in sorted(LATTICE_SIZES):
+            for k in lattice(rank)[:10]:
+                into = GeneratorImages(0, rank, ())
+                onto = GeneratorImages(rank, 0, (FreeWord(),) * rank)
+                assert pushforward_leq(t, into, k) is True
+                assert pushforward_leq(k, onto, t) is True
+                assert schreier_pushforward_leq(t, into, k)
+                assert schreier_pushforward_leq(k, onto, t)

@@ -18,19 +18,28 @@ def test_no_assert_in_library():
 
 
 def test_every_top_level_name_is_used():
-    """Every top-level function and class of the library is referenced in
-    ``src/``, ``tests/`` or ``benchmarks/`` besides its own definition."""
+    """Every top-level function and class of the library, and every method
+    of a top-level class other than a dunder, is referenced in ``src/``,
+    ``tests/`` or ``benchmarks/`` besides its own definition."""
     root = pathlib.Path(__file__).resolve().parent.parent
     package = root / "src" / "procover"
     texts = [path.read_text(encoding="utf-8")
              for folder in ("src", "tests", "benchmarks")
              for path in sorted((root / folder).rglob("*.py"))]
+    defs = (ast.FunctionDef, ast.ClassDef)
     unused = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = []
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(r"\b%s\b" % re.escape(node.name))
-                if sum(len(word.findall(text)) for text in texts) < 2:
-                    unused.append("%s:%s" % (path.name, node.name))
+            if isinstance(node, defs):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += ["%s.%s" % (node.name, item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("__")]
+        for name in names:
+            word = re.compile(r"\b%s\b" % re.escape(name.split(".")[-1]))
+            if sum(len(word.findall(text)) for text in texts) < 2:
+                unused.append("%s:%s" % (path.name, name))
     assert unused == []
