@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict, 1 for a well-formed negative verdict
 (always with a witness), 2 for input or format errors, 3 for a refused
-resource request.  ``--json`` switches the report to a single structured
+resource request, 4 for an internal error (any other exception, reported
+without a traceback).  ``--json`` switches the report to a single structured
 object; text and structured output carry the same verdict and witnesses,
 and identical inputs plus seed produce byte-identical structured output.
 """
@@ -11,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import formats
 from .formats import FormatError, REPORT_FORMAT
@@ -591,9 +595,14 @@ def dispatch(args) -> tuple[Report, int]:
     return args.handler(args)
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = dispatch(args)
     except NEGATIVE_VERDICT_ERRORS as exc:
@@ -602,6 +611,12 @@ def main(argv=None) -> int:
         report, code = Report("refused", {"error": str(exc)}), 3
     except (FormatError, GraphError, OSError, ValueError) as exc:
         report, code = Report("error", {"error": str(exc)}), 2
+    except Exception as exc:  # a bug or an exhausted interpreter, not a verdict
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        report, code = Report("internal error", {
+            "error": "%s: %s" % (type(exc).__name__, exc),
+            "raised_at": "%s:%d in %s" % (os.path.basename(where.filename),
+                                          where.lineno, where.name)}), 4
     print(format_report(report, json_mode=args.json, seed=args.seed))
     return code
 

@@ -51,7 +51,8 @@ def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder can follow
         raise FormatError("cannot read %s: %s" % (path, exc)) from exc
 
 
@@ -342,6 +343,8 @@ def action_to_obj(act: GroupAction) -> dict:
 def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
     _expect(obj, ACTION_FORMAT)
     names = _str_list(obj, "elements")
+    if not names:
+        raise FormatError("action has no elements")
     maps = _get(obj, "maps", dict)
     if set(names) != set(maps):
         raise FormatError("elements and maps disagree")

@@ -176,9 +176,29 @@ class PermRep:
     The coset table is held once, in scan order: ``_moves[2i]`` is the
     permutation of x_i and ``_moves[2i + 1]`` its inverse, the layout the
     low-index search fills.  ``perms`` is ``_moves[::2]``.
+
+    Every construction checks the rank, the degree and the number of
+    permutations, that each row is a permutation of 0..degree-1, and that
+    the action is transitive.  The row check and the inverse are computed
+    once per distinct row of a memo of checked rows: a fresh memo for each
+    ``PermRep(...)``, and one per degree inside :func:`low_index_reps`,
+    whose tables share most of their rows (a degree-n search has at most
+    n! distinct ones).  Tables built through one memo share its row
+    tuples.  Transitivity is checked on every table.
     """
 
     def __init__(self, rank: int, degree: int, perms: Sequence[Sequence[int]]):
+        self._init(rank, degree, perms, {})
+
+    @classmethod
+    def _with_memo(cls, rank: int, degree: int, perms, checked: dict) -> "PermRep":
+        """Construct through ``checked``, a memo {row: (row, inverse row)}
+        of the rows already checked to be permutations of 0..degree-1."""
+        rep = cls.__new__(cls)
+        rep._init(rank, degree, perms, checked)
+        return rep
+
+    def _init(self, rank: int, degree: int, perms, checked: dict) -> None:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if degree < 1:
@@ -189,13 +209,28 @@ class PermRep:
         self.degree = degree
         points = range(degree)
         moves: list[tuple[int, ...]] = []
-        for p in tuple(tuple(p) for p in perms):
-            if sorted(p) != list(points):
-                raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
-            moves += (p, tuple(sorted(points, key=p.__getitem__)))
+        for p in tuple(map(tuple, perms)):
+            try:
+                move = checked.get(p)
+            except TypeError:  # an unhashable entry fails the check below
+                move = None
+            if move is None:
+                if sorted(p) != list(points):
+                    raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
+                move = checked[p] = (p, tuple(sorted(points, key=p.__getitem__)))
+            moves += move
         self._moves = tuple(moves)
         self.perms = self._moves[::2]
-        if len(self._orbit_order(0)) != degree:
+        # a finite orbit is closed under inverses: the forward moves suffice
+        seen = {0}
+        order = [0]
+        for a in order:
+            for p in self.perms:
+                b = p[a]
+                if b not in seen:
+                    seen.add(b)
+                    order.append(b)
+        if len(order) != degree:
             orbits = []
             placed: set[int] = set()
             for p in points:
@@ -306,15 +341,15 @@ def subgroup_leq(h: PermRep, k: PermRep) -> bool:
     """
     if h.rank != k.rank:
         raise ValueError("rank mismatch: %d vs %d" % (h.rank, k.rank))
-    return _forced_map(h._moves, k._moves, h.degree, 0)
+    return _forced_map(list(zip(h._moves, k._moves)), h.degree, 0)
 
 
 def is_normal(rep: PermRep) -> bool:
     """Whether Stab(0) is normal: every map 0 -> c extends to an
     automorphism of the action (:func:`_forced_map`)."""
     if rep._normal is None:
-        moves, n = rep._moves, rep.degree
-        rep._normal = all(_forced_map(moves, moves, n, c) for c in range(1, n))
+        pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+        rep._normal = all(_forced_map(pairs, n, c) for c in range(1, n))
     return rep._normal
 
 
@@ -325,8 +360,8 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
     [N(H) : H] of them; 0 is always first.  Each one is the image of 0
     under exactly one automorphism of the action.
     """
-    moves, n = rep._moves, rep.degree
-    return (0,) + tuple(c for c in range(1, n) if _forced_map(moves, moves, n, c))
+    pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+    return (0,) + tuple(c for c in range(1, n) if _forced_map(pairs, n, c))
 
 
 def rep_equivalent(a: PermRep, b: PermRep) -> bool:
@@ -354,7 +389,7 @@ def pushforward_leq(n_src: PermRep, images: GeneratorImages,
     for w in images.images:
         t = tuple(n_tgt.act(p, w) for p in points)
         pulled += (t, tuple(sorted(points, key=t.__getitem__)))
-    return _forced_map(n_src._moves, pulled, n_src.degree, 0)
+    return _forced_map(list(zip(n_src._moves, pulled)), n_src.degree, 0)
 
 
 @lru_cache(maxsize=None)
@@ -371,17 +406,17 @@ def subgroup_count(rank: int, index: int) -> int:
     return total
 
 
-def _forced_map(src, dst, n: int, c: int) -> bool:
+def _forced_map(pairs, n: int, c: int) -> bool:
     """Whether 0 -> c extends to a map from the points of ``src`` to those
     of ``dst`` commuting with every move defined at both ends.
 
-    The tables are in scan order (x0, x0^-1, x1, ...), -1 marking an entry
+    ``pairs`` is ``list(zip(src, dst))``, zipped once by the caller: the
+    tables are in scan order (x0, x0^-1, x1, ...), -1 marking an entry
     not yet defined, and ``src`` uses the points 0..n-1.  On complete
     tables with ``src`` transitive, passing means Stab_src(0) <= Stab_dst(c);
     for ``src`` = ``dst`` the indices agree, so Stab(0) = Stab(c).  On a
     partial table a failure rules out every completion with Stab(0) = Stab(c).
     """
-    pairs = list(zip(src, dst))
     image = [-1] * n
     image[0] = c
     queue = [0]
@@ -424,6 +459,8 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
     # the layout of PermRep._moves: moves[2i] is x_i and moves[2i+1] its
     # inverse, partial while searching
     moves = [[-1] * degree for _ in range(2 * rank)]
+    # the rows are filled in place, so one zip serves every forced map
+    pairs = list(zip(moves, moves))
     slots = [(p, moves[k], moves[k ^ 1])
              for p in range(degree) for k in range(2 * rank)]
     nslots = len(slots)
@@ -437,23 +474,24 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
             si += 1
         if si == nslots:
             # every slot is filled, so every point was created: used == degree
-            yield tuple(tuple(row) for row in moves[::2])
+            yield tuple(map(tuple, moves[::2]))
         elif p < used:
             # (p >= used: every created point is fully scanned, so no new
             # point can ever appear and the branch is dead)
-            top = min(used + 1, degree)
+            top = used + 1 if used < degree else degree
             while q < top:
                 if other[q] < 0:
                     table[p], other[q] = q, p
                     if (q == used or not normal_only
-                            or all(_forced_map(moves, moves, used, c)
+                            or all(_forced_map(pairs, used, c)
                                    for c in range(1, used))):
                         break
                     table[p] = other[q] = -1
                 q += 1
             if q < top:
                 stack.append((si, q, used))
-                used = max(used, q + 1)
+                if q == used:
+                    used += 1
                 si, q = si + 1, 0
                 continue
         if not stack:
@@ -469,7 +507,9 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     """All subgroups of index <= max_degree, one canonical action each.
 
     Results are ordered by degree and then lexicographically by table.
-    With ``normal_only`` the search cuts non-normal branches as it goes and
+    Each result passes every check of :class:`PermRep`: the row check once
+    per distinct row of a degree, through one memo that lives for this
+    call only, and transitivity once per table.  With ``normal_only`` the search cuts non-normal branches as it goes and
     records each kept subgroup as normal, so ``is_normal`` on a result is a
     cache read.  Refuses with ResourceLimitError when the predicted number
     of subgroups exceeds ``max_work``; the bound counts all subgroups even
@@ -486,8 +526,9 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
             % (rank, max_degree, predicted, max_work))
     out = []
     for degree in range(1, max_degree + 1):
+        checked: dict = {}
         for table in _canonical_tables(rank, degree, normal_only):
-            rep = PermRep(rank, degree, table)
+            rep = PermRep._with_memo(rank, degree, table, checked)
             if normal_only:
                 rep._normal = True
             out.append(rep)

@@ -7,6 +7,7 @@ import itertools
 
 import procover as pc
 from procover import towers
+from procover.freegroup import NotTransitiveError
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
@@ -247,6 +248,43 @@ def injective_normalizer_points(rep: pc.PermRep) -> tuple:
         moves += [p, inv]
     return tuple(c for c in range(rep.degree)
                  if injective_forced_map_extends(moves, rep.degree, c))
+
+
+def validating_permrep(rank: int, degree: int, perms) -> pc.PermRep:
+    """Oracle for the ``PermRep`` constructor: the constructor it replaced,
+    verbatim, which sorts every row of every table and checks transitivity
+    by walking the orbit of 0 under every move."""
+    self = pc.PermRep.__new__(pc.PermRep)
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    if len(perms) != rank:
+        raise ValueError("expected %d permutations, got %d" % (rank, len(perms)))
+    self.rank = rank
+    self.degree = degree
+    points = range(degree)
+    moves: list[tuple[int, ...]] = []
+    for p in tuple(tuple(p) for p in perms):
+        if sorted(p) != list(points):
+            raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
+        moves += (p, tuple(sorted(points, key=p.__getitem__)))
+    self._moves = tuple(moves)
+    self.perms = self._moves[::2]
+    if len(self._orbit_order(0)) != degree:
+        orbits = []
+        placed: set[int] = set()
+        for p in points:
+            if p not in placed:
+                orbit = sorted(self._orbit_order(p))
+                placed.update(orbit)
+                orbits.append(orbit)
+        raise NotTransitiveError(
+            "action is not transitive: %d orbits" % len(orbits), orbits)
+    self._schreier = None
+    self._canonical_key = None
+    self._normal = None
+    return self
 
 
 def relabelled(rep: pc.PermRep, c: int, rng) -> pc.PermRep:

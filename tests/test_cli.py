@@ -2,11 +2,13 @@ import io
 import contextlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import procover as pc
-from procover import formats
+from procover import cli, formats
 from procover.cli import format_report, main, parse_report
 from helpers import (
     b2_homology_spec,
@@ -84,6 +86,14 @@ class TestExitCodes:
         _, code = run_cli(["check-cover", "/nonexistent/file.json"])
         assert code == 2
 
+    def test_deeply_nested_document_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        out, code = run_cli(["validate", str(path)])
+        assert code == 2
+        assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_negative_verdicts_are_1_not_2(self, data):
         _, code = run_cli(["regular", data["deg3_b2"]])
         assert code == 1
@@ -151,6 +161,8 @@ class TestExitCodes:
                         "vertex_classes": [["v0", "w9"]], "edge_classes": []}),
         ("good-pair", {"format": formats.CONGRUENCE_FORMAT,
                        "vertex_classes": [["w9"]], "edge_classes": []}),
+        ("action", {"format": formats.ACTION_FORMAT, "elements": [],
+                    "maps": {}}),
     ])
     def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
         path = str(tmp_path / "doc.json")
@@ -242,6 +254,24 @@ class TestExitCodes:
         assert details["total"] == 1 and len(details["reps"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [
+        RuntimeError("internal check failed"), RecursionError("too deep"),
+        KeyError("v9"), TypeError("bad operand"), ZeroDivisionError("x"),
+        AssertionError("invariant")], ids=lambda e: type(e).__name__)
+    def test_unexpected_exception_is_4(self, data, capsys, monkeypatch, error):
+        def broken(graph):
+            raise error
+
+        monkeypatch.setattr(cli, "validate_graph", broken)
+        out, code = run_cli(["--json", "validate", data["c6"]])
+        assert code == 4
+        report = json.loads(out)
+        assert report["verdict"] == "internal error"
+        assert report["details"]["error"] == "%s: %s" % (
+            type(error).__name__, error)
+        assert report["details"]["raised_at"].startswith("test_cli.py:")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_not_a_covering_is_1(self, tmp_path):
         p2, c3 = pc.path_graph(2), pc.cycle_graph(3)
         f = pc.GraphMorphism(p2, c3, {"v0": "v0", "v1": "v1"},
@@ -251,6 +281,33 @@ class TestExitCodes:
         out, code = run_cli(["check-cover", path])
         assert code == 1
         assert "not a covering" in out
+
+
+class TestOneParser:
+    def test_commands_in_one_process_match_fresh_processes(
+            self, data, monkeypatch):
+        commands = [
+            ["--json", "--seed", "7", "validate", data["c6"]],
+            ["validate", data["c6"]],
+            ["regular", data["deg3_b2"]],
+            ["--json", "low-index", "--rank", "2", "--max-degree", "3",
+             "--normal"],
+            ["check-cover", data["c6_to_c3"]],
+            ["--max-work", "5", "low-index", "--rank", "3", "--max-degree",
+             "3"],
+            ["--json", "pi1", data["c6"], "--base", "v2"],
+            ["validate", data["malformed"]],
+        ]
+        src = os.path.dirname(os.path.dirname(pc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for k, argv in enumerate(commands):
+            out, code = run_cli(argv)
+            if k == 0:
+                # the parser is built once per process, by the first call
+                monkeypatch.setattr(cli, "build_parser", None)
+            fresh = subprocess.run([sys.executable, "-m", "procover"] + argv,
+                                   capture_output=True, text=True, env=env)
+            assert (out, code) == (fresh.stdout, fresh.returncode)
 
 
 class TestJson:

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import random
 
@@ -19,7 +20,8 @@ from procover import (
     substitute,
     translation_kernel_rep,
 )
-from procover.freegroup import normalizer_points
+from procover import freegroup
+from procover.freegroup import NotTransitiveError, normalizer_points
 from helpers import (
     brute_force_canonical_keys,
     canonical_key_equivalent,
@@ -32,6 +34,7 @@ from helpers import (
     schreier_pushforward_leq,
     schreier_subgroup_leq,
     trivial_rep,
+    validating_permrep,
 )
 
 X = FreeWord.generator(0)
@@ -304,6 +307,100 @@ class TestSearchAgainstRecursiveOracle:
         want = tuple(t for t in recursive_canonical_tables(rank, degree)
                      if is_normal(PermRep(rank, degree, t)))
         assert normal_tables_oracle(rank, degree) == want
+
+
+def construction(build, *args):
+    """What a constructor makes of its arguments: the table it stores, or
+    the type, message and orbits of the error it raises."""
+    try:
+        rep = build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "orbits", None)
+    return rep._moves, rep.perms
+
+
+@st.composite
+def perm_lists(draw):
+    """A degree and a list of tables for it, each of rank ``rank`` or off
+    by one; rows are permutations of 0..degree-1 or, now and then, rows of
+    the wrong length, with a repeated point or with a point out of range.
+    Random tables are often not transitive."""
+    rank, degree = draw(st.integers(0, 3)), draw(st.integers(1, 5))
+
+    def row():
+        kind = draw(st.sampled_from(["perm"] * 6 + ["short", "long", "repeat",
+                                                      "range"]))
+        p = list(draw(st.permutations(range(degree))))
+        if kind == "short":
+            p = p[:-1]
+        elif kind == "long":
+            p.append(degree)
+        elif kind == "repeat" and degree > 1:
+            p[0] = p[1]
+        elif kind == "range":
+            p[-1] = draw(st.sampled_from([-1, degree, degree + 3]))
+        return p
+
+    tables = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = rank + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        tables.append([row() for _ in range(max(n, 0))])
+    return rank, degree, tables
+
+
+class TestConstructorAgainstOracle:
+    """The constructor with its row memo against the one it replaced,
+    which sorted every row of every table: same tables, same errors."""
+
+    @pytest.mark.parametrize("rank, max_degree",
+                             [(1, 5), (2, 5), (3, 5), (5, 3)])
+    def test_every_enumerated_table(self, rank, max_degree):
+        for rep in low_index_reps(rank, max_degree):
+            want = validating_permrep(rank, rep.degree, rep.perms)
+            assert rep._moves == want._moves
+            assert rep.perms == want.perms
+
+    @settings(max_examples=300, deadline=None)
+    @given(perm_lists())
+    def test_valid_and_invalid_tables(self, case):
+        rank, degree, tables = case
+        checked: dict = {}
+        for perms in tables:
+            want = construction(validating_permrep, rank, degree, perms)
+            assert construction(PermRep, rank, degree, perms) == want
+            assert construction(PermRep._with_memo, rank, degree, perms,
+                                checked) == want
+
+    def test_errors_match(self):
+        for args in [(1, 4, [(1, 0, 3, 2)]), (2, 3, [(0, 1, 2)]),
+                     (1, 3, [(0, 0, 1)]), (1, 3, [(0, 1)]), (-1, 1, []),
+                     (1, 0, [()]), (1, 2, [([0], [1])]), (1, 2, [5])]:
+            assert construction(PermRep, *args) == \
+                construction(validating_permrep, *args)
+        _, _, orbits = construction(PermRep, 2, 5, [(1, 0, 2, 4, 3)] * 2)
+        assert orbits == ((0, 1), (2,), (3, 4))
+
+    def test_each_distinct_row_is_sorted_once(self, monkeypatch):
+        checked = []
+
+        def counting_sorted(iterable, **kwargs):
+            if not kwargs:  # the permutation check; the inverse passes a key
+                checked.append(tuple(iterable))
+            return builtins.sorted(iterable, **kwargs)
+
+        monkeypatch.setattr(freegroup, "sorted", counting_sorted, raising=False)
+        reps = low_index_reps(5, 3)
+        assert len(reps) == sum(subgroup_count(5, n) for n in (1, 2, 3))
+        assert len(checked) == len(set(checked)) <= 1 + 2 + 6
+
+    def test_memo_does_not_outlive_the_enumeration(self):
+        low_index_reps(1, 3)  # checks the row (1, 2, 0) of degree 3
+        with pytest.raises(ValueError) as err:
+            PermRep(1, 4, [(1, 2, 0)])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "(1, 2, 0) is not a permutation of 0..3"
+        with pytest.raises(NotTransitiveError):
+            PermRep(1, 3, [(0, 1, 2)])
 
 
 class TestSubstitution:
