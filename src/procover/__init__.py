@@ -13,6 +13,7 @@ from .graphs import (
     GraphMorphism,
     InducedMapError,
     SpanningTreeData,
+    VerdictError,
     bouquet_graph,
     components,
     compose,

@@ -3,9 +3,12 @@
 Exit codes: 0 for a positive verdict, 1 for a well-formed negative verdict
 (always with a witness), 2 for input or format errors, 3 for a refused
 resource request, 4 for an internal error (any other exception, reported
-without a traceback).  ``--json`` switches the report to a single structured
-object; text and structured output carry the same verdict and witnesses,
-and identical inputs plus seed produce byte-identical structured output.
+without a traceback).  A handler returns its own exit-1 verdicts; an exit 1
+by exception comes only from the :class:`~procover.graphs.VerdictError`
+family, whose ``verdict`` and ``details()`` are the report.  ``--json``
+switches the report to a single structured object; text and structured
+output carry the same verdict and witnesses, and identical inputs plus seed
+produce byte-identical structured output.
 """
 
 from __future__ import annotations
@@ -20,19 +23,9 @@ from functools import lru_cache
 
 from . import formats
 from .formats import FormatError, REPORT_FORMAT
-from .graphs import (
-    CongruenceError,
-    GraphError,
-    InducedMapError,
-    is_connected,
-    quotient,
-    validate_graph,
-)
-from .freegroup import NotTransitiveError, ResourceLimitError, is_normal, low_index_reps
+from .graphs import GraphError, VerdictError, is_connected, quotient, validate_graph
+from .freegroup import ResourceLimitError, is_normal, low_index_reps
 from .covering import (
-    ActionError,
-    LiftObstruction,
-    NotACoveringError,
     action_deck_isomorphism,
     as_covering,
     cover_from_subgroup,
@@ -45,8 +38,6 @@ from .covering import (
     quotient_by_group,
 )
 from .towers import (
-    CompatibilityError,
-    TowerError,
     classify_pair,
     deck_tower,
     kernel_good_pairs,
@@ -107,10 +98,6 @@ def format_report(r: Report, json_mode: bool, seed=None) -> str:
     return "\n".join(lines)
 
 
-def _load_graph_arg(path):
-    return formats.load_graph(path)
-
-
 def _default_basepoint(graph, given, what="vertex"):
     if given is None:
         if not graph.vertices:
@@ -125,7 +112,7 @@ def _default_basepoint(graph, given, what="vertex"):
 
 
 def cmd_validate(args):
-    g = _load_graph_arg(args.graph)
+    g = formats.load_graph(args.graph)
     violations = validate_graph(g)
     details = {"vertices": len(g.vertices), "darts": len(g.darts),
                "violations": violations}
@@ -136,7 +123,7 @@ def cmd_validate(args):
 
 
 def cmd_quotient(args):
-    g = _load_graph_arg(args.graph)
+    g = formats.load_graph(args.graph)
     r = formats.load_congruence(args.congruence, g)
     qg, proj = quotient(g, r)
     details = {
@@ -168,7 +155,7 @@ def cmd_check_cover(args):
 
 
 def cmd_pi1(args):
-    g = _load_graph_arg(args.graph)
+    g = formats.load_graph(args.graph)
     base = _default_basepoint(g, args.base)
     p = pi1_data(g, base)
     details = {
@@ -181,7 +168,7 @@ def cmd_pi1(args):
 
 
 def cmd_cover_from_rep(args):
-    g = _load_graph_arg(args.graph)
+    g = formats.load_graph(args.graph)
     rep = formats.load_rep(args.rep)
     base = _default_basepoint(g, args.base)
     cover, basepoint, cov = cover_from_subgroup(g, base, rep)
@@ -192,10 +179,11 @@ def cmd_cover_from_rep(args):
         "vertices": len(cover.vertices),
         "edges": cover.edge_count(),
         "rank": cover.edge_count() - len(cover.vertices) + 1,
+        "degree": cov.degree,
+        "regular": verdict.regular,
+        "deck_order": verdict.deck_order,
+        "image_rep": formats.rep_to_obj(image),
     }
-    details.update(formats.covering_report_obj(
-        cov, regular=verdict.regular, deck_order=verdict.deck_order,
-        image_rep=image))
     if args.out:
         formats.save_graph(args.out + ".graph.json", cover)
         formats.save_morphism(args.out + ".morphism.json", cov.map)
@@ -261,7 +249,7 @@ def cmd_regular(args):
 
 
 def cmd_orbit_quotient(args):
-    g = _load_graph_arg(args.graph)
+    g = formats.load_graph(args.graph)
     act = formats.load_action(args.action, g)
     qg, cov = quotient_by_group(act)
     deck = deck_group(cov)
@@ -271,7 +259,7 @@ def cmd_orbit_quotient(args):
         "degree": cov.degree,
         "vertices": len(qg.vertices),
         "edges": qg.edge_count(),
-        "regular": is_regular(cov).regular,
+        "regular": deck.order == cov.degree,
         "deck_isomorphism": {str(k): v for k, v in mapping.items()},
     }
     if args.out:
@@ -547,47 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-NEGATIVE_VERDICT_ERRORS = (
-    NotACoveringError,
-    LiftObstruction,
-    ActionError,
-    CongruenceError,
-    InducedMapError,
-    CompatibilityError,
-    TowerError,
-    NotTransitiveError,
-)
-
-
-def _negative_report(exc) -> Report:
-    details = {"error": str(exc)}
-    verdict = "negative"
-    if isinstance(exc, NotACoveringError):
-        verdict = "not a covering"
-        details["witness"] = [exc.vertex]
-        details["reason"] = exc.reason
-    elif isinstance(exc, LiftObstruction):
-        verdict = "obstruction"
-        details["witness"] = list(exc.path)
-    elif isinstance(exc, CompatibilityError):
-        verdict = "incompatible"
-        details["witness"] = [str(exc.word)]
-        details["levels"] = list(exc.levels)
-    elif isinstance(exc, CongruenceError):
-        verdict = "not a congruence"
-    elif isinstance(exc, InducedMapError):
-        verdict = "no induced map"
-    elif isinstance(exc, NotTransitiveError):
-        verdict = "not transitive"
-        details["orbits"] = [list(o) for o in exc.orbits]
-        details["witness"] = [" ".join(str(p) for p in o) for o in exc.orbits]
-    if "witness" not in details and getattr(exc, "witness", None) is not None:
-        w = exc.witness
-        details["witness"] = [str(x) for x in w] if isinstance(w, (tuple, list)) \
-            else [str(w)]
-    return Report(verdict, details)
-
-
 def dispatch(args) -> tuple[Report, int]:
     if args.max_work is None:
         from .freegroup import DEFAULT_MAX_WORK
@@ -605,8 +552,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report, code = dispatch(args)
-    except NEGATIVE_VERDICT_ERRORS as exc:
-        report, code = _negative_report(exc), 1
+    except VerdictError as exc:
+        report, code = Report(exc.verdict, exc.details()), 1
     except ResourceLimitError as exc:
         report, code = Report("refused", {"error": str(exc)}), 3
     except (FormatError, GraphError, OSError, ValueError) as exc:

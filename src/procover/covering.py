@@ -27,6 +27,7 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     GraphMorphism,
+    VerdictError,
     components,
     edge_stem,
     is_connected,
@@ -36,30 +37,36 @@ from .graphs import (
 from .freegroup import FreeWord, PermRep, normalizer_points
 
 
-class NotACoveringError(ValueError):
-    """Local bijectivity fails; carries the vertex and the reason."""
+class NotACoveringError(VerdictError):
+    """Local bijectivity fails at ``vertex`` (the witness), for ``reason``."""
+
+    verdict = "not a covering"
 
     def __init__(self, vertex, reason):
-        super().__init__("not a covering at vertex %r: %s" % (vertex, reason))
+        super().__init__("not a covering at vertex %r: %s" % (vertex, reason),
+                         witness=vertex)
         self.vertex = vertex
         self.reason = reason
 
+    def details(self) -> dict:
+        return dict(super().details(), reason=self.reason)
 
-class LiftObstruction(ValueError):
-    """A lift does not exist; ``path`` is a closed path in the source whose
-    image fails to lift to a loop at the chosen basepoint."""
+
+class LiftObstruction(VerdictError):
+    """A lift does not exist; ``path`` (the witness) is a closed path in the
+    source whose image fails to lift to a loop at the chosen basepoint."""
+
+    verdict = "obstruction"
 
     def __init__(self, path):
-        super().__init__("no lift: obstruction path of %d darts" % len(path))
-        self.path = tuple(path)
+        path = tuple(path)
+        super().__init__("no lift: obstruction path of %d darts" % len(path),
+                         witness=path)
+        self.path = path
 
 
-class ActionError(ValueError):
+class ActionError(VerdictError):
     """A group action request is inconsistent; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class Covering:
@@ -539,7 +546,8 @@ class GroupAction:
         self.morphisms = dict(morphisms)
         for g, m in self.morphisms.items():
             if m.domain != graph or m.codomain != graph:
-                raise ActionError("element %r does not act on the graph" % (g,))
+                raise ActionError("element %r does not act on the graph" % (g,),
+                                  witness=g)
         vertices, darts = graph.vertices, graph.darts
         images = {g: (tuple(map(m.vmap.__getitem__, vertices)),
                       tuple(map(m.dmap.__getitem__, darts)))
@@ -662,10 +670,14 @@ def action_deck_isomorphism(act: GroupAction, deck: DeckGroup) -> dict:
         m = act.morphisms[g]
         if m not in index:
             raise ActionError("element %r does not act by a deck "
-                              "transformation of the orbit map" % (g,))
+                              "transformation of the orbit map" % (g,), witness=g)
         mapping[g] = index[m]
-    if len(set(mapping.values())) != len(mapping) or len(mapping) != deck.order:
-        raise ActionError("action group and deck group have different sizes")
+    if len(act.elements) != deck.order:
+        # GroupAction gives distinct elements distinct maps, so the
+        # mapping is one-to-one and only the sizes can differ
+        raise ActionError("action group and deck group have different sizes",
+                          witness=next(i for i in range(deck.order)
+                                       if i not in mapping.values()))
     for g in act.elements:
         for h in act.elements:
             if mapping[act.table[(g, h)]] != deck.table[mapping[g]][mapping[h]]:

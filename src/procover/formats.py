@@ -20,7 +20,7 @@ from .graphs import (
     edge_stem,
 )
 from .freegroup import FreeWord, GeneratorImages, NotTransitiveError, PermRep
-from .covering import Covering, GroupAction, as_covering
+from .covering import GroupAction, as_covering
 from .towers import Tower, TowerError, UniversalSpec
 
 GRAPH_FORMAT = "procover-graph/1"
@@ -195,21 +195,8 @@ def load_morphism(path: str, domain=None, codomain=None) -> GraphMorphism:
     return morphism_from_obj(load_json(path), domain=domain, codomain=codomain)
 
 
-def save_morphism(path: str, f: GraphMorphism, embed_graphs: bool = True) -> None:
-    save_json(path, morphism_to_obj(f, embed_graphs=embed_graphs))
-
-
-def covering_report_obj(cov: Covering, regular=None, deck_order=None,
-                        image_rep=None) -> dict:
-    """The standard emitted summary of a covering."""
-    obj = {"degree": cov.degree}
-    if regular is not None:
-        obj["regular"] = regular
-    if deck_order is not None:
-        obj["deck_order"] = deck_order
-    if image_rep is not None:
-        obj["image_rep"] = rep_to_obj(image_rep)
-    return obj
+def save_morphism(path: str, f: GraphMorphism) -> None:
+    save_json(path, morphism_to_obj(f))
 
 
 # -- congruences --------------------------------------------------------------
@@ -364,6 +351,13 @@ def load_action(path: str, graph: FiniteGraph) -> GroupAction:
 
 # -- towers ---------------------------------------------------------------------
 
+def _resolve(manifest_path: str, rel: str) -> str:
+    """A path named inside a manifest, taken relative to the manifest."""
+    if os.path.isabs(rel):
+        return rel
+    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), rel)
+
+
 def load_tower_pieces(path: str):
     """Load a tower manifest into bare morphisms (no covering checks).
 
@@ -372,25 +366,20 @@ def load_tower_pieces(path: str):
     """
     obj = load_json(path)
     _expect(obj, TOWER_FORMAT)
-    here = os.path.dirname(os.path.abspath(path))
-
-    def resolve(rel):
-        return rel if os.path.isabs(rel) else os.path.join(here, rel)
-
     levels = _get(obj, "levels", list)
     if not levels:
         raise FormatError("tower manifest has no levels")
     gammas, deltas, fs = [], [], []
     for entry in levels:
-        gamma = load_graph(resolve(_get(entry, "gamma", str)))
-        delta = load_graph(resolve(_get(entry, "delta", str)))
+        gamma = load_graph(_resolve(path, _get(entry, "gamma", str)))
+        delta = load_graph(_resolve(path, _get(entry, "delta", str)))
         gammas.append(gamma)
         deltas.append(delta)
-        fs.append(load_morphism(resolve(_get(entry, "f", str)),
+        fs.append(load_morphism(_resolve(path, _get(entry, "f", str)),
                                 domain=gamma, codomain=delta))
-    phis = [load_morphism(resolve(p), domain=gammas[i + 1], codomain=gammas[i])
+    phis = [load_morphism(_resolve(path, p), domain=gammas[i + 1], codomain=gammas[i])
             for i, p in enumerate(_str_list(obj, "phi"))]
-    psis = [load_morphism(resolve(p), domain=deltas[i + 1], codomain=deltas[i])
+    psis = [load_morphism(_resolve(path, p), domain=deltas[i + 1], codomain=deltas[i])
             for i, p in enumerate(_str_list(obj, "psi"))]
     if len(phis) != len(fs) - 1 or len(psis) != len(fs) - 1:
         raise FormatError("expected %d bonding maps per side" % (len(fs) - 1))
@@ -410,29 +399,29 @@ def load_tower(path: str) -> Tower:
         raise FormatError("manifest does not assemble into a tower: %s" % exc) from exc
 
 
-def save_tower(dirpath: str, t: Tower, stem: str = "tower") -> str:
+def save_tower(dirpath: str, t: Tower) -> str:
     """Write every component of a tower plus its manifest; returns the
     manifest path."""
     os.makedirs(dirpath, exist_ok=True)
     manifest = {"format": TOWER_FORMAT, "levels": [], "phi": [], "psi": []}
     for i, cov in enumerate(t.coverings):
-        names = {"gamma": "%s_gamma%d.json" % (stem, i),
-                 "delta": "%s_delta%d.json" % (stem, i),
-                 "f": "%s_f%d.json" % (stem, i)}
+        names = {"gamma": "tower_gamma%d.json" % i,
+                 "delta": "tower_delta%d.json" % i,
+                 "f": "tower_f%d.json" % i}
         save_graph(os.path.join(dirpath, names["gamma"]), cov.domain)
         save_graph(os.path.join(dirpath, names["delta"]), cov.codomain)
         save_morphism(os.path.join(dirpath, names["f"]), cov.map)
         manifest["levels"].append(names)
     for i in range(t.top):
-        phi_name = "%s_phi%d.json" % (stem, i)
-        psi_name = "%s_psi%d.json" % (stem, i)
+        phi_name = "tower_phi%d.json" % i
+        psi_name = "tower_psi%d.json" % i
         save_morphism(os.path.join(dirpath, phi_name), t.cover_steps[i])
         save_morphism(os.path.join(dirpath, psi_name), t.base_steps[i])
         manifest["phi"].append(phi_name)
         manifest["psi"].append(psi_name)
     if t.basepoints is not None:
         manifest["basepoints"] = list(t.basepoints)
-    manifest_path = os.path.join(dirpath, "%s.json" % stem)
+    manifest_path = os.path.join(dirpath, "tower.json")
     save_json(manifest_path, manifest)
     return manifest_path
 
@@ -440,14 +429,9 @@ def save_tower(dirpath: str, t: Tower, stem: str = "tower") -> str:
 def load_universal_spec(path: str) -> UniversalSpec:
     obj = load_json(path)
     _expect(obj, UNIVERSAL_FORMAT)
-    here = os.path.dirname(os.path.abspath(path))
-
-    def resolve(rel):
-        return rel if os.path.isabs(rel) else os.path.join(here, rel)
-
-    base = load_graph(resolve(_get(obj, "base", str)))
-    quotients = [load_congruence(resolve(p), base)
+    base = load_graph(_resolve(path, _get(obj, "base", str)))
+    quotients = [load_congruence(_resolve(path, p), base)
                  for p in _str_list(obj, "quotients")]
-    normals = [load_rep(resolve(p)) for p in _str_list(obj, "normals")]
+    normals = [load_rep(_resolve(path, p)) for p in _str_list(obj, "normals")]
     return UniversalSpec(base=base, basepoint=_get(obj, "basepoint", str),
                          quotients=quotients, normals=normals)

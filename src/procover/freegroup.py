@@ -34,6 +34,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
+from .graphs import VerdictError
+
 DEFAULT_MAX_WORK = 5_000_000
 
 
@@ -41,13 +43,22 @@ class ResourceLimitError(RuntimeError):
     """An enumeration was refused because it would exceed its work bound."""
 
 
-class NotTransitiveError(ValueError):
+class NotTransitiveError(VerdictError):
     """The permutations do not act transitively; ``orbits`` holds the
-    partition of the points, so callers can report it."""
+    partition of the points, and is the witness."""
+
+    verdict = "not transitive"
 
     def __init__(self, message, orbits):
-        super().__init__(message)
-        self.orbits = tuple(tuple(o) for o in orbits)
+        orbits = tuple(tuple(o) for o in orbits)
+        super().__init__(message, witness=orbits)
+        self.orbits = orbits
+
+    def details(self) -> dict:
+        """The orbits as lists of points, then each one as a witness
+        string of its points."""
+        return {"error": str(self), "orbits": [list(o) for o in self.orbits],
+                "witness": [" ".join(map(str, o)) for o in self.orbits]}
 
 
 def _reduce(letters) -> tuple[tuple[int, int], ...]:
@@ -178,9 +189,10 @@ class PermRep:
     low-index search fills.  ``perms`` is ``_moves[::2]``.
 
     Every construction checks the rank, the degree and the number of
-    permutations, that each row is a permutation of 0..degree-1, and that
-    the action is transitive.  The row check and the inverse are computed
-    once per distinct row of a memo of checked rows: a fresh memo for each
+    permutations, that each row is a permutation of 0..degree-1 with
+    ``int`` entries (not bools or floats), and that the action is
+    transitive.  The row check and the inverse are computed once per
+    distinct row of a memo of checked rows: a fresh memo for each
     ``PermRep(...)``, and one per degree inside :func:`low_index_reps`,
     whose tables share most of their rows (a degree-n search has at most
     n! distinct ones).  Tables built through one memo share its row
@@ -208,6 +220,7 @@ class PermRep:
         self.rank = rank
         self.degree = degree
         points = range(degree)
+        types = expected = None  # built at the first row the memo misses
         moves: list[tuple[int, ...]] = []
         for p in tuple(map(tuple, perms)):
             try:
@@ -215,7 +228,10 @@ class PermRep:
             except TypeError:  # an unhashable entry fails the check below
                 move = None
             if move is None:
-                if sorted(p) != list(points):
+                if expected is None:
+                    types, expected = [int] * degree, set(points)
+                # degree ints that cover 0..degree-1: a permutation
+                if list(map(type, p)) != types or set(p) != expected:
                     raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
                 move = checked[p] = (p, tuple(sorted(points, key=p.__getitem__)))
             moves += move

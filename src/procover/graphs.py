@@ -28,15 +28,37 @@ class GraphError(ValueError):
     """Structurally broken graph, morphism, or request (bad ids, bad maps)."""
 
 
-class CongruenceError(ValueError):
-    """A partition that is not a graph congruence.
+class VerdictError(ValueError):
+    """A well-formed request whose answer is no, with its certificate.
 
-    Carries the offending pair of elements in ``witness`` when available.
+    ``verdict`` names the answer and ``witness`` certifies it: a vertex, a
+    path, a pair of elements, a level.  :meth:`details` is the report the
+    command line prints for it with exit code 1.
     """
+
+    verdict = "negative"
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+    def details(self) -> dict:
+        """The message, and the witness as a list of strings: a list or
+        tuple entry by entry, anything else as one entry, None as no
+        ``witness`` key."""
+        details = {"error": str(self)}
+        w = self.witness
+        if w is not None:
+            details["witness"] = ([str(x) for x in w] if isinstance(w, (tuple, list))
+                                  else [str(w)])
+        return details
+
+
+class CongruenceError(VerdictError):
+    """A partition that is not a graph congruence; ``witness`` is the
+    offending element or pair of elements."""
+
+    verdict = "not a congruence"
 
 
 class FiniteGraph:
@@ -382,7 +404,8 @@ def _normalize_classes(universe, given, what):
             continue
         for x in members:
             if x not in universe:
-                raise CongruenceError("unknown %s %r in a class" % (what, x))
+                raise CongruenceError("unknown %s %r in a class" % (what, x),
+                                      witness=x)
             if x in assigned:
                 raise CongruenceError("%s %r appears in two classes" % (what, x),
                                       witness=x)
@@ -496,16 +519,17 @@ def kernel_congruence(f: GraphMorphism) -> Congruence:
     return Congruence(f.domain, vfib.values(), dfib.values())
 
 
-class InducedMapError(ValueError):
+class InducedMapError(VerdictError):
     """The congruence pair does not transport along the morphism.
 
     ``witness`` is a related pair whose images are unrelated; ``sort`` says
     whether the pair consists of vertices or darts.
     """
 
+    verdict = "no induced map"
+
     def __init__(self, message, witness, sort):
-        super().__init__(message)
-        self.witness = witness
+        super().__init__(message, witness)
         self.sort = sort
 
 

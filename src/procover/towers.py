@@ -20,6 +20,7 @@ from .graphs import (
     GraphError,
     GraphMorphism,
     InducedMapError,
+    VerdictError,
     compose,
     induced_quotient_map,
     is_connected,
@@ -49,27 +50,30 @@ from .covering import (
 )
 
 
-class TowerError(ValueError):
-    """A tower request cannot be satisfied; may carry a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class TowerError(VerdictError):
+    """A tower request cannot be satisfied; ``witness`` names the level,
+    step, level pair or basepoint at fault."""
 
 
-class CompatibilityError(ValueError):
+class CompatibilityError(VerdictError):
     """A subgroup chain is not compatible with its bonding maps.
 
-    ``levels`` is the offending pair (lower, upper) and ``word`` a Schreier
-    generator of the upper subgroup whose image escapes the lower one.
+    ``levels`` is the offending pair (lower, upper) and ``word`` (the
+    witness) a Schreier generator of the upper subgroup whose image escapes
+    the lower one.
     """
+
+    verdict = "incompatible"
 
     def __init__(self, levels, word):
         super().__init__(
             "subgroup at level %d does not push into level %d (witness %s)"
-            % (levels[1], levels[0], word))
+            % (levels[1], levels[0], word), witness=word)
         self.levels = levels
         self.word = word
+
+    def details(self) -> dict:
+        return dict(super().details(), levels=list(self.levels))
 
 
 class Tower:
@@ -77,9 +81,11 @@ class Tower:
 
     ``cover_steps[i]`` maps the level i+1 cover onto the level i cover and
     ``base_steps[i]`` does the same on the bases.  Shapes are checked at
-    construction; the semantic checks (squares commute, surjectivity) are
-    the job of :func:`validate_tower`.  An optional basepoint thread gives a
-    vertex per cover with each bonding step sending one to the next.
+    construction (an empty tower is a ValueError, a misplaced step or
+    basepoint a TowerError naming it); the semantic checks (squares
+    commute, surjectivity) are the job of :func:`validate_tower`.  An
+    optional basepoint thread gives a vertex per cover with each bonding
+    step sending one to the next.
     """
 
     def __init__(self, coverings: Iterable[Covering],
@@ -91,28 +97,34 @@ class Tower:
         self.base_steps = tuple(base_steps)
         self.basepoints = None if basepoints is None else tuple(basepoints)
         if not self.coverings:
-            raise TowerError("a tower needs at least one level")
+            raise ValueError("a tower needs at least one level")
         k = len(self.coverings) - 1
         if len(self.cover_steps) != k or len(self.base_steps) != k:
-            raise TowerError("expected %d bonding morphisms per side" % k)
+            raise TowerError("expected %d bonding morphisms per side" % k,
+                             witness=(len(self.cover_steps), len(self.base_steps)))
         for i in range(k):
-            if self.cover_steps[i].domain != self.coverings[i + 1].domain:
-                raise TowerError("cover step %d does not start at level %d" % (i, i + 1))
-            if self.cover_steps[i].codomain != self.coverings[i].domain:
-                raise TowerError("cover step %d does not end at level %d" % (i, i))
-            if self.base_steps[i].domain != self.coverings[i + 1].codomain:
-                raise TowerError("base step %d does not start at level %d" % (i, i + 1))
-            if self.base_steps[i].codomain != self.coverings[i].codomain:
-                raise TowerError("base step %d does not end at level %d" % (i, i))
+            upper, lower = self.coverings[i + 1], self.coverings[i]
+            for side, step, start, end in (
+                    ("cover", self.cover_steps[i], upper.domain, lower.domain),
+                    ("base", self.base_steps[i], upper.codomain, lower.codomain)):
+                if step.domain != start:
+                    raise TowerError("%s step %d does not start at level %d"
+                                     % (side, i, i + 1), witness=(i,))
+                if step.codomain != end:
+                    raise TowerError("%s step %d does not end at level %d"
+                                     % (side, i, i), witness=(i,))
         if self.basepoints is not None:
             if len(self.basepoints) != k + 1:
-                raise TowerError("expected one basepoint per level")
+                raise TowerError("expected one basepoint per level",
+                                 witness=self.basepoints)
             for i, a in enumerate(self.basepoints):
                 if a not in self.coverings[i].domain._vertex_set:
-                    raise TowerError("basepoint %r is not in level %d" % (a, i))
+                    raise TowerError("basepoint %r is not in level %d" % (a, i),
+                                     witness=(a, i))
             for i in range(k):
                 if self.cover_steps[i].vmap[self.basepoints[i + 1]] != self.basepoints[i]:
-                    raise TowerError("basepoints are not threaded at step %d" % i)
+                    raise TowerError("basepoints are not threaded at step %d" % i,
+                                     witness=(i,))
 
     @property
     def top(self) -> int:
@@ -131,7 +143,7 @@ class Tower:
         operations below keep one running chain instead of calling this.
         """
         if not 0 <= i <= j <= self.top:
-            raise TowerError("bad level pair (%d, %d)" % (i, j))
+            raise TowerError("bad level pair (%d, %d)" % (i, j), witness=(i, j))
         out = GraphMorphism.identity(self.cover_graph(j))
         for step in range(j - 1, i - 1, -1):
             out = compose(self.cover_steps[step], out)
@@ -139,7 +151,7 @@ class Tower:
 
     def base_map_to(self, i: int, j: int) -> GraphMorphism:
         if not 0 <= i <= j <= self.top:
-            raise TowerError("bad level pair (%d, %d)" % (i, j))
+            raise TowerError("bad level pair (%d, %d)" % (i, j), witness=(i, j))
         out = GraphMorphism.identity(self.base_graph(j))
         for step in range(j - 1, i - 1, -1):
             out = compose(self.base_steps[step], out)

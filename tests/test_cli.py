@@ -283,6 +283,87 @@ class TestExitCodes:
         assert "not a covering" in out
 
 
+def negative_case_argv(name, tmp_path):
+    """Write the input files of one exit-1 verdict that the CLI reaches by
+    exception; returns the command line."""
+    def path(filename):
+        return str(tmp_path / filename)
+
+    c3 = pc.cycle_graph(3)
+    formats.save_graph(path("c3.json"), c3)
+    if name == "check-cover":
+        p2 = pc.path_graph(2)
+        formats.save_morphism(path("f.json"), pc.GraphMorphism(
+            p2, c3, {"v0": "v0", "v1": "v1"}, {"e0+": "e0+", "e0-": "e0-"}))
+        return ["check-cover", path("f.json")]
+    if name == "lift":
+        formats.save_morphism(path("id.json"), pc.GraphMorphism.identity(c3))
+        formats.save_morphism(path("cover.json"), wrap_morphism(6, 3))
+        return ["lift", "--map", path("id.json"), "--cover", path("cover.json"),
+                "--source-base", "v0", "--cover-base", "v0"]
+    if name == "tower-universal":
+        formats.save_congruence(path("diag.json"), pc.Congruence.diagonal(c3))
+        formats.save_rep(path("n0.json"), cyclic_rep(2))
+        formats.save_rep(path("n1.json"), cyclic_rep(3))
+        formats.save_json(path("spec.json"), {
+            "format": formats.UNIVERSAL_FORMAT, "base": "c3.json",
+            "basepoint": "v0", "quotients": ["diag.json", "diag.json"],
+            "normals": ["n0.json", "n1.json"]})
+        return ["tower", "universal", path("spec.json")]
+    if name == "quotient":
+        formats.save_json(path("r.json"), {
+            "format": formats.CONGRUENCE_FORMAT, "vertex_classes": [],
+            "edge_classes": [[{"edge": "e0", "flip": False},
+                              {"edge": "e1", "flip": False}]]})
+        return ["quotient", path("c3.json"), path("r.json")]
+    if name == "cover-from-rep":
+        formats.save_json(path("rep.json"), {
+            "format": formats.REP_FORMAT, "rank": 1, "degree": 4,
+            "perms": [[1, 0, 3, 2]]})
+        return ["cover-from-rep", path("c3.json"), path("rep.json")]
+    if name.startswith("orbit-quotient"):
+        if name == "orbit-quotient-not-free":
+            graph = pc.cycle_graph(6)
+            refl = pc.GraphMorphism(
+                graph, graph, {"v%d" % i: "v%d" % (-i % 6) for i in range(6)},
+                {"e%d%s" % (i, s): "e%d%s" % ((5 - i) % 6, "-" if s == "+" else "+")
+                 for i in range(6) for s in "+-"})
+            morphisms = {"id": pc.GraphMorphism.identity(graph), "r": refl}
+        else:
+            graph, morphisms = rejected_action_documents()["no identity"]
+        formats.save_graph(path("g.json"), graph)
+        formats.save_json(path("action.json"), {
+            "format": formats.ACTION_FORMAT, "elements": sorted(morphisms),
+            "maps": {e: formats.morphism_to_obj(m, embed_graphs=False)
+                     for e, m in morphisms.items()}})
+        return ["orbit-quotient", path("g.json"), path("action.json")]
+    if name == "tower-deck":
+        _, _, cov = pc.cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.PermRep(2, 3, [(1, 0, 2), (0, 2, 1)]))
+        return ["tower", "deck",
+                formats.save_tower(path("tower"), pc.Tower([cov], [], []))]
+    raise KeyError(name)
+
+
+NEGATIVE_CASES = ["check-cover", "lift", "tower-universal", "quotient",
+                  "cover-from-rep", "orbit-quotient", "orbit-quotient-not-free",
+                  "tower-deck"]
+
+
+class TestNegativeVerdictReports:
+    """Each exit-1 verdict reached by exception prints exactly the report
+    recorded in ``tests/golden/negative_*``: verdict, every details key in
+    order, witness, in text and in ``--json`` mode."""
+
+    @pytest.mark.parametrize("mode", ["txt", "json"])
+    @pytest.mark.parametrize("name", NEGATIVE_CASES)
+    def test_report_is_pinned(self, tmp_path, name, mode):
+        argv = negative_case_argv(name, tmp_path)
+        out, code = run_cli((["--json"] if mode == "json" else []) + argv)
+        assert code == 1
+        assert out == golden("negative_%s.%s" % (name, mode))
+
+
 class TestOneParser:
     def test_commands_in_one_process_match_fresh_processes(
             self, data, monkeypatch):

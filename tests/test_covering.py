@@ -515,6 +515,19 @@ class TestGroupActions:
             pc.GroupAction(c6, {"id": GraphMorphism.identity(c6),
                                 "w": wrap_morphism(6, 3)})
         assert str(err.value) == "element 'w' does not act on the graph"
+        assert err.value.witness == "w"
+
+    def test_deck_isomorphism_rejections_have_witnesses(self):
+        deck = deck_group(as_covering(wrap_morphism(6, 3)))
+        with pytest.raises(ActionError) as err:
+            action_deck_isomorphism(rotation_action(6, 2), deck)
+        assert str(err.value) == ("element 'r1' does not act by a deck "
+                                  "transformation of the orbit map")
+        assert err.value.witness == "r1"
+        with pytest.raises(ActionError) as err:
+            action_deck_isomorphism(rotation_action(6, 6), deck)
+        assert str(err.value) == "action group and deck group have different sizes"
+        assert err.value.witness == 1
 
 
 class TestDeckQuotient:

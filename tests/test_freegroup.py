@@ -113,6 +113,18 @@ class TestAction:
         with pytest.raises(NotTransitiveError) as err:
             PermRep(1, 4, [(1, 0, 3, 2)])
         assert err.value.orbits == ((0, 1), (2, 3))
+        assert err.value.verdict == "not transitive"
+        assert err.value.details() == {
+            "error": "action is not transitive: 2 orbits",
+            "orbits": [[0, 1], [2, 3]], "witness": ["0 1", "2 3"]}
+
+    @pytest.mark.parametrize("row", [(1.0, 0.0), (True, False), ("1", "0"),
+                                     (1, 0.0), (1, False)])
+    def test_row_entries_must_be_ints(self, row):
+        with pytest.raises(ValueError) as err:
+            PermRep(1, 2, [row])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "%r is not a permutation of 0..1" % (row,)
 
 
 class TestSchreier:

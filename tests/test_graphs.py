@@ -14,6 +14,7 @@ from procover import (
     quotient,
     validate_graph,
 )
+from procover.freegroup import NotTransitiveError
 from helpers import (
     b2_covers,
     fresh_components,
@@ -153,6 +154,41 @@ class TestCongruenceValidation:
         c3 = pc.cycle_graph(3)
         with pytest.raises(CongruenceError):
             Congruence(c3, vertex_classes=[["v0", "v1"], ["v1", "v2"]])
+
+    def test_unknown_element_is_the_witness(self):
+        with pytest.raises(CongruenceError) as err:
+            Congruence(pc.cycle_graph(3), vertex_classes=[["v0", "w9"]])
+        assert err.value.witness == "w9"
+        assert err.value.details() == {
+            "error": "unknown vertex 'w9' in a class", "witness": ["w9"]}
+
+
+class TestVerdictError:
+    @pytest.mark.parametrize("witness, rendered", [
+        (None, None), ("v0", ["v0"]), (3, ["3"]), ((0,), ["0"]),
+        (("e0+", "e1-"), ["e0+", "e1-"]), ([1, "a"], ["1", "a"]), ((), []),
+        (pc.FreeWord.parse("x0 x1^-1"), ["x0 x1^-1"])])
+    def test_details_render_the_witness(self, witness, rendered):
+        details = pc.VerdictError("no", witness=witness).details()
+        expected = {"error": "no"}
+        if rendered is not None:
+            expected["witness"] = rendered
+        assert details == expected
+        assert list(details) == list(expected)
+
+    def test_every_negative_verdict_error_is_one(self):
+        verdicts = {pc.CongruenceError: "not a congruence",
+                    pc.InducedMapError: "no induced map",
+                    pc.NotACoveringError: "not a covering",
+                    pc.LiftObstruction: "obstruction",
+                    pc.ActionError: "negative",
+                    pc.TowerError: "negative",
+                    pc.CompatibilityError: "incompatible",
+                    NotTransitiveError: "not transitive"}
+        for cls, verdict in verdicts.items():
+            assert issubclass(cls, pc.VerdictError)
+            assert issubclass(cls, ValueError)
+            assert cls.verdict == verdict
 
 
 class TestKernel:

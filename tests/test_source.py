@@ -43,3 +43,24 @@ def test_every_top_level_name_is_used():
             if sum(len(word.findall(text)) for text in texts) < 2:
                 unused.append("%s:%s" % (path.name, name))
     assert unused == []
+
+
+def test_tower_action_and_congruence_errors_carry_a_witness():
+    """Every ``raise TowerError/ActionError/CongruenceError(...)`` in the
+    library passes ``witness=``, so the exit-1 report always has one."""
+    classes = {"TowerError", "ActionError", "CongruenceError"}
+    raised, missing = 0, []
+    for path in sorted(pathlib.Path(procover.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            func = node.exc.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in classes:
+                continue
+            raised += 1
+            if "witness" not in {k.arg for k in node.exc.keywords}:
+                missing.append("%s:%d" % (path.name, node.lineno))
+    assert raised > 20
+    assert missing == []

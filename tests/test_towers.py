@@ -96,6 +96,45 @@ class TestValidateTower:
             Tower(t.coverings, t.cover_steps, t.base_steps,
                   basepoints=["v0", "v1"])
 
+    def test_shape_errors_name_their_witness(self):
+        cov, t = as_covering(wrap_morphism(6, 3)), pro2_tower(1)
+        c3, c6 = (GraphMorphism.identity(pc.cycle_graph(n)) for n in (3, 6))
+        cases = [
+            (([cov, cov], [], []),
+             "expected 1 bonding morphisms per side", (0, 0)),
+            (([cov, cov], [c3], [c3]),
+             "cover step 0 does not start at level 1", (0,)),
+            (([cov, cov], [wrap_morphism(6, 3)], [c3]),
+             "cover step 0 does not end at level 0", (0,)),
+            (([cov, cov], [c6], [c6]),
+             "base step 0 does not start at level 1", (0,)),
+            (([cov, cov], [c6], [wrap_morphism(3, 1)]),
+             "base step 0 does not end at level 0", (0,)),
+            ((t.coverings, t.cover_steps, t.base_steps, ["v0"]),
+             "expected one basepoint per level", ("v0",)),
+            ((t.coverings, t.cover_steps, t.base_steps, ["v0", "zz"]),
+             "basepoint 'zz' is not in level 1", ("zz", 1)),
+            ((t.coverings, t.cover_steps, t.base_steps, ["v0", "v1"]),
+             "basepoints are not threaded at step 0", (0,)),
+        ]
+        for args, message, witness in cases:
+            with pytest.raises(TowerError) as err:
+                Tower(*args)
+            assert (str(err.value), err.value.witness) == (message, witness)
+
+    def test_empty_tower_is_not_a_verdict(self):
+        with pytest.raises(ValueError) as err:
+            Tower([], [], [])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "a tower needs at least one level"
+
+    def test_bad_level_pair_is_the_witness(self):
+        t = pro2_tower(2)
+        for method, (i, j) in ((t.cover_map_to, (0, 3)), (t.base_map_to, (2, 1))):
+            with pytest.raises(TowerError) as err:
+                method(i, j)
+            assert err.value.witness == (i, j)
+
 
 class TestGoodPairs:
     def test_pro2_kernel_pairs_regular_good(self):
