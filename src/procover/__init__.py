@@ -21,7 +21,6 @@ from .graphs import (
     induced_quotient_map,
     is_connected,
     kernel_congruence,
-    path_graph,
     quotient,
     spanning_tree,
     validate_graph,
@@ -34,7 +33,6 @@ from .freegroup import (
     ResourceLimitError,
     is_normal,
     low_index_reps,
-    mod_p_kernel_rep,
     pushforward_leq,
     rep_equivalent,
     subgroup_count,
@@ -54,7 +52,6 @@ from .covering import (
     action_deck_isomorphism,
     as_covering,
     cover_from_subgroup,
-    deck_action,
     deck_group,
     fiber_transport,
     image_subgroup,
@@ -64,7 +61,6 @@ from .covering import (
     pi1_data,
     quotient_by_deck_subgroup,
     quotient_by_group,
-    transport_basepoint,
 )
 from .towers import (
     CompatibilityError,

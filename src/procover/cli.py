@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 for a positive verdict, 1 for a well-formed negative verdict
-(always with a witness), 2 for input or format errors, 3 for a refused
+(always with its evidence), 2 for input or format errors, 3 for a refused
 resource request, 4 for an internal error (any other exception, reported
 without a traceback).  A handler returns its own exit-1 verdicts; an exit 1
 by exception comes only from the :class:`~procover.graphs.VerdictError`
@@ -24,7 +24,12 @@ from functools import lru_cache
 from . import formats
 from .formats import FormatError, REPORT_FORMAT
 from .graphs import GraphError, VerdictError, is_connected, quotient, validate_graph
-from .freegroup import ResourceLimitError, is_normal, low_index_reps
+from .freegroup import (
+    DEFAULT_MAX_WORK,
+    ResourceLimitError,
+    is_normal,
+    low_index_reps,
+)
 from .covering import (
     action_deck_isomorphism,
     as_covering,
@@ -65,14 +70,6 @@ def report_to_obj(r: Report, seed=None) -> dict:
     return obj
 
 
-def parse_report(text: str) -> Report:
-    obj = json.loads(text)
-    if obj.get("format") != REPORT_FORMAT:
-        raise FormatError("not a report document")
-    return Report(verdict=obj["verdict"], details=obj["details"],
-                  warnings=obj["warnings"])
-
-
 def _text_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -98,13 +95,13 @@ def format_report(r: Report, json_mode: bool, seed=None) -> str:
     return "\n".join(lines)
 
 
-def _default_basepoint(graph, given, what="vertex"):
+def _default_basepoint(graph, given):
     if given is None:
         if not graph.vertices:
-            raise GraphError("the graph has no vertices: no default %s" % what)
+            raise GraphError("the graph has no vertices: no default vertex")
         return graph.vertices[0]
     if given not in graph._vertex_set:
-        raise GraphError("unknown %s %r" % (what, given))
+        raise GraphError("unknown vertex %r" % (given,))
     return given
 
 
@@ -421,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit one structured report object")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in structured output")
-    parser.add_argument("--max-work", type=int, default=None,
+    parser.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
                         help="resource bound for enumerations")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -535,13 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(args) -> tuple[Report, int]:
-    if args.max_work is None:
-        from .freegroup import DEFAULT_MAX_WORK
-        args.max_work = DEFAULT_MAX_WORK
-    return args.handler(args)
-
-
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing leaves it unchanged."""
@@ -551,7 +541,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, code = dispatch(args)
+        report, code = args.handler(args)
     except VerdictError as exc:
         report, code = Report(exc.verdict, exc.details()), 1
     except ResourceLimitError as exc:

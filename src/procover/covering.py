@@ -400,49 +400,12 @@ class DeckGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def closure(self, indices: Iterable[int]) -> frozenset[int]:
-        """Smallest subgroup containing the given elements: a breadth-first
-        walk from the identity multiplying by them through ``table`` (in a
-        finite group the products reached already hold every inverse)."""
-        gens = set(indices)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for g in gens:
-                k = self.table[g][i]
-                if k not in seen:
-                    seen.add(k)
-                    queue.append(k)
-        return frozenset(seen)
-
     def is_subgroup(self, indices: Iterable[int]) -> bool:
         s = set(indices)
         if not s:
             return False
         return all(self.table[i][j] in s and self.inverse[i] in s
                    for i in s for j in s)
-
-    def subgroups(self) -> list[frozenset[int]]:
-        """All subgroups, as sorted index sets (closure of every subset)."""
-        found = {frozenset([0])}
-        frontier = [frozenset([0])]
-        while frontier:
-            s = frontier.pop()
-            for i in range(self.order):
-                if i in s:
-                    continue
-                bigger = self.closure(s | {i})
-                if bigger not in found:
-                    found.add(bigger)
-                    frontier.append(bigger)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-    def is_normal_subgroup(self, indices: Iterable[int]) -> bool:
-        s = set(indices)
-        return self.is_subgroup(s) and all(
-            self.table[self.table[g][h]][self.inverse[g]] in s
-            for g in range(self.order) for h in s)
 
 
 def _first_fiber_monodromy(c: Covering) -> tuple[str, PermRep]:
@@ -603,8 +566,10 @@ class GroupAction:
 
 def _deck_subgroup(deck: DeckGroup, indices: Iterable[int]) -> list[int]:
     """The given deck element indices, sorted, once they are checked to be
-    in range and to form a subgroup."""
+    given, in range and to form a subgroup."""
     chosen = sorted(set(indices))
+    if not chosen:
+        raise ValueError("no deck element index given")
     bad = [i for i in chosen if not 0 <= i < deck.order]
     if bad:
         raise ValueError("deck element index %r is outside 0..%d"
@@ -613,15 +578,6 @@ def _deck_subgroup(deck: DeckGroup, indices: Iterable[int]) -> list[int]:
         raise ActionError("deck elements %r are not a subgroup" % (chosen,),
                           witness=tuple(chosen))
     return chosen
-
-
-def deck_action(deck: DeckGroup, indices: Iterable[int]) -> GroupAction:
-    """The action of a deck subgroup (indices in range, forming a subgroup)
-    on the cover, its maps checked like any other :class:`GroupAction`.
-    :func:`quotient_by_deck_subgroup` needs no action and builds none."""
-    chosen = _deck_subgroup(deck, indices)
-    return GroupAction(deck.covering.domain,
-                       {i: deck.elements[i] for i in chosen})
 
 
 def _orbit_quotient(graph: FiniteGraph, maps: list[GraphMorphism]
@@ -715,9 +671,3 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
         raise RuntimeError("factor degrees do not multiply to the degree "
                            "(internal error)")
     return qg, h_map, f_h
-
-
-def transport_basepoint(rep: PermRep, w: FreeWord) -> PermRep:
-    """The image subgroup after moving the basepoint along the path class
-    ``w``: the conjugate stabilizer, canonically relabelled."""
-    return rep.rebased(rep.act(0, w))

@@ -19,7 +19,7 @@ from .graphs import (
     GraphMorphism,
     edge_stem,
 )
-from .freegroup import FreeWord, GeneratorImages, NotTransitiveError, PermRep
+from .freegroup import NotTransitiveError, PermRep
 from .covering import GroupAction, as_covering
 from .towers import Tower, TowerError, UniversalSpec
 
@@ -27,7 +27,6 @@ GRAPH_FORMAT = "procover-graph/1"
 MORPHISM_FORMAT = "procover-morphism/1"
 CONGRUENCE_FORMAT = "procover-congruence/1"
 REP_FORMAT = "procover-rep/1"
-IMAGES_FORMAT = "procover-images/1"
 ACTION_FORMAT = "procover-action/1"
 TOWER_FORMAT = "procover-tower/1"
 UNIVERSAL_FORMAT = "procover-universal/1"
@@ -118,7 +117,9 @@ def graph_from_obj(obj) -> FiniteGraph:
             raise FormatError("edge entries must be objects")
         edges.append((_get(entry, "id", str), _get(entry, "src", str),
                       _get(entry, "dst", str)))
-    name = obj.get("name")
+    name = None
+    if obj.get("name") is not None:
+        name = _get(obj, "name", str)
     try:
         return FiniteGraph.from_edges(vertices, edges, name=name)
     except GraphError as exc:
@@ -297,26 +298,6 @@ def save_rep(path: str, rep: PermRep) -> None:
     save_json(path, rep_to_obj(rep))
 
 
-def images_to_obj(images: GeneratorImages) -> dict:
-    return {
-        "format": IMAGES_FORMAT,
-        "source_rank": images.source_rank,
-        "target_rank": images.target_rank,
-        "images": [str(w) for w in images.images],
-    }
-
-
-def images_from_obj(obj) -> GeneratorImages:
-    _expect(obj, IMAGES_FORMAT)
-    try:
-        words = tuple(FreeWord.parse(text)
-                      for text in _get(obj, "images", list))
-        return GeneratorImages(_get(obj, "source_rank", int),
-                               _get(obj, "target_rank", int), words)
-    except ValueError as exc:
-        raise FormatError("bad homomorphism document: %s" % exc) from exc
-
-
 # -- group actions -------------------------------------------------------------
 
 def action_to_obj(act: GroupAction) -> dict:
@@ -377,12 +358,13 @@ def load_tower_pieces(path: str):
         deltas.append(delta)
         fs.append(load_morphism(_resolve(path, _get(entry, "f", str)),
                                 domain=gamma, codomain=delta))
-    phis = [load_morphism(_resolve(path, p), domain=gammas[i + 1], codomain=gammas[i])
-            for i, p in enumerate(_str_list(obj, "phi"))]
-    psis = [load_morphism(_resolve(path, p), domain=deltas[i + 1], codomain=deltas[i])
-            for i, p in enumerate(_str_list(obj, "psi"))]
-    if len(phis) != len(fs) - 1 or len(psis) != len(fs) - 1:
+    phi_paths, psi_paths = _str_list(obj, "phi"), _str_list(obj, "psi")
+    if len(phi_paths) != len(fs) - 1 or len(psi_paths) != len(fs) - 1:
         raise FormatError("expected %d bonding maps per side" % (len(fs) - 1))
+    phis = [load_morphism(_resolve(path, p), domain=gammas[i + 1], codomain=gammas[i])
+            for i, p in enumerate(phi_paths)]
+    psis = [load_morphism(_resolve(path, p), domain=deltas[i + 1], codomain=deltas[i])
+            for i, p in enumerate(psi_paths)]
     basepoints = None
     if obj.get("basepoints") is not None:
         basepoints = _str_list(obj, "basepoints")

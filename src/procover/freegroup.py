@@ -87,22 +87,6 @@ class FreeWord:
     def generator(cls, i: int, sign: int = 1) -> "FreeWord":
         return cls(((i, sign),))
 
-    @classmethod
-    def parse(cls, text: str) -> "FreeWord":
-        """Parse ``"x0 x1^-1"`` style words; ``""`` and ``"1"`` are empty."""
-        text = text.strip()
-        if text in ("", "1"):
-            return cls()
-        letters = []
-        for token in text.split():
-            body, sign = token, 1
-            if token.endswith("^-1"):
-                body, sign = token[:-3], -1
-            if not body.startswith("x") or not body[1:].isdigit():
-                raise ValueError("cannot parse letter %r" % token)
-            letters.append((int(body[1:]), sign))
-        return cls(letters)
-
     def __setattr__(self, *args):
         raise AttributeError("FreeWord is immutable")
 
@@ -162,10 +146,6 @@ class GeneratorImages:
             if w.max_index() >= self.target_rank:
                 raise ValueError("image %s uses a generator outside rank %d"
                                  % (w, self.target_rank))
-
-    @classmethod
-    def identity(cls, rank: int) -> "GeneratorImages":
-        return cls(rank, rank, tuple(FreeWord.generator(i) for i in range(rank)))
 
 
 def substitute(w: FreeWord, images: GeneratorImages) -> FreeWord:
@@ -282,10 +262,6 @@ class PermRep:
                                  % (w, self.rank))
             point = self._moves[2 * i + (s < 0)][point]
         return point
-
-    def contains(self, w: FreeWord) -> bool:
-        """Membership of ``w`` in the represented subgroup."""
-        return self.act(0, w) == 0
 
     def transversal(self) -> tuple[FreeWord, ...]:
         """Coset representative words from the canonical BFS, one per point."""
@@ -525,12 +501,13 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     Results are ordered by degree and then lexicographically by table.
     Each result passes every check of :class:`PermRep`: the row check once
     per distinct row of a degree, through one memo that lives for this
-    call only, and transitivity once per table.  With ``normal_only`` the search cuts non-normal branches as it goes and
-    records each kept subgroup as normal, so ``is_normal`` on a result is a
-    cache read.  Refuses with ResourceLimitError when the predicted number
-    of subgroups exceeds ``max_work``; the bound counts all subgroups even
-    when only normal ones are kept, so refusals do not depend on
-    ``normal_only`` and overestimate the pruned search's work.
+    call only, and transitivity once per table.  With ``normal_only`` the
+    search cuts non-normal branches as it goes and records each kept
+    subgroup as normal, so ``is_normal`` on a result is a cache read.
+    Refuses with ResourceLimitError when the predicted number of subgroups
+    exceeds ``max_work``; the bound counts all subgroups even when only
+    normal ones are kept, so refusals do not depend on ``normal_only`` and
+    overestimate the pruned search's work.
     """
     if rank < 0 or max_degree < 1:
         raise ValueError("need rank >= 0 and max_degree >= 1")
@@ -574,22 +551,3 @@ def translation_kernel_rep(rank: int, modulus: int,
             p[a] = a - digit * step + ((digit + 1) % modulus) * step
         perms.append(tuple(p))
     return PermRep(rank, degree, perms)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def mod_p_kernel_rep(rank: int, p: int,
-                     max_work: int = DEFAULT_MAX_WORK) -> PermRep:
-    """Kernel of the reduction onto (Z/p)^rank for a prime p, as an action."""
-    if not _is_prime(p):
-        raise ValueError("%r is not prime" % (p,))
-    return translation_kernel_rep(rank, p, max_work=max_work)

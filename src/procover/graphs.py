@@ -183,15 +183,6 @@ def bouquet_graph(r: int, name: str | None = None) -> FiniteGraph:
     return FiniteGraph.from_edges(["v0"], edges, name=name or "B%d" % r)
 
 
-def path_graph(n: int, name: str | None = None) -> FiniteGraph:
-    """Path on ``n`` vertices (``n - 1`` edges)."""
-    if n < 1:
-        raise GraphError("path needs at least one vertex")
-    vertices = ["v%d" % i for i in range(n)]
-    edges = [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]
-    return FiniteGraph.from_edges(vertices, edges, name=name or "P%d" % n)
-
-
 def validate_graph(g: FiniteGraph) -> list[dict]:
     """All invariant violations of ``g``, each with a witness element.
 
@@ -356,18 +347,6 @@ class GraphMorphism:
         return (set(self.vmap.values()) == self.codomain._vertex_set
                 and set(self.dmap.values()) == self.codomain._dart_set)
 
-    def is_bijective(self) -> bool:
-        return (len(self.domain.vertices) == len(self.codomain.vertices)
-                and len(self.domain.darts) == len(self.codomain.darts)
-                and self.is_surjective())
-
-    def inverse(self) -> "GraphMorphism":
-        if not self.is_bijective():
-            raise GraphError("morphism is not invertible")
-        return GraphMorphism(self.codomain, self.domain,
-                             {w: v for v, w in self.vmap.items()},
-                             {e: d for d, e in self.dmap.items()})
-
     def __eq__(self, other):
         return (isinstance(other, GraphMorphism)
                 and self.domain == other.domain
@@ -469,13 +448,6 @@ class Congruence:
 
     def dart_rep(self, d: str) -> str:
         return self._drep[d]
-
-    def same_dart(self, a: str, b: str) -> bool:
-        return self._drep[a] == self._drep[b]
-
-    def is_diagonal(self) -> bool:
-        return all(len(c) == 1 for c in self.vertex_classes) and \
-            all(len(c) == 1 for c in self.dart_classes)
 
     def __eq__(self, other):
         return (isinstance(other, Congruence)

@@ -149,14 +149,6 @@ class Tower:
             out = compose(self.cover_steps[step], out)
         return out
 
-    def base_map_to(self, i: int, j: int) -> GraphMorphism:
-        if not 0 <= i <= j <= self.top:
-            raise TowerError("bad level pair (%d, %d)" % (i, j), witness=(i, j))
-        out = GraphMorphism.identity(self.base_graph(j))
-        for step in range(j - 1, i - 1, -1):
-            out = compose(self.base_steps[step], out)
-        return out
-
     def require_basepoints(self) -> tuple[str, ...]:
         """The basepoint thread; a tower without one raises ValueError."""
         if self.basepoints is None:

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+from collections import deque
 
 import procover as pc
 from procover import towers
+from procover.cli import Report
+from procover.covering import _deck_subgroup
+from procover.formats import REPORT_FORMAT, FormatError
 from procover.freegroup import NotTransitiveError
 
 
@@ -73,6 +78,26 @@ def two_cycles(n: int) -> pc.FiniteGraph:
     edges = [("ea%d" % i, "a%d" % i, "a%d" % ((i + 1) % n)) for i in range(n)]
     edges += [("eb%d" % i, "b%d" % i, "b%d" % ((i + 1) % n)) for i in range(n)]
     return pc.FiniteGraph.from_edges(vertices, edges, name="2C%d" % n)
+
+
+def path_graph(n: int) -> pc.FiniteGraph:
+    """Path on ``n`` vertices (``n - 1`` edges)."""
+    vertices = ["v%d" % i for i in range(n)]
+    edges = [("e%d" % i, "v%d" % i, "v%d" % (i + 1)) for i in range(n - 1)]
+    return pc.FiniteGraph.from_edges(vertices, edges, name="P%d" % n)
+
+
+def is_bijective(m: pc.GraphMorphism) -> bool:
+    """Whether ``m`` is a bijection on vertices and on darts."""
+    return (len(m.domain.vertices) == len(m.codomain.vertices)
+            and len(m.domain.darts) == len(m.codomain.darts)
+            and m.is_surjective())
+
+
+def transport_basepoint(rep: pc.PermRep, w: pc.FreeWord) -> pc.PermRep:
+    """The image subgroup after moving the basepoint along the path class
+    ``w``: the conjugate stabilizer, canonically relabelled."""
+    return rep.rebased(rep.act(0, w))
 
 
 def cyclic_rep(n: int) -> pc.PermRep:
@@ -550,13 +575,18 @@ def composed_square_validation_oracle(level_maps, cover_steps, base_steps
 
 
 def per_pair_good_pairs_oracle(t: pc.Tower, top: int) -> list:
-    """``kernel_good_pairs`` as it was: the kernels of ``cover_map_to(i, top)``
-    and ``base_map_to(i, top)``, each composite built afresh per level."""
+    """``kernel_good_pairs`` as it was: the kernels of the composite bonding
+    maps from ``top`` down to each level i, each composite built afresh."""
     f_top = t.coverings[top].map
-    return [pc.classify_pair(f_top, pc.kernel_congruence(t.cover_map_to(i, top)),
-                             pc.kernel_congruence(t.base_map_to(i, top)),
-                             level=i, top=top)
-            for i in range(top + 1)]
+    records = []
+    for i in range(top + 1):
+        base_map = pc.GraphMorphism.identity(t.base_graph(top))
+        for step in range(top - 1, i - 1, -1):
+            base_map = pc.compose(t.base_steps[step], base_map)
+        records.append(pc.classify_pair(
+            f_top, pc.kernel_congruence(t.cover_map_to(i, top)),
+            pc.kernel_congruence(base_map), level=i, top=top))
+    return records
 
 
 class TableCheckedAction:
@@ -583,7 +613,7 @@ class TableCheckedAction:
         for g, m in self.morphisms.items():
             if m.domain != graph or m.codomain != graph:
                 raise pc.ActionError("element %r does not act on the graph" % (g,))
-            if not m.is_bijective():
+            if not is_bijective(m):
                 raise pc.ActionError("element %r does not act bijectively" % (g,))
         if self.morphisms[identity] != pc.GraphMorphism.identity(graph):
             raise pc.ActionError("identity element must act as the identity map")
@@ -678,8 +708,57 @@ def rejected_action_documents() -> dict:
     }
 
 
+def deck_closure(deck: pc.DeckGroup, indices) -> frozenset:
+    """Smallest subgroup containing the given elements: a breadth-first
+    walk from the identity multiplying by them through ``table`` (in a
+    finite group the products reached already hold every inverse)."""
+    gens = set(indices)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for g in gens:
+            k = deck.table[g][i]
+            if k not in seen:
+                seen.add(k)
+                queue.append(k)
+    return frozenset(seen)
+
+
+def deck_subgroups(deck: pc.DeckGroup) -> list:
+    """All subgroups, as sorted index sets (closure of every subset)."""
+    found = {frozenset([0])}
+    frontier = [frozenset([0])]
+    while frontier:
+        s = frontier.pop()
+        for i in range(deck.order):
+            if i in s:
+                continue
+            bigger = deck_closure(deck, s | {i})
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def is_normal_deck_subgroup(deck: pc.DeckGroup, indices) -> bool:
+    """Whether the elements form a subgroup closed under conjugation."""
+    s = set(indices)
+    return deck.is_subgroup(s) and all(
+        deck.table[deck.table[g][h]][deck.inverse[g]] in s
+        for g in range(deck.order) for h in s)
+
+
+def deck_action(deck: pc.DeckGroup, indices) -> pc.GroupAction:
+    """The action of a deck subgroup (indices in range, forming a subgroup)
+    on the cover, its maps checked like any other ``pc.GroupAction``."""
+    chosen = _deck_subgroup(deck, indices)
+    return pc.GroupAction(deck.covering.domain,
+                          {i: deck.elements[i] for i in chosen})
+
+
 def pairwise_closure(deck: pc.DeckGroup, indices) -> frozenset:
-    """Oracle for ``DeckGroup.closure``: the closure it replaced, which
+    """Oracle for :func:`deck_closure`: the closure it replaced, which
     adds both products of every pair of members and every inverse until
     nothing new appears."""
     seen = {0} | set(indices)
@@ -702,6 +781,15 @@ def small_deck_groups() -> tuple:
     b2 = pc.bouquet_graph(2)
     covs = [cov for _, _, cov in b2_covers()]
     covs += [pc.cover_from_subgroup(b2, "v0", rep)[2]
-             for rep in (pc.mod_p_kernel_rep(2, 2), s3_regular_rep())]
+             for rep in (pc.translation_kernel_rep(2, 2), s3_regular_rep())]
     covs += cyclic_family()
     return tuple(pc.deck_group(cov) for cov in covs)
+
+
+def parse_report(text: str) -> Report:
+    """A ``--json`` report read back into the CLI's ``Report``."""
+    obj = json.loads(text)
+    if obj.get("format") != REPORT_FORMAT:
+        raise FormatError("not a report document")
+    return Report(verdict=obj["verdict"], details=obj["details"],
+                  warnings=obj["warnings"])

@@ -16,7 +16,6 @@ from procover import (
     action_deck_isomorphism,
     compose,
     cover_from_subgroup,
-    deck_action,
     deck_group,
     image_subgroup,
     is_regular,
@@ -40,7 +39,10 @@ from helpers import (
     cycle_with_parallel,
     cyclic_family,
     cyclic_rep,
+    deck_action,
+    deck_subgroups,
     factorial_spec,
+    is_normal_deck_subgroup,
     rank2_reps,
     rotation_action,
     s3_regular_rep,
@@ -171,7 +173,7 @@ def test_criterion_5():
     assert len(cov.domain.vertices) == 24
     deck = deck_group(cov)
     assert deck.order == 8
-    subgroups = deck.subgroups()
+    subgroups = deck_subgroups(deck)
     assert sorted(len(s) for s in subgroups) == [1, 2, 4, 8]
     for sub in subgroups:
         qg, h_map, f_h = quotient_by_deck_subgroup(deck, sub)
@@ -183,8 +185,8 @@ def test_criterion_5():
     _, _, s3cov = cover_from_subgroup(pc.bouquet_graph(2), "v0", s3_regular_rep())
     s3deck = deck_group(s3cov)
     assert s3deck.order == 6
-    nonnormal = [s for s in s3deck.subgroups()
-                 if not s3deck.is_normal_subgroup(s)]
+    nonnormal = [s for s in deck_subgroups(s3deck)
+                 if not is_normal_deck_subgroup(s3deck, s)]
     assert nonnormal
     found_irregular = False
     for sub in nonnormal:

@@ -9,10 +9,12 @@ import pytest
 
 import procover as pc
 from procover import cli, formats
-from procover.cli import format_report, main, parse_report
+from procover.cli import format_report, main
 from helpers import (
     b2_homology_spec,
     cyclic_rep,
+    parse_report,
+    path_graph,
     pro2_tower,
     rejected_action_documents,
     rotation_action,
@@ -163,6 +165,12 @@ class TestExitCodes:
                        "vertex_classes": [["w9"]], "edge_classes": []}),
         ("action", {"format": formats.ACTION_FORMAT, "elements": [],
                     "maps": {}}),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": ["id.json"], "psi": []}),
+        ("tower", {"format": formats.TOWER_FORMAT, "levels": ONE_LEVEL,
+                   "phi": [], "psi": ["id.json"]}),
+        ("graph", {"format": formats.GRAPH_FORMAT, "vertices": ["v0"],
+                   "edges": [], "name": ["x", {"y": 1}]}),
     ])
     def test_mistyped_document_is_2(self, tmp_path, capsys, kind, doc):
         path = str(tmp_path / "doc.json")
@@ -210,6 +218,15 @@ class TestExitCodes:
         out, code = run_cli(command[:1] + [path] + command[1:])
         assert code == 2
         assert "verdict: error" in out
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("elements", [["--elements", ","], ["--elements="]])
+    def test_empty_deck_selection_is_2(self, tmp_path, capsys, elements):
+        path = str(tmp_path / "c6_to_c3.json")
+        formats.save_morphism(path, wrap_morphism(6, 3))
+        out, code = run_cli(["deck-quotient", path] + elements)
+        assert code == 2
+        assert "verdict: error" in out and "no deck element index given" in out
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
@@ -273,7 +290,7 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_not_a_covering_is_1(self, tmp_path):
-        p2, c3 = pc.path_graph(2), pc.cycle_graph(3)
+        p2, c3 = path_graph(2), pc.cycle_graph(3)
         f = pc.GraphMorphism(p2, c3, {"v0": "v0", "v1": "v1"},
                              {"e0+": "e0+", "e0-": "e0-"})
         path = str(tmp_path / "notcover.json")
@@ -292,7 +309,7 @@ def negative_case_argv(name, tmp_path):
     c3 = pc.cycle_graph(3)
     formats.save_graph(path("c3.json"), c3)
     if name == "check-cover":
-        p2 = pc.path_graph(2)
+        p2 = path_graph(2)
         formats.save_morphism(path("f.json"), pc.GraphMorphism(
             p2, c3, {"v0": "v0", "v1": "v1"}, {"e0+": "e0+", "e0-": "e0-"}))
         return ["check-cover", path("f.json")]
@@ -362,6 +379,67 @@ class TestNegativeVerdictReports:
         out, code = run_cli((["--json"] if mode == "json" else []) + argv)
         assert code == 1
         assert out == golden("negative_%s.%s" % (name, mode))
+
+
+# where a command that returns its own exit-1 verdict keeps the evidence
+EXIT_1_EVIDENCE = {
+    "validate": ["violations"],
+    "tower validate": ["violations"],
+    "regular": ["deck_order", "image_normal", "fiber_transitive"],
+    "good-pair": ["witness"],
+    "tower pi1-trivial": ["witness"],
+    "tower good-pairs": ["pairs"],
+}
+
+
+def evidence_case_argv(command, tmp_path):
+    """Write the files for one command of ``EXIT_1_EVIDENCE`` that make it
+    return its negative verdict; returns the command line."""
+    def path(filename):
+        return str(tmp_path / filename)
+
+    if command == "validate":
+        formats.save_json(path("bad.json"), {
+            "format": formats.GRAPH_FORMAT, "vertices": ["v0"],
+            "edges": [{"id": "e0", "src": "v0", "dst": "ghost"}]})
+        return ["validate", path("bad.json")]
+    if command == "regular":
+        _, _, cov = pc.cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.PermRep(2, 3, [(1, 0, 2), (0, 2, 1)]))
+        formats.save_morphism(path("deg3_b2.json"), cov.map)
+        return ["regular", path("deg3_b2.json")]
+    if command == "good-pair":
+        b2 = pc.bouquet_graph(2)
+        formats.save_morphism(path("id_b2.json"), pc.GraphMorphism.identity(b2))
+        formats.save_congruence(path("diag.json"), pc.Congruence.diagonal(b2))
+        formats.save_congruence(path("merged.json"), pc.Congruence(
+            b2, dart_classes=[["e0+", "e1+"], ["e0-", "e1-"]]))
+        return ["good-pair", path("id_b2.json"), path("diag.json"),
+                path("merged.json")]
+    if command == "tower pi1-trivial":
+        manifest = formats.save_tower(path("pro2"), pro2_tower(3))
+        return ["tower", "pi1-trivial", manifest, "--max-index", "3"]
+    # a two-level tower whose cover step folds the 6-cycle onto one edge of
+    # the triangle: its square fails and its level-0 kernel pair is not_half
+    c6, c3 = pc.cycle_graph(6), pc.cycle_graph(3)
+    zigzag = pc.GraphMorphism(
+        c6, c3, {"v%d" % i: "v%d" % (i % 2) for i in range(6)},
+        {"e%d%s" % (i, s): "e0%s" % ("+-"[(i + (s == "-")) % 2])
+         for i in range(6) for s in "+-"})
+    tower = pc.Tower([pc.as_covering(pc.GraphMorphism.identity(c3)),
+                      pc.as_covering(wrap_morphism(6, 3))],
+                     [zigzag], [pc.GraphMorphism.identity(c3)])
+    return command.split() + [formats.save_tower(path("zigzag"), tower)]
+
+
+class TestExitOneEvidence:
+    @pytest.mark.parametrize("command", sorted(EXIT_1_EVIDENCE))
+    def test_evidence_keys_are_filled(self, tmp_path, command):
+        out, code = run_cli(["--json"] + evidence_case_argv(command, tmp_path))
+        assert code == 1
+        details = json.loads(out)["details"]
+        for key in EXIT_1_EVIDENCE[command]:
+            assert details.get(key) not in (None, [], {}, "")
 
 
 class TestOneParser:
@@ -445,7 +523,7 @@ class TestCommands:
         b2 = str(tmp_path / "b2.json")
         formats.save_graph(b2, pc.bouquet_graph(2))
         rep = str(tmp_path / "rep.json")
-        formats.save_rep(rep, pc.mod_p_kernel_rep(2, 2))
+        formats.save_rep(rep, pc.translation_kernel_rep(2, 2))
         prefix = str(tmp_path / "cover")
         out, code = run_cli(["cover-from-rep", b2, rep, "--out", prefix])
         assert code == 0 and "degree: 4" in out

@@ -17,7 +17,6 @@ from procover import (
     as_covering,
     compose,
     cover_from_subgroup,
-    deck_action,
     deck_group,
     fiber_transport,
     image_subgroup,
@@ -30,7 +29,6 @@ from procover import (
     quotient_by_group,
     rep_equivalent,
     subgroup_leq,
-    transport_basepoint,
 )
 from procover.freegroup import NotTransitiveError
 from helpers import (
@@ -42,7 +40,13 @@ from helpers import (
     cycle_with_parallel,
     cyclic_family,
     cyclic_rep,
+    deck_action,
+    deck_closure,
+    deck_subgroups,
+    is_bijective,
+    is_normal_deck_subgroup,
     pairwise_closure,
+    path_graph,
     rejected_action_documents,
     rotation,
     rotation_action,
@@ -50,6 +54,7 @@ from helpers import (
     small_deck_groups,
     theta_graph,
     three_way_regularity_oracle,
+    transport_basepoint,
     trivial_rep,
     wrap_morphism,
 )
@@ -68,7 +73,7 @@ class TestAsCovering:
         assert cov.degree == 1
 
     def test_path_into_cycle_fails_at_endpoint(self):
-        p2, c3 = pc.path_graph(2), pc.cycle_graph(3)
+        p2, c3 = path_graph(2), pc.cycle_graph(3)
         f = GraphMorphism(p2, c3, {"v0": "v0", "v1": "v1"},
                           {"e0+": "e0+", "e0-": "e0-"})
         with pytest.raises(NotACoveringError) as err:
@@ -136,7 +141,7 @@ class TestPi1:
 class TestCoverFromSubgroup:
     def test_mod2_cover_of_b2(self):
         cover, base, cov = cover_from_subgroup(
-            pc.bouquet_graph(2), "v0", pc.mod_p_kernel_rep(2, 2))
+            pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 2))
         assert len(cover.vertices) == 4
         assert cover.edge_count() == 8
         assert cover.edge_count() - len(cover.vertices) + 1 == 5
@@ -153,7 +158,7 @@ class TestCoverFromSubgroup:
         g = theta_graph()
         cover, base, cov = cover_from_subgroup(g, "v0", trivial_rep(2))
         assert cov.degree == 1
-        assert cov.map.is_bijective()
+        assert is_bijective(cov.map)
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,7 +207,7 @@ class TestLift:
     def test_lift_between_equal_covers(self):
         f = as_covering(wrap_morphism(6, 3))
         h = lift(wrap_morphism(6, 3), f, "v0", "v0")
-        assert h.is_bijective()
+        assert is_bijective(h)
         assert compose(f.map, h) == wrap_morphism(6, 3)
 
     def test_obstruction_for_identity(self):
@@ -277,7 +282,7 @@ class TestDeckGroup:
     def test_subgroup_helpers(self):
         deck = deck_group(as_covering(wrap_morphism(12, 3)))
         assert deck.order == 4
-        sizes = sorted(len(s) for s in deck.subgroups())
+        sizes = sorted(len(s) for s in deck_subgroups(deck))
         assert sizes == [1, 2, 4]
         assert deck.is_subgroup([0, 2])
         assert not deck.is_subgroup([0, 1])
@@ -286,14 +291,14 @@ class TestDeckGroup:
         for deck in small_deck_groups():
             for size in (0, 1, 2):
                 for s in itertools.combinations(range(deck.order), size):
-                    assert deck.closure(s) == pairwise_closure(deck, s)
+                    assert deck_closure(deck, s) == pairwise_closure(deck, s)
 
     def test_subgroups_are_the_closures_of_all_subsets(self):
         for deck in small_deck_groups():
             every = {pairwise_closure(deck, s)
                      for size in range(deck.order + 1)
                      for s in itertools.combinations(range(deck.order), size)}
-            assert deck.subgroups() == sorted(every, key=lambda s: (len(s), sorted(s)))
+            assert deck_subgroups(deck) == sorted(every, key=lambda s: (len(s), sorted(s)))
 
 
 @st.composite
@@ -341,7 +346,7 @@ class TestDeckGroupOracle:
             self.check(as_covering(wrap_morphism(n, 3)))
 
     def test_abelian_covers(self):
-        for rep in (pc.translation_kernel_rep(2, 3), pc.mod_p_kernel_rep(2, 3)):
+        for rep in (pc.translation_kernel_rep(2, 3), pc.translation_kernel_rep(2, 3)):
             self.check(cover_from_subgroup(pc.bouquet_graph(2), "v0", rep)[2])
 
     @settings(max_examples=60, deadline=None)
@@ -430,7 +435,7 @@ class TestGroupActions:
 
     def test_klein_four_on_mod2_cover(self):
         cover, base, cov = cover_from_subgroup(
-            pc.bouquet_graph(2), "v0", pc.mod_p_kernel_rep(2, 2))
+            pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 2))
         deck = deck_group(cov)
         act = deck_action(deck, range(deck.order))
         qg, qcov = quotient_by_group(act)
@@ -483,7 +488,7 @@ class TestGroupActions:
 
     def test_deck_actions_match_table_checked_oracle(self):
         for deck in small_deck_groups():
-            for s in deck.subgroups():
+            for s in deck_subgroups(deck):
                 act = deck_action(deck, s)
                 self.assert_same_action(act, TableCheckedAction.of_deck(deck, s))
                 self.assert_same_action(act, TableCheckedAction.from_morphisms(
@@ -534,7 +539,7 @@ class TestDeckQuotient:
     def test_intermediate_cover_of_c12(self):
         cov = as_covering(wrap_morphism(12, 3))
         deck = deck_group(cov)
-        half = next(s for s in deck.subgroups() if len(s) == 2)
+        half = next(s for s in deck_subgroups(deck) if len(s) == 2)
         qg, h_map, f_h = quotient_by_deck_subgroup(deck, half)
         assert len(qg.vertices) == 6
         assert h_map.degree == 2 and f_h.degree == 2
@@ -553,7 +558,7 @@ class TestDeckQuotient:
         deck = deck_group(cov)
         qg, h_map, f_h = quotient_by_deck_subgroup(deck, range(deck.order))
         assert f_h.degree == 1
-        assert f_h.map.is_bijective()
+        assert is_bijective(f_h.map)
 
     def test_not_a_subgroup(self):
         cov = as_covering(wrap_morphism(12, 3))
@@ -564,7 +569,7 @@ class TestDeckQuotient:
     def test_matches_quotient_by_deck_action(self):
         for deck in small_deck_groups():
             cov = deck.covering
-            for s in deck.subgroups():
+            for s in deck_subgroups(deck):
                 qg, h_map, f_h = quotient_by_deck_subgroup(deck, s)
                 oqg, ocov = quotient_by_group(deck_action(deck, s))
                 assert qg == oqg and h_map.map == ocov.map
@@ -574,8 +579,8 @@ class TestDeckQuotient:
         _, _, cov = cover_from_subgroup(pc.bouquet_graph(2), "v0", s3_regular_rep())
         deck = deck_group(cov)
         assert deck.order == 6
-        small = [s for s in deck.subgroups()
-                 if len(s) == 2 and not deck.is_normal_subgroup(s)]
+        small = [s for s in deck_subgroups(deck)
+                 if len(s) == 2 and not is_normal_deck_subgroup(deck, s)]
         assert small
         _, _, f_h = quotient_by_deck_subgroup(deck, small[0])
         assert not is_regular(f_h).regular
@@ -587,7 +592,7 @@ class TestTransportBasepoint:
         assert rep_equivalent(transport_basepoint(rep, FreeWord()), rep)
 
     def test_normal_invariant(self):
-        rep = pc.mod_p_kernel_rep(2, 2)
+        rep = pc.translation_kernel_rep(2, 2)
         for w in (X, X * FreeWord.generator(1)):
             assert rep_equivalent(transport_basepoint(rep, w), rep)
 
@@ -601,7 +606,7 @@ class TestTransportBasepoint:
             moved = transport_basepoint(rep, w)
             assert moved.degree == rep.degree
             for u in rep.schreier_generators():
-                assert moved.contains(w.inverse() * u * w)
+                assert moved.act(0, w.inverse() * u * w) == 0
 
 
 class TestEulerMultiplicativity:

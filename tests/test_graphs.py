@@ -18,6 +18,8 @@ from procover.freegroup import NotTransitiveError
 from helpers import (
     b2_covers,
     fresh_components,
+    is_bijective,
+    path_graph,
     rotation,
     sorted_item_key,
     two_cycles,
@@ -81,7 +83,7 @@ class TestSpanningTree:
         assert not t.tree_darts
 
     def test_path_all_tree(self):
-        g = pc.path_graph(3)
+        g = path_graph(3)
         t = pc.spanning_tree(g, "v0")
         assert t.tree_darts == frozenset(g.darts)
 
@@ -167,7 +169,7 @@ class TestVerdictError:
     @pytest.mark.parametrize("witness, rendered", [
         (None, None), ("v0", ["v0"]), (3, ["3"]), ((0,), ["0"]),
         (("e0+", "e1-"), ["e0+", "e1-"]), ([1, "a"], ["1", "a"]), ((), []),
-        (pc.FreeWord.parse("x0 x1^-1"), ["x0 x1^-1"])])
+        (pc.FreeWord([(0, 1), (1, -1)]), ["x0 x1^-1"])])
     def test_details_render_the_witness(self, witness, rendered):
         details = pc.VerdictError("no", witness=witness).details()
         expected = {"error": "no"}
@@ -222,7 +224,7 @@ class TestInducedMap:
         r = antipodal_congruence(f.domain)
         s = Congruence.diagonal(f.codomain)
         induced = induced_quotient_map(f, r, s)
-        assert induced.is_bijective()
+        assert is_bijective(induced)
 
     def test_diagonal_pairs_reproduce_f(self):
         f = wrap_morphism(6, 3)
@@ -256,7 +258,7 @@ class TestMorphismAlgebra:
         for f in (wrap_morphism(6, 3), wrap_morphism(12, 4)):
             induced = induced_quotient_map(
                 f, kernel_congruence(f), Congruence.diagonal(f.codomain))
-            assert induced.is_bijective()
+            assert is_bijective(induced)
 
     def test_morphism_validation(self):
         c3 = pc.cycle_graph(3)
@@ -325,7 +327,7 @@ class TestMorphismEquality:
 class TestComponentCache:
     def graphs(self):
         yield FiniteGraph([], [], {}, {})
-        yield pc.path_graph(1)
+        yield path_graph(1)
         yield pc.cycle_graph(7)
         yield two_cycles(4)
         yield FiniteGraph.from_edges(["a", "b", "c", "d", "e"],

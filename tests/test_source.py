@@ -1,47 +1,76 @@
 """Checks on the library's source text."""
 
 import ast
+import functools
 import pathlib
 import re
 
-import procover
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "procover"
+
+
+@functools.lru_cache(maxsize=None)
+def library_trees() -> tuple:
+    """(file name, parsed tree) for every library module, parsed once."""
+    return tuple((path.name, ast.parse(path.read_text(encoding="utf-8"),
+                                       filename=str(path)))
+                 for path in sorted(PACKAGE.glob("*.py")))
+
+
+def readme_words() -> set:
+    """Every identifier inside a backtick code span of ``README.md``
+    (fenced blocks are not code spans)."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return {word for span in re.findall(r"`([^`]+)`", text)
+            for word in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_no_assert_in_library():
     """Invariants raise named errors: ``assert`` is stripped under ``python -O``."""
-    found = []
-    for path in sorted(pathlib.Path(procover.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def test_every_top_level_name_is_used():
     """Every top-level function and class of the library, and every method
-    of a top-level class other than a dunder, is referenced in ``src/``,
-    ``tests/`` or ``benchmarks/`` besides its own definition."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    package = root / "src" / "procover"
-    texts = [path.read_text(encoding="utf-8")
-             for folder in ("src", "tests", "benchmarks")
-             for path in sorted((root / folder).rglob("*.py"))]
-    defs = (ast.FunctionDef, ast.ClassDef)
+    of a top-level class other than a dunder, is used by the library itself
+    or named in ``README.md``.
+
+    Used means referenced as an identifier in a library module other than
+    ``__init__.py``: a top-level name as a name, an attribute or an
+    imported name; a method as an attribute, the only way code reaches a
+    method.  Definitions, docstrings and comments do not count, and
+    neither do tests or benchmarks.  Named means the name occurs in a
+    backtick code span of ``README.md``.
+    """
+    names, attributes = set(), set()
+    for name, tree in library_trees():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    documented = readme_words()
     unused = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        names = []
+    for name, tree in library_trees():
         for node in tree.body:
-            if isinstance(node, defs):
-                names.append(node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                    node.name in names or node.name in attributes
+                    or node.name in documented):
+                unused.append("%s:%s" % (name, node.name))
             if isinstance(node, ast.ClassDef):
-                names += ["%s.%s" % (node.name, item.name) for item in node.body
-                          if isinstance(item, ast.FunctionDef)
-                          and not item.name.startswith("__")]
-        for name in names:
-            word = re.compile(r"\b%s\b" % re.escape(name.split(".")[-1]))
-            if sum(len(word.findall(text)) for text in texts) < 2:
-                unused.append("%s:%s" % (path.name, name))
+                unused += ["%s:%s.%s" % (name, node.name, item.name)
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("__")
+                           and item.name not in attributes
+                           and item.name not in documented]
     assert unused == []
 
 
@@ -50,17 +79,16 @@ def test_tower_action_and_congruence_errors_carry_a_witness():
     library passes ``witness=``, so the exit-1 report always has one."""
     classes = {"TowerError", "ActionError", "CongruenceError"}
     raised, missing = 0, []
-    for path in sorted(pathlib.Path(procover.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in library_trees():
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
                 continue
             func = node.exc.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name not in classes:
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called not in classes:
                 continue
             raised += 1
             if "witness" not in {k.arg for k in node.exc.keywords}:
-                missing.append("%s:%d" % (path.name, node.lineno))
+                missing.append("%s:%d" % (name, node.lineno))
     assert raised > 20
     assert missing == []
