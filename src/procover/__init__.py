@@ -53,7 +53,6 @@ from .covering import (
     as_covering,
     cover_from_subgroup,
     deck_group,
-    fiber_transport,
     image_subgroup,
     is_regular,
     lift,

@@ -269,8 +269,11 @@ def cmd_orbit_quotient(args):
 def cmd_deck_quotient(args):
     f = formats.load_morphism(args.morphism)
     cov = as_covering(f)
-    deck = deck_group(cov)
+    # parsed before the deck group is built; the range check needs its order
     indices = [int(x) for x in args.elements.split(",") if x != ""]
+    if not indices:
+        raise ValueError("no deck element index given")
+    deck = deck_group(cov)
     qg, h_map, f_h = quotient_by_deck_subgroup(deck, indices)
     details = {
         "subgroup_order": h_map.degree,

@@ -1,9 +1,10 @@
 """Coverings of finite graphs and everything that lives over them.
 
 A covering is a graph morphism that restricts to a bijection on the star of
-darts at every vertex.  This module recognizes coverings, builds them from
-subgroups (voltage construction), reads subgroups back off as monodromy,
-lifts maps through them, computes deck transformation groups, decides
+darts at every vertex.  This module recognizes coverings, keeping the lift
+table that check builds, builds them from subgroups (voltage construction),
+reads subgroups back off as monodromy and lifts maps through them (both by
+walking the lift table), computes deck transformation groups, decides
 regularity, and forms quotients by free group actions and by deck subgroups.
 
 Deck groups and regularity rest on one test.  For a connected cover with
@@ -70,32 +71,24 @@ class ActionError(VerdictError):
 
 
 class Covering:
-    """A verified locally bijective morphism with its fibers cached.
+    """A verified locally bijective morphism with its lift table.
+
+    ``lifts[u]`` maps each dart at the image of cover vertex ``u`` to the
+    one dart at ``u`` over it: :func:`as_covering` builds it while checking
+    local bijectivity, and lifts and monodromy read it.
 
     ``degree`` is the common fiber size; over a disconnected codomain it is
     the shared value of the per-component fiber sizes, or None when the
     components disagree (``component_degrees`` always has the detail).
     """
 
-    def __init__(self, map: GraphMorphism, vertex_fibers, dart_fibers,
-                 degree, component_degrees):
+    def __init__(self, map: GraphMorphism, lifts, vertex_fibers, degree,
+                 component_degrees):
         self.map = map
+        self.lifts = lifts
         self.vertex_fibers = vertex_fibers
-        self.dart_fibers = dart_fibers
         self.degree = degree
         self.component_degrees = component_degrees
-        self._stars_by_image: dict[str, dict[str, str]] = {}
-
-    def _star_by_image(self, u: str) -> dict[str, str]:
-        """The star of cover vertex ``u`` keyed by image dart (a bijection
-        onto the star of its image, by local bijectivity).  Built on first
-        use and kept: every lift through this covering reads it."""
-        index = self._stars_by_image.get(u)
-        if index is None:
-            dmap = self.map.dmap
-            index = {dmap[d]: d for d in self.domain.star(u)}
-            self._stars_by_image[u] = index
-        return index
 
     @property
     def domain(self) -> FiniteGraph:
@@ -111,27 +104,27 @@ class Covering:
 
 
 def as_covering(f: GraphMorphism) -> Covering:
-    """Verify local bijectivity and wrap ``f`` as a Covering.
+    """Verify local bijectivity and wrap ``f`` as a Covering whose lift
+    table rows are the stars keyed by image dart.
 
     Raises NotACoveringError with the first failing vertex otherwise.
     """
     dom, cod = f.domain, f.codomain
+    lifts = {}
     for v in dom.vertices:
-        images = [f.dmap[d] for d in dom.star(v)]
-        if len(set(images)) != len(images):
+        star = dom.star(v)
+        over = lifts[v] = {f.dmap[d]: d for d in star}
+        if len(over) != len(star):
             raise NotACoveringError(v, "two darts at the vertex have the same image")
-        if set(images) != set(cod.star(f.vmap[v])):
+        below = cod.star(f.vmap[v])
+        if over.keys() != set(below):
             raise NotACoveringError(
                 v, "star maps onto %d of %d darts at %r"
-                % (len(images), len(cod.star(f.vmap[v])), f.vmap[v]))
+                % (len(star), len(below), f.vmap[v]))
     vertex_fibers = {u: [] for u in cod.vertices}
     for v in dom.vertices:
         vertex_fibers[f.vmap[v]].append(v)
     vertex_fibers = {u: tuple(sorted(vs)) for u, vs in vertex_fibers.items()}
-    dart_fibers = {e: [] for e in cod.darts}
-    for d in dom.darts:
-        dart_fibers[f.dmap[d]].append(d)
-    dart_fibers = {e: tuple(sorted(ds)) for e, ds in dart_fibers.items()}
     component_degrees = []
     for comp in components(cod):
         sizes = {len(vertex_fibers[u]) for u in comp}
@@ -141,22 +134,7 @@ def as_covering(f: GraphMorphism) -> Covering:
         component_degrees.append((comp[0], sizes.pop()))
     sizes = {n for _, n in component_degrees}
     degree = sizes.pop() if len(sizes) == 1 else None
-    return Covering(f, vertex_fibers, dart_fibers, degree,
-                    tuple(component_degrees))
-
-
-def fiber_transport(c: Covering, e: str) -> dict[str, str]:
-    """The bijection fiber(src(e)) -> fiber(t(e)) given by following the
-    lifts of ``e``; transporting along inv(e) inverts it."""
-    if e not in c.codomain._dart_set:
-        raise GraphError("unknown dart %r" % e)
-    out = {}
-    for lifted in c.dart_fibers[e]:
-        out[c.domain.src[lifted]] = c.domain.target(lifted)
-    if len(out) != len(c.vertex_fibers[c.codomain.src[e]]) or \
-            len(set(out.values())) != len(out):
-        raise RuntimeError("fiber transport is not a bijection (internal error)")
-    return out
+    return Covering(f, lifts, vertex_fibers, degree, tuple(component_degrees))
 
 
 class Pi1Data:
@@ -283,6 +261,8 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
 
     The fiber point ``a`` is labelled 0, so the stabilizer of 0 is the image
     of the cover's fundamental group at ``a``.  Degree = covering degree.
+    Generator x_k sends a fiber point to the end of the lift of basis loop
+    k that starts there, followed one dart at a time through ``c.lifts``.
     """
     if p.graph != c.codomain:
         raise GraphError("fundamental-group data is for a different graph")
@@ -298,14 +278,15 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     for x in fiber:
         if x != a:
             label[x] = len(label)
+    lifts, src, inv = c.lifts, c.domain.src, c.domain.inv
     perms = []
     for k in range(p.rank):
-        transport = {x: x for x in fiber}
-        for d in p.basis_loop(k):
-            step = fiber_transport(c, d)
-            transport = {x: step[y] for x, y in transport.items()}
+        loop = p.basis_loop(k)
         perm = [0] * len(fiber)
-        for x, y in transport.items():
+        for x in fiber:
+            y = x
+            for d in loop:
+                y = src[inv[lifts[y][d]]]
             perm[label[x]] = label[y]
         perms.append(tuple(perm))
     return PermRep(p.rank, len(fiber), perms)
@@ -316,8 +297,8 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     """The unique lift of ``g`` through the covering, sending base_c to base_a.
 
     Proceeds breadth-first: each dart of the (connected) source has exactly
-    one possible image by local bijectivity, so the whole lift is forced
-    once the basepoint image is fixed.  When some closed path blocks the
+    one possible image, read from the lift table ``c.lifts``, so the whole
+    lift is forced once the basepoint image is fixed.  When some closed path blocks the
     lift, raises LiftObstruction carrying that path.
 
     The result is verified twice: constructing it as a
@@ -355,7 +336,7 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     queue = deque([base_c])
     while queue:
         x = queue.popleft()
-        over = c._star_by_image(hv[x])
+        over = c.lifts[hv[x]]
         for d in sstar[x]:
             up = over[gd[d]]
             e, up_e = sinv[d], ginv[up]

@@ -208,10 +208,12 @@ class PermRep:
             except TypeError:  # an unhashable entry fails the check below
                 move = None
             if move is None:
-                if expected is None:
+                # degree ints that cover 0..degree-1: a permutation (the
+                # length first, so a wrong degree builds nothing)
+                if expected is None and len(p) == degree:
                     types, expected = [int] * degree, set(points)
-                # degree ints that cover 0..degree-1: a permutation
-                if list(map(type, p)) != types or set(p) != expected:
+                if len(p) != degree or list(map(type, p)) != types \
+                        or set(p) != expected:
                     raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
                 move = checked[p] = (p, tuple(sorted(points, key=p.__getitem__)))
             moves += move
@@ -392,10 +394,16 @@ def subgroup_count(rank: int, index: int) -> int:
     """
     if rank == 0:
         return 1 if index == 1 else 0
-    total = index * factorial(index) ** (rank - 1)
+    total = index * _factorial_power(index, rank - 1)
     for k in range(1, index):
-        total -= factorial(index - k) ** (rank - 1) * subgroup_count(rank, k)
+        total -= _factorial_power(index - k, rank - 1) * subgroup_count(rank, k)
     return total
+
+
+@lru_cache(maxsize=None)
+def _factorial_power(n: int, exponent: int) -> int:
+    """(n!)^exponent, computed once per process for each pair."""
+    return factorial(n) ** exponent
 
 
 def _forced_map(pairs, n: int, c: int) -> bool:
@@ -507,16 +515,24 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     Refuses with ResourceLimitError when the predicted number of subgroups
     exceeds ``max_work``; the bound counts all subgroups even when only
     normal ones are kept, so refusals do not depend on ``normal_only`` and
-    overestimate the pruned search's work.
+    overestimate the pruned search's work.  The count stops at the first
+    degree where its running total passes the bound.
     """
     if rank < 0 or max_degree < 1:
         raise ValueError("need rank >= 0 and max_degree >= 1")
-    predicted = sum(subgroup_count(rank, n) for n in range(1, max_degree + 1))
-    if predicted > max_work:
-        raise ResourceLimitError(
-            "enumeration of rank %d, degree <= %d would visit %d subgroups, "
-            "above the work bound %d; raise max_work to proceed"
-            % (rank, max_degree, predicted, max_work))
+    predicted = 0
+    for n in range(1, max_degree + 1):
+        predicted += subgroup_count(rank, n)
+        if predicted > max_work:
+            # past 64 bits, a power of two below the count: Python will not
+            # print an int of more than 4300 digits
+            count = ("%d" % predicted if predicted.bit_length() <= 64
+                     else "2^%d" % (predicted.bit_length() - 1))
+            raise ResourceLimitError(
+                "enumeration of rank %d, degree <= %d would visit at least %s "
+                "subgroups (those of degree <= %d), above the work bound %d; "
+                "raise max_work to proceed"
+                % (rank, max_degree, count, n, max_work))
     out = []
     for degree in range(1, max_degree + 1):
         checked: dict = {}

@@ -58,9 +58,9 @@ class TowerError(VerdictError):
 class CompatibilityError(VerdictError):
     """A subgroup chain is not compatible with its bonding maps.
 
-    ``levels`` is the offending pair (lower, upper) and ``word`` (the
-    witness) a Schreier generator of the upper subgroup whose image escapes
-    the lower one.
+    ``levels`` is the offending pair (lower, upper) and the witness a
+    Schreier generator of the upper subgroup whose image escapes the lower
+    one.
     """
 
     verdict = "incompatible"
@@ -70,7 +70,6 @@ class CompatibilityError(VerdictError):
             "subgroup at level %d does not push into level %d (witness %s)"
             % (levels[1], levels[0], word), witness=word)
         self.levels = levels
-        self.word = word
 
     def details(self) -> dict:
         return dict(super().details(), levels=list(self.levels))
@@ -247,7 +246,6 @@ class GoodPairRecord:
     cover_congruence: Congruence
     base_congruence: Congruence
     verdict: str
-    induced: GraphMorphism | None = None
     witness: tuple | None = None
     level: int | None = None
     top: int | None = None
@@ -265,8 +263,7 @@ def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
     try:
         cov = as_covering(induced)
     except NotACoveringError as exc:
-        return GoodPairRecord(r, s, "half", induced=induced,
-                              witness=(exc.vertex, exc.reason),
+        return GoodPairRecord(r, s, "half", witness=(exc.vertex, exc.reason),
                               level=level, top=top)
     if not induced.domain.vertices:
         raise ValueError("the cover has no vertices")
@@ -275,7 +272,7 @@ def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
         verdict = "regular_good"
     else:
         verdict = "good"
-    return GoodPairRecord(r, s, verdict, induced=induced, level=level, top=top)
+    return GoodPairRecord(r, s, verdict, level=level, top=top)
 
 
 def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:

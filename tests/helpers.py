@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from collections import deque
 
 import procover as pc
@@ -100,6 +101,41 @@ def transport_basepoint(rep: pc.PermRep, w: pc.FreeWord) -> pc.PermRep:
     return rep.rebased(rep.act(0, w))
 
 
+def fiber_transport(c: pc.Covering, e: str) -> dict:
+    """The bijection fiber(src(e)) -> fiber(t(e)) given by following the
+    lifts of ``e``, read off the fiber of cover darts over ``e``;
+    transporting along inv(e) inverts it."""
+    if e not in c.codomain._dart_set:
+        raise pc.GraphError("unknown dart %r" % e)
+    g = c.domain
+    out = {g.src[d]: g.target(d) for d in g.darts if c.map.dmap[d] == e}
+    assert len(out) == len(c.vertex_fibers[c.codomain.src[e]])
+    assert len(set(out.values())) == len(out)
+    return out
+
+
+def transport_monodromy(c: pc.Covering, a: str, p: pc.Pi1Data) -> pc.PermRep:
+    """The monodromy ``image_subgroup`` replaced: for each basis loop, the
+    fiber transports of its darts composed one whole fiber at a time, with
+    ``a`` labelled 0 and the other fiber points in fiber order."""
+    fiber = c.vertex_fibers[p.basepoint]
+    label = {a: 0}
+    for x in fiber:
+        if x != a:
+            label[x] = len(label)
+    perms = []
+    for k in range(p.rank):
+        transport = {x: x for x in fiber}
+        for d in p.basis_loop(k):
+            step = fiber_transport(c, d)
+            transport = {x: step[y] for x, y in transport.items()}
+        perm = [0] * len(fiber)
+        for x, y in transport.items():
+            perm[label[x]] = label[y]
+        perms.append(tuple(perm))
+    return pc.PermRep(p.rank, len(fiber), perms)
+
+
 def cyclic_rep(n: int) -> pc.PermRep:
     """The index-n subgroup of the rank-1 free group (an n-cycle)."""
     return pc.PermRep(1, n, [tuple((i + 1) % n for i in range(n))])
@@ -123,6 +159,19 @@ def s3_regular_rep() -> pc.PermRep:
     for gen in (s, t):
         perms.append(tuple(index[mult(elems[i], gen)] for i in range(6)))
     return pc.PermRep(2, 6, perms)
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_subgroup_count(rank: int, index: int) -> int:
+    """The count ``subgroup_count`` replaced, with each factorial power
+    recomputed per term: N(n) = n*(n!)^(r-1) - sum_{k<n} ((n-k)!)^(r-1) N(k)."""
+    if rank == 0:
+        return 1 if index == 1 else 0
+    total = index * math.factorial(index) ** (rank - 1)
+    for k in range(1, index):
+        total -= (math.factorial(index - k) ** (rank - 1)
+                  * recursive_subgroup_count(rank, k))
+    return total
 
 
 def brute_force_canonical_keys(rank: int, degree: int) -> set:

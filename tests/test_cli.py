@@ -105,6 +105,11 @@ class TestExitCodes:
         assert code == 3
         assert "verdict: refused" in out
 
+    def test_refused_count_too_long_to_print_is_3(self):
+        out, code = run_cli(["low-index", "--rank", "20000", "--max-degree", "3"])
+        assert code == 3
+        assert "verdict: refused" in out and "at least 2^20000" in out
+
     def test_lift_obstruction_is_1(self, data, tmp_path):
         ident = str(tmp_path / "id_c3.json")
         formats.save_morphism(ident, pc.GraphMorphism.identity(pc.cycle_graph(3)))
@@ -228,6 +233,22 @@ class TestExitCodes:
         assert code == 2
         assert "verdict: error" in out and "no deck element index given" in out
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("elements,message", [
+        (",", "no deck element index given"), ("x", "invalid literal"),
+        ("0,x", "invalid literal")])
+    def test_bad_deck_selection_is_2_before_the_deck_group(
+            self, tmp_path, monkeypatch, elements, message):
+        path = str(tmp_path / "c6_to_c3.json")
+        formats.save_morphism(path, wrap_morphism(6, 3))
+
+        def no_deck_group(cov):
+            raise AssertionError("deck_group ran before the selection was parsed")
+
+        monkeypatch.setattr(cli, "deck_group", no_deck_group)
+        out, code = run_cli(["deck-quotient", path, "--elements", elements])
+        assert code == 2
+        assert "verdict: error" in out and message in out
 
     @pytest.mark.parametrize("command", [
         ["pi1", "graph"], ["cover-from-rep", "graph", "rep"],

@@ -18,7 +18,6 @@ from procover import (
     compose,
     cover_from_subgroup,
     deck_group,
-    fiber_transport,
     image_subgroup,
     is_regular,
     lift,
@@ -43,6 +42,7 @@ from helpers import (
     deck_action,
     deck_closure,
     deck_subgroups,
+    fiber_transport,
     is_bijective,
     is_normal_deck_subgroup,
     pairwise_closure,
@@ -55,6 +55,7 @@ from helpers import (
     theta_graph,
     three_way_regularity_oracle,
     transport_basepoint,
+    transport_monodromy,
     trivial_rep,
     wrap_morphism,
 )
@@ -89,6 +90,8 @@ class TestAsCovering:
 
 
 class TestFiberTransport:
+    """The fiber-transport oracle of ``tests/helpers.py`` on small wraps."""
+
     def test_wrap_transport(self):
         cov = as_covering(wrap_morphism(6, 3))
         tr = fiber_transport(cov, "e0+")
@@ -187,14 +190,8 @@ class TestImageSubgroup:
     def test_monodromy_matches_transport(self):
         cov = as_covering(wrap_morphism(6, 3))
         p = pi1_data(pc.cycle_graph(3), "v0")
-        rep = image_subgroup(cov, "v0", p)
-        transport = {x: x for x in cov.vertex_fibers["v0"]}
-        for d in p.basis_loop(0):
-            step = fiber_transport(cov, d)
-            transport = {x: step[y] for x, y in transport.items()}
-        label = {"v0": 0, "v3": 1}
-        for x, y in transport.items():
-            assert rep.perms[0][label[x]] == label[y]
+        for a in ("v0", "v3"):
+            assert image_subgroup(cov, a, p) == transport_monodromy(cov, a, p)
 
     def test_basepoint_mismatch(self):
         cov = as_covering(wrap_morphism(6, 3))
@@ -302,17 +299,51 @@ class TestDeckGroup:
 
 
 @st.composite
-def rank2_covers(draw):
+def rank2_covers(draw, max_degree=6):
     """A cover of a rank-2 base from a random transitive action."""
     base = draw(st.sampled_from([pc.bouquet_graph(2), theta_graph(),
                                  cycle_with_loop(), cycle_with_parallel()]))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_degree))
     perms = [draw(st.permutations(range(n))) for _ in range(2)]
     try:
         rep = PermRep(2, n, perms)
     except NotTransitiveError:
         assume(False)
     return cover_from_subgroup(base, "v0", rep)[2]
+
+
+class TestLiftTableOracle:
+    """``image_subgroup`` follows each basis loop through the lift table;
+    the fiber-transport monodromy it replaced agrees at every fiber point
+    over every base vertex.  Every table entry starts at its row's vertex
+    and lies over its key."""
+
+    @staticmethod
+    def check(cov):
+        base, cover = cov.codomain, cov.domain
+        for u in base.vertices:
+            p = pi1_data(base, u)
+            for a in cov.vertex_fibers[u]:
+                assert image_subgroup(cov, a, p) == transport_monodromy(cov, a, p)
+        assert list(cov.lifts) == list(cover.vertices)
+        for v, row in cov.lifts.items():
+            assert row.keys() == set(base.star(cov.map.vmap[v]))
+            for e, d in row.items():
+                assert cover.src[d] == v and cov.map.dmap[d] == e
+
+    def test_b2_and_theta_covers(self):
+        for base in (pc.bouquet_graph(2), theta_graph()):
+            for h in low_index_reps(2, 4):
+                self.check(cover_from_subgroup(base, "v0", h)[2])
+
+    def test_cyclic_family(self):
+        for cov in cyclic_family():
+            self.check(cov)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank2_covers(max_degree=64))
+    def test_random_transitive_actions(self, cov):
+        self.check(cov)
 
 
 class TestDeckGroupOracle:

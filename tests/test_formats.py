@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import procover as pc
@@ -110,6 +112,21 @@ class TestRepAndImagesFormat:
             formats.rep_from_obj({"format": formats.REP_FORMAT, "rank": 1,
                                   "degree": 2, "perms": [[0, 0]]})
 
+
+    def test_declared_degree_costs_nothing_to_reject(self):
+        # a row shorter than the declared degree is rejected before anything
+        # degree-sized is built; keep the degree at 10**6, since code that
+        # builds first really allocates it
+        doc = {"format": formats.REP_FORMAT, "rank": 1, "degree": 10 ** 6,
+               "perms": [[0]]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="not a permutation of 0..999999"):
+                formats.rep_from_obj(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 class TestActionFormat:
     def test_round_trip(self):

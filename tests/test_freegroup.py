@@ -28,6 +28,7 @@ from helpers import (
     injective_normalizer_points,
     normal_tables_oracle,
     recursive_canonical_tables,
+    recursive_subgroup_count,
     relabelled,
     schreier_is_normal,
     schreier_pushforward_leq,
@@ -283,6 +284,35 @@ class TestLowIndex:
             low_index_reps(3, 8)
         # explicit budget raise is honoured
         assert low_index_reps(2, 2, max_work=10)
+
+    def test_counts_match_the_recursion(self):
+        assert all(subgroup_count(r, n) == recursive_subgroup_count(r, n)
+                   for r in range(6) for n in range(1, 12))
+
+    def test_guard_refuses_exactly_above_the_total(self):
+        for rank in range(4):
+            for max_degree in range(1, 7):
+                total = sum(subgroup_count(rank, n)
+                            for n in range(1, max_degree + 1))
+                with pytest.raises(ResourceLimitError):
+                    low_index_reps(rank, max_degree, max_work=total - 1)
+                if total <= 100:
+                    assert len(low_index_reps(rank, max_degree, max_work=total)) \
+                        == total
+
+    def test_guard_stops_at_the_first_degree_over_the_bound(self):
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(2, 1200)
+        assert "at least 35134660 subgroups (those of degree <= 10)" \
+            in str(err.value)
+
+    def test_guard_message_at_a_count_too_long_to_print(self):
+        # 1 + (2^20000 - 1) subgroups of index <= 2: more digits than
+        # Python prints, so the refusal must not print the count in decimal
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(20000, 3)
+        assert "at least 2^20000 subgroups (those of degree <= 2)" \
+            in str(err.value)
 
     def test_rank_zero(self):
         reps = low_index_reps(0, 3)

@@ -74,6 +74,47 @@ def test_every_top_level_name_is_used():
     assert unused == []
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with ``dataclass`` or ``dataclass(...)``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_instance_field_is_read():
+    """Every ``self.<name> = ...`` in a top-level class, and every field of
+    a top-level dataclass, is read as an attribute by a library module
+    other than ``__init__.py``, or named in a ``README.md`` code span.
+
+    State that nothing reads costs memory on every instance and hides what
+    the object is for.
+    """
+    read = {node.attr for name, tree in library_trees() if name != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    documented = readme_words()
+    unread = []
+    for name, tree in library_trees():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = set()
+            if _is_dataclass(cls):
+                fields |= {item.target.id for item in cls.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)}
+            fields |= {node.attr for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "self"}
+            unread += ["%s:%s.%s" % (name, cls.name, f) for f in sorted(fields)
+                       if f not in read and f not in documented]
+    assert unread == []
+
+
 def test_tower_action_and_congruence_errors_carry_a_witness():
     """Every ``raise TowerError/ActionError/CongruenceError(...)`` in the
     library passes ``witness=``, so the exit-1 report always has one."""

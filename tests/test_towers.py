@@ -317,7 +317,7 @@ class TestUniversalTower:
         with pytest.raises(CompatibilityError) as err:
             universal_tower(spec)
         assert err.value.levels == (0, 1)
-        assert err.value.word == X ** 3
+        assert err.value.witness == X ** 3
 
     def test_nonnormal_subgroup_rejected(self):
         b2 = pc.bouquet_graph(2)
