@@ -49,7 +49,7 @@ from .covering import (
     NotACoveringError,
     Pi1Data,
     RegularityReport,
-    action_deck_isomorphism,
+    action_deck_indices,
     as_covering,
     cover_from_subgroup,
     deck_group,

@@ -31,7 +31,7 @@ from .freegroup import (
     low_index_reps,
 )
 from .covering import (
-    action_deck_isomorphism,
+    action_deck_indices,
     as_covering,
     cover_from_subgroup,
     deck_group,
@@ -249,15 +249,15 @@ def cmd_orbit_quotient(args):
     g = formats.load_graph(args.graph)
     act = formats.load_action(args.action, g)
     qg, cov = quotient_by_group(act)
-    deck = deck_group(cov)
-    mapping = action_deck_isomorphism(act, deck)
+    # the orbit map of a free action is regular, with the group as deck group
     details = {
         "group_order": len(act.elements),
         "degree": cov.degree,
         "vertices": len(qg.vertices),
         "edges": qg.edge_count(),
-        "regular": deck.order == cov.degree,
-        "deck_isomorphism": {str(k): v for k, v in mapping.items()},
+        "regular": True,
+        "deck_isomorphism": {str(k): v for k, v
+                             in action_deck_indices(act, cov).items()},
     }
     if args.out:
         formats.save_graph(args.out + ".graph.json", qg)

@@ -54,8 +54,9 @@ class NotACoveringError(VerdictError):
 
 
 class LiftObstruction(VerdictError):
-    """A lift does not exist; ``path`` (the witness) is a closed path in the
-    source whose image fails to lift to a loop at the chosen basepoint."""
+    """A lift does not exist; the witness is a closed path in the source,
+    as a tuple of darts, whose image fails to lift to a loop at the chosen
+    basepoint."""
 
     verdict = "obstruction"
 
@@ -63,7 +64,6 @@ class LiftObstruction(VerdictError):
         path = tuple(path)
         super().__init__("no lift: obstruction path of %d darts" % len(path),
                          witness=path)
-        self.path = path
 
 
 class ActionError(VerdictError):
@@ -369,24 +369,17 @@ class DeckGroup:
         self.covering = covering
         self.elements = tuple(elements)
         self.table = tuple(tuple(row) for row in table)
-        self.identity = 0
-        inv = [None] * len(self.elements)
-        for i, row in enumerate(self.table):
-            for j, k in enumerate(row):
-                if k == 0:
-                    inv[i] = j
-        self.inverse = tuple(inv)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def is_subgroup(self, indices: Iterable[int]) -> bool:
+        """Whether the indices form a subgroup: a nonempty subset of a
+        finite group closed under products is one, as every inverse is a
+        power."""
         s = set(indices)
-        if not s:
-            return False
-        return all(self.table[i][j] in s and self.inverse[i] in s
-                   for i in s for j in s)
+        return bool(s) and all(self.table[i][j] in s for i in s for j in s)
 
 
 def _first_fiber_monodromy(c: Covering) -> tuple[str, PermRep]:
@@ -434,6 +427,22 @@ def deck_group(c: Covering) -> DeckGroup:
     return DeckGroup(c, elements, table)
 
 
+def action_deck_indices(act: GroupAction, c: Covering) -> dict:
+    """The index in :func:`deck_group` of the deck transformation each
+    element of ``act`` acts by, where ``c`` is the orbit map that
+    :func:`quotient_by_group` returned for ``act``.
+
+    The action is free on a connected graph, so the orbit map is regular
+    and its deck group is the acting group itself.  ``deck_group`` lists
+    its elements in the fiber order of their images of the first vertex
+    ``a0``, so an element's index is the position of its image of ``a0``
+    in the fiber of ``a0``; no deck transformation is built.
+    """
+    a0 = c.domain.vertices[0]
+    position = {a: k for k, a in enumerate(c.vertex_fibers[c.map.vmap[a0]])}
+    return {g: position[act.morphisms[g].vmap[a0]] for g in act.elements}
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Regularity of a connected cover with the numbers behind it.
@@ -476,13 +485,12 @@ class GroupAction:
     Construction checks that every map is an endomorphism of ``graph``,
     that no two elements act alike, that one acts as the identity, that the
     maps are closed under composition, that each is bijective and that none
-    sends a dart to its inverse.  ``table[(g, h)]`` is the element acting
-    as "h then g", read off the closure check by looking up the composite's
-    vertex and dart images; no composite morphism is built.  The group laws
-    need no check: composition of maps is associative and the maps are
-    distinct, so the table is; and a finite set of bijections closed under
-    composition is a group (every inverse is a power).  ``elements`` holds
-    the ids sorted by ``str``.
+    sends a dart to its inverse.  Closure is checked by looking up each
+    composite's vertex and dart images among the elements' own; no
+    composite morphism is built.  The group laws need no check:
+    composition of maps is associative, and a finite set of bijections
+    closed under composition is a group (every inverse is a power).
+    ``elements`` holds the ids sorted by ``str``.
     """
 
     def __init__(self, graph: FiniteGraph, morphisms: Mapping):
@@ -506,16 +514,13 @@ class GroupAction:
         if self.identity is None:
             raise ActionError("no element acts as the identity map",
                               witness=tuple(sorted(self.morphisms, key=str)))
-        self.table = {}
         for g, mg in self.morphisms.items():
             gv, gd = mg.vmap.__getitem__, mg.dmap.__getitem__
             for h, (hv, hd) in images.items():
-                gh = lookup.get((tuple(map(gv, hv)), tuple(map(gd, hd))))
-                if gh is None:
+                if (tuple(map(gv, hv)), tuple(map(gd, hd))) not in lookup:
                     raise ActionError(
                         "morphisms are not closed under composition",
                         witness=(g, h))
-                self.table[(g, h)] = gh
         for g, (gv, gd) in images.items():
             missing = (sorted(graph._vertex_set.difference(gv))
                        or sorted(graph._dart_set.difference(gd)))
@@ -587,8 +592,9 @@ def _orbit_quotient(graph: FiniteGraph, maps: list[GraphMorphism]
 def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     """Orbit graph and orbit map of a free, inversion-free action.
 
-    The orbit map is a covering of degree equal to the group order, and its
-    deck group recovers the acting group (see action_deck_isomorphism).
+    The orbit map is a regular covering of degree equal to the group
+    order, and its deck group is the acting group
+    (:func:`action_deck_indices`).
     """
     if not is_connected(act.graph):
         raise ValueError("the graph being acted on must be connected")
@@ -596,31 +602,6 @@ def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     if bad is not None:
         raise ActionError("action is not free: %r fixes %r" % bad, witness=bad)
     return _orbit_quotient(act.graph, [act.morphisms[g] for g in act.elements])
-
-
-def action_deck_isomorphism(act: GroupAction, deck: DeckGroup) -> dict:
-    """Match each group element to the deck transformation it acts by,
-    verifying the mapping is a composition-table isomorphism."""
-    index = {h: i for i, h in enumerate(deck.elements)}
-    mapping = {}
-    for g in act.elements:
-        m = act.morphisms[g]
-        if m not in index:
-            raise ActionError("element %r does not act by a deck "
-                              "transformation of the orbit map" % (g,), witness=g)
-        mapping[g] = index[m]
-    if len(act.elements) != deck.order:
-        # GroupAction gives distinct elements distinct maps, so the
-        # mapping is one-to-one and only the sizes can differ
-        raise ActionError("action group and deck group have different sizes",
-                          witness=next(i for i in range(deck.order)
-                                       if i not in mapping.values()))
-    for g in act.elements:
-        for h in act.elements:
-            if mapping[act.table[(g, h)]] != deck.table[mapping[g]][mapping[h]]:
-                raise ActionError("composition tables do not correspond",
-                                  witness=(g, h))
-    return mapping
 
 
 def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]

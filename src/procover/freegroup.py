@@ -22,9 +22,10 @@ the action of a normal subgroup has an automorphism 0 -> c for every c.
 That forced-map test (:func:`_forced_map`) asks whether the coset map
 0 -> c extends along the moves of one table into another.  From a table
 into itself it passes exactly for the cosets of H in its normalizer N(H)
-(:func:`normalizer_points`), which the search, :func:`is_normal`, deck
-groups and regularity all read; into another table with c = 0 it decides
-containment, equality and the containment of an image.
+(:func:`normalizer_points`), which the search, deck groups and regularity
+read, and :func:`is_normal` tries it at the generators' images of 0; into
+another table with c = 0 it decides containment, equality and the
+containment of an image.
 """
 
 from __future__ import annotations
@@ -240,7 +241,6 @@ class PermRep:
                 "action is not transitive: %d orbits" % len(orbits), orbits)
         self._schreier: tuple[FreeWord, ...] | None = None
         self._canonical_key: tuple | None = None
-        self._normal: bool | None = None
 
     def _orbit_order(self, start: int) -> list[int]:
         """The orbit of ``start`` in breadth-first discovery order."""
@@ -339,12 +339,15 @@ def subgroup_leq(h: PermRep, k: PermRep) -> bool:
 
 
 def is_normal(rep: PermRep) -> bool:
-    """Whether Stab(0) is normal: every map 0 -> c extends to an
-    automorphism of the action (:func:`_forced_map`)."""
-    if rep._normal is None:
-        pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
-        rep._normal = all(_forced_map(pairs, n, c) for c in range(1, n))
-    return rep._normal
+    """Whether H = Stab(0) is normal: every generator x_k normalizes it.
+
+    The normalizer is a subgroup, so it is the whole group exactly when it
+    holds every generator, and x_k lies in it exactly when the map
+    0 -> x_k(0) extends to an automorphism of the action
+    (:func:`_forced_map`).  That is at most one map per generator.
+    """
+    pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+    return all(_forced_map(pairs, n, c) for c in {p[0] for p in rep.perms} - {0})
 
 
 def normalizer_points(rep: PermRep) -> tuple[int, ...]:
@@ -510,38 +513,47 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     Each result passes every check of :class:`PermRep`: the row check once
     per distinct row of a degree, through one memo that lives for this
     call only, and transitivity once per table.  With ``normal_only`` the
-    search cuts non-normal branches as it goes and records each kept
-    subgroup as normal, so ``is_normal`` on a result is a cache read.
+    search cuts non-normal branches as it goes.
     Refuses with ResourceLimitError when the predicted number of subgroups
     exceeds ``max_work``; the bound counts all subgroups even when only
     normal ones are kept, so refusals do not depend on ``normal_only`` and
     overestimate the pruned search's work.  The count stops at the first
-    degree where its running total passes the bound.
+    degree where its running total passes the bound.  For rank >= 1 the
+    total at degree 2 is exactly 2^rank, so a rank that makes it pass the
+    bound is refused before any count is built.
     """
     if rank < 0 or max_degree < 1:
         raise ValueError("need rank >= 0 and max_degree >= 1")
+
+    def refuse(count: str, n: int):
+        return ResourceLimitError(
+            "enumeration of rank %d, degree <= %d would visit at least %s "
+            "subgroups (those of degree <= %d), above the work bound %d; "
+            "raise max_work to proceed"
+            % (rank, max_degree, count, n, max_work))
+
+    if rank >= 1 and max_degree >= 2 and max_work >= 1 \
+            and rank >= max_work.bit_length():
+        # 1 <= max_work < 2^rank: degree 1 passes, the total at 2 does not
+        raise refuse("2^%d" % rank if rank >= 64 else _count(1 << rank), 2)
     predicted = 0
     for n in range(1, max_degree + 1):
         predicted += subgroup_count(rank, n)
         if predicted > max_work:
-            # past 64 bits, a power of two below the count: Python will not
-            # print an int of more than 4300 digits
-            count = ("%d" % predicted if predicted.bit_length() <= 64
-                     else "2^%d" % (predicted.bit_length() - 1))
-            raise ResourceLimitError(
-                "enumeration of rank %d, degree <= %d would visit at least %s "
-                "subgroups (those of degree <= %d), above the work bound %d; "
-                "raise max_work to proceed"
-                % (rank, max_degree, count, n, max_work))
+            raise refuse(_count(predicted), n)
     out = []
     for degree in range(1, max_degree + 1):
         checked: dict = {}
         for table in _canonical_tables(rank, degree, normal_only):
-            rep = PermRep._with_memo(rank, degree, table, checked)
-            if normal_only:
-                rep._normal = True
-            out.append(rep)
+            out.append(PermRep._with_memo(rank, degree, table, checked))
     return out
+
+
+def _count(n: int) -> str:
+    """A count for a refusal message: in decimal up to 64 bits, and past
+    that as the power of two below it, since Python will not print an int
+    of more than 4300 digits."""
+    return "%d" % n if n.bit_length() <= 64 else "2^%d" % (n.bit_length() - 1)
 
 
 def translation_kernel_rep(rank: int, modulus: int,
@@ -557,7 +569,7 @@ def translation_kernel_rep(rank: int, modulus: int,
     degree = modulus ** rank
     if degree > max_work:
         raise ResourceLimitError(
-            "degree %d exceeds the work bound %d" % (degree, max_work))
+            "degree %s exceeds the work bound %d" % (_count(degree), max_work))
     perms = []
     for i in range(rank):
         step = modulus ** i

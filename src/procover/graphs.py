@@ -247,17 +247,15 @@ def is_connected(g: FiniteGraph) -> bool:
 class SpanningTreeData:
     """A spanning tree of a connected graph, rooted and canonically ordered.
 
-    ``tree_darts`` holds both orientations of every tree edge;
-    ``parent_dart[v]`` is the dart from ``v`` one step toward the root; and
-    ``order`` is the breadth-first discovery order of the vertices.
+    ``tree_darts`` holds both orientations of every tree edge, and
+    ``parent_dart[v]`` is the dart from ``v`` one step toward the root.
     """
 
-    def __init__(self, graph, root, tree_darts, parent_dart, order):
+    def __init__(self, graph, root, tree_darts, parent_dart):
         self.graph = graph
         self.root = root
         self.tree_darts = frozenset(tree_darts)
         self.parent_dart = dict(parent_dart)
-        self.order = tuple(order)
 
     def path_from_root(self, v: str) -> tuple[str, ...]:
         """The darts of the unique tree path from the root to ``v``."""
@@ -280,7 +278,6 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
     if root not in g._vertex_set:
         raise GraphError("unknown root vertex %r" % root)
     parent: dict[str, str] = {}
-    order = [root]
     seen = {root}
     tree: set[str] = set()
     queue = deque([root])
@@ -290,7 +287,6 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
             w = g.target(d)
             if w not in seen:
                 seen.add(w)
-                order.append(w)
                 queue.append(w)
                 tree.add(d)
                 tree.add(g.inv[d])
@@ -298,7 +294,7 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
     if len(seen) != len(g.vertices):
         raise GraphError("graph is not connected: %r unreachable from %r"
                          % (sorted(set(g.vertices) - seen)[0], root))
-    return SpanningTreeData(g, root, tree, parent, order)
+    return SpanningTreeData(g, root, tree, parent)
 
 
 class GraphMorphism:
@@ -494,15 +490,11 @@ def kernel_congruence(f: GraphMorphism) -> Congruence:
 class InducedMapError(VerdictError):
     """The congruence pair does not transport along the morphism.
 
-    ``witness`` is a related pair whose images are unrelated; ``sort`` says
-    whether the pair consists of vertices or darts.
+    ``witness`` is a related pair of vertices or of darts whose images are
+    unrelated; the message says which.
     """
 
     verdict = "no induced map"
-
-    def __init__(self, message, witness, sort):
-        super().__init__(message, witness)
-        self.sort = sort
 
 
 def induced_quotient_map(f: GraphMorphism, r: Congruence,
@@ -525,7 +517,7 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
                          if s.vertex_rep(f.vmap[x]) != s.vertex_rep(f.vmap[first]))
             raise InducedMapError(
                 "vertices %r and %r are identified but their images are not"
-                % (first, other), witness=(first, other), sort="vertex")
+                % (first, other), witness=(first, other))
         vmap[cls[0]] = images.pop()
     dmap = {}
     for cls in r.dart_classes:
@@ -536,7 +528,7 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
                          if s.dart_rep(f.dmap[x]) != s.dart_rep(f.dmap[first]))
             raise InducedMapError(
                 "darts %r and %r are identified but their images are not"
-                % (first, other), witness=(first, other), sort="dart")
+                % (first, other), witness=(first, other))
         dmap[cls[0]] = images.pop()
     qdom, _ = quotient(f.domain, r)
     qcod, _ = quotient(f.codomain, s)

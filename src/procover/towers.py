@@ -243,28 +243,23 @@ class GoodPairRecord:
     covering of connected graphs).
     """
 
-    cover_congruence: Congruence
-    base_congruence: Congruence
     verdict: str
     witness: tuple | None = None
     level: int | None = None
-    top: int | None = None
 
 
 def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
-                  level: int | None = None,
-                  top: int | None = None) -> GoodPairRecord:
+                  level: int | None = None) -> GoodPairRecord:
     """Classify the pair (r, s) for the map ``f``."""
     try:
         induced = induced_quotient_map(f, r, s)
     except InducedMapError as exc:
-        return GoodPairRecord(r, s, "not_half", witness=exc.witness,
-                              level=level, top=top)
+        return GoodPairRecord("not_half", witness=exc.witness, level=level)
     try:
         cov = as_covering(induced)
     except NotACoveringError as exc:
-        return GoodPairRecord(r, s, "half", witness=(exc.vertex, exc.reason),
-                              level=level, top=top)
+        return GoodPairRecord("half", witness=(exc.vertex, exc.reason),
+                              level=level)
     if not induced.domain.vertices:
         raise ValueError("the cover has no vertices")
     if is_connected(induced.domain) and is_connected(induced.codomain) \
@@ -272,7 +267,7 @@ def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
         verdict = "regular_good"
     else:
         verdict = "good"
-    return GoodPairRecord(r, s, verdict, level=level, top=top)
+    return GoodPairRecord(verdict, level=level)
 
 
 def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:
@@ -296,7 +291,7 @@ def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:
         down_base = _extend_down(t.base_steps[i], down_base)
         pairs.append((kernel_congruence(down_cover), kernel_congruence(down_base)))
     pairs.reverse()
-    return [classify_pair(f_top, r, s, level=i, top=j)
+    return [classify_pair(f_top, r, s, level=i)
             for i, (r, s) in enumerate(pairs)]
 
 

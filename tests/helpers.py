@@ -13,7 +13,7 @@ from procover import towers
 from procover.cli import Report
 from procover.covering import _deck_subgroup
 from procover.formats import REPORT_FORMAT, FormatError
-from procover.freegroup import NotTransitiveError
+from procover.freegroup import NotTransitiveError, _forced_map
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
@@ -257,6 +257,31 @@ def semiregular(tables) -> bool:
     return True
 
 
+def all_points_is_normal(rep: pc.PermRep) -> bool:
+    """Oracle for ``pc.is_normal``: the test it replaced, which runs the
+    forced map 0 -> c for every point c rather than the generators'
+    images of 0."""
+    pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+    return all(_forced_map(pairs, n, c) for c in range(1, n))
+
+
+def refusal_oracle(rank: int, max_degree: int, max_work: int):
+    """Oracle for the refusal of ``pc.low_index_reps``: its message from the
+    loop it replaced, which sums the subgroup counts degree by degree from
+    degree 1 whatever the rank, or None when nothing is refused."""
+    predicted = 0
+    for n in range(1, max_degree + 1):
+        predicted += pc.subgroup_count(rank, n)
+        if predicted > max_work:
+            count = ("%d" % predicted if predicted.bit_length() <= 64
+                     else "2^%d" % (predicted.bit_length() - 1))
+            return ("enumeration of rank %d, degree <= %d would visit at least "
+                    "%s subgroups (those of degree <= %d), above the work "
+                    "bound %d; raise max_work to proceed"
+                    % (rank, max_degree, count, n, max_work))
+    return None
+
+
 def schreier_is_normal(rep: pc.PermRep) -> bool:
     """Oracle for ``pc.is_normal``: Stab(0) is normal exactly when every
     Schreier generator fixes every coset."""
@@ -357,7 +382,6 @@ def validating_permrep(rank: int, degree: int, perms) -> pc.PermRep:
             "action is not transitive: %d orbits" % len(orbits), orbits)
     self._schreier = None
     self._canonical_key = None
-    self._normal = None
     return self
 
 
@@ -634,7 +658,7 @@ def per_pair_good_pairs_oracle(t: pc.Tower, top: int) -> list:
             base_map = pc.compose(t.base_steps[step], base_map)
         records.append(pc.classify_pair(
             f_top, pc.kernel_congruence(t.cover_map_to(i, top)),
-            pc.kernel_congruence(base_map), level=i, top=top))
+            pc.kernel_congruence(base_map), level=i))
     return records
 
 
@@ -757,6 +781,49 @@ def rejected_action_documents() -> dict:
     }
 
 
+def action_table(act: pc.GroupAction) -> dict:
+    """The composition table of an action: ``table[(g, h)]`` is the element
+    acting as "h then g", matched by composing the maps with ``compose``."""
+    element = {m: g for g, m in act.morphisms.items()}
+    return {(g, h): element[pc.compose(mg, mh)]
+            for g, mg in act.morphisms.items()
+            for h, mh in act.morphisms.items()}
+
+
+def action_deck_isomorphism(act: pc.GroupAction, deck: pc.DeckGroup) -> dict:
+    """Oracle for ``pc.action_deck_indices``: the matcher it replaced, which
+    finds each element's map among the deck transformations of the orbit
+    map and compares the action's composition table with the deck
+    group's."""
+    index = {h: i for i, h in enumerate(deck.elements)}
+    mapping = {}
+    for g in act.elements:
+        m = act.morphisms[g]
+        if m not in index:
+            raise pc.ActionError("element %r does not act by a deck "
+                                 "transformation of the orbit map" % (g,),
+                                 witness=g)
+        mapping[g] = index[m]
+    if len(act.elements) != deck.order:
+        # distinct elements act by distinct maps, so the mapping is
+        # one-to-one and only the sizes can differ
+        raise pc.ActionError("action group and deck group have different sizes",
+                             witness=next(i for i in range(deck.order)
+                                          if i not in mapping.values()))
+    table = action_table(act)
+    for g in act.elements:
+        for h in act.elements:
+            if mapping[table[(g, h)]] != deck.table[mapping[g]][mapping[h]]:
+                raise pc.ActionError("composition tables do not correspond",
+                                     witness=(g, h))
+    return mapping
+
+
+def deck_inverse(deck: pc.DeckGroup, i: int) -> int:
+    """The index of the inverse of deck element ``i``, read off its row."""
+    return deck.table[i].index(0)
+
+
 def deck_closure(deck: pc.DeckGroup, indices) -> frozenset:
     """Smallest subgroup containing the given elements: a breadth-first
     walk from the identity multiplying by them through ``table`` (in a
@@ -794,7 +861,7 @@ def is_normal_deck_subgroup(deck: pc.DeckGroup, indices) -> bool:
     """Whether the elements form a subgroup closed under conjugation."""
     s = set(indices)
     return deck.is_subgroup(s) and all(
-        deck.table[deck.table[g][h]][deck.inverse[g]] in s
+        deck.table[deck.table[g][h]][deck_inverse(deck, g)] in s
         for g in range(deck.order) for h in s)
 
 
@@ -806,6 +873,29 @@ def deck_action(deck: pc.DeckGroup, indices) -> pc.GroupAction:
                           {i: deck.elements[i] for i in chosen})
 
 
+@functools.lru_cache(maxsize=None)
+def free_actions() -> dict:
+    """Free actions by name: the rotations of C(2m) by 2 for m = 1..8, the
+    rotations of C12 by each divisor of 12, and the full deck actions of
+    five regular covers (the mod-2 covers of the two- and three-loop
+    bouquets, the symmetric-group and mod-4 covers of the two-loop
+    bouquet, and the cyclic degree-8 cover of the triangle)."""
+    actions = {"C%d by 2" % (2 * m): rotation_action(2 * m, 2)
+               for m in range(1, 9)}
+    actions.update(("C12 by %d" % s, rotation_action(12, s))
+                   for s in (1, 2, 3, 4, 6, 12))
+    b2, b3 = pc.bouquet_graph(2), pc.bouquet_graph(3)
+    for name, base, rep in (
+            ("B2 mod-2", b2, pc.translation_kernel_rep(2, 2)),
+            ("B3 mod-2", b3, pc.translation_kernel_rep(3, 2)),
+            ("S3-regular", b2, s3_regular_rep()),
+            ("B2 mod-4", b2, pc.translation_kernel_rep(2, 4)),
+            ("C3 cyclic-8", pc.cycle_graph(3), cyclic_rep(8))):
+        deck = pc.deck_group(pc.cover_from_subgroup(base, "v0", rep)[2])
+        actions[name] = deck_action(deck, range(deck.order))
+    return actions
+
+
 def pairwise_closure(deck: pc.DeckGroup, indices) -> frozenset:
     """Oracle for :func:`deck_closure`: the closure it replaced, which
     adds both products of every pair of members and every inverse until
@@ -815,7 +905,7 @@ def pairwise_closure(deck: pc.DeckGroup, indices) -> frozenset:
     while frontier:
         i = frontier.pop()
         for j in list(seen):
-            for k in (deck.table[i][j], deck.table[j][i], deck.inverse[i]):
+            for k in (deck.table[i][j], deck.table[j][i], deck_inverse(deck, i)):
                 if k not in seen:
                     seen.add(k)
                     frontier.append(k)

@@ -13,7 +13,7 @@ import procover as pc
 from procover import (
     LiftObstruction,
     PermRep,
-    action_deck_isomorphism,
+    action_deck_indices,
     compose,
     cover_from_subgroup,
     deck_group,
@@ -32,6 +32,7 @@ from procover import (
     validate_tower,
 )
 from helpers import (
+    action_deck_isomorphism,
     b2_covers,
     b2_homology_spec,
     brute_force_canonical_keys,
@@ -114,7 +115,7 @@ def test_criterion_2():
             assert compose(down_cov.map, h) == up_cov.map
         except LiftObstruction as obs:
             lifted = False
-            assert obs.path
+            assert obs.witness
         assert lifted == contained
         trials += 1
         agreements += 1
@@ -164,6 +165,7 @@ def test_criterion_4():
         assert report.regular
         mapping = action_deck_isomorphism(act, deck_group(cov))
         assert sorted(mapping.values()) == list(range(len(act.elements)))
+        assert action_deck_indices(act, cov) == mapping
 
 
 @criterion(5, "intermediate covers factor through every deck subgroup")

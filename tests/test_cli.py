@@ -11,8 +11,10 @@ import procover as pc
 from procover import cli, formats
 from procover.cli import format_report, main
 from helpers import (
+    action_deck_isomorphism,
     b2_homology_spec,
     cyclic_rep,
+    free_actions,
     parse_report,
     path_graph,
     pro2_tower,
@@ -561,6 +563,31 @@ class TestCommands:
         out, code = run_cli(["orbit-quotient", data["c6"], action])
         assert code == 0
         assert "regular: true" in out
+
+    @pytest.mark.parametrize("name", sorted(free_actions()))
+    def test_orbit_quotient_builds_no_deck_group(self, tmp_path, monkeypatch,
+                                                 name):
+        act = free_actions()[name]
+        g, action = str(tmp_path / "g.json"), str(tmp_path / "action.json")
+        formats.save_graph(g, act.graph)
+        formats.save_json(action, formats.action_to_obj(act))
+        loaded = formats.load_action(action, act.graph)
+        qg, cov = pc.quotient_by_group(loaded)
+        want = {"group_order": len(act.elements), "degree": len(act.elements),
+                "vertices": len(qg.vertices), "edges": qg.edge_count(),
+                "regular": True,
+                "deck_isomorphism": action_deck_isomorphism(
+                    loaded, pc.deck_group(cov))}
+
+        def no_deck_group(c):
+            raise AssertionError("orbit-quotient built a deck group")
+
+        monkeypatch.setattr(cli, "deck_group", no_deck_group)
+        out, code = run_cli(["--json", "orbit-quotient", g, action])
+        assert code == 0
+        report = parse_report(out)
+        assert report.verdict == "orbit-quotient"
+        assert report.details == want
 
     def test_deck_quotient(self, tmp_path):
         f = str(tmp_path / "c12.json")

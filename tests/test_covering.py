@@ -13,7 +13,7 @@ from procover import (
     LiftObstruction,
     NotACoveringError,
     PermRep,
-    action_deck_isomorphism,
+    action_deck_indices,
     as_covering,
     compose,
     cover_from_subgroup,
@@ -32,6 +32,8 @@ from procover import (
 from procover.freegroup import NotTransitiveError
 from helpers import (
     TableCheckedAction,
+    action_deck_isomorphism,
+    action_table,
     b2_covers,
     composed_deck_oracle,
     composed_lift_oracle,
@@ -40,7 +42,9 @@ from helpers import (
     cyclic_family,
     cyclic_rep,
     deck_action,
+    free_actions,
     deck_closure,
+    deck_inverse,
     deck_subgroups,
     fiber_transport,
     is_bijective,
@@ -212,7 +216,7 @@ class TestLift:
         g = GraphMorphism.identity(pc.cycle_graph(3))
         with pytest.raises(LiftObstruction) as err:
             lift(g, f, "v0", "v0")
-        path = err.value.path
+        path = err.value.witness
         sigma = g.domain
         assert sigma.src[path[0]] == "v0"
         assert sigma.target(path[-1]) == "v0"
@@ -357,7 +361,7 @@ class TestDeckGroupOracle:
         assert [h.vmap for h in deck.elements] == [h.vmap for h in elements]
         assert deck.elements == elements
         assert deck.table == table
-        assert deck.inverse == inverse
+        assert tuple(deck_inverse(deck, i) for i in range(deck.order)) == inverse
         assert is_regular(cov) == three_way_regularity_oracle(cov)
 
     def test_b2_covers(self):
@@ -457,6 +461,7 @@ class TestGroupActions:
         assert is_regular(cov).regular
         mapping = action_deck_isomorphism(act, deck_group(cov))
         assert len(mapping) == 2
+        assert action_deck_indices(act, cov) == mapping
 
     def test_trivial_action(self):
         act = rotation_action(6, 6)
@@ -474,6 +479,7 @@ class TestGroupActions:
         assert len(qg.vertices) == 1 and qg.edge_count() == 2
         mapping = action_deck_isomorphism(act, deck_group(qcov))
         assert len(mapping) == 4
+        assert action_deck_indices(act, qcov) == mapping
 
     def test_reflection_is_not_free(self):
         c6 = pc.cycle_graph(6)
@@ -508,7 +514,7 @@ class TestGroupActions:
     def assert_same_action(act, oracle):
         assert act.elements == oracle.elements
         assert act.identity == oracle.identity
-        assert act.table == oracle.table
+        assert action_table(act) == oracle.table
 
     @pytest.mark.parametrize("n, step", [(1, 1), (6, 1), (6, 2), (6, 3),
                                          (6, 6), (8, 2), (12, 1)])
@@ -564,6 +570,27 @@ class TestGroupActions:
             action_deck_isomorphism(rotation_action(6, 6), deck)
         assert str(err.value) == "action group and deck group have different sizes"
         assert err.value.witness == 1
+
+
+class TestActionDeckIndices:
+    """``action_deck_indices`` reads each element's deck index off its image
+    of the first vertex; the matcher it replaced, which builds the deck
+    group and compares composition tables, agrees on every action."""
+
+    def test_agrees_with_the_matching_oracle(self):
+        for name, act in free_actions().items():
+            _, cov = quotient_by_group(act)
+            assert action_deck_indices(act, cov) == \
+                action_deck_isomorphism(act, deck_group(cov)), name
+        # 8 + 6 + 5 actions, with C12 by 2 in both families
+        assert len(free_actions()) == 18
+
+    def test_is_a_bijection_onto_the_deck_indices(self):
+        for act in free_actions().values():
+            _, cov = quotient_by_group(act)
+            indices = action_deck_indices(act, cov)
+            assert list(indices) == list(act.elements)
+            assert sorted(indices.values()) == list(range(len(act.elements)))
 
 
 class TestDeckQuotient:

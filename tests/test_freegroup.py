@@ -1,6 +1,7 @@
 import builtins
 import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,10 @@ from procover import (
     translation_kernel_rep,
 )
 from procover import freegroup
+from procover.freegroup import DEFAULT_MAX_WORK
 from procover.freegroup import NotTransitiveError, normalizer_points
 from helpers import (
+    all_points_is_normal,
     brute_force_canonical_keys,
     canonical_key_equivalent,
     cyclic_rep,
@@ -29,6 +32,7 @@ from helpers import (
     normal_tables_oracle,
     recursive_canonical_tables,
     recursive_subgroup_count,
+    refusal_oracle,
     relabelled,
     schreier_is_normal,
     schreier_pushforward_leq,
@@ -306,6 +310,28 @@ class TestLowIndex:
         assert "at least 35134660 subgroups (those of degree <= 10)" \
             in str(err.value)
 
+    @pytest.mark.parametrize("rank", list(range(1, 71)) + [10 ** 5])
+    def test_refusal_matches_the_summing_oracle(self, rank):
+        for max_degree in (1, 2, 3, 6):
+            for max_work in (-1, 0, 1, 2, 1000, 2 ** 62, DEFAULT_MAX_WORK):
+                want = refusal_oracle(rank, max_degree, max_work)
+                if want is None:
+                    # accepted: enumerate only when that is cheap
+                    if max_work <= 1000 and rank <= 70:
+                        low_index_reps(rank, max_degree, max_work=max_work)
+                    continue
+                with pytest.raises(ResourceLimitError) as err:
+                    low_index_reps(rank, max_degree, max_work=max_work)
+                assert str(err.value) == want
+
+    def test_huge_rank_is_refused_before_any_count(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(10 ** 9, 3)
+        assert time.perf_counter() - start < 0.1
+        assert "at least 2^1000000000 subgroups (those of degree <= 2)" \
+            in str(err.value)
+
     def test_guard_message_at_a_count_too_long_to_print(self):
         # 1 + (2^20000 - 1) subgroups of index <= 2: more digits than
         # Python prints, so the refusal must not print the count in decimal
@@ -335,7 +361,7 @@ class TestSearchAgainstRecursiveOracle:
                 for t in normal_tables_oracle(rank, d)]
         reps = low_index_reps(rank, max_degree, normal_only=True)
         assert [rep.perms for rep in reps] == want
-        assert all(rep._normal for rep in reps)
+        assert all(is_normal(rep) for rep in reps)
 
     def test_every_index_two_subgroup_is_normal(self):
         assert len(low_index_reps(10, 2, normal_only=True)) == 2 ** 10
@@ -506,8 +532,16 @@ class TestKernelReps:
         assert subgroup_leq(rep, translation_kernel_rep(2, 2))
 
     def test_guard(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as err:
             translation_kernel_rep(2, 4, max_work=10)
+        assert str(err.value) == "degree 16 exceeds the work bound 10"
+
+    def test_guard_at_a_degree_too_long_to_print(self):
+        # 10^4400 has more digits than Python prints in decimal
+        with pytest.raises(ResourceLimitError) as err:
+            translation_kernel_rep(2, 10 ** 2200)
+        assert str(err.value) == ("degree 2^14616 exceeds the work bound %d"
+                                  % DEFAULT_MAX_WORK)
 
 
 # every subgroup of rank 1 and index <= 6, rank 2 and index <= 4, rank 3
@@ -564,6 +598,20 @@ class TestForcedMapAgainstOracles:
     @given(pushforward_cases())
     def test_pushforward(self, case):
         assert pushforward_leq(*case) == schreier_pushforward_leq(*case)
+
+    @pytest.mark.parametrize("rank, max_degree",
+                             [(1, 8), (2, 6), (3, 4), (4, 3), (5, 3)])
+    def test_is_normal_matches_the_all_points_oracle(self, rank, max_degree):
+        for rep in low_index_reps(rank, max_degree):
+            assert is_normal(rep) == all_points_is_normal(rep)
+
+    def test_is_normal_on_translation_kernels(self):
+        for rank, modulus in ((1, 7), (2, 2), (2, 5), (3, 3), (4, 2), (2, 12)):
+            rep = translation_kernel_rep(rank, modulus)
+            assert is_normal(rep) and all_points_is_normal(rep)
+            for c in (1, rep.degree - 1):
+                conjugate = relabelled(rep, c, random.Random(c))
+                assert is_normal(conjugate) and all_points_is_normal(conjugate)
 
     def test_normalizer_points_of_every_rank_two_table(self):
         rng = random.Random(2)

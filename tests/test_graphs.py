@@ -92,7 +92,6 @@ class TestSpanningTree:
         t1 = pc.spanning_tree(g, "v0")
         t2 = pc.spanning_tree(g, "v0")
         assert t1.tree_darts == t2.tree_darts
-        assert t1.order == t2.order
         assert t1.parent_dart == t2.parent_dart
 
     def test_errors(self):
@@ -238,7 +237,7 @@ class TestInducedMap:
         with pytest.raises(InducedMapError) as err:
             induced_quotient_map(f, mod2, Congruence.diagonal(f.codomain))
         assert err.value.witness == ("v0", "v2")
-        assert err.value.sort == "vertex"
+        assert str(err.value).startswith("vertices ")
 
 
 class TestMorphismAlgebra:

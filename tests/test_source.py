@@ -83,17 +83,47 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def imported_modules(tree: ast.Module) -> set:
+    """The names a library module binds to modules: those an ``import``
+    statement binds, and those a package-relative ``from . import x``
+    binds (a relative import with no module names submodules)."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module is None)
+            for alias in node.names}
+
+
+def field_reads(tree: ast.Module) -> set:
+    """The attribute names a library module loads as values.
+
+    A load does not count when it is called (``names.sort()``), when it is
+    made through ``args``, the command line's parsed arguments
+    (``args.top``), or when it is made through a module (``os.path``): none
+    of these reads a field of a library object.
+    """
+    modules = imported_modules(tree) | {"args"}
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in called
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in modules)}
+
+
 def test_every_instance_field_is_read():
     """Every ``self.<name> = ...`` in a top-level class, and every field of
     a top-level dataclass, is read as an attribute by a library module
     other than ``__init__.py``, or named in a ``README.md`` code span.
+    Reads are counted by :func:`field_reads`.
 
     State that nothing reads costs memory on every instance and hides what
     the object is for.
     """
-    read = {node.attr for name, tree in library_trees() if name != "__init__.py"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*(field_reads(tree) for name, tree in library_trees()
+                         if name != "__init__.py"))
     documented = readme_words()
     unread = []
     for name, tree in library_trees():

@@ -147,8 +147,10 @@ class TestGoodPairs:
     def test_top_level_pair_is_diagonal(self):
         t = pro2_tower(2)
         record = kernel_good_pairs(t, 2)[-1]
-        assert record.cover_congruence == Congruence.diagonal(t.cover_graph(2))
-        assert record.base_congruence == Congruence.diagonal(t.base_graph(2))
+        assert record == classify_pair(
+            t.coverings[2].map, Congruence.diagonal(t.cover_graph(2)),
+            Congruence.diagonal(t.base_graph(2)), level=2)
+        assert record.verdict == "regular_good" and record.witness is None
 
     def test_diagonal_pair_regular_iff_cover_regular(self):
         from procover import cover_from_subgroup
