@@ -11,15 +11,18 @@ Deck groups and regularity rest on one test.  For a connected cover with
 monodromy subgroup H at a fiber point, the deck transformations correspond
 to the fiber points whose stabilizer equals H, that is to N(H)/H, and the
 cover is regular exactly when every fiber point qualifies (H is normal).
-Those points are read off the monodromy action by
-:func:`~procover.freegroup.normalizer_points`; no lift is attempted at a
-point that cannot carry a deck transformation.
+Those points are the orbit of the fiber's first point under the
+automorphisms of the monodromy action
+(:func:`~procover.freegroup.normalizer_points`), and each deck
+transformation is built from its automorphism by transport along the
+sheets, with no lift.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import eq
 from typing import Iterable, Mapping
 
@@ -35,7 +38,7 @@ from .graphs import (
     quotient,
     spanning_tree,
 )
-from .freegroup import FreeWord, PermRep, normalizer_points
+from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
 
 
 class NotACoveringError(VerdictError):
@@ -110,21 +113,22 @@ def as_covering(f: GraphMorphism) -> Covering:
     Raises NotACoveringError with the first failing vertex otherwise.
     """
     dom, cod = f.domain, f.codomain
+    vmap, dmap = f.vmap, f.dmap
+    below = {u: frozenset(star) for u, star in cod._star.items()}
     lifts = {}
-    for v in dom.vertices:
-        star = dom.star(v)
-        over = lifts[v] = {f.dmap[d]: d for d in star}
+    for v, star in dom._star.items():
+        over = lifts[v] = dict(zip(map(dmap.__getitem__, star), star))
         if len(over) != len(star):
             raise NotACoveringError(v, "two darts at the vertex have the same image")
-        below = cod.star(f.vmap[v])
-        if over.keys() != set(below):
+        u = vmap[v]
+        if over.keys() != below[u]:
             raise NotACoveringError(
                 v, "star maps onto %d of %d darts at %r"
-                % (len(star), len(below), f.vmap[v]))
+                % (len(star), len(below[u]), u))
     vertex_fibers = {u: [] for u in cod.vertices}
     for v in dom.vertices:
-        vertex_fibers[f.vmap[v]].append(v)
-    vertex_fibers = {u: tuple(sorted(vs)) for u, vs in vertex_fibers.items()}
+        vertex_fibers[vmap[v]].append(v)
+    vertex_fibers = {u: tuple(vs) for u, vs in vertex_fibers.items()}
     component_degrees = []
     for comp in components(cod):
         sizes = {len(vertex_fibers[u]) for u in comp}
@@ -161,10 +165,6 @@ class Pi1Data:
         if d in self.tree.tree_darts:
             return None
         return self._letter[d]
-
-    def voltage(self, d: str) -> FreeWord:
-        lt = self.letter(d)
-        return FreeWord() if lt is None else FreeWord((lt,))
 
     def basis_loop(self, k: int) -> tuple[str, ...]:
         """The closed path at the basepoint representing generator x_k:
@@ -226,25 +226,24 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
         raise ValueError("rep rank %d does not match the base rank %d"
                          % (rep.rank, p.rank))
     n = rep.degree
-
-    def vert(v, s):
-        return "%s@%d" % (v, s)
-
-    vertices = [vert(v, s) for v in base.vertices for s in range(n)]
-    darts, src, inv = [], {}, {}
-    vmap, dmap = {}, {}
-    for v in base.vertices:
-        for s in range(n):
-            vmap[vert(v, s)] = v
+    sheets = range(n)
+    # each sheet name is formatted once; vertices, vmap and src share it
+    names = {v: ["%s@%d" % (v, s) for s in sheets] for v in base.vertices}
+    vertices, vmap = [], {}
+    for v, row in names.items():
+        vertices += row
+        vmap.update(dict.fromkeys(row, v))
+    darts, src, inv, dmap = [], {}, {}, {}
     for d, e in base.dart_pairs():
         stem = edge_stem(d, e)
-        w = p.voltage(d)
-        for s in range(n):
-            q = rep.act(s, w)
+        # the sheet move of the pair: its voltage is one letter or none
+        lt = p.letter(d)
+        move = sheets if lt is None else rep.move(lt)
+        at_d, at_e = names[base.src[d]], names[base.src[e]]
+        for s in sheets:
             pos, neg = "%s@%d+" % (stem, s), "%s@%d-" % (stem, s)
-            darts += [pos, neg]
-            src[pos] = vert(base.src[d], s)
-            src[neg] = vert(base.src[e], q)
+            darts += (pos, neg)
+            src[pos], src[neg] = at_d[s], at_e[move[s]]
             inv[pos], inv[neg] = neg, pos
             dmap[pos], dmap[neg] = d, e
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
@@ -253,7 +252,7 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     if not is_connected(cover):
         raise RuntimeError("transitive action gave a disconnected cover "
                            "(internal error)")
-    return cover, vert(basepoint, 0), cov
+    return cover, names[basepoint][0], cov
 
 
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
@@ -382,35 +381,69 @@ class DeckGroup:
         return bool(s) and all(self.table[i][j] in s for i in s for j in s)
 
 
-def _first_fiber_monodromy(c: Covering) -> tuple[str, PermRep]:
-    """The first vertex ``a0`` of a connected cover over a connected base
-    and the monodromy action on its fiber, with fiber point k labelled k
+def _first_fiber_monodromy(c: Covering) -> tuple[str, Pi1Data, PermRep]:
+    """The first vertex ``a0`` of a connected cover over a connected base,
+    the free-group coordinates of the base at the image of ``a0``, and the
+    monodromy action on the fiber of ``a0``, with fiber point k labelled k
     (``a0`` is the least vertex, so it is label 0)."""
     if not c.domain.vertices:
         raise ValueError("the cover has no vertices")
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
-    return a0, image_subgroup(c, a0, pi1_data(c.codomain, c.map.vmap[a0]))
+    p = pi1_data(c.codomain, c.map.vmap[a0])
+    return a0, p, image_subgroup(c, a0, p)
 
 
 def deck_group(c: Covering) -> DeckGroup:
     """All covering transformations of a connected cover of a connected base.
 
-    A deck transformation is the unique lift of the covering through itself
-    sending the first vertex ``a0`` to a fiber point whose stabilizer under
-    monodromy equals that of ``a0``; those points are the cosets of the
-    image subgroup in its normalizer (:func:`normalizer_points`), in fiber
-    order with the identity first.  One lift is made per such point, and
-    the composition table is read off the images of ``a0``.
+    A deck transformation is fixed by the fiber point it sends the first
+    vertex ``a0`` to, and on that fiber it acts as the automorphism of the
+    monodromy action with that image of 0: the deck group is N(H)/H, and
+    its elements come in the fiber order of the normalizer points
+    (:func:`normalizer_points`), the identity first.  Each one is built
+    from its automorphism by sheet transport: over every base vertex ``v``,
+    ``ends[v][k]`` is the end of the lift of the spanning-tree path to
+    ``v`` that starts at fiber point k, and the element sends that vertex
+    to ``ends[v][phi[k]]`` and each dart at it to the dart over the same
+    base dart at the image, so it covers the covering map by construction.
+    Every element is checked as a morphism that fixes nothing (the
+    identity aside), and the composition table is read off the images of
+    ``a0``.
     """
-    a0, rep = _first_fiber_monodromy(c)
-    fiber = c.vertex_fibers[c.map.vmap[a0]]
-    try:
-        elements = [lift(c.map, c, a0, fiber[k]) for k in normalizer_points(rep)]
-    except LiftObstruction as exc:
-        raise RuntimeError("no deck transformation at a normalizer point "
-                           "(internal error)") from exc
+    a0, p, rep = _first_fiber_monodromy(c)
+    base, cover = c.codomain, c.domain
+    lifts, src, inv = c.lifts, cover.src, cover.inv
+    # sheet transport along the spanning tree of the monodromy step, rooted
+    # at the image of a0: ends[v][k] is the vertex over v in sheet k.  The
+    # tree's parent darts are held in breadth-first order, so each parent
+    # is reached before its children
+    ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
+    for w, up in p.tree.parent_dart.items():
+        down = base.inv[up]
+        ends[w] = [src[inv[lifts[u][down]]] for u in ends[base.src[down]]]
+    # the dart over base dart d in sheet k starts at the vertex of sheet k,
+    # so a deck element moves the sheets of darts as it moves vertices
+    vrows = list(ends.values())
+    drows = [[lifts[u][d] for u in ends[base.src[d]]] for d in base.darts]
+    vertices = list(chain.from_iterable(vrows))
+    darts = list(chain.from_iterable(drows))
+
+    def moved(rows, phi):
+        return chain.from_iterable(map(row.__getitem__, phi) for row in rows)
+
+    automorphisms = _automorphisms(rep)
+    elements = []
+    for k in sorted(automorphisms):
+        phi = automorphisms[k]
+        hv = dict(zip(vertices, moved(vrows, phi)))
+        hd = dict(zip(darts, moved(drows, phi)))
+        try:
+            elements.append(GraphMorphism(cover, cover, hv, hd))
+        except GraphError as exc:
+            raise RuntimeError("no deck transformation at a normalizer point "
+                               "(internal error)") from exc
     for h in elements[1:]:
         if any(map(eq, h.vmap, h.vmap.values())) or \
                 any(map(eq, h.dmap, h.dmap.values())):
@@ -471,7 +504,7 @@ def is_regular(c: Covering) -> RegularityReport:
     (:func:`normalizer_points`), and the cover is regular exactly when that
     is the whole fiber.  No deck transformation is constructed.
     """
-    _a0, rep = _first_fiber_monodromy(c)
+    _a0, _p, rep = _first_fiber_monodromy(c)
     deck_order = len(normalizer_points(rep))
     regular = deck_order == c.degree
     return RegularityReport(regular=regular, degree=c.degree,

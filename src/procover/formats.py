@@ -88,9 +88,15 @@ def _edge_table(g: FiniteGraph) -> list[tuple[str, str, str]]:
     return [(edge_stem(pos, neg), pos, neg) for pos, neg in g.dart_pairs()]
 
 
-def _dart_refs(g: FiniteGraph) -> dict[str, tuple[str, bool]]:
+def _edge_index(edges) -> dict[str, tuple[str, str]]:
+    """{edge id: (positive dart, negative dart)} of an edge table."""
+    return {eid: (pos, neg) for eid, pos, neg in edges}
+
+
+def _dart_refs(edges) -> dict[str, tuple[str, bool]]:
+    """{dart: (edge id, whether it is the negative dart)} of an edge table."""
     refs = {}
-    for eid, pos, neg in _edge_table(g):
+    for eid, pos, neg in edges:
         refs[pos] = (eid, False)
         refs[neg] = (eid, True)
     return refs
@@ -136,38 +142,42 @@ def save_graph(path: str, g: FiniteGraph) -> None:
 
 # -- morphisms ---------------------------------------------------------------
 
-def _maps_to_obj(f: GraphMorphism) -> dict:
-    refs = _dart_refs(f.codomain)
+def _maps_to_obj(f: GraphMorphism, domain_edges, codomain_refs) -> dict:
+    """The map entries of ``f``, given the edge table of its domain and the
+    dart references of its codomain (built once per document)."""
     edge_map = {}
-    for eid, pos, _neg in _edge_table(f.domain):
-        target, flip = refs[f.dmap[pos]]
+    for eid, pos, _neg in domain_edges:
+        target, flip = codomain_refs[f.dmap[pos]]
         edge_map[eid] = {"edge": target, "flip": flip}
     return {"vertex_map": dict(f.vmap), "edge_map": edge_map}
 
 
-def _maps_from_obj(obj, domain: FiniteGraph, codomain: FiniteGraph):
+def _maps_from_obj(obj, domain_edges, codomain_index):
+    """The vertex and dart maps of a map document, given the edge table of
+    its domain and the edge index of its codomain (built once per
+    document)."""
     vmap = _get(obj, "vertex_map", dict)
     if not all(isinstance(v, str) for v in vmap.values()):
         raise FormatError("vertex_map values must be vertex ids")
     edge_entries = _get(obj, "edge_map", dict)
-    cod_edges = {eid: (pos, neg) for eid, pos, neg in _edge_table(codomain)}
     dmap = {}
-    for eid, pos, neg in _edge_table(domain):
+    for eid, pos, neg in domain_edges:
         if eid not in edge_entries:
             raise FormatError("edge_map is missing edge %r" % eid)
         entry = edge_entries[eid]
         target = _get(entry, "edge", str)
         flip = _get(entry, "flip", bool)
-        if target not in cod_edges:
+        if target not in codomain_index:
             raise FormatError("edge_map sends %r to unknown edge %r" % (eid, target))
-        tpos, tneg = cod_edges[target]
+        tpos, tneg = codomain_index[target]
         dmap[pos], dmap[neg] = ((tneg, tpos) if flip else (tpos, tneg))
     return vmap, dmap
 
 
 def morphism_to_obj(f: GraphMorphism, embed_graphs: bool = True) -> dict:
     obj = {"format": MORPHISM_FORMAT}
-    obj.update(_maps_to_obj(f))
+    obj.update(_maps_to_obj(f, _edge_table(f.domain),
+                            _dart_refs(_edge_table(f.codomain))))
     if embed_graphs:
         obj["domain"] = graph_to_obj(f.domain)
         obj["codomain"] = graph_to_obj(f.codomain)
@@ -185,7 +195,8 @@ def morphism_from_obj(obj, domain: FiniteGraph | None = None,
         if "codomain" not in obj:
             raise FormatError("morphism document has no codomain graph")
         codomain = graph_from_obj(obj["codomain"])
-    vmap, dmap = _maps_from_obj(obj, domain, codomain)
+    vmap, dmap = _maps_from_obj(obj, _edge_table(domain),
+                                _edge_index(_edge_table(codomain)))
     try:
         return GraphMorphism(domain, codomain, vmap, dmap)
     except GraphError as exc:
@@ -203,7 +214,7 @@ def save_morphism(path: str, f: GraphMorphism) -> None:
 # -- congruences --------------------------------------------------------------
 
 def congruence_to_obj(r: Congruence) -> dict:
-    refs = _dart_refs(r.base)
+    refs = _dart_refs(_edge_table(r.base))
     edge_classes = []
     seen = set()
     for cls in r.dart_classes:
@@ -225,7 +236,7 @@ def congruence_to_obj(r: Congruence) -> dict:
 
 def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
     _expect(obj, CONGRUENCE_FORMAT)
-    edges = {eid: (pos, neg) for eid, pos, neg in _edge_table(base)}
+    edges = _edge_index(_edge_table(base))
     dart_classes = set()
     vertex_classes = _get(obj, "vertex_classes", list)
     if not all(isinstance(c, list) and all(isinstance(v, str) for v in c)
@@ -301,10 +312,13 @@ def save_rep(path: str, rep: PermRep) -> None:
 # -- group actions -------------------------------------------------------------
 
 def action_to_obj(act: GroupAction) -> dict:
+    edges = _edge_table(act.graph)
+    refs = _dart_refs(edges)
     return {
         "format": ACTION_FORMAT,
         "elements": [str(g) for g in act.elements],
-        "maps": {str(g): _maps_to_obj(act.morphisms[g]) for g in act.elements},
+        "maps": {str(g): _maps_to_obj(act.morphisms[g], edges, refs)
+                 for g in act.elements},
     }
 
 
@@ -316,9 +330,11 @@ def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
     maps = _get(obj, "maps", dict)
     if set(names) != set(maps):
         raise FormatError("elements and maps disagree")
+    edges = _edge_table(graph)
+    index = _edge_index(edges)
     morphisms = {}
     for g in names:
-        vmap, dmap = _maps_from_obj(maps[g], graph, graph)
+        vmap, dmap = _maps_from_obj(maps[g], edges, index)
         try:
             morphisms[g] = GraphMorphism(graph, graph, vmap, dmap)
         except GraphError as exc:

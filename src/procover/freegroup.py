@@ -20,12 +20,14 @@ map 0 -> c forced by its defined edges fails to be well defined, because
 the action of a normal subgroup has an automorphism 0 -> c for every c.
 
 That forced-map test (:func:`_forced_map`) asks whether the coset map
-0 -> c extends along the moves of one table into another.  From a table
-into itself it passes exactly for the cosets of H in its normalizer N(H)
-(:func:`normalizer_points`), which the search, deck groups and regularity
-read, and :func:`is_normal` tries it at the generators' images of 0; into
-another table with c = 0 it decides containment, equality and the
-containment of an image.
+0 -> c extends along the moves of one table into another, and returns the
+map when it does.  From a table into itself it passes exactly for the
+cosets of H in its normalizer N(H), and the maps it returns are the
+automorphisms of the action, a group acting freely on the points whose
+orbit of 0 is N(H)/H (:func:`normalizer_points`).  The search prunes with
+it, :func:`is_normal` tries it at the generators' images of 0, deck groups
+read the automorphisms themselves, and into another table with c = 0 it
+decides containment, equality and the containment of an image.
 """
 
 from __future__ import annotations
@@ -254,6 +256,12 @@ class PermRep:
                     order.append(b)
         return order
 
+    def move(self, letter: tuple[int, int]) -> tuple[int, ...]:
+        """The permutation of the points by the letter ``(i, sign)``: x_i,
+        or its inverse for a negative sign."""
+        i, s = letter
+        return self._moves[2 * i + (s < 0)]
+
     def act(self, point: int, w: FreeWord) -> int:
         """Right action on cosets: act(p, uv) = act(act(p, u), v)."""
         if not 0 <= point < self.degree:
@@ -335,7 +343,8 @@ def subgroup_leq(h: PermRep, k: PermRep) -> bool:
     """
     if h.rank != k.rank:
         raise ValueError("rank mismatch: %d vs %d" % (h.rank, k.rank))
-    return _forced_map(list(zip(h._moves, k._moves)), h.degree, 0)
+    pairs = list(zip(h._moves, k._moves))
+    return _forced_map(pairs, h.degree, 0) is not None
 
 
 def is_normal(rep: PermRep) -> bool:
@@ -355,10 +364,72 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
 
     These are the cosets of H = Stab(0) in its normalizer, so there are
     [N(H) : H] of them; 0 is always first.  Each one is the image of 0
-    under exactly one automorphism of the action.
+    under exactly one automorphism of the action, and together they are
+    the orbit of 0 under the automorphisms (:func:`_normalizer_generators`).
+    """
+    return tuple(sorted(_normalizer_generators(rep)[1]))
+
+
+def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
+    """Automorphisms of the action that generate all of them, as image
+    lists, and the orbit of 0 under them: the normalizer points.
+
+    The automorphisms form a group acting freely on the points, and the
+    normalizer points are the orbit of 0.  Points are tried in increasing
+    order, skipping those the orbit already holds.  A point whose forced
+    map extends adds a generator and the orbit grows; a point whose map
+    fails lies outside the orbit, and so does its whole orbit under the
+    generators found so far (g(c) = h(0) would put c = g^-1 h(0) in it), so
+    those points are skipped too.
     """
     pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
-    return (0,) + tuple(c for c in range(1, n) if _forced_map(pairs, n, c))
+    gens: list[list[int]] = []
+    orbit, outside = {0}, set()
+    for c in range(1, n):
+        if c in orbit or c in outside:
+            continue
+        phi = _forced_map(pairs, n, c)
+        if phi is None:
+            outside |= _orbit(c, gens)
+        else:
+            gens.append(phi)
+            orbit = _orbit(0, gens)
+    return gens, orbit
+
+
+def _orbit(point: int, gens: list[list[int]]) -> set[int]:
+    """The orbit of ``point`` under the group the image lists generate (a
+    finite group: forward images suffice)."""
+    seen = {point}
+    order = [point]
+    for a in order:
+        for g in gens:
+            b = g[a]
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    return seen
+
+
+def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
+    """Every automorphism of the action as {image of 0: image list}, one
+    per normalizer point.
+
+    The generators of :func:`_normalizer_generators` are closed into the
+    group by composing image lists, breadth first from the identity; an
+    automorphism is fixed by its image of 0, so each composite is built
+    only when that image is new.
+    """
+    gens = _normalizer_generators(rep)[0]
+    group = {0: list(range(rep.degree))}
+    queue = [group[0]]
+    for g in queue:
+        for s in gens:
+            c = s[g[0]]
+            if c not in group:
+                group[c] = h = list(map(s.__getitem__, g))
+                queue.append(h)
+    return group
 
 
 def rep_equivalent(a: PermRep, b: PermRep) -> bool:
@@ -386,7 +457,8 @@ def pushforward_leq(n_src: PermRep, images: GeneratorImages,
     for w in images.images:
         t = tuple(n_tgt.act(p, w) for p in points)
         pulled += (t, tuple(sorted(points, key=t.__getitem__)))
-    return _forced_map(list(zip(n_src._moves, pulled)), n_src.degree, 0)
+    pairs = list(zip(n_src._moves, pulled))
+    return _forced_map(pairs, n_src.degree, 0) is not None
 
 
 @lru_cache(maxsize=None)
@@ -409,16 +481,19 @@ def _factorial_power(n: int, exponent: int) -> int:
     return factorial(n) ** exponent
 
 
-def _forced_map(pairs, n: int, c: int) -> bool:
-    """Whether 0 -> c extends to a map from the points of ``src`` to those
-    of ``dst`` commuting with every move defined at both ends.
+def _forced_map(pairs, n: int, c: int) -> list[int] | None:
+    """The map from the points of ``src`` to those of ``dst`` that sends
+    0 -> c and commutes with every move defined at both ends, as its list
+    of images (-1 where 0 does not reach), or None when no such map exists.
 
     ``pairs`` is ``list(zip(src, dst))``, zipped once by the caller: the
     tables are in scan order (x0, x0^-1, x1, ...), -1 marking an entry
     not yet defined, and ``src`` uses the points 0..n-1.  On complete
-    tables with ``src`` transitive, passing means Stab_src(0) <= Stab_dst(c);
-    for ``src`` = ``dst`` the indices agree, so Stab(0) = Stab(c).  On a
-    partial table a failure rules out every completion with Stab(0) = Stab(c).
+    tables with ``src`` transitive, a map means Stab_src(0) <= Stab_dst(c);
+    for ``src`` = ``dst`` the indices agree, so Stab(0) = Stab(c) and the
+    map is the automorphism of the action sending 0 to c.  On a partial
+    table None rules out every completion with Stab(0) = Stab(c).  Callers
+    that want a yes or no read its truth value: the list is never empty.
     """
     image = [-1] * n
     image[0] = c
@@ -433,8 +508,8 @@ def _forced_map(pairs, n: int, c: int) -> bool:
                 image[b] = mb
                 queue.append(b)
             elif image[b] != mb:
-                return False
-    return True
+                return None
+    return image
 
 
 def _canonical_tables(rank: int, degree: int, normal_only: bool):
@@ -527,15 +602,17 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
 
     def refuse(count: str, n: int):
         return ResourceLimitError(
-            "enumeration of rank %d, degree <= %d would visit at least %s "
-            "subgroups (those of degree <= %d), above the work bound %d; "
+            "enumeration of rank %s, degree <= %s would visit at least %s "
+            "subgroups (those of degree <= %d), above the work bound %s; "
             "raise max_work to proceed"
-            % (rank, max_degree, count, n, max_work))
+            % (_decimal(rank), _decimal(max_degree), count, n,
+               _decimal(max_work)))
 
     if rank >= 1 and max_degree >= 2 and max_work >= 1 \
             and rank >= max_work.bit_length():
         # 1 <= max_work < 2^rank: degree 1 passes, the total at 2 does not
-        raise refuse("2^%d" % rank if rank >= 64 else _count(1 << rank), 2)
+        raise refuse("2^%s" % _decimal(rank) if rank >= 64
+                     else _count(1 << rank), 2)
     predicted = 0
     for n in range(1, max_degree + 1):
         predicted += subgroup_count(rank, n)
@@ -556,6 +633,16 @@ def _count(n: int) -> str:
     return "%d" % n if n.bit_length() <= 64 else "2^%d" % (n.bit_length() - 1)
 
 
+def _decimal(n: int) -> str:
+    """An argument for a refusal message: in decimal, unless Python will not
+    print it (more than 4300 digits), and then as the power of two below
+    its magnitude, so that the refusal itself cannot fail."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return "%s2^%d" % ("-" if n < 0 else "", abs(n).bit_length() - 1)
+
+
 def translation_kernel_rep(rank: int, modulus: int,
                            max_work: int = DEFAULT_MAX_WORK) -> PermRep:
     """Action of the free group on (Z/modulus)^rank by coordinate shifts.
@@ -569,7 +656,8 @@ def translation_kernel_rep(rank: int, modulus: int,
     degree = modulus ** rank
     if degree > max_work:
         raise ResourceLimitError(
-            "degree %s exceeds the work bound %d" % (_count(degree), max_work))
+            "degree %s exceeds the work bound %s"
+            % (_count(degree), _decimal(max_work)))
     perms = []
     for i in range(rank):
         step = modulus ** i

@@ -95,15 +95,14 @@ class FiniteGraph:
             extra = mapping.keys() - self._dart_set
             if extra:
                 raise GraphError("%s defined on unknown dart %r" % (label, sorted(extra)[0]))
+        sources = tuple(map(self.src.__getitem__, self.darts))
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for d in self.darts:
-            v = self.src[d]
+        for d, v in zip(self.darts, sources):
             if v in star:
                 star[v].append(d)
         self._star = {v: tuple(ds) for v, ds in star.items()}
-        self._key = (self.vertices, self.darts,
-                     tuple(self.src[d] for d in self.darts),
-                     tuple(self.inv[d] for d in self.darts))
+        self._key = (self.vertices, self.darts, sources,
+                     tuple(map(self.inv.__getitem__, self.darts)))
         self._components: tuple[tuple[str, ...], ...] | None = None
 
     @classmethod
@@ -217,6 +216,7 @@ def components(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
 
 
 def _component_partition(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
+    star, src, inv = g._star, g.src, g.inv
     seen: set[str] = set()
     comps = []
     for v in g.vertices:
@@ -224,15 +224,16 @@ def _component_partition(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
             continue
         comp = [v]
         seen.add(v)
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for d in g.star(x):
-                w = g.target(d)
+        for x in comp:  # breadth first: comp grows as it is read
+            try:
+                darts = star[x]
+            except KeyError:
+                raise GraphError("unknown vertex %r" % x) from None
+            for d in darts:
+                w = src[inv[d]]
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-                    queue.append(w)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
 

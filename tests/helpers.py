@@ -14,6 +14,7 @@ from procover.cli import Report
 from procover.covering import _deck_subgroup
 from procover.formats import REPORT_FORMAT, FormatError
 from procover.freegroup import NotTransitiveError, _forced_map
+from procover.graphs import edge_stem
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
@@ -493,6 +494,122 @@ def composed_deck_oracle(cov: pc.Covering):
                          if pc.compose(hi, hj) == ident)
                     for hi in elements)
     return tuple(elements), table, inverse
+
+
+def per_point_normalizer_points(rep: pc.PermRep) -> tuple:
+    """Oracle for ``normalizer_points``: the search it replaced, which runs
+    the forced map 0 -> c from every point c."""
+    pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+    return (0,) + tuple(c for c in range(1, n)
+                        if _forced_map(pairs, n, c) is not None)
+
+
+def lift_deck_group(c: pc.Covering) -> pc.DeckGroup:
+    """Oracle for ``pc.deck_group``: the construction it replaced, which
+    finds the normalizer points with one forced map per fiber point and
+    then lifts the covering map through itself once per point, with the
+    same checks on the elements, table and order."""
+    if not pc.is_connected(c.domain) or not pc.is_connected(c.codomain):
+        raise ValueError("cover and base must be connected")
+    a0 = c.domain.vertices[0]
+    rep = pc.image_subgroup(c, a0, pc.pi1_data(c.codomain, c.map.vmap[a0]))
+    fiber = c.vertex_fibers[c.map.vmap[a0]]
+    elements = [pc.lift(c.map, c, a0, fiber[k])
+                for k in per_point_normalizer_points(rep)]
+    for h in elements[1:]:
+        assert all(a != b for a, b in h.vmap.items())
+        assert all(d != e for d, e in h.dmap.items())
+    at = {h.vmap[a0]: i for i, h in enumerate(elements)}
+    table = [[at[hi.vmap[hj.vmap[a0]]] for hj in elements] for hi in elements]
+    assert c.degree % len(elements) == 0
+    return pc.DeckGroup(c, elements, table)
+
+
+def old_as_covering(f: pc.GraphMorphism) -> pc.Covering:
+    """Oracle for ``pc.as_covering``: the recognizer it replaced, which
+    walks the sorted vertices, asks the graphs for each star and compares
+    each image star with a fresh set."""
+    dom, cod = f.domain, f.codomain
+    lifts = {}
+    for v in dom.vertices:
+        star = dom.star(v)
+        over = lifts[v] = {f.dmap[d]: d for d in star}
+        if len(over) != len(star):
+            raise pc.NotACoveringError(
+                v, "two darts at the vertex have the same image")
+        below = cod.star(f.vmap[v])
+        if over.keys() != set(below):
+            raise pc.NotACoveringError(
+                v, "star maps onto %d of %d darts at %r"
+                % (len(star), len(below), f.vmap[v]))
+    vertex_fibers = {u: [] for u in cod.vertices}
+    for v in dom.vertices:
+        vertex_fibers[f.vmap[v]].append(v)
+    vertex_fibers = {u: tuple(sorted(vs)) for u, vs in vertex_fibers.items()}
+    component_degrees = []
+    for comp in pc.components(cod):
+        sizes = {len(vertex_fibers[u]) for u in comp}
+        assert len(sizes) == 1
+        component_degrees.append((comp[0], sizes.pop()))
+    sizes = {n for _, n in component_degrees}
+    degree = sizes.pop() if len(sizes) == 1 else None
+    return pc.Covering(f, lifts, vertex_fibers, degree, tuple(component_degrees))
+
+
+def old_cover_from_subgroup(base: pc.FiniteGraph, basepoint: str,
+                            rep: pc.PermRep):
+    """Oracle for ``pc.cover_from_subgroup``: the voltage construction it
+    replaced, which formats every name where it is used and moves each
+    sheet by running the dart's voltage word through ``rep.act``."""
+    p = pc.pi1_data(base, basepoint)
+    assert rep.rank == p.rank
+    n = rep.degree
+
+    def vert(v, s):
+        return "%s@%d" % (v, s)
+
+    vertices = [vert(v, s) for v in base.vertices for s in range(n)]
+    darts, src, inv = [], {}, {}
+    vmap, dmap = {}, {}
+    for v in base.vertices:
+        for s in range(n):
+            vmap[vert(v, s)] = v
+    for d, e in base.dart_pairs():
+        stem = edge_stem(d, e)
+        lt = p.letter(d)
+        w = pc.FreeWord() if lt is None else pc.FreeWord((lt,))
+        for s in range(n):
+            q = rep.act(s, w)
+            pos, neg = "%s@%d+" % (stem, s), "%s@%d-" % (stem, s)
+            darts += [pos, neg]
+            src[pos] = vert(base.src[d], s)
+            src[neg] = vert(base.src[e], q)
+            inv[pos], inv[neg] = neg, pos
+            dmap[pos], dmap[neg] = d, e
+    cover = pc.FiniteGraph(vertices, darts, src, inv, name=None)
+    proj = pc.GraphMorphism(cover, base, vmap, dmap)
+    return cover, vert(basepoint, 0), old_as_covering(proj)
+
+
+def dihedral_regular_rep(k: int) -> pc.PermRep:
+    """The regular action of the dihedral group of order 2k on itself by
+    right multiplication, generated by a rotation and a reflection: point
+    i + k*s is the element r^i f^s, so 0 is the identity."""
+    rot, ref = [0] * (2 * k), [0] * (2 * k)
+    for s in (0, 1):
+        for i in range(k):
+            rot[i + k * s] = (i + (1 if s == 0 else -1)) % k + k * s
+            ref[i + k * s] = i + k * (1 - s)
+    return pc.PermRep(2, 2 * k, [rot, ref])
+
+
+def three_vertex_base() -> pc.FiniteGraph:
+    """A rank-two graph on vertices a, b, c: the triangle with a second
+    edge from c to a.  Covers built at b have their least vertex a@0 over
+    a, not over the basepoint."""
+    return pc.FiniteGraph.from_edges(
+        ["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c"),
+                          ("ca", "c", "a"), ("ca2", "c", "a")], name="T2")
 
 
 def scanned_deck_hom(phi: pc.GraphMorphism, upper: pc.DeckGroup,

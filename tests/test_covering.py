@@ -29,6 +29,7 @@ from procover import (
     rep_equivalent,
     subgroup_leq,
 )
+from procover import covering
 from procover.freegroup import NotTransitiveError
 from helpers import (
     TableCheckedAction,
@@ -46,9 +47,13 @@ from helpers import (
     deck_closure,
     deck_inverse,
     deck_subgroups,
+    dihedral_regular_rep,
     fiber_transport,
     is_bijective,
     is_normal_deck_subgroup,
+    lift_deck_group,
+    old_as_covering,
+    old_cover_from_subgroup,
     pairwise_closure,
     path_graph,
     rejected_action_documents,
@@ -57,10 +62,12 @@ from helpers import (
     s3_regular_rep,
     small_deck_groups,
     theta_graph,
+    three_vertex_base,
     three_way_regularity_oracle,
     transport_basepoint,
     transport_monodromy,
     trivial_rep,
+    two_cycles,
     wrap_morphism,
 )
 
@@ -388,6 +395,172 @@ class TestDeckGroupOracle:
     @given(rank2_covers())
     def test_generated_covers(self, cov):
         self.check(cov)
+
+
+class TestDeckGroupBySheetTransport:
+    """``deck_group`` builds each element from its fiber automorphism; the
+    lift-based construction it replaced gives equal elements in the same
+    order and an equal table, and ``is_regular`` reads the same order."""
+
+    @staticmethod
+    def check(cov):
+        deck, want = deck_group(cov), lift_deck_group(cov)
+        assert deck.elements == want.elements
+        assert [h.vmap[cov.domain.vertices[0]] for h in deck.elements] == \
+            [h.vmap[cov.domain.vertices[0]] for h in want.elements]
+        assert deck.table == want.table
+        assert is_regular(cov).deck_order == deck.order
+        return deck
+
+    @pytest.mark.parametrize("base", [pc.bouquet_graph(2), theta_graph()],
+                             ids=["B2", "theta"])
+    def test_every_cover_of_degree_at_most_five(self, base):
+        orders = set()
+        for rep in low_index_reps(2, 5):
+            orders.add(self.check(cover_from_subgroup(base, "v0", rep)[2]).order)
+        assert orders == {1, 2, 3, 4, 5}
+
+    def test_translation_kernels(self):
+        for m in range(1, 9):
+            rep = pc.translation_kernel_rep(2, m)
+            deck = self.check(cover_from_subgroup(pc.bouquet_graph(2), "v0", rep)[2])
+            assert deck.order == m * m
+
+    def test_dihedral_regular_covers(self):
+        for k in range(2, 9):
+            for base in (pc.bouquet_graph(2), theta_graph()):
+                cov = cover_from_subgroup(base, "v0", dihedral_regular_rep(k))[2]
+                assert self.check(cov).order == 2 * k
+
+    def test_least_vertex_off_the_basepoint(self):
+        base = three_vertex_base()
+        reps = list(low_index_reps(2, 4)) + [pc.translation_kernel_rep(2, 3),
+                                             dihedral_regular_rep(3)]
+        for rep in reps:
+            cover, a, cov = cover_from_subgroup(base, "b", rep)
+            assert a == "b@0" and cover.vertices[0] == "a@0"
+            assert cov.map.vmap["a@0"] == "a"
+            self.check(cov)
+
+    def test_builds_no_lift(self, monkeypatch):
+        covs = [cov for _h, _base, cov in b2_covers()]
+        covs.append(cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                        pc.translation_kernel_rep(2, 4))[2])
+        wants = [lift_deck_group(cov) for cov in covs]
+
+        def no_lift(*args):
+            raise AssertionError("deck_group called lift")
+
+        monkeypatch.setattr(covering, "lift", no_lift)
+        for cov, want in zip(covs, wants):
+            deck = deck_group(cov)
+            assert deck.elements == want.elements and deck.table == want.table
+
+
+class TestConstructorsAgainstOracles:
+    """``cover_from_subgroup`` and ``as_covering`` against the constructions
+    they replaced: equal graphs, maps and lift tables, and on maps that are
+    not coverings the same failing vertex and reason."""
+
+    @staticmethod
+    def same_covering(got, want):
+        assert got.map == want.map
+        assert got.lifts == want.lifts and list(got.lifts) == list(want.lifts)
+        assert got.vertex_fibers == want.vertex_fibers
+        assert got.degree == want.degree
+        assert got.component_degrees == want.component_degrees
+
+    def check_cover(self, base, basepoint, rep):
+        cover, a, cov = cover_from_subgroup(base, basepoint, rep)
+        want_cover, want_a, want_cov = old_cover_from_subgroup(base, basepoint, rep)
+        assert cover == want_cover and a == want_a
+        assert cover.vertices == want_cover.vertices
+        self.same_covering(cov, want_cov)
+        # one string object per sheet name, shared by every table
+        names = {id(v) for v in cover.vertices}
+        assert {id(v) for v in cov.map.vmap} == names
+        assert {id(v) for v in cover.src.values()} <= names
+
+    def test_cover_from_subgroup(self):
+        for base in (pc.bouquet_graph(2), theta_graph()):
+            for rep in low_index_reps(2, 4):
+                self.check_cover(base, "v0", rep)
+        for rep in low_index_reps(2, 3):
+            self.check_cover(three_vertex_base(), "b", rep)
+        for rank, m in ((1, 6), (2, 5), (3, 2)):
+            self.check_cover(pc.bouquet_graph(rank), "v0",
+                             pc.translation_kernel_rep(rank, m))
+        self.check_cover(pc.cycle_graph(3), "v1", cyclic_rep(5))
+        self.check_cover(theta_graph(), "v0", dihedral_regular_rep(5))
+
+    def check_map(self, f):
+        """True when ``f`` is a covering, after comparing with the oracle."""
+        try:
+            want = old_as_covering(f)
+        except NotACoveringError as exc:
+            with pytest.raises(NotACoveringError) as err:
+                as_covering(f)
+            assert (err.value.vertex, err.value.reason) == (exc.vertex, exc.reason)
+            assert str(err.value) == str(exc)
+            return False
+        self.same_covering(as_covering(f), want)
+        return True
+
+    def test_as_covering_on_mutated_maps(self):
+        b2 = pc.bouquet_graph(2)
+        b2_darts = [("e0+", "e0-"), ("e1+", "e1-")]
+        rng = random.Random(14)
+        reasons, covers = set(), 0
+        for _h, _base, cov in b2_covers():
+            f = cov.map
+            assert self.check_map(f)
+            for _ in range(6):
+                dmap = dict(f.dmap)
+                for d, e in rng.sample(f.domain.dart_pairs(), rng.randint(1, 2)):
+                    x, y = rng.choice(b2_darts)
+                    dmap[d], dmap[e] = (x, y) if rng.random() < 0.5 else (y, x)
+                g = GraphMorphism(f.domain, b2, f.vmap, dmap)
+                if self.check_map(g):
+                    covers += 1
+                else:
+                    reasons.add(as_covering_reason(g))
+        # vertices of degree other than four never cover the bouquet
+        for graph in (theta_graph(), pc.cycle_graph(4), pc.bouquet_graph(3),
+                      cycle_with_loop(), path_graph(3)):
+            for _ in range(4):
+                dmap = {}
+                for d, e in graph.dart_pairs():
+                    x, y = rng.choice(b2_darts)
+                    dmap[d], dmap[e] = (x, y) if rng.random() < 0.5 else (y, x)
+                g = GraphMorphism(graph, b2, dict.fromkeys(graph.vertices, "v0"),
+                                  dmap)
+                assert not self.check_map(g)
+                reasons.add(as_covering_reason(g))
+        assert covers and reasons == {"two", "star"}
+
+    def test_as_covering_on_fixed_maps(self):
+        maps = [wrap_morphism(6, 3), wrap_morphism(12, 4),
+                GraphMorphism.identity(two_cycles(3)),
+                GraphMorphism.identity(cycle_with_loop())]
+        for f in maps:
+            assert self.check_map(f)
+        walk = GraphMorphism(path_graph(3), pc.cycle_graph(3),
+                             {"v0": "v0", "v1": "v1", "v2": "v2"},
+                             {"e0+": "e0+", "e0-": "e0-",
+                              "e1+": "e1+", "e1-": "e1-"})
+        b2, b1 = pc.bouquet_graph(2), pc.bouquet_graph(1)
+        collapse = GraphMorphism(b2, b1, {"v0": "v0"},
+                                 {"e0+": "e0+", "e0-": "e0-",
+                                  "e1+": "e0+", "e1-": "e0-"})
+        assert not self.check_map(walk) and not self.check_map(collapse)
+
+
+def as_covering_reason(f):
+    try:
+        as_covering(f)
+    except NotACoveringError as exc:
+        return exc.reason.split(" ")[0]
+    return None
 
 
 class TestLiftOracle:

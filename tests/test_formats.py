@@ -136,6 +136,25 @@ class TestActionFormat:
         assert back.elements == act.elements
         assert back.morphisms == act.morphisms
 
+    def test_edge_tables_are_built_once_per_document(self, monkeypatch):
+        calls = []
+        edge_table = formats._edge_table
+
+        def counted(g):
+            calls.append(g)
+            return edge_table(g)
+
+        monkeypatch.setattr(formats, "_edge_table", counted)
+        for order in (2, 4, 8):
+            act = rotation_action(8, 8 // order)
+            del calls[:]
+            obj = formats.action_to_obj(act)
+            assert len(calls) == 1
+            del calls[:]
+            back = formats.action_from_obj(obj, act.graph)
+            assert len(calls) == 1
+            assert back.morphisms == act.morphisms
+
 
 class TestTowerFormat:
     def test_save_and_load(self, tmp_path):

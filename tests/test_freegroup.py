@@ -22,7 +22,12 @@ from procover import (
 )
 from procover import freegroup
 from procover.freegroup import DEFAULT_MAX_WORK
-from procover.freegroup import NotTransitiveError, normalizer_points
+from procover.freegroup import (
+    NotTransitiveError,
+    _automorphisms,
+    _forced_map,
+    normalizer_points,
+)
 from helpers import (
     all_points_is_normal,
     brute_force_canonical_keys,
@@ -30,6 +35,7 @@ from helpers import (
     cyclic_rep,
     injective_normalizer_points,
     normal_tables_oracle,
+    per_point_normalizer_points,
     recursive_canonical_tables,
     recursive_subgroup_count,
     refusal_oracle,
@@ -340,6 +346,34 @@ class TestLowIndex:
         assert "at least 2^20000 subgroups (those of degree <= 2)" \
             in str(err.value)
 
+    def test_refusal_at_a_rank_too_long_to_print(self):
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(10 ** 4400, 3)
+        assert str(err.value).startswith(
+            "enumeration of rank 2^14616, degree <= 3 would visit at least "
+            "2^2^14616 subgroups (those of degree <= 2), above the work "
+            "bound 5000000;")
+
+    def test_refusal_at_a_max_degree_too_long_to_print(self):
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(2, 10 ** 4400)
+        assert str(err.value).startswith(
+            "enumeration of rank 2, degree <= 2^14616 would visit at least "
+            "35134660 subgroups (those of degree <= 10)")
+
+    def test_refusal_at_a_negative_bound_too_long_to_print(self):
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(2, 9, max_work=-10 ** 4400)
+        assert "(those of degree <= 1), above the work bound -2^14616;" \
+            in str(err.value)
+
+    def test_refusal_keeps_every_printable_bound_in_decimal(self):
+        # argparse passes any int Python prints; its bytes stay decimal
+        for max_work in (2 ** 64, 10 ** 40, -(10 ** 4299)):
+            with pytest.raises(ResourceLimitError) as err:
+                low_index_reps(3, 10 ** 4299, max_work=max_work)
+            assert str(err.value) == refusal_oracle(3, 10 ** 4299, max_work)
+
     def test_rank_zero(self):
         reps = low_index_reps(0, 3)
         assert len(reps) == 1 and reps[0].degree == 1
@@ -543,6 +577,12 @@ class TestKernelReps:
         assert str(err.value) == ("degree 2^14616 exceeds the work bound %d"
                                   % DEFAULT_MAX_WORK)
 
+    def test_guard_at_a_bound_too_long_to_print(self):
+        with pytest.raises(ResourceLimitError) as err:
+            translation_kernel_rep(2, 10 ** 2200, max_work=10 ** 4300)
+        assert str(err.value) == \
+            "degree 2^14616 exceeds the work bound 2^14284"
+
 
 # every subgroup of rank 1 and index <= 6, rank 2 and index <= 4, rank 3
 # and index <= 3
@@ -612,6 +652,37 @@ class TestForcedMapAgainstOracles:
             for c in (1, rep.degree - 1):
                 conjugate = relabelled(rep, c, random.Random(c))
                 assert is_normal(conjugate) and all_points_is_normal(conjugate)
+
+    @pytest.mark.parametrize("rank, max_degree",
+                             [(1, 8), (2, 6), (3, 4), (4, 3), (5, 3)])
+    def test_normalizer_points_match_the_per_point_oracle(self, rank,
+                                                          max_degree):
+        for rep in low_index_reps(rank, max_degree):
+            want = per_point_normalizer_points(rep)
+            assert normalizer_points(rep) == want
+            pairs = list(zip(rep._moves, rep._moves))
+            found = _automorphisms(rep)
+            assert sorted(found) == list(want)
+            for c, phi in found.items():
+                assert phi == _forced_map(pairs, rep.degree, c)
+
+    def test_normalizer_points_on_translation_kernels(self):
+        for rank, modulus in ((1, 7), (2, 2), (2, 5), (3, 3), (2, 12)):
+            rep = translation_kernel_rep(rank, modulus)
+            assert normalizer_points(rep) == tuple(range(rep.degree))
+            for c in (1, rep.degree - 1):
+                conjugate = relabelled(rep, c, random.Random(c))
+                assert normalizer_points(conjugate) == \
+                    per_point_normalizer_points(conjugate)
+
+    def test_forced_map_returns_its_image_list(self):
+        rep = translation_kernel_rep(1, 5)
+        pairs = list(zip(rep._moves, rep._moves))
+        assert _forced_map(pairs, 5, 2) == [2, 3, 4, 0, 1]
+        h = PermRep(2, 3, [(1, 0, 2), (0, 2, 1)])
+        pairs = list(zip(h._moves, h._moves))
+        assert _forced_map(pairs, 3, 1) is None
+        assert _forced_map(pairs, 3, 0) == [0, 1, 2]
 
     def test_normalizer_points_of_every_rank_two_table(self):
         rng = random.Random(2)

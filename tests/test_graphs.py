@@ -72,6 +72,16 @@ class TestConnectivity:
         g = FiniteGraph(["v"], [], {}, {})
         assert pc.is_connected(g)
 
+    def test_dangling_source_is_an_unknown_vertex(self):
+        # construction admits damaged data; the walk reaches "zz" as the
+        # target of "d+" and finds no star there
+        g = FiniteGraph(["a"], ["d+", "d-"], {"d+": "a", "d-": "zz"},
+                        {"d+": "d-", "d-": "d+"})
+        with pytest.raises(GraphError, match="^unknown vertex 'zz'$"):
+            pc.components(g)
+        with pytest.raises(GraphError, match="^unknown vertex 'zz'$"):
+            pc.is_connected(g)
+
 
 class TestSpanningTree:
     def test_cycle(self):
