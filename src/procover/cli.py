@@ -109,7 +109,8 @@ def _default_basepoint(graph, given):
 
 
 def cmd_validate(args):
-    g = formats.load_graph(args.graph)
+    # read as it stands, so that a dangling incidence is reported, not refused
+    g = formats.graph_from_obj(formats.load_json(args.graph))
     violations = validate_graph(g)
     details = {"vertices": len(g.vertices), "darts": len(g.darts),
                "violations": violations}
@@ -221,6 +222,14 @@ def cmd_deck(args):
     f = formats.load_morphism(args.morphism)
     cov = as_covering(f)
     deck = deck_group(cov)
+    # the report prints one vertex-map entry per element and cover vertex;
+    # the order is known before any element is built
+    charge = deck.order * len(cov.domain.vertices)
+    if charge > args.max_work:
+        raise ResourceLimitError(
+            "the deck report has %d vertex-map entries (%d elements of %d "
+            "vertices), above the work bound %d; raise --max-work to proceed"
+            % (charge, deck.order, len(cov.domain.vertices), args.max_work))
     details = {
         "order": deck.order,
         "degree": cov.degree,
@@ -422,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in structured output")
     parser.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
-                        help="resource bound for enumerations")
+                        help="resource bound: subgroups a low-index "
+                             "enumeration may visit, entries a deck report "
+                             "may print")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check graph invariants")

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
 from .graphs import (
-    Congruence,
+    CongruenceError,
     FiniteGraph,
     GraphError,
     GraphMorphism,
@@ -35,7 +36,6 @@ from .graphs import (
     components,
     edge_stem,
     is_connected,
-    quotient,
     spanning_tree,
 )
 from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
@@ -358,20 +358,31 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
 
 
 class DeckGroup:
-    """The covering transformations of a covering, with composition table.
+    """The covering transformations of a connected cover, held as the
+    automorphisms of the monodromy action on one fiber.
 
-    Element 0 is the identity; ``table[i][j]`` is the index of the composite
-    that applies element j first and element i second.
+    ``automorphisms[i]`` is the image list of element i on the sheet
+    positions 0..n-1, in fiber order with the identity first, and ``vrows``
+    and ``drows`` are the sheet rows :func:`deck_group` builds: one row per
+    base vertex and per base dart, whose k-th entry is the vertex or dart
+    over it in sheet k.  ``table[i][j]`` is the index of the composite that
+    applies element j first and element i second.  Order, table and
+    subgroups are read off the automorphisms; :meth:`element` builds one
+    element as a validated morphism, and :attr:`elements` builds them all
+    on first read and keeps them (a pure function of the value, like the
+    caches of :mod:`procover.graphs`).
     """
 
-    def __init__(self, covering: Covering, elements, table):
+    def __init__(self, covering: Covering, automorphisms, vrows, drows, table):
         self.covering = covering
-        self.elements = tuple(elements)
-        self.table = tuple(tuple(row) for row in table)
+        self.automorphisms = tuple(automorphisms)
+        self.vrows = vrows
+        self.drows = drows
+        self.table = table
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.automorphisms)
 
     def is_subgroup(self, indices: Iterable[int]) -> bool:
         """Whether the indices form a subgroup: a nonempty subset of a
@@ -380,19 +391,50 @@ class DeckGroup:
         s = set(indices)
         return bool(s) and all(self.table[i][j] in s for i in s for j in s)
 
+    def element(self, i: int) -> GraphMorphism:
+        """Deck element i as a morphism of the cover: it sends the entry in
+        sheet k of every row to the entry in sheet ``automorphisms[i][k]``
+        of the same row.  Checked as a morphism that fixes nothing (the
+        identity aside)."""
+        phi = self.automorphisms[i]
+        cover = self.covering.domain
+        hv = dict(zip(chain.from_iterable(self.vrows), _moved(self.vrows, phi)))
+        hd = dict(zip(chain.from_iterable(self.drows), _moved(self.drows, phi)))
+        try:
+            h = GraphMorphism(cover, cover, hv, hd)
+        except GraphError as exc:
+            raise RuntimeError("no deck transformation at a normalizer point "
+                               "(internal error)") from exc
+        if phi[0] and (any(map(eq, hv, hv.values()))
+                       or any(map(eq, hd, hd.values()))):
+            raise RuntimeError("deck transformation with a fixed element "
+                               "(internal error)")
+        return h
 
-def _first_fiber_monodromy(c: Covering) -> tuple[str, Pi1Data, PermRep]:
-    """The first vertex ``a0`` of a connected cover over a connected base,
-    the free-group coordinates of the base at the image of ``a0``, and the
-    monodromy action on the fiber of ``a0``, with fiber point k labelled k
-    (``a0`` is the least vertex, so it is label 0)."""
+    @cached_property
+    def elements(self) -> tuple[GraphMorphism, ...]:
+        """Every element, built by :meth:`element` on first read."""
+        return tuple(map(self.element, range(self.order)))
+
+
+def _moved(rows, phi):
+    """The entries of ``rows`` with each row permuted by ``phi``: the entry
+    in sheet ``phi[k]`` where the row has its sheet-k entry."""
+    return chain.from_iterable(map(row.__getitem__, phi) for row in rows)
+
+
+def _first_fiber_monodromy(c: Covering) -> tuple[Pi1Data, PermRep]:
+    """For a connected cover over a connected base, with first vertex
+    ``a0``: the free-group coordinates of the base at the image of ``a0``,
+    and the monodromy action on the fiber of ``a0``, with fiber point k
+    labelled k (``a0`` is the least vertex, so it is label 0)."""
     if not c.domain.vertices:
         raise ValueError("the cover has no vertices")
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
     p = pi1_data(c.codomain, c.map.vmap[a0])
-    return a0, p, image_subgroup(c, a0, p)
+    return p, image_subgroup(c, a0, p)
 
 
 def deck_group(c: Covering) -> DeckGroup:
@@ -402,62 +444,93 @@ def deck_group(c: Covering) -> DeckGroup:
     vertex ``a0`` to, and on that fiber it acts as the automorphism of the
     monodromy action with that image of 0: the deck group is N(H)/H, and
     its elements come in the fiber order of the normalizer points
-    (:func:`normalizer_points`), the identity first.  Each one is built
-    from its automorphism by sheet transport: over every base vertex ``v``,
-    ``ends[v][k]`` is the end of the lift of the spanning-tree path to
-    ``v`` that starts at fiber point k, and the element sends that vertex
-    to ``ends[v][phi[k]]`` and each dart at it to the dart over the same
-    base dart at the image, so it covers the covering map by construction.
-    Every element is checked as a morphism that fixes nothing (the
-    identity aside), and the composition table is read off the images of
-    ``a0``.
+    (:func:`normalizer_points`), the identity first.  Each one is given by
+    sheet transport: over every base vertex ``v``, ``ends[v][k]`` is the
+    end of the lift of the spanning-tree path to ``v`` that starts at fiber
+    point k, the sheet-k vertex over ``v``; the sheet-k dart over a base
+    dart ``d`` is the dart over ``d`` at the sheet-k vertex over its
+    source.  The element of an automorphism ``phi`` sends the sheet-k
+    vertex or dart over each base element to the sheet-``phi[k]`` one, so
+    it covers the covering map by construction.
+
+    Every automorphism is checked here, in integer sheet coordinates; no
+    element is built.  The rows must partition the cover's vertices and
+    darts, so the sheet map is a total bijection.  Then it is a morphism
+    exactly when ``phi`` commutes with the sheet permutation ``s_d`` of
+    every base dart ``d``, where ``s_d(k)`` is the sheet of the inverse of
+    the sheet-k dart over ``d``.  Proof: the sheet-k dart ``x`` over ``d``
+    starts at the sheet-k vertex over ``src(d)``, so ``src(h(x))`` and
+    ``h(src(x))`` are both the sheet-``phi[k]`` vertex over ``src(d)`` and
+    incidence holds for every ``phi``.  ``inv(x)`` is the sheet-``s_d(k)``
+    dart over ``inv(d)``, so ``h(inv(x))`` lies in sheet ``phi[s_d[k]]``
+    and ``inv(h(x))`` in sheet ``s_d[phi[k]]``: the involution is kept for
+    every ``x`` exactly when ``phi o s_d == s_d o phi`` for every ``d``.
+    These are the incidence and involution checks of
+    :class:`~procover.graphs.GraphMorphism`.  Also checked: no automorphism
+    but the identity fixes a sheet (so no element fixes a vertex or dart),
+    the composition table, read off the images of 0, closes, and the order
+    divides the degree.
+
+    An element is built as a morphism, with its own incidence, involution
+    and fixed-point checks, only when it is read (:meth:`DeckGroup.element`,
+    :attr:`DeckGroup.elements`); one that is never read is never built,
+    but its automorphism has passed the checks above.
     """
-    a0, p, rep = _first_fiber_monodromy(c)
+    p, rep = _first_fiber_monodromy(c)
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
     # sheet transport along the spanning tree of the monodromy step, rooted
-    # at the image of a0: ends[v][k] is the vertex over v in sheet k.  The
-    # tree's parent darts are held in breadth-first order, so each parent
-    # is reached before its children
+    # at the image of a0.  The tree's parent darts are held in breadth-first
+    # order, so each parent is reached before its children
     ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
     for w, up in p.tree.parent_dart.items():
         down = base.inv[up]
         ends[w] = [src[inv[lifts[u][down]]] for u in ends[base.src[down]]]
-    # the dart over base dart d in sheet k starts at the vertex of sheet k,
-    # so a deck element moves the sheets of darts as it moves vertices
     vrows = list(ends.values())
     drows = [[lifts[u][d] for u in ends[base.src[d]]] for d in base.darts]
-    vertices = list(chain.from_iterable(vrows))
-    darts = list(chain.from_iterable(drows))
-
-    def moved(rows, phi):
-        return chain.from_iterable(map(row.__getitem__, phi) for row in rows)
-
+    if not (_partitions(vrows, cover._vertex_set)
+            and _partitions(drows, cover._dart_set)):
+        raise RuntimeError("sheet rows do not partition the cover "
+                           "(internal error)")
+    n = c.degree
+    sheet = {}
+    for row in drows:
+        sheet.update(zip(row, range(n)))
+    # tree darts keep the sheet: only the distinct nontrivial moves count
+    moves = {tuple(map(sheet.__getitem__, map(inv.__getitem__, row)))
+             for row in drows}
+    moves.discard(tuple(range(n)))
+    # itemgetter(*s)(phi) is phi o s (a move has n >= 2 entries, so the
+    # getter returns a tuple)
+    takes = [(s, itemgetter(*s)) for s in moves]
     automorphisms = _automorphisms(rep)
-    elements = []
-    for k in sorted(automorphisms):
-        phi = automorphisms[k]
-        hv = dict(zip(vertices, moved(vrows, phi)))
-        hd = dict(zip(darts, moved(drows, phi)))
-        try:
-            elements.append(GraphMorphism(cover, cover, hv, hd))
-        except GraphError as exc:
-            raise RuntimeError("no deck transformation at a normalizer point "
-                               "(internal error)") from exc
-    for h in elements[1:]:
-        if any(map(eq, h.vmap, h.vmap.values())) or \
-                any(map(eq, h.dmap, h.dmap.values())):
+    phis = [automorphisms[k] for k in sorted(automorphisms)]
+    for phi in phis:
+        if takes:
+            after = itemgetter(*phi)
+            if any(take(phi) != after(s) for s, take in takes):
+                raise RuntimeError("no deck transformation at a normalizer "
+                                   "point (internal error)")
+        if phi[0] and any(map(eq, phi, range(n))):
             raise RuntimeError("deck transformation with a fixed element "
                                "(internal error)")
-    at = {h.vmap[a0]: i for i, h in enumerate(elements)}
+    images = [phi[0] for phi in phis]
+    at = dict(zip(images, range(len(phis))))
     try:
-        table = [[at[hi.vmap[hj.vmap[a0]]] for hj in elements] for hi in elements]
+        table = tuple(tuple(map(at.__getitem__, map(phi.__getitem__, images)))
+                      for phi in phis)
     except KeyError:
         raise RuntimeError("deck transformations are not closed "
                            "under composition (internal error)") from None
-    if c.degree % len(elements):
+    if n % len(phis):
         raise RuntimeError("deck order must divide the degree (internal error)")
-    return DeckGroup(c, elements, table)
+    return DeckGroup(c, phis, vrows, drows, table)
+
+
+def _partitions(rows, universe: frozenset) -> bool:
+    """Whether the rows together hold every member of ``universe`` once."""
+    return (sum(map(len, rows)) == len(universe)
+            and universe == set(chain.from_iterable(rows)))
 
 
 def action_deck_indices(act: GroupAction, c: Covering) -> dict:
@@ -504,7 +577,7 @@ def is_regular(c: Covering) -> RegularityReport:
     (:func:`normalizer_points`), and the cover is regular exactly when that
     is the whole fiber.  No deck transformation is constructed.
     """
-    _a0, _p, rep = _first_fiber_monodromy(c)
+    _p, rep = _first_fiber_monodromy(c)
     deck_order = len(normalizer_points(rep))
     regular = deck_order == c.degree
     return RegularityReport(regular=regular, degree=c.degree,
@@ -599,27 +672,53 @@ def _deck_subgroup(deck: DeckGroup, indices: Iterable[int]) -> list[int]:
     return chosen
 
 
-def _orbit_quotient(graph: FiniteGraph, maps: list[GraphMorphism]
-                    ) -> tuple[FiniteGraph, Covering]:
-    """Orbit graph and orbit map of a group acting by ``maps``; the caller
-    has checked that the graph is connected and the action free and
-    inversion-free."""
-    orbits = []
-    for points, images in ((graph.vertices, [m.vmap for m in maps]),
-                           (graph.darts, [m.dmap for m in maps])):
-        classes, seen = [], set()
-        for x in points:
-            if x not in seen:
-                orbit = sorted({image[x] for image in images})
-                seen.update(orbit)
-                classes.append(orbit)
-        orbits.append(classes)
-    qg, proj = quotient(graph, Congruence(graph, *orbits))
+def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits,
+                    order: int) -> tuple[FiniteGraph, Covering]:
+    """Orbit graph and orbit map of a group of ``order`` elements acting on
+    ``graph`` with the given vertex and dart orbits; the caller has checked
+    that the graph is connected and the action free and inversion-free.
+
+    The orbit graph is built directly: a class id is the least member id,
+    as in :func:`~procover.graphs.quotient`.  Validating the projection as
+    a morphism checks that the orbits are a congruence (related darts have
+    related sources and related inverses), and no orbit may hold a dart
+    together with its inverse.
+    """
+    vrep, drep = {}, {}
+    for orbits, rep in ((vertex_orbits, vrep), (dart_orbits, drep)):
+        for orbit in orbits:
+            rep.update(dict.fromkeys(orbit, min(orbit)))
+    src, inv = graph.src, graph.inv
+    ids = set(drep.values())
+    qinv = {d: drep[inv[d]] for d in ids}
+    qg = FiniteGraph(set(vrep.values()), ids,
+                     {d: vrep[src[d]] for d in ids}, qinv, name=graph.name)
+    try:
+        proj = GraphMorphism(graph, qg, vrep, drep)
+    except GraphError as exc:
+        raise RuntimeError("orbits are not a congruence (internal error)") \
+            from exc
+    merged = next((d for d in qg.darts if qinv[d] == d), None)
+    if merged is not None:
+        raise CongruenceError("dart %r is merged with its inverse" % merged,
+                              witness=(merged, inv[merged]))
     cov = as_covering(proj)
-    if cov.degree != len(maps):
+    if cov.degree != order:
         raise RuntimeError("orbit map degree is not the group order "
                            "(internal error)")
     return qg, cov
+
+
+def _orbits(points, images) -> list[set]:
+    """The orbits of ``points`` under the maps ``images``, which hold the
+    identity and are closed under composition."""
+    orbits, seen = [], set()
+    for x in points:
+        if x not in seen:
+            orbit = {image[x] for image in images}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
 
 
 def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
@@ -634,7 +733,11 @@ def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     bad = act.free_violation()
     if bad is not None:
         raise ActionError("action is not free: %r fixes %r" % bad, witness=bad)
-    return _orbit_quotient(act.graph, [act.morphisms[g] for g in act.elements])
+    maps = [act.morphisms[g] for g in act.elements]
+    return _orbit_quotient(act.graph,
+                           _orbits(act.graph.vertices, [m.vmap for m in maps]),
+                           _orbits(act.graph.darts, [m.dmap for m in maps]),
+                           len(maps))
 
 
 def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
@@ -643,23 +746,34 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
 
     Returns (intermediate graph, quotient map onto it, induced covering of
     the original base); the two maps compose dart-for-dart to the original.
-    Only the indices are checked (in range, a subgroup); the orbits are
-    read straight off the deck elements.  :func:`deck_group` has checked
-    connectivity, closure and freeness, and no deck transformation inverts
-    an edge, as the covering map would send a dart and its inverse to one
-    base dart.
+    Only the indices are checked (in range, a subgroup).  The orbits are
+    read off the sheet rows with no deck element built: the subgroup K
+    permutes the sheet positions by its automorphisms, and over every base
+    vertex and base dart the K-orbits are the entries of its row at one
+    K-orbit of positions.  :func:`deck_group` has checked connectivity,
+    closure and freeness, and no deck transformation inverts an edge, as
+    the covering map would send a dart and its inverse to one base dart.
     """
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)
-    qg, h_map = _orbit_quotient(c.domain, [deck.elements[i] for i in chosen])
+    positions = _orbits(range(c.degree),
+                        [deck.automorphisms[i] for i in chosen])
+
+    def orbits(rows):
+        return [list(map(row.__getitem__, orbit))
+                for row in rows for orbit in positions]
+
+    qg, h_map = _orbit_quotient(c.domain, orbits(deck.vrows),
+                                orbits(deck.drows), len(chosen))
     # orbit class ids are member ids of the cover, so the original covering
     # map restricts to them directly (it is constant on orbits)
-    vmap = {v: c.map.vmap[v] for v in qg.vertices}
-    dmap = {d: c.map.dmap[d] for d in qg.darts}
+    cv, cd = c.map.vmap, c.map.dmap
+    vmap = {v: cv[v] for v in qg.vertices}
+    dmap = {d: cd[d] for d in qg.darts}
     f_h = as_covering(GraphMorphism(qg, c.codomain, vmap, dmap))
-    hv, hd = h_map.map.vmap, h_map.map.dmap
-    if any(vmap[hv[v]] != u for v, u in c.map.vmap.items()) or \
-            any(dmap[hd[d]] != e for d, e in c.map.dmap.items()):
+    down_v = map(vmap.__getitem__, map(h_map.map.vmap.__getitem__, cv))
+    down_d = map(dmap.__getitem__, map(h_map.map.dmap.__getitem__, cd))
+    if list(down_v) != list(cv.values()) or list(down_d) != list(cd.values()):
         raise RuntimeError("factor maps do not compose to the covering "
                            "(internal error)")
     if f_h.degree * h_map.degree != c.degree:

@@ -115,6 +115,10 @@ def graph_to_obj(g: FiniteGraph) -> dict:
 
 
 def graph_from_obj(obj) -> FiniteGraph:
+    """The graph of a document as it stands: a dangling incidence, the one
+    violation a document of edges can carry, is kept for
+    :func:`~procover.graphs.validate_graph` to report.  Every other reader
+    goes through :func:`_sound_graph`."""
     _expect(obj, GRAPH_FORMAT)
     vertices = _str_list(obj, "vertices")
     edges = []
@@ -132,8 +136,21 @@ def graph_from_obj(obj) -> FiniteGraph:
         raise FormatError("bad graph document: %s" % exc) from exc
 
 
+def _sound_graph(obj) -> FiniteGraph:
+    """The graph of a document, rejected with FormatError when an edge ends
+    at an undeclared vertex: the library's constructors trust their input,
+    so a dangling incidence must stop here."""
+    g = graph_from_obj(obj)
+    if sum(map(len, g._star.values())) != len(g.darts):
+        # every dart of a document is the E+ or E- of its edge E
+        d = next(d for d in g.darts if g.src[d] not in g._vertex_set)
+        raise FormatError("bad graph document: edge %r ends at unknown "
+                          "vertex %r" % (d[:-1], g.src[d]))
+    return g
+
+
 def load_graph(path: str) -> FiniteGraph:
-    return graph_from_obj(load_json(path))
+    return _sound_graph(load_json(path))
 
 
 def save_graph(path: str, g: FiniteGraph) -> None:
@@ -190,11 +207,11 @@ def morphism_from_obj(obj, domain: FiniteGraph | None = None,
     if domain is None:
         if "domain" not in obj:
             raise FormatError("morphism document has no domain graph")
-        domain = graph_from_obj(obj["domain"])
+        domain = _sound_graph(obj["domain"])
     if codomain is None:
         if "codomain" not in obj:
             raise FormatError("morphism document has no codomain graph")
-        codomain = graph_from_obj(obj["codomain"])
+        codomain = _sound_graph(obj["codomain"])
     vmap, dmap = _maps_from_obj(obj, _edge_table(domain),
                                 _edge_index(_edge_table(codomain)))
     try:

@@ -436,6 +436,35 @@ class Congruence:
                         witness=(d, base.inv[d]))
 
     @classmethod
+    def _of_fibers(cls, base: FiniteGraph, vertex_classes, dart_classes
+                   ) -> "Congruence":
+        """The congruence whose classes are the fibers of a validated
+        morphism on ``base``: lists that partition the vertices and the
+        darts, each sorted and listed in order of least member.
+
+        Such fibers are compatible by construction (the morphism commutes
+        with sources and inverses), so only the merged-inverse check runs:
+        a morphism sends a dart and its inverse to one dart exactly when
+        that dart is fixed by the codomain's involution, which
+        :class:`FiniteGraph` admits.  In a compatible class every member is
+        merged with its inverse when one is, so the class's least member is
+        the same witness :meth:`__init__` reports.
+        """
+        r = cls.__new__(cls)
+        r.base = base
+        r.vertex_classes = tuple(map(tuple, vertex_classes))
+        r.dart_classes = tuple(map(tuple, dart_classes))
+        r._vrep = {x: c[0] for c in r.vertex_classes for x in c}
+        r._drep = drep = {x: c[0] for c in r.dart_classes for x in c}
+        inv = base.inv
+        for c in r.dart_classes:
+            if drep[inv[c[0]]] == c[0]:
+                raise CongruenceError(
+                    "dart %r is merged with its inverse" % c[0],
+                    witness=(c[0], inv[c[0]]))
+        return r
+
+    @classmethod
     def diagonal(cls, base: FiniteGraph) -> "Congruence":
         """The identity congruence (all classes singletons)."""
         return cls(base)
@@ -478,14 +507,18 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
 
 
 def kernel_congruence(f: GraphMorphism) -> Congruence:
-    """The congruence on the domain whose classes are the fibers of ``f``."""
-    vfib: dict[str, list[str]] = {}
-    for v in f.domain.vertices:
-        vfib.setdefault(f.vmap[v], []).append(v)
-    dfib: dict[str, list[str]] = {}
-    for d in f.domain.darts:
-        dfib.setdefault(f.dmap[d], []).append(d)
-    return Congruence(f.domain, vfib.values(), dfib.values())
+    """The congruence on the domain whose classes are the fibers of ``f``.
+
+    The fibers are collected in id order, so each is sorted and they come
+    in order of least member, as :meth:`Congruence._of_fibers` takes them.
+    """
+    fibers = []
+    for points, image in ((f.domain.vertices, f.vmap), (f.domain.darts, f.dmap)):
+        fiber: dict[str, list[str]] = {}
+        for x, y in zip(points, map(image.__getitem__, points)):
+            fiber.setdefault(y, []).append(x)
+        fibers.append(fiber.values())
+    return Congruence._of_fibers(f.domain, *fibers)
 
 
 class InducedMapError(VerdictError):

@@ -322,7 +322,9 @@ def deck_tower(t: Tower) -> DeckTowerResult:
     """Deck group of every level plus the connecting homomorphisms.
 
     Each level's deck group is computed once, and its order must equal the
-    degree (every level regular: projecting uses simple transitivity).  A
+    degree (every level regular: projecting uses simple transitivity).
+    Every element of every level is built, through ``DeckGroup.elements``,
+    since each one's square is checked.  A
     deck transformation upstairs projects through the cover-side bonding
     morphism to the unique one downstairs with the same image of one vertex;
     this is verified as a group homomorphism and pointwise: the square

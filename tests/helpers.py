@@ -7,13 +7,14 @@ import itertools
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import procover as pc
 from procover import towers
 from procover.cli import Report
-from procover.covering import _deck_subgroup
+from procover.covering import _deck_subgroup, _first_fiber_monodromy
 from procover.formats import REPORT_FORMAT, FormatError
-from procover.freegroup import NotTransitiveError, _forced_map
+from procover.freegroup import NotTransitiveError, _automorphisms, _forced_map
 from procover.graphs import edge_stem
 
 
@@ -504,11 +505,25 @@ def per_point_normalizer_points(rep: pc.PermRep) -> tuple:
                         if _forced_map(pairs, n, c) is not None)
 
 
-def lift_deck_group(c: pc.Covering) -> pc.DeckGroup:
-    """Oracle for ``pc.deck_group``: the construction it replaced, which
-    finds the normalizer points with one forced map per fiber point and
-    then lifts the covering map through itself once per point, with the
-    same checks on the elements, table and order."""
+@dataclass(frozen=True)
+class DeckRecord:
+    """A deck group as the eager oracles give it: every element built, in
+    the order of ``pc.deck_group``, and the composition table."""
+
+    covering: pc.Covering
+    elements: tuple
+    table: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def lift_deck_group(c: pc.Covering) -> DeckRecord:
+    """Oracle for ``pc.deck_group``: an earlier construction, which finds
+    the normalizer points with one forced map per fiber point and then
+    lifts the covering map through itself once per point, with the same
+    checks on the elements, table and order."""
     if not pc.is_connected(c.domain) or not pc.is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
@@ -522,7 +537,94 @@ def lift_deck_group(c: pc.Covering) -> pc.DeckGroup:
     at = {h.vmap[a0]: i for i, h in enumerate(elements)}
     table = [[at[hi.vmap[hj.vmap[a0]]] for hj in elements] for hi in elements]
     assert c.degree % len(elements) == 0
-    return pc.DeckGroup(c, elements, table)
+    return DeckRecord(c, tuple(elements), tuple(map(tuple, table)))
+
+
+def eager_deck_group(c: pc.Covering) -> DeckRecord:
+    """Oracle for ``pc.deck_group``: the construction it replaced, which
+    builds and validates every element by sheet transport before it
+    reads the table off the elements' images of the first vertex."""
+    a0 = c.domain.vertices[0]
+    p, rep = _first_fiber_monodromy(c)
+    base, cover = c.codomain, c.domain
+    lifts, src, inv = c.lifts, cover.src, cover.inv
+    ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
+    for w, up in p.tree.parent_dart.items():
+        down = base.inv[up]
+        ends[w] = [src[inv[lifts[u][down]]] for u in ends[base.src[down]]]
+    vrows = list(ends.values())
+    drows = [[lifts[u][d] for u in ends[base.src[d]]] for d in base.darts]
+    vertices = list(itertools.chain.from_iterable(vrows))
+    darts = list(itertools.chain.from_iterable(drows))
+
+    def moved(rows, phi):
+        return itertools.chain.from_iterable(map(row.__getitem__, phi)
+                                             for row in rows)
+
+    automorphisms = _automorphisms(rep)
+    elements = []
+    for k in sorted(automorphisms):
+        phi = automorphisms[k]
+        elements.append(pc.GraphMorphism(cover, cover,
+                                         dict(zip(vertices, moved(vrows, phi))),
+                                         dict(zip(darts, moved(drows, phi)))))
+    for h in elements[1:]:
+        assert all(a != b for a, b in h.vmap.items())
+        assert all(d != e for d, e in h.dmap.items())
+    at = {h.vmap[a0]: i for i, h in enumerate(elements)}
+    table = tuple(tuple(at[hi.vmap[hj.vmap[a0]]] for hj in elements)
+                  for hi in elements)
+    assert c.degree % len(elements) == 0
+    return DeckRecord(c, tuple(elements), table)
+
+
+def congruence_orbit_quotient(graph: pc.FiniteGraph, maps: list):
+    """Oracle for the orbit quotient: the construction it replaced, which
+    collects the orbits of the maps, checks them as a ``pc.Congruence`` and
+    quotients by it."""
+    orbits = []
+    for points, images in ((graph.vertices, [m.vmap for m in maps]),
+                           (graph.darts, [m.dmap for m in maps])):
+        classes, seen = [], set()
+        for x in points:
+            if x not in seen:
+                orbit = sorted({image[x] for image in images})
+                seen.update(orbit)
+                classes.append(orbit)
+        orbits.append(classes)
+    qg, proj = pc.quotient(graph, pc.Congruence(graph, *orbits))
+    cov = pc.as_covering(proj)
+    assert cov.degree == len(maps)
+    return qg, cov
+
+
+def congruence_quotient_by_deck_subgroup(deck, indices):
+    """Oracle for ``pc.quotient_by_deck_subgroup``: the construction it
+    replaced, which quotients by the orbits of the subgroup's deck
+    elements through :func:`congruence_orbit_quotient`."""
+    c = deck.covering
+    chosen = _deck_subgroup(deck, indices)
+    qg, h_map = congruence_orbit_quotient(c.domain,
+                                          [deck.elements[i] for i in chosen])
+    vmap = {v: c.map.vmap[v] for v in qg.vertices}
+    dmap = {d: c.map.dmap[d] for d in qg.darts}
+    f_h = pc.as_covering(pc.GraphMorphism(qg, c.codomain, vmap, dmap))
+    assert pc.compose(f_h.map, h_map.map) == c.map
+    assert f_h.degree * h_map.degree == c.degree
+    return qg, h_map, f_h
+
+
+def checked_kernel_congruence(f: pc.GraphMorphism) -> pc.Congruence:
+    """Oracle for ``pc.kernel_congruence``: the construction it replaced,
+    which passes the fibers of ``f`` through every check of
+    ``pc.Congruence``."""
+    vfib: dict = {}
+    for v in f.domain.vertices:
+        vfib.setdefault(f.vmap[v], []).append(v)
+    dfib: dict = {}
+    for d in f.domain.darts:
+        dfib.setdefault(f.dmap[d], []).append(d)
+    return pc.Congruence(f.domain, vfib.values(), dfib.values())
 
 
 def old_as_covering(f: pc.GraphMorphism) -> pc.Covering:

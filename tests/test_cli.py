@@ -199,6 +199,59 @@ class TestExitCodes:
         assert "verdict: error" in out
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["quotient", "graph", "congruence"], ["image-subgroup", "morphism"],
+        ["regular", "morphism"], ["deck", "morphism"],
+        ["deck-quotient", "morphism", "--elements", "0"],
+        ["lift", "--map", "morphism", "--cover", "morphism",
+         "--source-base", "v0", "--cover-base", "v0"],
+        ["good-pair", "morphism", "congruence", "congruence"],
+        ["check-cover", "morphism"], ["orbit-quotient", "graph", "action"],
+        ["tower", "universal", "spec"],
+        ["tower", "fibers", "manifest", "--vertex", "v0"],
+        ["tower", "good-pairs", "manifest"],
+        ["tower", "pi1-trivial", "manifest", "--max-index", "2"],
+        ["tower", "validate", "manifest"], ["tower", "deck", "manifest"],
+        ["pi1", "graph"], ["cover-from-rep", "graph", "rep"]],
+        ids=lambda argv: " ".join(argv[:2]))
+    def test_dangling_incidence_is_2(self, tmp_path, capsys, command):
+        """A graph whose edge ends at an undeclared vertex stops at the
+        loader wherever it is read: alone, embedded in a morphism, under
+        an action, as a tower level or as a universal spec's base."""
+        def path(name):
+            return str(tmp_path / (name + ".json"))
+
+        damaged = {"format": formats.GRAPH_FORMAT, "vertices": ["v0"],
+                   "edges": [{"id": "e0", "src": "v0", "dst": "ghost"}]}
+        maps = {"vertex_map": {"v0": "v0"},
+                "edge_map": {"e0": {"edge": "e0", "flip": False}}}
+        formats.save_json(path("graph"), damaged)
+        formats.save_json(path("congruence"), {
+            "format": formats.CONGRUENCE_FORMAT, "vertex_classes": [],
+            "edge_classes": []})
+        formats.save_json(path("morphism"), dict(
+            maps, format=formats.MORPHISM_FORMAT, domain=damaged,
+            codomain=damaged))
+        formats.save_json(path("map"), dict(maps, format=formats.MORPHISM_FORMAT))
+        formats.save_json(path("action"), {
+            "format": formats.ACTION_FORMAT, "elements": ["id"],
+            "maps": {"id": maps}})
+        formats.save_json(path("spec"), {
+            "format": formats.UNIVERSAL_FORMAT, "base": "graph.json",
+            "basepoint": "v0", "quotients": [], "normals": []})
+        formats.save_json(path("manifest"), {
+            "format": formats.TOWER_FORMAT, "phi": [], "psi": [],
+            "levels": [{"gamma": "graph.json", "delta": "graph.json",
+                        "f": "map.json"}]})
+        formats.save_rep(path("rep"), pc.PermRep(1, 1, [(0,)]))
+        names = {"graph", "congruence", "morphism", "action", "spec",
+                 "manifest", "rep"}
+        out, code = run_cli([path(x) if x in names else x for x in command])
+        assert code == 2
+        assert "verdict: error" in out
+        assert "edge 'e0' ends at unknown vertex 'ghost'" in out
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, witness", [
         ("no identity", ["r"]), ("non-bijective idempotent", ["f", "e1+"])])
     def test_action_rejection_has_witness(self, tmp_path, name, witness):
@@ -556,6 +609,50 @@ class TestCommands:
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])
         assert code == 0 and "order: 2" in out
+
+    @pytest.mark.parametrize("budget, expected", [(11, 3), (12, 0)])
+    def test_deck_charges_its_vertex_map_entries(self, data, monkeypatch,
+                                                 budget, expected):
+        """Two elements of a six-vertex cover print 12 vertex-map entries:
+        refused one below that, before any element is built, and answered
+        at it."""
+        element = pc.DeckGroup.element
+
+        def counted(deck, i):
+            built.append(i)
+            return element(deck, i)
+
+        built = []
+        monkeypatch.setattr(pc.DeckGroup, "element", counted)
+        out, code = run_cli(["--json", "--max-work", str(budget), "deck",
+                             data["c6_to_c3"]])
+        assert code == expected
+        details = json.loads(out)["details"]
+        if expected == 3:
+            assert built == []
+            assert details["error"] == (
+                "the deck report has 12 vertex-map entries (2 elements of 6 "
+                "vertices), above the work bound 11; raise --max-work to "
+                "proceed")
+        else:
+            assert built == [0, 1] and len(details["elements"]) == 2
+
+    def test_deck_quotient_of_a_non_subgroup_builds_no_element(
+            self, tmp_path, monkeypatch):
+        f = str(tmp_path / "c12.json")
+        formats.save_morphism(f, wrap_morphism(12, 3))
+
+        def no_element(deck, i):
+            raise AssertionError("deck element %d was built" % i)
+
+        monkeypatch.setattr(pc.DeckGroup, "element", no_element)
+        out, code = run_cli(["--json", "deck-quotient", f, "--elements", "0,1"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "negative"
+        assert report["details"]["witness"] == ["0", "1"]
+        out, code = run_cli(["--json", "deck-quotient", f, "--elements", "0,2"])
+        assert code == 0 and json.loads(out)["details"]["subgroup_order"] == 2
 
     def test_orbit_quotient(self, tmp_path, data):
         action = str(tmp_path / "action.json")

@@ -38,6 +38,8 @@ from helpers import (
     b2_covers,
     composed_deck_oracle,
     composed_lift_oracle,
+    congruence_orbit_quotient,
+    congruence_quotient_by_deck_subgroup,
     cycle_with_loop,
     cycle_with_parallel,
     cyclic_family,
@@ -48,6 +50,7 @@ from helpers import (
     deck_inverse,
     deck_subgroups,
     dihedral_regular_rep,
+    eager_deck_group,
     fiber_transport,
     is_bijective,
     is_normal_deck_subgroup,
@@ -398,17 +401,22 @@ class TestDeckGroupOracle:
 
 
 class TestDeckGroupBySheetTransport:
-    """``deck_group`` builds each element from its fiber automorphism; the
-    lift-based construction it replaced gives equal elements in the same
-    order and an equal table, and ``is_regular`` reads the same order."""
+    """``deck_group`` holds each element as its fiber automorphism; the
+    eager sheet-transport construction it replaced and the lift-based one
+    before it give the same order, an equal table and equal elements in
+    the same order, and ``is_regular`` reads the same order."""
 
     @staticmethod
     def check(cov):
-        deck, want = deck_group(cov), lift_deck_group(cov)
-        assert deck.elements == want.elements
+        deck = deck_group(cov)
+        for want in (eager_deck_group(cov), lift_deck_group(cov)):
+            assert deck.order == want.order
+            assert deck.table == want.table
+            assert all(deck.element(i) == h for i, h in enumerate(want.elements))
+            assert deck.elements == want.elements
         assert [h.vmap[cov.domain.vertices[0]] for h in deck.elements] == \
-            [h.vmap[cov.domain.vertices[0]] for h in want.elements]
-        assert deck.table == want.table
+            [cov.vertex_fibers[cov.map.vmap[cov.domain.vertices[0]]][phi[0]]
+             for phi in deck.automorphisms]
         assert is_regular(cov).deck_order == deck.order
         return deck
 
@@ -455,6 +463,64 @@ class TestDeckGroupBySheetTransport:
         for cov, want in zip(covs, wants):
             deck = deck_group(cov)
             assert deck.elements == want.elements and deck.table == want.table
+
+    @pytest.mark.parametrize("base, rep", [
+        (pc.bouquet_graph(2), pc.translation_kernel_rep(2, 3)),
+        (theta_graph(), dihedral_regular_rep(3)),
+        (pc.cycle_graph(3), cyclic_rep(5))], ids=["Z3^2", "D3", "Z5"])
+    def test_swapped_automorphism_fails_the_sheet_check(self, monkeypatch,
+                                                        base, rep):
+        cov = cover_from_subgroup(base, "v0", rep)[2]
+        automorphisms = covering._automorphisms
+        for k in range(1, rep.degree):
+            def swapped(r, k=k):
+                group = automorphisms(r)
+                phi = group[k] = list(group[k])
+                phi[1], phi[2] = phi[2], phi[1]
+                return group
+
+            monkeypatch.setattr(covering, "_automorphisms", swapped)
+            with pytest.raises(RuntimeError, match="no deck transformation"):
+                deck_group(cov)
+        monkeypatch.setattr(covering, "_automorphisms", automorphisms)
+        assert deck_group(cov).order == rep.degree
+
+
+class TestDeckElementsWhereRead:
+    """Order, table, subgroups and deck quotients are read off the
+    automorphisms and the sheet rows: none of them builds an element."""
+
+    @pytest.fixture
+    def no_elements(self, monkeypatch):
+        def no_element(self, i):
+            raise AssertionError("deck element %d was built" % i)
+
+        monkeypatch.setattr(covering.DeckGroup, "element", no_element)
+
+    def test_covers_calls_build_no_element(self, no_elements):
+        for deck in small_deck_groups() + (order_64_deck_group(),):
+            assert deck.order == len(deck.table) == len(deck.automorphisms)
+            assert all(sorted(row) == list(range(deck.order))
+                       for row in deck.table)
+            assert deck.is_subgroup([0])
+            for s in deck_subgroups(deck):
+                assert deck.is_subgroup(s)
+                _, h_map, f_h = quotient_by_deck_subgroup(deck, s)
+                assert h_map.degree == len(s)
+                assert f_h.degree * len(s) == deck.covering.degree
+        with pytest.raises(AssertionError, match="deck element 0 was built"):
+            deck.elements
+
+    def test_element_is_built_once_per_read_of_elements(self):
+        deck = deck_group(as_covering(wrap_morphism(12, 3)))
+        assert deck.elements is deck.elements
+        assert deck.elements == tuple(map(deck.element, range(deck.order)))
+
+
+def order_64_deck_group():
+    """The deck group of the B2 cover of the kernel onto (Z/8)^2."""
+    return deck_group(cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                          pc.translation_kernel_rep(2, 8))[2])
 
 
 class TestConstructorsAgainstOracles:
@@ -796,6 +862,30 @@ class TestDeckQuotient:
         deck = deck_group(cov)
         with pytest.raises(ActionError):
             quotient_by_deck_subgroup(deck, [1])
+
+    @pytest.mark.parametrize("deck", small_deck_groups() + (None,),
+                             ids=lambda d: "order-64" if d is None
+                             else "order-%d" % d.order)
+    def test_matches_the_congruence_oracle(self, deck):
+        deck = deck or order_64_deck_group()
+        for s in deck_subgroups(deck):
+            got = quotient_by_deck_subgroup(deck, s)
+            want = congruence_quotient_by_deck_subgroup(deck, s)
+            assert got[0] == want[0] and got[0].name == want[0].name
+            for cov, oracle in zip(got[1:], want[1:]):
+                assert cov.map == oracle.map
+                assert cov.lifts == oracle.lifts
+                assert cov.vertex_fibers == oracle.vertex_fibers
+                assert (cov.degree, cov.component_degrees) == \
+                    (oracle.degree, oracle.component_degrees)
+
+    def test_orbit_quotient_matches_the_congruence_oracle(self):
+        for name, act in free_actions().items():
+            qg, cov = quotient_by_group(act)
+            oqg, ocov = congruence_orbit_quotient(
+                act.graph, [act.morphisms[g] for g in act.elements])
+            assert qg == oqg and cov.map == ocov.map, name
+            assert cov.lifts == ocov.lifts, name
 
     def test_matches_quotient_by_deck_action(self):
         for deck in small_deck_groups():

@@ -35,6 +35,20 @@ class TestGraphFormat:
         g = formats.graph_from_obj(obj)
         assert pc.validate_graph(g)
 
+    def test_dangling_edge_stops_every_other_reader(self, tmp_path):
+        obj = {"format": formats.GRAPH_FORMAT, "vertices": ["v0"],
+               "edges": [{"id": "e0", "src": "ghost", "dst": "v0"}]}
+        path = str(tmp_path / "g.json")
+        formats.save_json(path, obj)
+        with pytest.raises(FormatError, match="edge 'e0' ends at unknown "
+                                              "vertex 'ghost'"):
+            formats.load_graph(path)
+        morphism = {"format": formats.MORPHISM_FORMAT, "domain": obj,
+                    "codomain": obj, "vertex_map": {"v0": "v0"},
+                    "edge_map": {"e0": {"edge": "e0", "flip": False}}}
+        with pytest.raises(FormatError, match="ends at unknown vertex"):
+            formats.morphism_from_obj(morphism)
+
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "g.json")
         formats.save_graph(path, pc.cycle_graph(4))

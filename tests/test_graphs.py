@@ -17,10 +17,14 @@ from procover import (
 from procover.freegroup import NotTransitiveError
 from helpers import (
     b2_covers,
+    checked_kernel_congruence,
+    cyclic_family,
+    free_actions,
     fresh_components,
     is_bijective,
     path_graph,
     rotation,
+    small_deck_groups,
     sorted_item_key,
     two_cycles,
     wrap_morphism,
@@ -225,6 +229,69 @@ class TestKernel:
         r = kernel_congruence(f)
         assert all(len(c) == 2 for c in r.vertex_classes)
         assert all(len(c) == 2 for c in r.dart_classes)
+
+
+def fixed_dart_fold():
+    """A loop folded onto a dart that is its own inverse: a morphism whose
+    kernel merges the loop's darts with each other."""
+    g = FiniteGraph.from_edges(["x", "y"], [("a", "x", "y"), ("b", "y", "y")])
+    h = FiniteGraph(["u", "w"], ["a+", "a-", "f"],
+                    {"a+": "u", "a-": "w", "f": "w"},
+                    {"a+": "a-", "a-": "a+", "f": "f"})
+    return GraphMorphism(g, h, {"x": "u", "y": "w"},
+                         {"a+": "a+", "a-": "a-", "b+": "f", "b-": "f"})
+
+
+def kernel_test_morphisms():
+    """The morphisms of the graph and covering tests: wraps, identities,
+    rotations, a component collapse, cover maps, deck elements, orbit maps
+    and lifts."""
+    ms = [wrap_morphism(n, m) for n, m in ((6, 3), (6, 2), (12, 6), (12, 4),
+                                            (12, 3), (3, 3), (8, 2))]
+    ms += [GraphMorphism.identity(g) for g in (
+        pc.cycle_graph(3), pc.bouquet_graph(2), two_cycles(3), path_graph(4),
+        FiniteGraph([], [], {}, {}))]
+    ms += [rotation(6, k) for k in range(6)]
+    c3, g = pc.cycle_graph(3), two_cycles(3)
+    vmap, dmap = {}, {}
+    for i in range(3):
+        vmap["a%d" % i] = vmap["b%d" % i] = "v%d" % i
+        for s in "+-":
+            dmap["ea%d%s" % (i, s)] = dmap["eb%d%s" % (i, s)] = "e%d%s" % (i, s)
+    ms.append(GraphMorphism(g, c3, vmap, dmap))
+    ms += [cov.map for _, _, cov in b2_covers()]
+    ms += [cov.map for cov in cyclic_family()]
+    for deck in small_deck_groups():
+        ms += deck.elements
+    for act in free_actions().values():
+        ms.append(pc.quotient_by_group(act)[1].map)
+    cov = pc.as_covering(wrap_morphism(6, 3))
+    ms.append(pc.lift(wrap_morphism(12, 3), cov, "v0", "v3"))
+    return ms
+
+
+class TestKernelOracle:
+    """``kernel_congruence`` takes the fibers of a validated morphism as a
+    congruence without re-checking their compatibility; the checked
+    construction it replaced gives an equal congruence on every morphism
+    of the graph and covering tests."""
+
+    def test_equal_to_the_checked_construction(self):
+        ms = kernel_test_morphisms()
+        assert len(ms) > 100
+        for f in ms:
+            r, want = kernel_congruence(f), checked_kernel_congruence(f)
+            assert r == want
+            assert (r._vrep, r._drep) == (want._vrep, want._drep)
+            assert quotient(f.domain, r) == quotient(f.domain, want)
+
+    def test_fixed_dart_codomain_is_rejected_with_the_same_witness(self):
+        f = fixed_dart_fold()
+        for kernel in (kernel_congruence, checked_kernel_congruence):
+            with pytest.raises(CongruenceError) as err:
+                kernel(f)
+            assert err.value.witness == ("b+", "b-")
+            assert str(err.value) == "dart 'b+' is merged with its inverse"
 
 
 class TestInducedMap:
