@@ -366,11 +366,11 @@ class DeckGroup:
     and ``drows`` are the sheet rows :func:`deck_group` builds: one row per
     base vertex and per base dart, whose k-th entry is the vertex or dart
     over it in sheet k.  ``table[i][j]`` is the index of the composite that
-    applies element j first and element i second.  Order, table and
-    subgroups are read off the automorphisms; :meth:`element` builds one
-    element as a validated morphism, and :attr:`elements` builds them all
-    on first read and keeps them (a pure function of the value, like the
-    caches of :mod:`procover.graphs`).
+    applies element j first and element i second.  Order, table, subgroups
+    and :meth:`indices_sending` read the automorphisms; :meth:`element`
+    builds one element as a validated morphism, and :attr:`elements` builds
+    them all on first read and keeps them (a pure function of the value,
+    like the caches of :mod:`procover.graphs`).
     """
 
     def __init__(self, covering: Covering, automorphisms, vrows, drows, table):
@@ -390,6 +390,19 @@ class DeckGroup:
         power."""
         s = set(indices)
         return bool(s) and all(self.table[i][j] in s for i in s for j in s)
+
+    def indices_sending(self, x: str, ys: Iterable[str]) -> list[int]:
+        """For each vertex y of ``ys``, the index of the element that sends
+        the cover vertex ``x`` to ``y``: with ``x`` in sheet k of its row
+        and y in sheet m of the same row, the element i with
+        ``automorphisms[i][k] == m``.  No element is built.  A y that no
+        element sends ``x`` to raises KeyError; on a regular cover that is
+        a y outside the fiber of ``x``."""
+        row = next((row for row in self.vrows if x in row), ())
+        sheet = {v: m for m, v in enumerate(row)}
+        k = sheet[x]
+        index = {phi[k]: i for i, phi in enumerate(self.automorphisms)}
+        return [index[sheet[y]] for y in ys]
 
     def element(self, i: int) -> GraphMorphism:
         """Deck element i as a morphism of the cover: it sends the entry in

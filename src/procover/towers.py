@@ -321,15 +321,18 @@ class DeckTowerResult:
 def deck_tower(t: Tower) -> DeckTowerResult:
     """Deck group of every level plus the connecting homomorphisms.
 
-    Each level's deck group is computed once, and its order must equal the
-    degree (every level regular: projecting uses simple transitivity).
-    Every element of every level is built, through ``DeckGroup.elements``,
-    since each one's square is checked.  A
-    deck transformation upstairs projects through the cover-side bonding
-    morphism to the unique one downstairs with the same image of one vertex;
-    this is verified as a group homomorphism and pointwise: the square
-    ``beta o phi == phi o alpha`` is checked at every vertex and dart
-    without building either composite.
+    The tower must be valid (:func:`require_valid_tower`) and every level
+    connected and regular: its deck group, computed once, has order equal
+    to the degree.  No deck element is built.  With ``f_i`` the level-i
+    covering map, ``phi`` and ``psi`` the cover and base bonding maps and
+    ``x0`` the upper cover's first vertex, upper element ``alpha`` number
+    ``a`` sends ``x0`` to the a-th point of its fiber, and ``hom[a]`` is the
+    lower element ``beta`` sending ``phi(x0)`` to ``phi(alpha(x0))``; both
+    lie over ``psi(f_{i+1}(x0))``, so exactly one ``beta`` does.  Then
+    ``beta o phi`` and ``phi o alpha`` both lift ``psi o f_{i+1}`` through
+    ``f_i`` and agree at ``x0``, so by unique lifting they are equal on the
+    connected upper cover.  Hence ``hom`` is a homomorphism: ``hom[a]
+    hom[a']`` sends ``phi(x0)`` where ``phi o alpha alpha'`` does.
     """
     require_valid_tower(t)
     for i, cov in enumerate(t.coverings):
@@ -346,36 +349,12 @@ def deck_tower(t: Tower) -> DeckTowerResult:
         decks.append(deck)
     steps = []
     for i in range(t.top):
-        phi = t.cover_steps[i]
-        pv, pd = phi.vmap, phi.dmap
-        upper, lower = decks[i + 1], decks[i]
-        x0 = phi.domain.vertices[0]
-        start = phi.vmap[x0]
-        at = {beta.vmap[start]: b for b, beta in enumerate(lower.elements)}
-        hom = []
-        for a_idx, alpha in enumerate(upper.elements):
-            beta_idx = at.get(phi.vmap[alpha.vmap[x0]])
-            if beta_idx is None:
-                raise TowerError(
-                    "deck element %d at level %d does not project" % (a_idx, i + 1),
-                    witness=(i + 1, a_idx))
-            beta = lower.elements[beta_idx]
-            if [beta.vmap[y] for y in pv.values()] != \
-                    [pv[alpha.vmap[x]] for x in pv] or \
-                    [beta.dmap[e] for e in pd.values()] != \
-                    [pd[alpha.dmap[d]] for d in pd]:
-                raise TowerError(
-                    "deck element %d at level %d projects inconsistently"
-                    % (a_idx, i + 1), witness=(i + 1, a_idx))
-            hom.append(beta_idx)
-        for a in range(upper.order):
-            for b in range(upper.order):
-                if hom[upper.table[a][b]] != lower.table[hom[a]][hom[b]]:
-                    raise TowerError(
-                        "deck projection at step %d is not a homomorphism" % i,
-                        witness=(i, a, b))
-        steps.append(DeckTowerStep(hom=tuple(hom),
-                                   surjective=set(hom) == set(range(lower.order))))
+        pv, upper = t.cover_steps[i].vmap, t.coverings[i + 1]
+        x0 = upper.domain.vertices[0]
+        fiber = upper.vertex_fibers[upper.map.vmap[x0]]
+        hom = tuple(decks[i].indices_sending(pv[x0], [pv[x] for x in fiber]))
+        steps.append(DeckTowerStep(
+            hom=hom, surjective=set(hom) == set(range(decks[i].order))))
     return DeckTowerResult(decks=decks, steps=steps)
 
 

@@ -432,6 +432,19 @@ def constant_tower(k: int) -> pc.Tower:
     return pc.Tower(coverings, phis, psis, basepoints=["v0"] * (k + 1))
 
 
+def zigzag_tower() -> pc.Tower:
+    """A two-level tower whose cover step folds the 6-cycle onto one edge of
+    the triangle: its square fails and its level-0 kernel pair is not_half."""
+    c6, c3 = pc.cycle_graph(6), pc.cycle_graph(3)
+    zigzag = pc.GraphMorphism(
+        c6, c3, {"v%d" % i: "v%d" % (i % 2) for i in range(6)},
+        {"e%d%s" % (i, s): "e0%s" % ("+-"[(i + (s == "-")) % 2])
+         for i in range(6) for s in "+-"})
+    return pc.Tower([pc.as_covering(pc.GraphMorphism.identity(c3)),
+                     pc.as_covering(wrap_morphism(6, 3))],
+                    [zigzag], [pc.GraphMorphism.identity(c3)])
+
+
 def factorial_spec() -> pc.UniversalSpec:
     import math
     c3 = pc.cycle_graph(3)

@@ -22,6 +22,7 @@ from helpers import (
     rotation_action,
     two_cycles,
     wrap_morphism,
+    zigzag_tower,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -495,17 +496,7 @@ def evidence_case_argv(command, tmp_path):
     if command == "tower pi1-trivial":
         manifest = formats.save_tower(path("pro2"), pro2_tower(3))
         return ["tower", "pi1-trivial", manifest, "--max-index", "3"]
-    # a two-level tower whose cover step folds the 6-cycle onto one edge of
-    # the triangle: its square fails and its level-0 kernel pair is not_half
-    c6, c3 = pc.cycle_graph(6), pc.cycle_graph(3)
-    zigzag = pc.GraphMorphism(
-        c6, c3, {"v%d" % i: "v%d" % (i % 2) for i in range(6)},
-        {"e%d%s" % (i, s): "e0%s" % ("+-"[(i + (s == "-")) % 2])
-         for i in range(6) for s in "+-"})
-    tower = pc.Tower([pc.as_covering(pc.GraphMorphism.identity(c3)),
-                      pc.as_covering(wrap_morphism(6, 3))],
-                     [zigzag], [pc.GraphMorphism.identity(c3)])
-    return command.split() + [formats.save_tower(path("zigzag"), tower)]
+    return command.split() + [formats.save_tower(path("zigzag"), zigzag_tower())]
 
 
 class TestExitOneEvidence:

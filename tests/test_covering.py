@@ -511,6 +511,19 @@ class TestDeckElementsWhereRead:
         with pytest.raises(AssertionError, match="deck element 0 was built"):
             deck.elements
 
+    def test_indices_sending_matches_the_elements(self):
+        for deck in small_deck_groups():
+            cov = deck.covering
+            for x in cov.domain.vertices:
+                reached = {h.vmap[x]: i for i, h in enumerate(deck.elements)}
+                fiber = cov.vertex_fibers[cov.map.vmap[x]]
+                ys = [y for y in fiber if y in reached]
+                assert deck.indices_sending(x, ys) == [reached[y] for y in ys]
+                for y in fiber:
+                    if y not in reached:
+                        with pytest.raises(KeyError):
+                            deck.indices_sending(x, [y])
+
     def test_element_is_built_once_per_read_of_elements(self):
         deck = deck_group(as_covering(wrap_morphism(12, 3)))
         assert deck.elements is deck.elements

@@ -163,3 +163,17 @@ def test_tower_action_and_congruence_errors_carry_a_witness():
                 missing.append("%s:%d" % (name, node.lineno))
     assert raised > 20
     assert missing == []
+
+
+def test_deck_group_layout_is_read_in_covering_only():
+    """``DeckGroup.vrows``, ``drows`` and ``automorphisms`` (the sheet rows
+    and the fiber automorphisms) are read by ``covering.py`` alone; other
+    modules ask a ``DeckGroup`` method, so the layout can change in one
+    place."""
+    layout = {"vrows", "drows", "automorphisms"}
+    found = {name: sorted(node.lineno for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute)
+                          and node.attr in layout)
+             for name, tree in library_trees()}
+    assert found.pop("covering.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import procover as pc
@@ -24,7 +26,7 @@ from procover import (
     universal_tower,
     validate_tower,
 )
-from procover import towers
+from procover import covering, towers
 from procover.covering import image_subgroup
 from helpers import (
     all_pairs_triviality_oracle,
@@ -37,11 +39,13 @@ from helpers import (
     path_graph,
     per_pair_good_pairs_oracle,
     pro2_tower,
+    relabelled,
     rotation,
     scanned_deck_hom,
     trivial_rep,
     two_cycles,
     wrap_morphism,
+    zigzag_tower,
 )
 
 X = FreeWord.generator(0)
@@ -206,18 +210,54 @@ class TestDeckTower:
     def test_nonsurjective_connecting_hom_is_recorded(self):
         # base-side quotient chains can swallow deck elements even when every
         # bonding map is surjective; the step records that honestly
-        c6 = pc.cycle_graph(6)
-        antipodal = pc.kernel_congruence(wrap_morphism(6, 3))
-        spec = UniversalSpec(c6, "v0",
-                             [antipodal, Congruence.diagonal(c6)],
-                             [cyclic_rep(2), cyclic_rep(2)])
-        t = universal_tower(spec)
+        t = antipodal_c6_tower()
         assert all(m.is_surjective() for m in t.cover_steps)
         assert all(m.is_surjective() for m in t.base_steps)
         result = deck_tower(t)
         assert result.orders == [2, 2]
         assert result.steps[0].hom == (0, 0)
         assert not result.steps[0].surjective
+
+
+def antipodal_c6_tower():
+    """Double covers of C6 modulo the antipodal map and of C6 itself: every
+    bonding map is onto, but the connecting homomorphism is trivial."""
+    c6 = pc.cycle_graph(6)
+    antipodal = pc.kernel_congruence(wrap_morphism(6, 3))
+    return universal_tower(UniversalSpec(c6, "v0",
+                                         [antipodal, Congruence.diagonal(c6)],
+                                         [cyclic_rep(2), cyclic_rep(2)]))
+
+
+def relabelled_c3_tower():
+    """The cyclic chain of indices 1 | 2 | 6 | 12 over C3, each normal
+    subgroup given with its points other than 0 shuffled."""
+    rng = random.Random(3)
+    c3 = pc.cycle_graph(3)
+    return universal_tower(UniversalSpec(
+        c3, "v0", [Congruence.diagonal(c3)] * 4,
+        [relabelled(cyclic_rep(n), 0, rng) for n in (1, 2, 6, 12)]))
+
+
+def twisted(t, k):
+    """``t`` with each cover step followed by deck element ``k`` (mod the
+    order) of the level below, so that it moves the first vertex off sheet
+    0 wherever that deck group is nontrivial.  Every square still commutes;
+    the basepoint thread is dropped, since the twist breaks it."""
+    steps = []
+    for i, phi in enumerate(t.cover_steps):
+        deck = pc.deck_group(t.coverings[i])
+        steps.append(compose(deck.element(k % deck.order), phi))
+    return Tower(t.coverings, steps, t.base_steps)
+
+
+def deck_oracle_towers():
+    yield pro2_tower(3)
+    yield universal_tower(b2_homology_spec())
+    yield universal_tower(factorial_spec())
+    yield constant_tower(2)
+    yield antipodal_c6_tower()
+    yield relabelled_c3_tower()
 
 
 class TestDeckTowerOracle:
@@ -242,6 +282,17 @@ class TestDeckTowerOracle:
 
     def test_constant_tower(self):
         self.check(constant_tower(2))
+
+    def test_antipodal_c6_tower(self):
+        self.check(antipodal_c6_tower())
+
+    def test_relabelled_c3_tower(self):
+        self.check(relabelled_c3_tower())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_twisted_towers(self, k):
+        for t in deck_oracle_towers():
+            self.check(twisted(t, k))
 
 
 class TestDeckTowerSquareOracle:
@@ -268,6 +319,51 @@ class TestDeckTowerSquareOracle:
 
     def test_constant_tower(self):
         self.check(constant_tower(2))
+
+    def test_antipodal_c6_tower(self):
+        self.check(antipodal_c6_tower())
+
+    def test_relabelled_c3_tower(self):
+        self.check(relabelled_c3_tower())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_twisted_towers(self, k):
+        for t in deck_oracle_towers():
+            self.check(twisted(t, k))
+
+
+class TestDeckTowerBuildsNoElement:
+    """``deck_tower`` reads each projection off the automorphisms by unique
+    lifting, so it builds no deck element, and a tower that fails
+    validation is refused before any deck group is computed."""
+
+    @pytest.fixture
+    def no_elements(self, monkeypatch):
+        def no_element(self, i):
+            raise AssertionError("deck element %d was built" % i)
+
+        monkeypatch.setattr(covering.DeckGroup, "element", no_element)
+
+    @pytest.mark.parametrize("make, orders", [
+        (lambda: pro2_tower(3), [1, 2, 4, 8]),
+        (lambda: universal_tower(b2_homology_spec()), [1, 4, 16]),
+        (lambda: universal_tower(factorial_spec()), [1, 2, 6, 24]),
+    ], ids=["pro2", "homology", "factorial"])
+    def test_no_element_is_built(self, no_elements, make, orders):
+        result = deck_tower(make())
+        assert result.orders == orders
+        assert all(step.surjective for step in result.steps)
+
+    def test_broken_square_is_refused_before_any_deck_group(self, monkeypatch):
+        def no_deck_group(c):
+            raise AssertionError("a deck group was computed")
+
+        monkeypatch.setattr(towers, "deck_group", no_deck_group)
+        t = zigzag_tower()
+        with pytest.raises(TowerError) as err:
+            deck_tower(t)
+        assert err.value.witness == validate_tower(t).violations[0]
+        assert err.value.witness["kind"] == "square"
 
 
 class TestUniversalTower:
