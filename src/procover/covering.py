@@ -3,19 +3,19 @@
 A covering is a graph morphism that restricts to a bijection on the star of
 darts at every vertex.  This module recognizes coverings, keeping the lift
 table that check builds, builds them from subgroups (voltage construction),
-reads subgroups back off as monodromy and lifts maps through them (both by
-walking the lift table), computes deck transformation groups, decides
+reads subgroups back off as monodromy and lifts maps through them (both
+from the lift table), computes deck transformation groups, decides
 regularity, and forms quotients by free group actions and by deck subgroups.
 
-Deck groups and regularity rest on one test.  For a connected cover with
-monodromy subgroup H at a fiber point, the deck transformations correspond
-to the fiber points whose stabilizer equals H, that is to N(H)/H, and the
-cover is regular exactly when every fiber point qualifies (H is normal).
-Those points are the orbit of the fiber's first point under the
-automorphisms of the monodromy action
+Monodromy, deck groups and regularity rest on one lift of a spanning tree,
+which gives the cover's sheet rows and the monodromy on one fiber.  For a
+connected cover with monodromy subgroup H at a fiber point, the deck
+transformations correspond to the fiber points whose stabilizer equals H,
+that is to N(H)/H, and the cover is regular exactly when every fiber point
+qualifies (H is normal).  Those points are the orbit of the fiber's first
+point under the automorphisms of the monodromy action
 (:func:`~procover.freegroup.normalizer_points`), and each deck
-transformation is built from its automorphism by transport along the
-sheets, with no lift.
+transformation permutes the sheet rows by its automorphism, with no lift.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
 from .graphs import (
-    CongruenceError,
+    Congruence,
     FiniteGraph,
     GraphError,
     GraphMorphism,
@@ -36,6 +36,7 @@ from .graphs import (
     components,
     edge_stem,
     is_connected,
+    quotient,
     spanning_tree,
 )
 from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
@@ -255,13 +256,35 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     return cover, names[basepoint][0], cov
 
 
+def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
+    """The vertex rows and the monodromy of a connected cover, from one
+    lift of the spanning tree of ``p`` with ``a`` in sheet 0 and the rest
+    of its fiber in fiber order.  ``rows[v][k]``, the sheet-k vertex over
+    ``v``, ends the lift of the tree path to ``v`` from sheet k, so a tree
+    dart keeps the sheet.  Generator x_k sends sheet s to the sheet where
+    the lift of the k-th basis dart from sheet s ends: with the tree paths
+    in and out, that is the lift of basis loop k."""
+    base, cover = c.codomain, c.domain
+    lifts, src, inv = c.lifts, cover.src, cover.inv
+    rows = {p.basepoint: [a] + [x for x in c.vertex_fibers[p.basepoint]
+                                if x != a]}
+    # the tree's parent darts are held in breadth-first order, so each
+    # parent is reached before its children
+    for w, up in p.tree.parent_dart.items():
+        down = base.inv[up]
+        rows[w] = [src[inv[lifts[u][down]]] for u in rows[base.src[down]]]
+    sheet = {x: k for row in rows.values() for k, x in enumerate(row)}
+    perms = [[sheet[src[inv[lifts[u][d]]]] for u in rows[base.src[d]]]
+             for d in p.basis_darts]
+    return rows, PermRep(p.rank, len(rows[p.basepoint]), perms)
+
+
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
-    """Monodromy of the base fundamental group on the fiber through ``a``.
+    """Monodromy of the base fundamental group on the fiber through ``a``,
+    read off the sheet rows (:func:`_sheet_rows`).
 
     The fiber point ``a`` is labelled 0, so the stabilizer of 0 is the image
     of the cover's fundamental group at ``a``.  Degree = covering degree.
-    Generator x_k sends a fiber point to the end of the lift of basis loop
-    k that starts there, followed one dart at a time through ``c.lifts``.
     """
     if p.graph != c.codomain:
         raise GraphError("fundamental-group data is for a different graph")
@@ -272,23 +295,7 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
                          % (a, c.map.vmap[a], p.basepoint))
     if not is_connected(c.domain):
         raise ValueError("cover is not connected")
-    fiber = c.vertex_fibers[p.basepoint]
-    label = {a: 0}
-    for x in fiber:
-        if x != a:
-            label[x] = len(label)
-    lifts, src, inv = c.lifts, c.domain.src, c.domain.inv
-    perms = []
-    for k in range(p.rank):
-        loop = p.basis_loop(k)
-        perm = [0] * len(fiber)
-        for x in fiber:
-            y = x
-            for d in loop:
-                y = src[inv[lifts[y][d]]]
-            perm[label[x]] = label[y]
-        perms.append(tuple(perm))
-    return PermRep(p.rank, len(fiber), perms)
+    return _sheet_rows(c, a, p)[1]
 
 
 def lift(g: GraphMorphism, c: Covering, base_c: str,
@@ -436,18 +443,16 @@ def _moved(rows, phi):
     return chain.from_iterable(map(row.__getitem__, phi) for row in rows)
 
 
-def _first_fiber_monodromy(c: Covering) -> tuple[Pi1Data, PermRep]:
-    """For a connected cover over a connected base, with first vertex
-    ``a0``: the free-group coordinates of the base at the image of ``a0``,
-    and the monodromy action on the fiber of ``a0``, with fiber point k
-    labelled k (``a0`` is the least vertex, so it is label 0)."""
+def _first_fiber_monodromy(c: Covering) -> tuple[dict, PermRep]:
+    """:func:`_sheet_rows` of a connected cover over a connected base at
+    its first vertex ``a0``, which is the least of its fiber, so fiber
+    point k is in sheet k."""
     if not c.domain.vertices:
         raise ValueError("the cover has no vertices")
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
-    p = pi1_data(c.codomain, c.map.vmap[a0])
-    return p, image_subgroup(c, a0, p)
+    return _sheet_rows(c, a0, pi1_data(c.codomain, c.map.vmap[a0]))
 
 
 def deck_group(c: Covering) -> DeckGroup:
@@ -457,14 +462,12 @@ def deck_group(c: Covering) -> DeckGroup:
     vertex ``a0`` to, and on that fiber it acts as the automorphism of the
     monodromy action with that image of 0: the deck group is N(H)/H, and
     its elements come in the fiber order of the normalizer points
-    (:func:`normalizer_points`), the identity first.  Each one is given by
-    sheet transport: over every base vertex ``v``, ``ends[v][k]`` is the
-    end of the lift of the spanning-tree path to ``v`` that starts at fiber
-    point k, the sheet-k vertex over ``v``; the sheet-k dart over a base
-    dart ``d`` is the dart over ``d`` at the sheet-k vertex over its
-    source.  The element of an automorphism ``phi`` sends the sheet-k
-    vertex or dart over each base element to the sheet-``phi[k]`` one, so
-    it covers the covering map by construction.
+    (:func:`normalizer_points`), the identity first.  The sheet rows and
+    the monodromy come from one :func:`_first_fiber_monodromy`; the sheet-k
+    dart over a base dart ``d`` is the dart over ``d`` at the sheet-k vertex
+    over its source.  The element of an automorphism ``phi`` sends the
+    sheet-k vertex or dart over each base element to the sheet-``phi[k]``
+    one, so it covers the covering map by construction.
 
     Every automorphism is checked here, in integer sheet coordinates; no
     element is built.  The rows must partition the cover's vertices and
@@ -479,39 +482,26 @@ def deck_group(c: Covering) -> DeckGroup:
     and ``inv(h(x))`` in sheet ``s_d[phi[k]]``: the involution is kept for
     every ``x`` exactly when ``phi o s_d == s_d o phi`` for every ``d``.
     These are the incidence and involution checks of
-    :class:`~procover.graphs.GraphMorphism`.  Also checked: no automorphism
-    but the identity fixes a sheet (so no element fixes a vertex or dart),
-    the composition table, read off the images of 0, closes, and the order
-    divides the degree.
+    :class:`~procover.graphs.GraphMorphism`; ``s_d`` is the identity on a
+    tree dart and the move of x_k on the k-th basis dart.  Also checked: no
+    automorphism but the identity fixes a sheet, the composition table,
+    read off the images of 0, closes, and the order divides the degree.
 
     An element is built as a morphism, with its own incidence, involution
     and fixed-point checks, only when it is read (:meth:`DeckGroup.element`,
     :attr:`DeckGroup.elements`); one that is never read is never built,
     but its automorphism has passed the checks above.
     """
-    p, rep = _first_fiber_monodromy(c)
-    base, cover = c.codomain, c.domain
-    lifts, src, inv = c.lifts, cover.src, cover.inv
-    # sheet transport along the spanning tree of the monodromy step, rooted
-    # at the image of a0.  The tree's parent darts are held in breadth-first
-    # order, so each parent is reached before its children
-    ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
-    for w, up in p.tree.parent_dart.items():
-        down = base.inv[up]
-        ends[w] = [src[inv[lifts[u][down]]] for u in ends[base.src[down]]]
-    vrows = list(ends.values())
-    drows = [[lifts[u][d] for u in ends[base.src[d]]] for d in base.darts]
+    rows, rep = _first_fiber_monodromy(c)
+    base, cover, lifts = c.codomain, c.domain, c.lifts
+    vrows = list(rows.values())
+    drows = [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
     if not (_partitions(vrows, cover._vertex_set)
             and _partitions(drows, cover._dart_set)):
         raise RuntimeError("sheet rows do not partition the cover "
                            "(internal error)")
     n = c.degree
-    sheet = {}
-    for row in drows:
-        sheet.update(zip(row, range(n)))
-    # tree darts keep the sheet: only the distinct nontrivial moves count
-    moves = {tuple(map(sheet.__getitem__, map(inv.__getitem__, row)))
-             for row in drows}
+    moves = {rep.move((k, s)) for k in range(rep.rank) for s in (1, -1)}
     moves.discard(tuple(range(n)))
     # itemgetter(*s)(phi) is phi o s (a move has n >= 2 entries, so the
     # getter returns a tuple)
@@ -590,7 +580,7 @@ def is_regular(c: Covering) -> RegularityReport:
     (:func:`normalizer_points`), and the cover is regular exactly when that
     is the whole fiber.  No deck transformation is constructed.
     """
-    _p, rep = _first_fiber_monodromy(c)
+    _rows, rep = _first_fiber_monodromy(c)
     deck_order = len(normalizer_points(rep))
     regular = deck_order == c.degree
     return RegularityReport(regular=regular, degree=c.degree,
@@ -691,30 +681,17 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits,
     ``graph`` with the given vertex and dart orbits; the caller has checked
     that the graph is connected and the action free and inversion-free.
 
-    The orbit graph is built directly: a class id is the least member id,
-    as in :func:`~procover.graphs.quotient`.  Validating the projection as
-    a morphism checks that the orbits are a congruence (related darts have
-    related sources and related inverses), and no orbit may hold a dart
-    together with its inverse.
+    :func:`~procover.graphs.quotient` builds the orbit graph, whose
+    projection it validates: that checks the orbits are a congruence.  No
+    orbit may hold a dart together with its inverse.
     """
-    vrep, drep = {}, {}
-    for orbits, rep in ((vertex_orbits, vrep), (dart_orbits, drep)):
-        for orbit in orbits:
-            rep.update(dict.fromkeys(orbit, min(orbit)))
-    src, inv = graph.src, graph.inv
-    ids = set(drep.values())
-    qinv = {d: drep[inv[d]] for d in ids}
-    qg = FiniteGraph(set(vrep.values()), ids,
-                     {d: vrep[src[d]] for d in ids}, qinv, name=graph.name)
+    classes = [sorted(map(sorted, orbits))
+               for orbits in (vertex_orbits, dart_orbits)]
     try:
-        proj = GraphMorphism(graph, qg, vrep, drep)
+        qg, proj = quotient(graph, Congruence._of_partition(graph, *classes))
     except GraphError as exc:
         raise RuntimeError("orbits are not a congruence (internal error)") \
             from exc
-    merged = next((d for d in qg.darts if qinv[d] == d), None)
-    if merged is not None:
-        raise CongruenceError("dart %r is merged with its inverse" % merged,
-                              witness=(merged, inv[merged]))
     cov = as_covering(proj)
     if cov.degree != order:
         raise RuntimeError("orbit map degree is not the group order "

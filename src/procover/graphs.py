@@ -436,19 +436,19 @@ class Congruence:
                         witness=(d, base.inv[d]))
 
     @classmethod
-    def _of_fibers(cls, base: FiniteGraph, vertex_classes, dart_classes
-                   ) -> "Congruence":
-        """The congruence whose classes are the fibers of a validated
-        morphism on ``base``: lists that partition the vertices and the
-        darts, each sorted and listed in order of least member.
+    def _of_partition(cls, base: FiniteGraph, vertex_classes, dart_classes
+                      ) -> "Congruence":
+        """The congruence with the given classes, trusted to partition
+        the vertices and the darts, each sorted and listed in order of
+        least member; only merged inverses are checked.
 
-        Such fibers are compatible by construction (the morphism commutes
-        with sources and inverses), so only the merged-inverse check runs:
-        a morphism sends a dart and its inverse to one dart exactly when
-        that dart is fixed by the codomain's involution, which
-        :class:`FiniteGraph` admits.  In a compatible class every member is
-        merged with its inverse when one is, so the class's least member is
-        the same witness :meth:`__init__` reports.
+        Fibers of a morphism are compatible by construction, and
+        :func:`quotient` validates its projection.  But a morphism sends
+        a dart and its inverse to one dart exactly when that dart is fixed
+        by the codomain's involution, which :class:`FiniteGraph` admits.
+        In a compatible class every member is merged with its inverse when
+        one is, so the class's least member is the same witness
+        :meth:`__init__` reports.
         """
         r = cls.__new__(cls)
         r.base = base
@@ -510,7 +510,7 @@ def kernel_congruence(f: GraphMorphism) -> Congruence:
     """The congruence on the domain whose classes are the fibers of ``f``.
 
     The fibers are collected in id order, so each is sorted and they come
-    in order of least member, as :meth:`Congruence._of_fibers` takes them.
+    in order of least member, as :meth:`Congruence._of_partition` takes them.
     """
     fibers = []
     for points, image in ((f.domain.vertices, f.vmap), (f.domain.darts, f.dmap)):
@@ -518,7 +518,7 @@ def kernel_congruence(f: GraphMorphism) -> Congruence:
         for x, y in zip(points, map(image.__getitem__, points)):
             fiber.setdefault(y, []).append(x)
         fibers.append(fiber.values())
-    return Congruence._of_fibers(f.domain, *fibers)
+    return Congruence._of_partition(f.domain, *fibers)
 
 
 class InducedMapError(VerdictError):

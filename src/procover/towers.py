@@ -168,15 +168,9 @@ class TowerReport:
 def validate_tower_pieces(level_maps: list[GraphMorphism],
                           cover_steps: list[GraphMorphism],
                           base_steps: list[GraphMorphism]) -> TowerReport:
-    """Report-style validation of tower data given as bare morphisms.
-
-    Checks local bijectivity of every level, pointwise commutativity of
-    every square, and (warning level) surjectivity of the bonding maps.
-    Lists every violation with a witness element.  A square
-    ``f_i o phi_i == psi_i o f_{i+1}`` is read vertex by vertex and dart by
-    dart without building either composite; maps that do not compose raise
-    the GraphError of :func:`compose`.
-    """
+    """Report-style validation of tower data given as bare morphisms: the
+    local bijectivity of every level, then the checks of
+    :func:`validate_tower`.  Lists every violation with a witness element."""
     report = TowerReport()
     for i, f in enumerate(level_maps):
         try:
@@ -185,6 +179,16 @@ def validate_tower_pieces(level_maps: list[GraphMorphism],
             report.violations.append({
                 "kind": "not-locally-bijective", "level": i,
                 "witness": exc.vertex, "reason": exc.reason})
+    return _check_squares(report, level_maps, cover_steps, base_steps)
+
+
+def _check_squares(report: TowerReport, level_maps, cover_steps, base_steps
+                   ) -> TowerReport:
+    """Add to ``report`` the first failure of every square
+    ``f_i o phi_i == psi_i o f_{i+1}``, read pointwise without building
+    either composite, and (as warnings) the bonding maps that are not
+    surjective.  Maps that do not compose raise the GraphError of
+    :func:`compose`."""
     for i, (phi, psi) in enumerate(zip(cover_steps, base_steps)):
         f, g = level_maps[i], level_maps[i + 1]
         if phi.codomain != f.domain or g.codomain != psi.domain:
@@ -220,9 +224,11 @@ def _square_violation(elements, phi, f, g, psi):
 
 
 def validate_tower(t: Tower) -> TowerReport:
-    """Full semantic validation of a tower (see validate_tower_pieces)."""
-    return validate_tower_pieces([c.map for c in t.coverings],
-                                 list(t.cover_steps), list(t.base_steps))
+    """Semantic validation of a tower: its squares commute and (warning
+    level) its bonding maps are surjective.  Every level is a
+    :class:`Covering`, checked locally bijective when it was built."""
+    return _check_squares(TowerReport(), [c.map for c in t.coverings],
+                          t.cover_steps, t.base_steps)
 
 
 def require_valid_tower(t: Tower) -> Tower:

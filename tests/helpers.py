@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import procover as pc
 from procover import towers
 from procover.cli import Report
-from procover.covering import _deck_subgroup, _first_fiber_monodromy
+from procover.covering import _deck_subgroup
 from procover.formats import REPORT_FORMAT, FormatError
 from procover.freegroup import NotTransitiveError, _automorphisms, _forced_map
 from procover.graphs import edge_stem
@@ -133,6 +133,30 @@ def transport_monodromy(c: pc.Covering, a: str, p: pc.Pi1Data) -> pc.PermRep:
             transport = {x: step[y] for x, y in transport.items()}
         perm = [0] * len(fiber)
         for x, y in transport.items():
+            perm[label[x]] = label[y]
+        perms.append(tuple(perm))
+    return pc.PermRep(p.rank, len(fiber), perms)
+
+
+def walked_monodromy(c: pc.Covering, a: str, p: pc.Pi1Data) -> pc.PermRep:
+    """The monodromy ``image_subgroup`` replaced: generator x_k sends a
+    fiber point to the end of the lift of basis loop k that starts there,
+    followed one dart at a time through ``c.lifts``, with ``a`` labelled 0
+    and the other fiber points in fiber order."""
+    fiber = c.vertex_fibers[p.basepoint]
+    label = {a: 0}
+    for x in fiber:
+        if x != a:
+            label[x] = len(label)
+    lifts, src, inv = c.lifts, c.domain.src, c.domain.inv
+    perms = []
+    for k in range(p.rank):
+        loop = p.basis_loop(k)
+        perm = [0] * len(fiber)
+        for x in fiber:
+            y = x
+            for d in loop:
+                y = src[inv[lifts[y][d]]]
             perm[label[x]] = label[y]
         perms.append(tuple(perm))
     return pc.PermRep(p.rank, len(fiber), perms)
@@ -558,7 +582,8 @@ def eager_deck_group(c: pc.Covering) -> DeckRecord:
     builds and validates every element by sheet transport before it
     reads the table off the elements' images of the first vertex."""
     a0 = c.domain.vertices[0]
-    p, rep = _first_fiber_monodromy(c)
+    p = pc.pi1_data(c.codomain, c.map.vmap[a0])
+    rep = walked_monodromy(c, a0, p)
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
     ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
@@ -607,6 +632,28 @@ def congruence_orbit_quotient(graph: pc.FiniteGraph, maps: list):
         orbits.append(classes)
     qg, proj = pc.quotient(graph, pc.Congruence(graph, *orbits))
     cov = pc.as_covering(proj)
+    assert cov.degree == len(maps)
+    return qg, cov
+
+
+def direct_orbit_quotient(graph: pc.FiniteGraph, maps: list):
+    """Oracle for the orbit quotient: the direct construction it replaced,
+    which names each class by its least member, builds the orbit graph
+    itself and validates the projection as a morphism."""
+    vrep, drep = {}, {}
+    for points, images, rep in ((graph.vertices, [m.vmap for m in maps], vrep),
+                                (graph.darts, [m.dmap for m in maps], drep)):
+        for x in points:
+            if x not in rep:
+                orbit = {image[x] for image in images}
+                rep.update(dict.fromkeys(orbit, min(orbit)))
+    src, inv = graph.src, graph.inv
+    ids = set(drep.values())
+    qinv = {d: drep[inv[d]] for d in ids}
+    assert all(qinv[d] != d for d in ids)
+    qg = pc.FiniteGraph(set(vrep.values()), ids,
+                        {d: vrep[src[d]] for d in ids}, qinv, name=graph.name)
+    cov = pc.as_covering(pc.GraphMorphism(graph, qg, vrep, drep))
     assert cov.degree == len(maps)
     return qg, cov
 

@@ -30,6 +30,7 @@ from procover import (
     subgroup_leq,
 )
 from procover import covering
+from procover.formats import dump_json, morphism_to_obj
 from procover.freegroup import NotTransitiveError
 from helpers import (
     TableCheckedAction,
@@ -50,6 +51,7 @@ from helpers import (
     deck_inverse,
     deck_subgroups,
     dihedral_regular_rep,
+    direct_orbit_quotient,
     eager_deck_group,
     fiber_transport,
     is_bijective,
@@ -71,6 +73,7 @@ from helpers import (
     transport_monodromy,
     trivial_rep,
     two_cycles,
+    walked_monodromy,
     wrap_morphism,
 )
 
@@ -205,7 +208,9 @@ class TestImageSubgroup:
         cov = as_covering(wrap_morphism(6, 3))
         p = pi1_data(pc.cycle_graph(3), "v0")
         for a in ("v0", "v3"):
-            assert image_subgroup(cov, a, p) == transport_monodromy(cov, a, p)
+            rep = image_subgroup(cov, a, p)
+            assert rep == transport_monodromy(cov, a, p)
+            assert rep == walked_monodromy(cov, a, p)
 
     def test_basepoint_mismatch(self):
         cov = as_covering(wrap_morphism(6, 3))
@@ -327,10 +332,11 @@ def rank2_covers(draw, max_degree=6):
 
 
 class TestLiftTableOracle:
-    """``image_subgroup`` follows each basis loop through the lift table;
-    the fiber-transport monodromy it replaced agrees at every fiber point
-    over every base vertex.  Every table entry starts at its row's vertex
-    and lies over its key."""
+    """``image_subgroup`` reads the monodromy off one sheet transport; the
+    basis-loop walk through the lift table and the fiber-transport
+    monodromy it replaced agree at every fiber point over every base
+    vertex.  Every table entry starts at its row's vertex and lies over
+    its key."""
 
     @staticmethod
     def check(cov):
@@ -338,7 +344,9 @@ class TestLiftTableOracle:
         for u in base.vertices:
             p = pi1_data(base, u)
             for a in cov.vertex_fibers[u]:
-                assert image_subgroup(cov, a, p) == transport_monodromy(cov, a, p)
+                rep = image_subgroup(cov, a, p)
+                assert rep == transport_monodromy(cov, a, p)
+                assert rep == walked_monodromy(cov, a, p)
         assert list(cov.lifts) == list(cover.vertices)
         for v, row in cov.lifts.items():
             assert row.keys() == set(base.star(cov.map.vmap[v]))
@@ -463,6 +471,27 @@ class TestDeckGroupBySheetTransport:
         for cov, want in zip(covs, wants):
             deck = deck_group(cov)
             assert deck.elements == want.elements and deck.table == want.table
+
+    def test_walks_no_basis_loop(self, monkeypatch):
+        """The monodromy comes from the sheet transport that gives the rows:
+        neither ``image_subgroup`` nor a basis loop is used."""
+        covs = [cov for _h, _base, cov in b2_covers()]
+        covs += [cover_from_subgroup(three_vertex_base(), "b", rep)[2]
+                 for rep in low_index_reps(2, 4)]
+        wants = [(eager_deck_group(cov), lift_deck_group(cov),
+                  three_way_regularity_oracle(cov)) for cov in covs]
+
+        def no_walk(*args):
+            raise AssertionError("a basis loop was walked")
+
+        monkeypatch.setattr(covering, "image_subgroup", no_walk)
+        monkeypatch.setattr(pc.Pi1Data, "basis_loop", no_walk)
+        for cov, (eager, lifted, regular) in zip(covs, wants):
+            deck = deck_group(cov)
+            for want in (eager, lifted):
+                assert deck.order == want.order and deck.table == want.table
+                assert deck.elements == want.elements
+            assert is_regular(cov) == regular
 
     @pytest.mark.parametrize("base, rep", [
         (pc.bouquet_graph(2), pc.translation_kernel_rep(2, 3)),
@@ -887,6 +916,9 @@ class TestDeckQuotient:
             assert got[0] == want[0] and got[0].name == want[0].name
             for cov, oracle in zip(got[1:], want[1:]):
                 assert cov.map == oracle.map
+                # the bytes ``deck-quotient --out`` writes for each map
+                assert dump_json(morphism_to_obj(cov.map)) == \
+                    dump_json(morphism_to_obj(oracle.map))
                 assert cov.lifts == oracle.lifts
                 assert cov.vertex_fibers == oracle.vertex_fibers
                 assert (cov.degree, cov.component_degrees) == \
@@ -895,10 +927,12 @@ class TestDeckQuotient:
     def test_orbit_quotient_matches_the_congruence_oracle(self):
         for name, act in free_actions().items():
             qg, cov = quotient_by_group(act)
-            oqg, ocov = congruence_orbit_quotient(
-                act.graph, [act.morphisms[g] for g in act.elements])
-            assert qg == oqg and cov.map == ocov.map, name
-            assert cov.lifts == ocov.lifts, name
+            maps = [act.morphisms[g] for g in act.elements]
+            for oracle in (congruence_orbit_quotient, direct_orbit_quotient):
+                oqg, ocov = oracle(act.graph, maps)
+                assert qg == oqg and qg.name == oqg.name, name
+                assert cov.map == ocov.map, name
+                assert cov.lifts == ocov.lifts, name
 
     def test_matches_quotient_by_deck_action(self):
         for deck in small_deck_groups():

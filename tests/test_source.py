@@ -74,6 +74,29 @@ def test_every_top_level_name_is_used():
     assert unused == []
 
 
+def test_every_import_is_used():
+    """Every name a library module other than ``__init__.py`` imports is
+    referenced as a name in that module.  ``from __future__`` imports bind
+    no name and are skipped.
+
+    An import left behind by a deleted caller reads as a dependency that
+    is not there.
+    """
+    unused = []
+    for name, tree in library_trees():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%s" % (name, bound)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   for bound in [(alias.asname or alias.name).split(".")[0]]
+                   if bound not in used]
+    assert unused == []
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     """Whether the class is decorated with ``dataclass`` or ``dataclass(...)``."""
     for dec in node.decorator_list:

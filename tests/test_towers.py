@@ -59,6 +59,26 @@ class TestValidateTower:
     def test_pro2_tower_valid(self):
         assert validate_tower(pro2_tower(2)).ok
 
+    def test_levels_are_trusted_coverings(self, monkeypatch):
+        """Every level of a ``Tower`` is a ``Covering``, so neither
+        ``validate_tower`` nor ``deck_tower`` checks local bijectivity
+        again; ``validate_tower_pieces``, on bare morphisms, does."""
+        t = pro2_tower(3)
+        pieces = ([c.map for c in t.coverings], list(t.cover_steps),
+                  list(t.base_steps))
+        want = deck_tower(t)
+
+        def no_check(f):
+            raise AssertionError("a level was checked again")
+
+        monkeypatch.setattr(towers, "as_covering", no_check)
+        assert validate_tower(t).ok
+        got = deck_tower(t)
+        assert got.orders == want.orders
+        assert [s.hom for s in got.steps] == [s.hom for s in want.steps]
+        with pytest.raises(AssertionError, match="checked again"):
+            pc.validate_tower_pieces(*pieces)
+
     def test_rotated_bonding_breaks_square(self):
         t = pro2_tower(1)
         bad_phi = compose(rotation(3, 1), t.cover_steps[0])
