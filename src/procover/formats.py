@@ -5,12 +5,18 @@ vertex lists plus undirected edges; an edge ``E`` from ``src`` to ``dst``
 stands for the dart pair ``E+`` / ``E-``.  Maps and congruences refer to
 darts as an edge id plus a ``flip`` flag.  Emission is canonical (sorted
 keys, sorted members), so equal values serialize byte-identically.
+
+Documents and reports use the layout of ``json.dumps(obj, indent=2,
+sort_keys=True)``.  :func:`dump_json` writes it with its own emitter, which
+equals ``json.dumps`` byte for byte: with ``indent`` set, ``json`` runs its
+pure-Python encoder, at about twice the cost.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .graphs import (
     Congruence,
@@ -38,7 +44,73 @@ class FormatError(ValueError):
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written by
+    :func:`_emit` when ``obj`` is a dict, list or tuple of the document
+    grammar."""
+    try:
+        text = _emit(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        # outside the grammar (a float, a non-str key, a subclass, a cycle,
+        # nesting too deep, an int too long to print): json's own text, or
+        # json's own error
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    return text + "\n"
+
+
+_int_repr = int.__repr__
+
+
+def _emit(obj, nl: str) -> str:
+    """The ``indent=2``, sorted-keys JSON text of a dict, list or tuple whose
+    line breaks are ``nl`` (a newline and the current indent).  Only
+    ``str``-keyed dicts, lists, tuples, ``str``, ``int``, ``bool`` and
+    ``None`` of exactly those types are written; anything else raises.
+    The type dispatch is inline: a call per scalar costs most of the gain
+    over ``json.dumps``."""
+    kind = type(obj)
+    inner = nl + "  "
+    items = []
+    if kind is dict:
+        if not obj:
+            return "{}"
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError("not a document key")
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                text = _encode_str(value)
+            elif kind is int:
+                text = _int_repr(value)
+            elif kind is dict or kind is list or kind is tuple:
+                text = _emit(value, inner)
+            elif kind is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            else:
+                raise TypeError("not a document value")
+            items.append(_encode_str(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        for value in obj:
+            kind = type(value)
+            if kind is str:
+                items.append(_encode_str(value))
+            elif kind is int:
+                items.append(_int_repr(value))
+            elif kind is dict or kind is list or kind is tuple:
+                items.append(_emit(value, inner))
+            elif kind is bool:
+                items.append("true" if value else "false")
+            elif value is None:
+                items.append("null")
+            else:
+                raise TypeError("not a document value")
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    raise TypeError("not a document")
 
 
 def save_json(path: str, obj) -> None:
@@ -103,11 +175,16 @@ def _dart_refs(edges) -> dict[str, tuple[str, bool]]:
 
 
 def graph_to_obj(g: FiniteGraph) -> dict:
+    return _graph_obj(g, _edge_table(g))
+
+
+def _graph_obj(g: FiniteGraph, edges) -> dict:
+    """The graph document of ``g``, given its edge table."""
     obj = {
         "format": GRAPH_FORMAT,
         "vertices": list(g.vertices),
         "edges": [{"id": eid, "src": g.src[pos], "dst": g.src[neg]}
-                  for eid, pos, neg in _edge_table(g)],
+                  for eid, pos, neg in edges],
     }
     if g.name is not None:
         obj["name"] = g.name
@@ -125,8 +202,13 @@ def graph_from_obj(obj) -> FiniteGraph:
     for entry in _get(obj, "edges", list):
         if not isinstance(entry, dict):
             raise FormatError("edge entries must be objects")
-        edges.append((_get(entry, "id", str), _get(entry, "src", str),
-                      _get(entry, "dst", str)))
+        eid, src, dst = entry.get("id"), entry.get("src"), entry.get("dst")
+        if not (isinstance(eid, str) and isinstance(src, str)
+                and isinstance(dst, str)):
+            # word the error for the first bad key
+            eid, src, dst = (_get(entry, "id", str), _get(entry, "src", str),
+                             _get(entry, "dst", str))
+        edges.append((eid, src, dst))
     name = None
     if obj.get("name") is not None:
         name = _get(obj, "name", str)
@@ -182,8 +264,13 @@ def _maps_from_obj(obj, domain_edges, codomain_index):
         if eid not in edge_entries:
             raise FormatError("edge_map is missing edge %r" % eid)
         entry = edge_entries[eid]
-        target = _get(entry, "edge", str)
-        flip = _get(entry, "flip", bool)
+        if isinstance(entry, dict):
+            target, flip = entry.get("edge"), entry.get("flip")
+        else:
+            target = flip = None
+        if not (isinstance(target, str) and isinstance(flip, bool)):
+            # word the error for the first bad key
+            target, flip = _get(entry, "edge", str), _get(entry, "flip", bool)
         if target not in codomain_index:
             raise FormatError("edge_map sends %r to unknown edge %r" % (eid, target))
         tpos, tneg = codomain_index[target]
@@ -192,12 +279,12 @@ def _maps_from_obj(obj, domain_edges, codomain_index):
 
 
 def morphism_to_obj(f: GraphMorphism, embed_graphs: bool = True) -> dict:
+    domain_edges, codomain_edges = _edge_table(f.domain), _edge_table(f.codomain)
     obj = {"format": MORPHISM_FORMAT}
-    obj.update(_maps_to_obj(f, _edge_table(f.domain),
-                            _dart_refs(_edge_table(f.codomain))))
+    obj.update(_maps_to_obj(f, domain_edges, _dart_refs(codomain_edges)))
     if embed_graphs:
-        obj["domain"] = graph_to_obj(f.domain)
-        obj["codomain"] = graph_to_obj(f.codomain)
+        obj["domain"] = _graph_obj(f.domain, domain_edges)
+        obj["codomain"] = _graph_obj(f.codomain, codomain_edges)
     return obj
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 
@@ -14,3 +15,33 @@ pytest.register_assert_rewrite("helpers")
 # sets them; ``--hypothesis-profile default`` brings back random draws.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# modules whose every written document and report is checked against json
+CLI_TEST_MODULES = {"test_cli", "test_cli_fuzz"}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def documents_written_as_json_writes_them(request):
+    """In the CLI test modules, every text ``formats.dump_json`` writes (the
+    documents the tests set up, the ``--out`` files and the ``--json``
+    reports of the commands) must equal ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"``.  Mismatches are collected and asserted when
+    the module ends, so a command under test never sees the check."""
+    if request.module.__name__ not in CLI_TEST_MODULES:
+        yield
+        return
+    from procover import formats
+    dump_json, written, mismatches = formats.dump_json, [], []
+
+    def checked(obj):
+        text = dump_json(obj)
+        written.append(len(text))
+        if text != json.dumps(obj, indent=2, sort_keys=True) + "\n":
+            mismatches.append(text[:300])
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "dump_json", checked)
+        yield
+    assert written
+    assert mismatches == []

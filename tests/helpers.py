@@ -13,7 +13,14 @@ import procover as pc
 from procover import towers
 from procover.cli import Report
 from procover.covering import _deck_subgroup
-from procover.formats import REPORT_FORMAT, FormatError
+from procover.formats import (
+    GRAPH_FORMAT,
+    REPORT_FORMAT,
+    FormatError,
+    _expect,
+    _get,
+    _str_list,
+)
 from procover.freegroup import NotTransitiveError, _automorphisms, _forced_map
 from procover.graphs import edge_stem
 
@@ -672,6 +679,47 @@ def congruence_quotient_by_deck_subgroup(deck, indices):
     assert pc.compose(f_h.map, h_map.map) == c.map
     assert f_h.degree * h_map.degree == c.degree
     return qg, h_map, f_h
+
+
+def entrywise_graph_from_obj(obj) -> pc.FiniteGraph:
+    """Oracle for ``formats.graph_from_obj``: the reader it replaced, which
+    reads every key of every edge entry through ``formats._get``."""
+    _expect(obj, GRAPH_FORMAT)
+    vertices = _str_list(obj, "vertices")
+    edges = []
+    for entry in _get(obj, "edges", list):
+        if not isinstance(entry, dict):
+            raise FormatError("edge entries must be objects")
+        edges.append((_get(entry, "id", str), _get(entry, "src", str),
+                      _get(entry, "dst", str)))
+    name = None
+    if obj.get("name") is not None:
+        name = _get(obj, "name", str)
+    try:
+        return pc.FiniteGraph.from_edges(vertices, edges, name=name)
+    except pc.GraphError as exc:
+        raise FormatError("bad graph document: %s" % exc) from exc
+
+
+def entrywise_maps_from_obj(obj, domain_edges, codomain_index):
+    """Oracle for ``formats._maps_from_obj``: the reader it replaced, which
+    reads both keys of every ``edge_map`` entry through ``formats._get``."""
+    vmap = _get(obj, "vertex_map", dict)
+    if not all(isinstance(v, str) for v in vmap.values()):
+        raise FormatError("vertex_map values must be vertex ids")
+    edge_entries = _get(obj, "edge_map", dict)
+    dmap = {}
+    for eid, pos, neg in domain_edges:
+        if eid not in edge_entries:
+            raise FormatError("edge_map is missing edge %r" % eid)
+        entry = edge_entries[eid]
+        target = _get(entry, "edge", str)
+        flip = _get(entry, "flip", bool)
+        if target not in codomain_index:
+            raise FormatError("edge_map sends %r to unknown edge %r" % (eid, target))
+        tpos, tneg = codomain_index[target]
+        dmap[pos], dmap[neg] = ((tneg, tpos) if flip else (tpos, tneg))
+    return vmap, dmap
 
 
 def checked_kernel_congruence(f: pc.GraphMorphism) -> pc.Congruence:

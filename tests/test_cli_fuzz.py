@@ -25,8 +25,12 @@ import pytest
 
 import procover as pc
 from procover import cli, formats
+from procover.formats import FormatError
 from helpers import (
+    b2_covers,
     b2_homology_spec,
+    entrywise_graph_from_obj,
+    entrywise_maps_from_obj,
     pro2_tower,
     rotation_action,
     wrap_morphism,
@@ -281,3 +285,82 @@ def test_damaged_documents_keep_the_contract(cases, seed):
                 name, os.path.basename(doc), how, breach))
     assert breaches == []
     assert {0, 1, 2} <= codes
+
+
+def reading(read, *args):
+    """What a reader returns, or the message of the FormatError it raises."""
+    try:
+        return "value", read(*args)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def map_context(obj):
+    """The domain edge table and codomain edge index of a sound morphism
+    document, as ``formats.morphism_from_obj`` passes them."""
+    domain = formats._sound_graph(obj["domain"])
+    codomain = formats._sound_graph(obj["codomain"])
+    return (formats._edge_table(domain),
+            formats._edge_index(formats._edge_table(codomain)))
+
+
+def assert_readers_agree(obj, context):
+    """The one-loop readers and their entrywise oracles agree on a graph or
+    morphism document: equal values, or FormatErrors with equal messages.
+    A morphism's maps are read against ``context``, taken from the sound
+    document the damaged one came from."""
+    graphs = [obj]
+    if context is not None:
+        assert (reading(formats._maps_from_obj, obj, *context)
+                == reading(entrywise_maps_from_obj, obj, *context))
+        graphs = [obj.get(k) for k in ("domain", "codomain")
+                  if isinstance(obj, dict)]
+    for doc in graphs:
+        got = reading(formats.graph_from_obj, doc)
+        want = reading(entrywise_graph_from_obj, doc)
+        assert got == want
+        if got[0] == "value":
+            assert got[1].name == want[1].name
+
+
+@pytest.fixture(scope="module")
+def graph_and_morphism_documents(cases):
+    """{text: map context, or None for a graph} of every graph and
+    morphism document the cases read, and of the covers of B2 of degree at
+    most four."""
+    texts = {text for _, _, docs in cases for text in docs.values()}
+    texts.update(formats.dump_json(formats.morphism_to_obj(cov.map))
+                 for _, _, cov in b2_covers())
+    found = {}
+    for text in sorted(texts):
+        obj = json.loads(text)
+        if obj.get("format") == formats.GRAPH_FORMAT:
+            found[text] = None
+        elif obj.get("format") == formats.MORPHISM_FORMAT:
+            found[text] = map_context(obj)
+    return found
+
+
+def test_entry_readers_match_the_entrywise_oracles(graph_and_morphism_documents):
+    contexts = graph_and_morphism_documents.values()
+    # graph and morphism documents both
+    assert None in contexts and any(c is not None for c in contexts)
+    for text, context in graph_and_morphism_documents.items():
+        assert_readers_agree(json.loads(text), context)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_damaged_entries_read_as_the_entrywise_oracles_read_them(
+        graph_and_morphism_documents, seed):
+    rng = random.Random(seed)
+    texts = sorted(graph_and_morphism_documents)
+    outcomes = set()
+    for _ in range(BUDGET):
+        text = rng.choice(texts)
+        context = graph_and_morphism_documents[text]
+        damaged, _how = mutate(json.loads(text), rng)
+        assert_readers_agree(damaged, context)
+        if context is not None:
+            outcomes.add(reading(formats._maps_from_obj, damaged, *context)[0])
+    # the damage reaches the maps, and some of it leaves them readable
+    assert outcomes == {"value", "error"}

@@ -1,6 +1,9 @@
+import json
+import pathlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import procover as pc
 from procover import formats
@@ -168,6 +171,18 @@ class TestActionFormat:
             back = formats.action_from_obj(obj, act.graph)
             assert len(calls) == 1
             assert back.morphisms == act.morphisms
+        # a morphism document holds two graphs: one table each, whether the
+        # graphs are embedded or given
+        for f in (wrap_morphism(6, 3), wrap_morphism(12, 4)):
+            for embed in (True, False):
+                del calls[:]
+                obj = formats.morphism_to_obj(f, embed_graphs=embed)
+                assert calls == [f.domain, f.codomain]
+                del calls[:]
+                graphs = {} if embed else {"domain": f.domain,
+                                           "codomain": f.codomain}
+                assert formats.morphism_from_obj(obj, **graphs) == f
+                assert calls == [f.domain, f.codomain]
 
 
 class TestTowerFormat:
@@ -207,3 +222,104 @@ class TestDeterminism:
         text = formats.dump_json(obj)
         back = formats.graph_from_obj(obj)
         assert formats.dump_json(formats.graph_to_obj(back)) == text
+
+
+def json_dumps_oracle(obj) -> str:
+    """Oracle for ``formats.dump_json``: the ``json`` call it replaced."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(dump, obj):
+    """The text ``dump`` writes for ``obj``, or the type and message of
+    what it raises."""
+    try:
+        return dump(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone
+# surrogates, mixed with code points of every category
+TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800'
+                               '\udfff\U0001f600\xe9v0e+-')
+               | st.characters(exclude_categories=()), max_size=8)
+INTS = st.integers() | st.integers(-2 ** 200, 2 ** 200)
+WORDS = st.booleans() | st.none()
+FLOATS = st.floats()  # nan and the infinities included
+
+
+def documents(scalars, keys):
+    """Nested dicts, lists and tuples over ``scalars``, keyed by ``keys``."""
+    return st.recursive(
+        scalars,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)
+                          | st.dictionaries(keys, children, max_size=4)),
+        max_leaves=24)
+
+
+GRAMMAR = documents(TEXT | INTS | WORDS, TEXT)
+ANYTHING = documents(TEXT | INTS | WORDS | FLOATS,
+                     TEXT | INTS | WORDS | FLOATS)
+
+
+class TestDumpJson:
+    @settings(max_examples=200)
+    @given(GRAMMAR)
+    def test_grammar_is_written_without_json(self, obj):
+        want = json_dumps_oracle(obj)
+        if isinstance(obj, (dict, list, tuple)):
+            assert formats._emit(obj, "\n") + "\n" == want
+        assert formats.dump_json(obj) == want
+
+    @settings(max_examples=200)
+    @given(ANYTHING)
+    def test_matches_json_dumps_on_anything(self, obj):
+        assert outcome(formats.dump_json, obj) == outcome(json_dumps_oracle, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], 0, -1, 2 ** 100,
+        True, None, "x", 1.5, float("nan"), float("-inf"), [1.0, "a"],
+        {1: "a", 2: "b"}, {None: 0, True: 1}, {"a": [{"b": 0.5}]},
+        {"a": 1, 2: 3}, {"a": {"b": 1, None: 2}}, {"x": object()},
+        [set()], {"n": 10 ** 5000}])
+    def test_edge_cases_match_json_dumps(self, obj):
+        assert outcome(formats.dump_json, obj) == outcome(json_dumps_oracle, obj)
+
+    def test_mixed_keys_raise_json_type_error(self):
+        with pytest.raises(TypeError, match="not supported between instances"):
+            formats.dump_json({"a": 1, 2: 3})
+
+    def test_subclasses_are_written_by_json(self):
+        class Key(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count"
+
+        class Rows(list):
+            pass
+
+        for obj in ({Key("b"): 1, "a": 2}, [Count(3)], {"r": Rows([1, 2])},
+                    Rows(["a"]), ["\u00e9", Key("k")]):
+            assert formats.dump_json(obj) == json_dumps_oracle(obj)
+
+    def test_cycles_and_deep_nesting_raise_as_json_does(self):
+        cyclic = []
+        cyclic.append(cyclic)
+        deep = []
+        for _ in range(100000):
+            deep = [deep]
+        for obj in (cyclic, {"a": cyclic}, deep):
+            got = outcome(formats.dump_json, obj)
+            assert got == outcome(json_dumps_oracle, obj)
+            assert issubclass(got[0], (ValueError, RecursionError))
+
+    def test_golden_reports_are_written_as_json_writes_them(self):
+        golden = sorted(pathlib.Path(__file__).parent.glob("golden/*.json"))
+        assert golden
+        for path in golden:
+            text = path.read_text(encoding="utf-8")
+            obj = json.loads(text)
+            assert formats.dump_json(obj) == json_dumps_oracle(obj) == text

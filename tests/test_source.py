@@ -200,3 +200,31 @@ def test_deck_group_layout_is_read_in_covering_only():
              for name, tree in library_trees()}
     assert found.pop("covering.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_json_indent_only_in_the_dump_json_fallback():
+    """No library module passes ``indent=`` to ``json.dumps`` or
+    ``json.dump``, except the fallback in an ``except`` clause of
+    ``formats.dump_json``, which writes values outside the document grammar.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, about twice
+    the cost of ``dump_json``'s own emitter; an output path that calls it
+    directly brings that cost back.
+    """
+    calls = {name: [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and "indent" in {k.arg for k in node.keywords}]
+             for name, tree in library_trees()}
+    trees = dict(library_trees())
+    dump_json = next(node for node in trees["formats.py"].body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "dump_json")
+    fallback = {id(node) for handler in ast.walk(dump_json)
+                if isinstance(handler, ast.ExceptHandler)
+                for node in ast.walk(handler)}
+    found = ["%s:%d" % (name, node.lineno) for name, nodes in calls.items()
+             for node in nodes if id(node) not in fallback]
+    assert found == []
+    assert len([node for node in calls["formats.py"] if id(node) in fallback]) == 1
