@@ -249,11 +249,7 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
             dmap[pos], dmap[neg] = d, e
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
     proj = GraphMorphism(cover, base, vmap, dmap)
-    cov = as_covering(proj)
-    if not is_connected(cover):
-        raise RuntimeError("transitive action gave a disconnected cover "
-                           "(internal error)")
-    return cover, names[basepoint][0], cov
+    return cover, names[basepoint][0], as_covering(proj)
 
 
 def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
@@ -307,10 +303,10 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     lift is forced once the basepoint image is fixed.  When some closed path blocks the
     lift, raises LiftObstruction carrying that path.
 
-    The result is verified twice: constructing it as a
-    :class:`~procover.graphs.GraphMorphism` checks incidence and the
-    involution, and ``c.map o h == g`` is checked vertex by vertex and dart
-    by dart on the maps themselves, without building the composite.
+    Every dart of the result is read from ``c.lifts``, which is keyed by
+    image dart, so ``c.map o h == g`` holds by construction; constructing
+    the result as a :class:`~procover.graphs.GraphMorphism` checks
+    incidence and the involution.
     """
     if g.codomain != c.codomain:
         raise GraphError("map and covering have different codomains")
@@ -356,12 +352,7 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
             elif hv[w] != lw:
                 back = tuple(sinv[b] for b in reversed(path_to(w)))
                 raise LiftObstruction(path_to(x) + (d,) + back)
-    h = GraphMorphism(sigma, gamma, hv, hd)
-    cv, cd = c.map.vmap, c.map.dmap
-    if [cv[a] for a in h.vmap.values()] != [g.vmap[v] for v in h.vmap] or \
-            [cd[e] for e in h.dmap.values()] != [gd[d] for d in h.dmap]:
-        raise RuntimeError("lift does not cover the map (internal error)")
-    return h
+    return GraphMorphism(sigma, gamma, hv, hd)
 
 
 class DeckGroup:
@@ -377,7 +368,8 @@ class DeckGroup:
     and :meth:`indices_sending` read the automorphisms; :meth:`element`
     builds one element as a validated morphism, and :attr:`elements` builds
     them all on first read and keeps them (a pure function of the value,
-    like the caches of :mod:`procover.graphs`).
+    like the caches of :mod:`procover.graphs`).  No element but the
+    identity has a fixed point, by :func:`deck_group`'s checks.
     """
 
     def __init__(self, covering: Covering, automorphisms, vrows, drows, table):
@@ -414,22 +406,16 @@ class DeckGroup:
     def element(self, i: int) -> GraphMorphism:
         """Deck element i as a morphism of the cover: it sends the entry in
         sheet k of every row to the entry in sheet ``automorphisms[i][k]``
-        of the same row.  Checked as a morphism that fixes nothing (the
-        identity aside)."""
+        of the same row, checked for incidence and the involution."""
         phi = self.automorphisms[i]
         cover = self.covering.domain
         hv = dict(zip(chain.from_iterable(self.vrows), _moved(self.vrows, phi)))
         hd = dict(zip(chain.from_iterable(self.drows), _moved(self.drows, phi)))
         try:
-            h = GraphMorphism(cover, cover, hv, hd)
+            return GraphMorphism(cover, cover, hv, hd)
         except GraphError as exc:
             raise RuntimeError("no deck transformation at a normalizer point "
                                "(internal error)") from exc
-        if phi[0] and (any(map(eq, hv, hv.values()))
-                       or any(map(eq, hd, hd.values()))):
-            raise RuntimeError("deck transformation with a fixed element "
-                               "(internal error)")
-        return h
 
     @cached_property
     def elements(self) -> tuple[GraphMorphism, ...]:
@@ -487,10 +473,12 @@ def deck_group(c: Covering) -> DeckGroup:
     automorphism but the identity fixes a sheet, the composition table,
     read off the images of 0, closes, and the order divides the degree.
 
-    An element is built as a morphism, with its own incidence, involution
-    and fixed-point checks, only when it is read (:meth:`DeckGroup.element`,
+    An element is built as a morphism, with its own incidence and
+    involution checks, only when it is read (:meth:`DeckGroup.element`,
     :attr:`DeckGroup.elements`); one that is never read is never built,
-    but its automorphism has passed the checks above.
+    but its automorphism has passed the checks above.  Those checks and
+    the partition of the rows leave no element but the identity a fixed
+    point, so an element is not checked for one.
     """
     rows, rep = _first_fiber_monodromy(c)
     base, cover, lifts = c.codomain, c.domain, c.lifts
@@ -675,15 +663,17 @@ def _deck_subgroup(deck: DeckGroup, indices: Iterable[int]) -> list[int]:
     return chosen
 
 
-def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits,
-                    order: int) -> tuple[FiniteGraph, Covering]:
-    """Orbit graph and orbit map of a group of ``order`` elements acting on
-    ``graph`` with the given vertex and dart orbits; the caller has checked
-    that the graph is connected and the action free and inversion-free.
+def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits
+                    ) -> tuple[FiniteGraph, Covering]:
+    """Orbit graph and orbit map of a group acting on ``graph`` with the
+    given vertex and dart orbits; the caller has checked that the graph is
+    connected and the action free and inversion-free.
 
     :func:`~procover.graphs.quotient` builds the orbit graph, whose
     projection it validates: that checks the orbits are a congruence.  No
-    orbit may hold a dart together with its inverse.
+    orbit may hold a dart together with its inverse.  The orbits of a
+    free action all have one member per group element, so the orbit map's
+    degree is the group order with no further check.
     """
     classes = [sorted(map(sorted, orbits))
                for orbits in (vertex_orbits, dart_orbits)]
@@ -692,11 +682,7 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits,
     except GraphError as exc:
         raise RuntimeError("orbits are not a congruence (internal error)") \
             from exc
-    cov = as_covering(proj)
-    if cov.degree != order:
-        raise RuntimeError("orbit map degree is not the group order "
-                           "(internal error)")
-    return qg, cov
+    return qg, as_covering(proj)
 
 
 def _orbits(points, images) -> list[set]:
@@ -726,8 +712,7 @@ def quotient_by_group(act: GroupAction) -> tuple[FiniteGraph, Covering]:
     maps = [act.morphisms[g] for g in act.elements]
     return _orbit_quotient(act.graph,
                            _orbits(act.graph.vertices, [m.vmap for m in maps]),
-                           _orbits(act.graph.darts, [m.dmap for m in maps]),
-                           len(maps))
+                           _orbits(act.graph.darts, [m.dmap for m in maps]))
 
 
 def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
@@ -735,12 +720,14 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     """Factor the covering through the orbits of a deck subgroup.
 
     Returns (intermediate graph, quotient map onto it, induced covering of
-    the original base); the two maps compose dart-for-dart to the original.
-    Only the indices are checked (in range, a subgroup).  The orbits are
-    read off the sheet rows with no deck element built: the subgroup K
-    permutes the sheet positions by its automorphisms, and over every base
-    vertex and base dart the K-orbits are the entries of its row at one
-    K-orbit of positions.  :func:`deck_group` has checked connectivity,
+    the original base).  Only the indices are checked (in range, a
+    subgroup), and both maps as coverings.  The orbits are read off the
+    sheet rows with no deck element built: the subgroup K permutes the
+    sheet positions by its automorphisms, and over every base vertex and
+    base dart the K-orbits are the entries of its row at one K-orbit of
+    positions.  So the two maps compose dart-for-dart to the original, as
+    every entry of a row lies over the row's base element, and their
+    degrees multiply to its degree, as K acts freely.  :func:`deck_group` has checked connectivity,
     closure and freeness, and no deck transformation inverts an edge, as
     the covering map would send a dart and its inverse to one base dart.
     """
@@ -754,19 +741,10 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
                 for row in rows for orbit in positions]
 
     qg, h_map = _orbit_quotient(c.domain, orbits(deck.vrows),
-                                orbits(deck.drows), len(chosen))
+                                orbits(deck.drows))
     # orbit class ids are member ids of the cover, so the original covering
-    # map restricts to them directly (it is constant on orbits)
+    # map restricts to them directly
     cv, cd = c.map.vmap, c.map.dmap
     vmap = {v: cv[v] for v in qg.vertices}
     dmap = {d: cd[d] for d in qg.darts}
-    f_h = as_covering(GraphMorphism(qg, c.codomain, vmap, dmap))
-    down_v = map(vmap.__getitem__, map(h_map.map.vmap.__getitem__, cv))
-    down_d = map(dmap.__getitem__, map(h_map.map.dmap.__getitem__, cd))
-    if list(down_v) != list(cv.values()) or list(down_d) != list(cd.values()):
-        raise RuntimeError("factor maps do not compose to the covering "
-                           "(internal error)")
-    if f_h.degree * h_map.degree != c.degree:
-        raise RuntimeError("factor degrees do not multiply to the degree "
-                           "(internal error)")
-    return qg, h_map, f_h
+    return qg, h_map, as_covering(GraphMorphism(qg, c.codomain, vmap, dmap))

@@ -466,8 +466,11 @@ class Congruence:
 
     @classmethod
     def diagonal(cls, base: FiniteGraph) -> "Congruence":
-        """The identity congruence (all classes singletons)."""
-        return cls(base)
+        """The identity congruence (all classes singletons), built by
+        :meth:`_of_partition`: one-element classes are compatible, and only
+        a dart that is its own inverse is refused."""
+        return cls._of_partition(base, [(v,) for v in base.vertices],
+                                 [(d,) for d in base.darts])
 
     def vertex_rep(self, v: str) -> str:
         return self._vrep[v]
@@ -493,17 +496,23 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     """Quotient graph ``g / r`` and the projection morphism onto it.
 
     Class ids are the smallest member ids, so quotienting by the diagonal
-    congruence returns a graph equal to ``g``.
+    congruence returns a graph equal to ``g``.  The graph is
+    :func:`_quotient_graph`'s; the projection is validated as a morphism.
     """
     if r.base != g:
         raise GraphError("congruence belongs to a different graph")
+    qg = _quotient_graph(g, r)
+    return qg, GraphMorphism(g, qg, dict(r._vrep), dict(r._drep))
+
+
+def _quotient_graph(g: FiniteGraph, r: Congruence) -> FiniteGraph:
+    """The graph half of :func:`quotient`, for callers that have checked
+    ``r.base == g`` and have no use for the projection."""
     qsrc = {c[0]: r.vertex_rep(g.src[c[0]]) for c in r.dart_classes}
     qinv = {c[0]: r.dart_rep(g.inv[c[0]]) for c in r.dart_classes}
-    qg = FiniteGraph([c[0] for c in r.vertex_classes],
-                     [c[0] for c in r.dart_classes],
-                     qsrc, qinv, name=g.name)
-    proj = GraphMorphism(g, qg, dict(r._vrep), dict(r._drep))
-    return qg, proj
+    return FiniteGraph([c[0] for c in r.vertex_classes],
+                       [c[0] for c in r.dart_classes],
+                       qsrc, qinv, name=g.name)
 
 
 def kernel_congruence(f: GraphMorphism) -> Congruence:
@@ -564,6 +573,5 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
                 "darts %r and %r are identified but their images are not"
                 % (first, other), witness=(first, other))
         dmap[cls[0]] = images.pop()
-    qdom, _ = quotient(f.domain, r)
-    qcod, _ = quotient(f.codomain, s)
-    return GraphMorphism(qdom, qcod, vmap, dmap)
+    return GraphMorphism(_quotient_graph(f.domain, r),
+                         _quotient_graph(f.codomain, s), vmap, dmap)

@@ -21,11 +21,11 @@ from .graphs import (
     GraphMorphism,
     InducedMapError,
     VerdictError,
+    _quotient_graph,
     compose,
     induced_quotient_map,
     is_connected,
     kernel_congruence,
-    quotient,
 )
 from .freegroup import (
     DEFAULT_MAX_WORK,
@@ -399,6 +399,11 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     Level i is the cover of base/quotients[i] built from normals[i]; the
     base bondings are induced quotient maps and the cover bondings are the
     unique lifts, which the compatibility condition guarantees to exist.
+    Once quotient i+1 is checked to refine quotient i, the base bonding
+    sends each class of level i+1 to the level-i class that holds it, read
+    off the two congruences.  When the pushed-forward subgroup is not
+    contained, one of its Schreier generators escapes (they generate it),
+    and it is the witness.
     A malformed spec raises ValueError; a subgroup that is not normal
     raises TowerError with its level as the witness.
     """
@@ -413,7 +418,7 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     for i, (cong, rep) in enumerate(zip(spec.quotients, spec.normals)):
         if cong.base != spec.base:
             raise ValueError("quotient %d is not a congruence on the base" % i)
-        delta, _ = quotient(spec.base, cong)
+        delta = _quotient_graph(spec.base, cong)
         b_i = cong.vertex_rep(spec.basepoint)
         p_i = pi1_data(delta, b_i)
         if rep.rank != p_i.rank:
@@ -427,17 +432,16 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     base_steps = []
     cover_steps = []
     for i in range(k):
-        _check_refines(spec.quotients[i], spec.quotients[i + 1], i)
-        psi = induced_quotient_map(GraphMorphism.identity(spec.base),
-                                   spec.quotients[i + 1], spec.quotients[i])
+        coarse, fine = spec.quotients[i], spec.quotients[i + 1]
+        _check_refines(coarse, fine, i)
+        psi = GraphMorphism(
+            levels[i + 1][0], levels[i][0],
+            {c[0]: coarse.vertex_rep(c[0]) for c in fine.vertex_classes},
+            {c[0]: coarse.dart_rep(c[0]) for c in fine.dart_classes})
         images = induced_hom(psi, levels[i + 1][2], levels[i][2])
         if not pushforward_leq(spec.normals[i + 1], images, spec.normals[i]):
-            bad = next((w for w in spec.normals[i + 1].schreier_generators()
-                        if spec.normals[i].act(0, substitute(w, images)) != 0),
-                       None)
-            if bad is None:
-                raise RuntimeError("no Schreier generator leaves the subgroup "
-                                   "(internal error)")
+            bad = next(w for w in spec.normals[i + 1].schreier_generators()
+                       if spec.normals[i].act(0, substitute(w, images)) != 0)
             raise CompatibilityError((i, i + 1), bad)
         base_steps.append(psi)
         lowered = compose(psi, levels[i + 1][5].map)

@@ -494,6 +494,22 @@ def b2_homology_spec() -> pc.UniversalSpec:
                  pc.translation_kernel_rep(2, 4)])
 
 
+def non_refining_spec(case: str) -> pc.UniversalSpec:
+    """A two-level universal spec whose finer quotient does not refine the
+    coarser one: C6 with the diagonal and then the antipodal merge (a
+    vertex class splits), or B2 with the diagonal and then its two loops
+    merged (a dart class splits)."""
+    if case == "vertex class":
+        c6 = pc.cycle_graph(6)
+        antipodal = pc.kernel_congruence(wrap_morphism(6, 3))
+        return pc.UniversalSpec(c6, "v0", [pc.Congruence.diagonal(c6), antipodal],
+                                [cyclic_rep(2), cyclic_rep(2)])
+    b2 = pc.bouquet_graph(2)
+    merged = pc.Congruence(b2, dart_classes=[["e0+", "e1+"], ["e0-", "e1-"]])
+    return pc.UniversalSpec(b2, "v0", [pc.Congruence.diagonal(b2), merged],
+                            [trivial_rep(2), trivial_rep(1)])
+
+
 @functools.lru_cache(maxsize=None)
 def rank2_reps():
     return tuple(pc.low_index_reps(2, 4))

@@ -15,6 +15,7 @@ from helpers import (
     b2_homology_spec,
     cyclic_rep,
     free_actions,
+    non_refining_spec,
     parse_report,
     path_graph,
     pro2_tower,
@@ -785,18 +786,21 @@ class TestTowerCommands:
         assert "Traceback" not in capsys.readouterr().err
 
     @staticmethod
-    def universal_spec(tmp_path, base, basepoint, normals):
-        """Write a universal-tower spec over ``base`` with one diagonal
-        quotient; returns its path."""
+    def universal_spec(tmp_path, base, basepoint, normals, quotients=None):
+        """Write a universal-tower spec over ``base`` with the given
+        quotients, by default one diagonal quotient; returns its path."""
+        if quotients is None:
+            quotients = [pc.Congruence.diagonal(base)]
         formats.save_graph(str(tmp_path / "base.json"), base)
-        formats.save_congruence(str(tmp_path / "diag.json"),
-                                pc.Congruence.diagonal(base))
+        for i, r in enumerate(quotients):
+            formats.save_congruence(str(tmp_path / ("q%d.json" % i)), r)
         for i, rep in enumerate(normals):
             formats.save_rep(str(tmp_path / ("n%d.json" % i)), rep)
         path = str(tmp_path / "spec.json")
         formats.save_json(path, {
             "format": formats.UNIVERSAL_FORMAT, "base": "base.json",
-            "basepoint": basepoint, "quotients": ["diag.json"],
+            "basepoint": basepoint,
+            "quotients": ["q%d.json" % i for i in range(len(quotients))],
             "normals": ["n%d.json" % i for i in range(len(normals))]})
         return path
 
@@ -831,6 +835,24 @@ class TestTowerCommands:
         assert code == 1
         assert report["details"]["error"] == "subgroup 0 is not normal"
         assert report["details"]["witness"] == ["0"]
+
+    @pytest.mark.parametrize("case, error, witness", [
+        ("vertex class", "quotient 1 does not refine quotient 0 "
+         "(vertex class 'v0' splits)", ["v0", "v3"]),
+        ("dart class", "quotient 1 does not refine quotient 0 "
+         "(dart class 'e0+' splits)", ["e0+", "e1+"]),
+    ])
+    def test_universal_non_refining_chain_has_witness(self, tmp_path, case,
+                                                     error, witness):
+        spec = non_refining_spec(case)
+        path = self.universal_spec(tmp_path, spec.base, spec.basepoint,
+                                   spec.normals, spec.quotients)
+        out, code = run_cli(["--json", "tower", "universal", path])
+        report = json.loads(out)
+        assert code == 1
+        assert report["verdict"] == "negative"
+        assert report["details"]["error"] == error
+        assert report["details"]["witness"] == witness
 
     def test_fibers(self, manifest):
         out, code = run_cli(["tower", "fibers", manifest, "--vertex", "v0"])

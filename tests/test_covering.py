@@ -336,7 +336,8 @@ class TestLiftTableOracle:
     basis-loop walk through the lift table and the fiber-transport
     monodromy it replaced agree at every fiber point over every base
     vertex.  Every table entry starts at its row's vertex and lies over
-    its key."""
+    its key.  Every cover built from a transitive action is connected
+    (``cover_from_subgroup`` does not check it again)."""
 
     @staticmethod
     def check(cov):
@@ -356,7 +357,9 @@ class TestLiftTableOracle:
     def test_b2_and_theta_covers(self):
         for base in (pc.bouquet_graph(2), theta_graph()):
             for h in low_index_reps(2, 4):
-                self.check(cover_from_subgroup(base, "v0", h)[2])
+                cover, _a, cov = cover_from_subgroup(base, "v0", h)
+                assert pc.is_connected(cover)
+                self.check(cov)
 
     def test_cyclic_family(self):
         for cov in cyclic_family():
@@ -365,6 +368,7 @@ class TestLiftTableOracle:
     @settings(max_examples=40, deadline=None)
     @given(rank2_covers(max_degree=64))
     def test_random_transitive_actions(self, cov):
+        assert pc.is_connected(cov.domain)
         self.check(cov)
 
 
@@ -933,6 +937,7 @@ class TestDeckQuotient:
                 assert qg == oqg and qg.name == oqg.name, name
                 assert cov.map == ocov.map, name
                 assert cov.lifts == ocov.lifts, name
+                assert cov.degree == ocov.degree == len(maps), name
 
     def test_matches_quotient_by_deck_action(self):
         for deck in small_deck_groups():

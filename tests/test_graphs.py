@@ -293,6 +293,26 @@ class TestKernelOracle:
             assert err.value.witness == ("b+", "b-")
             assert str(err.value) == "dart 'b+' is merged with its inverse"
 
+    def test_diagonal_equals_the_checked_construction(self):
+        """``Congruence.diagonal`` takes its singleton classes as a trusted
+        partition; ``Congruence(g)`` checks them."""
+        graphs = {g for f in kernel_test_morphisms()
+                  for g in (f.domain, f.codomain)}
+        assert len(graphs) > 20
+        for g in graphs:
+            r, want = Congruence.diagonal(g), Congruence(g)
+            assert r == want
+            assert (r._vrep, r._drep) == (want._vrep, want._drep)
+            assert quotient(g, r) == quotient(g, want)
+
+    def test_diagonal_of_a_fixed_dart_is_rejected_with_the_same_witness(self):
+        g = fixed_dart_fold().codomain
+        for diagonal in (Congruence.diagonal, Congruence):
+            with pytest.raises(CongruenceError) as err:
+                diagonal(g)
+            assert err.value.witness == ("f", "f")
+            assert str(err.value) == "dart 'f' is merged with its inverse"
+
 
 class TestInducedMap:
     def test_wrap_with_antipodal_kernel_is_iso(self):
@@ -315,6 +335,17 @@ class TestInducedMap:
             induced_quotient_map(f, mod2, Congruence.diagonal(f.codomain))
         assert err.value.witness == ("v0", "v2")
         assert str(err.value).startswith("vertices ")
+
+    def test_graphs_are_the_quotient_graphs(self):
+        """The induced map's graphs are the graphs ``quotient`` builds, for
+        the diagonal pair and for the kernel of ``f`` over the diagonal."""
+        for f in kernel_test_morphisms():
+            diagonal = Congruence.diagonal(f.codomain)
+            for r in (Congruence.diagonal(f.domain), kernel_congruence(f)):
+                induced = induced_quotient_map(f, r, diagonal)
+                assert induced.domain == quotient(f.domain, r)[0]
+                assert induced.codomain == quotient(f.codomain, diagonal)[0]
+                assert induced.domain.name == f.domain.name
 
 
 class TestMorphismAlgebra:

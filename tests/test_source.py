@@ -228,3 +228,23 @@ def test_json_indent_only_in_the_dump_json_fallback():
              for node in nodes if id(node) not in fallback]
     assert found == []
     assert len([node for node in calls["formats.py"] if id(node) in fallback]) == 1
+
+
+def test_no_quotient_projection_is_discarded():
+    """No library module unpacks a ``quotient(...)`` call into a discarded
+    projection (``x, _ = quotient(...)``).
+
+    ``quotient`` builds and validates its projection as a morphism; a
+    caller that only wants the graph reads ``graphs._quotient_graph``.
+    """
+    found = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "id",
+                         getattr(node.value.func, "attr", None)) == "quotient"
+             for target in node.targets
+             if isinstance(target, ast.Tuple) and len(target.elts) == 2
+             and isinstance(target.elts[1], ast.Name)
+             and target.elts[1].id == "_"]
+    assert found == []

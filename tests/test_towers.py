@@ -36,6 +36,7 @@ from helpers import (
     constant_tower,
     cyclic_rep,
     factorial_spec,
+    non_refining_spec,
     path_graph,
     per_pair_good_pairs_oracle,
     pro2_tower,
@@ -427,6 +428,33 @@ class TestUniversalTower:
         assert validate_tower(t).ok
         assert [len(t.base_graph(i).vertices) for i in range(2)] == [3, 6]
         assert [c.degree for c in t.coverings] == [2, 2]
+
+    def test_base_steps_match_the_induced_map_oracle(self):
+        """Each base step is read off the two congruences; the construction
+        it replaced, the map the identity of the base induces, is equal."""
+        c6 = pc.cycle_graph(6)
+        antipodal = pc.kernel_congruence(wrap_morphism(6, 3))
+        for spec in (b2_homology_spec(), factorial_spec(),
+                     UniversalSpec(c6, "v0", [antipodal, Congruence.diagonal(c6)],
+                                   [cyclic_rep(2), cyclic_rep(2)])):
+            t = universal_tower(spec)
+            q, identity = spec.quotients, GraphMorphism.identity(spec.base)
+            assert len(t.base_steps) == len(q) - 1
+            for i, psi in enumerate(t.base_steps):
+                assert psi == pc.induced_quotient_map(identity, q[i + 1], q[i])
+
+    @pytest.mark.parametrize("case, error, witness", [
+        ("vertex class", "quotient 1 does not refine quotient 0 "
+         "(vertex class 'v0' splits)", ("v0", "v3")),
+        ("dart class", "quotient 1 does not refine quotient 0 "
+         "(dart class 'e0+' splits)", ("e0+", "e1+")),
+    ])
+    def test_non_refining_chain_raises(self, case, error, witness):
+        spec = non_refining_spec(case)
+        with pytest.raises(TowerError) as err:
+            universal_tower(spec)
+        assert str(err.value) == error
+        assert err.value.witness == witness
 
     def test_incompatible_chain_raises(self):
         c3 = pc.cycle_graph(3)
