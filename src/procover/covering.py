@@ -8,7 +8,9 @@ from the lift table), computes deck transformation groups, decides
 regularity, and forms quotients by free group actions and by deck subgroups.
 
 Monodromy, deck groups and regularity rest on one lift of a spanning tree,
-which gives the cover's sheet rows and the monodromy on one fiber.  For a
+which gives the cover's sheet rows and the monodromy on one fiber.  A cover
+built by the voltage construction carries both from its construction, read
+off the voltage sheets, and is not transported again.  For a
 connected cover with monodromy subgroup H at a fiber point, the deck
 transformations correspond to the fiber points whose stabilizer equals H,
 that is to N(H)/H, and the cover is regular exactly when every fiber point
@@ -16,6 +18,9 @@ qualifies (H is normal).  Those points are the orbit of the fiber's first
 point under the automorphisms of the monodromy action
 (:func:`~procover.freegroup.normalizer_points`), and each deck
 transformation permutes the sheet rows by its automorphism, with no lift.
+
+A group action given by its maps is checked for closure on a generating
+set, not pairwise (:class:`GroupAction`).
 """
 
 from __future__ import annotations
@@ -84,15 +89,24 @@ class Covering:
     ``degree`` is the common fiber size; over a disconnected codomain it is
     the shared value of the per-component fiber sizes, or None when the
     components disagree (``component_degrees`` always has the detail).
+
+    A cover that :func:`cover_from_subgroup` builds also carries its sheet
+    coordinates at its first vertex, ``_sheets = (p, rows, rep)``: the
+    :class:`Pi1Data` ``p`` at that vertex's image, and the sheet rows and
+    monodromy that :func:`_sheet_rows` gives for ``p`` with the first vertex
+    in sheet 0.  :func:`deck_group`, :func:`is_regular` and
+    :func:`image_subgroup` read them; a cover without them (None) is
+    transported instead.
     """
 
     def __init__(self, map: GraphMorphism, lifts, vertex_fibers, degree,
-                 component_degrees):
+                 component_degrees, _sheets=None):
         self.map = map
         self.lifts = lifts
         self.vertex_fibers = vertex_fibers
         self.degree = degree
         self.component_degrees = component_degrees
+        self._sheets = _sheets
 
     @property
     def domain(self) -> FiniteGraph:
@@ -221,6 +235,19 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     Sheets are the points of the action; tree darts stay in their sheet and
     the k-th basis dart moves sheets by the permutation of x_k.  Returns the
     cover, its basepoint (sheet 0 over ``basepoint``), and the projection.
+
+    When the cover's first vertex lies over ``basepoint``, the projection
+    carries its sheet coordinates (:class:`Covering`), read off the voltage
+    sheets with no transport.  That vertex is then voltage sheet 0 over
+    ``basepoint``, and the fiber order lists the voltage sheets in the
+    string order of their names (``v@10`` before ``v@2``): fiber sheet k is
+    voltage sheet ``sigma[k]``.  A tree dart keeps the voltage sheet, so
+    the end of the tree path to ``v`` lifted from fiber sheet k is the
+    vertex over ``v`` in voltage sheet ``sigma[k]``; and the k-th basis
+    dart lifted from voltage sheet s ends in voltage sheet ``x_k(s)``, so
+    the monodromy is ``rep`` relabelled by ``sigma``.  Over any other first
+    vertex the spanning tree of :func:`deck_group` is another one, and the
+    projection carries nothing.
     """
     p = pi1_data(base, basepoint)
     if rep.rank != p.rank:
@@ -248,8 +275,23 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
             inv[pos], inv[neg] = neg, pos
             dmap[pos], dmap[neg] = d, e
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
-    proj = GraphMorphism(cover, base, vmap, dmap)
-    return cover, names[basepoint][0], as_covering(proj)
+    cov = as_covering(GraphMorphism(cover, base, vmap, dmap))
+    fiber = names[basepoint]
+    if vmap[cover.vertices[0]] != basepoint:
+        return cover, fiber[0], cov
+    sigma = sorted(sheets, key=fiber.__getitem__)
+    rows = {v: list(map(names[v].__getitem__, sigma))
+            for v in chain((basepoint,), p.tree.parent_dart)}
+    monodromy = rep
+    if sigma != list(sheets):
+        label = [0] * n
+        for k, s in enumerate(sigma):
+            label[s] = k
+        monodromy = PermRep(rep.rank, n, [[label[x[s]] for s in sigma]
+                                          for x in rep.perms])
+    return cover, fiber[0], Covering(cov.map, cov.lifts, cov.vertex_fibers,
+                                     cov.degree, cov.component_degrees,
+                                     (p, rows, monodromy))
 
 
 def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
@@ -277,7 +319,9 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
 
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     """Monodromy of the base fundamental group on the fiber through ``a``,
-    read off the sheet rows (:func:`_sheet_rows`).
+    read off the sheet rows (:func:`_sheet_rows`), or off the carried
+    coordinates when ``a`` is the cover's first vertex and ``p`` has their
+    spanning tree and basis.
 
     The fiber point ``a`` is labelled 0, so the stabilizer of 0 is the image
     of the cover's fundamental group at ``a``.  Degree = covering degree.
@@ -291,6 +335,12 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
                          % (a, c.map.vmap[a], p.basepoint))
     if not is_connected(c.domain):
         raise ValueError("cover is not connected")
+    if c._sheets is not None and a == c.domain.vertices[0]:
+        q, _rows, rep = c._sheets
+        # _sheet_rows reads only the tree's parent darts and the basis
+        if (p.tree.parent_dart == q.tree.parent_dart
+                and p.basis_darts == q.basis_darts):
+            return rep
     return _sheet_rows(c, a, p)[1]
 
 
@@ -432,11 +482,14 @@ def _moved(rows, phi):
 def _first_fiber_monodromy(c: Covering) -> tuple[dict, PermRep]:
     """:func:`_sheet_rows` of a connected cover over a connected base at
     its first vertex ``a0``, which is the least of its fiber, so fiber
-    point k is in sheet k."""
+    point k is in sheet k: the carried coordinates when the cover has
+    them (:class:`Covering`)."""
     if not c.domain.vertices:
         raise ValueError("the cover has no vertices")
     if not is_connected(c.domain) or not is_connected(c.codomain):
         raise ValueError("cover and base must be connected")
+    if c._sheets is not None:
+        return c._sheets[1:]
     a0 = c.domain.vertices[0]
     return _sheet_rows(c, a0, pi1_data(c.codomain, c.map.vmap[a0]))
 
@@ -582,9 +635,16 @@ class GroupAction:
     Construction checks that every map is an endomorphism of ``graph``,
     that no two elements act alike, that one acts as the identity, that the
     maps are closed under composition, that each is bijective and that none
-    sends a dart to its inverse.  Closure is checked by looking up each
-    composite's vertex and dart images among the elements' own; no
-    composite morphism is built.  The group laws need no check:
+    sends a dart to its inverse.  Closure is checked on a generating set T,
+    picked greedily: each element not yet reached joins T, and every
+    element reached is multiplied on the left by every member of T, each
+    composite looked up by its vertex and dart images among the elements'
+    own, with no composite morphism built.  That suffices: the elements
+    reached are the products of members of T, so once they are all of S
+    and T S lies in S, S S lies in S, one factor of T at a time.  In a
+    group each new member of T at least doubles what is reached (a
+    subgroup grows by whole cosets), so |T| <= log2 |S| and the check
+    composes |T| |S| pairs, not |S|^2.  The group laws need no check:
     composition of maps is associative, and a finite set of bijections
     closed under composition is a group (every inverse is a power).
     ``elements`` holds the ids sorted by ``str``.
@@ -611,13 +671,33 @@ class GroupAction:
         if self.identity is None:
             raise ActionError("no element acts as the identity map",
                               witness=tuple(sorted(self.morphisms, key=str)))
-        for g, mg in self.morphisms.items():
-            gv, gd = mg.vmap.__getitem__, mg.dmap.__getitem__
-            for h, (hv, hd) in images.items():
-                if (tuple(map(gv, hv)), tuple(map(gd, hd))) not in lookup:
-                    raise ActionError(
-                        "morphisms are not closed under composition",
-                        witness=(g, h))
+        reached, seen, gens = [self.identity], {self.identity}, []
+
+        def times(g, h):
+            # the element acting as "h then g" joins those reached
+            mg, (hv, hd) = self.morphisms[g], images[h]
+            gh = lookup.get((tuple(map(mg.vmap.__getitem__, hv)),
+                             tuple(map(mg.dmap.__getitem__, hd))))
+            if gh is None:
+                raise ActionError("morphisms are not closed under composition",
+                                  witness=(g, h))
+            if gh not in seen:
+                seen.add(gh)
+                reached.append(gh)
+
+        for t in self.morphisms:
+            if t in seen:
+                continue
+            gens.append(t)
+            # t on every element reached before it, then every member of T
+            # on each element reached since
+            i = len(reached)
+            for h in reached[:i]:
+                times(t, h)
+            while i < len(reached):
+                for g in gens:
+                    times(g, reached[i])
+                i += 1
         for g, (gv, gd) in images.items():
             missing = (sorted(graph._vertex_set.difference(gv))
                        or sorted(graph._dart_set.difference(gd)))

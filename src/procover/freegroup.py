@@ -24,7 +24,10 @@ That forced-map test (:func:`_forced_map`) asks whether the coset map
 map when it does.  From a table into itself it passes exactly for the
 cosets of H in its normalizer N(H), and the maps it returns are the
 automorphisms of the action, a group acting freely on the points whose
-orbit of 0 is N(H)/H (:func:`normalizer_points`).  The search prunes with
+orbit of 0 is N(H)/H (:func:`normalizer_points`).  An automorphism maps the
+x_k-cycle through 0 onto the x_k-cycle through its image, so the normalizer
+search runs the test only at points whose cycle lengths under every x_k are
+those of 0.  The search prunes with
 it, :func:`is_normal` tries it at the generators' images of 0, deck groups
 read the automorphisms themselves, and into another table with c = 0 it
 decides containment, equality and the containment of an image.
@@ -381,20 +384,53 @@ def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
     fails lies outside the orbit, and so does its whole orbit under the
     generators found so far (g(c) = h(0) would put c = g^-1 h(0) in it), so
     those points are skipped too.
+
+    Before its forced map a point is sieved by cycle type: it is skipped
+    when its cycle under some x_k is not as long as the cycle of 0.  An
+    automorphism ``phi`` with ``phi(0) = c`` commutes with x_k, so it maps
+    the x_k-cycle through 0 onto the one through c, and the two have one
+    length.  A skipped point would have failed its forced map, and so would
+    every point of its orbit, which the generators, being automorphisms,
+    give the same cycle lengths: the sieve skips them all.  So the
+    generators found, their order and the orbit are those of the search
+    without the sieve.  Cycle lengths are walked only at the points asked.
     """
     pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
     gens: list[list[int]] = []
     orbit, outside = {0}, set()
+    sieve = []  # (x_k, its cycle lengths so far, the length through 0)
+    for p in rep.perms:
+        lengths = [0] * n
+        sieve.append((p, lengths, _cycle_length(p, lengths, 0)))
     for c in range(1, n):
         if c in orbit or c in outside:
             continue
-        phi = _forced_map(pairs, n, c)
-        if phi is None:
-            outside |= _orbit(c, gens)
+        for p, lengths, t in sieve:
+            if _cycle_length(p, lengths, c) != t:
+                break
         else:
-            gens.append(phi)
-            orbit = _orbit(0, gens)
+            phi = _forced_map(pairs, n, c)
+            if phi is None:
+                outside |= _orbit(c, gens)
+            else:
+                gens.append(phi)
+                orbit = _orbit(0, gens)
     return gens, orbit
+
+
+def _cycle_length(p: Sequence[int], lengths: list[int], a: int) -> int:
+    """The length of the cycle of the permutation ``p`` through ``a``,
+    recorded in ``lengths`` (0 where not yet walked) for every point of
+    the cycle when it is first walked."""
+    if not lengths[a]:
+        cycle = [a]
+        b = p[a]
+        while b != a:
+            cycle.append(b)
+            b = p[b]
+        for b in cycle:
+            lengths[b] = len(cycle)
+    return lengths[a]
 
 
 def _orbit(point: int, gens: list[list[int]]) -> set[int]:

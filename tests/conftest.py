@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -44,4 +45,39 @@ def documents_written_as_json_writes_them(request):
         patch.setattr(formats, "dump_json", checked)
         yield
     assert written
+    assert mismatches == []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def carried_sheets_equal_the_transport():
+    """Every cover that carries its sheet coordinates (those
+    ``cover_from_subgroup`` builds) must carry what ``_sheet_rows`` gives
+    at its first vertex, with the spanning tree and basis of ``pi1_data``
+    there: the same rows in the same key order, and an equal monodromy.
+    ``Covering.__init__`` is wrapped, since every carried cover passes
+    through it whichever module called the constructor.  Mismatches are
+    collected and asserted when the module ends.  The fixture's value
+    holds the list, so a test can plant one and take it back, and the
+    unwrapped constructor, for a test that counts what construction
+    builds (the check's own transport builds a ``PermRep``)."""
+    from procover import covering
+    init, sheet_rows = covering.Covering.__init__, covering._sheet_rows
+    pi1_data, mismatches = covering.pi1_data, []
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._sheets is None:
+            return
+        p, rows, rep = self._sheets
+        a0 = self.domain.vertices[0]
+        fresh = pi1_data(self.codomain, self.map.vmap[a0])
+        want_rows, want_rep = sheet_rows(self, a0, fresh)
+        if (list(rows.items()) != list(want_rows.items()) or rep != want_rep
+                or p.tree.parent_dart != fresh.tree.parent_dart
+                or p.basis_darts != fresh.basis_darts):
+            mismatches.append(repr(self))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covering.Covering, "__init__", checked)
+        yield SimpleNamespace(mismatches=mismatches, unguarded_init=init)
     assert mismatches == []

@@ -557,6 +557,42 @@ def composed_deck_oracle(cov: pc.Covering):
     return tuple(elements), table, inverse
 
 
+def unsieved_normalizer_generators(rep: pc.PermRep) -> tuple:
+    """Oracle for ``_normalizer_generators``: the search before the cycle
+    sieve, which runs the forced map at every point that neither the orbit
+    of 0 nor a failed point's orbit holds."""
+    pairs, n = list(zip(rep._moves, rep._moves)), rep.degree
+    gens, orbit, outside = [], {0}, set()
+
+    def orbit_of(point):
+        seen, order = {point}, [point]
+        for a in order:
+            for g in gens:
+                if g[a] not in seen:
+                    seen.add(g[a])
+                    order.append(g[a])
+        return seen
+
+    for c in range(1, n):
+        if c in orbit or c in outside:
+            continue
+        phi = _forced_map(pairs, n, c)
+        if phi is None:
+            outside |= orbit_of(c)
+        else:
+            gens.append(phi)
+            orbit = orbit_of(0)
+    return gens, orbit
+
+
+def dihedral_natural_rep(m: int) -> pc.PermRep:
+    """The dihedral group acting on the m corners of an m-gon, by the
+    rotation i -> i + 1 and the reflection i -> -i: for even m the
+    stabilizer of corner 0 has the two normalizer points 0 and m/2."""
+    return pc.PermRep(2, m, [[(i + 1) % m for i in range(m)],
+                             [-i % m for i in range(m)]])
+
+
 def per_point_normalizer_points(rep: pc.PermRep) -> tuple:
     """Oracle for ``normalizer_points``: the search it replaced, which runs
     the forced map 0 -> c from every point c."""
@@ -1100,6 +1136,62 @@ class TableCheckedAction:
         morphisms = {i: deck.elements[i] for i in chosen}
         table = {(i, j): deck.table[i][j] for i in chosen for j in chosen}
         return cls(deck.covering.domain, chosen, 0, table, morphisms)
+
+
+def pairwise_group_action(graph: pc.FiniteGraph, morphisms) -> pc.GroupAction:
+    """Oracle for the ``pc.GroupAction`` constructor: the one before the
+    generating-set closure check, verbatim, which looks up the composite of
+    every ordered pair of elements."""
+    self = pc.GroupAction.__new__(pc.GroupAction)
+    self.graph = graph
+    self.morphisms = dict(morphisms)
+    for g, m in self.morphisms.items():
+        if m.domain != graph or m.codomain != graph:
+            raise pc.ActionError("element %r does not act on the graph" % (g,),
+                                 witness=g)
+    vertices, darts = graph.vertices, graph.darts
+    images = {g: (tuple(map(m.vmap.__getitem__, vertices)),
+                  tuple(map(m.dmap.__getitem__, darts)))
+              for g, m in self.morphisms.items()}
+    lookup = {}
+    for g, key in images.items():
+        if key in lookup:
+            raise pc.ActionError("elements %r and %r act identically"
+                                 % (lookup[key], g), witness=(lookup[key], g))
+        lookup[key] = g
+    self.identity = lookup.get((vertices, darts))
+    if self.identity is None:
+        raise pc.ActionError("no element acts as the identity map",
+                             witness=tuple(sorted(self.morphisms, key=str)))
+    for g, mg in self.morphisms.items():
+        gv, gd = mg.vmap.__getitem__, mg.dmap.__getitem__
+        for h, (hv, hd) in images.items():
+            if (tuple(map(gv, hv)), tuple(map(gd, hd))) not in lookup:
+                raise pc.ActionError(
+                    "morphisms are not closed under composition",
+                    witness=(g, h))
+    for g, (gv, gd) in images.items():
+        missing = (sorted(graph._vertex_set.difference(gv))
+                   or sorted(graph._dart_set.difference(gd)))
+        if missing:
+            raise pc.ActionError("element %r does not act bijectively" % (g,),
+                                 witness=(g, missing[0]))
+    self.elements = tuple(sorted(self.morphisms, key=str))
+    for g in self.elements:
+        m = self.morphisms[g]
+        for d in darts:
+            if m.dmap[d] == graph.inv[d]:
+                raise pc.ActionError("element %r inverts an edge" % (g,),
+                                     witness=(g, d))
+    return self
+
+
+def composes_to_an_element(morphisms, g, h) -> bool:
+    """Whether the map "``h`` then ``g``" is the map of some element."""
+    mg, mh = morphisms[g], morphisms[h]
+    composite = ({v: mg.vmap[w] for v, w in mh.vmap.items()},
+                 {d: mg.dmap[e] for d, e in mh.dmap.items()})
+    return any(composite == (m.vmap, m.dmap) for m in morphisms.values())
 
 
 def rejected_action_documents() -> dict:

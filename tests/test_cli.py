@@ -14,6 +14,7 @@ from helpers import (
     action_deck_isomorphism,
     b2_homology_spec,
     cyclic_rep,
+    dihedral_natural_rep,
     free_actions,
     non_refining_spec,
     parse_report,
@@ -21,6 +22,7 @@ from helpers import (
     pro2_tower,
     rejected_action_documents,
     rotation_action,
+    theta_graph,
     two_cycles,
     wrap_morphism,
     zigzag_tower,
@@ -597,6 +599,36 @@ class TestCommands:
         assert code == 0 and "degree: 4" in out
         out, code = run_cli(["image-subgroup", prefix + ".morphism.json"])
         assert code == 0 and "normal: true" in out
+
+    @pytest.mark.parametrize("rep", [pc.translation_kernel_rep(2, 4),
+                                     pc.translation_kernel_rep(2, 6),
+                                     dihedral_natural_rep(48)],
+                             ids=["16", "36", "48"])
+    def test_cover_from_rep_reads_what_the_transport_gives(self, tmp_path,
+                                                           monkeypatch, rep):
+        """``cover-from-rep`` prints the same report when the cover carries
+        its sheet coordinates as when every reader transports, over the
+        bouquet and over theta at its least vertex and at ``--base v1``
+        (whose cover carries nothing)."""
+        rep_path = str(tmp_path / "rep.json")
+        formats.save_rep(rep_path, rep)
+        runs = []
+        for name, base in (("b2", pc.bouquet_graph(2)), ("theta", theta_graph())):
+            path = str(tmp_path / (name + ".json"))
+            formats.save_graph(path, base)
+            runs.append(["--json", "cover-from-rep", path, rep_path])
+        runs.append(runs[-1] + ["--base", "v1"])
+        carried = [run_cli(argv) for argv in runs]
+        build = cli.cover_from_subgroup
+
+        def carrying_nothing(*args):
+            cover, a, cov = build(*args)
+            return cover, a, pc.Covering(cov.map, cov.lifts, cov.vertex_fibers,
+                                         cov.degree, cov.component_degrees)
+
+        monkeypatch.setattr(cli, "cover_from_subgroup", carrying_nothing)
+        assert carried == [run_cli(argv) for argv in runs]
+        assert [code for _out, code in carried] == [0, 0, 0]
 
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])

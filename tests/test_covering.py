@@ -32,6 +32,7 @@ from procover import (
 from procover import covering
 from procover.formats import dump_json, morphism_to_obj
 from procover.freegroup import NotTransitiveError
+from procover.graphs import SpanningTreeData
 from helpers import (
     TableCheckedAction,
     action_deck_isomorphism,
@@ -39,6 +40,7 @@ from helpers import (
     b2_covers,
     composed_deck_oracle,
     composed_lift_oracle,
+    composes_to_an_element,
     congruence_orbit_quotient,
     congruence_quotient_by_deck_subgroup,
     cycle_with_loop,
@@ -50,6 +52,7 @@ from helpers import (
     deck_closure,
     deck_inverse,
     deck_subgroups,
+    dihedral_natural_rep,
     dihedral_regular_rep,
     direct_orbit_quotient,
     eager_deck_group,
@@ -60,8 +63,10 @@ from helpers import (
     old_as_covering,
     old_cover_from_subgroup,
     pairwise_closure,
+    pairwise_group_action,
     path_graph,
     rejected_action_documents,
+    relabelled,
     rotation,
     rotation_action,
     s3_regular_rep,
@@ -519,6 +524,164 @@ class TestDeckGroupBySheetTransport:
         assert deck_group(cov).order == rep.degree
 
 
+class TestCarriedSheetCoordinates:
+    """A cover that ``cover_from_subgroup`` builds carries its sheet rows
+    and monodromy, and ``deck_group``, ``is_regular`` and
+    ``image_subgroup`` read them with no transport: they agree with the
+    oracles, which transport or walk.  Any other cover, fiber point or
+    coordinate system falls back to the transport, which agrees with the
+    walked monodromy.  (The suite-wide fixture in ``conftest.py`` checks
+    every carried row and monodromy against the transport.)"""
+
+    @staticmethod
+    def large_covers():
+        """Covers of degree above ten, where the fiber order of the names
+        (``v0@10`` before ``v0@2``) relabels the voltage sheets."""
+        rng = random.Random(21)
+        reps = [relabelled(pc.translation_kernel_rep(2, 4), 0, rng),
+                dihedral_natural_rep(48),
+                relabelled(dihedral_natural_rep(48), 0, rng)]
+        return [cover_from_subgroup(base, "v0", rep)[2]
+                for base in (pc.bouquet_graph(2), theta_graph())
+                for rep in reps]
+
+    @staticmethod
+    def first_coordinates(cov):
+        a0 = cov.domain.vertices[0]
+        return a0, pi1_data(cov.codomain, cov.map.vmap[a0])
+
+    @staticmethod
+    def transports(monkeypatch):
+        """Record each ``_sheet_rows`` call, passing it through."""
+        sheet_rows, calls = covering._sheet_rows, []
+
+        def recorded(c, a, p):
+            calls.append(a)
+            return sheet_rows(c, a, p)
+
+        monkeypatch.setattr(covering, "_sheet_rows", recorded)
+        return calls
+
+    def test_constructed_covers_read_no_transport(self, monkeypatch):
+        covs = [cov for _h, _a, cov in b2_covers()] + self.large_covers()
+        wants = []
+        for cov in covs:
+            a0, p = self.first_coordinates(cov)
+            wants.append((eager_deck_group(cov), lift_deck_group(cov),
+                          three_way_regularity_oracle(cov),
+                          walked_monodromy(cov, a0, p)))
+
+        def no_transport(*args):
+            raise AssertionError("a carried cover was transported")
+
+        monkeypatch.setattr(covering, "_sheet_rows", no_transport)
+        for cov, (eager, lifted, regular, monodromy) in zip(covs, wants):
+            assert cov._sheets is not None
+            deck = deck_group(cov)
+            for want in (eager, lifted):
+                assert deck.order == want.order and deck.table == want.table
+                assert deck.elements == want.elements
+            assert is_regular(cov) == regular
+            a0, p = self.first_coordinates(cov)
+            assert image_subgroup(cov, a0, p) == monodromy
+
+    def test_a_covers_request_transports_nothing(self, monkeypatch,
+                                                 carried_sheets_equal_the_transport):
+        """The calls of one ``covers`` benchmark request make no transport
+        and at most one ``PermRep``: the relabelled monodromy, built only
+        when the fiber order is not the voltage order."""
+        monkeypatch.setattr(pc.Covering, "__init__",
+                            carried_sheets_equal_the_transport.unguarded_init)
+        transports = self.transports(monkeypatch)
+        init, built = PermRep._init, []
+
+        def counted(rep, *args):
+            built.append(rep)
+            return init(rep, *args)
+
+        monkeypatch.setattr(PermRep, "_init", counted)
+        for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8),
+                    pc.translation_kernel_rep(2, 4), dihedral_natural_rep(48)):
+            for base in (pc.bouquet_graph(2), theta_graph()):
+                del built[:]
+                cover, a, cov = cover_from_subgroup(base, "v0", rep)
+                deck = deck_group(cov)
+                is_regular(cov)
+                image_subgroup(cov, a, pi1_data(base, "v0"))
+                lift(cov.map, cov, cover.vertices[0], a)
+                quotient_by_deck_subgroup(deck, range(deck.order))
+                carried = cov._sheets[2]
+                assert built == ([] if carried is rep else [carried])
+                assert (carried is rep) == (rep.degree <= 10)
+        assert transports == []
+
+    def test_least_vertex_off_the_basepoint_carries_nothing(self, monkeypatch):
+        transports = self.transports(monkeypatch)
+        base = three_vertex_base()
+        for rep in (list(low_index_reps(2, 3)) + [pc.translation_kernel_rep(2, 4),
+                                                 dihedral_natural_rep(12)]):
+            cover, a, cov = cover_from_subgroup(base, "b", rep)
+            assert cov._sheets is None and cover.vertices[0] == "a@0"
+            p = pi1_data(base, "b")
+            for x in cov.vertex_fibers["b"]:
+                assert image_subgroup(cov, x, p) == walked_monodromy(cov, x, p)
+            deck, want = deck_group(cov), eager_deck_group(cov)
+            assert deck.table == want.table and deck.elements == want.elements
+        assert transports
+
+    def other_coordinates(self, base):
+        """Pi1Data at v0 that differ from ``pi1_data(base, "v0")``: in the
+        basis order, in a basis orientation and, on theta, in the tree."""
+        p = pi1_data(base, "v0")
+        out = [pc.Pi1Data(base, "v0", p.tree, p.basis_darts[::-1]),
+               pc.Pi1Data(base, "v0", p.tree,
+                          (base.inv[p.basis_darts[0]],) + p.basis_darts[1:])]
+        if base.name == "theta":
+            tree = SpanningTreeData(base, "v0", {"e1+", "e1-"}, {"v1": "e1-"})
+            out.append(pc.Pi1Data(base, "v0", tree, ("e0+", "e2+")))
+        return out
+
+    def test_other_points_and_coordinates_are_transported(self, monkeypatch):
+        transports = self.transports(monkeypatch)
+        covs = [cov for _h, _a, cov in b2_covers()][::3] + self.large_covers()
+        for cov in covs:
+            base = cov.codomain
+            a0, p = self.first_coordinates(cov)
+            for q in [p] + self.other_coordinates(base):
+                for a in cov.vertex_fibers["v0"][:4]:
+                    del transports[:]
+                    assert image_subgroup(cov, a, q) == \
+                        walked_monodromy(cov, a, q)
+                    assert transports == ([] if (a, q) == (a0, p) else [a])
+            assert image_subgroup(cov, a0, p) is cov._sheets[2]
+
+    def test_as_covering_cover_carries_nothing(self, monkeypatch):
+        transports = self.transports(monkeypatch)
+        for cov in [cov for _h, _a, cov in b2_covers()] + self.large_covers():
+            plain = as_covering(cov.map)
+            assert plain._sheets is None
+            deck, want = deck_group(plain), deck_group(cov)
+            assert (deck.automorphisms, deck.vrows, deck.drows, deck.table) \
+                == (want.automorphisms, want.vrows, want.drows, want.table)
+            assert is_regular(plain) == is_regular(cov)
+            a0, p = self.first_coordinates(cov)
+            assert image_subgroup(plain, a0, p) == walked_monodromy(cov, a0, p)
+        assert transports
+
+    def test_the_guard_sees_a_wrong_carried_row(self,
+                                                carried_sheets_equal_the_transport):
+        cov = cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                  pc.translation_kernel_rep(2, 2))[2]
+        p, rows, rep = cov._sheets
+        swapped = {v: row[::-1] for v, row in rows.items()}
+        mismatches = carried_sheets_equal_the_transport.mismatches
+        assert mismatches == []
+        pc.Covering(cov.map, cov.lifts, cov.vertex_fibers, cov.degree,
+                    cov.component_degrees, (p, swapped, rep))
+        assert len(mismatches) == 1
+        mismatches.pop()
+
+
 class TestDeckElementsWhereRead:
     """Order, table, subgroups and deck quotients are read off the
     automorphisms and the sheet rows: none of them builds an element."""
@@ -835,6 +998,79 @@ class TestGroupActions:
             assert new.value.witness == self.NEW_WITNESSES[name]
         else:
             assert new.value.witness == old.value.witness
+
+    @staticmethod
+    def outcome(build, graph, morphisms):
+        """What a constructor makes of an action: its elements and identity,
+        or its ActionError's message and witness.  A closure witness is
+        checked here, since the two constructors may name different
+        pairs: "h then g" must not be the map of an element."""
+        try:
+            act = build(graph, morphisms)
+        except ActionError as exc:
+            if str(exc) != "morphisms are not closed under composition":
+                return str(exc), exc.witness
+            g, h = exc.witness
+            assert not composes_to_an_element(morphisms, g, h)
+            return str(exc), None
+        return act.elements, act.identity
+
+    @staticmethod
+    def generated_actions():
+        """Every rejected document and free action of the helpers, and
+        seeded subsets, with and without the identity, of the deck groups
+        of order at most eight and of order 16, of the symmetries of C12
+        (rotations and reflections, some inverting an edge) and of a
+        non-bijective map with the identity."""
+        yield from rejected_action_documents().values()
+        for act in free_actions().values():
+            yield act.graph, act.morphisms
+        rng = random.Random(14)
+        groups = [(deck.covering.domain, deck.elements)
+                  for deck in small_deck_groups()]
+        mod4 = deck_group(cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 4))[2])
+        groups.append((mod4.covering.domain, mod4.elements))
+        c12 = pc.cycle_graph(12)
+        flips = []
+        for k in range(12):
+            dmap = {}
+            for i in range(12):
+                j = (k - i - 1) % 12
+                dmap["e%d+" % i], dmap["e%d-" % i] = "e%d-" % j, "e%d+" % j
+            flips.append(GraphMorphism(
+                c12, c12, {"v%d" % i: "v%d" % ((k - i) % 12) for i in range(12)},
+                dmap))
+        groups.append((c12, tuple(rotation(12, k) for k in range(12))
+                       + tuple(flips)))
+        b2 = pc.bouquet_graph(2)
+        fold = GraphMorphism(b2, b2, {"v0": "v0"},
+                             {"e0+": "e0+", "e0-": "e0-",
+                              "e1+": "e0+", "e1-": "e0-"})
+        groups.append((b2, (GraphMorphism.identity(b2), fold)))
+        for graph, maps in groups:
+            for _ in range(12):
+                picked = [m for m in maps if rng.random() < 0.5]
+                if rng.random() < 0.7:
+                    picked.append(GraphMorphism.identity(graph))
+                if rng.random() < 0.5:
+                    picked.append(maps[0])
+                morphisms = {}
+                for m in picked:
+                    if m not in morphisms.values():
+                        morphisms["g%d" % len(morphisms)] = m
+                yield graph, morphisms
+            yield graph, {"g%d" % i: m for i, m in enumerate(maps)}
+
+    def test_actions_match_the_pairwise_oracle(self):
+        verdicts = set()
+        for graph, morphisms in self.generated_actions():
+            new = self.outcome(pc.GroupAction, graph, morphisms)
+            assert new == self.outcome(pairwise_group_action, graph, morphisms)
+            verdicts.add(new[0] if isinstance(new[0], str) else "accepted")
+        for verdict in ("accepted", "act identically", "acts as the identity",
+                        "not closed", "bijectively", "inverts an edge"):
+            assert any(verdict in v for v in verdicts)
 
     def test_foreign_map_rejected(self):
         c6 = pc.cycle_graph(6)

@@ -26,6 +26,7 @@ from procover.freegroup import (
     NotTransitiveError,
     _automorphisms,
     _forced_map,
+    _normalizer_generators,
     normalizer_points,
 )
 from helpers import (
@@ -33,6 +34,8 @@ from helpers import (
     brute_force_canonical_keys,
     canonical_key_equivalent,
     cyclic_rep,
+    dihedral_natural_rep,
+    dihedral_regular_rep,
     injective_normalizer_points,
     normal_tables_oracle,
     per_point_normalizer_points,
@@ -44,6 +47,7 @@ from helpers import (
     schreier_pushforward_leq,
     schreier_subgroup_leq,
     trivial_rep,
+    unsieved_normalizer_generators,
     validating_permrep,
 )
 
@@ -674,6 +678,69 @@ class TestForcedMapAgainstOracles:
                 conjugate = relabelled(rep, c, random.Random(c))
                 assert normalizer_points(conjugate) == \
                     per_point_normalizer_points(conjugate)
+
+    @staticmethod
+    def sieve_cases():
+        """Seeded random transitive actions of ranks 2 and 3 up to degree
+        48, every rank-2 table up to degree 4, and the regular families
+        (translation kernels, dihedral regular and natural actions), each
+        also with its points shuffled."""
+        rng = random.Random(48)
+        reps = list(low_index_reps(2, 4))
+        while len(reps) < 160:
+            rank, n = rng.choice((2, 2, 3)), rng.randint(2, 48)
+            perms = [rng.sample(range(n), n) for _ in range(rank)]
+            try:
+                reps.append(PermRep(rank, n, perms))
+            except ValueError:
+                continue
+        families = [translation_kernel_rep(2, m) for m in (2, 3, 4, 6)]
+        families += [translation_kernel_rep(3, 2), translation_kernel_rep(1, 12)]
+        families += [dihedral_regular_rep(k) for k in (3, 4, 12, 24)]
+        families += [dihedral_natural_rep(m) for m in (6, 8, 13, 30, 48)]
+        for rep in families:
+            reps += [rep, relabelled(rep, 0, rng),
+                     relabelled(rep, rng.randrange(rep.degree), rng)]
+        return reps
+
+    def test_sieved_search_matches_the_oracles(self):
+        """The cycle sieve keeps the generators, their order and the
+        orbit of the search without it, so every point set and every
+        automorphism is that of the per-point oracles."""
+        orders = set()
+        for rep in self.sieve_cases():
+            gens, orbit = _normalizer_generators(rep)
+            assert (gens, orbit) == unsieved_normalizer_generators(rep)
+            want = per_point_normalizer_points(rep)
+            assert normalizer_points(rep) == want
+            assert injective_normalizer_points(rep) == want
+            pairs = list(zip(rep._moves, rep._moves))
+            found = _automorphisms(rep)
+            assert sorted(found) == list(want)
+            for c, phi in found.items():
+                assert phi == _forced_map(pairs, rep.degree, c)
+            orders.add(len(want) == rep.degree)
+        assert orders == {True, False}
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_sieve_skips_the_corners_of_the_dihedral_action(self, monkeypatch,
+                                                           shuffle):
+        """On the 48 corners only the opposite corner has the cycle type of
+        corner 0 (a 48-cycle under the rotation, fixed by the reflection),
+        so one forced map is run where the search without the sieve ran 46."""
+        rep = dihedral_natural_rep(48)
+        if shuffle:
+            rep = relabelled(rep, 0, random.Random(5))
+        forced_map, calls = freegroup._forced_map, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return forced_map(*args)
+
+        monkeypatch.setattr(freegroup, "_forced_map", counted)
+        points = normalizer_points(rep)
+        assert len(calls) <= 2
+        assert points == per_point_normalizer_points(rep) and len(points) == 2
 
     def test_forced_map_returns_its_image_list(self):
         rep = translation_kernel_rep(1, 5)
