@@ -222,8 +222,8 @@ def cmd_deck(args):
     f = formats.load_morphism(args.morphism)
     cov = as_covering(f)
     deck = deck_group(cov)
-    # the report prints one vertex-map entry per element and cover vertex;
-    # the order is known before any element is built
+    # the report prints one vertex-map entry per element and cover vertex,
+    # each read off the sheet rows; no element is built
     charge = deck.order * len(cov.domain.vertices)
     if charge > args.max_work:
         raise ResourceLimitError(
@@ -233,8 +233,8 @@ def cmd_deck(args):
     details = {
         "order": deck.order,
         "degree": cov.degree,
-        "elements": [{"index": i, "vertex_map": dict(h.vmap)}
-                     for i, h in enumerate(deck.elements)],
+        "elements": [{"index": i, "vertex_map": deck.vertex_map(i)}
+                     for i in range(deck.order)],
     }
     return Report("deck", details), 0
 

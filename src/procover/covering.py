@@ -18,6 +18,8 @@ qualifies (H is normal).  Those points are the orbit of the fiber's first
 point under the automorphisms of the monodromy action
 (:func:`~procover.freegroup.normalizer_points`), and each deck
 transformation permutes the sheet rows by its automorphism, with no lift.
+Each automorphism is proved by the forced map that finds it, so
+:func:`deck_group` proves nothing again.
 
 A group action given by its maps is checked for closure on a generating
 set, not pairwise (:class:`GroupAction`).
@@ -29,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
 from .graphs import (
@@ -350,8 +351,8 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
 
     Proceeds breadth-first: each dart of the (connected) source has exactly
     one possible image, read from the lift table ``c.lifts``, so the whole
-    lift is forced once the basepoint image is fixed.  When some closed path blocks the
-    lift, raises LiftObstruction carrying that path.
+    lift is forced once the basepoint image is fixed.  When some closed
+    path blocks the lift, raises LiftObstruction carrying that path.
 
     Every dart of the result is read from ``c.lifts``, which is keyed by
     image dart, so ``c.map o h == g`` holds by construction; constructing
@@ -414,12 +415,14 @@ class DeckGroup:
     and ``drows`` are the sheet rows :func:`deck_group` builds: one row per
     base vertex and per base dart, whose k-th entry is the vertex or dart
     over it in sheet k.  ``table[i][j]`` is the index of the composite that
-    applies element j first and element i second.  Order, table, subgroups
-    and :meth:`indices_sending` read the automorphisms; :meth:`element`
-    builds one element as a validated morphism, and :attr:`elements` builds
-    them all on first read and keeps them (a pure function of the value,
-    like the caches of :mod:`procover.graphs`).  No element but the
-    identity has a fixed point, by :func:`deck_group`'s checks.
+    applies element j first and element i second.  Order, table, subgroups,
+    :meth:`indices_sending` and :meth:`vertex_map` read the automorphisms
+    and the rows; :meth:`element` builds one element as a validated
+    morphism, and :attr:`elements` builds them all on first read and keeps
+    them (a pure function of the value, like the caches of
+    :mod:`procover.graphs`).  No element but the identity has a fixed
+    point, as proved by the forced map
+    (:func:`~procover.freegroup._automorphisms`).
     """
 
     def __init__(self, covering: Covering, automorphisms, vrows, drows, table):
@@ -436,9 +439,10 @@ class DeckGroup:
     def is_subgroup(self, indices: Iterable[int]) -> bool:
         """Whether the indices form a subgroup: a nonempty subset of a
         finite group closed under products is one, as every inverse is a
-        power."""
+        power.  An index outside 0..order-1 names no element."""
         s = set(indices)
-        return bool(s) and all(self.table[i][j] in s for i in s for j in s)
+        return (bool(s) and s.issubset(range(self.order))
+                and all(self.table[i][j] in s for i in s for j in s))
 
     def indices_sending(self, x: str, ys: Iterable[str]) -> list[int]:
         """For each vertex y of ``ys``, the index of the element that sends
@@ -453,16 +457,22 @@ class DeckGroup:
         index = {phi[k]: i for i, phi in enumerate(self.automorphisms)}
         return [index[sheet[y]] for y in ys]
 
+    def vertex_map(self, i: int) -> dict:
+        """The vertex map of deck element i, read off the vertex rows with
+        no morphism built: the entry in sheet k of every row goes to the
+        entry in sheet ``automorphisms[i][k]`` of the same row."""
+        return dict(zip(chain.from_iterable(self.vrows),
+                        _moved(self.vrows, self.automorphisms[i])))
+
     def element(self, i: int) -> GraphMorphism:
-        """Deck element i as a morphism of the cover: it sends the entry in
-        sheet k of every row to the entry in sheet ``automorphisms[i][k]``
-        of the same row, checked for incidence and the involution."""
+        """Deck element i as a morphism of the cover: :meth:`vertex_map`
+        and the same permutation of the dart rows, checked for incidence
+        and the involution."""
         phi = self.automorphisms[i]
         cover = self.covering.domain
-        hv = dict(zip(chain.from_iterable(self.vrows), _moved(self.vrows, phi)))
         hd = dict(zip(chain.from_iterable(self.drows), _moved(self.drows, phi)))
         try:
-            return GraphMorphism(cover, cover, hv, hd)
+            return GraphMorphism(cover, cover, self.vertex_map(i), hd)
         except GraphError as exc:
             raise RuntimeError("no deck transformation at a normalizer point "
                                "(internal error)") from exc
@@ -508,73 +518,31 @@ def deck_group(c: Covering) -> DeckGroup:
     sheet-k vertex or dart over each base element to the sheet-``phi[k]``
     one, so it covers the covering map by construction.
 
-    Every automorphism is checked here, in integer sheet coordinates; no
-    element is built.  The rows must partition the cover's vertices and
-    darts, so the sheet map is a total bijection.  Then it is a morphism
-    exactly when ``phi`` commutes with the sheet permutation ``s_d`` of
-    every base dart ``d``, where ``s_d(k)`` is the sheet of the inverse of
-    the sheet-k dart over ``d``.  Proof: the sheet-k dart ``x`` over ``d``
-    starts at the sheet-k vertex over ``src(d)``, so ``src(h(x))`` and
-    ``h(src(x))`` are both the sheet-``phi[k]`` vertex over ``src(d)`` and
-    incidence holds for every ``phi``.  ``inv(x)`` is the sheet-``s_d(k)``
-    dart over ``inv(d)``, so ``h(inv(x))`` lies in sheet ``phi[s_d[k]]``
-    and ``inv(h(x))`` in sheet ``s_d[phi[k]]``: the involution is kept for
-    every ``x`` exactly when ``phi o s_d == s_d o phi`` for every ``d``.
-    These are the incidence and involution checks of
-    :class:`~procover.graphs.GraphMorphism`; ``s_d`` is the identity on a
-    tree dart and the move of x_k on the k-th basis dart.  Also checked: no
-    automorphism but the identity fixes a sheet, the composition table,
-    read off the images of 0, closes, and the order divides the degree.
-
-    An element is built as a morphism, with its own incidence and
-    involution checks, only when it is read (:meth:`DeckGroup.element`,
-    :attr:`DeckGroup.elements`); one that is never read is never built,
-    but its automorphism has passed the checks above.  Those checks and
-    the partition of the rows leave no element but the identity a fixed
-    point, so an element is not checked for one.
+    Nothing is checked again here.  The rows partition the cover: a vertex
+    row is the fiber over its base vertex, reached by lifting tree paths
+    from the first fiber, and a dart row holds the darts over its base dart
+    at one such fiber, each once by the star check of :func:`as_covering`.
+    The inverse of the sheet-k dart over ``d`` is the sheet-``s_d(k)`` dart
+    over ``inv(d)``, so the sheet map of ``phi`` is a morphism when ``phi``
+    commutes with every sheet move ``s_d``: the identity on a tree dart, a
+    monodromy move on a basis dart.  That, freeness and closure are proved
+    where the automorphisms are found
+    (:func:`~procover.freegroup._automorphisms`).  The composition table is
+    read off the images of 0.  An element is built as a morphism, with its
+    own incidence and involution checks, only when it is read
+    (:meth:`DeckGroup.element`, :attr:`DeckGroup.elements`).
     """
     rows, rep = _first_fiber_monodromy(c)
-    base, cover, lifts = c.codomain, c.domain, c.lifts
+    base, lifts = c.codomain, c.lifts
     vrows = list(rows.values())
     drows = [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
-    if not (_partitions(vrows, cover._vertex_set)
-            and _partitions(drows, cover._dart_set)):
-        raise RuntimeError("sheet rows do not partition the cover "
-                           "(internal error)")
-    n = c.degree
-    moves = {rep.move((k, s)) for k in range(rep.rank) for s in (1, -1)}
-    moves.discard(tuple(range(n)))
-    # itemgetter(*s)(phi) is phi o s (a move has n >= 2 entries, so the
-    # getter returns a tuple)
-    takes = [(s, itemgetter(*s)) for s in moves]
     automorphisms = _automorphisms(rep)
-    phis = [automorphisms[k] for k in sorted(automorphisms)]
-    for phi in phis:
-        if takes:
-            after = itemgetter(*phi)
-            if any(take(phi) != after(s) for s, take in takes):
-                raise RuntimeError("no deck transformation at a normalizer "
-                                   "point (internal error)")
-        if phi[0] and any(map(eq, phi, range(n))):
-            raise RuntimeError("deck transformation with a fixed element "
-                               "(internal error)")
-    images = [phi[0] for phi in phis]
+    images = sorted(automorphisms)
+    phis = list(map(automorphisms.__getitem__, images))
     at = dict(zip(images, range(len(phis))))
-    try:
-        table = tuple(tuple(map(at.__getitem__, map(phi.__getitem__, images)))
-                      for phi in phis)
-    except KeyError:
-        raise RuntimeError("deck transformations are not closed "
-                           "under composition (internal error)") from None
-    if n % len(phis):
-        raise RuntimeError("deck order must divide the degree (internal error)")
+    table = tuple(tuple(map(at.__getitem__, map(phi.__getitem__, images)))
+                  for phi in phis)
     return DeckGroup(c, phis, vrows, drows, table)
-
-
-def _partitions(rows, universe: frozenset) -> bool:
-    """Whether the rows together hold every member of ``universe`` once."""
-    return (sum(map(len, rows)) == len(universe)
-            and universe == set(chain.from_iterable(rows)))
 
 
 def action_deck_indices(act: GroupAction, c: Covering) -> dict:
@@ -807,9 +775,11 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     base dart the K-orbits are the entries of its row at one K-orbit of
     positions.  So the two maps compose dart-for-dart to the original, as
     every entry of a row lies over the row's base element, and their
-    degrees multiply to its degree, as K acts freely.  :func:`deck_group` has checked connectivity,
-    closure and freeness, and no deck transformation inverts an edge, as
-    the covering map would send a dart and its inverse to one base dart.
+    degrees multiply to its degree, as K acts freely.  Connectivity is
+    checked by :func:`deck_group`, and closure and freeness are proved by
+    the forced map (:func:`~procover.freegroup._automorphisms`); no deck
+    transformation inverts an edge, as the covering map would send a dart
+    and its inverse to one base dart.
     """
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)

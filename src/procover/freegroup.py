@@ -455,6 +455,27 @@ def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
     group by composing image lists, breadth first from the identity; an
     automorphism is fixed by its image of 0, so each composite is built
     only when that image is new.
+
+    Every map returned is proved an automorphism by the forced map, with
+    no check after it, and :func:`~procover.covering.deck_group` relies on
+    these facts:
+
+    - It commutes with every move ``x_k^{+-1}``.  :func:`_forced_map`
+      returns a generator only after checking ``image[s[a]] == s[image[a]]``
+      for every move ``s`` at every point it reaches, and on a transitive
+      action it reaches every point; a composite of maps that commute with
+      the moves commutes with them too.
+    - None but the identity fixes a point.  On a transitive action an
+      automorphism is forced by its image of one point, as the forced map
+      from 0 is by its image of 0, so one that fixes a point agrees there
+      with the identity and is the identity.
+    - The maps form a group.  The closure multiplies every map found by
+      every generator, so the maps are all the products of generators: a
+      finite set of bijections closed under composition, which is a group.
+      So every composite's image of 0 is a key.
+    - Their number divides the degree.  The group acts freely, so its
+      orbits on the points all have its order as size, and they partition
+      the points.
     """
     gens = _normalizer_generators(rep)[0]
     group = {0: list(range(rep.degree))}

@@ -15,6 +15,7 @@ from helpers import (
     b2_homology_spec,
     cyclic_rep,
     dihedral_natural_rep,
+    dihedral_regular_rep,
     free_actions,
     non_refining_spec,
     parse_report,
@@ -82,6 +83,27 @@ class TestGolden:
                              "--normal"])
         assert code == 0
         assert out == golden("low_index_rank2_deg3_normal.txt")
+
+    @pytest.mark.parametrize("name, base, rep", [
+        ("regular_d6_b2", pc.bouquet_graph(2), dihedral_regular_rep(6)),
+        ("dihedral12_theta", theta_graph(), dihedral_natural_rep(12))],
+        ids=["regular-12", "order-2-of-12"])
+    def test_deck(self, tmp_path, name, base, rep):
+        """The deck report of a regular cover of degree 12, whose fiber is
+        listed in the string order of its names (``v0@10`` before
+        ``v0@2``), and of a degree-12 cover with deck order 2; each printed
+        vertex map is the vertex map of the element built and validated
+        as a morphism."""
+        path = str(tmp_path / "cover.json")
+        formats.save_morphism(path, pc.cover_from_subgroup(base, "v0", rep)[2].map)
+        for mode, argv in (("txt", ["deck", path]),
+                           ("json", ["--json", "deck", path])):
+            out, code = run_cli(argv)
+            assert code == 0 and out == golden("deck_%s.%s" % (name, mode))
+        deck = pc.deck_group(pc.as_covering(formats.load_morphism(path)))
+        assert 1 < deck.order <= rep.degree
+        printed = [e["vertex_map"] for e in json.loads(out)["details"]["elements"]]
+        assert printed == [dict(deck.element(i).vmap) for i in range(deck.order)]
 
 
 class TestExitCodes:
@@ -638,9 +660,13 @@ class TestCommands:
     def test_deck_charges_its_vertex_map_entries(self, data, monkeypatch,
                                                  budget, expected):
         """Two elements of a six-vertex cover print 12 vertex-map entries:
-        refused one below that, before any element is built, and answered
-        at it."""
+        refused one below that, and answered at it.  Either way no element
+        is built: the printed maps are read off the sheet rows, and they
+        are the elements' vertex maps."""
         element = pc.DeckGroup.element
+        deck = pc.deck_group(pc.as_covering(
+            formats.load_morphism(data["c6_to_c3"])))
+        want = [dict(element(deck, i).vmap) for i in range(deck.order)]
 
         def counted(deck, i):
             built.append(i)
@@ -659,7 +685,8 @@ class TestCommands:
                 "vertices), above the work bound 11; raise --max-work to "
                 "proceed")
         else:
-            assert built == [0, 1] and len(details["elements"]) == 2
+            assert built == []
+            assert [e["vertex_map"] for e in details["elements"]] == want
 
     def test_deck_quotient_of_a_non_subgroup_builds_no_element(
             self, tmp_path, monkeypatch):

@@ -308,6 +308,17 @@ class TestDeckGroup:
         assert deck.is_subgroup([0, 2])
         assert not deck.is_subgroup([0, 1])
 
+    def test_is_subgroup_holds_no_index_outside_the_group(self):
+        """An index outside 0..order-1 names no element: a negative one
+        does not wrap around to the end, and a large one raises nothing."""
+        cov = cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                  pc.translation_kernel_rep(2, 2))[2]
+        deck = deck_group(cov)
+        assert deck.order == 4 and deck.is_subgroup([0, 1, 2, 3])
+        assert not deck.is_subgroup([0, -4])
+        assert not deck.is_subgroup([0, 1, 2, 3, -1, -2])
+        assert not deck.is_subgroup([0, 7])
+
     def test_closure_matches_pairwise_oracle(self):
         for deck in small_deck_groups():
             for size in (0, 1, 2):
@@ -502,13 +513,43 @@ class TestDeckGroupBySheetTransport:
                 assert deck.elements == want.elements
             assert is_regular(cov) == regular
 
+    def test_rows_partition_the_cover(self):
+        """The vertex rows and the dart rows hold every vertex and dart of
+        the cover once, each row the fiber over its base element in a
+        fixed sheet order: on carried covers and on ``as_covering`` copies
+        of them, which are transported."""
+        covs = [cov for _h, _base, cov in b2_covers()]
+        rng = random.Random(22)
+        covs += [cover_from_subgroup(theta_graph(), "v0", rep)[2]
+                 for rep in (pc.translation_kernel_rep(2, 4),
+                             dihedral_regular_rep(6), dihedral_natural_rep(12),
+                             relabelled(dihedral_natural_rep(48), 0, rng))]
+        copies = [as_covering(cov.map) for cov in covs]
+        assert all(cov._sheets is None for cov in copies)
+        for cov in covs + copies:
+            deck = deck_group(cov)
+            cover, base, f = cov.domain, cov.codomain, cov.map
+            for rows, members, over, below in (
+                    (deck.vrows, cover.vertices, f.vmap, base.vertices),
+                    (deck.drows, cover.darts, f.dmap, base.darts)):
+                assert len(rows) == len(below)
+                assert sorted(itertools.chain.from_iterable(rows)) == \
+                    sorted(members)
+                for row in rows:
+                    assert len(row) == cov.degree
+                    assert len({over[x] for x in row}) == 1
+
     @pytest.mark.parametrize("base, rep", [
         (pc.bouquet_graph(2), pc.translation_kernel_rep(2, 3)),
         (theta_graph(), dihedral_regular_rep(3)),
         (pc.cycle_graph(3), cyclic_rep(5))], ids=["Z3^2", "D3", "Z5"])
     def test_swapped_automorphism_fails_the_sheet_check(self, monkeypatch,
                                                         base, rep):
+        """A non-automorphism planted among the automorphisms is not looked
+        for by ``deck_group``, which trusts the forced map; building its
+        element refuses it, and the table differs from the lifted one."""
         cov = cover_from_subgroup(base, "v0", rep)[2]
+        lifted = lift_deck_group(cov)
         automorphisms = covering._automorphisms
         for k in range(1, rep.degree):
             def swapped(r, k=k):
@@ -518,8 +559,10 @@ class TestDeckGroupBySheetTransport:
                 return group
 
             monkeypatch.setattr(covering, "_automorphisms", swapped)
+            deck = deck_group(cov)
             with pytest.raises(RuntimeError, match="no deck transformation"):
-                deck_group(cov)
+                deck.element(k)
+            assert deck.table != lifted.table
         monkeypatch.setattr(covering, "_automorphisms", automorphisms)
         assert deck_group(cov).order == rep.degree
 

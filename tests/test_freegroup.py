@@ -722,6 +722,28 @@ class TestForcedMapAgainstOracles:
             orders.add(len(want) == rep.degree)
         assert orders == {True, False}
 
+    def test_automorphisms_are_free_closed_and_commute_with_the_moves(self):
+        """The facts ``deck_group`` takes from the forced map without a
+        check: every automorphism commutes with every move x_k^{+-1}, none
+        but the identity fixes a point, they are closed under composition
+        (keyed by their images of 0), and their number divides the
+        degree."""
+        for rep in self.sieve_cases():
+            n = rep.degree
+            moves = [rep.move((k, s)) for k in range(rep.rank) for s in (1, -1)]
+            group = _automorphisms(rep)
+            for c, phi in group.items():
+                assert phi[0] == c and sorted(phi) == list(range(n))
+                for m in moves:
+                    assert [phi[m[a]] for a in range(n)] == \
+                        [m[phi[a]] for a in range(n)]
+                if c:
+                    assert all(phi[a] != a for a in range(n))
+                for psi in group.values():
+                    composite = [phi[psi[a]] for a in range(n)]
+                    assert group[composite[0]] == composite
+            assert n % len(group) == 0
+
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_sieve_skips_the_corners_of_the_dihedral_action(self, monkeypatch,
                                                            shuffle):
