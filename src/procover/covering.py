@@ -6,6 +6,7 @@ table that check builds, builds them from subgroups (voltage construction),
 reads subgroups back off as monodromy and lifts maps through them (both
 from the lift table), computes deck transformation groups, decides
 regularity, and forms quotients by free group actions and by deck subgroups.
+Its covers are coverings by construction (Stallings, 1983), proved where built.
 
 Monodromy, deck groups and regularity rest on one lift of a spanning tree,
 which gives the cover's sheet rows and the monodromy on one fiber.  A cover
@@ -42,8 +43,9 @@ from .graphs import (
     components,
     edge_stem,
     is_connected,
-    quotient,
+    _quotient_graph,
     spanning_tree,
+    validate_graph,
 )
 from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
 
@@ -81,7 +83,7 @@ class ActionError(VerdictError):
 
 
 class Covering:
-    """A verified locally bijective morphism with its lift table.
+    """A locally bijective morphism, checked or proved so, with its lift table.
 
     ``lifts[u]`` maps each dart at the image of cover vertex ``u`` to the
     one dart at ``u`` over it: :func:`as_covering` builds it while checking
@@ -237,6 +239,13 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     the k-th basis dart moves sheets by the permutation of x_k.  Returns the
     cover, its basepoint (sheet 0 over ``basepoint``), and the projection.
 
+    The projection is built, not checked; a base that
+    :func:`~procover.graphs.validate_graph` rejects raises GraphError.  In
+    sheet s an edge ``{d, e}`` lifts to a dart over ``d`` at the sheet-s
+    vertex over ``src(d)`` and its inverse in sheet ``move(s)``, a
+    permutation, so each vertex has one dart over each dart at its image.
+    :func:`pi1_data` checks the base connected: degree n on one component.
+
     When the cover's first vertex lies over ``basepoint``, the projection
     carries its sheet coordinates (:class:`Covering`), read off the voltage
     sheets with no transport.  That vertex is then voltage sheet 0 over
@@ -250,6 +259,9 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     vertex the spanning tree of :func:`deck_group` is another one, and the
     projection carries nothing.
     """
+    bad = validate_graph(base)
+    if bad:
+        raise GraphError("base graph is invalid: %(kind)s at %(witness)r" % bad[0])
     p = pi1_data(base, basepoint)
     if rep.rank != p.rank:
         raise ValueError("rep rank %d does not match the base rank %d"
@@ -262,6 +274,7 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     for v, row in names.items():
         vertices += row
         vmap.update(dict.fromkeys(row, v))
+    lifts = {x: {} for x in sorted(vertices)}
     darts, src, inv, dmap = [], {}, {}, {}
     for d, e in base.dart_pairs():
         stem = edge_stem(d, e)
@@ -275,24 +288,26 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
             src[pos], src[neg] = at_d[s], at_e[move[s]]
             inv[pos], inv[neg] = neg, pos
             dmap[pos], dmap[neg] = d, e
+            lifts[src[pos]][d], lifts[src[neg]][e] = pos, neg
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
-    cov = as_covering(GraphMorphism(cover, base, vmap, dmap))
     fiber = names[basepoint]
-    if vmap[cover.vertices[0]] != basepoint:
-        return cover, fiber[0], cov
-    sigma = sorted(sheets, key=fiber.__getitem__)
-    rows = {v: list(map(names[v].__getitem__, sigma))
-            for v in chain((basepoint,), p.tree.parent_dart)}
-    monodromy = rep
-    if sigma != list(sheets):
-        label = [0] * n
-        for k, s in enumerate(sigma):
-            label[s] = k
-        monodromy = PermRep(rep.rank, n, [[label[x[s]] for s in sigma]
-                                          for x in rep.perms])
-    return cover, fiber[0], Covering(cov.map, cov.lifts, cov.vertex_fibers,
-                                     cov.degree, cov.component_degrees,
-                                     (p, rows, monodromy))
+    sheet_coordinates = None
+    if vmap[cover.vertices[0]] == basepoint:
+        sigma = sorted(sheets, key=fiber.__getitem__)
+        rows = {v: list(map(names[v].__getitem__, sigma))
+                for v in chain((basepoint,), p.tree.parent_dart)}
+        monodromy = rep
+        if sigma != list(sheets):
+            label = [0] * n
+            for k, s in enumerate(sigma):
+                label[s] = k
+            monodromy = PermRep(rep.rank, n, [[label[x[s]] for s in sigma]
+                                              for x in rep.perms])
+        sheet_coordinates = (p, rows, monodromy)
+    return cover, fiber[0], Covering(
+        GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,
+        {v: tuple(sorted(row)) for v, row in names.items()}, n,
+        ((base.vertices[0], n),), sheet_coordinates)
 
 
 def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
@@ -354,10 +369,10 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     lift is forced once the basepoint image is fixed.  When some closed
     path blocks the lift, raises LiftObstruction carrying that path.
 
-    Every dart of the result is read from ``c.lifts``, which is keyed by
-    image dart, so ``c.map o h == g`` holds by construction; constructing
-    the result as a :class:`~procover.graphs.GraphMorphism` checks
-    incidence and the involution.
+    The result is built, not checked: the search reaches all of the
+    connected source, ``hd[d]`` is the dart over ``g(d)`` in the row of
+    ``hv[src(d)]`` (so ``c.map o h == g``), and ``hd[inv d] = inv(hd[d])``
+    is the one dart over ``g(inv d)`` at its source once ``hv`` agrees.
     """
     if g.codomain != c.codomain:
         raise GraphError("map and covering have different codomains")
@@ -403,7 +418,7 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
             elif hv[w] != lw:
                 back = tuple(sinv[b] for b in reversed(path_to(w)))
                 raise LiftObstruction(path_to(x) + (d,) + back)
-    return GraphMorphism(sigma, gamma, hv, hd)
+    return GraphMorphism._of_maps(sigma, gamma, hv, hd)
 
 
 class DeckGroup:
@@ -461,6 +476,8 @@ class DeckGroup:
         """The vertex map of deck element i, read off the vertex rows with
         no morphism built: the entry in sheet k of every row goes to the
         entry in sheet ``automorphisms[i][k]`` of the same row."""
+        if not 0 <= i < self.order:
+            raise IndexError("no deck element %r in 0..%d" % (i, self.order - 1))
         return dict(zip(chain.from_iterable(self.vrows),
                         _moved(self.vrows, self.automorphisms[i])))
 
@@ -717,20 +734,20 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits
     given vertex and dart orbits; the caller has checked that the graph is
     connected and the action free and inversion-free.
 
-    :func:`~procover.graphs.quotient` builds the orbit graph, whose
-    projection it validates: that checks the orbits are a congruence.  No
-    orbit may hold a dart together with its inverse.  The orbits of a
-    free action all have one member per group element, so the orbit map's
-    degree is the group order with no further check.
+    The orbit map is built, not checked.  Orbits of automorphisms are
+    compatible with ``src`` and ``inv``: a congruence once no orbit holds a
+    dart and its inverse, as :meth:`Congruence._of_partition` checks.  A
+    free action leaves each dart orbit at the orbit of ``u`` one member at
+    ``u``, and every orbit one member per group element, the degree.
     """
     classes = [sorted(map(sorted, orbits))
                for orbits in (vertex_orbits, dart_orbits)]
-    try:
-        qg, proj = quotient(graph, Congruence._of_partition(graph, *classes))
-    except GraphError as exc:
-        raise RuntimeError("orbits are not a congruence (internal error)") \
-            from exc
-    return qg, as_covering(proj)
+    r = Congruence._of_partition(graph, *classes)
+    qg, drep, n = _quotient_graph(graph, r), r._drep, len(classes[0][0])
+    return qg, Covering(
+        GraphMorphism._of_maps(graph, qg, r._vrep, drep),
+        {u: dict(zip(map(drep.__getitem__, s), s)) for u, s in graph._star.items()},
+        {c[0]: c for c in r.vertex_classes}, n, ((qg.vertices[0], n),))
 
 
 def _orbits(points, images) -> list[set]:
@@ -769,8 +786,8 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
 
     Returns (intermediate graph, quotient map onto it, induced covering of
     the original base).  Only the indices are checked (in range, a
-    subgroup), and both maps as coverings.  The orbits are read off the
-    sheet rows with no deck element built: the subgroup K permutes the
+    subgroup); both maps are built, not checked.  The orbits are read off
+    the sheet rows with no deck element built: the subgroup K permutes the
     sheet positions by its automorphisms, and over every base vertex and
     base dart the K-orbits are the entries of its row at one K-orbit of
     positions.  So the two maps compose dart-for-dart to the original, as
@@ -779,7 +796,8 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     checked by :func:`deck_group`, and closure and freeness are proved by
     the forced map (:func:`~procover.freegroup._automorphisms`); no deck
     transformation inverts an edge, as the covering map would send a dart
-    and its inverse to one base dart.
+    and its inverse to one base dart.  The lower map is a covering, as
+    the original map is it after the upper map, a surjective covering.
     """
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)
@@ -797,4 +815,9 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     cv, cd = c.map.vmap, c.map.dmap
     vmap = {v: cv[v] for v in qg.vertices}
     dmap = {d: cd[d] for d in qg.darts}
-    return qg, h_map, as_covering(GraphMorphism(qg, c.codomain, vmap, dmap))
+    m = c.degree // h_map.degree
+    return qg, h_map, Covering(
+        GraphMorphism._of_maps(qg, c.codomain, vmap, dmap),
+        {q: dict(zip(map(dmap.__getitem__, s), s)) for q, s in qg._star.items()},
+        {u: tuple(filter(qg._vertex_set.__contains__, vs))
+         for u, vs in c.vertex_fibers.items()}, m, ((c.codomain.vertices[0], m),))

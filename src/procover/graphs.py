@@ -301,9 +301,9 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
 class GraphMorphism:
     """Map of graphs: commutes with ``src`` and with the involution.
 
-    Construction validates the whole map.  Two morphisms are equal when
-    their graphs and their vertex and dart maps are equal; the hash is
-    computed on first use and kept.
+    Construction validates the whole map (:meth:`_of_maps` checks none).
+    Two morphisms are equal when their graphs and vertex and dart maps are
+    equal; the hash is computed on first use and kept.
     """
 
     def __init__(self, domain: FiniteGraph, codomain: FiniteGraph,
@@ -337,6 +337,13 @@ class GraphMorphism:
         self._hash: int | None = None
 
     @classmethod
+    def _of_maps(cls, domain, codomain, vmap: dict, dmap: dict) -> "GraphMorphism":
+        """The morphism of these maps, taken over unchecked: its caller proves it."""
+        m = cls.__new__(cls)
+        m.domain, m.codomain, m.vmap, m.dmap, m._hash = domain, codomain, vmap, dmap, None
+        return m
+
+    @classmethod
     def identity(cls, g: FiniteGraph) -> "GraphMorphism":
         return cls(g, g, {v: v for v in g.vertices}, {d: d for d in g.darts})
 
@@ -362,12 +369,12 @@ class GraphMorphism:
 
 
 def compose(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    """The composite ``outer o inner`` (apply ``inner`` first)."""
+    """The composite ``outer o inner`` (apply ``inner`` first), a morphism."""
     if inner.codomain != outer.domain:
         raise GraphError("morphisms do not compose: codomain/domain mismatch")
-    return GraphMorphism(inner.domain, outer.codomain,
-                         {v: outer.vmap[w] for v, w in inner.vmap.items()},
-                         {d: outer.dmap[e] for d, e in inner.dmap.items()})
+    return GraphMorphism._of_maps(inner.domain, outer.codomain,
+                                  {v: outer.vmap[w] for v, w in inner.vmap.items()},
+                                  {d: outer.dmap[e] for d, e in inner.dmap.items()})
 
 
 def _normalize_classes(universe, given, what):
@@ -442,8 +449,8 @@ class Congruence:
         the vertices and the darts, each sorted and listed in order of
         least member; only merged inverses are checked.
 
-        Fibers of a morphism are compatible by construction, and
-        :func:`quotient` validates its projection.  But a morphism sends
+        Fibers of a morphism, and orbits of a group of automorphisms, are
+        compatible by construction.  But a morphism sends
         a dart and its inverse to one dart exactly when that dart is fixed
         by the codomain's involution, which :class:`FiniteGraph` admits.
         In a compatible class every member is merged with its inverse when

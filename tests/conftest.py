@@ -81,3 +81,53 @@ def carried_sheets_equal_the_transport():
         patch.setattr(covering.Covering, "__init__", checked)
         yield SimpleNamespace(mismatches=mismatches, unguarded_init=init)
     assert mismatches == []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def constructed_values_equal_the_checked_ones():
+    """Every map the library builds unchecked must be what the checking
+    constructors give.  A ``GraphMorphism._of_maps`` result must pass the
+    public ``GraphMorphism(...)`` on the same maps and equal it; a
+    ``Covering`` built anywhere but in ``as_covering`` must equal
+    ``as_covering`` on its map in the map, the lift table (with its key
+    order), the fibers and both degrees.  ``Covering.__init__`` is wrapped
+    and tells ``as_covering``'s own construction by its caller's code.
+    Mismatches are collected and asserted when the module ends; the
+    fixture's value holds the list, so a test can plant one and take it
+    back, and the unwrapped ``_of_maps``, for a test that counts what
+    construction checks."""
+    from procover import covering, graphs
+    morphism, init = graphs.GraphMorphism, covering.Covering.__init__
+    of_maps, as_covering = morphism._of_maps.__func__, covering.as_covering
+    mismatches = []
+
+    def checked_of_maps(cls, domain, codomain, vmap, dmap):
+        m = of_maps(cls, domain, codomain, vmap, dmap)
+        try:
+            if morphism(domain, codomain, vmap, dmap) != m:
+                mismatches.append(repr(m))
+        except graphs.GraphError as exc:
+            mismatches.append("%r: %s" % (m, exc))
+        return m
+
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if sys._getframe(1).f_code is as_covering.__code__:
+            return
+        try:
+            want = as_covering(self.map)
+        except covering.NotACoveringError as exc:
+            mismatches.append("%r: %s" % (self, exc))
+            return
+        if (self.map != want.map or self.lifts != want.lifts
+                or list(self.lifts) != list(want.lifts)
+                or self.vertex_fibers != want.vertex_fibers
+                or (self.degree, self.component_degrees)
+                != (want.degree, want.component_degrees)):
+            mismatches.append(repr(self))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphism, "_of_maps", classmethod(checked_of_maps))
+        patch.setattr(covering.Covering, "__init__", checked_init)
+        yield SimpleNamespace(mismatches=mismatches, unguarded_of_maps=of_maps)
+    assert mismatches == []

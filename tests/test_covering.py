@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -188,6 +189,19 @@ class TestCoverFromSubgroup:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             cover_from_subgroup(pc.bouquet_graph(2), "v0", cyclic_rep(2))
+
+    @pytest.mark.parametrize("inv, kind, witness", [
+        ({"a": "b", "b": "a", "c": "c"}, "fixed-dart", "c"),
+        ({"a": "b", "b": "c", "c": "a"}, "involution", "a")])
+    def test_invalid_base_is_an_input_error(self, inv, kind, witness):
+        """A base that ``FiniteGraph`` admits and ``validate_graph`` rejects
+        raises GraphError with the first violation and its witness: not a
+        negative verdict (a fixed dart used to fail the star check) and not
+        an internal error (a non-involution used to fail the rank check)."""
+        g = pc.FiniteGraph(["v0"], ["a", "b", "c"], dict.fromkeys(inv, "v0"), inv)
+        assert pc.validate_graph(g)[0] == {"kind": kind, "witness": witness}
+        with pytest.raises(GraphError, match="%s at '%s'" % (kind, witness)):
+            cover_from_subgroup(g, "v0", cyclic_rep(2))
 
 
 class TestImageSubgroup:
@@ -763,6 +777,17 @@ class TestDeckElementsWhereRead:
                         with pytest.raises(KeyError):
                             deck.indices_sending(x, [y])
 
+    def test_indices_outside_the_group_are_refused(self):
+        """A negative index does not count from the end of the group."""
+        deck = deck_group(cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 2))[2])
+        assert deck.order == 4
+        for i in (-1, -4, 4):
+            with pytest.raises(IndexError):
+                deck.vertex_map(i)
+            with pytest.raises(IndexError):
+                deck.element(i)
+
     def test_element_is_built_once_per_read_of_elements(self):
         deck = deck_group(as_covering(wrap_morphism(12, 3)))
         assert deck.elements is deck.elements
@@ -773,6 +798,75 @@ def order_64_deck_group():
     """The deck group of the B2 cover of the kernel onto (Z/8)^2."""
     return deck_group(cover_from_subgroup(pc.bouquet_graph(2), "v0",
                                           pc.translation_kernel_rep(2, 8))[2])
+
+
+class TestBuiltNotChecked:
+    """Covers and maps that the library builds are not checked again: the
+    guard of ``tests/conftest.py`` compares each with the checking
+    constructors, and these tests show that it sees a wrong one."""
+
+    def test_the_guard_sees_a_wrong_lift_entry(
+            self, constructed_values_equal_the_checked_ones):
+        cov = cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                  pc.translation_kernel_rep(2, 2))[2]
+        mismatches = constructed_values_equal_the_checked_ones.mismatches
+        assert mismatches == []
+        a0 = cov.domain.vertices[0]
+        lifts = dict(cov.lifts)
+        lifts[a0] = dict(lifts[a0], **{"e0+": lifts[a0]["e1+"]})
+        pc.Covering(cov.map, lifts, cov.vertex_fibers, cov.degree,
+                    cov.component_degrees)
+        assert len(mismatches) == 1
+        mismatches.pop()
+        # the right rows in another vertex order are also refused
+        pc.Covering(cov.map, dict(reversed(cov.lifts.items())),
+                    cov.vertex_fibers, cov.degree, cov.component_degrees)
+        assert len(mismatches) == 1
+        mismatches.pop()
+
+    def test_the_guard_sees_a_broken_trusted_morphism(
+            self, constructed_values_equal_the_checked_ones):
+        f = rotation(6, 1)
+        mismatches = constructed_values_equal_the_checked_ones.mismatches
+        GraphMorphism._of_maps(f.domain, f.codomain, dict(f.vmap),
+                               dict(f.dmap, **{"e0+": "e3+"}))
+        assert len(mismatches) == 1 and "incidence" in mismatches[0]
+        mismatches.pop()
+
+    def test_a_covers_request_checks_nothing(
+            self, monkeypatch, carried_sheets_equal_the_transport,
+            constructed_values_equal_the_checked_ones):
+        """With the guards off, the calls of one ``covers`` benchmark
+        request build no ``Covering`` in ``as_covering`` and validate no
+        ``GraphMorphism``."""
+        guard = constructed_values_equal_the_checked_ones
+        monkeypatch.setattr(GraphMorphism, "_of_maps",
+                            classmethod(guard.unguarded_of_maps))
+        init = carried_sheets_equal_the_transport.unguarded_init
+        builders, validated = [], []
+
+        def recorded(self, *args, **kwargs):
+            builders.append(sys._getframe(1).f_code.co_name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pc.Covering, "__init__", recorded)
+        check = GraphMorphism.__init__
+
+        def counted(self, *args):
+            validated.append(self)
+            check(self, *args)
+
+        monkeypatch.setattr(GraphMorphism, "__init__", counted)
+        for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8)):
+            for base in (pc.bouquet_graph(2), theta_graph()):
+                cover, a, cov = cover_from_subgroup(base, "v0", rep)
+                deck = deck_group(cov)
+                is_regular(cov)
+                image_subgroup(cov, a, pi1_data(base, "v0"))
+                compose(cov.map, lift(cov.map, cov, cover.vertices[0], a))
+                quotient_by_deck_subgroup(deck, range(deck.order))
+        assert validated == []
+        assert builders and "as_covering" not in builders
 
 
 class TestConstructorsAgainstOracles:
@@ -1193,19 +1287,20 @@ class TestDeckQuotient:
                              else "order-%d" % d.order)
     def test_matches_the_congruence_oracle(self, deck):
         deck = deck or order_64_deck_group()
-        for s in deck_subgroups(deck):
+        subgroups = deck_subgroups(deck)
+        assert deck.order != 64 or len(subgroups) == 37
+        for s in subgroups:
             got = quotient_by_deck_subgroup(deck, s)
             want = congruence_quotient_by_deck_subgroup(deck, s)
             assert got[0] == want[0] and got[0].name == want[0].name
             for cov, oracle in zip(got[1:], want[1:]):
-                assert cov.map == oracle.map
                 # the bytes ``deck-quotient --out`` writes for each map
                 assert dump_json(morphism_to_obj(cov.map)) == \
                     dump_json(morphism_to_obj(oracle.map))
-                assert cov.lifts == oracle.lifts
-                assert cov.vertex_fibers == oracle.vertex_fibers
-                assert (cov.degree, cov.component_degrees) == \
-                    (oracle.degree, oracle.component_degrees)
+                # both maps are built unchecked: the oracle's and the
+                # checked lift tables, with their key order
+                for other in (oracle, as_covering(cov.map)):
+                    TestConstructorsAgainstOracles.same_covering(cov, other)
 
     def test_orbit_quotient_matches_the_congruence_oracle(self):
         for name, act in free_actions().items():

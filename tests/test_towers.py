@@ -43,8 +43,10 @@ from helpers import (
     relabelled,
     rotation,
     scanned_deck_hom,
+    theta_graph,
     trivial_rep,
     two_cycles,
+    walked_monodromy,
     wrap_morphism,
     zigzag_tower,
 )
@@ -818,3 +820,100 @@ class TestTowerInvariants:
             result = deck_tower(t)
             assert result.orders == [n.degree for n in spec.normals]
             assert all(s.surjective for s in result.steps)
+
+
+def conjugate_stabilizer_deck_order(rep) -> int:
+    """The number of points whose stabilizer is Stab(0), |N(H)/H|: a point
+    p qualifies when the action rebased at p is canonically the action."""
+    key = rep.canonical_key()
+    return sum(rep.rebased(p).canonical_key() == key
+               for p in range(rep.degree))
+
+
+def identity_images(rank: int) -> GeneratorImages:
+    """The identity of the free group of the given rank: the map that a
+    diagonal quotient step induces on fundamental groups."""
+    return GeneratorImages(rank, rank, tuple(map(FreeWord.generator, range(rank))))
+
+
+GENERATED_BASES = (("B2", pc.bouquet_graph(2), 8), ("theta", theta_graph(), 8),
+                   ("C3", pc.cycle_graph(3), 12))
+
+
+def generated_specs(samples: int = 8):
+    """Derandomized universal specs over B2, theta and C3, ``samples`` per
+    base: the diagonal quotient at every level and a chain of normal
+    subgroups from ``low_index_reps(rank, d, normal_only=True)``, the first
+    of index at most d / 2 and each contained in the one before
+    (``pushforward_leq`` along the identity, the map a diagonal step
+    induces), with its points relabelled at random and 0 fixed.  Each sample also gives a broken spec: the
+    chain up to a random link, whose upper subgroup is not contained in
+    the lower one.  Yields (name, spec, broken spec, broken link)."""
+    for name, base, max_index in GENERATED_BASES:
+        rank = pc.pi1_data(base, "v0").rank
+        pool = pc.low_index_reps(rank, max_index, normal_only=True)
+        identity = identity_images(rank)
+        for sample in range(samples):
+            rng = random.Random("%s-%d" % (name, sample))
+            chain = [rng.choice([n for n in pool
+                                 if 1 < n.degree <= max_index // 2])]
+            for _ in range(rng.randint(1, 2)):
+                inside = [n for n in pool
+                          if pc.pushforward_leq(n, identity, chain[-1])]
+                chain.append(rng.choice([n for n in inside
+                                         if n.degree > chain[-1].degree]
+                                        or inside))
+            link = rng.randrange(len(chain) - 1)
+            escaping = [n for n in pool
+                        if not pc.pushforward_leq(n, identity, chain[link])]
+            normals = [relabelled(n, 0, rng) for n in chain]
+            bad = relabelled(rng.choice(escaping), 0, rng)
+            diagonal = Congruence.diagonal(base)
+            yield ("%s-%d" % (name, sample),
+                   UniversalSpec(base, "v0", [diagonal] * len(normals), normals),
+                   UniversalSpec(base, "v0", [diagonal] * (link + 2),
+                                 normals[:link + 1] + [bad]),
+                   link)
+
+
+class TestGeneratedTowers:
+    """Universal towers of generated specs against group-theoretic oracles
+    that share no code path with the tower operations."""
+
+    SPECS = tuple(generated_specs())
+
+    def test_the_generator_is_fixed_and_varied(self):
+        assert len(self.SPECS) == 24
+        assert {len(spec.normals) for _n, spec, _b, _l in self.SPECS} == {2, 3}
+        assert max(spec.normals[-1].degree for _n, spec, _b, _l in self.SPECS) >= 8
+
+    @pytest.mark.parametrize("name, spec, broken, link", SPECS,
+                             ids=[s[0] for s in SPECS])
+    def test_tower_against_the_oracles(self, name, spec, broken, link):
+        t = universal_tower(spec)
+        degrees = [n.degree for n in spec.normals]
+        p = pi1_data(spec.base, spec.basepoint)
+        for i, (cov, normal) in enumerate(zip(t.coverings, spec.normals)):
+            # degree [F : N_i], and regular: the monodromy walked through a
+            # checked lift table has a deck group as large as the fiber
+            assert cov.degree == normal.degree
+            image = walked_monodromy(as_covering(cov.map), t.basepoints[i], p)
+            assert image.canonical_key() == normal.canonical_key()
+            assert conjugate_stabilizer_deck_order(image) == cov.degree
+        result = deck_tower(t)
+        assert result.orders == degrees
+        for i, step in enumerate(result.steps):
+            # a surjection whose kernel has order deg(i+1) / deg(i)
+            assert step.surjective
+            assert sorted(set(step.hom)) == list(range(degrees[i]))
+            assert degrees[i + 1] % degrees[i] == 0
+            assert step.hom.count(0) == degrees[i + 1] // degrees[i]
+        assert [r.verdict for r in kernel_good_pairs(t)] == \
+            ["regular_good"] * len(degrees)
+        with pytest.raises(CompatibilityError) as err:
+            universal_tower(broken)
+        assert err.value.levels == (link, link + 1)
+        upper, lower = broken.normals[link + 1], broken.normals[link]
+        w = err.value.witness
+        assert upper.act(0, w) == 0
+        assert lower.act(0, substitute(w, identity_images(p.rank))) != 0
