@@ -10,12 +10,12 @@ Its covers are coverings by construction (Stallings, 1983), proved where built.
 
 Monodromy, deck groups and regularity rest on one lift of a spanning tree,
 which gives the cover's sheet rows and the monodromy on one fiber.  A cover
-built by the voltage construction carries both from its construction, read
-off the voltage sheets, and is not transported again.  For a
-connected cover with monodromy subgroup H at a fiber point, the deck
-transformations correspond to the fiber points whose stabilizer equals H,
-that is to N(H)/H, and the cover is regular exactly when every fiber point
-qualifies (H is normal).  Those points are the orbit of the fiber's first
+built by the voltage construction carries both, from the one lift taken
+when it is built, and is not transported again.  For a connected cover
+with monodromy subgroup H at a fiber point, the deck transformations
+correspond to the fiber points whose stabilizer equals H, that is to
+N(H)/H, and the cover is regular exactly when every fiber point qualifies
+(H is normal).  Those points are the orbit of the fiber's first
 point under the automorphisms of the monodromy action
 (:func:`~procover.freegroup.normalizer_points`), and each deck
 transformation permutes the sheet rows by its automorphism, with no lift.
@@ -96,20 +96,20 @@ class Covering:
     A cover that :func:`cover_from_subgroup` builds also carries its sheet
     coordinates at its first vertex, ``_sheets = (p, rows, rep)``: the
     :class:`Pi1Data` ``p`` at that vertex's image, and the sheet rows and
-    monodromy that :func:`_sheet_rows` gives for ``p`` with the first vertex
-    in sheet 0.  :func:`deck_group`, :func:`is_regular` and
-    :func:`image_subgroup` read them; a cover without them (None) is
-    transported instead.
+    monodromy that :func:`_sheet_rows` gave for ``p``, with the first vertex
+    in sheet 0, when the cover was built.  :func:`deck_group`,
+    :func:`is_regular` and :func:`image_subgroup` read them; any other
+    cover has None and is transported when read.
     """
 
     def __init__(self, map: GraphMorphism, lifts, vertex_fibers, degree,
-                 component_degrees, _sheets=None):
+                 component_degrees):
         self.map = map
         self.lifts = lifts
         self.vertex_fibers = vertex_fibers
         self.degree = degree
         self.component_degrees = component_degrees
-        self._sheets = _sheets
+        self._sheets = None
 
     @property
     def domain(self) -> FiniteGraph:
@@ -246,18 +246,9 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     permutation, so each vertex has one dart over each dart at its image.
     :func:`pi1_data` checks the base connected: degree n on one component.
 
-    When the cover's first vertex lies over ``basepoint``, the projection
-    carries its sheet coordinates (:class:`Covering`), read off the voltage
-    sheets with no transport.  That vertex is then voltage sheet 0 over
-    ``basepoint``, and the fiber order lists the voltage sheets in the
-    string order of their names (``v@10`` before ``v@2``): fiber sheet k is
-    voltage sheet ``sigma[k]``.  A tree dart keeps the voltage sheet, so
-    the end of the tree path to ``v`` lifted from fiber sheet k is the
-    vertex over ``v`` in voltage sheet ``sigma[k]``; and the k-th basis
-    dart lifted from voltage sheet s ends in voltage sheet ``x_k(s)``, so
-    the monodromy is ``rep`` relabelled by ``sigma``.  Over any other first
-    vertex the spanning tree of :func:`deck_group` is another one, and the
-    projection carries nothing.
+    The projection carries its sheet coordinates (:class:`Covering`): one
+    :func:`_sheet_rows` at the cover's first vertex, with :func:`pi1_data`
+    at that vertex's image, taken here so that no reader transports.
     """
     bad = validate_graph(base)
     if bad:
@@ -290,24 +281,13 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
             dmap[pos], dmap[neg] = d, e
             lifts[src[pos]][d], lifts[src[neg]][e] = pos, neg
     cover = FiniteGraph(vertices, darts, src, inv, name=None)
-    fiber = names[basepoint]
-    sheet_coordinates = None
-    if vmap[cover.vertices[0]] == basepoint:
-        sigma = sorted(sheets, key=fiber.__getitem__)
-        rows = {v: list(map(names[v].__getitem__, sigma))
-                for v in chain((basepoint,), p.tree.parent_dart)}
-        monodromy = rep
-        if sigma != list(sheets):
-            label = [0] * n
-            for k, s in enumerate(sigma):
-                label[s] = k
-            monodromy = PermRep(rep.rank, n, [[label[x[s]] for s in sigma]
-                                              for x in rep.perms])
-        sheet_coordinates = (p, rows, monodromy)
-    return cover, fiber[0], Covering(
-        GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,
-        {v: tuple(sorted(row)) for v, row in names.items()}, n,
-        ((base.vertices[0], n),), sheet_coordinates)
+    cov = Covering(GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,
+                   {v: tuple(sorted(row)) for v, row in names.items()}, n,
+                   ((base.vertices[0], n),))
+    a0 = cover.vertices[0]
+    q = p if vmap[a0] == basepoint else pi1_data(base, vmap[a0])
+    cov._sheets = (q, *_sheet_rows(cov, a0, q))
+    return cover, names[basepoint][0], cov
 
 
 def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:

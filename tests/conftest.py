@@ -49,41 +49,6 @@ def documents_written_as_json_writes_them(request):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def carried_sheets_equal_the_transport():
-    """Every cover that carries its sheet coordinates (those
-    ``cover_from_subgroup`` builds) must carry what ``_sheet_rows`` gives
-    at its first vertex, with the spanning tree and basis of ``pi1_data``
-    there: the same rows in the same key order, and an equal monodromy.
-    ``Covering.__init__`` is wrapped, since every carried cover passes
-    through it whichever module called the constructor.  Mismatches are
-    collected and asserted when the module ends.  The fixture's value
-    holds the list, so a test can plant one and take it back, and the
-    unwrapped constructor, for a test that counts what construction
-    builds (the check's own transport builds a ``PermRep``)."""
-    from procover import covering
-    init, sheet_rows = covering.Covering.__init__, covering._sheet_rows
-    pi1_data, mismatches = covering.pi1_data, []
-
-    def checked(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if self._sheets is None:
-            return
-        p, rows, rep = self._sheets
-        a0 = self.domain.vertices[0]
-        fresh = pi1_data(self.codomain, self.map.vmap[a0])
-        want_rows, want_rep = sheet_rows(self, a0, fresh)
-        if (list(rows.items()) != list(want_rows.items()) or rep != want_rep
-                or p.tree.parent_dart != fresh.tree.parent_dart
-                or p.basis_darts != fresh.basis_darts):
-            mismatches.append(repr(self))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(covering.Covering, "__init__", checked)
-        yield SimpleNamespace(mismatches=mismatches, unguarded_init=init)
-    assert mismatches == []
-
-
-@pytest.fixture(scope="module", autouse=True)
 def constructed_values_equal_the_checked_ones():
     """Every map the library builds unchecked must be what the checking
     constructors give.  A ``GraphMorphism._of_maps`` result must pass the
@@ -94,8 +59,8 @@ def constructed_values_equal_the_checked_ones():
     and tells ``as_covering``'s own construction by its caller's code.
     Mismatches are collected and asserted when the module ends; the
     fixture's value holds the list, so a test can plant one and take it
-    back, and the unwrapped ``_of_maps``, for a test that counts what
-    construction checks."""
+    back, and the unwrapped ``_of_maps`` and ``Covering.__init__``, for a
+    test that counts what construction checks."""
     from procover import covering, graphs
     morphism, init = graphs.GraphMorphism, covering.Covering.__init__
     of_maps, as_covering = morphism._of_maps.__func__, covering.as_covering
@@ -129,5 +94,6 @@ def constructed_values_equal_the_checked_ones():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(morphism, "_of_maps", classmethod(checked_of_maps))
         patch.setattr(covering.Covering, "__init__", checked_init)
-        yield SimpleNamespace(mismatches=mismatches, unguarded_of_maps=of_maps)
+        yield SimpleNamespace(mismatches=mismatches, unguarded_of_maps=of_maps,
+                              unguarded_init=init)
     assert mismatches == []

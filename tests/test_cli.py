@@ -24,6 +24,7 @@ from helpers import (
     rejected_action_documents,
     rotation_action,
     theta_graph,
+    three_vertex_base,
     two_cycles,
     wrap_morphism,
     zigzag_tower,
@@ -104,6 +105,22 @@ class TestGolden:
         assert 1 < deck.order <= rep.degree
         printed = [e["vertex_map"] for e in json.loads(out)["details"]["elements"]]
         assert printed == [dict(deck.element(i).vmap) for i in range(deck.order)]
+
+    def test_cover_from_rep_off_the_basepoint(self, tmp_path):
+        """``cover-from-rep`` at the basepoint b of a three-vertex base,
+        where the cover's least vertex a@0 lies over a, and the deck report
+        of the morphism it writes."""
+        graph, rep = str(tmp_path / "t2.json"), str(tmp_path / "rep.json")
+        formats.save_graph(graph, three_vertex_base())
+        formats.save_rep(rep, dihedral_natural_rep(12))
+        argv = ["cover-from-rep", graph, rep, "--base", "b"]
+        for mode, flags in (("txt", []), ("json", ["--json"])):
+            out, code = run_cli(flags + argv)
+            assert code == 0 and out == golden("cover_from_rep_dihedral12_t2.%s"
+                                               % mode)
+        assert run_cli(argv + ["--out", str(tmp_path / "cover")])[1] == 0
+        out, code = run_cli(["--json", "deck", str(tmp_path / "cover.morphism.json")])
+        assert code == 0 and out == golden("deck_dihedral12_t2.json")
 
 
 class TestExitCodes:
@@ -631,7 +648,7 @@ class TestCommands:
         """``cover-from-rep`` prints the same report when the cover carries
         its sheet coordinates as when every reader transports, over the
         bouquet and over theta at its least vertex and at ``--base v1``
-        (whose cover carries nothing)."""
+        (whose cover's least vertex lies off the basepoint)."""
         rep_path = str(tmp_path / "rep.json")
         formats.save_rep(rep_path, rep)
         runs = []

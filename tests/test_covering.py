@@ -585,15 +585,15 @@ class TestCarriedSheetCoordinates:
     """A cover that ``cover_from_subgroup`` builds carries its sheet rows
     and monodromy, and ``deck_group``, ``is_regular`` and
     ``image_subgroup`` read them with no transport: they agree with the
-    oracles, which transport or walk.  Any other cover, fiber point or
-    coordinate system falls back to the transport, which agrees with the
-    walked monodromy.  (The suite-wide fixture in ``conftest.py`` checks
-    every carried row and monodromy against the transport.)"""
+    oracles, which transport or walk.  The carried coordinates are the
+    transport's own result, taken once when the cover is built.  Any other
+    cover, fiber point or coordinate system falls back to the transport,
+    which agrees with the walked monodromy."""
 
     @staticmethod
     def large_covers():
-        """Covers of degree above ten, where the fiber order of the names
-        (``v0@10`` before ``v0@2``) relabels the voltage sheets."""
+        """Covers of degree above ten, whose fiber order is the string order
+        of the names (``v0@10`` before ``v0@2``), not the voltage order."""
         rng = random.Random(21)
         reps = [relabelled(pc.translation_kernel_rep(2, 4), 0, rng),
                 dihedral_natural_rep(48),
@@ -642,13 +642,12 @@ class TestCarriedSheetCoordinates:
             a0, p = self.first_coordinates(cov)
             assert image_subgroup(cov, a0, p) == monodromy
 
-    def test_a_covers_request_transports_nothing(self, monkeypatch,
-                                                 carried_sheets_equal_the_transport):
-        """The calls of one ``covers`` benchmark request make no transport
-        and at most one ``PermRep``: the relabelled monodromy, built only
-        when the fiber order is not the voltage order."""
-        monkeypatch.setattr(pc.Covering, "__init__",
-                            carried_sheets_equal_the_transport.unguarded_init)
+    def test_a_covers_request_transports_once_at_construction(self,
+                                                              monkeypatch):
+        """The calls of one ``covers`` benchmark request make exactly one
+        transport and build exactly one ``PermRep``, both inside
+        ``cover_from_subgroup``: the carried monodromy.  The readers after
+        it transport and build nothing."""
         transports = self.transports(monkeypatch)
         init, built = PermRep._init, []
 
@@ -660,31 +659,46 @@ class TestCarriedSheetCoordinates:
         for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8),
                     pc.translation_kernel_rep(2, 4), dihedral_natural_rep(48)):
             for base in (pc.bouquet_graph(2), theta_graph()):
-                del built[:]
+                del built[:], transports[:]
                 cover, a, cov = cover_from_subgroup(base, "v0", rep)
+                assert transports == [cover.vertices[0]]
+                assert built == [cov._sheets[2]]
                 deck = deck_group(cov)
                 is_regular(cov)
                 image_subgroup(cov, a, pi1_data(base, "v0"))
                 lift(cov.map, cov, cover.vertices[0], a)
                 quotient_by_deck_subgroup(deck, range(deck.order))
-                carried = cov._sheets[2]
-                assert built == ([] if carried is rep else [carried])
-                assert (carried is rep) == (rep.degree <= 10)
-        assert transports == []
+                assert transports == [cover.vertices[0]]
+                assert built == [cov._sheets[2]]
 
-    def test_least_vertex_off_the_basepoint_carries_nothing(self, monkeypatch):
+    def test_least_vertex_off_the_basepoint_carries(self, monkeypatch):
+        """A cover whose least vertex a@0 lies off the basepoint b carries
+        its coordinates at a@0, with ``pi1_data`` at a, and makes no later
+        transport there; fiber points over b are transported."""
         transports = self.transports(monkeypatch)
         base = three_vertex_base()
         for rep in (list(low_index_reps(2, 3)) + [pc.translation_kernel_rep(2, 4),
                                                  dihedral_natural_rep(12)]):
+            del transports[:]
             cover, a, cov = cover_from_subgroup(base, "b", rep)
-            assert cov._sheets is None and cover.vertices[0] == "a@0"
+            assert transports == ["a@0"] and cover.vertices[0] == "a@0"
+            q, _rows, carried = cov._sheets
+            a0, p = self.first_coordinates(cov)
+            assert q.basepoint == "a" and q.basis_darts == p.basis_darts
+            assert q.tree.parent_dart == p.tree.parent_dart
+            eager, regular = eager_deck_group(cov), three_way_regularity_oracle(cov)
+            monodromy = walked_monodromy(cov, a0, p)
+            del transports[:]
+            deck = deck_group(cov)
+            assert deck.table == eager.table and deck.elements == eager.elements
+            assert is_regular(cov) == regular
+            assert image_subgroup(cov, a0, p) is carried
+            assert carried == monodromy
+            assert transports == []
             p = pi1_data(base, "b")
             for x in cov.vertex_fibers["b"]:
                 assert image_subgroup(cov, x, p) == walked_monodromy(cov, x, p)
-            deck, want = deck_group(cov), eager_deck_group(cov)
-            assert deck.table == want.table and deck.elements == want.elements
-        assert transports
+            assert transports == list(cov.vertex_fibers["b"])
 
     def other_coordinates(self, base):
         """Pi1Data at v0 that differ from ``pi1_data(base, "v0")``: in the
@@ -724,19 +738,6 @@ class TestCarriedSheetCoordinates:
             a0, p = self.first_coordinates(cov)
             assert image_subgroup(plain, a0, p) == walked_monodromy(cov, a0, p)
         assert transports
-
-    def test_the_guard_sees_a_wrong_carried_row(self,
-                                                carried_sheets_equal_the_transport):
-        cov = cover_from_subgroup(pc.bouquet_graph(2), "v0",
-                                  pc.translation_kernel_rep(2, 2))[2]
-        p, rows, rep = cov._sheets
-        swapped = {v: row[::-1] for v, row in rows.items()}
-        mismatches = carried_sheets_equal_the_transport.mismatches
-        assert mismatches == []
-        pc.Covering(cov.map, cov.lifts, cov.vertex_fibers, cov.degree,
-                    cov.component_degrees, (p, swapped, rep))
-        assert len(mismatches) == 1
-        mismatches.pop()
 
 
 class TestDeckElementsWhereRead:
@@ -834,15 +835,14 @@ class TestBuiltNotChecked:
         mismatches.pop()
 
     def test_a_covers_request_checks_nothing(
-            self, monkeypatch, carried_sheets_equal_the_transport,
-            constructed_values_equal_the_checked_ones):
+            self, monkeypatch, constructed_values_equal_the_checked_ones):
         """With the guards off, the calls of one ``covers`` benchmark
         request build no ``Covering`` in ``as_covering`` and validate no
         ``GraphMorphism``."""
         guard = constructed_values_equal_the_checked_ones
         monkeypatch.setattr(GraphMorphism, "_of_maps",
                             classmethod(guard.unguarded_of_maps))
-        init = carried_sheets_equal_the_transport.unguarded_init
+        init = guard.unguarded_init
         builders, validated = [], []
 
         def recorded(self, *args, **kwargs):

@@ -248,3 +248,25 @@ def test_no_quotient_projection_is_discarded():
              and isinstance(target.elts[1], ast.Name)
              and target.elts[1].id == "_"]
     assert found == []
+
+
+def test_covering_builds_a_permrep_only_in_the_sheet_transport():
+    """``covering.py`` calls ``PermRep`` only inside ``_sheet_rows``, the
+    one derivation of sheet coordinates; a constructed cover carries that
+    function's own result.
+
+    A second derivation, such as relabelling the given action into the
+    fiber order, would need a proof that it agrees with the transport.
+    """
+    tree = dict(library_trees())["covering.py"]
+
+    def permrep_calls(node):
+        return {n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None))
+                == "PermRep"}
+
+    transport = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_sheet_rows")
+    assert permrep_calls(transport)
+    assert permrep_calls(tree) == permrep_calls(transport)

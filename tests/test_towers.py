@@ -44,6 +44,7 @@ from helpers import (
     rotation,
     scanned_deck_hom,
     theta_graph,
+    three_vertex_base,
     trivial_rep,
     two_cycles,
     walked_monodromy,
@@ -836,21 +837,25 @@ def identity_images(rank: int) -> GeneratorImages:
     return GeneratorImages(rank, rank, tuple(map(FreeWord.generator, range(rank))))
 
 
-GENERATED_BASES = (("B2", pc.bouquet_graph(2), 8), ("theta", theta_graph(), 8),
-                   ("C3", pc.cycle_graph(3), 12))
+GENERATED_BASES = (("B2", pc.bouquet_graph(2), "v0", 8),
+                   ("theta", theta_graph(), "v0", 8),
+                   ("C3", pc.cycle_graph(3), "v0", 12),
+                   ("T2", three_vertex_base(), "b", 8))
 
 
 def generated_specs(samples: int = 8):
-    """Derandomized universal specs over B2, theta and C3, ``samples`` per
-    base: the diagonal quotient at every level and a chain of normal
-    subgroups from ``low_index_reps(rank, d, normal_only=True)``, the first
-    of index at most d / 2 and each contained in the one before
+    """Derandomized universal specs over B2, theta, C3 and the three-vertex
+    base T2 at b (whose covers have their least vertex off the basepoint),
+    ``samples`` per base: the diagonal quotient at every level and a chain
+    of normal subgroups from ``low_index_reps(rank, d, normal_only=True)``,
+    the first of index at most d / 2 and each contained in the one before
     (``pushforward_leq`` along the identity, the map a diagonal step
-    induces), with its points relabelled at random and 0 fixed.  Each sample also gives a broken spec: the
-    chain up to a random link, whose upper subgroup is not contained in
-    the lower one.  Yields (name, spec, broken spec, broken link)."""
-    for name, base, max_index in GENERATED_BASES:
-        rank = pc.pi1_data(base, "v0").rank
+    induces), with its points relabelled at random and 0 fixed.  Each
+    sample also gives a broken spec: the chain up to a random link, whose
+    upper subgroup is not contained in the lower one.  Yields (name, spec,
+    broken spec, broken link)."""
+    for name, base, basepoint, max_index in GENERATED_BASES:
+        rank = pc.pi1_data(base, basepoint).rank
         pool = pc.low_index_reps(rank, max_index, normal_only=True)
         identity = identity_images(rank)
         for sample in range(samples):
@@ -870,8 +875,9 @@ def generated_specs(samples: int = 8):
             bad = relabelled(rng.choice(escaping), 0, rng)
             diagonal = Congruence.diagonal(base)
             yield ("%s-%d" % (name, sample),
-                   UniversalSpec(base, "v0", [diagonal] * len(normals), normals),
-                   UniversalSpec(base, "v0", [diagonal] * (link + 2),
+                   UniversalSpec(base, basepoint, [diagonal] * len(normals),
+                                 normals),
+                   UniversalSpec(base, basepoint, [diagonal] * (link + 2),
                                  normals[:link + 1] + [bad]),
                    link)
 
@@ -883,7 +889,7 @@ class TestGeneratedTowers:
     SPECS = tuple(generated_specs())
 
     def test_the_generator_is_fixed_and_varied(self):
-        assert len(self.SPECS) == 24
+        assert len(self.SPECS) == 32
         assert {len(spec.normals) for _n, spec, _b, _l in self.SPECS} == {2, 3}
         assert max(spec.normals[-1].degree for _n, spec, _b, _l in self.SPECS) >= 8
 
@@ -897,6 +903,9 @@ class TestGeneratedTowers:
             # degree [F : N_i], and regular: the monodromy walked through a
             # checked lift table has a deck group as large as the fiber
             assert cov.degree == normal.degree
+            # carried at the first vertex, which lies over a on T2
+            a0 = cov.domain.vertices[0]
+            assert cov._sheets[0].basepoint == cov.map.vmap[a0]
             image = walked_monodromy(as_covering(cov.map), t.basepoints[i], p)
             assert image.canonical_key() == normal.canonical_key()
             assert conjugate_stabilizer_deck_order(image) == cov.degree
@@ -910,6 +919,20 @@ class TestGeneratedTowers:
             assert step.hom.count(0) == degrees[i + 1] // degrees[i]
         assert [r.verdict for r in kernel_good_pairs(t)] == \
             ["regular_good"] * len(degrees)
+        if name.startswith("T2"):
+            # the triviality rows against the check over every pair of
+            # levels; a top level of degree 8 has 2^9 index-2 rows, so the
+            # same over B2 and theta would cost about half a second more
+            rows = all_pairs_triviality_oracle(t, 2).rows
+            assert pi1_triviality_check(t, 2).rows == \
+                [row for row in rows if row.level == 0]
+            assert pi1_triviality_check(t, 2, all_levels=True).rows == rows
+        # a thread over every base vertex meets fibers of size deg(i), each
+        # onto the one below
+        for v in spec.base.vertices:
+            report = limit_fiber_report(t, v)
+            assert report.sizes == degrees and report.dead_end_at is None
+            assert all(lv.onto for lv in report.levels[1:])
         with pytest.raises(CompatibilityError) as err:
             universal_tower(broken)
         assert err.value.levels == (link, link + 1)
