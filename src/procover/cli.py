@@ -221,15 +221,17 @@ def cmd_lift(args):
 def cmd_deck(args):
     f = formats.load_morphism(args.morphism)
     cov = as_covering(f)
-    deck = deck_group(cov)
     # the report prints one vertex-map entry per element and cover vertex,
-    # each read off the sheet rows; no element is built
-    charge = deck.order * len(cov.domain.vertices)
+    # each read off the sheet rows; the order is charged before the deck
+    # group is built, and no element is built
+    order = is_regular(cov).deck_order
+    charge = order * len(cov.domain.vertices)
     if charge > args.max_work:
         raise ResourceLimitError(
             "the deck report has %d vertex-map entries (%d elements of %d "
             "vertices), above the work bound %d; raise --max-work to proceed"
-            % (charge, deck.order, len(cov.domain.vertices), args.max_work))
+            % (charge, order, len(cov.domain.vertices), args.max_work))
+    deck = deck_group(cov)
     details = {
         "order": deck.order,
         "degree": cov.degree,

@@ -43,7 +43,7 @@ from .graphs import (
     components,
     edge_stem,
     is_connected,
-    _quotient_graph,
+    quotient,
     spanning_tree,
     validate_graph,
 )
@@ -412,8 +412,8 @@ class DeckGroup:
     over it in sheet k.  ``table[i][j]`` is the index of the composite that
     applies element j first and element i second.  Order, table, subgroups,
     :meth:`indices_sending` and :meth:`vertex_map` read the automorphisms
-    and the rows; :meth:`element` builds one element as a validated
-    morphism, and :attr:`elements` builds them all on first read and keeps
+    and the rows; :meth:`element` builds one element as a morphism, and
+    :attr:`elements` builds them all on first read and keeps
     them (a pure function of the value, like the caches of
     :mod:`procover.graphs`).  No element but the identity has a fixed
     point, as proved by the forced map
@@ -463,16 +463,12 @@ class DeckGroup:
 
     def element(self, i: int) -> GraphMorphism:
         """Deck element i as a morphism of the cover: :meth:`vertex_map`
-        and the same permutation of the dart rows, checked for incidence
-        and the involution."""
-        phi = self.automorphisms[i]
-        cover = self.covering.domain
-        hd = dict(zip(chain.from_iterable(self.drows), _moved(self.drows, phi)))
-        try:
-            return GraphMorphism(cover, cover, self.vertex_map(i), hd)
-        except GraphError as exc:
-            raise RuntimeError("no deck transformation at a normalizer point "
-                               "(internal error)") from exc
+        and the same permutation of the dart rows, built, not checked (a
+        morphism by the forced map, as :func:`deck_group` proves)."""
+        cover, hv = self.covering.domain, self.vertex_map(i)
+        return GraphMorphism._of_maps(cover, cover, hv, dict(zip(
+            chain.from_iterable(self.drows),
+            _moved(self.drows, self.automorphisms[i]))))
 
     @cached_property
     def elements(self) -> tuple[GraphMorphism, ...]:
@@ -525,9 +521,9 @@ def deck_group(c: Covering) -> DeckGroup:
     monodromy move on a basis dart.  That, freeness and closure are proved
     where the automorphisms are found
     (:func:`~procover.freegroup._automorphisms`).  The composition table is
-    read off the images of 0.  An element is built as a morphism, with its
-    own incidence and involution checks, only when it is read
-    (:meth:`DeckGroup.element`, :attr:`DeckGroup.elements`).
+    read off the images of 0.  An element is built as a morphism, with no
+    check, only when it is read (:meth:`DeckGroup.element`,
+    :attr:`DeckGroup.elements`).
     """
     rows, rep = _first_fiber_monodromy(c)
     base, lifts = c.codomain, c.lifts
@@ -714,18 +710,20 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits
     given vertex and dart orbits; the caller has checked that the graph is
     connected and the action free and inversion-free.
 
-    The orbit map is built, not checked.  Orbits of automorphisms are
-    compatible with ``src`` and ``inv``: a congruence once no orbit holds a
-    dart and its inverse, as :meth:`Congruence._of_partition` checks.  A
-    free action leaves each dart orbit at the orbit of ``u`` one member at
-    ``u``, and every orbit one member per group element, the degree.
+    The orbit map is the projection of :func:`quotient`.  Orbits of
+    automorphisms are compatible with ``src`` and ``inv``: a congruence
+    once no orbit holds a dart and its inverse, as
+    :meth:`Congruence._of_partition` checks.  A free action leaves each
+    dart orbit at the orbit of ``u`` one member at ``u``, and every orbit
+    one member per group element, the degree.
     """
     classes = [sorted(map(sorted, orbits))
                for orbits in (vertex_orbits, dart_orbits)]
     r = Congruence._of_partition(graph, *classes)
-    qg, drep, n = _quotient_graph(graph, r), r._drep, len(classes[0][0])
+    qg, proj = quotient(graph, r)
+    drep, n = r._drep, len(classes[0][0])
     return qg, Covering(
-        GraphMorphism._of_maps(graph, qg, r._vrep, drep),
+        proj,
         {u: dict(zip(map(drep.__getitem__, s), s)) for u, s in graph._star.items()},
         {c[0]: c for c in r.vertex_classes}, n, ((qg.vertices[0], n),))
 

@@ -301,9 +301,12 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
 class GraphMorphism:
     """Map of graphs: commutes with ``src`` and with the involution.
 
-    Construction validates the whole map (:meth:`_of_maps` checks none).
-    Two morphisms are equal when their graphs and vertex and dart maps are
-    equal; the hash is computed on first use and kept.
+    Construction validates the whole map.  It is for maps that enter from
+    outside, the document readers of :mod:`procover.formats`; every map the
+    library derives from its own values is built by :meth:`_of_maps`, which
+    checks none, with the proof where it is built.  Two morphisms are equal
+    when their graphs and vertex and dart maps are equal; the hash is
+    computed on first use and kept.
     """
 
     def __init__(self, domain: FiniteGraph, codomain: FiniteGraph,
@@ -338,14 +341,16 @@ class GraphMorphism:
 
     @classmethod
     def _of_maps(cls, domain, codomain, vmap: dict, dmap: dict) -> "GraphMorphism":
-        """The morphism of these maps, taken over unchecked: its caller proves it."""
+        """The morphism of these maps, taken over unchecked: the library
+        builds every map it derives here, and its caller proves it."""
         m = cls.__new__(cls)
         m.domain, m.codomain, m.vmap, m.dmap, m._hash = domain, codomain, vmap, dmap, None
         return m
 
     @classmethod
     def identity(cls, g: FiniteGraph) -> "GraphMorphism":
-        return cls(g, g, {v: v for v in g.vertices}, {d: d for d in g.darts})
+        return cls._of_maps(g, g, {v: v for v in g.vertices},
+                            {d: d for d in g.darts})
 
     def is_surjective(self) -> bool:
         return (set(self.vmap.values()) == self.codomain._vertex_set
@@ -503,23 +508,21 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     """Quotient graph ``g / r`` and the projection morphism onto it.
 
     Class ids are the smallest member ids, so quotienting by the diagonal
-    congruence returns a graph equal to ``g``.  The graph is
-    :func:`_quotient_graph`'s; the projection is validated as a morphism.
+    congruence returns a graph equal to ``g``.  The projection is built,
+    not checked: a congruence's classes have related sources and related
+    inverses, as :meth:`Congruence.__init__` checks or the callers of
+    :meth:`Congruence._of_partition` prove, so each class of darts goes to
+    the class whose source and inverse the quotient gives it.
     """
     if r.base != g:
         raise GraphError("congruence belongs to a different graph")
-    qg = _quotient_graph(g, r)
-    return qg, GraphMorphism(g, qg, dict(r._vrep), dict(r._drep))
-
-
-def _quotient_graph(g: FiniteGraph, r: Congruence) -> FiniteGraph:
-    """The graph half of :func:`quotient`, for callers that have checked
-    ``r.base == g`` and have no use for the projection."""
-    qsrc = {c[0]: r.vertex_rep(g.src[c[0]]) for c in r.dart_classes}
-    qinv = {c[0]: r.dart_rep(g.inv[c[0]]) for c in r.dart_classes}
-    return FiniteGraph([c[0] for c in r.vertex_classes],
-                       [c[0] for c in r.dart_classes],
-                       qsrc, qinv, name=g.name)
+    vrep, drep = r._vrep, r._drep
+    qg = FiniteGraph([c[0] for c in r.vertex_classes],
+                     [c[0] for c in r.dart_classes],
+                     {c[0]: vrep[g.src[c[0]]] for c in r.dart_classes},
+                     {c[0]: drep[g.inv[c[0]]] for c in r.dart_classes},
+                     name=g.name)
+    return qg, GraphMorphism._of_maps(g, qg, vrep, drep)
 
 
 def kernel_congruence(f: GraphMorphism) -> Congruence:
@@ -552,7 +555,9 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
     """The map ``domain/r -> codomain/s`` induced by ``f``.
 
     Requires related elements to have related images; otherwise raises
-    InducedMapError carrying a witness pair.
+    InducedMapError carrying a witness pair.  The map is built, not
+    checked: the class of a dart ``d`` goes to the class of ``f(d)``, and
+    ``f`` commutes with ``src`` and ``inv``, so the class map does too.
     """
     if r.base != f.domain:
         raise GraphError("domain congruence belongs to a different graph")
@@ -580,5 +585,5 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
                 "darts %r and %r are identified but their images are not"
                 % (first, other), witness=(first, other))
         dmap[cls[0]] = images.pop()
-    return GraphMorphism(_quotient_graph(f.domain, r),
-                         _quotient_graph(f.codomain, s), vmap, dmap)
+    return GraphMorphism._of_maps(quotient(f.domain, r)[0],
+                                  quotient(f.codomain, s)[0], vmap, dmap)

@@ -21,11 +21,11 @@ from .graphs import (
     GraphMorphism,
     InducedMapError,
     VerdictError,
-    _quotient_graph,
     compose,
     induced_quotient_map,
     is_connected,
     kernel_congruence,
+    quotient,
 )
 from .freegroup import (
     DEFAULT_MAX_WORK,
@@ -401,9 +401,11 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     unique lifts, which the compatibility condition guarantees to exist.
     Once quotient i+1 is checked to refine quotient i, the base bonding
     sends each class of level i+1 to the level-i class that holds it, read
-    off the two congruences.  When the pushed-forward subgroup is not
-    contained, one of its Schreier generators escapes (they generate it),
-    and it is the witness.
+    off the two congruences and built, not checked: it is the map that the
+    identity of the base induces, a morphism as
+    :func:`~procover.graphs.induced_quotient_map` proves.  When the
+    pushed-forward subgroup is not contained, one of its Schreier
+    generators escapes (they generate it), and it is the witness.
     A malformed spec raises ValueError; a subgroup that is not normal
     raises TowerError with its level as the witness.
     """
@@ -418,7 +420,7 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     for i, (cong, rep) in enumerate(zip(spec.quotients, spec.normals)):
         if cong.base != spec.base:
             raise ValueError("quotient %d is not a congruence on the base" % i)
-        delta = _quotient_graph(spec.base, cong)
+        delta = quotient(spec.base, cong)[0]
         b_i = cong.vertex_rep(spec.basepoint)
         p_i = pi1_data(delta, b_i)
         if rep.rank != p_i.rank:
@@ -434,7 +436,7 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     for i in range(k):
         coarse, fine = spec.quotients[i], spec.quotients[i + 1]
         _check_refines(coarse, fine, i)
-        psi = GraphMorphism(
+        psi = GraphMorphism._of_maps(
             levels[i + 1][0], levels[i][0],
             {c[0]: coarse.vertex_rep(c[0]) for c in fine.vertex_classes},
             {c[0]: coarse.dart_rep(c[0]) for c in fine.dart_classes})

@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,6 +24,31 @@ from procover.formats import (
 )
 from procover.freegroup import NotTransitiveError, _automorphisms, _forced_map
 from procover.graphs import edge_stem
+
+
+def record_constructions(monkeypatch, guard):
+    """Turn off the guards of ``tests/conftest.py`` (``guard`` is the value
+    of its ``constructed_values_equal_the_checked_ones`` fixture) and
+    record what construction checks from then on.  Returns the list of
+    validating ``GraphMorphism(...)`` constructions and the list of the
+    code names that build a ``Covering`` (``as_covering`` when it is
+    checked)."""
+    monkeypatch.setattr(pc.GraphMorphism, "_of_maps",
+                        classmethod(guard.unguarded_of_maps))
+    init, check = guard.unguarded_init, pc.GraphMorphism.__init__
+    validated, builders = [], []
+
+    def recorded(self, *args, **kwargs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        init(self, *args, **kwargs)
+
+    def counted(self, *args):
+        validated.append(self)
+        check(self, *args)
+
+    monkeypatch.setattr(pc.Covering, "__init__", recorded)
+    monkeypatch.setattr(pc.GraphMorphism, "__init__", counted)
+    return validated, builders
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:

@@ -679,8 +679,9 @@ class TestCommands:
         """Two elements of a six-vertex cover print 12 vertex-map entries:
         refused one below that, and answered at it.  Either way no element
         is built: the printed maps are read off the sheet rows, and they
-        are the elements' vertex maps."""
-        element = pc.DeckGroup.element
+        are the elements' vertex maps.  The refusal charges the order that
+        ``is_regular`` gives and builds no deck group."""
+        element, build = pc.DeckGroup.element, cli.deck_group
         deck = pc.deck_group(pc.as_covering(
             formats.load_morphism(data["c6_to_c3"])))
         want = [dict(element(deck, i).vmap) for i in range(deck.order)]
@@ -689,20 +690,31 @@ class TestCommands:
             built.append(i)
             return element(deck, i)
 
-        built = []
+        def deck_group(cov):
+            decks.append(cov)
+            return build(cov)
+
+        built, decks = [], []
         monkeypatch.setattr(pc.DeckGroup, "element", counted)
+        monkeypatch.setattr(cli, "deck_group", deck_group)
         out, code = run_cli(["--json", "--max-work", str(budget), "deck",
                              data["c6_to_c3"]])
         assert code == expected
+        assert built == []
         details = json.loads(out)["details"]
         if expected == 3:
-            assert built == []
-            assert details["error"] == (
-                "the deck report has 12 vertex-map entries (2 elements of 6 "
-                "vertices), above the work bound 11; raise --max-work to "
-                "proceed")
+            assert decks == []
+            error = ("the deck report has 12 vertex-map entries (2 elements "
+                     "of 6 vertices), above the work bound 11; raise "
+                     "--max-work to proceed")
+            assert json.loads(out) == {
+                "details": {"error": error}, "format": "procover-report/1",
+                "verdict": "refused", "warnings": []}
+            assert run_cli(["--max-work", str(budget), "deck",
+                            data["c6_to_c3"]]) == (
+                "verdict: refused\nerror: %s\n" % error, 3)
         else:
-            assert built == []
+            assert len(decks) == 1
             assert [e["vertex_map"] for e in details["elements"]] == want
 
     def test_deck_quotient_of_a_non_subgroup_builds_no_element(

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -66,6 +65,7 @@ from helpers import (
     pairwise_closure,
     pairwise_group_action,
     path_graph,
+    record_constructions,
     rejected_action_documents,
     relabelled,
     rotation,
@@ -557,13 +557,16 @@ class TestDeckGroupBySheetTransport:
         (pc.bouquet_graph(2), pc.translation_kernel_rep(2, 3)),
         (theta_graph(), dihedral_regular_rep(3)),
         (pc.cycle_graph(3), cyclic_rep(5))], ids=["Z3^2", "D3", "Z5"])
-    def test_swapped_automorphism_fails_the_sheet_check(self, monkeypatch,
-                                                        base, rep):
+    def test_swapped_automorphism_fails_the_sheet_check(
+            self, monkeypatch, constructed_values_equal_the_checked_ones,
+            base, rep):
         """A non-automorphism planted among the automorphisms is not looked
-        for by ``deck_group``, which trusts the forced map; building its
-        element refuses it, and the table differs from the lifted one."""
+        for by ``deck_group`` or by ``DeckGroup.element``, which trust the
+        forced map; the guard of ``tests/conftest.py`` records the element
+        built from it, and the table differs from the lifted one."""
         cov = cover_from_subgroup(base, "v0", rep)[2]
         lifted = lift_deck_group(cov)
+        mismatches = constructed_values_equal_the_checked_ones.mismatches
         automorphisms = covering._automorphisms
         for k in range(1, rep.degree):
             def swapped(r, k=k):
@@ -574,8 +577,10 @@ class TestDeckGroupBySheetTransport:
 
             monkeypatch.setattr(covering, "_automorphisms", swapped)
             deck = deck_group(cov)
-            with pytest.raises(RuntimeError, match="no deck transformation"):
-                deck.element(k)
+            assert mismatches == []
+            deck.element(k)
+            assert len(mismatches) == 1 and "breaks" in mismatches[0]
+            mismatches.pop()
             assert deck.table != lifted.table
         monkeypatch.setattr(covering, "_automorphisms", automorphisms)
         assert deck_group(cov).order == rep.degree
@@ -838,25 +843,9 @@ class TestBuiltNotChecked:
             self, monkeypatch, constructed_values_equal_the_checked_ones):
         """With the guards off, the calls of one ``covers`` benchmark
         request build no ``Covering`` in ``as_covering`` and validate no
-        ``GraphMorphism``."""
-        guard = constructed_values_equal_the_checked_ones
-        monkeypatch.setattr(GraphMorphism, "_of_maps",
-                            classmethod(guard.unguarded_of_maps))
-        init = guard.unguarded_init
-        builders, validated = [], []
-
-        def recorded(self, *args, **kwargs):
-            builders.append(sys._getframe(1).f_code.co_name)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(pc.Covering, "__init__", recorded)
-        check = GraphMorphism.__init__
-
-        def counted(self, *args):
-            validated.append(self)
-            check(self, *args)
-
-        monkeypatch.setattr(GraphMorphism, "__init__", counted)
+        ``GraphMorphism``: the deck quotient and the kernel quotient too."""
+        validated, builders = record_constructions(
+            monkeypatch, constructed_values_equal_the_checked_ones)
         for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8)):
             for base in (pc.bouquet_graph(2), theta_graph()):
                 cover, a, cov = cover_from_subgroup(base, "v0", rep)
@@ -865,6 +854,9 @@ class TestBuiltNotChecked:
                 image_subgroup(cov, a, pi1_data(base, "v0"))
                 compose(cov.map, lift(cov.map, cov, cover.vertices[0], a))
                 quotient_by_deck_subgroup(deck, range(deck.order))
+                qg, _ = pc.quotient(cover, pc.kernel_congruence(cov.map))
+                assert (len(qg.vertices), qg.edge_count()) == \
+                    (len(base.vertices), base.edge_count())
         assert validated == []
         assert builders and "as_covering" not in builders
 

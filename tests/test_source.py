@@ -230,24 +230,33 @@ def test_json_indent_only_in_the_dump_json_fallback():
     assert len([node for node in calls["formats.py"] if id(node) in fallback]) == 1
 
 
-def test_no_quotient_projection_is_discarded():
-    """No library module unpacks a ``quotient(...)`` call into a discarded
-    projection (``x, _ = quotient(...)``).
+def test_graph_maps_are_validated_only_where_documents_enter():
+    """Every validating ``GraphMorphism`` construction in the library (a
+    ``GraphMorphism(...)`` call, or ``cls(...)`` inside the class) is in
+    ``formats.py``, in the two document readers.  A map the library derives
+    from its own values is built by ``GraphMorphism._of_maps``, with the
+    proof where it is built.
 
-    ``quotient`` builds and validates its projection as a morphism; a
-    caller that only wants the graph reads ``graphs._quotient_graph``.
+    A validation on a derived map checks what its construction proved.
     """
-    found = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Assign)
-             and isinstance(node.value, ast.Call)
-             and getattr(node.value.func, "id",
-                         getattr(node.value.func, "attr", None)) == "quotient"
-             for target in node.targets
-             if isinstance(target, ast.Tuple) and len(target.elts) == 2
-             and isinstance(target.elts[1], ast.Name)
-             and target.elts[1].id == "_"]
-    assert found == []
+    found = {}
+    for name, tree in library_trees():
+        in_class = {id(node) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    and cls.name == "GraphMorphism"
+                    for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == "GraphMorphism" or (called == "cls"
+                                              and id(node) in in_class):
+                # the innermost function around the call
+                found.setdefault(name, []).append(max(
+                    (f.lineno, f.name) for f in ast.walk(tree)
+                    if isinstance(f, ast.FunctionDef)
+                    and f.lineno <= node.lineno <= f.end_lineno)[1])
+    assert found == {"formats.py": ["morphism_from_obj", "action_from_obj"]}
 
 
 def test_covering_builds_a_permrep_only_in_the_sheet_transport():

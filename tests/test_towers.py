@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import math
 import random
 
 import pytest
@@ -26,7 +30,7 @@ from procover import (
     universal_tower,
     validate_tower,
 )
-from procover import covering, towers
+from procover import cli, covering, formats, towers
 from procover.covering import image_subgroup
 from helpers import (
     all_pairs_triviality_oracle,
@@ -40,6 +44,7 @@ from helpers import (
     path_graph,
     per_pair_good_pairs_oracle,
     pro2_tower,
+    record_constructions,
     relabelled,
     rotation,
     scanned_deck_hom,
@@ -823,6 +828,22 @@ class TestTowerInvariants:
             assert all(s.surjective for s in result.steps)
 
 
+def test_a_towers_request_checks_nothing(
+        monkeypatch, constructed_values_equal_the_checked_ones):
+    """With the guards off, the calls of one ``towers`` benchmark request
+    validate no ``GraphMorphism``: levels, base and cover steps, induced
+    maps, identities and composites are all built."""
+    validated, _builders = record_constructions(
+        monkeypatch, constructed_values_equal_the_checked_ones)
+    t = universal_tower(b2_homology_spec())
+    assert validate_tower(t).ok
+    assert {r.verdict for r in kernel_good_pairs(t)} == {"regular_good"}
+    assert deck_tower(t).orders == [1, 4, 16]
+    assert limit_fiber_report(t, "v0").sizes == [1, 4, 16]
+    pi1_triviality_check(t, 2)
+    assert validated == []
+
+
 def conjugate_stabilizer_deck_order(rep) -> int:
     """The number of points whose stabilizer is Stab(0), |N(H)/H|: a point
     p qualifies when the action rebased at p is canonically the action."""
@@ -852,8 +873,10 @@ def generated_specs(samples: int = 8):
     (``pushforward_leq`` along the identity, the map a diagonal step
     induces), with its points relabelled at random and 0 fixed.  Each
     sample also gives a broken spec: the chain up to a random link, whose
-    upper subgroup is not contained in the lower one.  Yields (name, spec,
-    broken spec, broken link)."""
+    upper subgroup is not contained in the lower one.  Then the refining
+    chains of :func:`refining_cycle_specs`.  Yields (name, spec, broken
+    spec, broken link, power), where every base step sends each generator
+    to its ``power``-th power."""
     for name, base, basepoint, max_index in GENERATED_BASES:
         rank = pc.pi1_data(base, basepoint).rank
         pool = pc.low_index_reps(rank, max_index, normal_only=True)
@@ -879,7 +902,42 @@ def generated_specs(samples: int = 8):
                                  normals),
                    UniversalSpec(base, basepoint, [diagonal] * (link + 2),
                                  normals[:link + 1] + [bad]),
-                   link)
+                   link, 1)
+    yield from refining_cycle_specs(samples)
+
+
+def refining_cycle_specs(samples: int):
+    """Refining chains of quotients of the cycle C4k: C4k -> C2k -> Ck, or
+    two consecutive of them, each the kernel congruence of a wrap.  Each
+    step wraps twice, so it sends the generator to its square (up to the
+    sign the bases' orientations give).  Level i carries the index-n_i
+    subgroup of Z, relabelled with 0 fixed, and the chain is compatible
+    exactly when n_i divides 2 n_{i+1}; the broken spec replaces the upper
+    subgroup of one link by an index ``b`` with n_link not dividing 2 b."""
+    for sample in range(samples):
+        rng = random.Random("C4k-%d" % sample)
+        k = rng.randint(1, 3)
+        base = pc.cycle_graph(4 * k)
+        quotients = [pc.kernel_congruence(wrap_morphism(4 * k, k)),
+                     pc.kernel_congruence(wrap_morphism(4 * k, 2 * k)),
+                     Congruence.diagonal(base)]
+        quotients = quotients[rng.randrange(2):][:rng.randint(2, 3)]
+        links = []
+        while not links:  # a link can break only where n_link exceeds 2
+            indices = [rng.randint(1, 6)]
+            for _ in quotients[1:]:
+                step = indices[-1] // math.gcd(2, indices[-1])
+                indices.append(step * rng.randint(1, 12 // step))
+            links = [i for i in range(len(indices) - 1) if indices[i] > 2]
+        link = rng.choice(links)
+        escaping = [b for b in range(1, 13) if 2 * b % indices[link]]
+        normals = [relabelled(cyclic_rep(n), 0, rng) for n in indices]
+        bad = relabelled(cyclic_rep(rng.choice(escaping)), 0, rng)
+        yield ("C4k-%d" % sample,
+               UniversalSpec(base, "v0", quotients, normals),
+               UniversalSpec(base, "v0", quotients[:link + 2],
+                             normals[:link + 1] + [bad]),
+               link, 2)
 
 
 class TestGeneratedTowers:
@@ -889,16 +947,77 @@ class TestGeneratedTowers:
     SPECS = tuple(generated_specs())
 
     def test_the_generator_is_fixed_and_varied(self):
-        assert len(self.SPECS) == 32
-        assert {len(spec.normals) for _n, spec, _b, _l in self.SPECS} == {2, 3}
-        assert max(spec.normals[-1].degree for _n, spec, _b, _l in self.SPECS) >= 8
+        assert len(self.SPECS) == 40
+        assert {len(spec.normals) for _n, spec, *_ in self.SPECS} == {2, 3}
+        assert max(spec.normals[-1].degree for _n, spec, *_ in self.SPECS) >= 8
+        # the refining chains have steps that are onto and steps that are
+        # not (n_i odd or even), over each of the three cycles
+        refining = [spec for _n, spec, _b, _l, power in self.SPECS if power == 2]
+        assert len(refining) == 8
+        assert {len(spec.base.vertices) for spec in refining} == {4, 8, 12}
+        assert {len(spec.quotients) for spec in refining} == {2, 3}
+        parities = {n.degree % 2 for spec in refining for n in spec.normals[:-1]}
+        assert parities == {0, 1}
 
-    @pytest.mark.parametrize("name, spec, broken, link", SPECS,
+    @pytest.mark.parametrize("name", ["C4k-0", "C4k-1"])
+    def test_the_cli_answers_as_the_library(self, tmp_path, name):
+        """Two refining specs, one with no step onto, through ``tower
+        universal --out`` and then ``tower deck``, ``good-pairs`` and
+        ``fibers`` at every level-0 base vertex, in process: the answers
+        are the library's."""
+        spec = next(s[1] for s in self.SPECS if s[0] == name)
+        formats.save_graph(str(tmp_path / "base.json"), spec.base)
+        docs = {"format": formats.UNIVERSAL_FORMAT, "base": "base.json",
+                "basepoint": spec.basepoint, "quotients": [], "normals": []}
+        for i, (r, rep) in enumerate(zip(spec.quotients, spec.normals)):
+            docs["quotients"].append("q%d.json" % i)
+            docs["normals"].append("n%d.json" % i)
+            formats.save_congruence(str(tmp_path / docs["quotients"][i]), r)
+            formats.save_rep(str(tmp_path / docs["normals"][i]), rep)
+        formats.save_json(str(tmp_path / "spec.json"), docs)
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--json", *argv])
+            assert code == 0
+            return json.loads(out.getvalue())["details"]
+
+        t = universal_tower(spec)
+        built = run("tower", "universal", str(tmp_path / "spec.json"),
+                    "--out", str(tmp_path / "tower"))
+        assert built["degrees"] == [c.degree for c in t.coverings]
+        assert built["basepoints"] == list(t.basepoints)
+        manifest = built["written"][0]
+        result = deck_tower(t)
+        assert not all(s.surjective for s in result.steps)
+        assert run("tower", "deck", manifest) == {
+            "orders": result.orders,
+            "steps": [{"hom": list(s.hom), "surjective": s.surjective}
+                      for s in result.steps]}
+        assert run("tower", "good-pairs", manifest)["pairs"] == [
+            {"level": r.level, "verdict": r.verdict}
+            for r in kernel_good_pairs(t)]
+        for v in t.base_graph(0).vertices:
+            report = limit_fiber_report(t, v)
+            assert run("tower", "fibers", manifest, "--vertex", v)["levels"] == [
+                {"level": lv.level, "vertex": lv.vertex, "size": lv.size,
+                 "onto": lv.onto, "missing": list(lv.missing)}
+                for lv in report.levels]
+
+    @pytest.mark.parametrize("name, spec, broken, link, power", SPECS,
                              ids=[s[0] for s in SPECS])
-    def test_tower_against_the_oracles(self, name, spec, broken, link):
+    def test_tower_against_the_oracles(self, name, spec, broken, link, power):
         t = universal_tower(spec)
         degrees = [n.degree for n in spec.normals]
-        p = pi1_data(spec.base, spec.basepoint)
+        # a step that squares the generator maps Z/n_{i+1} onto the subgroup
+        # of order n_i / gcd(2, n_i) of Z/n_i; a diagonal step (power 1) is
+        # onto whatever the group
+        images = [n // math.gcd(power, n) for n in degrees]
+        identity = GraphMorphism.identity(spec.base)
+        for i, step in enumerate(t.base_steps):
+            assert step == pc.induced_quotient_map(
+                identity, spec.quotients[i + 1], spec.quotients[i])
         for i, (cov, normal) in enumerate(zip(t.coverings, spec.normals)):
             # degree [F : N_i], and regular: the monodromy walked through a
             # checked lift table has a deck group as large as the fiber
@@ -906,17 +1025,20 @@ class TestGeneratedTowers:
             # carried at the first vertex, which lies over a on T2
             a0 = cov.domain.vertices[0]
             assert cov._sheets[0].basepoint == cov.map.vmap[a0]
+            p = pi1_data(t.base_graph(i),
+                         spec.quotients[i].vertex_rep(spec.basepoint))
             image = walked_monodromy(as_covering(cov.map), t.basepoints[i], p)
             assert image.canonical_key() == normal.canonical_key()
             assert conjugate_stabilizer_deck_order(image) == cov.degree
         result = deck_tower(t)
         assert result.orders == degrees
         for i, step in enumerate(result.steps):
-            # a surjection whose kernel has order deg(i+1) / deg(i)
-            assert step.surjective
-            assert sorted(set(step.hom)) == list(range(degrees[i]))
-            assert degrees[i + 1] % degrees[i] == 0
-            assert step.hom.count(0) == degrees[i + 1] // degrees[i]
+            # a homomorphism onto a subgroup of order images[i], so each
+            # image has deg(i+1) / images[i] preimages
+            assert step.surjective == (images[i] == degrees[i])
+            assert len(set(step.hom)) == images[i]
+            assert all(step.hom.count(a) == degrees[i + 1] // images[i]
+                       for a in step.hom)
         assert [r.verdict for r in kernel_good_pairs(t)] == \
             ["regular_good"] * len(degrees)
         if name.startswith("T2"):
@@ -928,15 +1050,24 @@ class TestGeneratedTowers:
                 [row for row in rows if row.level == 0]
             assert pi1_triviality_check(t, 2, all_levels=True).rows == rows
         # a thread over every base vertex meets fibers of size deg(i), each
-        # onto the one below
-        for v in spec.base.vertices:
+        # covering images[i - 1] points of the one below
+        for v in t.base_graph(0).vertices:
             report = limit_fiber_report(t, v)
             assert report.sizes == degrees and report.dead_end_at is None
-            assert all(lv.onto for lv in report.levels[1:])
+            for lv in report.levels[1:]:
+                below = lv.level - 1
+                assert len(lv.missing) == degrees[below] - images[below]
+                assert lv.onto == (not lv.missing)
         with pytest.raises(CompatibilityError) as err:
             universal_tower(broken)
         assert err.value.levels == (link, link + 1)
         upper, lower = broken.normals[link + 1], broken.normals[link]
         w = err.value.witness
-        assert upper.act(0, w) == 0
-        assert lower.act(0, substitute(w, identity_images(p.rank))) != 0
+        if power == 1:
+            assert upper.act(0, w) == 0
+            assert lower.act(0, substitute(w, identity_images(upper.rank))) != 0
+        else:
+            # x^e lies in the index-n subgroup of the upper level, and its
+            # image x^(2e) outside the lower level's
+            e = sum(sign for _k, sign in w.letters)
+            assert e % upper.degree == 0 and power * e % lower.degree != 0
