@@ -169,9 +169,10 @@ def cmd_cover_from_rep(args):
     g = formats.load_graph(args.graph)
     rep = formats.load_rep(args.rep)
     base = _default_basepoint(g, args.base)
-    cover, basepoint, cov = cover_from_subgroup(g, base, rep)
+    p = pi1_data(g, base)
+    cover, basepoint, cov = cover_from_subgroup(g, base, rep, _pi1=p)
     verdict = is_regular(cov)
-    image = image_subgroup(cov, basepoint, pi1_data(g, base))
+    image = image_subgroup(cov, basepoint, p)
     details = {
         "basepoint": basepoint,
         "vertices": len(cover.vertices),

@@ -87,7 +87,9 @@ class Covering:
 
     ``lifts[u]`` maps each dart at the image of cover vertex ``u`` to the
     one dart at ``u`` over it: :func:`as_covering` builds it while checking
-    local bijectivity, and lifts and monodromy read it.
+    local bijectivity, :func:`cover_from_subgroup` while building the
+    cover, and lifts and monodromy read it.  A covering made by an orbit
+    quotient is given none and reads it off the stars when first asked.
 
     ``degree`` is the common fiber size; over a disconnected codomain it is
     the shared value of the per-component fiber sizes, or None when the
@@ -105,11 +107,21 @@ class Covering:
     def __init__(self, map: GraphMorphism, lifts, vertex_fibers, degree,
                  component_degrees):
         self.map = map
-        self.lifts = lifts
+        if lifts is not None:
+            self.lifts = lifts
         self.vertex_fibers = vertex_fibers
         self.degree = degree
         self.component_degrees = component_degrees
         self._sheets = None
+
+    @cached_property
+    def lifts(self) -> dict:
+        """The lift table read off the stars, for a covering constructed
+        without one: its map is locally bijective by the proof where it is
+        built, so each star maps one to one onto the star below."""
+        dmap = self.map.dmap
+        return {u: dict(zip(map(dmap.__getitem__, s), s))
+                for u, s in self.map.domain._star.items()}
 
     @property
     def domain(self) -> FiniteGraph:
@@ -230,14 +242,15 @@ def path_to_word(p: Pi1Data, path: Iterable[str]) -> FreeWord:
     return FreeWord(letters)
 
 
-def cover_from_subgroup(base: FiniteGraph, basepoint: str,
-                        rep: PermRep) -> tuple[FiniteGraph, str, Covering]:
+def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
+                        _pi1: Pi1Data | None = None) -> tuple[FiniteGraph, str, Covering]:
     """Build the cover of ``base`` whose fundamental-group image is the
     subgroup of ``rep``, by the voltage construction.
 
     Sheets are the points of the action; tree darts stay in their sheet and
     the k-th basis dart moves sheets by the permutation of x_k.  Returns the
     cover, its basepoint (sheet 0 over ``basepoint``), and the projection.
+    A caller that holds ``pi1_data(base, basepoint)`` passes it as ``_pi1``.
 
     The projection is built, not checked; a base that
     :func:`~procover.graphs.validate_graph` rejects raises GraphError.  In
@@ -246,6 +259,14 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     permutation, so each vertex has one dart over each dart at its image.
     :func:`pi1_data` checks the base connected: degree n on one component.
 
+    The cover graph is built by
+    :meth:`~procover.graphs.FiniteGraph._of_tables`.  Its ids are distinct
+    and disjoint: a vertex id is ``v@s`` and a dart id ``stem@s+`` or
+    ``stem@s-``, with the base's distinct vertex ids and dart-pair stems,
+    and ``src`` and ``inv`` are filled on every dart.  It is connected:
+    the base is, and the action is transitive (:class:`PermRep` checks
+    it), so the tree lifts in each sheet and the basis darts join them.
+
     The projection carries its sheet coordinates (:class:`Covering`): one
     :func:`_sheet_rows` at the cover's first vertex, with :func:`pi1_data`
     at that vertex's image, taken here so that no reader transports.
@@ -253,34 +274,37 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str,
     bad = validate_graph(base)
     if bad:
         raise GraphError("base graph is invalid: %(kind)s at %(witness)r" % bad[0])
-    p = pi1_data(base, basepoint)
+    p = pi1_data(base, basepoint) if _pi1 is None else _pi1
     if rep.rank != p.rank:
         raise ValueError("rep rank %d does not match the base rank %d"
                          % (rep.rank, p.rank))
     n = rep.degree
-    sheets = range(n)
-    # each sheet name is formatted once; vertices, vmap and src share it
-    names = {v: ["%s@%d" % (v, s) for s in sheets] for v in base.vertices}
-    vertices, vmap = [], {}
+    # each sheet name is made once; vertices, vmap and src share it
+    at = ["@%d" % s for s in range(n)]
+    names = {v: list(map(v.__add__, at)) for v in base.vertices}
+    vmap = {}
     for v, row in names.items():
-        vertices += row
         vmap.update(dict.fromkeys(row, v))
-    lifts = {x: {} for x in sorted(vertices)}
-    darts, src, inv, dmap = [], {}, {}, {}
+    vertices = sorted(vmap)
+    lifts = {x: {} for x in vertices}
+    src, inv, dmap = {}, {}, {}
+    plus, minus = [x + "+" for x in at], [x + "-" for x in at]
     for d, e in base.dart_pairs():
         stem = edge_stem(d, e)
         # the sheet move of the pair: its voltage is one letter or none
         lt = p.letter(d)
-        move = sheets if lt is None else rep.move(lt)
         at_d, at_e = names[base.src[d]], names[base.src[e]]
-        for s in sheets:
-            pos, neg = "%s@%d+" % (stem, s), "%s@%d-" % (stem, s)
-            darts += (pos, neg)
-            src[pos], src[neg] = at_d[s], at_e[move[s]]
-            inv[pos], inv[neg] = neg, pos
-            dmap[pos], dmap[neg] = d, e
-            lifts[src[pos]][d], lifts[src[neg]][e] = pos, neg
-    cover = FiniteGraph(vertices, darts, src, inv, name=None)
+        if lt is not None:
+            at_e = list(map(at_e.__getitem__, rep.move(lt)))
+        pos, neg = list(map(stem.__add__, plus)), list(map(stem.__add__, minus))
+        for ends, ds, x, opposite in ((at_d, pos, d, neg), (at_e, neg, e, pos)):
+            src.update(zip(ds, ends))
+            inv.update(zip(ds, opposite))
+            dmap.update(dict.fromkeys(ds, x))
+            for row, y in zip(map(lifts.__getitem__, ends), ds):
+                row[x] = y
+    cover = FiniteGraph._of_tables(tuple(vertices), tuple(sorted(src)), src, inv,
+                                   connected=True)
     cov = Covering(GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,
                    {v: tuple(sorted(row)) for v, row in names.items()}, n,
                    ((base.vertices[0], n),))
@@ -714,18 +738,18 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits
     automorphisms are compatible with ``src`` and ``inv``: a congruence
     once no orbit holds a dart and its inverse, as
     :meth:`Congruence._of_partition` checks.  A free action leaves each
-    dart orbit at the orbit of ``u`` one member at ``u``, and every orbit
-    one member per group element, the degree.
+    dart orbit at the orbit of ``u`` one member at ``u``, so the orbit map
+    is locally bijective and its lift table is left to the first read
+    (:attr:`Covering.lifts`), and every orbit one member per group
+    element, the degree.
     """
     classes = [sorted(map(sorted, orbits))
                for orbits in (vertex_orbits, dart_orbits)]
     r = Congruence._of_partition(graph, *classes)
     qg, proj = quotient(graph, r)
-    drep, n = r._drep, len(classes[0][0])
-    return qg, Covering(
-        proj,
-        {u: dict(zip(map(drep.__getitem__, s), s)) for u, s in graph._star.items()},
-        {c[0]: c for c in r.vertex_classes}, n, ((qg.vertices[0], n),))
+    n = len(classes[0][0])
+    return qg, Covering(proj, None, {c[0]: c for c in r.vertex_classes}, n,
+                        ((qg.vertices[0], n),))
 
 
 def _orbits(points, images) -> list[set]:
@@ -775,7 +799,8 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     the forced map (:func:`~procover.freegroup._automorphisms`); no deck
     transformation inverts an edge, as the covering map would send a dart
     and its inverse to one base dart.  The lower map is a covering, as
-    the original map is it after the upper map, a surjective covering.
+    the original map is it after the upper map, a surjective covering;
+    like the upper map's, its lift table is left to the first read.
     """
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)
@@ -795,7 +820,6 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     dmap = {d: cd[d] for d in qg.darts}
     m = c.degree // h_map.degree
     return qg, h_map, Covering(
-        GraphMorphism._of_maps(qg, c.codomain, vmap, dmap),
-        {q: dict(zip(map(dmap.__getitem__, s), s)) for q, s in qg._star.items()},
+        GraphMorphism._of_maps(qg, c.codomain, vmap, dmap), None,
         {u: tuple(filter(qg._vertex_set.__contains__, vs))
          for u, vs in c.vertex_fibers.items()}, m, ((c.codomain.vertices[0], m),))

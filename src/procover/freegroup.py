@@ -36,7 +36,7 @@ decides containment, equality and the containment of an image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -306,6 +306,13 @@ class PermRep:
             self._schreier = tuple(gens)
         return self._schreier
 
+    @cached_property
+    def _normalizer(self) -> tuple[list[list[int]], set[int]]:
+        """:func:`_normalizer_generators` of this action, searched at the
+        first use and kept, like the Schreier generators: the deck group
+        and the regularity verdict of one cover search once."""
+        return _normalizer_generators(self)
+
     def canonical(self) -> "PermRep":
         """The same subgroup with points relabelled in canonical BFS order."""
         return self.rebased(0)
@@ -370,7 +377,7 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
     under exactly one automorphism of the action, and together they are
     the orbit of 0 under the automorphisms (:func:`_normalizer_generators`).
     """
-    return tuple(sorted(_normalizer_generators(rep)[1]))
+    return tuple(sorted(rep._normalizer[1]))
 
 
 def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
@@ -477,7 +484,7 @@ def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
       orbits on the points all have its order as size, and they partition
       the points.
     """
-    gens = _normalizer_generators(rep)[0]
+    gens = rep._normalizer[0]
     group = {0: list(range(rep.degree))}
     queue = [group[0]]
     for g in queue:

@@ -11,16 +11,18 @@ operation is a pure function; values may be shared freely between threads.
 All ids are opaque strings, and every traversal orders by id, so equal
 inputs always produce identical outputs.
 
-Immutability is also what makes two lazily filled caches safe: a graph
-keeps its component partition after the first :func:`components` call, and
-a morphism keeps its hash after the first ``hash()``.  Each is a pure
-function of the value, so a racing second computation stores the same
-answer.
+Immutability is also what makes the lazily filled caches safe: a graph
+keeps its component partition after the first :func:`components` call (a
+graph derived connected carries it from its construction) and its
+equality key after the first comparison, and a morphism keeps its hash
+after the first ``hash()``.  Each is a pure function of the value, so a
+racing second computation stores the same answer.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -64,11 +66,18 @@ class CongruenceError(VerdictError):
 class FiniteGraph:
     """A finite graph given by vertices, darts, ``src`` and ``inv``.
 
+    A graph is checked where it enters and built everywhere else.
     Construction checks that ``src`` and ``inv`` are total on the declared
-    dart set and that ids are unique.  The semantic invariants (``inv`` is a
-    fixed-point-free involution, sources are declared vertices) are checked
-    by :func:`validate_graph`, so damaged data read from a file can still be
-    loaded and reported on instead of crashing the loader.
+    dart set and that ids are unique; it is for graphs a caller gives,
+    through this constructor and :meth:`from_edges`.  The graph document
+    reader of :mod:`procover.formats` makes the same checks in its one
+    pass over the entries.  It and every graph the library derives from
+    its own values build with :meth:`_of_tables`, which checks none of
+    it, with the proof where it is built.  The semantic invariants
+    (``inv`` is a fixed-point-free involution, sources are declared
+    vertices) are checked by :func:`validate_graph`, so damaged data read
+    from a file can still be loaded and reported on instead of crashing
+    the loader.
     """
 
     def __init__(self, vertices: Iterable[str], darts: Iterable[str],
@@ -89,21 +98,48 @@ class FiniteGraph:
         self.src = dict(src)
         self.inv = dict(inv)
         for label, mapping in (("src", self.src), ("inv", self.inv)):
-            missing = self._dart_set - mapping.keys()
-            if missing:
-                raise GraphError("%s is undefined on dart %r" % (label, sorted(missing)[0]))
-            extra = mapping.keys() - self._dart_set
-            if extra:
-                raise GraphError("%s defined on unknown dart %r" % (label, sorted(extra)[0]))
-        sources = tuple(map(self.src.__getitem__, self.darts))
+            if mapping.keys() != self._dart_set:
+                missing = self._dart_set - mapping.keys()
+                if missing:
+                    raise GraphError("%s is undefined on dart %r"
+                                     % (label, sorted(missing)[0]))
+                raise GraphError("%s defined on unknown dart %r"
+                                 % (label, sorted(mapping.keys() - self._dart_set)[0]))
+        self._index()
+
+    @classmethod
+    def _of_tables(cls, vertices: tuple, darts: tuple, src: dict, inv: dict,
+                   name: str | None = None, connected: bool = False) -> "FiniteGraph":
+        """The graph of these tables, taken over unchecked and not copied:
+        the library builds here every graph it derives, and the graph of a
+        document once the reader has checked it.  The caller proves that
+        the sorted tuples ``vertices`` and ``darts`` hold distinct ids,
+        disjoint from each other, and that ``src`` and ``inv`` are defined
+        on exactly the darts.  A caller that proves the graph connected
+        passes ``connected``, and the graph carries its one component."""
+        g = cls.__new__(cls)
+        g.vertices, g.darts, g.src, g.inv, g.name = vertices, darts, src, inv, name
+        g._vertex_set, g._dart_set = frozenset(vertices), frozenset(darts)
+        g._index((vertices,) if connected else None)
+        return g
+
+    def _index(self, components=None) -> None:
+        """The star of each vertex, from the tables, and the component
+        partition when it is known."""
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for d, v in zip(self.darts, sources):
+        for d, v in zip(self.darts, map(self.src.__getitem__, self.darts)):
             if v in star:
                 star[v].append(d)
         self._star = {v: tuple(ds) for v, ds in star.items()}
-        self._key = (self.vertices, self.darts, sources,
-                     tuple(map(self.inv.__getitem__, self.darts)))
-        self._components: tuple[tuple[str, ...], ...] | None = None
+        self._components: tuple[tuple[str, ...], ...] | None = components
+
+    @cached_property
+    def _key(self) -> tuple:
+        """The tables as one tuple, for equality and the hash: built at the
+        first comparison with another graph, and kept."""
+        darts = self.darts
+        return (self.vertices, darts, tuple(map(self.src.__getitem__, darts)),
+                tuple(map(self.inv.__getitem__, darts)))
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str],
@@ -146,7 +182,8 @@ class FiniteGraph:
         return len(self.darts) // 2
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGraph) and self._key == other._key
+        return other is self or (isinstance(other, FiniteGraph)
+                                 and self._key == other._key)
 
     def __hash__(self):
         return hash(self._key)
@@ -512,16 +549,21 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     not checked: a congruence's classes have related sources and related
     inverses, as :meth:`Congruence.__init__` checks or the callers of
     :meth:`Congruence._of_partition` prove, so each class of darts goes to
-    the class whose source and inverse the quotient gives it.
+    the class whose source and inverse the quotient gives it.  The graph
+    is built by :meth:`FiniteGraph._of_tables`: the classes partition the
+    vertices and the darts of ``g``, which are disjoint, and come in order
+    of least member, so their ids are distinct and sorted, and ``_vrep``
+    and ``_drep`` are total.  It is connected when ``g`` is known to be,
+    as the image of a connected graph.
     """
     if r.base != g:
         raise GraphError("congruence belongs to a different graph")
     vrep, drep = r._vrep, r._drep
-    qg = FiniteGraph([c[0] for c in r.vertex_classes],
-                     [c[0] for c in r.dart_classes],
-                     {c[0]: vrep[g.src[c[0]]] for c in r.dart_classes},
-                     {c[0]: drep[g.inv[c[0]]] for c in r.dart_classes},
-                     name=g.name)
+    darts = tuple(c[0] for c in r.dart_classes)
+    qg = FiniteGraph._of_tables(
+        tuple(c[0] for c in r.vertex_classes), darts,
+        {d: vrep[g.src[d]] for d in darts}, {d: drep[g.inv[d]] for d in darts},
+        name=g.name, connected=g._components is not None and len(g._components) == 1)
     return qg, GraphMorphism._of_maps(g, qg, vrep, drep)
 
 
@@ -558,32 +600,26 @@ def induced_quotient_map(f: GraphMorphism, r: Congruence,
     InducedMapError carrying a witness pair.  The map is built, not
     checked: the class of a dart ``d`` goes to the class of ``f(d)``, and
     ``f`` commutes with ``src`` and ``inv``, so the class map does too.
+    Each member's image is compared with its class's first member's, so
+    the witness pair is that first member and the first that differs.
     """
     if r.base != f.domain:
         raise GraphError("domain congruence belongs to a different graph")
     if s.base != f.codomain:
         raise GraphError("codomain congruence belongs to a different graph")
-    vmap = {}
-    for cls in r.vertex_classes:
-        images = {s.vertex_rep(f.vmap[x]) for x in cls}
-        if len(images) > 1:
+    maps = []
+    for what, classes, image, rep in (("vertices", r.vertex_classes, f.vmap, s._vrep),
+                                      ("darts", r.dart_classes, f.dmap, s._drep)):
+        m = {}
+        for cls in classes:
             first = cls[0]
-            other = next(x for x in cls
-                         if s.vertex_rep(f.vmap[x]) != s.vertex_rep(f.vmap[first]))
-            raise InducedMapError(
-                "vertices %r and %r are identified but their images are not"
-                % (first, other), witness=(first, other))
-        vmap[cls[0]] = images.pop()
-    dmap = {}
-    for cls in r.dart_classes:
-        images = {s.dart_rep(f.dmap[x]) for x in cls}
-        if len(images) > 1:
-            first = cls[0]
-            other = next(x for x in cls
-                         if s.dart_rep(f.dmap[x]) != s.dart_rep(f.dmap[first]))
-            raise InducedMapError(
-                "darts %r and %r are identified but their images are not"
-                % (first, other), witness=(first, other))
-        dmap[cls[0]] = images.pop()
+            m[first] = target = rep[image[first]]
+            for x in cls:
+                if rep[image[x]] != target:
+                    raise InducedMapError(
+                        "%s %r and %r are identified but their images are not"
+                        % (what, first, x), witness=(first, x))
+        maps.append(m)
+    vmap, dmap = maps
     return GraphMorphism._of_maps(quotient(f.domain, r)[0],
                                   quotient(f.codomain, s)[0], vmap, dmap)

@@ -429,7 +429,7 @@ def universal_tower(spec: UniversalSpec) -> Tower:
                 % (i, rep.rank, i, p_i.rank))
         if not is_normal(rep):
             raise TowerError("subgroup %d is not normal" % i, witness=(i,))
-        cover, a_i, cov = cover_from_subgroup(delta, b_i, rep)
+        cover, a_i, cov = cover_from_subgroup(delta, b_i, rep, _pi1=p_i)
         levels.append((delta, b_i, p_i, cover, a_i, cov))
     base_steps = []
     cover_steps = []

@@ -50,21 +50,42 @@ def documents_written_as_json_writes_them(request):
 
 @pytest.fixture(scope="module", autouse=True)
 def constructed_values_equal_the_checked_ones():
-    """Every map the library builds unchecked must be what the checking
-    constructors give.  A ``GraphMorphism._of_maps`` result must pass the
-    public ``GraphMorphism(...)`` on the same maps and equal it; a
-    ``Covering`` built anywhere but in ``as_covering`` must equal
-    ``as_covering`` on its map in the map, the lift table (with its key
-    order), the fibers and both degrees.  ``Covering.__init__`` is wrapped
-    and tells ``as_covering``'s own construction by its caller's code.
-    Mismatches are collected and asserted when the module ends; the
-    fixture's value holds the list, so a test can plant one and take it
-    back, and the unwrapped ``_of_maps`` and ``Covering.__init__``, for a
+    """Every graph and map the library builds unchecked must be what the
+    checking constructors give.  A ``FiniteGraph._of_tables`` result must
+    pass the public ``FiniteGraph(...)`` on the same tables and equal it in
+    the key, the star (with its key order), the name and the vertex tuple,
+    and a component partition it carries must be the one a fresh walk
+    finds.  A ``GraphMorphism._of_maps`` result must pass the public
+    ``GraphMorphism(...)`` on the same maps and equal it; a ``Covering``
+    built anywhere but in ``as_covering`` must equal ``as_covering`` on its
+    map in the map, the lift table (with its key order), the fibers and
+    both degrees.  ``Covering.__init__`` is wrapped and tells
+    ``as_covering``'s own construction by its caller's code.  Mismatches
+    are collected and asserted when the module ends; the fixture's value
+    holds the list, so a test can plant one and take it back, and the
+    unwrapped ``_of_tables``, ``_of_maps`` and ``Covering.__init__``, for a
     test that counts what construction checks."""
     from procover import covering, graphs
     morphism, init = graphs.GraphMorphism, covering.Covering.__init__
     of_maps, as_covering = morphism._of_maps.__func__, covering.as_covering
+    of_tables = graphs.FiniteGraph._of_tables.__func__
     mismatches = []
+
+    def checked_of_tables(cls, vertices, darts, src, inv, name=None,
+                          connected=False):
+        g = of_tables(cls, vertices, darts, src, inv, name, connected)
+        try:
+            want = graphs.FiniteGraph(vertices, darts, src, inv, name=name)
+        except graphs.GraphError as exc:
+            mismatches.append("%r: %s" % (g, exc))
+            return g
+        if (g._key != want._key or g._star != want._star
+                or list(g._star) != list(want._star) or g.name != want.name
+                or g.vertices != want.vertices
+                or (g._components is not None
+                    and g._components != graphs._component_partition(g))):
+            mismatches.append(repr(g))
+        return g
 
     def checked_of_maps(cls, domain, codomain, vmap, dmap):
         m = of_maps(cls, domain, codomain, vmap, dmap)
@@ -92,8 +113,10 @@ def constructed_values_equal_the_checked_ones():
             mismatches.append(repr(self))
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs.FiniteGraph, "_of_tables",
+                      classmethod(checked_of_tables))
         patch.setattr(morphism, "_of_maps", classmethod(checked_of_maps))
         patch.setattr(covering.Covering, "__init__", checked_init)
         yield SimpleNamespace(mismatches=mismatches, unguarded_of_maps=of_maps,
-                              unguarded_init=init)
+                              unguarded_init=init, unguarded_of_tables=of_tables)
     assert mismatches == []

@@ -9,9 +9,10 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import procover as pc
-from procover import towers
+from procover import graphs, towers
 from procover.cli import Report
 from procover.covering import _deck_subgroup
 from procover.formats import (
@@ -29,26 +30,56 @@ from procover.graphs import edge_stem
 def record_constructions(monkeypatch, guard):
     """Turn off the guards of ``tests/conftest.py`` (``guard`` is the value
     of its ``constructed_values_equal_the_checked_ones`` fixture) and
-    record what construction checks from then on.  Returns the list of
-    validating ``GraphMorphism(...)`` constructions and the list of the
-    code names that build a ``Covering`` (``as_covering`` when it is
-    checked)."""
+    record what construction checks from then on.  Returns a namespace:
+    ``validated``, the validating ``GraphMorphism(...)`` constructions;
+    ``builders``, the code names that build a ``Covering`` (``as_covering``
+    when it is checked); ``graphs``, the validating ``FiniteGraph(...)``
+    constructions; and ``walks``, the graphs whose components are walked."""
+    monkeypatch.setattr(pc.FiniteGraph, "_of_tables",
+                        classmethod(guard.unguarded_of_tables))
     monkeypatch.setattr(pc.GraphMorphism, "_of_maps",
                         classmethod(guard.unguarded_of_maps))
     init, check = guard.unguarded_init, pc.GraphMorphism.__init__
-    validated, builders = [], []
+    build, walk = pc.FiniteGraph.__init__, graphs._component_partition
+    seen = SimpleNamespace(validated=[], builders=[], graphs=[], walks=[])
 
     def recorded(self, *args, **kwargs):
-        builders.append(sys._getframe(1).f_code.co_name)
+        seen.builders.append(sys._getframe(1).f_code.co_name)
         init(self, *args, **kwargs)
 
     def counted(self, *args):
-        validated.append(self)
+        seen.validated.append(self)
         check(self, *args)
+
+    def built(self, *args, **kwargs):
+        seen.graphs.append(self)
+        build(self, *args, **kwargs)
+
+    def walked(g):
+        seen.walks.append(g)
+        return walk(g)
 
     monkeypatch.setattr(pc.Covering, "__init__", recorded)
     monkeypatch.setattr(pc.GraphMorphism, "__init__", counted)
-    return validated, builders
+    monkeypatch.setattr(pc.FiniteGraph, "__init__", built)
+    monkeypatch.setattr(graphs, "_component_partition", walked)
+    return seen
+
+
+def record_pi1_data(monkeypatch) -> list:
+    """Record each library call of ``pi1_data`` as (graph, basepoint),
+    passing it through: the name is patched in every library module that
+    calls it, so calls made by the tests themselves are not recorded."""
+    from procover import cli, covering
+    build, calls = covering.pi1_data, []
+
+    def recorded(g, base):
+        calls.append((g, base))
+        return build(g, base)
+
+    for module in (covering, towers, cli):
+        monkeypatch.setattr(module, "pi1_data", recorded)
+    return calls
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:

@@ -21,6 +21,7 @@ from helpers import (
     parse_report,
     path_graph,
     pro2_tower,
+    record_pi1_data,
     rejected_action_documents,
     rotation_action,
     theta_graph,
@@ -660,14 +661,31 @@ class TestCommands:
         carried = [run_cli(argv) for argv in runs]
         build = cli.cover_from_subgroup
 
-        def carrying_nothing(*args):
-            cover, a, cov = build(*args)
+        def carrying_nothing(*args, **kwargs):
+            cover, a, cov = build(*args, **kwargs)
             return cover, a, pc.Covering(cov.map, cov.lifts, cov.vertex_fibers,
                                          cov.degree, cov.component_degrees)
 
         monkeypatch.setattr(cli, "cover_from_subgroup", carrying_nothing)
         assert carried == [run_cli(argv) for argv in runs]
         assert [code for _out, code in carried] == [0, 0, 0]
+
+    def test_cover_from_rep_builds_pi1_data_once_per_basepoint(
+            self, tmp_path, monkeypatch):
+        """``cover-from-rep`` builds ``pi1_data`` at ``--base`` once and
+        hands it to ``cover_from_subgroup`` and ``image_subgroup``.  At
+        ``--base b`` of the three-vertex base the cover's least vertex a@0
+        lies over a, where the cover carries its coordinates, so it builds
+        one more there."""
+        graph, rep = str(tmp_path / "t2.json"), str(tmp_path / "rep.json")
+        formats.save_graph(graph, three_vertex_base())
+        formats.save_rep(rep, pc.translation_kernel_rep(2, 2))
+        calls = record_pi1_data(monkeypatch)
+        for base, want in (("a", ["a"]), ("b", ["b", "a"])):
+            del calls[:]
+            _out, code = run_cli(["cover-from-rep", graph, rep, "--base", base])
+            assert code == 0
+            assert [b for _g, b in calls] == want
 
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])

@@ -29,7 +29,7 @@ from procover import (
     rep_equivalent,
     subgroup_leq,
 )
-from procover import covering
+from procover import covering, freegroup
 from procover.formats import dump_json, morphism_to_obj
 from procover.freegroup import NotTransitiveError
 from procover.graphs import SpanningTreeData
@@ -839,15 +839,34 @@ class TestBuiltNotChecked:
         assert len(mismatches) == 1 and "incidence" in mismatches[0]
         mismatches.pop()
 
+    def test_the_guard_sees_a_wrong_graph_table(
+            self, constructed_values_equal_the_checked_ones):
+        g = pc.cycle_graph(3)
+        mismatches = constructed_values_equal_the_checked_ones.mismatches
+        assert mismatches == []
+        # darts out of order, then a disconnected graph said connected
+        pc.FiniteGraph._of_tables(g.vertices, g.darts[::-1], g.src, g.inv)
+        assert len(mismatches) == 1
+        mismatches.pop()
+        two = pc.FiniteGraph.from_edges(["a", "b"], [])
+        pc.FiniteGraph._of_tables(two.vertices, (), {}, {}, connected=True)
+        assert len(mismatches) == 1
+        mismatches.pop()
+
     def test_a_covers_request_checks_nothing(
             self, monkeypatch, constructed_values_equal_the_checked_ones):
         """With the guards off, the calls of one ``covers`` benchmark
-        request build no ``Covering`` in ``as_covering`` and validate no
-        ``GraphMorphism``: the deck quotient and the kernel quotient too."""
-        validated, builders = record_constructions(
+        request build no ``Covering`` in ``as_covering``, validate no
+        ``GraphMorphism`` and no ``FiniteGraph``, and walk the components
+        of no graph: the deck quotient and the kernel quotient too.  The
+        bases are built and walked first, as the benchmark's set-up graphs
+        are in its first pass."""
+        bases = (pc.bouquet_graph(2), theta_graph())
+        assert all(map(pc.is_connected, bases))
+        seen = record_constructions(
             monkeypatch, constructed_values_equal_the_checked_ones)
         for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8)):
-            for base in (pc.bouquet_graph(2), theta_graph()):
+            for base in bases:
                 cover, a, cov = cover_from_subgroup(base, "v0", rep)
                 deck = deck_group(cov)
                 is_regular(cov)
@@ -857,8 +876,31 @@ class TestBuiltNotChecked:
                 qg, _ = pc.quotient(cover, pc.kernel_congruence(cov.map))
                 assert (len(qg.vertices), qg.edge_count()) == \
                     (len(base.vertices), base.edge_count())
-        assert validated == []
-        assert builders and "as_covering" not in builders
+        assert seen.validated == [] and seen.graphs == [] and seen.walks == []
+        assert seen.builders and "as_covering" not in seen.builders
+
+    def test_a_covers_request_searches_the_normalizer_once(self, monkeypatch):
+        """The calls of one ``covers`` benchmark request search the
+        normalizer of the carried monodromy once: ``deck_group`` and
+        ``is_regular`` read one search."""
+        search, searched = freegroup._normalizer_generators, []
+
+        def counted(rep):
+            searched.append(rep)
+            return search(rep)
+
+        monkeypatch.setattr(freegroup, "_normalizer_generators", counted)
+        for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8),
+                    pc.translation_kernel_rep(2, 4), dihedral_natural_rep(48)):
+            for base in (pc.bouquet_graph(2), theta_graph()):
+                del searched[:]
+                cover, a, cov = cover_from_subgroup(base, "v0", rep)
+                deck = deck_group(cov)
+                verdict = is_regular(cov)
+                image_subgroup(cov, a, pi1_data(base, "v0"))
+                quotient_by_deck_subgroup(deck, range(deck.order))
+                assert searched == [cov._sheets[2]]
+                assert verdict.deck_order == deck.order
 
 
 class TestConstructorsAgainstOracles:

@@ -10,6 +10,7 @@ from procover import formats
 from procover.formats import FormatError
 from helpers import (
     b2_homology_spec,
+    entrywise_graph_from_obj,
     pro2_tower,
     rotation_action,
     s3_regular_rep,
@@ -51,6 +52,45 @@ class TestGraphFormat:
                     "edge_map": {"e0": {"edge": "e0", "flip": False}}}
         with pytest.raises(FormatError, match="ends at unknown vertex"):
             formats.morphism_from_obj(morphism)
+
+    @pytest.mark.parametrize("vertices, edges, name", [
+        # each check alone
+        (["v0", "v1"], [["e0", "v0", "v1"], ["e0", "v1", "v0"]], None),
+        (["v0", "v0"], [["e0", "v0", "v0"]], None),
+        (["v0", "e0+"], [["e0", "v0", "v0"]], None),
+        # a bad entry, or a bad name, after a repeated edge id wins
+        (["v0"], [["e0", "v0", "v0"], ["e0", "v0", "v0"], ["e1", 3, "v0"]], None),
+        (["v0"], [["e0", "v0", "v0"], ["e0", "v0", "v0"], "junk"], None),
+        (["v0"], [["e0", "v0", "v0"], ["e0", "v0", "v0"]], 7),
+        # the first repeated id, then repeated vertices, then the overlap
+        (["v0", "v0", "a+"], [["b", "v0", "v0"], ["a", "v0", "v0"],
+                              ["a", "v0", "v0"], ["b", "v0", "v0"]], None),
+        (["v0", "v0", "a+"], [["a", "v0", "v0"]], None),
+        (["b-", "v0", "a+"], [["a", "v0", "v0"], ["b", "v0", "ghost"]], "G"),
+        # sound, dangling and empty documents
+        (["v1", "v0"], [["e1", "v0", "v1"], ["e0", "v1", "v1"]], "G"),
+        (["v0"], [["e0", "v0", "ghost"]], None),
+        ([], [], None),
+    ])
+    def test_one_loop_reads_as_the_entrywise_oracle(self, vertices, edges,
+                                                    name):
+        """The one-loop reader gives the entrywise reader's graph, or its
+        error with the same message, on documents that break each check of
+        ``FiniteGraph`` and several at once."""
+        obj = {"format": formats.GRAPH_FORMAT, "vertices": vertices,
+               "edges": [e if isinstance(e, str)
+                         else dict(zip(("id", "src", "dst"), e)) for e in edges]}
+        if name is not None:
+            obj["name"] = name
+
+        def read(reader):
+            try:
+                g = reader(obj)
+            except FormatError as exc:
+                return "error", str(exc)
+            return "value", g, g.name, g.vertices, g._star
+
+        assert read(formats.graph_from_obj) == read(entrywise_graph_from_obj)
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "g.json")

@@ -230,6 +230,27 @@ def test_json_indent_only_in_the_dump_json_fallback():
     assert len([node for node in calls["formats.py"] if id(node) in fallback]) == 1
 
 
+def validating_sites(cls_name: str, called: set) -> dict:
+    """{module: sorted names of the innermost functions} around each call
+    of a name in ``called`` (a call ``f(...)`` or ``x.f(...)``) and each
+    ``cls(...)`` inside the top-level class ``cls_name``."""
+    found = {}
+    for name, tree in library_trees():
+        in_class = {id(node) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+                    for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if func in called or (func == "cls" and id(node) in in_class):
+                found.setdefault(name, []).append(max(
+                    (f.lineno, f.name) for f in ast.walk(tree)
+                    if isinstance(f, ast.FunctionDef)
+                    and f.lineno <= node.lineno <= f.end_lineno)[1])
+    return {name: sorted(sites) for name, sites in found.items()}
+
+
 def test_graph_maps_are_validated_only_where_documents_enter():
     """Every validating ``GraphMorphism`` construction in the library (a
     ``GraphMorphism(...)`` call, or ``cls(...)`` inside the class) is in
@@ -237,26 +258,24 @@ def test_graph_maps_are_validated_only_where_documents_enter():
     from its own values is built by ``GraphMorphism._of_maps``, with the
     proof where it is built.
 
-    A validation on a derived map checks what its construction proved.
+    Graphs follow the same rule.  The one validating ``FiniteGraph``
+    construction is ``cls(...)`` in ``from_edges``, and ``from_edges`` is
+    called only by the public builders ``cycle_graph`` and
+    ``bouquet_graph``, from their arguments.  ``FiniteGraph._of_tables``
+    builds the graph of a document, after the reader's own checks, and
+    every graph the library derives, in the voltage construction and in
+    ``quotient``, with the proof where it is built.
+
+    A validation on a derived map or graph checks what its construction
+    proved.
     """
-    found = {}
-    for name, tree in library_trees():
-        in_class = {id(node) for cls in tree.body
-                    if isinstance(cls, ast.ClassDef)
-                    and cls.name == "GraphMorphism"
-                    for node in ast.walk(cls)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            called = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if called == "GraphMorphism" or (called == "cls"
-                                              and id(node) in in_class):
-                # the innermost function around the call
-                found.setdefault(name, []).append(max(
-                    (f.lineno, f.name) for f in ast.walk(tree)
-                    if isinstance(f, ast.FunctionDef)
-                    and f.lineno <= node.lineno <= f.end_lineno)[1])
-    assert found == {"formats.py": ["morphism_from_obj", "action_from_obj"]}
+    assert validating_sites("GraphMorphism", {"GraphMorphism"}) == {
+        "formats.py": ["action_from_obj", "morphism_from_obj"]}
+    assert validating_sites("FiniteGraph", {"FiniteGraph", "from_edges"}) == {
+        "graphs.py": ["bouquet_graph", "cycle_graph", "from_edges"]}
+    assert validating_sites("", {"_of_tables"}) == {
+        "covering.py": ["cover_from_subgroup"], "formats.py": ["graph_from_obj"],
+        "graphs.py": ["quotient"]}
 
 
 def test_covering_builds_a_permrep_only_in_the_sheet_transport():

@@ -45,6 +45,7 @@ from helpers import (
     per_pair_good_pairs_oracle,
     pro2_tower,
     record_constructions,
+    record_pi1_data,
     relabelled,
     rotation,
     scanned_deck_hom,
@@ -831,17 +832,33 @@ class TestTowerInvariants:
 def test_a_towers_request_checks_nothing(
         monkeypatch, constructed_values_equal_the_checked_ones):
     """With the guards off, the calls of one ``towers`` benchmark request
-    validate no ``GraphMorphism``: levels, base and cover steps, induced
-    maps, identities and composites are all built."""
-    validated, _builders = record_constructions(
+    validate no ``GraphMorphism`` and no ``FiniteGraph``: levels, base and
+    cover steps, induced maps, identities, composites and every quotient
+    graph are all built.  Only the spec's base, which enters from outside,
+    has its components walked; every graph derived from it carries them."""
+    spec = b2_homology_spec()
+    seen = record_constructions(
         monkeypatch, constructed_values_equal_the_checked_ones)
-    t = universal_tower(b2_homology_spec())
+    t = universal_tower(spec)
     assert validate_tower(t).ok
     assert {r.verdict for r in kernel_good_pairs(t)} == {"regular_good"}
     assert deck_tower(t).orders == [1, 4, 16]
     assert limit_fiber_report(t, "v0").sizes == [1, 4, 16]
     pi1_triviality_check(t, 2)
-    assert validated == []
+    assert seen.validated == [] and seen.graphs == []
+    assert [g is spec.base for g in seen.walks] == [True]
+
+
+def test_a_universal_tower_builds_pi1_data_once_per_graph_and_basepoint(
+        monkeypatch):
+    """``universal_tower`` builds the fundamental-group data of each level
+    once and hands it to ``cover_from_subgroup``: one ``pi1_data`` call per
+    (graph, basepoint), three for the three levels of the B2 chain."""
+    calls = record_pi1_data(monkeypatch)
+    t = universal_tower(b2_homology_spec())
+    assert len(calls) == len(t.coverings) == 3
+    assert all(g is c.codomain and base == "v0"
+               for (g, base), c in zip(calls, t.coverings))
 
 
 def conjugate_stabilizer_deck_order(rep) -> int:
