@@ -119,9 +119,7 @@ class Covering:
         """The lift table read off the stars, for a covering constructed
         without one: its map is locally bijective by the proof where it is
         built, so each star maps one to one onto the star below."""
-        dmap = self.map.dmap
-        return {u: dict(zip(map(dmap.__getitem__, s), s))
-                for u, s in self.map.domain._star.items()}
+        return _star_lifts(self.map)
 
     @property
     def domain(self) -> FiniteGraph:
@@ -136,6 +134,14 @@ class Covering:
             self.degree, self.domain.name, self.codomain.name)
 
 
+def _star_lifts(f: GraphMorphism) -> dict:
+    """The star of each domain vertex keyed by image dart: the lift table
+    of ``f`` when ``f`` is locally bijective."""
+    dmap = f.dmap
+    return {v: dict(zip(map(dmap.__getitem__, star), star))
+            for v, star in f.domain._star.items()}
+
+
 def as_covering(f: GraphMorphism) -> Covering:
     """Verify local bijectivity and wrap ``f`` as a Covering whose lift
     table rows are the stars keyed by image dart.
@@ -143,11 +149,11 @@ def as_covering(f: GraphMorphism) -> Covering:
     Raises NotACoveringError with the first failing vertex otherwise.
     """
     dom, cod = f.domain, f.codomain
-    vmap, dmap = f.vmap, f.dmap
+    vmap = f.vmap
     below = {u: frozenset(star) for u, star in cod._star.items()}
-    lifts = {}
+    lifts = _star_lifts(f)
     for v, star in dom._star.items():
-        over = lifts[v] = dict(zip(map(dmap.__getitem__, star), star))
+        over = lifts[v]
         if len(over) != len(star):
             raise NotACoveringError(v, "two darts at the vertex have the same image")
         u = vmap[v]
@@ -260,10 +266,14 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
     :func:`pi1_data` checks the base connected: degree n on one component.
 
     The cover graph is built by
-    :meth:`~procover.graphs.FiniteGraph._of_tables`.  Its ids are distinct
-    and disjoint: a vertex id is ``v@s`` and a dart id ``stem@s+`` or
-    ``stem@s-``, with the base's distinct vertex ids and dart-pair stems,
-    and ``src`` and ``inv`` are filled on every dart.  It is connected:
+    :meth:`~procover.graphs.FiniteGraph._of_tables`.  Its ids are disjoint:
+    a vertex id is ``v@s`` and a dart id ``stem@s+`` or ``stem@s-``, split
+    at the last ``@``.  The vertex ids are distinct, as the base's are.
+    The dart ids are distinct when the base's dart-pair stems are, which
+    the count of the filled ``src`` checks: the stem of a pair not shaped
+    ``X+``/``X-`` is its positive dart id, which can be the stem of another
+    pair, and such a base raises GraphError, as a graph with duplicate
+    dart ids.  ``src`` and ``inv`` are filled on every dart.  It is connected:
     the base is, and the action is transitive (:class:`PermRep` checks
     it), so the tree lifts in each sheet and the basis darts join them.
 
@@ -303,6 +313,8 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
             dmap.update(dict.fromkeys(ds, x))
             for row, y in zip(map(lifts.__getitem__, ends), ds):
                 row[x] = y
+    if len(src) != n * len(base.darts):
+        raise GraphError("duplicate dart ids")
     cover = FiniteGraph._of_tables(tuple(vertices), tuple(sorted(src)), src, inv,
                                    connected=True)
     cov = Covering(GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,

@@ -195,48 +195,27 @@ def graph_from_obj(obj) -> FiniteGraph:
     """The graph of a document as it stands: a dangling incidence, the one
     violation a document of edges can carry, is kept for
     :func:`~procover.graphs.validate_graph` to report.  Every other reader
-    goes through :func:`_sound_graph`.
-
-    One loop over the edge entries builds ``src`` and ``inv``, edge ``E``
-    giving the darts ``E+`` and ``E-``, and notes the first repeated edge
-    id.  The checks of :class:`~procover.graphs.FiniteGraph` follow, with
-    its messages, in its order: a bad entry or name before a repeated edge
-    id, then repeated vertex ids, then vertex and dart ids that overlap.
-    So the dart ids, the keys of ``src`` and ``inv``, are distinct and
-    disjoint from the distinct vertex ids, and the graph is built by
-    :meth:`~procover.graphs.FiniteGraph._of_tables`.
-    """
+    goes through :func:`_sound_graph`."""
     _expect(obj, GRAPH_FORMAT)
     vertices = _str_list(obj, "vertices")
-    src, inv, repeated = {}, {}, None
+    edges = []
     for entry in _get(obj, "edges", list):
         if not isinstance(entry, dict):
             raise FormatError("edge entries must be objects")
-        eid, a, b = entry.get("id"), entry.get("src"), entry.get("dst")
-        if not (isinstance(eid, str) and isinstance(a, str)
-                and isinstance(b, str)):
+        eid, src, dst = entry.get("id"), entry.get("src"), entry.get("dst")
+        if not (isinstance(eid, str) and isinstance(src, str)
+                and isinstance(dst, str)):
             # word the error for the first bad key
-            eid, a, b = (_get(entry, "id", str), _get(entry, "src", str),
-                         _get(entry, "dst", str))
-        pos, neg = eid + "+", eid + "-"
-        if repeated is None and pos in src:
-            repeated = eid
-        src[pos], src[neg] = a, b
-        inv[pos], inv[neg] = neg, pos
+            eid, src, dst = (_get(entry, "id", str), _get(entry, "src", str),
+                             _get(entry, "dst", str))
+        edges.append((eid, src, dst))
     name = None
     if obj.get("name") is not None:
         name = _get(obj, "name", str)
-    vertex_set = frozenset(vertices)
-    if repeated is not None:
-        problem = "duplicate edge id %r" % repeated
-    elif len(vertex_set) != len(vertices):
-        problem = "duplicate vertex ids"
-    elif not vertex_set.isdisjoint(src):
-        problem = "vertex and dart ids overlap: %r" % min(vertex_set.intersection(src))
-    else:
-        return FiniteGraph._of_tables(tuple(sorted(vertices)), tuple(sorted(src)),
-                                      src, inv, name=name)
-    raise FormatError("bad graph document: %s" % problem)
+    try:
+        return FiniteGraph.from_edges(vertices, edges, name=name)
+    except GraphError as exc:
+        raise FormatError("bad graph document: %s" % exc) from exc
 
 
 def _sound_graph(obj) -> FiniteGraph:

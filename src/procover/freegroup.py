@@ -36,7 +36,7 @@ decides containment, equality and the containment of an image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -246,6 +246,7 @@ class PermRep:
                 "action is not transitive: %d orbits" % len(orbits), orbits)
         self._schreier: tuple[FreeWord, ...] | None = None
         self._canonical_key: tuple | None = None
+        self._normalizer: tuple[list[list[int]], set[int]] | None = None
 
     def _orbit_order(self, start: int) -> list[int]:
         """The orbit of ``start`` in breadth-first discovery order."""
@@ -306,12 +307,13 @@ class PermRep:
             self._schreier = tuple(gens)
         return self._schreier
 
-    @cached_property
-    def _normalizer(self) -> tuple[list[list[int]], set[int]]:
+    def _normalizer_search(self) -> tuple[list[list[int]], set[int]]:
         """:func:`_normalizer_generators` of this action, searched at the
         first use and kept, like the Schreier generators: the deck group
         and the regularity verdict of one cover search once."""
-        return _normalizer_generators(self)
+        if self._normalizer is None:
+            self._normalizer = _normalizer_generators(self)
+        return self._normalizer
 
     def canonical(self) -> "PermRep":
         """The same subgroup with points relabelled in canonical BFS order."""
@@ -377,7 +379,7 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
     under exactly one automorphism of the action, and together they are
     the orbit of 0 under the automorphisms (:func:`_normalizer_generators`).
     """
-    return tuple(sorted(rep._normalizer[1]))
+    return tuple(sorted(rep._normalizer_search()[1]))
 
 
 def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
@@ -484,7 +486,7 @@ def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
       orbits on the points all have its order as size, and they partition
       the points.
     """
-    gens = rep._normalizer[0]
+    gens = rep._normalizer_search()[0]
     group = {0: list(range(rep.degree))}
     queue = [group[0]]
     for g in queue:

@@ -69,15 +69,15 @@ class FiniteGraph:
     A graph is checked where it enters and built everywhere else.
     Construction checks that ``src`` and ``inv`` are total on the declared
     dart set and that ids are unique; it is for graphs a caller gives,
-    through this constructor and :meth:`from_edges`.  The graph document
-    reader of :mod:`procover.formats` makes the same checks in its one
-    pass over the entries.  It and every graph the library derives from
-    its own values build with :meth:`_of_tables`, which checks none of
-    it, with the proof where it is built.  The semantic invariants
-    (``inv`` is a fixed-point-free involution, sources are declared
-    vertices) are checked by :func:`validate_graph`, so damaged data read
-    from a file can still be loaded and reported on instead of crashing
-    the loader.
+    through this constructor and :meth:`from_edges`, which the document
+    readers of :mod:`procover.formats` call and which makes the same
+    checks in its one loop over the edges.  It and every graph the library
+    derives from its own values build with :meth:`_of_tables`, which
+    checks none of it, with the proof where it is built.  The semantic
+    invariants (``inv`` is a fixed-point-free involution, sources are
+    declared vertices) are checked by :func:`validate_graph`, so damaged
+    data read from a file can still be loaded and reported on instead of
+    crashing the loader.
     """
 
     def __init__(self, vertices: Iterable[str], darts: Iterable[str],
@@ -111,8 +111,8 @@ class FiniteGraph:
     def _of_tables(cls, vertices: tuple, darts: tuple, src: dict, inv: dict,
                    name: str | None = None, connected: bool = False) -> "FiniteGraph":
         """The graph of these tables, taken over unchecked and not copied:
-        the library builds here every graph it derives, and the graph of a
-        document once the reader has checked it.  The caller proves that
+        the library builds here every graph it derives, and
+        :meth:`from_edges` the graph it has checked.  The caller proves that
         the sorted tuples ``vertices`` and ``darts`` hold distinct ids,
         disjoint from each other, and that ``src`` and ``inv`` are defined
         on exactly the darts.  A caller that proves the graph connected
@@ -149,20 +149,30 @@ class FiniteGraph:
 
         Each edge ``E`` contributes the dart pair ``E+`` (src to dst) and
         ``E-`` (dst to src).
+
+        The constructor's checks are made here, and the graph is built by
+        :meth:`_of_tables`.  Dart ids are distinct when edge ids are, as
+        ``E+`` is no other edge's dart, and ``src`` and ``inv`` are filled
+        on exactly the darts.  What is left is checked in this order: a
+        repeated edge id, in the one loop over the edges, then repeated
+        vertex ids, then vertex and dart ids that overlap, the last two
+        raising GraphError with the constructor's messages.
         """
-        src = {}
-        inv = {}
-        darts = []
-        seen = set()
+        src, inv = {}, {}
         for eid, a, b in edges:
-            if eid in seen:
-                raise GraphError("duplicate edge id %r" % eid)
-            seen.add(eid)
             pos, neg = eid + "+", eid + "-"
-            darts += [pos, neg]
+            if pos in src:
+                raise GraphError("duplicate edge id %r" % eid)
             src[pos], src[neg] = a, b
             inv[pos], inv[neg] = neg, pos
-        return cls(vertices, darts, src, inv, name=name)
+        vertices = tuple(sorted(vertices))
+        vertex_set = frozenset(vertices)
+        if len(vertex_set) != len(vertices):
+            raise GraphError("duplicate vertex ids")
+        if not vertex_set.isdisjoint(src):
+            raise GraphError("vertex and dart ids overlap: %r"
+                             % min(vertex_set.intersection(src)))
+        return cls._of_tables(vertices, tuple(sorted(src)), src, inv, name=name)
 
     def target(self, d: str) -> str:
         return self.src[self.inv[d]]

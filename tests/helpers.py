@@ -790,9 +790,25 @@ def congruence_quotient_by_deck_subgroup(deck, indices):
     return qg, h_map, f_h
 
 
+def validating_from_edges(vertices, edges, name=None) -> pc.FiniteGraph:
+    """Oracle for ``FiniteGraph.from_edges``: the builder it replaced, which
+    hands its tables to the validating ``FiniteGraph(...)``."""
+    src, inv, darts, seen = {}, {}, [], set()
+    for eid, a, b in edges:
+        if eid in seen:
+            raise pc.GraphError("duplicate edge id %r" % eid)
+        seen.add(eid)
+        pos, neg = eid + "+", eid + "-"
+        darts += [pos, neg]
+        src[pos], src[neg] = a, b
+        inv[pos], inv[neg] = neg, pos
+    return pc.FiniteGraph(vertices, darts, src, inv, name=name)
+
+
 def entrywise_graph_from_obj(obj) -> pc.FiniteGraph:
     """Oracle for ``formats.graph_from_obj``: the reader it replaced, which
-    reads every key of every edge entry through ``formats._get``."""
+    reads every key of every edge entry through ``formats._get`` and builds
+    through :func:`validating_from_edges`."""
     _expect(obj, GRAPH_FORMAT)
     vertices = _str_list(obj, "vertices")
     edges = []
@@ -805,7 +821,7 @@ def entrywise_graph_from_obj(obj) -> pc.FiniteGraph:
     if obj.get("name") is not None:
         name = _get(obj, "name", str)
     try:
-        return pc.FiniteGraph.from_edges(vertices, edges, name=name)
+        return validating_from_edges(vertices, edges, name=name)
     except pc.GraphError as exc:
         raise FormatError("bad graph document: %s" % exc) from exc
 

@@ -32,7 +32,7 @@ from procover import (
 from procover import covering, freegroup
 from procover.formats import dump_json, morphism_to_obj
 from procover.freegroup import NotTransitiveError
-from procover.graphs import SpanningTreeData
+from procover.graphs import SpanningTreeData, edge_stem
 from helpers import (
     TableCheckedAction,
     action_deck_isomorphism,
@@ -202,6 +202,19 @@ class TestCoverFromSubgroup:
         assert pc.validate_graph(g)[0] == {"kind": kind, "witness": witness}
         with pytest.raises(GraphError, match="%s at '%s'" % (kind, witness)):
             cover_from_subgroup(g, "v0", cyclic_rep(2))
+
+    @pytest.mark.parametrize("rep", [trivial_rep(2), pc.translation_kernel_rep(2, 2)])
+    def test_two_pairs_with_one_stem_are_refused(self, rep):
+        """A valid base whose dart pairs ``(a, b)`` and ``(a+, a-)`` share
+        the stem ``a`` would give two cover darts one id: GraphError, as for
+        a graph with duplicate dart ids, and no cover with half its darts."""
+        darts = ["a", "b", "a+", "a-"]
+        g = pc.FiniteGraph(["v0"], darts, dict.fromkeys(darts, "v0"),
+                           {"a": "b", "b": "a", "a+": "a-", "a-": "a+"})
+        assert pc.validate_graph(g) == []
+        assert [edge_stem(d, e) for d, e in g.dart_pairs()] == ["a", "a"]
+        with pytest.raises(GraphError, match="^duplicate dart ids$"):
+            cover_from_subgroup(g, "v0", rep)
 
 
 class TestImageSubgroup:

@@ -74,9 +74,10 @@ class TestGraphFormat:
     ])
     def test_one_loop_reads_as_the_entrywise_oracle(self, vertices, edges,
                                                     name):
-        """The one-loop reader gives the entrywise reader's graph, or its
-        error with the same message, on documents that break each check of
-        ``FiniteGraph`` and several at once."""
+        """The one-loop reader, with ``from_edges``' own checks, gives the
+        graph of the entrywise reader through the validating constructor,
+        or its error with the same message, on documents that break each
+        check of ``FiniteGraph`` and several at once."""
         obj = {"format": formats.GRAPH_FORMAT, "vertices": vertices,
                "edges": [e if isinstance(e, str)
                          else dict(zip(("id", "src", "dst"), e)) for e in edges]}

@@ -258,13 +258,13 @@ def test_graph_maps_are_validated_only_where_documents_enter():
     from its own values is built by ``GraphMorphism._of_maps``, with the
     proof where it is built.
 
-    Graphs follow the same rule.  The one validating ``FiniteGraph``
-    construction is ``cls(...)`` in ``from_edges``, and ``from_edges`` is
-    called only by the public builders ``cycle_graph`` and
-    ``bouquet_graph``, from their arguments.  ``FiniteGraph._of_tables``
-    builds the graph of a document, after the reader's own checks, and
-    every graph the library derives, in the voltage construction and in
-    ``quotient``, with the proof where it is built.
+    Graphs follow the same rule.  The library makes no ``FiniteGraph(...)``
+    call.  ``from_edges`` makes the constructor's checks in its own loop
+    and is called only by the graph document reader and the public
+    builders ``cycle_graph`` and ``bouquet_graph``, from their arguments.
+    ``FiniteGraph._of_tables`` builds the graph ``from_edges`` has checked
+    and every graph the library derives, in the voltage construction and
+    in ``quotient``, with the proof where it is built.
 
     A validation on a derived map or graph checks what its construction
     proved.
@@ -272,10 +272,11 @@ def test_graph_maps_are_validated_only_where_documents_enter():
     assert validating_sites("GraphMorphism", {"GraphMorphism"}) == {
         "formats.py": ["action_from_obj", "morphism_from_obj"]}
     assert validating_sites("FiniteGraph", {"FiniteGraph", "from_edges"}) == {
-        "graphs.py": ["bouquet_graph", "cycle_graph", "from_edges"]}
+        "formats.py": ["graph_from_obj"],
+        "graphs.py": ["bouquet_graph", "cycle_graph"]}
     assert validating_sites("", {"_of_tables"}) == {
-        "covering.py": ["cover_from_subgroup"], "formats.py": ["graph_from_obj"],
-        "graphs.py": ["quotient"]}
+        "covering.py": ["cover_from_subgroup"],
+        "graphs.py": ["from_edges", "quotient"]}
 
 
 def test_covering_builds_a_permrep_only_in_the_sheet_transport():
