@@ -274,8 +274,8 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
     ``X+``/``X-`` is its positive dart id, which can be the stem of another
     pair, and such a base raises GraphError, as a graph with duplicate
     dart ids.  ``src`` and ``inv`` are filled on every dart.  It is connected:
-    the base is, and the action is transitive (:class:`PermRep` checks
-    it), so the tree lifts in each sheet and the basis darts join them.
+    the base is, and the action is transitive (as every :class:`PermRep`
+    is), so the tree lifts in each sheet and the basis darts join them.
 
     The projection carries its sheet coordinates (:class:`Covering`): one
     :func:`_sheet_rows` at the cover's first vertex, with :func:`pi1_data`
@@ -333,7 +333,18 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
     ``v``, ends the lift of the tree path to ``v`` from sheet k, so a tree
     dart keeps the sheet.  Generator x_k sends sheet s to the sheet where
     the lift of the k-th basis dart from sheet s ends: with the tree paths
-    in and out, that is the lift of basis loop k."""
+    in and out, that is the lift of basis loop k.  Its inverse sends a
+    sheet to the end of the lift of the inverse dart from there.
+
+    The monodromy is built by :meth:`~procover.freegroup.PermRep._of_moves`.
+    Each row is a permutation: the lifts of one base dart from distinct
+    sheets are distinct darts, so their inverses, one per vertex over the
+    inverse dart, start at distinct vertices, and a row of ``rows`` holds
+    the whole fiber.  The lift of the inverse dart from the end of a lift
+    is that lift reversed, so the second row inverts the first.  The action
+    is transitive because the cover is connected: ``cover_from_subgroup``
+    builds a connected cover, and :func:`image_subgroup` and
+    :func:`_first_fiber_monodromy` check it."""
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
     rows = {p.basepoint: [a] + [x for x in c.vertex_fibers[p.basepoint]
@@ -344,9 +355,9 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
         down = base.inv[up]
         rows[w] = [src[inv[lifts[u][down]]] for u in rows[base.src[down]]]
     sheet = {x: k for row in rows.values() for k, x in enumerate(row)}
-    perms = [[sheet[src[inv[lifts[u][d]]]] for u in rows[base.src[d]]]
-             for d in p.basis_darts]
-    return rows, PermRep(p.rank, len(rows[p.basepoint]), perms)
+    moves = tuple(tuple([sheet[src[inv[lifts[u][e]]]] for u in rows[base.src[e]]])
+                  for d in p.basis_darts for e in (d, base.inv[d]))
+    return rows, PermRep._of_moves(p.rank, len(rows[p.basepoint]), moves)
 
 
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:

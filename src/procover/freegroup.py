@@ -174,72 +174,44 @@ class PermRep:
     permutation of x_i and ``_moves[2i + 1]`` its inverse, the layout the
     low-index search fills.  ``perms`` is ``_moves[::2]``.
 
-    Every construction checks the rank, the degree and the number of
-    permutations, that each row is a permutation of 0..degree-1 with
-    ``int`` entries (not bools or floats), and that the action is
-    transitive.  The row check and the inverse are computed once per
-    distinct row of a memo of checked rows: a fresh memo for each
-    ``PermRep(...)``, and one per degree inside :func:`low_index_reps`,
-    whose tables share most of their rows (a degree-n search has at most
-    n! distinct ones).  Tables built through one memo share its row
-    tuples.  Transitivity is checked on every table.
+    An action is checked where it enters and built everywhere else.
+    ``PermRep(...)`` is for actions a caller gives, and the document
+    reader of :mod:`procover.formats` is its one library caller: it checks
+    the rank, the degree and the number of permutations, that each row is
+    a permutation of 0..degree-1 with ``int`` entries (not bools or
+    floats), and that the action is transitive, and inverts each row.
+    Every action the library derives (the low-index search, monodromy,
+    relabelling, the translation actions) is built by :meth:`_of_moves`,
+    which checks none of it, with the proof where it is built.
     """
 
     def __init__(self, rank: int, degree: int, perms: Sequence[Sequence[int]]):
-        self._init(rank, degree, perms, {})
-
-    @classmethod
-    def _with_memo(cls, rank: int, degree: int, perms, checked: dict) -> "PermRep":
-        """Construct through ``checked``, a memo {row: (row, inverse row)}
-        of the rows already checked to be permutations of 0..degree-1."""
-        rep = cls.__new__(cls)
-        rep._init(rank, degree, perms, checked)
-        return rep
-
-    def _init(self, rank: int, degree: int, perms, checked: dict) -> None:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if len(perms) != rank:
             raise ValueError("expected %d permutations, got %d" % (rank, len(perms)))
-        self.rank = rank
-        self.degree = degree
         points = range(degree)
-        types = expected = None  # built at the first row the memo misses
         moves: list[tuple[int, ...]] = []
         for p in tuple(map(tuple, perms)):
-            try:
-                move = checked.get(p)
-            except TypeError:  # an unhashable entry fails the check below
-                move = None
-            if move is None:
-                # degree ints that cover 0..degree-1: a permutation (the
-                # length first, so a wrong degree builds nothing)
-                if expected is None and len(p) == degree:
-                    types, expected = [int] * degree, set(points)
-                if len(p) != degree or list(map(type, p)) != types \
-                        or set(p) != expected:
-                    raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
-                move = checked[p] = (p, tuple(sorted(points, key=p.__getitem__)))
-            moves += move
+            # degree ints that cover 0..degree-1: a permutation (the length
+            # first, so a wrong degree builds nothing)
+            if len(p) != degree or set(map(type, p)) != {int} \
+                    or set(p) != set(points):
+                raise ValueError("%r is not a permutation of 0..%d" % (p, degree - 1))
+            moves += (p, tuple(sorted(points, key=p.__getitem__)))
+        self.rank = rank
+        self.degree = degree
         self._moves = tuple(moves)
         self.perms = self._moves[::2]
         # a finite orbit is closed under inverses: the forward moves suffice
-        seen = {0}
-        order = [0]
-        for a in order:
-            for p in self.perms:
-                b = p[a]
-                if b not in seen:
-                    seen.add(b)
-                    order.append(b)
-        if len(order) != degree:
+        if len(_orbit(0, self.perms)) != degree:
             orbits = []
             placed: set[int] = set()
             for p in points:
                 if p not in placed:
-                    orbit = sorted(self._orbit_order(p))
+                    orbit = sorted(_orbit(p, self.perms))
                     placed.update(orbit)
                     orbits.append(orbit)
             raise NotTransitiveError(
@@ -248,17 +220,20 @@ class PermRep:
         self._canonical_key: tuple | None = None
         self._normalizer: tuple[list[list[int]], set[int]] | None = None
 
-    def _orbit_order(self, start: int) -> list[int]:
-        """The orbit of ``start`` in breadth-first discovery order."""
-        seen = {start}
-        order = [start]
-        for a in order:
-            for table in self._moves:
-                b = table[a]
-                if b not in seen:
-                    seen.add(b)
-                    order.append(b)
-        return order
+    @classmethod
+    def _of_moves(cls, rank: int, degree: int, moves: tuple) -> "PermRep":
+        """The action of these rows, taken over unchecked and not copied:
+        the library builds here every action it derives.  The caller proves
+        that ``moves`` holds ``2 * rank`` tuples in the layout of
+        ``_moves``, each a permutation of 0..degree-1 with ``int`` entries
+        followed by its inverse, and that the action is transitive."""
+        rep = cls.__new__(cls)
+        rep.rank = rank
+        rep.degree = degree
+        rep._moves = moves
+        rep.perms = moves[::2]
+        rep._schreier = rep._canonical_key = rep._normalizer = None
+        return rep
 
     def move(self, letter: tuple[int, int]) -> tuple[int, ...]:
         """The permutation of the points by the letter ``(i, sign)``: x_i,
@@ -326,16 +301,25 @@ class PermRep:
         return self._canonical_key
 
     def rebased(self, point: int) -> "PermRep":
-        """The conjugate subgroup Stab(point), canonically labelled."""
-        order = self._orbit_order(point)
-        label = {p: k for k, p in enumerate(order)}
-        perms = []
-        for p in self.perms:
+        """The conjugate subgroup Stab(point), canonically labelled.
+
+        Built by :meth:`_of_moves`: the points are relabelled in the order
+        the moves discover them from ``point``, a bijection of 0..degree-1
+        on a transitive action, so each relabelled row is a permutation,
+        the relabelled inverse is the inverse of the relabelled row, and
+        the relabelled action is transitive."""
+        if not 0 <= point < self.degree:
+            raise ValueError("point %r out of range" % (point,))
+        label = [0] * self.degree
+        for k, p in enumerate(_orbit(point, self._moves)):
+            label[p] = k
+        moves = []
+        for p in self._moves:
             q = [0] * self.degree
-            for a in range(self.degree):
-                q[label[a]] = label[p[a]]
-            perms.append(tuple(q))
-        return PermRep(self.rank, self.degree, perms)
+            for a, b in enumerate(p):
+                q[label[a]] = label[b]
+            moves.append(tuple(q))
+        return PermRep._of_moves(self.rank, self.degree, tuple(moves))
 
     def __eq__(self, other):
         return (isinstance(other, PermRep) and self.rank == other.rank
@@ -420,10 +404,10 @@ def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
         else:
             phi = _forced_map(pairs, n, c)
             if phi is None:
-                outside |= _orbit(c, gens)
+                outside.update(_orbit(c, gens))
             else:
                 gens.append(phi)
-                orbit = _orbit(0, gens)
+                orbit = set(_orbit(0, gens))
     return gens, orbit
 
 
@@ -442,9 +426,10 @@ def _cycle_length(p: Sequence[int], lengths: list[int], a: int) -> int:
     return lengths[a]
 
 
-def _orbit(point: int, gens: list[list[int]]) -> set[int]:
+def _orbit(point: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """The orbit of ``point`` under the group the image lists generate (a
-    finite group: forward images suffice)."""
+    finite group: forward images suffice), in breadth-first discovery
+    order, trying the image lists in their order at each point."""
     seen = {point}
     order = [point]
     for a in order:
@@ -453,7 +438,7 @@ def _orbit(point: int, gens: list[list[int]]) -> set[int]:
             if b not in seen:
                 seen.add(b)
                 order.append(b)
-    return seen
+    return order
 
 
 def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
@@ -581,6 +566,11 @@ def _forced_map(pairs, n: int, c: int) -> list[int] | None:
 def _canonical_tables(rank: int, degree: int, normal_only: bool):
     """Yield every canonically-labelled transitive table of the given degree.
 
+    A table is yielded as the ``2 * rank`` rows of ``PermRep._moves``,
+    interned: a row equal to one yielded before by this call is that
+    row's tuple, so the tables of one degree share their rows (a degree-n
+    search has at most n! distinct ones).
+
     The table is filled slot by slot in scan order (point, generator, sign
     with forward before backward), and a fresh point may only receive the
     next unused label.  A completed table is therefore labelled exactly in
@@ -595,6 +585,14 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
     action of a normal subgroup has an automorphism 0 -> c for every c.
     The last definition of a complete table always closes onto an existing
     point, so exactly the normal tables are yielded.
+
+    Each yielded table is a transitive action, which
+    :func:`low_index_reps` builds unchecked.  A definition fills
+    ``table[p], other[q] = q, p`` only where both entries are empty, and
+    backtracking empties both, so a row and its partner are always mutually
+    inverse partial injections, and total once every slot is filled.
+    Every point from 1 on is created as ``q == used`` from a point already
+    reached, so 0 reaches every point.
     """
     if rank == 0:
         if degree == 1:
@@ -608,6 +606,7 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
     slots = [(p, moves[k], moves[k ^ 1])
              for p in range(degree) for k in range(2 * rank)]
     nslots = len(slots)
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     stack: list[tuple[int, int, int]] = []  # (slot, point defined, used before)
     si, q, used = 0, 0, 1
     while True:
@@ -618,7 +617,9 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
             si += 1
         if si == nslots:
             # every slot is filled, so every point was created: used == degree
-            yield tuple(map(tuple, moves[::2]))
+            # (a list, not a generator, per table: a generator object per
+            # table left about 0.3 MiB more peak RSS on the lattice benchmark)
+            yield tuple([rows.setdefault(r, r) for r in map(tuple, moves)])
         elif p < used:
             # (p >= used: every created point is fully scanned, so no new
             # point can ever appear and the branch is dead)
@@ -651,10 +652,10 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     """All subgroups of index <= max_degree, one canonical action each.
 
     Results are ordered by degree and then lexicographically by table.
-    Each result passes every check of :class:`PermRep`: the row check once
-    per distinct row of a degree, through one memo that lives for this
-    call only, and transitivity once per table.  With ``normal_only`` the
-    search cuts non-normal branches as it goes.
+    Each is built by :meth:`PermRep._of_moves` from a table of
+    :func:`_canonical_tables`, whose docstring proves it a transitive
+    action, and the tables of one degree share their rows.  With
+    ``normal_only`` the search cuts non-normal branches as it goes.
     Refuses with ResourceLimitError when the predicted number of subgroups
     exceeds ``max_work``; the bound counts all subgroups even when only
     normal ones are kept, so refusals do not depend on ``normal_only`` and
@@ -684,12 +685,9 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
         predicted += subgroup_count(rank, n)
         if predicted > max_work:
             raise refuse(_count(predicted), n)
-    out = []
-    for degree in range(1, max_degree + 1):
-        checked: dict = {}
-        for table in _canonical_tables(rank, degree, normal_only):
-            out.append(PermRep._with_memo(rank, degree, table, checked))
-    return out
+    return [PermRep._of_moves(rank, degree, moves)
+            for degree in range(1, max_degree + 1)
+            for moves in _canonical_tables(rank, degree, normal_only)]
 
 
 def _count(n: int) -> str:
@@ -716,20 +714,27 @@ def translation_kernel_rep(rank: int, modulus: int,
     Point p encodes the vector (p % m, p//m % m, ...); generator x_i adds 1
     to coordinate i.  The stabilizer of 0 is the kernel of the map onto
     (Z/modulus)^rank, hence normal of index modulus^rank.
+
+    Built by :meth:`PermRep._of_moves`: the inverse of x_i subtracts 1
+    from coordinate i, and each shift is a bijection of the vectors.  The
+    shifts reach every vector from 0, so the action is transitive.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
     degree = modulus ** rank
     if degree > max_work:
         raise ResourceLimitError(
             "degree %s exceeds the work bound %s"
             % (_count(degree), _decimal(max_work)))
-    perms = []
+    moves = []
     for i in range(rank):
         step = modulus ** i
-        p = [0] * degree
-        for a in range(degree):
-            digit = (a // step) % modulus
-            p[a] = a - digit * step + ((digit + 1) % modulus) * step
-        perms.append(tuple(p))
-    return PermRep(rank, degree, perms)
+        for shift in (1, -1):
+            p = [0] * degree
+            for a in range(degree):
+                digit = (a // step) % modulus
+                p[a] = a + ((digit + shift) % modulus - digit) * step
+            moves.append(tuple(p))
+    return PermRep._of_moves(rank, degree, tuple(moves))

@@ -50,8 +50,9 @@ def documents_written_as_json_writes_them(request):
 
 @pytest.fixture(scope="module", autouse=True)
 def constructed_values_equal_the_checked_ones():
-    """Every graph and map the library builds unchecked must be what the
-    checking constructors give.  A ``FiniteGraph._of_tables`` result must
+    """Every graph, map, congruence and coset action the library builds
+    unchecked must be what the checking constructors give.  A
+    ``FiniteGraph._of_tables`` result must
     pass the public ``FiniteGraph(...)`` on the same tables and equal it in
     the key, the star (with its key order), the name and the vertex tuple,
     and a component partition it carries must be the one a fresh walk
@@ -60,15 +61,22 @@ def constructed_values_equal_the_checked_ones():
     built anywhere but in ``as_covering`` must equal ``as_covering`` on its
     map in the map, the lift table (with its key order), the fibers and
     both degrees.  ``Covering.__init__`` is wrapped and tells
-    ``as_covering``'s own construction by its caller's code.  Mismatches
-    are collected and asserted when the module ends; the fixture's value
-    holds the list, so a test can plant one and take it back, and the
-    unwrapped ``_of_tables``, ``_of_maps`` and ``Covering.__init__``, for a
-    test that counts what construction checks."""
-    from procover import covering, graphs
+    ``as_covering``'s own construction by its caller's code.  A
+    ``Congruence._of_partition`` result must pass the public
+    ``Congruence(...)`` on the same classes and equal it in the classes
+    and both representative maps.  A ``PermRep._of_moves`` result must
+    pass the public ``PermRep(...)`` on the forward rows and equal it in
+    every attribute (``vars``), so the two also set the same caches.
+    Mismatches are collected and asserted when the module ends; the
+    fixture's value holds the list, so a test can plant one and take it
+    back, and the unwrapped constructors, for a test that counts what
+    construction checks."""
+    from procover import covering, freegroup, graphs
     morphism, init = graphs.GraphMorphism, covering.Covering.__init__
     of_maps, as_covering = morphism._of_maps.__func__, covering.as_covering
     of_tables = graphs.FiniteGraph._of_tables.__func__
+    of_partition = graphs.Congruence._of_partition.__func__
+    of_moves = freegroup.PermRep._of_moves.__func__
     mismatches = []
 
     def checked_of_tables(cls, vertices, darts, src, inv, name=None,
@@ -112,11 +120,39 @@ def constructed_values_equal_the_checked_ones():
                 != (want.degree, want.component_degrees)):
             mismatches.append(repr(self))
 
+    def checked_of_partition(cls, base, vertex_classes, dart_classes):
+        vertex_classes = tuple(map(tuple, vertex_classes))
+        dart_classes = tuple(map(tuple, dart_classes))
+        r = of_partition(cls, base, vertex_classes, dart_classes)
+        try:
+            want = graphs.Congruence(base, vertex_classes, dart_classes)
+        except graphs.CongruenceError as exc:
+            mismatches.append("%r: %s" % (vertex_classes + dart_classes, exc))
+            return r
+        if (r.vertex_classes, r.dart_classes, r._vrep, r._drep) != (
+                want.vertex_classes, want.dart_classes, want._vrep, want._drep):
+            mismatches.append(repr(vertex_classes + dart_classes))
+        return r
+
+    def checked_of_moves(cls, rank, degree, moves):
+        rep = of_moves(cls, rank, degree, moves)
+        try:
+            if vars(freegroup.PermRep(rank, degree, moves[::2])) != vars(rep):
+                mismatches.append(repr(moves))
+        except ValueError as exc:
+            mismatches.append("%r: %s" % (moves, exc))
+        return rep
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs.FiniteGraph, "_of_tables",
                       classmethod(checked_of_tables))
         patch.setattr(morphism, "_of_maps", classmethod(checked_of_maps))
         patch.setattr(covering.Covering, "__init__", checked_init)
+        patch.setattr(graphs.Congruence, "_of_partition",
+                      classmethod(checked_of_partition))
+        patch.setattr(freegroup.PermRep, "_of_moves", classmethod(checked_of_moves))
         yield SimpleNamespace(mismatches=mismatches, unguarded_of_maps=of_maps,
-                              unguarded_init=init, unguarded_of_tables=of_tables)
+                              unguarded_init=init, unguarded_of_tables=of_tables,
+                              unguarded_of_partition=of_partition,
+                              unguarded_of_moves=of_moves)
     assert mismatches == []

@@ -34,14 +34,19 @@ def record_constructions(monkeypatch, guard):
     ``validated``, the validating ``GraphMorphism(...)`` constructions;
     ``builders``, the code names that build a ``Covering`` (``as_covering``
     when it is checked); ``graphs``, the validating ``FiniteGraph(...)``
-    constructions; and ``walks``, the graphs whose components are walked."""
-    monkeypatch.setattr(pc.FiniteGraph, "_of_tables",
-                        classmethod(guard.unguarded_of_tables))
-    monkeypatch.setattr(pc.GraphMorphism, "_of_maps",
-                        classmethod(guard.unguarded_of_maps))
+    constructions; ``walks``, the graphs whose components are walked; and
+    ``permreps``, the validating ``PermRep(...)`` constructions."""
+    for cls, name, build in (
+            (pc.FiniteGraph, "_of_tables", guard.unguarded_of_tables),
+            (pc.GraphMorphism, "_of_maps", guard.unguarded_of_maps),
+            (pc.Congruence, "_of_partition", guard.unguarded_of_partition),
+            (pc.PermRep, "_of_moves", guard.unguarded_of_moves)):
+        monkeypatch.setattr(cls, name, classmethod(build))
     init, check = guard.unguarded_init, pc.GraphMorphism.__init__
     build, walk = pc.FiniteGraph.__init__, graphs._component_partition
-    seen = SimpleNamespace(validated=[], builders=[], graphs=[], walks=[])
+    rep_init = pc.PermRep.__init__
+    seen = SimpleNamespace(validated=[], builders=[], graphs=[], walks=[],
+                           permreps=[])
 
     def recorded(self, *args, **kwargs):
         seen.builders.append(sys._getframe(1).f_code.co_name)
@@ -59,10 +64,15 @@ def record_constructions(monkeypatch, guard):
         seen.walks.append(g)
         return walk(g)
 
+    def checked_rep(self, *args):
+        seen.permreps.append(self)
+        rep_init(self, *args)
+
     monkeypatch.setattr(pc.Covering, "__init__", recorded)
     monkeypatch.setattr(pc.GraphMorphism, "__init__", counted)
     monkeypatch.setattr(pc.FiniteGraph, "__init__", built)
     monkeypatch.setattr(graphs, "_component_partition", walked)
+    monkeypatch.setattr(pc.PermRep, "__init__", checked_rep)
     return seen
 
 
@@ -441,8 +451,9 @@ def injective_normalizer_points(rep: pc.PermRep) -> tuple:
 
 def validating_permrep(rank: int, degree: int, perms) -> pc.PermRep:
     """Oracle for the ``PermRep`` constructor: the constructor it replaced,
-    verbatim, which sorts every row of every table and checks transitivity
-    by walking the orbit of 0 under every move."""
+    which sorts every row of every table and checks transitivity by
+    walking the orbit of 0 under every move, with its own walk.  Its value
+    carries every attribute the constructor sets."""
     self = pc.PermRep.__new__(pc.PermRep)
     if rank < 0:
         raise ValueError("rank must be nonnegative")
@@ -460,18 +471,29 @@ def validating_permrep(rank: int, degree: int, perms) -> pc.PermRep:
         moves += (p, tuple(sorted(points, key=p.__getitem__)))
     self._moves = tuple(moves)
     self.perms = self._moves[::2]
-    if len(self._orbit_order(0)) != degree:
+
+    def orbit(start):
+        seen, frontier = {start}, [start]
+        while frontier:
+            a = frontier.pop()
+            for table in self._moves:
+                if table[a] not in seen:
+                    seen.add(table[a])
+                    frontier.append(table[a])
+        return sorted(seen)
+
+    if len(orbit(0)) != degree:
         orbits = []
         placed: set[int] = set()
         for p in points:
             if p not in placed:
-                orbit = sorted(self._orbit_order(p))
-                placed.update(orbit)
-                orbits.append(orbit)
+                orbits.append(orbit(p))
+                placed.update(orbits[-1])
         raise NotTransitiveError(
             "action is not transitive: %d orbits" % len(orbits), orbits)
     self._schreier = None
     self._canonical_key = None
+    self._normalizer = None
     return self
 
 

@@ -664,16 +664,17 @@ class TestCarriedSheetCoordinates:
                                                               monkeypatch):
         """The calls of one ``covers`` benchmark request make exactly one
         transport and build exactly one ``PermRep``, both inside
-        ``cover_from_subgroup``: the carried monodromy.  The readers after
+        ``cover_from_subgroup``: the carried monodromy, which
+        ``_sheet_rows`` builds by ``PermRep._of_moves``.  The readers after
         it transport and build nothing."""
         transports = self.transports(monkeypatch)
-        init, built = PermRep._init, []
+        of_moves, built = PermRep._of_moves, []
 
-        def counted(rep, *args):
-            built.append(rep)
-            return init(rep, *args)
+        def counted(cls, *args):
+            built.append(of_moves(*args))
+            return built[-1]
 
-        monkeypatch.setattr(PermRep, "_init", counted)
+        monkeypatch.setattr(PermRep, "_of_moves", classmethod(counted))
         for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8),
                     pc.translation_kernel_rep(2, 4), dihedral_natural_rep(48)):
             for base in (pc.bouquet_graph(2), theta_graph()):
@@ -870,15 +871,17 @@ class TestBuiltNotChecked:
             self, monkeypatch, constructed_values_equal_the_checked_ones):
         """With the guards off, the calls of one ``covers`` benchmark
         request build no ``Covering`` in ``as_covering``, validate no
-        ``GraphMorphism`` and no ``FiniteGraph``, and walk the components
-        of no graph: the deck quotient and the kernel quotient too.  The
-        bases are built and walked first, as the benchmark's set-up graphs
-        are in its first pass."""
+        ``GraphMorphism``, no ``FiniteGraph`` and no ``PermRep``, and walk
+        the components of no graph: the deck quotient and the kernel
+        quotient too.  The bases are built and walked first, as the
+        benchmark's set-up graphs are in its first pass, and the actions
+        are built first, as its inputs are."""
         bases = (pc.bouquet_graph(2), theta_graph())
         assert all(map(pc.is_connected, bases))
+        reps = (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8))
         seen = record_constructions(
             monkeypatch, constructed_values_equal_the_checked_ones)
-        for rep in (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8)):
+        for rep in reps:
             for base in bases:
                 cover, a, cov = cover_from_subgroup(base, "v0", rep)
                 deck = deck_group(cov)
@@ -890,6 +893,7 @@ class TestBuiltNotChecked:
                 assert (len(qg.vertices), qg.edge_count()) == \
                     (len(base.vertices), base.edge_count())
         assert seen.validated == [] and seen.graphs == [] and seen.walks == []
+        assert seen.permreps == []
         assert seen.builders and "as_covering" not in seen.builders
 
     def test_a_covers_request_searches_the_normalizer_once(self, monkeypatch):

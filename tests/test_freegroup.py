@@ -1,5 +1,6 @@
 import builtins
 import functools
+import math
 import random
 import time
 
@@ -248,6 +249,13 @@ class TestEquivalence:
         assert not rep_equivalent(a, b)
         assert subgroup_leq(a, a.canonical())
 
+    @pytest.mark.parametrize("point", [-1, -3, 3, 4])
+    def test_rebasing_at_no_point_is_refused(self, point):
+        """``rebased`` builds its relabelled action unchecked, so a point
+        outside 0..degree-1 is refused before any label is made."""
+        with pytest.raises(ValueError, match="out of range"):
+            PermRep(2, 3, [(1, 0, 2), (0, 2, 1)]).rebased(point)
+
 
 class TestLowIndex:
     def test_rank_two_counts(self):
@@ -451,27 +459,40 @@ def perm_lists(draw):
 
 
 class TestConstructorAgainstOracle:
-    """The constructor with its row memo against the one it replaced,
-    which sorted every row of every table: same tables, same errors."""
+    """The constructor against the one it replaced, which sorted every row
+    of every table: same tables, same errors; and the enumeration's
+    trusted build against that oracle."""
 
     @pytest.mark.parametrize("rank, max_degree",
                              [(1, 5), (2, 5), (3, 5), (5, 3)])
     def test_every_enumerated_table(self, rank, max_degree):
         for rep in low_index_reps(rank, max_degree):
-            want = validating_permrep(rank, rep.degree, rep.perms)
-            assert rep._moves == want._moves
-            assert rep.perms == want.perms
+            assert vars(rep) == vars(validating_permrep(rank, rep.degree,
+                                                        rep.perms))
+
+    def test_the_oracles_value_answers_every_query(self):
+        """The oracle's value carries every attribute the constructor
+        sets, so the queries that fill a cache on first use run on it."""
+        rep = validating_permrep(1, 3, [(1, 2, 0)])
+        assert vars(rep) == vars(PermRep(1, 3, [(1, 2, 0)]))
+        assert normalizer_points(rep) == (0, 1, 2)
+        assert len(rep.schreier_generators()) == 1
+        assert rep.canonical_key() == (1, 3, ((1, 2, 0),))
 
     @settings(max_examples=300, deadline=None)
     @given(perm_lists())
     def test_valid_and_invalid_tables(self, case):
         rank, degree, tables = case
-        checked: dict = {}
         for perms in tables:
             want = construction(validating_permrep, rank, degree, perms)
             assert construction(PermRep, rank, degree, perms) == want
-            assert construction(PermRep._with_memo, rank, degree, perms,
-                                checked) == want
+            try:
+                oracle = validating_permrep(rank, degree, perms)
+            except (TypeError, ValueError):
+                continue
+            # on the rows the oracle proved, the trusted build is its value
+            assert vars(PermRep._of_moves(rank, degree, oracle._moves)) == \
+                vars(oracle)
 
     def test_errors_match(self):
         for args in [(1, 4, [(1, 0, 3, 2)]), (2, 3, [(0, 1, 2)]),
@@ -482,21 +503,44 @@ class TestConstructorAgainstOracle:
         _, _, orbits = construction(PermRep, 2, 5, [(1, 0, 2, 4, 3)] * 2)
         assert orbits == ((0, 1), (2,), (3, 4))
 
-    def test_each_distinct_row_is_sorted_once(self, monkeypatch):
+    def test_each_distinct_row_is_sorted_once(
+            self, monkeypatch, constructed_values_equal_the_checked_ones):
+        """At most once, and in fact never: the search fills each row with
+        its inverse, so the enumeration neither checks nor inverts a row
+        by sorting it.  The guard, which checks by sorting, is turned off."""
+        monkeypatch.setattr(PermRep, "_of_moves", classmethod(
+            constructed_values_equal_the_checked_ones.unguarded_of_moves))
         checked = []
 
         def counting_sorted(iterable, **kwargs):
-            if not kwargs:  # the permutation check; the inverse passes a key
-                checked.append(tuple(iterable))
+            checked.append(tuple(iterable))
             return builtins.sorted(iterable, **kwargs)
 
         monkeypatch.setattr(freegroup, "sorted", counting_sorted, raising=False)
         reps = low_index_reps(5, 3)
         assert len(reps) == sum(subgroup_count(5, n) for n in (1, 2, 3))
-        assert len(checked) == len(set(checked)) <= 1 + 2 + 6
+        assert checked == []
+
+    @pytest.mark.parametrize("rank, max_degree, normal_only",
+                             [(1, 5, False), (2, 4, False), (3, 3, False),
+                              (2, 4, True)])
+    def test_tables_of_one_degree_share_their_rows(self, rank, max_degree,
+                                                   normal_only):
+        """The rows of the enumerated tables are interned per degree: equal
+        rows are one tuple, so the tables of degree n hold at most n! row
+        objects, one per permutation."""
+        reps = low_index_reps(rank, max_degree, normal_only)
+        for degree in range(1, max_degree + 1):
+            rows = [r for rep in reps if rep.degree == degree
+                    for r in rep._moves]
+            assert len({id(r) for r in rows}) == len(set(rows)) \
+                <= math.factorial(degree)
 
     def test_memo_does_not_outlive_the_enumeration(self):
-        low_index_reps(1, 3)  # checks the row (1, 2, 0) of degree 3
+        """An enumeration leaves the public constructor's checks as they
+        are: rows it has built are still refused at another degree, and a
+        table it never yields is still refused as intransitive."""
+        low_index_reps(1, 3)  # builds the row (1, 2, 0) of degree 3
         with pytest.raises(ValueError) as err:
             PermRep(1, 4, [(1, 2, 0)])
         assert type(err.value) is ValueError

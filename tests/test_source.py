@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import importlib
 import pathlib
 import re
 
@@ -279,10 +280,53 @@ def test_graph_maps_are_validated_only_where_documents_enter():
         "graphs.py": ["from_edges", "quotient"]}
 
 
+def test_coset_actions_are_validated_only_where_documents_enter():
+    """Coset actions follow the rule of graphs and maps.  The one
+    validating ``PermRep`` construction in the library is in the action
+    document reader.  Every action the library derives is built by
+    ``PermRep._of_moves``: the low-index search, relabelling, the
+    translation actions and the monodromy of the sheet transport, with
+    the proof where it is built."""
+    assert validating_sites("PermRep", {"PermRep"}) == {
+        "formats.py": ["rep_from_obj"]}
+    assert validating_sites("", {"_of_moves"}) == {
+        "covering.py": ["_sheet_rows"],
+        "freegroup.py": ["low_index_reps", "rebased", "translation_kernel_rep"]}
+
+
+def test_every_trusted_constructor_is_guarded(
+        constructed_values_equal_the_checked_ones):
+    """Every trusted constructor, a classmethod of a top-level library
+    class that builds an instance with ``cls.__new__(cls)`` past the checks
+    of ``__init__``, is wrapped by the autouse guard of
+    ``tests/conftest.py``, which compares what it builds with the checking
+    constructor's value; a new one that the guard misses fails here."""
+    found = {(name, cls.name, f.name) for name, tree in library_trees()
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for f in cls.body if isinstance(f, ast.FunctionDef)
+             and any(getattr(d, "id", None) == "classmethod"
+                     for d in f.decorator_list)
+             and any(isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Attribute)
+                     and n.func.attr == "__new__"
+                     and getattr(n.func.value, "id", None) == "cls"
+                     for n in ast.walk(f))}
+    assert found == {("freegroup.py", "PermRep", "_of_moves"),
+                     ("graphs.py", "Congruence", "_of_partition"),
+                     ("graphs.py", "FiniteGraph", "_of_tables"),
+                     ("graphs.py", "GraphMorphism", "_of_maps")}
+    conftest = pathlib.Path(__file__).with_name("conftest.py")
+    for module, cls, method in sorted(found):
+        built = getattr(getattr(importlib.import_module(
+            "procover." + module[:-3]), cls), method)
+        assert pathlib.Path(built.__func__.__code__.co_filename) == conftest, \
+            (module, cls, method)
+
+
 def test_covering_builds_a_permrep_only_in_the_sheet_transport():
-    """``covering.py`` calls ``PermRep`` only inside ``_sheet_rows``, the
-    one derivation of sheet coordinates; a constructed cover carries that
-    function's own result.
+    """``covering.py`` builds a ``PermRep`` (by ``PermRep._of_moves``) only
+    inside ``_sheet_rows``, the one derivation of sheet coordinates; a
+    constructed cover carries that function's own result.
 
     A second derivation, such as relabelling the given action into the
     fiber order, would need a proof that it agrees with the transport.
@@ -292,7 +336,7 @@ def test_covering_builds_a_permrep_only_in_the_sheet_transport():
     def permrep_calls(node):
         return {n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
                 and getattr(n.func, "id", getattr(n.func, "attr", None))
-                == "PermRep"}
+                in ("PermRep", "_of_moves")}
 
     transport = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef)

@@ -832,10 +832,11 @@ class TestTowerInvariants:
 def test_a_towers_request_checks_nothing(
         monkeypatch, constructed_values_equal_the_checked_ones):
     """With the guards off, the calls of one ``towers`` benchmark request
-    validate no ``GraphMorphism`` and no ``FiniteGraph``: levels, base and
-    cover steps, induced maps, identities, composites and every quotient
-    graph are all built.  Only the spec's base, which enters from outside,
-    has its components walked; every graph derived from it carries them."""
+    validate no ``GraphMorphism``, no ``FiniteGraph`` and no ``PermRep``:
+    levels, base and cover steps, induced maps, identities, composites,
+    every quotient graph and every coset action are all built.  Only the
+    spec's base, which enters from outside, has its components walked;
+    every graph derived from it carries them."""
     spec = b2_homology_spec()
     seen = record_constructions(
         monkeypatch, constructed_values_equal_the_checked_ones)
@@ -845,7 +846,7 @@ def test_a_towers_request_checks_nothing(
     assert deck_tower(t).orders == [1, 4, 16]
     assert limit_fiber_report(t, "v0").sizes == [1, 4, 16]
     pi1_triviality_check(t, 2)
-    assert seen.validated == [] and seen.graphs == []
+    assert seen.validated == [] and seen.graphs == [] and seen.permreps == []
     assert [g is spec.base for g in seen.walks] == [True]
 
 
