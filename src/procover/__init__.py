@@ -12,6 +12,7 @@ from .graphs import (
     GraphError,
     GraphMorphism,
     InducedMapError,
+    Pi1Data,
     SpanningTreeData,
     VerdictError,
     bouquet_graph,
@@ -21,6 +22,7 @@ from .graphs import (
     induced_quotient_map,
     is_connected,
     kernel_congruence,
+    pi1_data,
     quotient,
     spanning_tree,
     validate_graph,
@@ -47,7 +49,6 @@ from .covering import (
     GroupAction,
     LiftObstruction,
     NotACoveringError,
-    Pi1Data,
     RegularityReport,
     action_deck_indices,
     as_covering,
@@ -57,7 +58,6 @@ from .covering import (
     is_regular,
     lift,
     path_to_word,
-    pi1_data,
     quotient_by_deck_subgroup,
     quotient_by_group,
 )

@@ -23,7 +23,14 @@ from functools import lru_cache
 
 from . import formats
 from .formats import FormatError, REPORT_FORMAT
-from .graphs import GraphError, VerdictError, is_connected, quotient, validate_graph
+from .graphs import (
+    GraphError,
+    VerdictError,
+    is_connected,
+    pi1_data,
+    quotient,
+    validate_graph,
+)
 from .freegroup import (
     DEFAULT_MAX_WORK,
     ResourceLimitError,
@@ -38,7 +45,6 @@ from .covering import (
     image_subgroup,
     is_regular,
     lift,
-    pi1_data,
     quotient_by_deck_subgroup,
     quotient_by_group,
 )
@@ -170,7 +176,7 @@ def cmd_cover_from_rep(args):
     rep = formats.load_rep(args.rep)
     base = _default_basepoint(g, args.base)
     p = pi1_data(g, base)
-    cover, basepoint, cov = cover_from_subgroup(g, base, rep, _pi1=p)
+    cover, basepoint, cov = cover_from_subgroup(g, base, rep)
     verdict = is_regular(cov)
     image = image_subgroup(cov, basepoint, p)
     details = {
@@ -316,6 +322,13 @@ def cmd_good_pair(args):
 def cmd_low_index(args):
     reps = low_index_reps(args.rank, args.max_degree,
                           normal_only=args.normal, max_work=args.max_work)
+    # the report has one row per degree, charged before any is built; at
+    # rank >= 1 every degree has a subgroup, so the enumeration has refused
+    if args.max_degree > args.max_work:
+        raise ResourceLimitError(
+            "the low-index report has %d index rows (one per degree), above "
+            "the work bound %d; raise --max-work to proceed"
+            % (args.max_degree, args.max_work))
     counts: dict[int, int] = {}
     for rep in reps:
         counts[rep.degree] = counts.get(rep.degree, 0) + 1

@@ -8,10 +8,11 @@ from the lift table), computes deck transformation groups, decides
 regularity, and forms quotients by free group actions and by deck subgroups.
 Its covers are coverings by construction (Stallings, 1983), proved where built.
 
-Monodromy, deck groups and regularity rest on one lift of a spanning tree,
-which gives the cover's sheet rows and the monodromy on one fiber.  A cover
-built by the voltage construction carries both, from the one lift taken
-when it is built, and is not transported again.  For a connected cover
+A covering is its map: fibers and degrees are read off it, and so are the
+sheet coordinates.  Monodromy, deck groups and regularity rest on one lift
+of a spanning tree, which gives the cover's sheet rows and the monodromy on
+one fiber; every covering takes it once, at its first vertex, when it is
+first read, and keeps it.  For a connected cover
 with monodromy subgroup H at a fiber point, the deck transformations
 correspond to the fiber points whose stabilizer equals H, that is to
 N(H)/H, and the cover is regular exactly when every fiber point qualifies
@@ -39,12 +40,13 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     GraphMorphism,
+    Pi1Data,
     VerdictError,
     components,
     edge_stem,
     is_connected,
+    pi1_data,
     quotient,
-    spanning_tree,
     validate_graph,
 )
 from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
@@ -83,43 +85,63 @@ class ActionError(VerdictError):
 
 
 class Covering:
-    """A locally bijective morphism, checked or proved so, with its lift table.
+    """A locally bijective morphism, checked or proved so, and what its map
+    determines, each derived once, on first read, and kept.
 
     ``lifts[u]`` maps each dart at the image of cover vertex ``u`` to the
-    one dart at ``u`` over it: :func:`as_covering` builds it while checking
-    local bijectivity, :func:`cover_from_subgroup` while building the
-    cover, and lifts and monodromy read it.  A covering made by an orbit
-    quotient is given none and reads it off the stars when first asked.
-
-    ``degree`` is the common fiber size; over a disconnected codomain it is
-    the shared value of the per-component fiber sizes, or None when the
-    components disagree (``component_degrees`` always has the detail).
-
-    A cover that :func:`cover_from_subgroup` builds also carries its sheet
-    coordinates at its first vertex, ``_sheets = (p, rows, rep)``: the
-    :class:`Pi1Data` ``p`` at that vertex's image, and the sheet rows and
-    monodromy that :func:`_sheet_rows` gave for ``p``, with the first vertex
-    in sheet 0, when the cover was built.  :func:`deck_group`,
-    :func:`is_regular` and :func:`image_subgroup` read them; any other
-    cover has None and is transported when read.
+    one dart at ``u`` over it.  :func:`as_covering` and
+    :func:`cover_from_subgroup` pass the table they build anyway; any other
+    covering reads it off the stars.  ``vertex_fibers[u]`` lists the
+    vertices over base vertex ``u`` in id order.  ``component_degrees``
+    holds the fiber size at the first vertex of each base component, and
+    ``degree`` their shared value, or None when they disagree.  Between
+    valid graphs (:func:`~procover.graphs.validate_graph`) fiber sizes
+    agree along every base dart ``d``: one dart over ``d`` starts at each
+    vertex over its source, and ``inv`` sends those one to one onto the
+    darts over ``inv(d)``, one at each vertex over its target.
     """
 
-    def __init__(self, map: GraphMorphism, lifts, vertex_fibers, degree,
-                 component_degrees):
+    def __init__(self, map: GraphMorphism, lifts: dict | None = None):
         self.map = map
         if lifts is not None:
             self.lifts = lifts
-        self.vertex_fibers = vertex_fibers
-        self.degree = degree
-        self.component_degrees = component_degrees
-        self._sheets = None
 
     @cached_property
     def lifts(self) -> dict:
-        """The lift table read off the stars, for a covering constructed
-        without one: its map is locally bijective by the proof where it is
-        built, so each star maps one to one onto the star below."""
+        """The lift table read off the stars: the map is locally bijective,
+        so each star maps one to one onto the star below."""
         return _star_lifts(self.map)
+
+    @cached_property
+    def vertex_fibers(self) -> dict:
+        fibers = {u: [] for u in self.codomain.vertices}
+        vertices = self.domain.vertices
+        for v, u in zip(vertices, map(self.map.vmap.__getitem__, vertices)):
+            fibers[u].append(v)
+        return {u: tuple(vs) for u, vs in fibers.items()}
+
+    @cached_property
+    def component_degrees(self) -> tuple:
+        fibers = self.vertex_fibers
+        return tuple((comp[0], len(fibers[comp[0]]))
+                     for comp in components(self.codomain))
+
+    @cached_property
+    def degree(self) -> int | None:
+        sizes = {n for _, n in self.component_degrees}
+        return sizes.pop() if len(sizes) == 1 else None
+
+    @cached_property
+    def _sheets(self) -> tuple[dict, PermRep]:
+        """:func:`_sheet_rows` at the first vertex ``a0``, with
+        :func:`pi1_data` at its image: ``a0`` is the least of its fiber, so
+        fiber point k is in sheet k.  Cover and base must be connected."""
+        if not self.domain.vertices:
+            raise ValueError("the cover has no vertices")
+        if not is_connected(self.domain) or not is_connected(self.codomain):
+            raise ValueError("cover and base must be connected")
+        a0 = self.domain.vertices[0]
+        return _sheet_rows(self, a0, pi1_data(self.codomain, self.map.vmap[a0]))
 
     @property
     def domain(self) -> FiniteGraph:
@@ -161,69 +183,7 @@ def as_covering(f: GraphMorphism) -> Covering:
             raise NotACoveringError(
                 v, "star maps onto %d of %d darts at %r"
                 % (len(star), len(below[u]), u))
-    vertex_fibers = {u: [] for u in cod.vertices}
-    for v in dom.vertices:
-        vertex_fibers[vmap[v]].append(v)
-    vertex_fibers = {u: tuple(vs) for u, vs in vertex_fibers.items()}
-    component_degrees = []
-    for comp in components(cod):
-        sizes = {len(vertex_fibers[u]) for u in comp}
-        if len(sizes) != 1:
-            raise RuntimeError("fiber sizes differ inside one component "
-                               "(internal error)")
-        component_degrees.append((comp[0], sizes.pop()))
-    sizes = {n for _, n in component_degrees}
-    degree = sizes.pop() if len(sizes) == 1 else None
-    return Covering(f, lifts, vertex_fibers, degree, tuple(component_degrees))
-
-
-class Pi1Data:
-    """Free-group coordinates on a connected graph.
-
-    A spanning tree plus one chosen orientation of each non-tree edge pair;
-    the k-th basis dart stands for the generator ``x_k`` of the fundamental
-    group at the basepoint.  rank = edge pairs - vertices + 1.
-    """
-
-    def __init__(self, graph, basepoint, tree, basis_darts):
-        self.graph = graph
-        self.basepoint = basepoint
-        self.tree = tree
-        self.basis_darts = tuple(basis_darts)
-        self.rank = len(self.basis_darts)
-        self._letter: dict[str, tuple[int, int]] = {}
-        for k, d in enumerate(self.basis_darts):
-            self._letter[d] = (k, 1)
-            self._letter[graph.inv[d]] = (k, -1)
-
-    def letter(self, d: str) -> tuple[int, int] | None:
-        """Generator letter carried by a dart; None on tree darts."""
-        if d in self.tree.tree_darts:
-            return None
-        return self._letter[d]
-
-    def basis_loop(self, k: int) -> tuple[str, ...]:
-        """The closed path at the basepoint representing generator x_k:
-        tree path out, the basis dart, tree path back."""
-        d = self.basis_darts[k]
-        g = self.graph
-        out = self.tree.path_from_root(g.src[d])
-        back = self.tree.path_from_root(g.target(d))
-        return out + (d,) + tuple(g.inv[x] for x in reversed(back))
-
-
-def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
-    """Spanning tree and non-tree basis at ``base`` (graph must be connected)."""
-    tree = spanning_tree(g, base)
-    basis = []
-    for d, e in g.dart_pairs():
-        if d not in tree.tree_darts:
-            basis.append(min(d, e))
-    basis.sort()
-    data = Pi1Data(g, base, tree, basis)
-    if data.rank != g.edge_count() - len(g.vertices) + 1:
-        raise RuntimeError("basis size is not the cycle rank (internal error)")
-    return data
+    return Covering(f, lifts)
 
 
 def path_to_word(p: Pi1Data, path: Iterable[str]) -> FreeWord:
@@ -248,22 +208,21 @@ def path_to_word(p: Pi1Data, path: Iterable[str]) -> FreeWord:
     return FreeWord(letters)
 
 
-def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
-                        _pi1: Pi1Data | None = None) -> tuple[FiniteGraph, str, Covering]:
+def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep
+                        ) -> tuple[FiniteGraph, str, Covering]:
     """Build the cover of ``base`` whose fundamental-group image is the
     subgroup of ``rep``, by the voltage construction.
 
     Sheets are the points of the action; tree darts stay in their sheet and
     the k-th basis dart moves sheets by the permutation of x_k.  Returns the
     cover, its basepoint (sheet 0 over ``basepoint``), and the projection.
-    A caller that holds ``pi1_data(base, basepoint)`` passes it as ``_pi1``.
 
     The projection is built, not checked; a base that
     :func:`~procover.graphs.validate_graph` rejects raises GraphError.  In
     sheet s an edge ``{d, e}`` lifts to a dart over ``d`` at the sheet-s
     vertex over ``src(d)`` and its inverse in sheet ``move(s)``, a
-    permutation, so each vertex has one dart over each dart at its image.
-    :func:`pi1_data` checks the base connected: degree n on one component.
+    permutation, so each vertex has one dart over each dart at its image,
+    and the lift table is filled on the way.
 
     The cover graph is built by
     :meth:`~procover.graphs.FiniteGraph._of_tables`.  Its ids are disjoint:
@@ -276,15 +235,11 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
     dart ids.  ``src`` and ``inv`` are filled on every dart.  It is connected:
     the base is, and the action is transitive (as every :class:`PermRep`
     is), so the tree lifts in each sheet and the basis darts join them.
-
-    The projection carries its sheet coordinates (:class:`Covering`): one
-    :func:`_sheet_rows` at the cover's first vertex, with :func:`pi1_data`
-    at that vertex's image, taken here so that no reader transports.
     """
     bad = validate_graph(base)
     if bad:
         raise GraphError("base graph is invalid: %(kind)s at %(witness)r" % bad[0])
-    p = pi1_data(base, basepoint) if _pi1 is None else _pi1
+    p = pi1_data(base, basepoint)
     if rep.rank != p.rank:
         raise ValueError("rep rank %d does not match the base rank %d"
                          % (rep.rank, p.rank))
@@ -317,13 +272,8 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep,
         raise GraphError("duplicate dart ids")
     cover = FiniteGraph._of_tables(tuple(vertices), tuple(sorted(src)), src, inv,
                                    connected=True)
-    cov = Covering(GraphMorphism._of_maps(cover, base, vmap, dmap), lifts,
-                   {v: tuple(sorted(row)) for v, row in names.items()}, n,
-                   ((base.vertices[0], n),))
-    a0 = cover.vertices[0]
-    q = p if vmap[a0] == basepoint else pi1_data(base, vmap[a0])
-    cov._sheets = (q, *_sheet_rows(cov, a0, q))
-    return cover, names[basepoint][0], cov
+    return cover, names[basepoint][0], Covering(
+        GraphMorphism._of_maps(cover, base, vmap, dmap), lifts)
 
 
 def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
@@ -342,9 +292,8 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
     inverse dart, start at distinct vertices, and a row of ``rows`` holds
     the whole fiber.  The lift of the inverse dart from the end of a lift
     is that lift reversed, so the second row inverts the first.  The action
-    is transitive because the cover is connected: ``cover_from_subgroup``
-    builds a connected cover, and :func:`image_subgroup` and
-    :func:`_first_fiber_monodromy` check it."""
+    is transitive because the cover is connected, as :func:`image_subgroup`
+    and :attr:`Covering._sheets` check."""
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
     rows = {p.basepoint: [a] + [x for x in c.vertex_fibers[p.basepoint]
@@ -362,9 +311,9 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
 
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     """Monodromy of the base fundamental group on the fiber through ``a``,
-    read off the sheet rows (:func:`_sheet_rows`), or off the carried
-    coordinates when ``a`` is the cover's first vertex and ``p`` has their
-    spanning tree and basis.
+    read off the sheet rows (:func:`_sheet_rows`): the covering's kept
+    ones when ``a`` is its first vertex and ``p`` is the kept
+    :func:`pi1_data` there.
 
     The fiber point ``a`` is labelled 0, so the stabilizer of 0 is the image
     of the cover's fundamental group at ``a``.  Degree = covering degree.
@@ -378,12 +327,8 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
                          % (a, c.map.vmap[a], p.basepoint))
     if not is_connected(c.domain):
         raise ValueError("cover is not connected")
-    if c._sheets is not None and a == c.domain.vertices[0]:
-        q, _rows, rep = c._sheets
-        # _sheet_rows reads only the tree's parent darts and the basis
-        if (p.tree.parent_dart == q.tree.parent_dart
-                and p.basis_darts == q.basis_darts):
-            return rep
+    if a == c.domain.vertices[0] and p is c.codomain._pi1.get(p.basepoint):
+        return c._sheets[1]
     return _sheet_rows(c, a, p)[1]
 
 
@@ -529,21 +474,6 @@ def _moved(rows, phi):
     return chain.from_iterable(map(row.__getitem__, phi) for row in rows)
 
 
-def _first_fiber_monodromy(c: Covering) -> tuple[dict, PermRep]:
-    """:func:`_sheet_rows` of a connected cover over a connected base at
-    its first vertex ``a0``, which is the least of its fiber, so fiber
-    point k is in sheet k: the carried coordinates when the cover has
-    them (:class:`Covering`)."""
-    if not c.domain.vertices:
-        raise ValueError("the cover has no vertices")
-    if not is_connected(c.domain) or not is_connected(c.codomain):
-        raise ValueError("cover and base must be connected")
-    if c._sheets is not None:
-        return c._sheets[1:]
-    a0 = c.domain.vertices[0]
-    return _sheet_rows(c, a0, pi1_data(c.codomain, c.map.vmap[a0]))
-
-
 def deck_group(c: Covering) -> DeckGroup:
     """All covering transformations of a connected cover of a connected base.
 
@@ -552,7 +482,7 @@ def deck_group(c: Covering) -> DeckGroup:
     monodromy action with that image of 0: the deck group is N(H)/H, and
     its elements come in the fiber order of the normalizer points
     (:func:`normalizer_points`), the identity first.  The sheet rows and
-    the monodromy come from one :func:`_first_fiber_monodromy`; the sheet-k
+    the monodromy are the covering's (:attr:`Covering._sheets`); the sheet-k
     dart over a base dart ``d`` is the dart over ``d`` at the sheet-k vertex
     over its source.  The element of an automorphism ``phi`` sends the
     sheet-k vertex or dart over each base element to the sheet-``phi[k]``
@@ -572,7 +502,7 @@ def deck_group(c: Covering) -> DeckGroup:
     check, only when it is read (:meth:`DeckGroup.element`,
     :attr:`DeckGroup.elements`).
     """
-    rows, rep = _first_fiber_monodromy(c)
+    rows, rep = c._sheets
     base, lifts = c.codomain, c.lifts
     vrows = list(rows.values())
     drows = [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
@@ -629,8 +559,7 @@ def is_regular(c: Covering) -> RegularityReport:
     (:func:`normalizer_points`), and the cover is regular exactly when that
     is the whole fiber.  No deck transformation is constructed.
     """
-    _rows, rep = _first_fiber_monodromy(c)
-    deck_order = len(normalizer_points(rep))
+    deck_order = len(normalizer_points(c._sheets[1]))
     regular = deck_order == c.degree
     return RegularityReport(regular=regular, degree=c.degree,
                             deck_order=deck_order, image_normal=regular,
@@ -763,16 +692,12 @@ def _orbit_quotient(graph: FiniteGraph, vertex_orbits, dart_orbits
     :meth:`Congruence._of_partition` checks.  A free action leaves each
     dart orbit at the orbit of ``u`` one member at ``u``, so the orbit map
     is locally bijective and its lift table is left to the first read
-    (:attr:`Covering.lifts`), and every orbit one member per group
-    element, the degree.
+    (:attr:`Covering.lifts`).
     """
     classes = [sorted(map(sorted, orbits))
                for orbits in (vertex_orbits, dart_orbits)]
-    r = Congruence._of_partition(graph, *classes)
-    qg, proj = quotient(graph, r)
-    n = len(classes[0][0])
-    return qg, Covering(proj, None, {c[0]: c for c in r.vertex_classes}, n,
-                        ((qg.vertices[0], n),))
+    qg, proj = quotient(graph, Congruence._of_partition(graph, *classes))
+    return qg, Covering(proj)
 
 
 def _orbits(points, images) -> list[set]:
@@ -816,8 +741,7 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     sheet positions by its automorphisms, and over every base vertex and
     base dart the K-orbits are the entries of its row at one K-orbit of
     positions.  So the two maps compose dart-for-dart to the original, as
-    every entry of a row lies over the row's base element, and their
-    degrees multiply to its degree, as K acts freely.  Connectivity is
+    every entry of a row lies over the row's base element.  Connectivity is
     checked by :func:`deck_group`, and closure and freeness are proved by
     the forced map (:func:`~procover.freegroup._automorphisms`); no deck
     transformation inverts an edge, as the covering map would send a dart
@@ -841,8 +765,4 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     cv, cd = c.map.vmap, c.map.dmap
     vmap = {v: cv[v] for v in qg.vertices}
     dmap = {d: cd[d] for d in qg.darts}
-    m = c.degree // h_map.degree
-    return qg, h_map, Covering(
-        GraphMorphism._of_maps(qg, c.codomain, vmap, dmap), None,
-        {u: tuple(filter(qg._vertex_set.__contains__, vs))
-         for u, vs in c.vertex_fibers.items()}, m, ((c.codomain.vertices[0], m),))
+    return qg, h_map, Covering(GraphMorphism._of_maps(qg, c.codomain, vmap, dmap))

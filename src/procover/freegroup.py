@@ -660,7 +660,9 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     exceeds ``max_work``; the bound counts all subgroups even when only
     normal ones are kept, so refusals do not depend on ``normal_only`` and
     overestimate the pruned search's work.  The count stops at the first
-    degree where its running total passes the bound.  For rank >= 1 the
+    degree where its running total passes the bound.  Through degree n the
+    total is 1 at rank 0 and n at rank 1, so those ranks take it in closed
+    form; rank 0 has no subgroup of degree above 1.  For rank >= 2 the
     total at degree 2 is exactly 2^rank, so a rank that makes it pass the
     bound is refused before any count is built.
     """
@@ -670,23 +672,30 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
     def refuse(count: str, n: int):
         return ResourceLimitError(
             "enumeration of rank %s, degree <= %s would visit at least %s "
-            "subgroups (those of degree <= %d), above the work bound %s; "
+            "subgroups (those of degree <= %s), above the work bound %s; "
             "raise max_work to proceed"
-            % (_decimal(rank), _decimal(max_degree), count, n,
+            % (_decimal(rank), _decimal(max_degree), count, _decimal(n),
                _decimal(max_work)))
 
-    if rank >= 1 and max_degree >= 2 and max_work >= 1 \
-            and rank >= max_work.bit_length():
+    top = max_degree
+    if rank <= 1:
+        # the first degree whose running total passes the bound, if any
+        first = 1 if max_work < 1 else max_work + 1 if rank else None
+        if first is not None and first <= max_degree:
+            raise refuse(_count(first), first)
+        top = max_degree if rank else 1
+    elif max_degree >= 2 and max_work >= 1 and rank >= max_work.bit_length():
         # 1 <= max_work < 2^rank: degree 1 passes, the total at 2 does not
         raise refuse("2^%s" % _decimal(rank) if rank >= 64
                      else _count(1 << rank), 2)
-    predicted = 0
-    for n in range(1, max_degree + 1):
-        predicted += subgroup_count(rank, n)
-        if predicted > max_work:
-            raise refuse(_count(predicted), n)
+    else:
+        predicted = 0
+        for n in range(1, max_degree + 1):
+            predicted += subgroup_count(rank, n)
+            if predicted > max_work:
+                raise refuse(_count(predicted), n)
     return [PermRep._of_moves(rank, degree, moves)
-            for degree in range(1, max_degree + 1)
+            for degree in range(1, top + 1)
             for moves in _canonical_tables(rank, degree, normal_only)]
 
 

@@ -13,10 +13,12 @@ inputs always produce identical outputs.
 
 Immutability is also what makes the lazily filled caches safe: a graph
 keeps its component partition after the first :func:`components` call (a
-graph derived connected carries it from its construction) and its
-equality key after the first comparison, and a morphism keeps its hash
-after the first ``hash()``.  Each is a pure function of the value, so a
-racing second computation stores the same answer.
+graph derived connected carries it from its construction), its
+fundamental-group coordinates at a basepoint after the first
+:func:`pi1_data` call there and its equality key after the first
+comparison, and a morphism keeps its hash after the first ``hash()``.
+Each is a pure function of the value, so a racing second computation
+stores the same answer.
 """
 
 from __future__ import annotations
@@ -124,14 +126,15 @@ class FiniteGraph:
         return g
 
     def _index(self, components=None) -> None:
-        """The star of each vertex, from the tables, and the component
-        partition when it is known."""
+        """The star of each vertex, from the tables, the component
+        partition when it is known, and no :class:`Pi1Data` yet."""
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
         for d, v in zip(self.darts, map(self.src.__getitem__, self.darts)):
             if v in star:
                 star[v].append(d)
         self._star = {v: tuple(ds) for v, ds in star.items()}
         self._components: tuple[tuple[str, ...], ...] | None = components
+        self._pi1: dict[str, Pi1Data] = {}
 
     @cached_property
     def _key(self) -> tuple:
@@ -343,6 +346,59 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
         raise GraphError("graph is not connected: %r unreachable from %r"
                          % (sorted(set(g.vertices) - seen)[0], root))
     return SpanningTreeData(g, root, tree, parent)
+
+
+class Pi1Data:
+    """Free-group coordinates on a connected graph.
+
+    A spanning tree plus one chosen orientation of each non-tree edge pair;
+    the k-th basis dart stands for the generator ``x_k`` of the fundamental
+    group at the basepoint.  rank = edge pairs - vertices + 1.
+    """
+
+    def __init__(self, graph, basepoint, tree, basis_darts):
+        self.graph = graph
+        self.basepoint = basepoint
+        self.tree = tree
+        self.basis_darts = tuple(basis_darts)
+        self.rank = len(self.basis_darts)
+        self._letter: dict[str, tuple[int, int]] = {}
+        for k, d in enumerate(self.basis_darts):
+            self._letter[d] = (k, 1)
+            self._letter[graph.inv[d]] = (k, -1)
+
+    def letter(self, d: str) -> tuple[int, int] | None:
+        """Generator letter carried by a dart; None on tree darts."""
+        if d in self.tree.tree_darts:
+            return None
+        return self._letter[d]
+
+    def basis_loop(self, k: int) -> tuple[str, ...]:
+        """The closed path at the basepoint representing generator x_k:
+        tree path out, the basis dart, tree path back."""
+        d = self.basis_darts[k]
+        g = self.graph
+        out = self.tree.path_from_root(g.src[d])
+        back = self.tree.path_from_root(g.target(d))
+        return out + (d,) + tuple(g.inv[x] for x in reversed(back))
+
+
+def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
+    """Spanning tree and non-tree basis at ``base`` (graph must be connected).
+
+    Built on the first call for ``base`` and kept on the graph, which is
+    immutable, like its components; later calls return the kept value.
+    """
+    data = g._pi1.get(base)
+    if data is None:
+        tree = spanning_tree(g, base)
+        # the basis in id order: the smaller dart of each non-tree pair
+        data = Pi1Data(g, base, tree, (d for d, _e in g.dart_pairs()
+                                       if d not in tree.tree_darts))
+        if data.rank != g.edge_count() - len(g.vertices) + 1:
+            raise RuntimeError("basis size is not the cycle rank (internal error)")
+        g._pi1[base] = data
+    return data
 
 
 class GraphMorphism:

@@ -20,11 +20,13 @@ from .graphs import (
     GraphError,
     GraphMorphism,
     InducedMapError,
+    Pi1Data,
     VerdictError,
     compose,
     induced_quotient_map,
     is_connected,
     kernel_congruence,
+    pi1_data,
     quotient,
 )
 from .freegroup import (
@@ -39,14 +41,12 @@ from .freegroup import (
 from .covering import (
     Covering,
     NotACoveringError,
-    Pi1Data,
     as_covering,
     cover_from_subgroup,
     deck_group,
     is_regular,
     lift,
     path_to_word,
-    pi1_data,
 )
 
 
@@ -429,7 +429,7 @@ def universal_tower(spec: UniversalSpec) -> Tower:
                 % (i, rep.rank, i, p_i.rank))
         if not is_normal(rep):
             raise TowerError("subgroup %d is not normal" % i, witness=(i,))
-        cover, a_i, cov = cover_from_subgroup(delta, b_i, rep, _pi1=p_i)
+        cover, a_i, cov = cover_from_subgroup(delta, b_i, rep)
         levels.append((delta, b_i, p_i, cover, a_i, cov))
     base_steps = []
     cover_steps = []

@@ -58,10 +58,11 @@ def constructed_values_equal_the_checked_ones():
     and a component partition it carries must be the one a fresh walk
     finds.  A ``GraphMorphism._of_maps`` result must pass the public
     ``GraphMorphism(...)`` on the same maps and equal it; a ``Covering``
-    built anywhere but in ``as_covering`` must equal ``as_covering`` on its
-    map in the map, the lift table (with its key order), the fibers and
-    both degrees.  ``Covering.__init__`` is wrapped and tells
-    ``as_covering``'s own construction by its caller's code.  A
+    built anywhere but in ``as_covering`` must pass ``as_covering`` on its
+    map, and a lift table it is given, its one trusted input besides the
+    map, must equal ``as_covering``'s, with its key order.
+    ``Covering.__init__`` is wrapped and tells ``as_covering``'s own
+    construction by its caller's code.  A
     ``Congruence._of_partition`` result must pass the public
     ``Congruence(...)`` on the same classes and equal it in the classes
     and both representative maps.  A ``PermRep._of_moves`` result must
@@ -104,20 +105,16 @@ def constructed_values_equal_the_checked_ones():
             mismatches.append("%r: %s" % (m, exc))
         return m
 
-    def checked_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def checked_init(self, map, lifts=None):
+        init(self, map, lifts)
         if sys._getframe(1).f_code is as_covering.__code__:
             return
         try:
-            want = as_covering(self.map)
+            want = as_covering(map).lifts
         except covering.NotACoveringError as exc:
             mismatches.append("%r: %s" % (self, exc))
             return
-        if (self.map != want.map or self.lifts != want.lifts
-                or list(self.lifts) != list(want.lifts)
-                or self.vertex_fibers != want.vertex_fibers
-                or (self.degree, self.component_degrees)
-                != (want.degree, want.component_degrees)):
+        if lifts is not None and (lifts != want or list(lifts) != list(want)):
             mismatches.append(repr(self))
 
     def checked_of_partition(cls, base, vertex_classes, dart_classes):

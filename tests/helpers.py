@@ -76,19 +76,18 @@ def record_constructions(monkeypatch, guard):
     return seen
 
 
-def record_pi1_data(monkeypatch) -> list:
-    """Record each library call of ``pi1_data`` as (graph, basepoint),
-    passing it through: the name is patched in every library module that
-    calls it, so calls made by the tests themselves are not recorded."""
-    from procover import cli, covering
-    build, calls = covering.pi1_data, []
+def record_spanning_trees(monkeypatch) -> list:
+    """Record each spanning tree that ``pi1_data`` builds as (graph, root),
+    passing it through.  Only ``pi1_data`` calls ``spanning_tree`` by its
+    name in ``procover.graphs``, so a direct ``pc.spanning_tree`` call made
+    by a test is not recorded."""
+    build, calls = graphs.spanning_tree, []
 
-    def recorded(g, base):
-        calls.append((g, base))
-        return build(g, base)
+    def recorded(g, root):
+        calls.append((g, root))
+        return build(g, root)
 
-    for module in (covering, towers, cli):
-        monkeypatch.setattr(module, "pi1_data", recorded)
+    monkeypatch.setattr(graphs, "spanning_tree", recorded)
     return calls
 
 
@@ -882,10 +881,13 @@ def checked_kernel_congruence(f: pc.GraphMorphism) -> pc.Congruence:
     return pc.Congruence(f.domain, vfib.values(), dfib.values())
 
 
-def old_as_covering(f: pc.GraphMorphism) -> pc.Covering:
+def old_as_covering(f: pc.GraphMorphism) -> SimpleNamespace:
     """Oracle for ``pc.as_covering``: the recognizer it replaced, which
     walks the sorted vertices, asks the graphs for each star and compares
-    each image star with a fresh set."""
+    each image star with a fresh set, and which computed the fibers and
+    degrees of every covering up front, checking that the fiber sizes
+    agree inside each component.  Returns those values by the names of
+    the ``Covering`` attributes."""
     dom, cod = f.domain, f.codomain
     lifts = {}
     for v in dom.vertices:
@@ -910,7 +912,9 @@ def old_as_covering(f: pc.GraphMorphism) -> pc.Covering:
         component_degrees.append((comp[0], sizes.pop()))
     sizes = {n for _, n in component_degrees}
     degree = sizes.pop() if len(sizes) == 1 else None
-    return pc.Covering(f, lifts, vertex_fibers, degree, tuple(component_degrees))
+    return SimpleNamespace(map=f, lifts=lifts, vertex_fibers=vertex_fibers,
+                           degree=degree,
+                           component_degrees=tuple(component_degrees))
 
 
 def old_cover_from_subgroup(base: pc.FiniteGraph, basepoint: str,

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import procover as pc
-from procover import cli, formats
+from procover import cli, covering, formats, freegroup
 from procover.cli import format_report, main
 from helpers import (
     action_deck_isomorphism,
@@ -21,7 +21,7 @@ from helpers import (
     parse_report,
     path_graph,
     pro2_tower,
-    record_pi1_data,
+    record_spanning_trees,
     rejected_action_documents,
     rotation_action,
     theta_graph,
@@ -646,10 +646,11 @@ class TestCommands:
                              ids=["16", "36", "48"])
     def test_cover_from_rep_reads_what_the_transport_gives(self, tmp_path,
                                                            monkeypatch, rep):
-        """``cover-from-rep`` prints the same report when the cover carries
-        its sheet coordinates as when every reader transports, over the
-        bouquet and over theta at its least vertex and at ``--base v1``
-        (whose cover's least vertex lies off the basepoint)."""
+        """``cover-from-rep`` prints the same report when the cover keeps the
+        lift table of the voltage construction as when it reads the table
+        off the stars, over the bouquet and over theta at its least vertex
+        and at ``--base v1`` (whose cover's least vertex lies off the
+        basepoint)."""
         rep_path = str(tmp_path / "rep.json")
         formats.save_rep(rep_path, rep)
         runs = []
@@ -663,8 +664,7 @@ class TestCommands:
 
         def carrying_nothing(*args, **kwargs):
             cover, a, cov = build(*args, **kwargs)
-            return cover, a, pc.Covering(cov.map, cov.lifts, cov.vertex_fibers,
-                                         cov.degree, cov.component_degrees)
+            return cover, a, pc.Covering(cov.map)
 
         monkeypatch.setattr(cli, "cover_from_subgroup", carrying_nothing)
         assert carried == [run_cli(argv) for argv in runs]
@@ -672,15 +672,16 @@ class TestCommands:
 
     def test_cover_from_rep_builds_pi1_data_once_per_basepoint(
             self, tmp_path, monkeypatch):
-        """``cover-from-rep`` builds ``pi1_data`` at ``--base`` once and
-        hands it to ``cover_from_subgroup`` and ``image_subgroup``.  At
-        ``--base b`` of the three-vertex base the cover's least vertex a@0
-        lies over a, where the cover carries its coordinates, so it builds
-        one more there."""
+        """``cover-from-rep`` builds ``pi1_data`` at ``--base`` once, with
+        one spanning tree, and ``cover_from_subgroup`` and
+        ``image_subgroup`` read the kept one.  At ``--base b`` of the
+        three-vertex base the cover's least vertex a@0 lies over a, where
+        the cover takes its sheet coordinates, so it builds one more
+        there."""
         graph, rep = str(tmp_path / "t2.json"), str(tmp_path / "rep.json")
         formats.save_graph(graph, three_vertex_base())
         formats.save_rep(rep, pc.translation_kernel_rep(2, 2))
-        calls = record_pi1_data(monkeypatch)
+        calls = record_spanning_trees(monkeypatch)
         for base, want in (("a", ["a"]), ("b", ["b", "a"])):
             del calls[:]
             _out, code = run_cli(["cover-from-rep", graph, rep, "--base", base])
@@ -690,6 +691,67 @@ class TestCommands:
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])
         assert code == 0 and "order: 2" in out
+
+    @pytest.mark.parametrize("argv, coverings, searches", [
+        (["deck"], 1, 1), (["regular"], 1, 1), (["image-subgroup"], 1, 0),
+        (["image-subgroup", "--basepoint", "v0@3"], 1, 0),
+        (["deck-quotient", "--elements", "0,1"], 2, 2)],
+        ids=["deck", "regular", "image-subgroup", "image-subgroup-v0@3",
+             "deck-quotient"])
+    def test_a_loaded_cover_is_transported_once(self, tmp_path, monkeypatch,
+                                                argv, coverings, searches):
+        """A command on a loaded cover transports each covering it reads
+        once and searches the normalizer at most once per covering, on the
+        monodromy that transport gave (``image-subgroup`` decides
+        normality with no search).  ``deck`` reads the order from
+        ``is_regular`` and the group from ``deck_group``, one transport and
+        one search between them; ``deck-quotient`` also reads the
+        regularity of its lower map, a second covering."""
+        path = str(tmp_path / "cover.json")
+        formats.save_morphism(path, pc.cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 2))[2].map)
+        sheet_rows, search = covering._sheet_rows, freegroup._normalizer_generators
+        transported, searched = [], []
+
+        def recorded(c, a, p):
+            transported.append(c)
+            return sheet_rows(c, a, p)
+
+        def counted(rep):
+            searched.append(rep)
+            return search(rep)
+
+        monkeypatch.setattr(covering, "_sheet_rows", recorded)
+        monkeypatch.setattr(freegroup, "_normalizer_generators", counted)
+        _out, code = run_cli(argv[:1] + [path] + argv[1:])
+        assert code == 0
+        assert len(set(map(id, transported))) == len(transported) == coverings
+        kept = {id(c._sheets[1]) for c in transported if "_sheets" in vars(c)}
+        assert len({id(rep) for rep in searched} & kept) == len(searched) == searches
+
+    @pytest.mark.parametrize("budget, expected", [(49, 3), (50, 0)])
+    def test_low_index_charges_its_index_rows(self, budget, expected):
+        """At rank 0 the enumeration finds one subgroup whatever the
+        degree, and the report prints one ``index n`` row per degree: 50
+        rows are refused one below that budget, in the units of ``deck``,
+        and answered at it.  At rank 1 the enumeration refuses first, in
+        its own words."""
+        argv = ["--max-work", str(budget), "low-index", "--rank", "0",
+                "--max-degree", "50"]
+        out, code = run_cli(argv)
+        assert code == expected
+        if expected == 3:
+            assert out == (
+                "verdict: refused\nerror: the low-index report has 50 index "
+                "rows (one per degree), above the work bound 49; raise "
+                "--max-work to proceed\n")
+        else:
+            assert "index 50: 0" in out and "total: 1" in out
+        argv[argv.index("0")] = "1"
+        out, code = run_cli(argv)
+        assert code == expected
+        assert ("at least 50 subgroups (those of degree <= 50)" in out) == \
+            (expected == 3)
 
     @pytest.mark.parametrize("budget, expected", [(11, 3), (12, 0)])
     def test_deck_charges_its_vertex_map_entries(self, data, monkeypatch,

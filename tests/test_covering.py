@@ -543,8 +543,8 @@ class TestDeckGroupBySheetTransport:
     def test_rows_partition_the_cover(self):
         """The vertex rows and the dart rows hold every vertex and dart of
         the cover once, each row the fiber over its base element in a
-        fixed sheet order: on carried covers and on ``as_covering`` copies
-        of them, which are transported."""
+        fixed sheet order: on constructed covers and on ``as_covering``
+        copies of them."""
         covs = [cov for _h, _base, cov in b2_covers()]
         rng = random.Random(22)
         covs += [cover_from_subgroup(theta_graph(), "v0", rep)[2]
@@ -552,7 +552,6 @@ class TestDeckGroupBySheetTransport:
                              dihedral_regular_rep(6), dihedral_natural_rep(12),
                              relabelled(dihedral_natural_rep(48), 0, rng))]
         copies = [as_covering(cov.map) for cov in covs]
-        assert all(cov._sheets is None for cov in copies)
         for cov in covs + copies:
             deck = deck_group(cov)
             cover, base, f = cov.domain, cov.codomain, cov.map
@@ -600,13 +599,13 @@ class TestDeckGroupBySheetTransport:
 
 
 class TestCarriedSheetCoordinates:
-    """A cover that ``cover_from_subgroup`` builds carries its sheet rows
-    and monodromy, and ``deck_group``, ``is_regular`` and
-    ``image_subgroup`` read them with no transport: they agree with the
-    oracles, which transport or walk.  The carried coordinates are the
-    transport's own result, taken once when the cover is built.  Any other
-    cover, fiber point or coordinate system falls back to the transport,
-    which agrees with the walked monodromy."""
+    """Every covering, constructed or loaded, takes its sheet rows and
+    monodromy once, at its first vertex, when ``deck_group``,
+    ``is_regular`` or ``image_subgroup`` (at that vertex, in the kept
+    ``pi1_data`` there) first reads them, and keeps them: later readers
+    transport nothing, and all agree with the oracles, which transport or
+    walk.  Other fiber points and coordinate systems are transported on
+    every call, and agree with the walked monodromy."""
 
     @staticmethod
     def large_covers():
@@ -619,6 +618,14 @@ class TestCarriedSheetCoordinates:
         return [cover_from_subgroup(base, "v0", rep)[2]
                 for base in (pc.bouquet_graph(2), theta_graph())
                 for rep in reps]
+
+    @classmethod
+    def fresh_covers(cls):
+        """The covers of ``b2_covers`` built again, so that no other test
+        has read them, and the large covers."""
+        b2 = pc.bouquet_graph(2)
+        return ([cover_from_subgroup(b2, "v0", h)[2] for h, _a, _c in b2_covers()]
+                + cls.large_covers())
 
     @staticmethod
     def first_coordinates(cov):
@@ -638,20 +645,24 @@ class TestCarriedSheetCoordinates:
         return calls
 
     def test_constructed_covers_read_no_transport(self, monkeypatch):
-        covs = [cov for _h, _a, cov in b2_covers()] + self.large_covers()
+        """A cover is not transported when it is built, once when it is
+        first read, and never again."""
+        transports = self.transports(monkeypatch)
+        covs = self.fresh_covers()
+        assert transports == []
         wants = []
         for cov in covs:
             a0, p = self.first_coordinates(cov)
             wants.append((eager_deck_group(cov), lift_deck_group(cov),
                           three_way_regularity_oracle(cov),
                           walked_monodromy(cov, a0, p)))
+        assert transports == [cov.domain.vertices[0] for cov in covs]
 
         def no_transport(*args):
-            raise AssertionError("a carried cover was transported")
+            raise AssertionError("a cover was transported twice")
 
         monkeypatch.setattr(covering, "_sheet_rows", no_transport)
         for cov, (eager, lifted, regular, monodromy) in zip(covs, wants):
-            assert cov._sheets is not None
             deck = deck_group(cov)
             for want in (eager, lifted):
                 assert deck.order == want.order and deck.table == want.table
@@ -660,13 +671,12 @@ class TestCarriedSheetCoordinates:
             a0, p = self.first_coordinates(cov)
             assert image_subgroup(cov, a0, p) == monodromy
 
-    def test_a_covers_request_transports_once_at_construction(self,
-                                                              monkeypatch):
+    def test_a_covers_request_transports_once(self, monkeypatch):
         """The calls of one ``covers`` benchmark request make exactly one
-        transport and build exactly one ``PermRep``, both inside
-        ``cover_from_subgroup``: the carried monodromy, which
-        ``_sheet_rows`` builds by ``PermRep._of_moves``.  The readers after
-        it transport and build nothing."""
+        transport and build exactly one ``PermRep``, both at the first
+        read: the kept monodromy, which ``_sheet_rows`` builds by
+        ``PermRep._of_moves``.  Construction and the readers after the
+        first transport and build nothing."""
         transports = self.transports(monkeypatch)
         of_moves, built = PermRep._of_moves, []
 
@@ -680,19 +690,18 @@ class TestCarriedSheetCoordinates:
             for base in (pc.bouquet_graph(2), theta_graph()):
                 del built[:], transports[:]
                 cover, a, cov = cover_from_subgroup(base, "v0", rep)
-                assert transports == [cover.vertices[0]]
-                assert built == [cov._sheets[2]]
+                assert transports == [] and built == []
                 deck = deck_group(cov)
                 is_regular(cov)
                 image_subgroup(cov, a, pi1_data(base, "v0"))
                 lift(cov.map, cov, cover.vertices[0], a)
                 quotient_by_deck_subgroup(deck, range(deck.order))
                 assert transports == [cover.vertices[0]]
-                assert built == [cov._sheets[2]]
+                assert built == [cov._sheets[1]]
 
     def test_least_vertex_off_the_basepoint_carries(self, monkeypatch):
-        """A cover whose least vertex a@0 lies off the basepoint b carries
-        its coordinates at a@0, with ``pi1_data`` at a, and makes no later
+        """A cover whose least vertex a@0 lies off the basepoint b keeps its
+        coordinates at a@0, with ``pi1_data`` at a, and makes no later
         transport there; fiber points over b are transported."""
         transports = self.transports(monkeypatch)
         base = three_vertex_base()
@@ -700,13 +709,13 @@ class TestCarriedSheetCoordinates:
                                                  dihedral_natural_rep(12)]):
             del transports[:]
             cover, a, cov = cover_from_subgroup(base, "b", rep)
-            assert transports == ["a@0"] and cover.vertices[0] == "a@0"
-            q, _rows, carried = cov._sheets
+            assert transports == [] and cover.vertices[0] == "a@0"
             a0, p = self.first_coordinates(cov)
-            assert q.basepoint == "a" and q.basis_darts == p.basis_darts
-            assert q.tree.parent_dart == p.tree.parent_dart
             eager, regular = eager_deck_group(cov), three_way_regularity_oracle(cov)
             monodromy = walked_monodromy(cov, a0, p)
+            assert transports == ["a@0"]
+            rows, carried = cov._sheets
+            assert next(iter(rows)) == "a" and rows["a"][0] == "a@0"
             del transports[:]
             deck = deck_group(cov)
             assert deck.table == eager.table and deck.elements == eager.elements
@@ -720,10 +729,13 @@ class TestCarriedSheetCoordinates:
             assert transports == list(cov.vertex_fibers["b"])
 
     def other_coordinates(self, base):
-        """Pi1Data at v0 that differ from ``pi1_data(base, "v0")``: in the
-        basis order, in a basis orientation and, on theta, in the tree."""
+        """Pi1Data at v0 other than the kept ``pi1_data(base, "v0")``: an
+        equal copy, which is not the kept one, and coordinates that differ
+        in the basis order, in a basis orientation and, on theta, in the
+        tree."""
         p = pi1_data(base, "v0")
-        out = [pc.Pi1Data(base, "v0", p.tree, p.basis_darts[::-1]),
+        out = [pc.Pi1Data(base, "v0", p.tree, p.basis_darts),
+               pc.Pi1Data(base, "v0", p.tree, p.basis_darts[::-1]),
                pc.Pi1Data(base, "v0", p.tree,
                           (base.inv[p.basis_darts[0]],) + p.basis_darts[1:])]
         if base.name == "theta":
@@ -737,26 +749,31 @@ class TestCarriedSheetCoordinates:
         for cov in covs:
             base = cov.codomain
             a0, p = self.first_coordinates(cov)
+            kept = cov._sheets[1]
             for q in [p] + self.other_coordinates(base):
                 for a in cov.vertex_fibers["v0"][:4]:
                     del transports[:]
                     assert image_subgroup(cov, a, q) == \
                         walked_monodromy(cov, a, q)
                     assert transports == ([] if (a, q) == (a0, p) else [a])
-            assert image_subgroup(cov, a0, p) is cov._sheets[2]
+            assert image_subgroup(cov, a0, p) is kept
 
-    def test_as_covering_cover_carries_nothing(self, monkeypatch):
+    def test_as_covering_cover_carries_the_same(self, monkeypatch):
+        """A loaded cover, which ``as_covering`` checks, is transported once
+        too, to the same rows, monodromy and deck group as the cover it
+        was read from."""
         transports = self.transports(monkeypatch)
-        for cov in [cov for _h, _a, cov in b2_covers()] + self.large_covers():
+        for cov in self.fresh_covers():
             plain = as_covering(cov.map)
-            assert plain._sheets is None
+            a0, p = self.first_coordinates(cov)
+            del transports[:]
             deck, want = deck_group(plain), deck_group(cov)
             assert (deck.automorphisms, deck.vrows, deck.drows, deck.table) \
                 == (want.automorphisms, want.vrows, want.drows, want.table)
             assert is_regular(plain) == is_regular(cov)
-            a0, p = self.first_coordinates(cov)
             assert image_subgroup(plain, a0, p) == walked_monodromy(cov, a0, p)
-        assert transports
+            assert image_subgroup(plain, a0, p) is plain._sheets[1]
+            assert transports == [a0, a0]
 
 
 class TestDeckElementsWhereRead:
@@ -834,15 +851,21 @@ class TestBuiltNotChecked:
         a0 = cov.domain.vertices[0]
         lifts = dict(cov.lifts)
         lifts[a0] = dict(lifts[a0], **{"e0+": lifts[a0]["e1+"]})
-        pc.Covering(cov.map, lifts, cov.vertex_fibers, cov.degree,
-                    cov.component_degrees)
+        pc.Covering(cov.map, lifts)
         assert len(mismatches) == 1
         mismatches.pop()
         # the right rows in another vertex order are also refused
-        pc.Covering(cov.map, dict(reversed(cov.lifts.items())),
-                    cov.vertex_fibers, cov.degree, cov.component_degrees)
+        pc.Covering(cov.map, dict(reversed(cov.lifts.items())))
         assert len(mismatches) == 1
         mismatches.pop()
+        # a covering given no lift table must still be one
+        pc.Covering(GraphMorphism(path_graph(2), pc.cycle_graph(3),
+                                  {"v0": "v0", "v1": "v1"},
+                                  {"e0+": "e0+", "e0-": "e0-"}))
+        assert len(mismatches) == 1 and "not a covering" in mismatches[0]
+        mismatches.pop()
+        pc.Covering(cov.map)
+        assert mismatches == []
 
     def test_the_guard_sees_a_broken_trusted_morphism(
             self, constructed_values_equal_the_checked_ones):
@@ -898,7 +921,7 @@ class TestBuiltNotChecked:
 
     def test_a_covers_request_searches_the_normalizer_once(self, monkeypatch):
         """The calls of one ``covers`` benchmark request search the
-        normalizer of the carried monodromy once: ``deck_group`` and
+        normalizer of the kept monodromy once: ``deck_group`` and
         ``is_regular`` read one search."""
         search, searched = freegroup._normalizer_generators, []
 
@@ -916,14 +939,16 @@ class TestBuiltNotChecked:
                 verdict = is_regular(cov)
                 image_subgroup(cov, a, pi1_data(base, "v0"))
                 quotient_by_deck_subgroup(deck, range(deck.order))
-                assert searched == [cov._sheets[2]]
+                assert searched == [cov._sheets[1]]
                 assert verdict.deck_order == deck.order
 
 
 class TestConstructorsAgainstOracles:
     """``cover_from_subgroup`` and ``as_covering`` against the constructions
-    they replaced: equal graphs, maps and lift tables, and on maps that are
-    not coverings the same failing vertex and reason."""
+    they replaced: equal graphs, maps and lift tables, fibers and degrees
+    read off the map equal to the ones those constructions computed up
+    front, and on maps that are not coverings the same failing vertex and
+    reason."""
 
     @staticmethod
     def same_covering(got, want):

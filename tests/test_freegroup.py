@@ -390,6 +390,48 @@ class TestLowIndex:
         reps = low_index_reps(0, 3)
         assert len(reps) == 1 and reps[0].degree == 1
 
+    def test_ranks_zero_and_one_count_in_closed_form(self, monkeypatch):
+        """Through degree n the running total is 1 at rank 0 and n at rank
+        1, so those ranks call no ``subgroup_count``: the refusal and its
+        message are the summing oracle's, a bound of a billion costs
+        nothing, and rank 0 enumerates degree 1 only.  A count call
+        raises, so the test cannot hang on the old loop."""
+        cases = [(rank, max_degree, max_work) for rank in (0, 1)
+                 for max_degree in (1, 2, 3, 6, 50)
+                 for max_work in (-1, 0, 1, 2, 5, 49, 50, 1000)]
+        wants = [refusal_oracle(*case) for case in cases]
+        counted, searched = [], []
+        tables = freegroup._canonical_tables
+
+        def no_count(*args):
+            counted.append(args)
+            raise AssertionError("subgroup_count%r was called" % (args,))
+
+        def recorded(rank, degree, normal_only):
+            searched.append((rank, degree))
+            return tables(rank, degree, normal_only)
+
+        monkeypatch.setattr(freegroup, "subgroup_count", no_count)
+        monkeypatch.setattr(freegroup, "_canonical_tables", recorded)
+        for (rank, max_degree, max_work), want in zip(cases, wants):
+            if want is None:
+                reps = low_index_reps(rank, max_degree, max_work=max_work)
+                assert [r.degree for r in reps] == \
+                    list(range(1, (max_degree if rank else 1) + 1))
+                continue
+            with pytest.raises(ResourceLimitError) as err:
+                low_index_reps(rank, max_degree, max_work=max_work)
+            assert str(err.value) == want
+        assert {degree for rank, degree in searched if rank == 0} == {1}
+        del searched[:]
+        assert len(low_index_reps(0, 10 ** 9)) == 1
+        assert searched == [(0, 1)]
+        with pytest.raises(ResourceLimitError) as err:
+            low_index_reps(1, 10 ** 9)
+        assert "at least 5000001 subgroups (those of degree <= 5000001)" \
+            in str(err.value)
+        assert counted == []
+
 
 class TestSearchAgainstRecursiveOracle:
     """The iterative search, pruned or not, against the recursive generator

@@ -325,8 +325,8 @@ def test_every_trusted_constructor_is_guarded(
 
 def test_covering_builds_a_permrep_only_in_the_sheet_transport():
     """``covering.py`` builds a ``PermRep`` (by ``PermRep._of_moves``) only
-    inside ``_sheet_rows``, the one derivation of sheet coordinates; a
-    constructed cover carries that function's own result.
+    inside ``_sheet_rows``, the one derivation of sheet coordinates; every
+    covering keeps that function's own result.
 
     A second derivation, such as relabelling the given action into the
     fiber order, would need a proof that it agrees with the transport.
@@ -343,3 +343,33 @@ def test_covering_builds_a_permrep_only_in_the_sheet_transport():
                      and node.name == "_sheet_rows")
     assert permrep_calls(transport)
     assert permrep_calls(tree) == permrep_calls(transport)
+
+
+def test_a_covering_is_built_from_its_map():
+    """Every ``Covering(...)`` call in the library passes the map, and only
+    ``as_covering`` and ``cover_from_subgroup``, which build the lift table
+    anyway, pass that too.  Fibers, degrees and sheet coordinates are read
+    off the map on first read, so no construction site computes them, and
+    no library code but the class stores a covering's lift table, fibers,
+    component degrees or sheets (``degree`` is a ``PermRep`` field too)."""
+    calls = {}
+    for name, tree in library_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Covering"):
+                site = max((f.lineno, f.name) for f in ast.walk(tree)
+                           if isinstance(f, ast.FunctionDef)
+                           and f.lineno <= node.lineno <= f.end_lineno)[1]
+                calls[site] = len(node.args) + len(node.keywords)
+    assert calls == {"as_covering": 2, "cover_from_subgroup": 2,
+                     "_orbit_quotient": 1, "quotient_by_deck_subgroup": 1}
+    covering_class = next(node for node in dict(library_trees())["covering.py"].body
+                          if isinstance(node, ast.ClassDef)
+                          and node.name == "Covering")
+    inside = {id(node) for node in ast.walk(covering_class)}
+    fields = {"lifts", "vertex_fibers", "component_degrees", "_sheets"}
+    stored = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in fields
+              and isinstance(node.ctx, ast.Store) and id(node) not in inside]
+    assert stored == []

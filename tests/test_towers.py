@@ -45,7 +45,7 @@ from helpers import (
     per_pair_good_pairs_oracle,
     pro2_tower,
     record_constructions,
-    record_pi1_data,
+    record_spanning_trees,
     relabelled,
     rotation,
     scanned_deck_hom,
@@ -853,13 +853,24 @@ def test_a_towers_request_checks_nothing(
 def test_a_universal_tower_builds_pi1_data_once_per_graph_and_basepoint(
         monkeypatch):
     """``universal_tower`` builds the fundamental-group data of each level
-    once and hands it to ``cover_from_subgroup``: one ``pi1_data`` call per
-    (graph, basepoint), three for the three levels of the B2 chain."""
-    calls = record_pi1_data(monkeypatch)
+    once, and ``cover_from_subgroup`` reads the kept one: one spanning tree
+    per (graph, basepoint), three for the three levels of the B2 chain.
+    The deck groups, the good pairs and the triviality check then build
+    no tree on a level base, and one on each other graph they read: the
+    quotients of the good pairs and the level covers."""
+    calls = record_spanning_trees(monkeypatch)
     t = universal_tower(b2_homology_spec())
     assert len(calls) == len(t.coverings) == 3
     assert all(g is c.codomain and base == "v0"
                for (g, base), c in zip(calls, t.coverings))
+    assert deck_tower(t).orders == [1, 4, 16]
+    assert len(calls) == 3
+    kernel_good_pairs(t)
+    pi1_triviality_check(t, 2)
+    trees = [(id(g), base) for g, base in calls]
+    assert len(set(trees)) == len(trees) > 3
+    levels = {id(t.base_graph(i)) for i in range(3)}
+    assert all(id(g) not in levels for g, _base in calls[3:])
 
 
 def conjugate_stabilizer_deck_order(rep) -> int:
@@ -1040,9 +1051,12 @@ class TestGeneratedTowers:
             # degree [F : N_i], and regular: the monodromy walked through a
             # checked lift table has a deck group as large as the fiber
             assert cov.degree == normal.degree
-            # carried at the first vertex, which lies over a on T2
+            # the sheet rows are taken at the first vertex, which lies
+            # over a on T2, with that vertex in sheet 0
             a0 = cov.domain.vertices[0]
-            assert cov._sheets[0].basepoint == cov.map.vmap[a0]
+            rows = cov._sheets[0]
+            assert next(iter(rows)) == cov.map.vmap[a0] and \
+                rows[cov.map.vmap[a0]][0] == a0
             p = pi1_data(t.base_graph(i),
                          spec.quotients[i].vertex_rep(spec.basepoint))
             image = walked_monodromy(as_covering(cov.map), t.basepoints[i], p)
