@@ -43,7 +43,6 @@ from .graphs import (
     Pi1Data,
     VerdictError,
     components,
-    edge_stem,
     is_connected,
     pi1_data,
     quotient,
@@ -254,8 +253,7 @@ def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep
     lifts = {x: {} for x in vertices}
     src, inv, dmap = {}, {}, {}
     plus, minus = [x + "+" for x in at], [x + "-" for x in at]
-    for d, e in base.dart_pairs():
-        stem = edge_stem(d, e)
+    for stem, d, e in base._edges:
         # the sheet move of the pair: its voltage is one letter or none
         lt = p.letter(d)
         at_d, at_e = names[base.src[d]], names[base.src[e]]
@@ -312,8 +310,9 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
 def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     """Monodromy of the base fundamental group on the fiber through ``a``,
     read off the sheet rows (:func:`_sheet_rows`): the covering's kept
-    ones when ``a`` is its first vertex and ``p`` is the kept
-    :func:`pi1_data` there.
+    ones when ``a`` is its first vertex and ``p`` holds the coordinates
+    :func:`pi1_data` keeps there: its basis is the kept tuple, and a
+    basis fixes its tree, the edges outside it.
 
     The fiber point ``a`` is labelled 0, so the stabilizer of 0 is the image
     of the cover's fundamental group at ``a``.  Degree = covering degree.
@@ -327,7 +326,8 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
                          % (a, c.map.vmap[a], p.basepoint))
     if not is_connected(c.domain):
         raise ValueError("cover is not connected")
-    if a == c.domain.vertices[0] and p is c.codomain._pi1.get(p.basepoint):
+    kept = c.codomain._pi1.get(p.basepoint)
+    if a == c.domain.vertices[0] and kept and p.basis_darts is kept[0]:
         return c._sheets[1]
     return _sheet_rows(c, a, p)[1]
 

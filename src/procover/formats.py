@@ -23,7 +23,6 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     GraphMorphism,
-    edge_stem,
 )
 from .freegroup import NotTransitiveError, PermRep
 from .covering import GroupAction, as_covering
@@ -155,36 +154,12 @@ def _str_list(obj, key):
 
 # -- graphs -----------------------------------------------------------------
 
-def _edge_table(g: FiniteGraph) -> list[tuple[str, str, str]]:
-    """(edge id, positive dart, negative dart) per edge pair."""
-    return [(edge_stem(pos, neg), pos, neg) for pos, neg in g.dart_pairs()]
-
-
-def _edge_index(edges) -> dict[str, tuple[str, str]]:
-    """{edge id: (positive dart, negative dart)} of an edge table."""
-    return {eid: (pos, neg) for eid, pos, neg in edges}
-
-
-def _dart_refs(edges) -> dict[str, tuple[str, bool]]:
-    """{dart: (edge id, whether it is the negative dart)} of an edge table."""
-    refs = {}
-    for eid, pos, neg in edges:
-        refs[pos] = (eid, False)
-        refs[neg] = (eid, True)
-    return refs
-
-
 def graph_to_obj(g: FiniteGraph) -> dict:
-    return _graph_obj(g, _edge_table(g))
-
-
-def _graph_obj(g: FiniteGraph, edges) -> dict:
-    """The graph document of ``g``, given its edge table."""
     obj = {
         "format": GRAPH_FORMAT,
         "vertices": list(g.vertices),
         "edges": [{"id": eid, "src": g.src[pos], "dst": g.src[neg]}
-                  for eid, pos, neg in edges],
+                  for eid, pos, neg in g._edges],
     }
     if g.name is not None:
         obj["name"] = g.name
@@ -241,26 +216,26 @@ def save_graph(path: str, g: FiniteGraph) -> None:
 
 # -- morphisms ---------------------------------------------------------------
 
-def _maps_to_obj(f: GraphMorphism, domain_edges, codomain_refs) -> dict:
-    """The map entries of ``f``, given the edge table of its domain and the
-    dart references of its codomain (built once per document)."""
-    edge_map = {}
-    for eid, pos, _neg in domain_edges:
-        target, flip = codomain_refs[f.dmap[pos]]
-        edge_map[eid] = {"edge": target, "flip": flip}
+def _maps_to_obj(f: GraphMorphism) -> dict:
+    """The map entries of ``f``, read through the edge tables of its
+    graphs."""
+    edge_map, refs = {}, f.codomain._dart_refs
+    for eid, pos, _neg in f.domain._edges:
+        e = f.dmap[pos]
+        target, tpos, _tneg = refs[e]
+        edge_map[eid] = {"edge": target, "flip": e != tpos}
     return {"vertex_map": dict(f.vmap), "edge_map": edge_map}
 
 
-def _maps_from_obj(obj, domain_edges, codomain_index):
-    """The vertex and dart maps of a map document, given the edge table of
-    its domain and the edge index of its codomain (built once per
-    document)."""
+def _maps_from_obj(obj, domain: FiniteGraph, codomain: FiniteGraph):
+    """The vertex and dart maps of a map document between these graphs,
+    read through their edge tables."""
     vmap = _get(obj, "vertex_map", dict)
     if not all(isinstance(v, str) for v in vmap.values()):
         raise FormatError("vertex_map values must be vertex ids")
     edge_entries = _get(obj, "edge_map", dict)
-    dmap = {}
-    for eid, pos, neg in domain_edges:
+    dmap, index = {}, codomain._edge_index
+    for eid, pos, neg in domain._edges:
         if eid not in edge_entries:
             raise FormatError("edge_map is missing edge %r" % eid)
         entry = edge_entries[eid]
@@ -271,20 +246,19 @@ def _maps_from_obj(obj, domain_edges, codomain_index):
         if not (isinstance(target, str) and isinstance(flip, bool)):
             # word the error for the first bad key
             target, flip = _get(entry, "edge", str), _get(entry, "flip", bool)
-        if target not in codomain_index:
+        if target not in index:
             raise FormatError("edge_map sends %r to unknown edge %r" % (eid, target))
-        tpos, tneg = codomain_index[target]
+        _target, tpos, tneg = index[target]
         dmap[pos], dmap[neg] = ((tneg, tpos) if flip else (tpos, tneg))
     return vmap, dmap
 
 
 def morphism_to_obj(f: GraphMorphism, embed_graphs: bool = True) -> dict:
-    domain_edges, codomain_edges = _edge_table(f.domain), _edge_table(f.codomain)
     obj = {"format": MORPHISM_FORMAT}
-    obj.update(_maps_to_obj(f, domain_edges, _dart_refs(codomain_edges)))
+    obj.update(_maps_to_obj(f))
     if embed_graphs:
-        obj["domain"] = _graph_obj(f.domain, domain_edges)
-        obj["codomain"] = _graph_obj(f.codomain, codomain_edges)
+        obj["domain"] = graph_to_obj(f.domain)
+        obj["codomain"] = graph_to_obj(f.codomain)
     return obj
 
 
@@ -299,8 +273,7 @@ def morphism_from_obj(obj, domain: FiniteGraph | None = None,
         if "codomain" not in obj:
             raise FormatError("morphism document has no codomain graph")
         codomain = _sound_graph(obj["codomain"])
-    vmap, dmap = _maps_from_obj(obj, _edge_table(domain),
-                                _edge_index(_edge_table(codomain)))
+    vmap, dmap = _maps_from_obj(obj, domain, codomain)
     try:
         return GraphMorphism(domain, codomain, vmap, dmap)
     except GraphError as exc:
@@ -318,7 +291,7 @@ def save_morphism(path: str, f: GraphMorphism) -> None:
 # -- congruences --------------------------------------------------------------
 
 def congruence_to_obj(r: Congruence) -> dict:
-    refs = _dart_refs(_edge_table(r.base))
+    refs = r.base._dart_refs
     edge_classes = []
     seen = set()
     for cls in r.dart_classes:
@@ -328,7 +301,7 @@ def congruence_to_obj(r: Congruence) -> dict:
         mirror = frozenset(r.base.inv[d] for d in cls)
         seen.add(key)
         seen.add(mirror)
-        entry = sorted(({"edge": refs[d][0], "flip": refs[d][1]} for d in cls),
+        entry = sorted(({"edge": refs[d][0], "flip": d != refs[d][1]} for d in cls),
                        key=lambda e: (e["edge"], e["flip"]))
         edge_classes.append(entry)
     return {
@@ -340,7 +313,7 @@ def congruence_to_obj(r: Congruence) -> dict:
 
 def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
     _expect(obj, CONGRUENCE_FORMAT)
-    edges = _edge_index(_edge_table(base))
+    edges = base._edge_index
     dart_classes = set()
     vertex_classes = _get(obj, "vertex_classes", list)
     if not all(isinstance(c, list) and all(isinstance(v, str) for v in c)
@@ -358,7 +331,7 @@ def congruence_from_obj(obj, base: FiniteGraph) -> Congruence:
             flip = _get(entry, "flip", bool)
             if eid not in edges:
                 raise FormatError("unknown edge %r in a class" % eid)
-            pos, neg = edges[eid]
+            _eid, pos, neg = edges[eid]
             darts.append(neg if flip else pos)
         dart_classes.add(frozenset(darts))
         dart_classes.add(frozenset(base.inv[d] for d in darts))
@@ -416,12 +389,10 @@ def save_rep(path: str, rep: PermRep) -> None:
 # -- group actions -------------------------------------------------------------
 
 def action_to_obj(act: GroupAction) -> dict:
-    edges = _edge_table(act.graph)
-    refs = _dart_refs(edges)
     return {
         "format": ACTION_FORMAT,
         "elements": [str(g) for g in act.elements],
-        "maps": {str(g): _maps_to_obj(act.morphisms[g], edges, refs)
+        "maps": {str(g): _maps_to_obj(act.morphisms[g])
                  for g in act.elements},
     }
 
@@ -434,11 +405,9 @@ def action_from_obj(obj, graph: FiniteGraph) -> GroupAction:
     maps = _get(obj, "maps", dict)
     if set(names) != set(maps):
         raise FormatError("elements and maps disagree")
-    edges = _edge_table(graph)
-    index = _edge_index(edges)
     morphisms = {}
     for g in names:
-        vmap, dmap = _maps_from_obj(maps[g], edges, index)
+        vmap, dmap = _maps_from_obj(maps[g], graph, graph)
         try:
             morphisms[g] = GraphMorphism(graph, graph, vmap, dmap)
         except GraphError as exc:

@@ -36,7 +36,7 @@ decides containment, equality and the containment of an image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -216,9 +216,6 @@ class PermRep:
                     orbits.append(orbit)
             raise NotTransitiveError(
                 "action is not transitive: %d orbits" % len(orbits), orbits)
-        self._schreier: tuple[FreeWord, ...] | None = None
-        self._canonical_key: tuple | None = None
-        self._normalizer: tuple[list[list[int]], set[int]] | None = None
 
     @classmethod
     def _of_moves(cls, rank: int, degree: int, moves: tuple) -> "PermRep":
@@ -232,7 +229,6 @@ class PermRep:
         rep.degree = degree
         rep._moves = moves
         rep.perms = moves[::2]
-        rep._schreier = rep._canonical_key = rep._normalizer = None
         return rep
 
     def move(self, letter: tuple[int, int]) -> tuple[int, ...]:
@@ -271,34 +267,36 @@ class PermRep:
         generate the subgroup, so there are exactly
         1 + degree*(rank - 1) of them for rank >= 1.
         """
-        if self._schreier is None:
-            t = self.transversal()
-            gens = []
-            for p in range(self.degree):
-                for i in range(self.rank):
-                    w = t[p] * FreeWord.generator(i) * t[self.perms[i][p]].inverse()
-                    if w:
-                        gens.append(w)
-            self._schreier = tuple(gens)
         return self._schreier
 
-    def _normalizer_search(self) -> tuple[list[list[int]], set[int]]:
+    @cached_property
+    def _schreier(self) -> tuple[FreeWord, ...]:
+        t = self.transversal()
+        gens = []
+        for p in range(self.degree):
+            for i in range(self.rank):
+                w = t[p] * FreeWord.generator(i) * t[self.perms[i][p]].inverse()
+                if w:
+                    gens.append(w)
+        return tuple(gens)
+
+    @cached_property
+    def _normalizer(self) -> tuple[list[list[int]], set[int]]:
         """:func:`_normalizer_generators` of this action, searched at the
-        first use and kept, like the Schreier generators: the deck group
-        and the regularity verdict of one cover search once."""
-        if self._normalizer is None:
-            self._normalizer = _normalizer_generators(self)
-        return self._normalizer
+        first use and kept: the deck group and the regularity verdict of
+        one cover search once."""
+        return _normalizer_generators(self)
 
     def canonical(self) -> "PermRep":
         """The same subgroup with points relabelled in canonical BFS order."""
         return self.rebased(0)
 
     def canonical_key(self) -> tuple:
-        if self._canonical_key is None:
-            c = self.canonical()
-            self._canonical_key = (self.rank, self.degree, c.perms)
         return self._canonical_key
+
+    @cached_property
+    def _canonical_key(self) -> tuple:
+        return (self.rank, self.degree, self.canonical().perms)
 
     def rebased(self, point: int) -> "PermRep":
         """The conjugate subgroup Stab(point), canonically labelled.
@@ -363,7 +361,7 @@ def normalizer_points(rep: PermRep) -> tuple[int, ...]:
     under exactly one automorphism of the action, and together they are
     the orbit of 0 under the automorphisms (:func:`_normalizer_generators`).
     """
-    return tuple(sorted(rep._normalizer_search()[1]))
+    return tuple(sorted(rep._normalizer[1]))
 
 
 def _normalizer_generators(rep: PermRep) -> tuple[list[list[int]], set[int]]:
@@ -471,7 +469,7 @@ def _automorphisms(rep: PermRep) -> dict[int, list[int]]:
       orbits on the points all have its order as size, and they partition
       the points.
     """
-    gens = rep._normalizer_search()[0]
+    gens = rep._normalizer[0]
     group = {0: list(range(rep.degree))}
     queue = [group[0]]
     for g in queue:

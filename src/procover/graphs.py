@@ -11,14 +11,15 @@ operation is a pure function; values may be shared freely between threads.
 All ids are opaque strings, and every traversal orders by id, so equal
 inputs always produce identical outputs.
 
-Immutability is also what makes the lazily filled caches safe: a graph
-keeps its component partition after the first :func:`components` call (a
-graph derived connected carries it from its construction), its
-fundamental-group coordinates at a basepoint after the first
-:func:`pi1_data` call there and its equality key after the first
-comparison, and a morphism keeps its hash after the first ``hash()``.
-Each is a pure function of the value, so a racing second computation
-stores the same answer.
+Immutability is also what makes derived facts safe to keep.  Each is a
+``cached_property``, derived by one function of the value on first read
+and kept in the instance dict, so a racing second computation stores the
+same answer.  A graph keeps its equality key, its component partition (a
+graph derived connected carries it from its construction), its edge
+table with the two indexes the document formats read, and its
+fundamental-group coordinates by basepoint (:func:`pi1_data`); a
+morphism keeps its hash.  No kept fact refers back to its value, so a
+graph is freed with its last reference, without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -122,19 +123,18 @@ class FiniteGraph:
         g = cls.__new__(cls)
         g.vertices, g.darts, g.src, g.inv, g.name = vertices, darts, src, inv, name
         g._vertex_set, g._dart_set = frozenset(vertices), frozenset(darts)
-        g._index((vertices,) if connected else None)
+        g._index()
+        if connected:
+            g._components = (vertices,)
         return g
 
-    def _index(self, components=None) -> None:
-        """The star of each vertex, from the tables, the component
-        partition when it is known, and no :class:`Pi1Data` yet."""
+    def _index(self) -> None:
+        """The star of each vertex, from the tables."""
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
         for d, v in zip(self.darts, map(self.src.__getitem__, self.darts)):
             if v in star:
                 star[v].append(d)
         self._star = {v: tuple(ds) for v, ds in star.items()}
-        self._components: tuple[tuple[str, ...], ...] | None = components
-        self._pi1: dict[str, Pi1Data] = {}
 
     @cached_property
     def _key(self) -> tuple:
@@ -143,6 +143,60 @@ class FiniteGraph:
         darts = self.darts
         return (self.vertices, darts, tuple(map(self.src.__getitem__, darts)),
                 tuple(map(self.inv.__getitem__, darts)))
+
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
+        """The partition :func:`components` returns, by one breadth-first
+        pass."""
+        star, src, inv = self._star, self.src, self.inv
+        seen: set[str] = set()
+        comps = []
+        for v in self.vertices:
+            if v in seen:
+                continue
+            comp = [v]
+            seen.add(v)
+            for x in comp:  # breadth first: comp grows as it is read
+                try:
+                    darts = star[x]
+                except KeyError:
+                    raise GraphError("unknown vertex %r" % x) from None
+                for d in darts:
+                    w = src[inv[d]]
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[str, str, str], ...]:
+        """The edge table: (edge id, positive dart, negative dart) per dart
+        pair, in id order of the positive dart, the smaller id of the pair;
+        the edge id is the pair's :func:`edge_stem`."""
+        inv = self.inv
+        return tuple((edge_stem(d, inv[d]), d, inv[d])
+                     for d in self.darts if d < inv[d])
+
+    @cached_property
+    def _edge_index(self) -> dict[str, tuple[str, str, str]]:
+        """{edge id: its row of the edge table}."""
+        return {row[0]: row for row in self._edges}
+
+    @cached_property
+    def _dart_refs(self) -> dict[str, tuple[str, str, str]]:
+        """{dart: the row of the edge table that holds it}."""
+        refs = {}
+        for row in self._edges:
+            refs[row[1]] = refs[row[2]] = row
+        return refs
+
+    @cached_property
+    def _pi1(self) -> dict[str, tuple[tuple[str, ...], frozenset, dict]]:
+        """{basepoint: (basis darts, tree darts, parent darts)}, the
+        coordinates :func:`pi1_data` builds there, none of which refers to
+        the graph."""
+        return {}
 
     @classmethod
     def from_edges(cls, vertices: Iterable[str],
@@ -188,8 +242,9 @@ class FiniteGraph:
             raise GraphError("unknown vertex %r" % v) from None
 
     def dart_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Edge pairs ``(d, inv(d))`` with ``d`` the smaller id."""
-        return tuple((d, self.inv[d]) for d in self.darts if d < self.inv[d])
+        """Edge pairs ``(d, inv(d))`` with ``d`` the smaller id, read off
+        the edge table."""
+        return tuple((pos, neg) for _eid, pos, neg in self._edges)
 
     def edge_count(self) -> int:
         return len(self.darts) // 2
@@ -255,37 +310,9 @@ def validate_graph(g: FiniteGraph) -> list[dict]:
 
 
 def components(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
-    """Partition of the vertices into connected components (sorted).
-
-    Computed by one breadth-first pass on the first call and kept on the
-    graph, which is immutable; later calls return the stored partition.
-    """
-    if g._components is None:
-        g._components = _component_partition(g)
+    """Partition of the vertices into connected components (sorted),
+    derived on the first call and kept on the graph."""
     return g._components
-
-
-def _component_partition(g: FiniteGraph) -> tuple[tuple[str, ...], ...]:
-    star, src, inv = g._star, g.src, g.inv
-    seen: set[str] = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        for x in comp:  # breadth first: comp grows as it is read
-            try:
-                darts = star[x]
-            except KeyError:
-                raise GraphError("unknown vertex %r" % x) from None
-            for d in darts:
-                w = src[inv[d]]
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 def is_connected(g: FiniteGraph) -> bool:
@@ -386,19 +413,22 @@ class Pi1Data:
 def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
     """Spanning tree and non-tree basis at ``base`` (graph must be connected).
 
-    Built on the first call for ``base`` and kept on the graph, which is
-    immutable, like its components; later calls return the kept value.
+    The basis and the tree's darts are built on the first call for
+    ``base`` and kept on the graph (``_pi1``).  They do not refer to the
+    graph, so it is freed with its last reference.  Each call pairs ``g``
+    with them in a new :class:`Pi1Data`, whose ``basis_darts`` is the kept
+    tuple.
     """
-    data = g._pi1.get(base)
-    if data is None:
-        tree = spanning_tree(g, base)
+    kept = g._pi1.get(base)
+    if kept is None:
+        tree, inv = spanning_tree(g, base), g.inv
         # the basis in id order: the smaller dart of each non-tree pair
-        data = Pi1Data(g, base, tree, (d for d, _e in g.dart_pairs()
-                                       if d not in tree.tree_darts))
-        if data.rank != g.edge_count() - len(g.vertices) + 1:
+        basis = tuple(d for d in g.darts if d < inv[d] and d not in tree.tree_darts)
+        if len(basis) != g.edge_count() - len(g.vertices) + 1:
             raise RuntimeError("basis size is not the cycle rank (internal error)")
-        g._pi1[base] = data
-    return data
+        kept = g._pi1[base] = (basis, tree.tree_darts, tree.parent_dart)
+    basis, tree_darts, parent_dart = kept
+    return Pi1Data(g, base, SpanningTreeData(g, base, tree_darts, parent_dart), basis)
 
 
 class GraphMorphism:
@@ -409,7 +439,7 @@ class GraphMorphism:
     library derives from its own values is built by :meth:`_of_maps`, which
     checks none, with the proof where it is built.  Two morphisms are equal
     when their graphs and vertex and dart maps are equal; the hash is
-    computed on first use and kept.
+    derived on first use and kept.
     """
 
     def __init__(self, domain: FiniteGraph, codomain: FiniteGraph,
@@ -440,14 +470,13 @@ class GraphMorphism:
                 raise GraphError("morphism breaks incidence at dart %r" % d)
             if dmap[dinv[d]] != cinv[e]:
                 raise GraphError("morphism breaks the involution at dart %r" % d)
-        self._hash: int | None = None
 
     @classmethod
     def _of_maps(cls, domain, codomain, vmap: dict, dmap: dict) -> "GraphMorphism":
         """The morphism of these maps, taken over unchecked: the library
         builds every map it derives here, and its caller proves it."""
         m = cls.__new__(cls)
-        m.domain, m.codomain, m.vmap, m.dmap, m._hash = domain, codomain, vmap, dmap, None
+        m.domain, m.codomain, m.vmap, m.dmap = domain, codomain, vmap, dmap
         return m
 
     @classmethod
@@ -467,10 +496,12 @@ class GraphMorphism:
                 and self.dmap == other.dmap)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((tuple(sorted(self.vmap.items())),
-                               tuple(sorted(self.dmap.items()))))
         return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((tuple(sorted(self.vmap.items())),
+                     tuple(sorted(self.dmap.items()))))
 
     def __repr__(self):
         return "GraphMorphism(%r -> %r)" % (self.domain.name, self.codomain.name)
@@ -619,8 +650,8 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     is built by :meth:`FiniteGraph._of_tables`: the classes partition the
     vertices and the darts of ``g``, which are disjoint, and come in order
     of least member, so their ids are distinct and sorted, and ``_vrep``
-    and ``_drep`` are total.  It is connected when ``g`` is known to be,
-    as the image of a connected graph.
+    and ``_drep`` are total.  It is connected when ``g`` is known to be
+    (its partition is kept), as the image of a connected graph.
     """
     if r.base != g:
         raise GraphError("congruence belongs to a different graph")
@@ -629,7 +660,7 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     qg = FiniteGraph._of_tables(
         tuple(c[0] for c in r.vertex_classes), darts,
         {d: vrep[g.src[d]] for d in darts}, {d: drep[g.inv[d]] for d in darts},
-        name=g.name, connected=g._components is not None and len(g._components) == 1)
+        name=g.name, connected=len(vars(g).get("_components", ())) == 1)
     return qg, GraphMorphism._of_maps(g, qg, vrep, drep)
 
 

@@ -43,7 +43,8 @@ def record_constructions(monkeypatch, guard):
             (pc.PermRep, "_of_moves", guard.unguarded_of_moves)):
         monkeypatch.setattr(cls, name, classmethod(build))
     init, check = guard.unguarded_init, pc.GraphMorphism.__init__
-    build, walk = pc.FiniteGraph.__init__, graphs._component_partition
+    partition = vars(pc.FiniteGraph)["_components"]
+    build, walk = pc.FiniteGraph.__init__, partition.func
     rep_init = pc.PermRep.__init__
     seen = SimpleNamespace(validated=[], builders=[], graphs=[], walks=[],
                            permreps=[])
@@ -71,7 +72,7 @@ def record_constructions(monkeypatch, guard):
     monkeypatch.setattr(pc.Covering, "__init__", recorded)
     monkeypatch.setattr(pc.GraphMorphism, "__init__", counted)
     monkeypatch.setattr(pc.FiniteGraph, "__init__", built)
-    monkeypatch.setattr(graphs, "_component_partition", walked)
+    monkeypatch.setattr(partition, "func", walked)
     monkeypatch.setattr(pc.PermRep, "__init__", checked_rep)
     return seen
 
@@ -490,9 +491,6 @@ def validating_permrep(rank: int, degree: int, perms) -> pc.PermRep:
                 placed.update(orbits[-1])
         raise NotTransitiveError(
             "action is not transitive: %d orbits" % len(orbits), orbits)
-    self._schreier = None
-    self._canonical_key = None
-    self._normalizer = None
     return self
 
 
@@ -847,14 +845,19 @@ def entrywise_graph_from_obj(obj) -> pc.FiniteGraph:
         raise FormatError("bad graph document: %s" % exc) from exc
 
 
-def entrywise_maps_from_obj(obj, domain_edges, codomain_index):
+def entrywise_maps_from_obj(obj, domain, codomain):
     """Oracle for ``formats._maps_from_obj``: the reader it replaced, which
-    reads both keys of every ``edge_map`` entry through ``formats._get``."""
+    reads both keys of every ``edge_map`` entry through ``formats._get``,
+    with edge tables built here from the dart pairs and their stems."""
     vmap = _get(obj, "vertex_map", dict)
     if not all(isinstance(v, str) for v in vmap.values()):
         raise FormatError("vertex_map values must be vertex ids")
     edge_entries = _get(obj, "edge_map", dict)
     dmap = {}
+    domain_edges = [(edge_stem(d, domain.inv[d]), d, domain.inv[d])
+                    for d in domain.darts if d < domain.inv[d]]
+    codomain_index = {edge_stem(d, codomain.inv[d]): (d, codomain.inv[d])
+                      for d in codomain.darts if d < codomain.inv[d]}
     for eid, pos, neg in domain_edges:
         if eid not in edge_entries:
             raise FormatError("edge_map is missing edge %r" % eid)

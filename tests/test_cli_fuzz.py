@@ -296,12 +296,10 @@ def reading(read, *args):
 
 
 def map_context(obj):
-    """The domain edge table and codomain edge index of a sound morphism
-    document, as ``formats.morphism_from_obj`` passes them."""
-    domain = formats._sound_graph(obj["domain"])
-    codomain = formats._sound_graph(obj["codomain"])
-    return (formats._edge_table(domain),
-            formats._edge_index(formats._edge_table(codomain)))
+    """The domain and codomain graphs of a sound morphism document, as
+    ``formats.morphism_from_obj`` passes them."""
+    return (formats._sound_graph(obj["domain"]),
+            formats._sound_graph(obj["codomain"]))
 
 
 def assert_readers_agree(obj, context):

@@ -729,12 +729,12 @@ class TestCarriedSheetCoordinates:
             assert transports == list(cov.vertex_fibers["b"])
 
     def other_coordinates(self, base):
-        """Pi1Data at v0 other than the kept ``pi1_data(base, "v0")``: an
-        equal copy, which is not the kept one, and coordinates that differ
-        in the basis order, in a basis orientation and, on theta, in the
-        tree."""
+        """Pi1Data at v0 other than those ``pi1_data(base, "v0")`` pairs
+        with the kept coordinates: an equal copy, whose basis is an equal
+        tuple but not the kept one, and coordinates that differ in the
+        basis order, in a basis orientation and, on theta, in the tree."""
         p = pi1_data(base, "v0")
-        out = [pc.Pi1Data(base, "v0", p.tree, p.basis_darts),
+        out = [pc.Pi1Data(base, "v0", p.tree, list(p.basis_darts)),
                pc.Pi1Data(base, "v0", p.tree, p.basis_darts[::-1]),
                pc.Pi1Data(base, "v0", p.tree,
                           (base.inv[p.basis_darts[0]],) + p.basis_darts[1:])]
@@ -756,7 +756,11 @@ class TestCarriedSheetCoordinates:
                     assert image_subgroup(cov, a, q) == \
                         walked_monodromy(cov, a, q)
                     assert transports == ([] if (a, q) == (a0, p) else [a])
+            del transports[:]
             assert image_subgroup(cov, a0, p) is kept
+            # a second call pairs the graph with the same kept coordinates
+            assert image_subgroup(cov, a0, pi1_data(base, "v0")) is kept
+            assert transports == []
 
     def test_as_covering_cover_carries_the_same(self, monkeypatch):
         """A loaded cover, which ``as_covering`` checks, is transported once

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import tracemalloc
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procover as pc
-from procover import formats
+from procover import cli, formats
 from procover.formats import FormatError
 from helpers import (
     b2_homology_spec,
@@ -194,36 +196,66 @@ class TestActionFormat:
         assert back.elements == act.elements
         assert back.morphisms == act.morphisms
 
-    def test_edge_tables_are_built_once_per_document(self, monkeypatch):
-        calls = []
-        edge_table = formats._edge_table
+class TestEdgeTables:
+    """A graph's edge table and its two indexes are graph facts, derived on
+    first read and kept: the document readers and writers read them off
+    the graphs, so no graph builds one twice however many documents,
+    readers or writers read it."""
 
-        def counted(g):
-            calls.append(g)
-            return edge_table(g)
+    @staticmethod
+    def counted_tables(monkeypatch) -> list:
+        """Record (table, graph) for each edge table, edge index and dart
+        reference table a graph derives, passing it through."""
+        built = []
+        for name in ("_edges", "_edge_index", "_dart_refs"):
+            table = vars(pc.FiniteGraph)[name]
 
-        monkeypatch.setattr(formats, "_edge_table", counted)
+            def counted(g, name=name, derive=table.func):
+                built.append((name, g))
+                return derive(g)
+
+            monkeypatch.setattr(table, "func", counted)
+        return built
+
+    @staticmethod
+    def assert_once_each(built):
+        counts = {}
+        for name, g in built:
+            counts[name, id(g)] = counts.get((name, id(g)), 0) + 1
+        assert built and max(counts.values()) == 1
+
+    def test_each_graph_builds_each_table_once(self, monkeypatch, tmp_path):
+        built = self.counted_tables(monkeypatch)
         for order in (2, 4, 8):
             act = rotation_action(8, 8 // order)
-            del calls[:]
-            obj = formats.action_to_obj(act)
-            assert len(calls) == 1
-            del calls[:]
-            back = formats.action_from_obj(obj, act.graph)
-            assert len(calls) == 1
-            assert back.morphisms == act.morphisms
-        # a morphism document holds two graphs: one table each, whether the
-        # graphs are embedded or given
+            for _ in range(2):
+                back = formats.action_from_obj(formats.action_to_obj(act), act.graph)
+                assert back.morphisms == act.morphisms
+        # a morphism document holds two graphs, embedded or given
         for f in (wrap_morphism(6, 3), wrap_morphism(12, 4)):
-            for embed in (True, False):
-                del calls[:]
+            for embed in (True, False, True):
                 obj = formats.morphism_to_obj(f, embed_graphs=embed)
-                assert calls == [f.domain, f.codomain]
-                del calls[:]
                 graphs = {} if embed else {"domain": f.domain,
                                            "codomain": f.codomain}
                 assert formats.morphism_from_obj(obj, **graphs) == f
-                assert calls == [f.domain, f.codomain]
+        r = pc.kernel_congruence(wrap_morphism(6, 3))
+        base = r.base
+        for _ in range(2):
+            assert formats.congruence_from_obj(formats.congruence_to_obj(r), base) == r
+        self.assert_once_each(built)
+        # a quotient command reads its graph and congruence, and writes
+        # the quotient graph and the projection in the report and to files
+        formats.save_graph(str(tmp_path / "g.json"), base)
+        formats.save_congruence(str(tmp_path / "r.json"), r)
+        del built[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--json", "quotient", str(tmp_path / "g.json"),
+                             str(tmp_path / "r.json"),
+                             "--out-graph", str(tmp_path / "q.json"),
+                             "--out-morphism", str(tmp_path / "p.json")]) == 0
+        assert sorted(name for name, _g in built) == [
+            "_dart_refs", "_edge_index", "_edges", "_edges"]
+        self.assert_once_each(built)
 
 
 class TestTowerFormat:

@@ -373,3 +373,38 @@ def test_a_covering_is_built_from_its_map():
               if isinstance(node, ast.Attribute) and node.attr in fields
               and isinstance(node.ctx, ast.Store) and id(node) not in inside]
     assert stored == []
+
+
+def test_values_store_attributes_only_while_constructed():
+    """Library code stores an attribute only while it constructs a value:
+    in ``__init__``, in an ``_of_*`` constructor or in
+    ``FiniteGraph._index``.  A store is ``x.name = ...`` (also augmented),
+    an item store into an attribute (``x.name[k] = ...``) or into
+    ``vars(x)``, or a ``setattr`` call.  A fact derived later is a
+    ``cached_property``, which keeps its value in the instance dict on
+    first read, so no method fills a cache by hand.
+
+    The one exception is the kept fundamental-group mapping:
+    ``pi1_data`` stores the coordinates it builds at a basepoint as an
+    item of ``FiniteGraph._pi1``, one per basepoint asked."""
+    found = []
+    for name, tree in library_trees():
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored = node.attr
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, (ast.Attribute, ast.Call))):
+                stored = ast.unparse(node.value) + "[]"
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in (
+                    "setattr", "__setattr__"):
+                stored = "setattr"
+            else:
+                continue
+            site = max(((f.lineno, f.name) for f in functions
+                        if f.lineno <= node.lineno <= f.end_lineno),
+                       default=(0, "<module>"))[1]
+            if site not in ("__init__", "_index") and not site.startswith("_of_"):
+                found.append("%s:%s:%s" % (name, site, stored))
+    assert found == ["graphs.py:pi1_data:g._pi1[]"]
