@@ -36,6 +36,7 @@ from .freegroup import (
     ResourceLimitError,
     is_normal,
     low_index_reps,
+    normalizer_points,
 )
 from .covering import (
     action_deck_indices,
@@ -177,16 +178,22 @@ def cmd_cover_from_rep(args):
     base = _default_basepoint(g, args.base)
     p = pi1_data(g, base)
     cover, basepoint, cov = cover_from_subgroup(g, base, rep)
-    verdict = is_regular(cov)
     image = image_subgroup(cov, basepoint, p)
+    # the deck order [N(H) : H] is read off the image at the basepoint, the
+    # one transport, not off the cover's first vertex as is_regular reads
+    # it.  The monodromy at another fiber point, in the coordinates of
+    # another basepoint or basis, is phi(H) for an isomorphism phi of free
+    # groups (conjugation by a path, composed with a change of basis), and
+    # phi sends N(H) onto N(phi(H)), so the index does not change.
+    deck_order = len(normalizer_points(image))
     details = {
         "basepoint": basepoint,
         "vertices": len(cover.vertices),
         "edges": cover.edge_count(),
         "rank": cover.edge_count() - len(cover.vertices) + 1,
         "degree": cov.degree,
-        "regular": verdict.regular,
-        "deck_order": verdict.deck_order,
+        "regular": deck_order == cov.degree,
+        "deck_order": deck_order,
         "image_rep": formats.rep_to_obj(image),
     }
     if args.out:
@@ -448,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in structured output")
     parser.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
                         help="resource bound: subgroups a low-index "
-                             "enumeration may visit, entries a deck report "
-                             "may print")
+                             "enumeration may visit, index rows a low-index "
+                             "report may print, entries a deck report may "
+                             "print")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check graph invariants")

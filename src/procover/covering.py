@@ -4,8 +4,10 @@ A covering is a graph morphism that restricts to a bijection on the star of
 darts at every vertex.  This module recognizes coverings, keeping the lift
 table that check builds, builds them from subgroups (voltage construction),
 reads subgroups back off as monodromy and lifts maps through them (both
-from the lift table), computes deck transformation groups, decides
-regularity, and forms quotients by free group actions and by deck subgroups.
+from the lift table: a lift lifts the source's kept spanning tree and
+checks the lifting criterion on the darts outside it), computes deck
+transformation groups, decides regularity, and forms quotients by free
+group actions and by deck subgroups.
 Its covers are coverings by construction (Stallings, 1983), proved where built.
 
 A covering is its map: fibers and degrees are read off it, and so are the
@@ -29,7 +31,6 @@ set, not pairwise (:class:`GroupAction`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -336,15 +337,23 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
          base_a: str) -> GraphMorphism:
     """The unique lift of ``g`` through the covering, sending base_c to base_a.
 
-    Proceeds breadth-first: each dart of the (connected) source has exactly
-    one possible image, read from the lift table ``c.lifts``, so the whole
-    lift is forced once the basepoint image is fixed.  When some closed
-    path blocks the lift, raises LiftObstruction carrying that path.
+    The source is connected, and its spanning tree at ``base_c``
+    (:func:`pi1_data`) lifts in one way: each dart has exactly one possible
+    image, read from the lift table ``c.lifts``, so ``hv[w]`` is the end of
+    the lift of the parent dart into ``w``, taken in breadth-first order.
+    The lift exists exactly when the image of the source's fundamental
+    group lies in the cover's, and it is enough to check that on a free
+    basis, the non-tree darts (Stallings, 1983): every dart is read off
+    the row of ``hv`` at its source, vertices in tree order and stars in
+    id order, and the first one whose lift does not end at ``hv`` of its
+    target raises LiftObstruction with the loop through it
+    (:meth:`~procover.graphs.Pi1Data.loop_through`).  Tree darts always
+    pass.
 
-    The result is built, not checked: the search reaches all of the
-    connected source, ``hd[d]`` is the dart over ``g(d)`` in the row of
-    ``hv[src(d)]`` (so ``c.map o h == g``), and ``hd[inv d] = inv(hd[d])``
-    is the one dart over ``g(inv d)`` at its source once ``hv`` agrees.
+    The result is built, not checked: ``hd[d]`` is the dart over ``g(d)``
+    at ``hv[src(d)]`` (so ``c.map o h == g``), and once it ends at
+    ``hv[target(d)]`` its inverse is the one dart over ``g(inv d)`` there,
+    which is ``hd[inv d]``.
     """
     if g.codomain != c.codomain:
         raise GraphError("map and covering have different codomains")
@@ -357,39 +366,20 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
                          % (base_c, g.vmap[base_c], base_a, c.map.vmap[base_a]))
     if not is_connected(g.domain):
         raise ValueError("source graph is not connected")
-    sigma, gamma = g.domain, c.domain
-    sstar, ssrc, sinv = sigma._star, sigma.src, sigma.inv
-    gsrc, ginv, gd = gamma.src, gamma.inv, g.dmap
-
-    def path_to(v):
-        # the tree path from base_c, read back along the discovery darts
-        back = []
-        while v != base_c:
-            d = reached_by[v]
-            back.append(d)
-            v = ssrc[d]
-        return tuple(reversed(back))
-
+    sigma, gamma, p = g.domain, c.domain, pi1_data(g.domain, base_c)
+    ssrc, sinv, gsrc, ginv, gd, lifts = (sigma.src, sigma.inv, gamma.src,
+                                         gamma.inv, g.dmap, c.lifts)
     hv = {base_c: base_a}
+    for w, up in p.tree.parent_dart.items():
+        down = sinv[up]
+        hv[w] = gsrc[ginv[lifts[hv[ssrc[down]]][gd[down]]]]
     hd: dict[str, str] = {}
-    reached_by: dict[str, str] = {}
-    queue = deque([base_c])
-    while queue:
-        x = queue.popleft()
-        over = c.lifts[hv[x]]
-        for d in sstar[x]:
-            up = over[gd[d]]
-            e, up_e = sinv[d], ginv[up]
-            hd[d] = up
-            hd[e] = up_e
-            w, lw = ssrc[e], gsrc[up_e]
-            if w not in hv:
-                hv[w] = lw
-                reached_by[w] = d
-                queue.append(w)
-            elif hv[w] != lw:
-                back = tuple(sinv[b] for b in reversed(path_to(w)))
-                raise LiftObstruction(path_to(x) + (d,) + back)
+    for x, y in hv.items():
+        over = lifts[y]
+        for d in sigma._star[x]:
+            hd[d] = up = over[gd[d]]
+            if gsrc[ginv[up]] != hv[ssrc[sinv[d]]]:
+                raise LiftObstruction(p.loop_through(d))
     return GraphMorphism._of_maps(sigma, gamma, hv, hd)
 
 
@@ -404,10 +394,8 @@ class DeckGroup:
     over it in sheet k.  ``table[i][j]`` is the index of the composite that
     applies element j first and element i second.  Order, table, subgroups,
     :meth:`indices_sending` and :meth:`vertex_map` read the automorphisms
-    and the rows; :meth:`element` builds one element as a morphism, and
-    :attr:`elements` builds them all on first read and keeps
-    them (a pure function of the value, like the caches of
-    :mod:`procover.graphs`).  No element but the identity has a fixed
+    and the rows; :meth:`element` builds one element as a morphism where
+    it is read, and none is kept.  No element but the identity has a fixed
     point, as proved by the forced map
     (:func:`~procover.freegroup._automorphisms`).
     """
@@ -462,11 +450,6 @@ class DeckGroup:
             chain.from_iterable(self.drows),
             _moved(self.drows, self.automorphisms[i]))))
 
-    @cached_property
-    def elements(self) -> tuple[GraphMorphism, ...]:
-        """Every element, built by :meth:`element` on first read."""
-        return tuple(map(self.element, range(self.order)))
-
 
 def _moved(rows, phi):
     """The entries of ``rows`` with each row permuted by ``phi``: the entry
@@ -499,8 +482,7 @@ def deck_group(c: Covering) -> DeckGroup:
     where the automorphisms are found
     (:func:`~procover.freegroup._automorphisms`).  The composition table is
     read off the images of 0.  An element is built as a morphism, with no
-    check, only when it is read (:meth:`DeckGroup.element`,
-    :attr:`DeckGroup.elements`).
+    check, only when it is read (:meth:`DeckGroup.element`).
     """
     rows, rep = c._sheets
     base, lifts = c.codomain, c.lifts

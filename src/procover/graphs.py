@@ -24,7 +24,6 @@ graph is freed with its last reference, without the cyclic collector.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -355,23 +354,23 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
     """
     if root not in g._vertex_set:
         raise GraphError("unknown root vertex %r" % root)
+    src, inv = g.src, g.inv
     parent: dict[str, str] = {}
     seen = {root}
-    tree: set[str] = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
+    reached = [root]
+    for x in reached:  # breadth first: reached grows as it is read
         for d in g.star(x):
-            w = g.target(d)
+            up = inv[d]
+            w = src[up]
             if w not in seen:
                 seen.add(w)
-                queue.append(w)
-                tree.add(d)
-                tree.add(g.inv[d])
-                parent[w] = g.inv[d]
+                reached.append(w)
+                parent[w] = up
     if len(seen) != len(g.vertices):
         raise GraphError("graph is not connected: %r unreachable from %r"
                          % (sorted(set(g.vertices) - seen)[0], root))
+    tree = set(parent.values())
+    tree.update(map(inv.__getitem__, parent.values()))
     return SpanningTreeData(g, root, tree, parent)
 
 
@@ -402,8 +401,12 @@ class Pi1Data:
 
     def basis_loop(self, k: int) -> tuple[str, ...]:
         """The closed path at the basepoint representing generator x_k:
-        tree path out, the basis dart, tree path back."""
-        d = self.basis_darts[k]
+        the loop through the k-th basis dart."""
+        return self.loop_through(self.basis_darts[k])
+
+    def loop_through(self, d: str) -> tuple[str, ...]:
+        """The closed path at the basepoint through dart ``d``: tree path
+        out, ``d``, tree path back."""
         g = self.graph
         out = self.tree.path_from_root(g.src[d])
         back = self.tree.path_from_root(g.target(d))

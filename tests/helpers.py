@@ -92,6 +92,32 @@ def record_spanning_trees(monkeypatch) -> list:
     return calls
 
 
+def queued_spanning_tree(g: pc.FiniteGraph, root: str) -> pc.SpanningTreeData:
+    """Oracle for ``spanning_tree``: the breadth-first search with a
+    ``deque`` and the graph's ``star`` and ``target`` methods that it
+    replaced, which adds each tree dart pair as it is found."""
+    if root not in g._vertex_set:
+        raise pc.GraphError("unknown root vertex %r" % root)
+    parent: dict = {}
+    seen = {root}
+    tree: set = set()
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for d in g.star(x):
+            w = g.target(d)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                tree.add(d)
+                tree.add(g.inv[d])
+                parent[w] = g.inv[d]
+    if len(seen) != len(g.vertices):
+        raise pc.GraphError("graph is not connected: %r unreachable from %r"
+                            % (sorted(set(g.vertices) - seen)[0], root))
+    return pc.SpanningTreeData(g, root, tree, parent)
+
+
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
     """The m-periodic wrap of the n-cycle onto the m-cycle (m divides n)."""
     assert n % m == 0
@@ -800,7 +826,7 @@ def congruence_quotient_by_deck_subgroup(deck, indices):
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)
     qg, h_map = congruence_orbit_quotient(c.domain,
-                                          [deck.elements[i] for i in chosen])
+                                          [deck.element(i) for i in chosen])
     vmap = {v: c.map.vmap[v] for v in qg.vertices}
     dmap = {d: c.map.dmap[d] for d in qg.darts}
     f_h = pc.as_covering(pc.GraphMorphism(qg, c.codomain, vmap, dmap))
@@ -981,9 +1007,9 @@ def scanned_deck_hom(phi: pc.GraphMorphism, upper: pc.DeckGroup,
     """Projection of deck groups through a bonding map by linear scan: the
     index of the one lower element beta with beta o phi == phi o alpha."""
     hom = []
-    for alpha in upper.elements:
+    for alpha in deck_elements(upper):
         target = pc.compose(phi, alpha)
-        found = [b for b, beta in enumerate(lower.elements)
+        found = [b for b, beta in enumerate(deck_elements(lower))
                  if pc.compose(beta, phi) == target]
         assert len(found) == 1
         hom.append(found[0])
@@ -1018,6 +1044,65 @@ def composed_lift_oracle(g: pc.GraphMorphism, cov: pc.Covering,
     """The check ``lift`` used to make: ``c.map o h == g`` through a
     composed, re-validated morphism compared with ``==``."""
     return pc.compose(cov.map, h) == g
+
+
+def searched_lift(g: pc.GraphMorphism, c: pc.Covering, base_c: str,
+                  base_a: str) -> pc.GraphMorphism:
+    """Oracle for ``lift``: the breadth-first search it replaced.  Each
+    dart is read from the lift table as the search reaches its source,
+    with its own discovery table, and an obstruction's witness is walked
+    back along the discovery darts: the path out, the dart, the path
+    back."""
+    if g.codomain != c.codomain:
+        raise pc.GraphError("map and covering have different codomains")
+    if base_c not in g.domain._vertex_set:
+        raise pc.GraphError("unknown source basepoint %r" % base_c)
+    if base_a not in c.domain._vertex_set:
+        raise pc.GraphError("unknown cover basepoint %r" % base_a)
+    if g.vmap[base_c] != c.map.vmap[base_a]:
+        raise ValueError("basepoint mismatch: %r maps to %r but %r lies over %r"
+                         % (base_c, g.vmap[base_c], base_a, c.map.vmap[base_a]))
+    if not pc.is_connected(g.domain):
+        raise ValueError("source graph is not connected")
+    sigma, gamma = g.domain, c.domain
+    sstar, ssrc, sinv = sigma._star, sigma.src, sigma.inv
+    gsrc, ginv, gd = gamma.src, gamma.inv, g.dmap
+
+    def path_to(v):
+        back = []
+        while v != base_c:
+            d = reached_by[v]
+            back.append(d)
+            v = ssrc[d]
+        return tuple(reversed(back))
+
+    hv = {base_c: base_a}
+    hd: dict = {}
+    reached_by: dict = {}
+    queue = deque([base_c])
+    while queue:
+        x = queue.popleft()
+        over = c.lifts[hv[x]]
+        for d in sstar[x]:
+            up = over[gd[d]]
+            e, up_e = sinv[d], ginv[up]
+            hd[d] = up
+            hd[e] = up_e
+            w, lw = ssrc[e], gsrc[up_e]
+            if w not in hv:
+                hv[w] = lw
+                reached_by[w] = d
+                queue.append(w)
+            elif hv[w] != lw:
+                back = tuple(sinv[b] for b in reversed(path_to(w)))
+                raise pc.LiftObstruction(path_to(x) + (d,) + back)
+    return pc.GraphMorphism(sigma, gamma, hv, hd)
+
+
+def deck_elements(deck: pc.DeckGroup) -> tuple:
+    """Every element of the deck group as a morphism, in index order, each
+    built by ``DeckGroup.element``."""
+    return tuple(map(deck.element, range(deck.order)))
 
 
 def composed_square_oracle(phi: pc.GraphMorphism, alpha: pc.GraphMorphism,
@@ -1235,7 +1320,7 @@ class TableCheckedAction:
         if not deck.is_subgroup(chosen):
             raise pc.ActionError("deck elements %r are not a subgroup"
                                  % (chosen,), witness=tuple(chosen))
-        morphisms = {i: deck.elements[i] for i in chosen}
+        morphisms = {i: deck.element(i) for i in chosen}
         table = {(i, j): deck.table[i][j] for i in chosen for j in chosen}
         return cls(deck.covering.domain, chosen, 0, table, morphisms)
 
@@ -1332,7 +1417,7 @@ def action_deck_isomorphism(act: pc.GroupAction, deck: pc.DeckGroup) -> dict:
     finds each element's map among the deck transformations of the orbit
     map and compares the action's composition table with the deck
     group's."""
-    index = {h: i for i, h in enumerate(deck.elements)}
+    index = {h: i for i, h in enumerate(deck_elements(deck))}
     mapping = {}
     for g in act.elements:
         m = act.morphisms[g]
@@ -1407,7 +1492,7 @@ def deck_action(deck: pc.DeckGroup, indices) -> pc.GroupAction:
     on the cover, its maps checked like any other ``pc.GroupAction``."""
     chosen = _deck_subgroup(deck, indices)
     return pc.GroupAction(deck.covering.domain,
-                          {i: deck.elements[i] for i in chosen})
+                          {i: deck.element(i) for i in chosen})
 
 
 @functools.lru_cache(maxsize=None)

@@ -41,6 +41,7 @@ from helpers import (
     cyclic_family,
     cyclic_rep,
     deck_action,
+    deck_elements,
     deck_subgroups,
     factorial_spec,
     is_normal_deck_subgroup,
@@ -130,7 +131,7 @@ def test_criterion_3():
         assert report.regular == (report.deck_order == report.degree)
         assert report.regular == report.image_normal == report.fiber_transitive
         deck = deck_group(cov)
-        for h in deck.elements[1:]:
+        for h in deck_elements(deck)[1:]:
             assert all(h.vmap[v] != v for v in cov.domain.vertices)
             assert all(h.dmap[d] != d for d in cov.domain.darts)
         seen += 1
@@ -138,7 +139,7 @@ def test_criterion_3():
         report = is_regular(cov)
         assert report.regular and report.deck_order == report.degree
         deck = deck_group(cov)
-        for h in deck.elements[1:]:
+        for h in deck_elements(deck)[1:]:
             assert all(h.vmap[v] != v for v in cov.domain.vertices)
         seen += 1
     assert seen == len(b2_covers()) + 8

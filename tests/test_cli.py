@@ -675,18 +675,49 @@ class TestCommands:
         """``cover-from-rep`` builds ``pi1_data`` at ``--base`` once, with
         one spanning tree, and ``cover_from_subgroup`` and
         ``image_subgroup`` read the kept one.  At ``--base b`` of the
-        three-vertex base the cover's least vertex a@0 lies over a, where
-        the cover takes its sheet coordinates, so it builds one more
-        there."""
+        three-vertex base the cover's least vertex a@0 lies over a, and
+        no tree is built there: the deck order is read off the image at
+        the basepoint."""
         graph, rep = str(tmp_path / "t2.json"), str(tmp_path / "rep.json")
         formats.save_graph(graph, three_vertex_base())
         formats.save_rep(rep, pc.translation_kernel_rep(2, 2))
         calls = record_spanning_trees(monkeypatch)
-        for base, want in (("a", ["a"]), ("b", ["b", "a"])):
+        for base in ("a", "b"):
             del calls[:]
             _out, code = run_cli(["cover-from-rep", graph, rep, "--base", base])
             assert code == 0
-            assert [b for _g, b in calls] == want
+            assert [b for _g, b in calls] == [base]
+
+    def test_cover_from_rep_transports_once_at_every_base(self, tmp_path,
+                                                          monkeypatch):
+        """On the 3-cycle with the 4-point cyclic action, ``cover-from-rep``
+        makes one sheet transport and builds one spanning tree, at
+        ``--base``, whether or not the cover's least vertex v0@0 lies over
+        it, and prints the deck order and regularity that ``is_regular``
+        reads off the first vertex."""
+        graph, rep = str(tmp_path / "c3.json"), str(tmp_path / "rep.json")
+        formats.save_graph(graph, pc.cycle_graph(3))
+        formats.save_rep(rep, cyclic_rep(4))
+        trees = record_spanning_trees(monkeypatch)
+        sheet_rows, transported = covering._sheet_rows, []
+
+        def recorded(c, a, p):
+            transported.append((a, p.basepoint))
+            return sheet_rows(c, a, p)
+
+        monkeypatch.setattr(covering, "_sheet_rows", recorded)
+        for base, at in (("v0", "v0@0"), ("v1", "v1@0")):
+            del trees[:], transported[:]
+            out, code = run_cli(["--json", "cover-from-rep", graph, rep,
+                                 "--base", base])
+            assert code == 0
+            assert [(g.name, b) for g, b in trees] == [("C3", base)]
+            assert transported == [(at, base)]
+            details = json.loads(out)["details"]
+            cov = pc.as_covering(formats.morphism_from_obj(details["morphism"]))
+            want = pc.is_regular(cov)
+            assert (details["deck_order"], details["regular"]) == \
+                (want.deck_order, want.regular) == (4, True)
 
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])

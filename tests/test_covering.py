@@ -48,6 +48,7 @@ from helpers import (
     cyclic_family,
     cyclic_rep,
     deck_action,
+    deck_elements,
     free_actions,
     deck_closure,
     deck_inverse,
@@ -71,6 +72,7 @@ from helpers import (
     rotation,
     rotation_action,
     s3_regular_rep,
+    searched_lift,
     small_deck_groups,
     theta_graph,
     three_vertex_base,
@@ -308,7 +310,7 @@ class TestDeckGroup:
     def test_wrap_deck_is_antipodal(self):
         deck = deck_group(as_covering(wrap_morphism(6, 3)))
         assert deck.order == 2
-        other = deck.elements[1]
+        other = deck.element(1)
         assert other.vmap["v0"] == "v3"
 
     def test_nonnormal_cover_has_trivial_deck(self):
@@ -323,7 +325,7 @@ class TestDeckGroup:
     def test_freeness(self):
         for n in (6, 9, 12):
             deck = deck_group(as_covering(wrap_morphism(n, 3)))
-            for h in deck.elements[1:]:
+            for h in deck_elements(deck)[1:]:
                 assert all(h.vmap[v] != v for v in h.domain.vertices)
                 assert all(h.dmap[d] != d for d in h.domain.darts)
 
@@ -423,8 +425,8 @@ class TestDeckGroupOracle:
     def check(cov):
         deck = deck_group(cov)
         elements, table, inverse = composed_deck_oracle(cov)
-        assert [h.vmap for h in deck.elements] == [h.vmap for h in elements]
-        assert deck.elements == elements
+        assert [h.vmap for h in deck_elements(deck)] == [h.vmap for h in elements]
+        assert deck_elements(deck) == elements
         assert deck.table == table
         assert tuple(deck_inverse(deck, i) for i in range(deck.order)) == inverse
         assert is_regular(cov) == three_way_regularity_oracle(cov)
@@ -468,8 +470,8 @@ class TestDeckGroupBySheetTransport:
             assert deck.order == want.order
             assert deck.table == want.table
             assert all(deck.element(i) == h for i, h in enumerate(want.elements))
-            assert deck.elements == want.elements
-        assert [h.vmap[cov.domain.vertices[0]] for h in deck.elements] == \
+            assert deck_elements(deck) == want.elements
+        assert [h.vmap[cov.domain.vertices[0]] for h in deck_elements(deck)] == \
             [cov.vertex_fibers[cov.map.vmap[cov.domain.vertices[0]]][phi[0]]
              for phi in deck.automorphisms]
         assert is_regular(cov).deck_order == deck.order
@@ -517,7 +519,7 @@ class TestDeckGroupBySheetTransport:
         monkeypatch.setattr(covering, "lift", no_lift)
         for cov, want in zip(covs, wants):
             deck = deck_group(cov)
-            assert deck.elements == want.elements and deck.table == want.table
+            assert deck_elements(deck) == want.elements and deck.table == want.table
 
     def test_walks_no_basis_loop(self, monkeypatch):
         """The monodromy comes from the sheet transport that gives the rows:
@@ -537,7 +539,7 @@ class TestDeckGroupBySheetTransport:
             deck = deck_group(cov)
             for want in (eager, lifted):
                 assert deck.order == want.order and deck.table == want.table
-                assert deck.elements == want.elements
+                assert deck_elements(deck) == want.elements
             assert is_regular(cov) == regular
 
     def test_rows_partition_the_cover(self):
@@ -666,7 +668,7 @@ class TestCarriedSheetCoordinates:
             deck = deck_group(cov)
             for want in (eager, lifted):
                 assert deck.order == want.order and deck.table == want.table
-                assert deck.elements == want.elements
+                assert deck_elements(deck) == want.elements
             assert is_regular(cov) == regular
             a0, p = self.first_coordinates(cov)
             assert image_subgroup(cov, a0, p) == monodromy
@@ -718,7 +720,7 @@ class TestCarriedSheetCoordinates:
             assert next(iter(rows)) == "a" and rows["a"][0] == "a@0"
             del transports[:]
             deck = deck_group(cov)
-            assert deck.table == eager.table and deck.elements == eager.elements
+            assert deck.table == eager.table and deck_elements(deck) == eager.elements
             assert is_regular(cov) == regular
             assert image_subgroup(cov, a0, p) is carried
             assert carried == monodromy
@@ -803,13 +805,13 @@ class TestDeckElementsWhereRead:
                 assert h_map.degree == len(s)
                 assert f_h.degree * len(s) == deck.covering.degree
         with pytest.raises(AssertionError, match="deck element 0 was built"):
-            deck.elements
+            deck_elements(deck)
 
     def test_indices_sending_matches_the_elements(self):
         for deck in small_deck_groups():
             cov = deck.covering
             for x in cov.domain.vertices:
-                reached = {h.vmap[x]: i for i, h in enumerate(deck.elements)}
+                reached = {h.vmap[x]: i for i, h in enumerate(deck_elements(deck))}
                 fiber = cov.vertex_fibers[cov.map.vmap[x]]
                 ys = [y for y in fiber if y in reached]
                 assert deck.indices_sending(x, ys) == [reached[y] for y in ys]
@@ -829,10 +831,15 @@ class TestDeckElementsWhereRead:
             with pytest.raises(IndexError):
                 deck.element(i)
 
-    def test_element_is_built_once_per_read_of_elements(self):
+    def test_no_element_is_kept(self):
+        """A deck group keeps no element: each read of ``element`` builds a
+        new morphism, equal to the last, whose vertex map is ``vertex_map``."""
         deck = deck_group(as_covering(wrap_morphism(12, 3)))
-        assert deck.elements is deck.elements
-        assert deck.elements == tuple(map(deck.element, range(deck.order)))
+        assert not hasattr(deck, "elements")
+        for i in range(deck.order):
+            h = deck.element(i)
+            assert h is not deck.element(i) and h == deck.element(i)
+            assert h.vmap == deck.vertex_map(i)
 
 
 def order_64_deck_group():
@@ -1093,6 +1100,92 @@ class TestLiftOracle:
         assert self.check(cov.map, cov, a0) == deck_group(cov).order
 
 
+def closed_walk_map(base, basepoint, rng, length):
+    """A map from a cycle onto a random closed walk at ``basepoint``:
+    ``length`` random darts, closed up along the tree path home."""
+    walk, x = [], basepoint
+    for _ in range(length):
+        d = rng.choice(base.star(x))
+        walk.append(d)
+        x = base.target(d)
+    home = pi1_data(base, basepoint).tree.path_from_root(x)
+    walk += [base.inv[d] for d in reversed(home)]
+    if not walk:
+        return GraphMorphism(pc.bouquet_graph(0), base, {"v0": basepoint}, {})
+    cycle = pc.cycle_graph(len(walk))
+    vmap = {"v%d" % i: base.src[d] for i, d in enumerate(walk)}
+    dmap = {}
+    for i, d in enumerate(walk):
+        dmap["e%d+" % i], dmap["e%d-" % i] = d, base.inv[d]
+    return GraphMorphism(cycle, base, vmap, dmap)
+
+
+def bouquet_map(base, rng, loops):
+    """A map from a bouquet of ``loops`` loops into the one-vertex ``base``,
+    each loop sent to a random dart."""
+    (v,) = base.vertices
+    bouquet = pc.bouquet_graph(loops)
+    dmap = {}
+    for i in range(loops):
+        d = rng.choice(base.darts)
+        dmap["e%d+" % i], dmap["e%d-" % i] = d, base.inv[d]
+    return GraphMorphism(bouquet, base, {"v0": v}, dmap)
+
+
+def lift_outcome(lifting, g, cov, base_c, base_a):
+    """What a lift gives: the maps, with the vertex map's key order, or
+    the obstruction's witness."""
+    try:
+        h = lifting(g, cov, base_c, base_a)
+    except LiftObstruction as exc:
+        return "obstruction", exc.witness
+    return "lift", h.domain, h.codomain, h.vmap, list(h.vmap), h.dmap
+
+
+class TestLiftAgainstTheSearch:
+    """``lift`` walks the kept spanning tree and checks the lifting
+    criterion on the darts outside it; the breadth-first search it
+    replaced (``searched_lift``) gives the same lift, or the same witness,
+    on generated maps from cycles, bouquets and other covers into the B2
+    covers, the theta covers and the covers of degree above ten, at
+    several basepoints on both sides."""
+
+    @staticmethod
+    def sources(base, rng, covers):
+        """Generated maps into ``base``: closed walks, bouquets when the
+        base has one vertex, and the maps of other covers of it."""
+        out = [closed_walk_map(base, "v0", rng, rng.randint(0, 7))
+               for _ in range(3)]
+        if len(base.vertices) == 1:
+            out.append(bouquet_map(base, rng, rng.randint(1, 3)))
+        out.append(rng.choice(covers).map)
+        return out
+
+    @staticmethod
+    def compare(g, cov, rng, counts):
+        for base_c in rng.sample(g.domain.vertices, min(2, len(g.domain.vertices))):
+            fiber = cov.vertex_fibers[g.vmap[base_c]]
+            for base_a in rng.sample(fiber, min(2, len(fiber))):
+                got = lift_outcome(lift, g, cov, base_c, base_a)
+                assert got == lift_outcome(searched_lift, g, cov, base_c, base_a)
+                counts[got[0]] += 1
+
+    def test_generated_maps(self):
+        rng = random.Random(32)
+        theta = theta_graph()
+        targets = {"B2": [cov for _h, _a, cov in b2_covers()],
+                   "theta": [cover_from_subgroup(theta, "v0", h)[2]
+                             for h in low_index_reps(2, 4)]}
+        for cov in TestCarriedSheetCoordinates.large_covers():
+            targets[cov.codomain.name].append(cov)
+        counts = {"lift": 0, "obstruction": 0}
+        for covers in targets.values():
+            for cov in covers:
+                for g in self.sources(cov.codomain, rng, covers):
+                    self.compare(g, cov, rng, counts)
+        assert counts["lift"] > 300 and counts["obstruction"] > 300
+
+
 class TestRegularity:
     def test_wrap_regular(self):
         report = is_regular(as_covering(wrap_morphism(6, 3)))
@@ -1243,11 +1336,11 @@ class TestGroupActions:
         for act in free_actions().values():
             yield act.graph, act.morphisms
         rng = random.Random(14)
-        groups = [(deck.covering.domain, deck.elements)
+        groups = [(deck.covering.domain, deck_elements(deck))
                   for deck in small_deck_groups()]
         mod4 = deck_group(cover_from_subgroup(
             pc.bouquet_graph(2), "v0", pc.translation_kernel_rep(2, 4))[2])
-        groups.append((mod4.covering.domain, mod4.elements))
+        groups.append((mod4.covering.domain, deck_elements(mod4)))
         c12 = pc.cycle_graph(12)
         flips = []
         for k in range(12):

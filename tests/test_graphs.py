@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import procover as pc
@@ -19,10 +21,12 @@ from helpers import (
     b2_covers,
     checked_kernel_congruence,
     cyclic_family,
+    deck_elements,
     free_actions,
     fresh_components,
     is_bijective,
     path_graph,
+    queued_spanning_tree,
     rotation,
     small_deck_groups,
     sorted_item_key,
@@ -113,6 +117,34 @@ class TestSpanningTree:
             pc.spanning_tree(pc.cycle_graph(3), "nope")
         with pytest.raises(GraphError):
             pc.spanning_tree(two_cycles(3), "a0")
+
+    def test_matches_the_queued_search(self):
+        """The tree, its parent darts in breadth-first order and the errors
+        are those of the ``deque`` search it replaced, from every root of
+        seeded random multigraphs (loops, parallel edges, disconnected
+        ones, edges to an undeclared vertex) and of the B2 covers."""
+        rng = random.Random(5)
+        graphs = [cov.domain for _h, _a, cov in b2_covers()]
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            ends = ["v%d" % i for i in range(n)] + ["ghost"] * rng.randint(0, 1)
+            edges = [("e%d" % i, rng.choice(ends), rng.choice(ends))
+                     for i in range(rng.randint(0, 10))]
+            graphs.append(pc.FiniteGraph.from_edges(ends[:n], edges))
+        outcomes = []
+        for g in graphs:
+            for root in g.vertices + ("nope",):
+                got = []
+                for build in (pc.spanning_tree, queued_spanning_tree):
+                    try:
+                        t = build(g, root)
+                    except GraphError as exc:
+                        got.append(str(exc))
+                    else:
+                        got.append((list(t.parent_dart.items()), t.tree_darts))
+                assert got[0] == got[1]
+                outcomes.append(type(got[0]))
+        assert outcomes.count(str) > 100 and outcomes.count(tuple) > 100
 
     def test_path_from_root(self):
         g = pc.cycle_graph(6)
@@ -262,7 +294,7 @@ def kernel_test_morphisms():
     ms += [cov.map for _, _, cov in b2_covers()]
     ms += [cov.map for cov in cyclic_family()]
     for deck in small_deck_groups():
-        ms += deck.elements
+        ms += deck_elements(deck)
     for act in free_actions().values():
         ms.append(pc.quotient_by_group(act)[1].map)
     cov = pc.as_covering(wrap_morphism(6, 3))

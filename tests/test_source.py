@@ -408,3 +408,21 @@ def test_values_store_attributes_only_while_constructed():
             if site not in ("__init__", "_index") and not site.startswith("_of_"):
                 found.append("%s:%s:%s" % (name, site, stored))
     assert found == ["graphs.py:pi1_data:g._pi1[]"]
+
+
+def test_lift_reads_the_kept_spanning_tree():
+    """``lift`` checks the lifting criterion on the spanning tree that
+    ``pi1_data`` keeps for its source, with no search of its own: it calls
+    ``pi1_data`` and has no ``while`` loop, and ``covering.py`` has no
+    ``deque``."""
+    tree = dict(library_trees())["covering.py"]
+    lift = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "lift")
+    called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+              for n in ast.walk(lift) if isinstance(n, ast.Call)}
+    assert "pi1_data" in called
+    assert not any(isinstance(n, ast.While) for n in ast.walk(lift))
+    names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+             | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+    assert "deque" not in names

@@ -39,6 +39,7 @@ from helpers import (
     composed_square_validation_oracle,
     constant_tower,
     cyclic_rep,
+    deck_elements,
     factorial_spec,
     non_refining_spec,
     path_graph,
@@ -334,9 +335,9 @@ class TestDeckTowerSquareOracle:
         result = deck_tower(t)
         for i, step in enumerate(result.steps):
             upper, lower = result.decks[i + 1], result.decks[i]
-            for alpha, b in zip(upper.elements, step.hom):
+            for alpha, b in zip(deck_elements(upper), step.hom):
                 assert composed_square_oracle(t.cover_steps[i], alpha,
-                                              lower.elements[b])
+                                              lower.element(b))
 
     def test_pro2_tower(self):
         self.check(pro2_tower(3))
@@ -855,22 +856,25 @@ def test_a_universal_tower_builds_pi1_data_once_per_graph_and_basepoint(
     """``universal_tower`` builds the fundamental-group data of each level
     once, and ``cover_from_subgroup`` reads the kept one: one spanning tree
     per (graph, basepoint), three for the three levels of the B2 chain.
-    The deck groups, the good pairs and the triviality check then build
-    no tree on a level base, and one on each other graph they read: the
-    quotients of the good pairs and the level covers."""
+    Each cover bonding is the lift of a level cover, which builds the
+    tree of that cover at its basepoint, two more.  The deck groups, the
+    good pairs and the triviality check then build no tree on a level
+    base or a lifted level cover, and one on each other graph they read:
+    the quotients of the good pairs and the level-0 cover."""
     calls = record_spanning_trees(monkeypatch)
     t = universal_tower(b2_homology_spec())
-    assert len(calls) == len(t.coverings) == 3
-    assert all(g is c.codomain and base == "v0"
-               for (g, base), c in zip(calls, t.coverings))
+    assert len(t.coverings) == 3
+    kept = ([(id(c.codomain), "v0") for c in t.coverings]
+            + [(id(t.cover_graph(i)), t.basepoints[i]) for i in (1, 2)])
+    assert [(id(g), base) for g, base in calls] == kept
     assert deck_tower(t).orders == [1, 4, 16]
-    assert len(calls) == 3
+    assert len(calls) == 5
     kernel_good_pairs(t)
     pi1_triviality_check(t, 2)
     trees = [(id(g), base) for g, base in calls]
-    assert len(set(trees)) == len(trees) > 3
-    levels = {id(t.base_graph(i)) for i in range(3)}
-    assert all(id(g) not in levels for g, _base in calls[3:])
+    assert len(set(trees)) == len(trees) > 5
+    assert not set(trees[5:]) & set(kept)
+    assert (id(t.cover_graph(0)), t.basepoints[0]) in trees[5:]
 
 
 def conjugate_stabilizer_deck_order(rep) -> int:
