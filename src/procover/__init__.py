@@ -57,7 +57,6 @@ from .covering import (
     image_subgroup,
     is_regular,
     lift,
-    path_to_word,
     quotient_by_deck_subgroup,
     quotient_by_group,
 )

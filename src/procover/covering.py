@@ -49,7 +49,7 @@ from .graphs import (
     quotient,
     validate_graph,
 )
-from .freegroup import FreeWord, PermRep, _automorphisms, normalizer_points
+from .freegroup import PermRep, _automorphisms, normalizer_points
 
 
 class NotACoveringError(VerdictError):
@@ -184,28 +184,6 @@ def as_covering(f: GraphMorphism) -> Covering:
                 v, "star maps onto %d of %d darts at %r"
                 % (len(star), len(below[u]), u))
     return Covering(f, lifts)
-
-
-def path_to_word(p: Pi1Data, path: Iterable[str]) -> FreeWord:
-    """Rewrite a dart path through the tree into a reduced word.
-
-    Tree darts contribute nothing; the word of a closed path at the
-    basepoint is its fundamental-group element.  Raises GraphError if the
-    darts do not chain head to tail.
-    """
-    g = p.graph
-    letters = []
-    prev_end = None
-    for d in path:
-        if d not in g._dart_set:
-            raise GraphError("unknown dart %r in path" % d)
-        if prev_end is not None and g.src[d] != prev_end:
-            raise GraphError("darts do not form a path at %r" % d)
-        prev_end = g.target(d)
-        lt = p.letter(d)
-        if lt is not None:
-            letters.append(lt)
-    return FreeWord(letters)
 
 
 def cover_from_subgroup(base: FiniteGraph, basepoint: str, rep: PermRep

@@ -20,6 +20,8 @@ table with the two indexes the document formats read, and its
 fundamental-group coordinates by basepoint (:func:`pi1_data`); a
 morphism keeps its hash.  No kept fact refers back to its value, so a
 graph is freed with its last reference, without the cyclic collector.
+The quotient by the diagonal congruence is the graph itself
+(:func:`quotient`), so it shares every fact the graph keeps.
 """
 
 from __future__ import annotations
@@ -191,10 +193,10 @@ class FiniteGraph:
         return refs
 
     @cached_property
-    def _pi1(self) -> dict[str, tuple[tuple[str, ...], frozenset, dict]]:
-        """{basepoint: (basis darts, tree darts, parent darts)}, the
-        coordinates :func:`pi1_data` builds there, none of which refers to
-        the graph."""
+    def _pi1(self) -> dict[str, tuple[tuple[str, ...], frozenset, dict, dict]]:
+        """{basepoint: (basis darts, tree darts, parent darts, letters)},
+        the coordinates :func:`pi1_data` builds there, none of which refers
+        to the graph."""
         return {}
 
     @classmethod
@@ -326,13 +328,15 @@ class SpanningTreeData:
 
     ``tree_darts`` holds both orientations of every tree edge, and
     ``parent_dart[v]`` is the dart from ``v`` one step toward the root.
+    The ``parent_dart`` dict is taken over, not copied: :func:`pi1_data`
+    passes the one it keeps, which no code changes.
     """
 
     def __init__(self, graph, root, tree_darts, parent_dart):
         self.graph = graph
         self.root = root
         self.tree_darts = frozenset(tree_darts)
-        self.parent_dart = dict(parent_dart)
+        self.parent_dart = parent_dart
 
     def path_from_root(self, v: str) -> tuple[str, ...]:
         """The darts of the unique tree path from the root to ``v``."""
@@ -380,6 +384,11 @@ class Pi1Data:
     A spanning tree plus one chosen orientation of each non-tree edge pair;
     the k-th basis dart stands for the generator ``x_k`` of the fundamental
     group at the basepoint.  rank = edge pairs - vertices + 1.
+
+    ``_letter`` maps each basis dart and its inverse to its letter.  It
+    depends on the basis alone, so coordinates whose basis is the tuple
+    :func:`pi1_data` keeps at the basepoint read the table kept with it,
+    and any other basis has its own built here.
     """
 
     def __init__(self, graph, basepoint, tree, basis_darts):
@@ -388,10 +397,11 @@ class Pi1Data:
         self.tree = tree
         self.basis_darts = tuple(basis_darts)
         self.rank = len(self.basis_darts)
-        self._letter: dict[str, tuple[int, int]] = {}
-        for k, d in enumerate(self.basis_darts):
-            self._letter[d] = (k, 1)
-            self._letter[graph.inv[d]] = (k, -1)
+        kept = graph._pi1.get(basepoint)
+        if kept is not None and kept[0] is self.basis_darts:
+            self._letter = kept[3]
+        else:
+            self._letter = _letters(graph, self.basis_darts)
 
     def letter(self, d: str) -> tuple[int, int] | None:
         """Generator letter carried by a dart; None on tree darts."""
@@ -413,14 +423,26 @@ class Pi1Data:
         return out + (d,) + tuple(g.inv[x] for x in reversed(back))
 
 
+def _letters(g: FiniteGraph, basis: tuple) -> dict[str, tuple[int, int]]:
+    """{dart: letter}: the k-th basis dart is ``(k, 1)`` and its inverse
+    ``(k, -1)``."""
+    letters = {}
+    for k, d in enumerate(basis):
+        letters[d] = (k, 1)
+        letters[g.inv[d]] = (k, -1)
+    return letters
+
+
 def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
     """Spanning tree and non-tree basis at ``base`` (graph must be connected).
 
-    The basis and the tree's darts are built on the first call for
-    ``base`` and kept on the graph (``_pi1``).  They do not refer to the
-    graph, so it is freed with its last reference.  Each call pairs ``g``
-    with them in a new :class:`Pi1Data`, whose ``basis_darts`` is the kept
-    tuple.
+    The basis, the tree's darts, its parent darts and the letter table are
+    built on the first call for ``base`` and kept on the graph (``_pi1``).
+    They do not refer to the graph, so it is freed with its last
+    reference.  Each call pairs ``g`` with them in a new :class:`Pi1Data`,
+    whose ``basis_darts`` is the kept tuple; neither it nor its
+    :class:`SpanningTreeData` copies what is kept, so a call at a kept
+    basepoint builds nothing whose size grows with the graph.
     """
     kept = g._pi1.get(base)
     if kept is None:
@@ -429,8 +451,9 @@ def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
         basis = tuple(d for d in g.darts if d < inv[d] and d not in tree.tree_darts)
         if len(basis) != g.edge_count() - len(g.vertices) + 1:
             raise RuntimeError("basis size is not the cycle rank (internal error)")
-        kept = g._pi1[base] = (basis, tree.tree_darts, tree.parent_dart)
-    basis, tree_darts, parent_dart = kept
+        kept = g._pi1[base] = (basis, tree.tree_darts, tree.parent_dart,
+                               _letters(g, basis))
+    basis, tree_darts, parent_dart = kept[:3]
     return Pi1Data(g, base, SpanningTreeData(g, base, tree_darts, parent_dart), basis)
 
 
@@ -644,10 +667,17 @@ class Congruence:
 def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]:
     """Quotient graph ``g / r`` and the projection morphism onto it.
 
-    Class ids are the smallest member ids, so quotienting by the diagonal
-    congruence returns a graph equal to ``g``.  The projection is built,
-    not checked: a congruence's classes have related sources and related
-    inverses, as :meth:`Congruence.__init__` checks or the callers of
+    Class ids are the smallest member ids, so the quotient by the diagonal
+    congruence, every class a singleton, has ``g``'s ids, tables and name:
+    it is ``g`` itself, and the projection is the identity, read off
+    ``r``'s representative maps, which send each element to itself.  It
+    shares everything ``g`` keeps (components, edge table,
+    :func:`pi1_data`).  The classes, which partition the vertices and the
+    darts, are singletons exactly when there are as many as elements.
+
+    Any other projection is built, not checked: a congruence's classes
+    have related sources and related inverses, as
+    :meth:`Congruence.__init__` checks or the callers of
     :meth:`Congruence._of_partition` prove, so each class of darts goes to
     the class whose source and inverse the quotient gives it.  The graph
     is built by :meth:`FiniteGraph._of_tables`: the classes partition the
@@ -659,6 +689,8 @@ def quotient(g: FiniteGraph, r: Congruence) -> tuple[FiniteGraph, GraphMorphism]
     if r.base != g:
         raise GraphError("congruence belongs to a different graph")
     vrep, drep = r._vrep, r._drep
+    if (len(r.vertex_classes), len(r.dart_classes)) == (len(g.vertices), len(g.darts)):
+        return g, GraphMorphism._of_maps(g, g, vrep, drep)
     darts = tuple(c[0] for c in r.dart_classes)
     qg = FiniteGraph._of_tables(
         tuple(c[0] for c in r.vertex_classes), darts,

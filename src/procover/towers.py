@@ -31,6 +31,7 @@ from .graphs import (
 )
 from .freegroup import (
     DEFAULT_MAX_WORK,
+    FreeWord,
     GeneratorImages,
     PermRep,
     is_normal,
@@ -46,7 +47,6 @@ from .covering import (
     deck_group,
     is_regular,
     lift,
-    path_to_word,
 )
 
 
@@ -266,9 +266,15 @@ def classify_pair(f: GraphMorphism, r: Congruence, s: Congruence,
     except NotACoveringError as exc:
         return GoodPairRecord("half", witness=(exc.vertex, exc.reason),
                               level=level)
-    if not induced.domain.vertices:
+    return _classify_covering(cov, level)
+
+
+def _classify_covering(cov: Covering, level: int | None) -> GoodPairRecord:
+    """``regular_good`` for a regular covering of connected graphs, else
+    ``good``; a cover with no vertices is a ValueError."""
+    if not cov.domain.vertices:
         raise ValueError("the cover has no vertices")
-    if is_connected(induced.domain) and is_connected(induced.codomain) \
+    if is_connected(cov.domain) and is_connected(cov.codomain) \
             and is_regular(cov).regular:
         verdict = "regular_good"
     else:
@@ -284,21 +290,32 @@ def kernel_good_pairs(t: Tower, top: int | None = None) -> list[GoodPairRecord]:
     tower every record is at least ``good``.  The composites are built as
     one running chain per side, each step one :func:`compose` onto the
     previous composite, so a depth-k tower makes at most 2k compositions.
+
+    The top pair is the diagonal on both sides, and is classified on the
+    top level's covering itself.  The quotient by a diagonal is the graph
+    itself (:func:`~procover.graphs.quotient`), and the map that ``f_top``
+    induces sends each singleton class to the class of its image: it is
+    ``f_top``.  A level of a tower is a :class:`Covering`, checked or
+    proved locally bijective where it was built, so ``f_top`` is not
+    checked again, and the sheets :func:`is_regular` reads stay on that
+    covering for :func:`deck_tower`.  Its record is what
+    :func:`classify_pair` gives for the two diagonals.
     """
     j = t.top if top is None else top
     if not 0 <= j <= t.top:
         raise ValueError("no level %r in this tower" % (top,))
     f_top = t.coverings[j].map
-    pairs = [(Congruence.diagonal(t.cover_graph(j)),
-              Congruence.diagonal(t.base_graph(j)))]
+    pairs = []
     down_cover = down_base = None
     for i in range(j - 1, -1, -1):
         down_cover = _extend_down(t.cover_steps[i], down_cover)
         down_base = _extend_down(t.base_steps[i], down_base)
         pairs.append((kernel_congruence(down_cover), kernel_congruence(down_base)))
     pairs.reverse()
-    return [classify_pair(f_top, r, s, level=i)
-            for i, (r, s) in enumerate(pairs)]
+    records = [classify_pair(f_top, r, s, level=i)
+               for i, (r, s) in enumerate(pairs)]
+    records.append(_classify_covering(t.coverings[j], j))
+    return records
 
 
 def _extend_down(step: GraphMorphism, chain: GraphMorphism | None) -> GraphMorphism:
@@ -408,6 +425,16 @@ def universal_tower(spec: UniversalSpec) -> Tower:
     generators escapes (they generate it), and it is the witness.
     A malformed spec raises ValueError; a subgroup that is not normal
     raises TowerError with its level as the witness.
+
+    The quotient by a diagonal congruence is the base itself
+    (:func:`~procover.graphs.quotient`), so the two bases of a step are
+    one graph exactly when both quotients are diagonal.  Then the base
+    bonding is the identity of that graph, and both levels read the
+    coordinates :func:`pi1_data` keeps at the basepoint, which is its own
+    class.  The identity sends basis loop k to itself, whose word is
+    ``x_k``, so the step induces the identity on generators, and the map
+    lifted to the cover bonding is the upper level's own map: no loop is
+    rewritten and nothing is composed.
     """
     if len(spec.quotients) != len(spec.normals) or not spec.quotients:
         raise ValueError("need the same positive number of quotients and subgroups")
@@ -440,13 +467,17 @@ def universal_tower(spec: UniversalSpec) -> Tower:
             levels[i + 1][0], levels[i][0],
             {c[0]: coarse.vertex_rep(c[0]) for c in fine.vertex_classes},
             {c[0]: coarse.dart_rep(c[0]) for c in fine.dart_classes})
-        images = induced_hom(psi, levels[i + 1][2], levels[i][2])
+        if levels[i + 1][0] is levels[i][0]:  # both quotients diagonal
+            images = _identity_images(levels[i][2].rank)
+            lowered = levels[i + 1][5].map
+        else:
+            images = induced_hom(psi, levels[i + 1][2], levels[i][2])
+            lowered = compose(psi, levels[i + 1][5].map)
         if not pushforward_leq(spec.normals[i + 1], images, spec.normals[i]):
             bad = next(w for w in spec.normals[i + 1].schreier_generators()
                        if spec.normals[i].act(0, substitute(w, images)) != 0)
             raise CompatibilityError((i, i + 1), bad)
         base_steps.append(psi)
-        lowered = compose(psi, levels[i + 1][5].map)
         phi = lift(lowered, levels[i][5], levels[i + 1][4], levels[i][4])
         cover_steps.append(phi)
     return Tower([lv[5] for lv in levels], cover_steps, base_steps,
@@ -456,8 +487,13 @@ def universal_tower(spec: UniversalSpec) -> Tower:
 def induced_hom(f: GraphMorphism, p_dom: Pi1Data, p_cod: Pi1Data) -> GeneratorImages:
     """The homomorphism of fundamental groups induced by a based map.
 
-    Each basis loop upstairs is pushed through ``f`` and rewritten through
-    the downstairs tree into a reduced word.
+    Each basis loop upstairs is pushed through ``f``, and its word is the
+    reduced product of the letters ``p_cod`` gives its darts, tree darts
+    giving none.  The letters are read with no check that the darts chain:
+    the graphs and the basepoint are checked here, and a morphism sends a
+    closed path at the basepoint upstairs to a closed path at its image,
+    the basepoint downstairs, so every pushed dart starts where the one
+    before it ends.
     """
     if f.domain != p_dom.graph or f.codomain != p_cod.graph:
         raise GraphError("fundamental-group data does not match the morphism")
@@ -465,11 +501,17 @@ def induced_hom(f: GraphMorphism, p_dom: Pi1Data, p_cod: Pi1Data) -> GeneratorIm
         raise ValueError("basepoint mismatch: %r maps to %r, not %r"
                          % (p_dom.basepoint, f.vmap[p_dom.basepoint],
                             p_cod.basepoint))
+    letter, dmap = p_cod._letter.get, f.dmap
     words = []
     for key in range(p_dom.rank):
-        image_path = [f.dmap[d] for d in p_dom.basis_loop(key)]
-        words.append(path_to_word(p_cod, image_path))
+        letters = map(letter, map(dmap.__getitem__, p_dom.basis_loop(key)))
+        words.append(FreeWord([lt for lt in letters if lt is not None]))
     return GeneratorImages(p_dom.rank, p_cod.rank, tuple(words))
+
+
+def _identity_images(rank: int) -> GeneratorImages:
+    """The identity of the free group of this rank, generator by generator."""
+    return GeneratorImages(rank, rank, tuple(map(FreeWord.generator, range(rank))))
 
 
 @dataclass
@@ -513,7 +555,7 @@ def pi1_triviality_check(t: Tower, max_index: int,
     satisfying one only when the top level satisfies H.  The maps from
     level j down to level i are built as one running chain of
     compositions; by default only level 0 is enumerated, so a depth-k
-    tower makes k compositions and one low-index search.
+    tower makes at most k compositions and one low-index search.
     """
     basepoints = t.require_basepoints()
     p = []
@@ -539,11 +581,16 @@ def pi1_triviality_check(t: Tower, max_index: int,
 
 def _homs_down_to(t: Tower, p: list[Pi1Data], i: int) -> list[GeneratorImages]:
     """The homomorphisms induced from level j into level i, for j = i..top,
-    read off one running chain of bonding composites."""
-    down = GraphMorphism.identity(t.cover_graph(i))
-    homs = [induced_hom(down, p[i], p[i])]
+    read off one running chain of bonding composites.
+
+    From level i to itself the map is the identity, which sends basis loop
+    k of ``p[i]`` to itself, whose word is ``x_k``: that homomorphism is
+    the identity on generators, with no morphism built and no loop
+    rewritten."""
+    homs, down = [_identity_images(p[i].rank)], None
     for j in range(i + 1, t.top + 1):
-        down = compose(down, t.cover_steps[j - 1])
+        step = t.cover_steps[j - 1]
+        down = step if down is None else compose(down, step)
         homs.append(induced_hom(down, p[j], p[i]))
     return homs
 

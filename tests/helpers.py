@@ -1142,12 +1142,92 @@ def fresh_components(g: pc.FiniteGraph) -> tuple:
     return tuple(sorted(comps))
 
 
+def path_to_word(p: pc.Pi1Data, path) -> pc.FreeWord:
+    """Oracle for the words ``induced_hom`` reads off the letters, and the
+    library function it once was: a dart path rewritten through the tree
+    of ``p`` into a reduced word.  Tree darts contribute nothing; the word
+    of a closed path at the basepoint is its fundamental-group element.
+    Raises GraphError on an unknown dart or darts that do not chain head
+    to tail."""
+    g = p.graph
+    letters = []
+    prev_end = None
+    for d in path:
+        if d not in g._dart_set:
+            raise pc.GraphError("unknown dart %r in path" % d)
+        if prev_end is not None and g.src[d] != prev_end:
+            raise pc.GraphError("darts do not form a path at %r" % d)
+        prev_end = g.target(d)
+        lt = p.letter(d)
+        if lt is not None:
+            letters.append(lt)
+    return pc.FreeWord(letters)
+
+
+def rewritten_induced_hom(f: pc.GraphMorphism, p_dom: pc.Pi1Data,
+                          p_cod: pc.Pi1Data) -> pc.GeneratorImages:
+    """Oracle for ``induced_hom``: every basis loop of ``p_dom`` pushed
+    through ``f`` and rewritten by :func:`path_to_word`, which checks that
+    the pushed darts chain."""
+    assert f.vmap[p_dom.basepoint] == p_cod.basepoint
+    words = tuple(path_to_word(p_cod, [f.dmap[d] for d in p_dom.basis_loop(k)])
+                  for k in range(p_dom.rank))
+    return pc.GeneratorImages(p_dom.rank, p_cod.rank, words)
+
+
+def table_quotient(g: pc.FiniteGraph, r: pc.Congruence):
+    """Oracle for ``quotient``: the quotient graph built from the class
+    tables for every congruence, the diagonal too, through the checking
+    ``FiniteGraph(...)``, and the projection through the checking
+    ``GraphMorphism(...)``."""
+    vrep = {x: c[0] for c in r.vertex_classes for x in c}
+    drep = {x: c[0] for c in r.dart_classes for x in c}
+    darts = [c[0] for c in r.dart_classes]
+    qg = pc.FiniteGraph([c[0] for c in r.vertex_classes], darts,
+                        {d: vrep[g.src[d]] for d in darts},
+                        {d: drep[g.inv[d]] for d in darts}, name=g.name)
+    return qg, pc.GraphMorphism(g, qg, vrep, drep)
+
+
+def table_classify_pair(f: pc.GraphMorphism, r: pc.Congruence,
+                        s: pc.Congruence, level=None) -> towers.GoodPairRecord:
+    """Oracle for ``classify_pair``: the induced map read class by class
+    and checked by ``GraphMorphism(...)`` between the quotients of
+    :func:`table_quotient`, then checked by ``as_covering``."""
+    maps = []
+    for classes, image, rep in ((r.vertex_classes, f.vmap, s._vrep),
+                                (r.dart_classes, f.dmap, s._drep)):
+        m = {}
+        for cls in classes:
+            m[cls[0]] = rep[image[cls[0]]]
+            bad = [x for x in cls if rep[image[x]] != m[cls[0]]]
+            if bad:
+                return towers.GoodPairRecord("not_half", witness=(cls[0], bad[0]),
+                                             level=level)
+        maps.append(m)
+    induced = pc.GraphMorphism(table_quotient(f.domain, r)[0],
+                               table_quotient(f.codomain, s)[0], *maps)
+    try:
+        cov = pc.as_covering(induced)
+    except pc.NotACoveringError as exc:
+        return towers.GoodPairRecord("half", witness=(exc.vertex, exc.reason),
+                                     level=level)
+    if not induced.domain.vertices:
+        raise ValueError("the cover has no vertices")
+    regular = (pc.is_connected(induced.domain) and pc.is_connected(induced.codomain)
+               and pc.is_regular(cov).regular)
+    return towers.GoodPairRecord("regular_good" if regular else "good",
+                                 level=level)
+
+
 def all_pairs_triviality_oracle(t: pc.Tower, max_index: int,
                                 max_work: int = pc.DEFAULT_MAX_WORK
                                 ) -> towers.TrivialityReport:
     """The triviality check ``pi1_triviality_check`` replaced: the induced
     homomorphism of ``t.cover_map_to(i, j)`` for every pair i <= j, the
-    normal subgroups of every level, and a scan of every j >= i per row."""
+    identity pairs too, rewritten loop by loop
+    (:func:`rewritten_induced_hom`), the normal subgroups of every level,
+    and a scan of every j >= i per row."""
     basepoints = t.require_basepoints()
     p = []
     for i in range(t.top + 1):
@@ -1157,7 +1237,7 @@ def all_pairs_triviality_oracle(t: pc.Tower, max_index: int,
     homs = {}
     for i in range(t.top + 1):
         for j in range(i, t.top + 1):
-            homs[(i, j)] = pc.induced_hom(t.cover_map_to(i, j), p[j], p[i])
+            homs[(i, j)] = rewritten_induced_hom(t.cover_map_to(i, j), p[j], p[i])
     rows = []
     for i in range(t.top + 1):
         for rep in pc.low_index_reps(p[i].rank, max_index, normal_only=True,
@@ -1215,14 +1295,16 @@ def composed_square_validation_oracle(level_maps, cover_steps, base_steps
 
 def per_pair_good_pairs_oracle(t: pc.Tower, top: int) -> list:
     """``kernel_good_pairs`` as it was: the kernels of the composite bonding
-    maps from ``top`` down to each level i, each composite built afresh."""
+    maps from ``top`` down to each level i, each composite built afresh,
+    the identities at the top too, each pair classified on quotients built
+    from their tables (:func:`table_classify_pair`)."""
     f_top = t.coverings[top].map
     records = []
     for i in range(top + 1):
         base_map = pc.GraphMorphism.identity(t.base_graph(top))
         for step in range(top - 1, i - 1, -1):
             base_map = pc.compose(t.base_steps[step], base_map)
-        records.append(pc.classify_pair(
+        records.append(table_classify_pair(
             f_top, pc.kernel_congruence(t.cover_map_to(i, top)),
             pc.kernel_congruence(base_map), level=i))
     return records

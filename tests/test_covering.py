@@ -22,7 +22,6 @@ from procover import (
     is_regular,
     lift,
     low_index_reps,
-    path_to_word,
     pi1_data,
     quotient_by_deck_subgroup,
     quotient_by_group,
@@ -66,6 +65,7 @@ from helpers import (
     pairwise_closure,
     pairwise_group_action,
     path_graph,
+    path_to_word,
     record_constructions,
     rejected_action_documents,
     relabelled,

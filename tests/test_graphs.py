@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,9 +28,11 @@ from helpers import (
     is_bijective,
     path_graph,
     queued_spanning_tree,
+    record_spanning_trees,
     rotation,
     small_deck_groups,
     sorted_item_key,
+    table_quotient,
     two_cycles,
     wrap_morphism,
 )
@@ -156,6 +159,41 @@ class TestSpanningTree:
             assert g.target(a) == g.src[b]
 
 
+class TestPi1DataAtAKeptBasepoint:
+    def test_a_second_call_builds_nothing_that_grows_with_the_graph(
+            self, monkeypatch):
+        """At a kept basepoint ``pi1_data`` pairs the graph with the kept
+        basis, tree darts, parent darts and letter table, copying none of
+        them and building no tree: on a cover of degree 1024 of the
+        bouquet (2048 edges, rank 1025) the call allocates under 2 KiB,
+        where one copy of the parent darts alone takes tens of KiB.
+        Coordinates with any other basis get their own letter table."""
+        cover = pc.cover_from_subgroup(pc.bouquet_graph(2), "v0",
+                                       pc.translation_kernel_rep(2, 32))[0]
+        base = cover.vertices[0]
+        first = pc.pi1_data(cover, base)
+        assert first.rank == 1025
+        trees = record_spanning_trees(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            again = pc.pi1_data(cover, base)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 2048 and trees == []
+        assert again.basis_darts is first.basis_darts
+        assert again.tree.tree_darts is first.tree.tree_darts
+        assert again.tree.parent_dart is first.tree.parent_dart
+        assert again._letter is first._letter
+        assert len(first._letter) == 2 * first.rank
+        other = pc.Pi1Data(cover, base, first.tree, list(first.basis_darts))
+        assert other._letter == first._letter and other._letter is not first._letter
+        assert [other.letter(d) for d in cover.darts] == \
+            [first.letter(d) for d in cover.darts]
+
+
 class TestQuotient:
     def test_c6_antipodal_gives_c3(self):
         c6 = pc.cycle_graph(6)
@@ -183,6 +221,44 @@ class TestQuotient:
     def test_wrong_graph(self):
         with pytest.raises(GraphError):
             quotient(pc.cycle_graph(3), Congruence.diagonal(pc.cycle_graph(4)))
+
+    def test_diagonal_is_the_graph_itself(self):
+        """The quotient by the diagonal is the graph itself, with the
+        identity as its projection, and so shares what the graph keeps.
+        Its tables, name and maps are those of the full build from the
+        class tables (:func:`table_quotient`), on seeded random multigraphs
+        (loops, parallel edges, disconnected ones) and on the graphs of the
+        kernel tests, for the diagonal built trusted, checked and from
+        given singleton classes.  The kernels of the kernel tests, diagonal
+        exactly for the injective maps, agree with the full build too, and
+        every other one gets a new graph."""
+        rng = random.Random(33)
+        graphs = {g for f in kernel_test_morphisms() for g in (f.domain, f.codomain)}
+        for _ in range(40):
+            vertices = ["v%d" % i for i in range(rng.randint(1, 7))]
+            edges = [("e%d" % i, rng.choice(vertices), rng.choice(vertices))
+                     for i in range(rng.randint(0, 10))]
+            graphs.add(FiniteGraph.from_edges(vertices, edges))
+        assert len(graphs) > 60
+        kernels = [(f.domain, kernel_congruence(f)) for f in kernel_test_morphisms()]
+        shared = 0
+        for g, r in [(g, r) for g in graphs
+                     for r in (Congruence.diagonal(g), Congruence(g),
+                               Congruence(g, [[v] for v in g.vertices],
+                                          [[d] for d in g.darts]))] + kernels:
+            kept = pc.pi1_data(g, g.vertices[0]) if pc.is_connected(g) else None
+            qg, proj = quotient(g, r)
+            want, want_proj = table_quotient(g, r)
+            assert (qg._key, qg.name) == (want._key, want.name)
+            assert (proj.vmap, proj.dmap) == (want_proj.vmap, want_proj.dmap)
+            assert proj.domain is g and proj.codomain is qg
+            assert (qg is g) == (r == Congruence(g))
+            if qg is g and kept is not None:
+                again = pc.pi1_data(qg, g.vertices[0])
+                assert again.basis_darts is kept.basis_darts
+                shared += 1
+        assert shared > 60
+        assert 0 < sum(quotient(g, r)[0] is g for g, r in kernels) < len(kernels)
 
 
 class TestCongruenceValidation:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -34,6 +35,7 @@ from procover import cli, covering, formats, towers
 from procover.covering import image_subgroup
 from helpers import (
     all_pairs_triviality_oracle,
+    b2_covers,
     b2_homology_spec,
     composed_square_oracle,
     composed_square_validation_oracle,
@@ -48,6 +50,7 @@ from helpers import (
     record_constructions,
     record_spanning_trees,
     relabelled,
+    rewritten_induced_hom,
     rotation,
     scanned_deck_hom,
     theta_graph,
@@ -853,28 +856,29 @@ def test_a_towers_request_checks_nothing(
 
 def test_a_universal_tower_builds_pi1_data_once_per_graph_and_basepoint(
         monkeypatch):
-    """``universal_tower`` builds the fundamental-group data of each level
-    once, and ``cover_from_subgroup`` reads the kept one: one spanning tree
-    per (graph, basepoint), three for the three levels of the B2 chain.
-    Each cover bonding is the lift of a level cover, which builds the
-    tree of that cover at its basepoint, two more.  The deck groups, the
-    good pairs and the triviality check then build no tree on a level
-    base or a lifted level cover, and one on each other graph they read:
-    the quotients of the good pairs and the level-0 cover."""
+    """``universal_tower`` builds the fundamental-group data of each graph
+    once, and ``cover_from_subgroup`` reads the kept one.  The three
+    quotients of the B2 chain are diagonal, so the three levels share the
+    base itself, and one spanning tree serves them all.  Each cover
+    bonding is the lift of a level cover, which builds the tree of that
+    cover at its basepoint, two more.  The deck groups, the good pairs and
+    the triviality check then build no tree on the base or a lifted level
+    cover: the good pairs read the base's kept tree (their base-side
+    quotients are diagonal), and only the level-0 cover, which the
+    triviality check reads, gets one."""
     calls = record_spanning_trees(monkeypatch)
     t = universal_tower(b2_homology_spec())
     assert len(t.coverings) == 3
-    kept = ([(id(c.codomain), "v0") for c in t.coverings]
+    assert all(c.codomain is t.coverings[0].codomain for c in t.coverings)
+    kept = ([(id(t.base_graph(0)), "v0")]
             + [(id(t.cover_graph(i)), t.basepoints[i]) for i in (1, 2)])
     assert [(id(g), base) for g, base in calls] == kept
     assert deck_tower(t).orders == [1, 4, 16]
-    assert len(calls) == 5
     kernel_good_pairs(t)
+    assert len(calls) == 3
     pi1_triviality_check(t, 2)
-    trees = [(id(g), base) for g, base in calls]
-    assert len(set(trees)) == len(trees) > 5
-    assert not set(trees[5:]) & set(kept)
-    assert (id(t.cover_graph(0)), t.basepoints[0]) in trees[5:]
+    assert [(id(g), base) for g, base in calls] == kept + [
+        (id(t.cover_graph(0)), t.basepoints[0])]
 
 
 def conjugate_stabilizer_deck_order(rep) -> int:
@@ -1107,3 +1111,135 @@ class TestGeneratedTowers:
             # image x^(2e) outside the lower level's
             e = sum(sign for _k, sign in w.letters)
             assert e % upper.degree == 0 and power * e % lower.degree != 0
+
+
+def diagonal_pair_record(t, j):
+    """The record of :func:`classify_pair` for the two diagonals at level
+    j, whose induced map is a copy of level j's map, checked again."""
+    return classify_pair(t.coverings[j].map, Congruence.diagonal(t.cover_graph(j)),
+                         Congruence.diagonal(t.base_graph(j)), level=j)
+
+
+class TestTopGoodPair:
+    """The top pair of ``kernel_good_pairs`` is classified on the top
+    level's covering itself; :func:`classify_pair` on the two diagonals,
+    which builds and checks the induced copy, gives the same record."""
+
+    def test_generated_towers(self):
+        for _name, spec, *_ in TestGeneratedTowers.SPECS:
+            t = universal_tower(spec)
+            for j in range(t.top + 1):
+                records = kernel_good_pairs(t, j)
+                assert records[-1] == diagonal_pair_record(t, j)
+                assert records[-1].verdict == "regular_good"
+                # the sheets its regularity read stay on the level
+                assert "_sheets" in vars(t.coverings[j])
+
+    def test_regular_and_irregular_single_levels(self):
+        verdicts = []
+        for _h, _a, cov in b2_covers():
+            t = Tower([cov], [], [])
+            record = kernel_good_pairs(t)[0]
+            assert record == diagonal_pair_record(t, 0)
+            verdicts.append(record.verdict)
+        assert {"good", "regular_good"} == set(verdicts)
+
+    def test_disconnected_levels(self):
+        c3, both = pc.cycle_graph(3), two_cycles(3)
+        onto_c3 = GraphMorphism(
+            both, c3, {v: "v" + v[1:] for v in both.vertices},
+            {d: "e" + d[2:] for d in both.darts})
+        for f in (onto_c3, GraphMorphism.identity(both)):
+            t = Tower([as_covering(f)], [], [])
+            record = kernel_good_pairs(t)[0]
+            assert record == diagonal_pair_record(t, 0)
+            assert record.verdict == "good"
+
+    def test_empty_cover(self, tmp_path):
+        empty = pc.FiniteGraph([], [], {}, {})
+        t = Tower([as_covering(GraphMorphism.identity(empty))], [], [])
+        for classify in (kernel_good_pairs, lambda t: diagonal_pair_record(t, 0)):
+            with pytest.raises(ValueError, match="the cover has no vertices"):
+                classify(t)
+        manifest = formats.save_tower(str(tmp_path), t)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--json", "tower", "good-pairs", manifest])
+        assert code == 2
+        assert json.loads(out.getvalue())["details"]["error"] == \
+            "the cover has no vertices"
+
+
+def induced_hom_towers():
+    """The pro-2, B2-homology, factorial and constant towers, and the
+    universal towers of the generated specs: diagonal chains, and refining
+    chains of cycles whose quotients are not diagonal."""
+    yield pro2_tower(3)
+    yield universal_tower(b2_homology_spec())
+    yield universal_tower(factorial_spec())
+    yield constant_tower(3)
+    for _name, spec, *_ in TestGeneratedTowers.SPECS:
+        yield universal_tower(spec)
+
+
+class TestInducedHomAgainstTheRewrite:
+    """``induced_hom`` reads the pushed basis loops off the letters; the
+    rewrite through ``path_to_word``, which checks that every pushed dart
+    chains, gives the same homomorphisms."""
+
+    def test_every_pair_of_levels(self):
+        for t in induced_hom_towers():
+            p = [pi1_data(t.cover_graph(i), a) for i, a in enumerate(t.basepoints)]
+            for i in range(t.top + 1):
+                want = [rewritten_induced_hom(t.cover_map_to(i, j), p[j], p[i])
+                        for j in range(i, t.top + 1)]
+                assert want[0] == identity_images(p[i].rank)
+                assert towers._homs_down_to(t, p, i) == want
+                assert [induced_hom(t.cover_map_to(i, j), p[j], p[i])
+                        for j in range(i, t.top + 1)] == want
+
+    def test_universal_base_steps(self):
+        """A universal tower's base steps induce what the rewrite reads,
+        and a step between two diagonal quotients, which the construction
+        takes as the identity on generators, induces exactly that."""
+        diagonal_steps = other_steps = 0
+        for _name, spec, *_ in TestGeneratedTowers.SPECS:
+            t = universal_tower(spec)
+            p = [pi1_data(t.base_graph(i),
+                          spec.quotients[i].vertex_rep(spec.basepoint))
+                 for i in range(t.top + 1)]
+            for i, psi in enumerate(t.base_steps):
+                want = rewritten_induced_hom(psi, p[i + 1], p[i])
+                assert induced_hom(psi, p[i + 1], p[i]) == want
+                if psi.domain is psi.codomain:
+                    assert want == identity_images(p[i].rank)
+                    diagonal_steps += 1
+                else:
+                    other_steps += 1
+        assert diagonal_steps > 40 and other_steps > 5
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_a_diagonal_chain_builds_no_quotient_graph(monkeypatch, depth):
+    """A universal tower over a chain of diagonal quotients builds no
+    graph but its level covers, every level sharing the base, and its top
+    good pair builds none either.  Each lower pair builds one quotient
+    graph, on the cover side: its base side is diagonal."""
+    c3 = pc.cycle_graph(3)
+    spec = UniversalSpec(c3, "v0", [Congruence.diagonal(c3)] * (depth + 1),
+                         [cyclic_rep(2 ** i) for i in range(depth + 1)])
+    built, of_tables = [], vars(pc.FiniteGraph)["_of_tables"].__func__
+
+    def recorded(cls, *args, **kwargs):
+        built.append(sys._getframe(1).f_code.co_name)
+        return of_tables(cls, *args, **kwargs)
+
+    monkeypatch.setattr(pc.FiniteGraph, "_of_tables", classmethod(recorded))
+    t = universal_tower(spec)
+    assert built == ["cover_from_subgroup"] * (depth + 1)
+    assert all(t.base_graph(i) is c3 for i in range(depth + 1))
+    del built[:]
+    assert kernel_good_pairs(t, 0)[0].verdict == "regular_good"
+    assert kernel_good_pairs(t, depth)[-1].verdict == "regular_good"
+    assert built == ["quotient"] * depth
+
