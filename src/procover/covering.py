@@ -31,6 +31,7 @@ set, not pairwise (:class:`GroupAction`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -92,13 +93,18 @@ class Covering:
     one dart at ``u`` over it.  :func:`as_covering` and
     :func:`cover_from_subgroup` pass the table they build anyway; any other
     covering reads it off the stars.  ``vertex_fibers[u]`` lists the
-    vertices over base vertex ``u`` in id order.  ``component_degrees``
-    holds the fiber size at the first vertex of each base component, and
-    ``degree`` their shared value, or None when they disagree.  Between
-    valid graphs (:func:`~procover.graphs.validate_graph`) fiber sizes
-    agree along every base dart ``d``: one dart over ``d`` starts at each
-    vertex over its source, and ``inv`` sends those one to one onto the
-    darts over ``inv(d)``, one at each vertex over its target.
+    vertices over base vertex ``u`` in id order, for the readers that need
+    the lists.  ``component_degrees`` holds the fiber size at the first
+    vertex of each base component, and ``degree`` their shared value, or
+    None when they disagree.  A fiber size is a count, not a list: the
+    vertex map is defined on exactly the cover's vertices, so the number
+    of its values equal to ``u`` is the size of the fiber over ``u``, 0
+    for an empty one, and the sizes are counted in one pass over the map
+    with no fiber listed.  Between valid graphs
+    (:func:`~procover.graphs.validate_graph`) fiber sizes agree along
+    every base dart ``d``: one dart over ``d`` starts at each vertex over
+    its source, and ``inv`` sends those one to one onto the darts over
+    ``inv(d)``, one at each vertex over its target.
     """
 
     def __init__(self, map: GraphMorphism, lifts: dict | None = None):
@@ -122,8 +128,8 @@ class Covering:
 
     @cached_property
     def component_degrees(self) -> tuple:
-        fibers = self.vertex_fibers
-        return tuple((comp[0], len(fibers[comp[0]]))
+        sizes = Counter(self.map.vmap.values())
+        return tuple((comp[0], sizes[comp[0]])
                      for comp in components(self.codomain))
 
     @cached_property
@@ -298,7 +304,7 @@ def image_subgroup(c: Covering, a: str, p: Pi1Data) -> PermRep:
     """
     if p.graph != c.codomain:
         raise GraphError("fundamental-group data is for a different graph")
-    if a not in c.domain._vertex_set:
+    if a not in c.map.vmap:  # defined on exactly the cover's vertices
         raise GraphError("unknown vertex %r" % a)
     if c.map.vmap[a] != p.basepoint:
         raise ValueError("basepoint mismatch: %r lies over %r, not %r"
@@ -335,9 +341,10 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     """
     if g.codomain != c.codomain:
         raise GraphError("map and covering have different codomains")
-    if base_c not in g.domain._vertex_set:
+    # a vertex map is defined on exactly its domain's vertices
+    if base_c not in g.vmap:
         raise GraphError("unknown source basepoint %r" % base_c)
-    if base_a not in c.domain._vertex_set:
+    if base_a not in c.map.vmap:
         raise GraphError("unknown cover basepoint %r" % base_a)
     if g.vmap[base_c] != c.map.vmap[base_a]:
         raise ValueError("basepoint mismatch: %r maps to %r but %r lies over %r"
@@ -517,11 +524,14 @@ def is_regular(c: Covering) -> RegularityReport:
 
     The deck order is the number of fiber points whose stabilizer equals H
     (:func:`normalizer_points`), and the cover is regular exactly when that
-    is the whole fiber.  No deck transformation is constructed.
+    is the whole fiber.  No deck transformation is constructed.  Cover
+    and base are connected (:attr:`Covering._sheets`), so the degree is
+    the size of the monodromy's one fiber.
     """
-    deck_order = len(normalizer_points(c._sheets[1]))
-    regular = deck_order == c.degree
-    return RegularityReport(regular=regular, degree=c.degree,
+    rep = c._sheets[1]
+    deck_order = len(normalizer_points(rep))
+    regular = deck_order == rep.degree
+    return RegularityReport(regular=regular, degree=rep.degree,
                             deck_order=deck_order, image_normal=regular,
                             fiber_transitive=regular)
 
@@ -711,7 +721,8 @@ def quotient_by_deck_subgroup(deck: DeckGroup, indices: Iterable[int]
     """
     c = deck.covering
     chosen = _deck_subgroup(deck, indices)
-    positions = _orbits(range(c.degree),
+    # the identity's image list holds every sheet position
+    positions = _orbits(range(len(deck.automorphisms[0])),
                         [deck.automorphisms[i] for i in chosen])
 
     def orbits(rows):

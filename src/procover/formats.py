@@ -198,7 +198,7 @@ def _sound_graph(obj) -> FiniteGraph:
     at an undeclared vertex: the library's constructors trust their input,
     so a dangling incidence must stop here."""
     g = graph_from_obj(obj)
-    if sum(map(len, g._star.values())) != len(g.darts):
+    if not g._vertex_set.issuperset(g.src.values()):
         # every dart of a document is the E+ or E- of its edge E
         d = next(d for d in g.darts if g.src[d] not in g._vertex_set)
         raise FormatError("bad graph document: edge %r ends at unknown "

@@ -14,12 +14,15 @@ inputs always produce identical outputs.
 Immutability is also what makes derived facts safe to keep.  Each is a
 ``cached_property``, derived by one function of the value on first read
 and kept in the instance dict, so a racing second computation stores the
-same answer.  A graph keeps its equality key, its component partition (a
-graph derived connected carries it from its construction), its edge
-table with the two indexes the document formats read, and its
-fundamental-group coordinates by basepoint (:func:`pi1_data`); a
-morphism keeps its hash.  No kept fact refers back to its value, so a
-graph is freed with its last reference, without the cyclic collector.
+same answer.  A graph is built with its tables alone and keeps what is
+read of it: its vertex and dart id sets, the star of each vertex, its
+equality key, its component partition (a graph derived connected carries
+it from its construction), its edge table with the two indexes the
+document formats read, and its fundamental-group coordinates by
+basepoint (:func:`pi1_data`); a morphism keeps its hash.  A graph that
+is never walked derives none of them.  No kept fact refers back to its
+value, so a graph is freed with its last reference, without the cyclic
+collector.
 The quotient by the diagonal congruence is the graph itself
 (:func:`quotient`), so it shares every fact the graph keeps.
 """
@@ -77,7 +80,10 @@ class FiniteGraph:
     readers of :mod:`procover.formats` call and which makes the same
     checks in its one loop over the edges.  It and every graph the library
     derives from its own values build with :meth:`_of_tables`, which
-    checks none of it, with the proof where it is built.  The semantic
+    checks none of it, with the proof where it is built, and derives
+    nothing: the id sets (``_vertex_set``, ``_dart_set``), the stars and
+    the edge table are derived on first read, and only the one component
+    of a graph its caller proves connected is handed over.  The semantic
     invariants (``inv`` is a fixed-point-free involution, sources are
     declared vertices) are checked by :func:`validate_graph`, so damaged
     data read from a file can still be loaded and reported on instead of
@@ -90,8 +96,6 @@ class FiniteGraph:
         self.vertices = tuple(sorted(vertices))
         self.darts = tuple(sorted(darts))
         self.name = name
-        self._vertex_set = frozenset(self.vertices)
-        self._dart_set = frozenset(self.darts)
         if len(self.vertices) != len(self._vertex_set):
             raise GraphError("duplicate vertex ids")
         if len(self.darts) != len(self._dart_set):
@@ -109,7 +113,6 @@ class FiniteGraph:
                                      % (label, sorted(missing)[0]))
                 raise GraphError("%s defined on unknown dart %r"
                                  % (label, sorted(mapping.keys() - self._dart_set)[0]))
-        self._index()
 
     @classmethod
     def _of_tables(cls, vertices: tuple, darts: tuple, src: dict, inv: dict,
@@ -119,23 +122,33 @@ class FiniteGraph:
         :meth:`from_edges` the graph it has checked.  The caller proves that
         the sorted tuples ``vertices`` and ``darts`` hold distinct ids,
         disjoint from each other, and that ``src`` and ``inv`` are defined
-        on exactly the darts.  A caller that proves the graph connected
-        passes ``connected``, and the graph carries its one component."""
+        on exactly the darts.  Nothing is derived here: the star and the id
+        sets are derived on first read, like every other fact.  A caller
+        that proves the graph connected passes ``connected``, and the graph
+        carries its one component."""
         g = cls.__new__(cls)
         g.vertices, g.darts, g.src, g.inv, g.name = vertices, darts, src, inv, name
-        g._vertex_set, g._dart_set = frozenset(vertices), frozenset(darts)
-        g._index()
         if connected:
             g._components = (vertices,)
         return g
 
-    def _index(self) -> None:
-        """The star of each vertex, from the tables."""
+    @cached_property
+    def _vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
+
+    @cached_property
+    def _dart_set(self) -> frozenset:
+        return frozenset(self.darts)
+
+    @cached_property
+    def _star(self) -> dict[str, tuple[str, ...]]:
+        """{vertex: the darts with that source, in id order}; a dart whose
+        source is no vertex is in no star."""
         star: dict[str, list[str]] = {v: [] for v in self.vertices}
         for d, v in zip(self.darts, map(self.src.__getitem__, self.darts)):
             if v in star:
                 star[v].append(d)
-        self._star = {v: tuple(ds) for v, ds in star.items()}
+        return {v: tuple(ds) for v, ds in star.items()}
 
     @cached_property
     def _key(self) -> tuple:
@@ -356,7 +369,7 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
     Deterministic: equal inputs give identical trees.  Raises GraphError on
     an unknown root or a disconnected graph.
     """
-    if root not in g._vertex_set:
+    if root not in g._star:  # the stars, walked below, are keyed by vertex
         raise GraphError("unknown root vertex %r" % root)
     src, inv = g.src, g.inv
     parent: dict[str, str] = {}
@@ -511,8 +524,9 @@ class GraphMorphism:
                             {d: d for d in g.darts})
 
     def is_surjective(self) -> bool:
-        return (set(self.vmap.values()) == self.codomain._vertex_set
-                and set(self.dmap.values()) == self.codomain._dart_set)
+        # the maps take values in the codomain, so onto is a count
+        return (len(set(self.vmap.values())) == len(self.codomain.vertices)
+                and len(set(self.dmap.values())) == len(self.codomain.darts))
 
     def __eq__(self, other):
         return (isinstance(other, GraphMorphism)

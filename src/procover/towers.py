@@ -117,7 +117,7 @@ class Tower:
                 raise TowerError("expected one basepoint per level",
                                  witness=self.basepoints)
             for i, a in enumerate(self.basepoints):
-                if a not in self.coverings[i].domain._vertex_set:
+                if a not in self.coverings[i].map.vmap:
                     raise TowerError("basepoint %r is not in level %d" % (a, i),
                                      witness=(a, i))
             for i in range(k):

@@ -21,6 +21,7 @@ from helpers import (
     parse_report,
     path_graph,
     pro2_tower,
+    record_constructions,
     record_spanning_trees,
     rejected_action_documents,
     rotation_action,
@@ -624,6 +625,25 @@ class TestCommands:
                              "--out-graph", out_graph])
         assert code == 0
         assert formats.load_graph(out_graph).edge_count() == 3
+
+    def test_quotient_derives_no_star_on_its_graph(
+            self, data, tmp_path, monkeypatch,
+            constructed_values_equal_the_checked_ones):
+        """``quotient`` reads the loaded graph's tables and its edge table,
+        and never walks it: no star is derived."""
+        cong = str(tmp_path / "antipodal.json")
+        formats.save_congruence(cong, pc.kernel_congruence(wrap_morphism(6, 3)))
+        record_constructions(monkeypatch, constructed_values_equal_the_checked_ones)
+        loaded, quotient = [], cli.quotient
+
+        def recorded(g, r):
+            loaded.append(g)
+            return quotient(g, r)
+
+        monkeypatch.setattr(cli, "quotient", recorded)
+        out, code = run_cli(["--json", "quotient", data["c6"], cong])
+        assert code == 0 and json.loads(out)["details"]["edges"] == 3
+        assert len(loaded) == 1 and "_star" not in vars(loaded[0])
 
     def test_pi1(self, data):
         out, code = run_cli(["pi1", data["c6"]])

@@ -930,6 +930,38 @@ class TestBuiltNotChecked:
         assert seen.permreps == []
         assert seen.builders and "as_covering" not in seen.builders
 
+    def test_a_covers_request_derives_no_star_and_lists_no_fiber(
+            self, monkeypatch, constructed_values_equal_the_checked_ones):
+        """With the guards off, the calls of one ``covers`` benchmark
+        request derive no star on the cover graph, the deck-quotient graph
+        or the kernel-quotient graph, none of which they walk, and build
+        no fiber lists on the deck quotient's two coverings, whose degrees
+        they read: a degree is counted off the map.  The cover's own
+        degree is the size of its monodromy's fiber, so it is not counted
+        at all."""
+        bases = (pc.bouquet_graph(2), theta_graph())
+        reps = (pc.translation_kernel_rep(2, 3), dihedral_natural_rep(8))
+        loops = {(rep, base): power_loop_map(base, "v0", rep)
+                 for rep in reps for base in bases}
+        record_constructions(monkeypatch, constructed_values_equal_the_checked_ones)
+        for (rep, base), loop in loops.items():
+            cover, a, cov = cover_from_subgroup(base, "v0", rep)
+            deck = deck_group(cov)
+            is_regular(cov)
+            image_subgroup(cov, a, pi1_data(base, "v0"))
+            assert compose(cov.map, lift(loop, cov, "v0", a)) == loop
+            for sub in (range(deck.order), deck_closure(deck, [1])):
+                mid, upper, lower = quotient_by_deck_subgroup(deck, sub)
+                assert upper.degree * lower.degree == rep.degree
+                assert upper.degree == len(sub)
+                assert "_star" not in vars(mid)
+                assert "vertex_fibers" not in vars(upper)
+                assert "vertex_fibers" not in vars(lower)
+            assert "component_degrees" not in vars(cov)
+            qg, _ = pc.quotient(cover, pc.kernel_congruence(cov.map))
+            assert qg.edge_count() == base.edge_count()
+            assert "_star" not in vars(cover) and "_star" not in vars(qg)
+
     def test_a_covers_request_searches_the_normalizer_once(self, monkeypatch):
         """The calls of one ``covers`` benchmark request search the
         normalizer of the kept monodromy once: ``deck_group`` and
@@ -1004,6 +1036,36 @@ class TestConstructorsAgainstOracles:
             return False
         self.same_covering(as_covering(f), want)
         return True
+
+    def test_degrees_are_counted_as_the_fibers_were_grouped(self):
+        """``component_degrees`` and ``degree``, counted off the vertex
+        map, equal the oracle's, taken from fiber lists grouped up front,
+        over connected, disconnected and empty codomains: a component with
+        nothing over it has degree 0, components of unequal degree give
+        none, and so does a codomain with no component.  The fiber lists,
+        built where they are read, agree too."""
+        maps = [cov.map for _, _, cov in b2_covers()]
+        maps += [c.map for c in cyclic_family()]
+        maps += [cover_from_subgroup(theta_graph(), "v0", rep)[2].map
+                 for rep in (dihedral_natural_rep(8), trivial_rep(2))]
+        # {component letter: cycle length}, domain then codomain, and the
+        # codomain component each domain component wraps around
+        for dom, cod, onto in (
+                ({"a": 6, "b": 3}, {"a": 3, "b": 3}, {"a": "a", "b": "b"}),
+                ({"a": 6, "b": 6}, {"a": 3, "b": 2}, {"a": "a", "b": "b"}),
+                ({"a": 3, "b": 3}, {"a": 3}, {"a": "a", "b": "a"}),
+                ({"a": 3}, {"a": 3, "b": 4}, {"a": "a"}),
+                ({}, {"a": 2}, {}),
+                ({}, {}, {})):
+            maps.append(wrap_cycles(dom, cod, onto))
+        degrees = set()
+        for f in maps:
+            got, want = as_covering(f), old_as_covering(f)
+            assert got.component_degrees == want.component_degrees
+            assert got.degree == want.degree
+            degrees.add((got.degree, len(got.component_degrees)))
+            assert got.vertex_fibers == want.vertex_fibers
+        assert {(None, 2), (0, 1), (None, 0), (2, 1)} <= degrees
 
     def test_as_covering_on_mutated_maps(self):
         b2 = pc.bouquet_graph(2)
@@ -1098,6 +1160,49 @@ class TestLiftOracle:
     def test_generated_covers(self, cov):
         a0 = cov.domain.vertices[0]
         assert self.check(cov.map, cov, a0) == deck_group(cov).order
+
+
+def wrap_cycles(domain, codomain, onto) -> GraphMorphism:
+    """The map wrapping each cycle of a disjoint union onto a cycle of
+    another: ``domain`` and ``codomain`` give each component's letter and
+    length, and ``onto`` the codomain letter each domain letter goes to,
+    whose length divides its own.  Vertex i of cycle ``x`` is ``x<i>``
+    and its edge to i + 1 is ``ex<i>``."""
+    def union(cycles):
+        vertices, edges = [], []
+        for x, n in cycles.items():
+            vertices += ["%s%d" % (x, i) for i in range(n)]
+            edges += [("e%s%d" % (x, i), "%s%d" % (x, i), "%s%d" % (x, (i + 1) % n))
+                      for i in range(n)]
+        return pc.FiniteGraph.from_edges(vertices, edges)
+
+    vmap, dmap = {}, {}
+    for x, n in domain.items():
+        y, m = onto[x], codomain[onto[x]]
+        for i in range(n):
+            vmap["%s%d" % (x, i)] = "%s%d" % (y, i % m)
+            for sign in "+-":
+                dmap["e%s%d%s" % (x, i, sign)] = "e%s%d%s" % (y, i % m, sign)
+    return GraphMorphism(union(domain), union(codomain), vmap, dmap)
+
+
+def power_loop_map(base, basepoint, rep):
+    """A map from a cycle onto the basis loop x_0 at ``basepoint``, wound
+    as many times as the order of x_0 in ``rep``, so that its image lies
+    in every stabilizer of the action and the map lifts to the cover of
+    ``rep`` at every point over ``basepoint``."""
+    perm, power, order = rep.perms[0], list(range(rep.degree)), 0
+    while True:
+        power, order = [perm[i] for i in power], order + 1
+        if power == list(range(rep.degree)):
+            break
+    walk = pi1_data(base, basepoint).basis_loop(0) * order
+    cycle = pc.cycle_graph(len(walk))
+    vmap = {"v%d" % i: base.src[d] for i, d in enumerate(walk)}
+    dmap = {}
+    for i, d in enumerate(walk):
+        dmap["e%d+" % i], dmap["e%d-" % i] = d, base.inv[d]
+    return GraphMorphism(cycle, base, vmap, dmap)
 
 
 def closed_walk_map(base, basepoint, rng, length):

@@ -377,12 +377,12 @@ def test_a_covering_is_built_from_its_map():
 
 def test_values_store_attributes_only_while_constructed():
     """Library code stores an attribute only while it constructs a value:
-    in ``__init__``, in an ``_of_*`` constructor or in
-    ``FiniteGraph._index``.  A store is ``x.name = ...`` (also augmented),
-    an item store into an attribute (``x.name[k] = ...``) or into
-    ``vars(x)``, or a ``setattr`` call.  A fact derived later is a
-    ``cached_property``, which keeps its value in the instance dict on
-    first read, so no method fills a cache by hand.
+    in ``__init__`` or in an ``_of_*`` constructor.  A store is
+    ``x.name = ...`` (also augmented), an item store into an attribute
+    (``x.name[k] = ...``) or into ``vars(x)``, or a ``setattr`` call.  A
+    fact derived later is a ``cached_property``, which keeps its value in
+    the instance dict on first read, so no method fills a cache by hand:
+    a graph's stars too.
 
     The one exception is the kept fundamental-group mapping:
     ``pi1_data`` stores the coordinates it builds at a basepoint as an
@@ -405,7 +405,7 @@ def test_values_store_attributes_only_while_constructed():
             site = max(((f.lineno, f.name) for f in functions
                         if f.lineno <= node.lineno <= f.end_lineno),
                        default=(0, "<module>"))[1]
-            if site not in ("__init__", "_index") and not site.startswith("_of_"):
+            if site != "__init__" and not site.startswith("_of_"):
                 found.append("%s:%s:%s" % (name, site, stored))
     assert found == ["graphs.py:pi1_data:g._pi1[]"]
 
