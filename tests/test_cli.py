@@ -16,6 +16,7 @@ from helpers import (
     cyclic_rep,
     dihedral_natural_rep,
     dihedral_regular_rep,
+    factorial_spec,
     free_actions,
     non_refining_spec,
     parse_report,
@@ -123,6 +124,52 @@ class TestGolden:
         assert run_cli(argv + ["--out", str(tmp_path / "cover")])[1] == 0
         out, code = run_cli(["--json", "deck", str(tmp_path / "cover.morphism.json")])
         assert code == 0 and out == golden("deck_dihedral12_t2.json")
+
+    @pytest.mark.parametrize("name, code", [("c6_to_c3", 0), ("deg3_b2", 1)])
+    def test_regular_json(self, data, name, code):
+        """The ``--json`` regularity report of a regular and of a
+        non-regular cover: its verdict keys are all read off one fact."""
+        out, got = run_cli(["--json", "regular", data[name]])
+        assert got == code and out == golden("regular_%s.json" % name)
+
+    @pytest.mark.parametrize("max_index, flags, code", [
+        (4, [], 0), (5, ["--all-levels"], 1)], ids=["level-0", "all-levels"])
+    def test_tower_pi1_trivial(self, tmp_path, max_index, flags, code):
+        """The triviality rows of the factorial tower over the triangle
+        (degrees 1, 2, 6, 24): trivial to index 4 at level 0, and, at every
+        level, not trivial to index 5."""
+        manifest = formats.save_tower(str(tmp_path / "tower"),
+                                      pc.universal_tower(factorial_spec()))
+        out, got = run_cli(["--json", "tower", "pi1-trivial", manifest,
+                            "--max-index", str(max_index)] + flags)
+        assert got == code and out == golden(
+            "tower_pi1_trivial_factorial_%d%s.json"
+            % (max_index, "_all_levels" if flags else ""))
+
+    def test_universal_tower_deck_and_fibers(self, tmp_path):
+        """The deck groups with their connecting homomorphisms, and the
+        fiber sizes over v0, of the factorial tower over the triangle."""
+        manifest = formats.save_tower(str(tmp_path / "tower"),
+                                      pc.universal_tower(factorial_spec()))
+        for name, argv in (("deck", ["tower", "deck", manifest]),
+                           ("fibers", ["tower", "fibers", manifest,
+                                       "--vertex", "v0"])):
+            out, code = run_cli(["--json"] + argv)
+            assert code == 0 and out == golden("tower_%s_factorial.json" % name)
+
+    @pytest.mark.parametrize("name, golden_name", [
+        ("B2 mod-4", "b2_mod4"), ("C12 by 1", "c12_by_1")])
+    def test_orbit_quotient_json(self, tmp_path, name, golden_name):
+        """The orbit quotient of the mod-4 cover of the two-loop bouquet by
+        its deck action, and of the 12-cycle by its rotations, whose element
+        ids sort as strings (``10`` before ``2``, ``r10`` before ``r2``),
+        with the deck index of each element."""
+        act = free_actions()[name]
+        g, action = str(tmp_path / "g.json"), str(tmp_path / "action.json")
+        formats.save_graph(g, act.graph)
+        formats.save_json(action, formats.action_to_obj(act))
+        out, code = run_cli(["--json", "orbit-quotient", g, action])
+        assert code == 0 and out == golden("orbit_quotient_%s.json" % golden_name)
 
 
 class TestExitCodes:
