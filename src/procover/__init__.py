@@ -13,7 +13,6 @@ from .graphs import (
     GraphMorphism,
     InducedMapError,
     Pi1Data,
-    SpanningTreeData,
     VerdictError,
     bouquet_graph,
     components,

@@ -167,7 +167,7 @@ def cmd_pi1(args):
         "basepoint": base,
         "rank": p.rank,
         "basis_darts": list(p.basis_darts),
-        "tree_edges": len(p.tree.tree_darts) // 2,
+        "tree_edges": len(p.tree_darts) // 2,
     }
     return Report("pi1", details), 0
 
@@ -262,8 +262,10 @@ def cmd_regular(args):
     details = {
         "degree": verdict.degree,
         "deck_order": verdict.deck_order,
-        "image_normal": verdict.image_normal,
-        "fiber_transitive": verdict.fiber_transitive,
+        # H is normal, and the deck group is transitive on every fiber,
+        # exactly when the cover is regular (Galois correspondence)
+        "image_normal": verdict.regular,
+        "fiber_transitive": verdict.regular,
     }
     if verdict.regular:
         return Report("regular", details), 0
@@ -406,7 +408,7 @@ def cmd_tower_pi1_trivial(args):
                                   all_levels=args.all_levels)
     rows = []
     for row in report.rows:
-        rows.append({"level": row.level, "index": row.index,
+        rows.append({"level": row.level, "index": row.rep.degree,
                      "perms": [list(p) for p in row.rep.perms],
                      "satisfied_at": row.satisfied_at})
     details = {

@@ -10,11 +10,11 @@ transformation groups, decides regularity, and forms quotients by free
 group actions and by deck subgroups.
 Its covers are coverings by construction (Stallings, 1983), proved where built.
 
-A covering is its map: fibers and degrees are read off it, and so are the
-sheet coordinates.  Monodromy, deck groups and regularity rest on one lift
-of a spanning tree, which gives the cover's sheet rows and the monodromy on
-one fiber; every covering takes it once, at its first vertex, when it is
-first read, and keeps it.  For a connected cover
+A covering is its map: degrees, one fiber at a time and the sheet
+coordinates are read off it.  Monodromy, deck groups and regularity rest on
+one lift of a spanning tree, which gives the cover's sheet rows and the
+monodromy on one fiber; every covering takes it once, at its first vertex,
+when it is first read, and keeps it.  For a connected cover
 with monodromy subgroup H at a fiber point, the deck transformations
 correspond to the fiber points whose stabilizer equals H, that is to
 N(H)/H, and the cover is regular exactly when every fiber point qualifies
@@ -22,8 +22,9 @@ N(H)/H, and the cover is regular exactly when every fiber point qualifies
 point under the automorphisms of the monodromy action
 (:func:`~procover.freegroup.normalizer_points`), and each deck
 transformation permutes the sheet rows by its automorphism, with no lift.
-Each automorphism is proved by the forced map that finds it, so
-:func:`deck_group` proves nothing again.
+A deck group is those automorphisms: its rows and composition table are
+derived where they are read.  Each automorphism is proved by the forced
+map that finds it, so :func:`deck_group` proves nothing again.
 
 A group action given by its maps is checked for closure on a generating
 set, not pairwise (:class:`GroupAction`).
@@ -92,15 +93,14 @@ class Covering:
     ``lifts[u]`` maps each dart at the image of cover vertex ``u`` to the
     one dart at ``u`` over it.  :func:`as_covering` and
     :func:`cover_from_subgroup` pass the table they build anyway; any other
-    covering reads it off the stars.  ``vertex_fibers[u]`` lists the
-    vertices over base vertex ``u`` in id order, for the readers that need
-    the lists.  ``component_degrees`` holds the fiber size at the first
-    vertex of each base component, and ``degree`` their shared value, or
-    None when they disagree.  A fiber size is a count, not a list: the
-    vertex map is defined on exactly the cover's vertices, so the number
-    of its values equal to ``u`` is the size of the fiber over ``u``, 0
-    for an empty one, and the sizes are counted in one pass over the map
-    with no fiber listed.  Between valid graphs
+    covering reads it off the stars.  ``component_degrees`` holds the fiber
+    size at the first vertex of each base component, and ``degree`` their
+    shared value, or None when they disagree.  A fiber size is a count,
+    not a list: the vertex map is defined on exactly the cover's vertices,
+    so the number of its values equal to ``u`` is the size of the fiber
+    over ``u``, 0 for an empty one, and the sizes are counted in one pass
+    over the map.  Each reader of a fiber's vertices reads one fiber,
+    which :meth:`fiber` lists and nothing keeps.  Between valid graphs
     (:func:`~procover.graphs.validate_graph`) fiber sizes agree along
     every base dart ``d``: one dart over ``d`` starts at each vertex over
     its source, and ``inv`` sends those one to one onto the darts over
@@ -118,13 +118,10 @@ class Covering:
         so each star maps one to one onto the star below."""
         return _star_lifts(self.map)
 
-    @cached_property
-    def vertex_fibers(self) -> dict:
-        fibers = {u: [] for u in self.codomain.vertices}
-        vertices = self.domain.vertices
-        for v, u in zip(vertices, map(self.map.vmap.__getitem__, vertices)):
-            fibers[u].append(v)
-        return {u: tuple(vs) for u, vs in fibers.items()}
+    def fiber(self, u: str) -> tuple[str, ...]:
+        """The vertices over base vertex ``u`` in id order, scanned off the map."""
+        vmap = self.map.vmap
+        return tuple([v for v in self.domain.vertices if vmap[v] == u])
 
     @cached_property
     def component_degrees(self) -> tuple:
@@ -279,11 +276,10 @@ def _sheet_rows(c: Covering, a: str, p: Pi1Data) -> tuple[dict, PermRep]:
     and :attr:`Covering._sheets` check."""
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
-    rows = {p.basepoint: [a] + [x for x in c.vertex_fibers[p.basepoint]
-                                if x != a]}
+    rows = {p.basepoint: [a] + [x for x in c.fiber(p.basepoint) if x != a]}
     # the tree's parent darts are held in breadth-first order, so each
     # parent is reached before its children
-    for w, up in p.tree.parent_dart.items():
+    for w, up in p.parent_dart.items():
         down = base.inv[up]
         rows[w] = [src[inv[lifts[u][down]]] for u in rows[base.src[down]]]
     sheet = {x: k for row in rows.values() for k, x in enumerate(row)}
@@ -355,7 +351,7 @@ def lift(g: GraphMorphism, c: Covering, base_c: str,
     ssrc, sinv, gsrc, ginv, gd, lifts = (sigma.src, sigma.inv, gamma.src,
                                          gamma.inv, g.dmap, c.lifts)
     hv = {base_c: base_a}
-    for w, up in p.tree.parent_dart.items():
+    for w, up in p.parent_dart.items():
         down = sinv[up]
         hv[w] = gsrc[ginv[lifts[hv[ssrc[down]]][gd[down]]]]
     hd: dict[str, str] = {}
@@ -373,28 +369,44 @@ class DeckGroup:
     automorphisms of the monodromy action on one fiber.
 
     ``automorphisms[i]`` is the image list of element i on the sheet
-    positions 0..n-1, in fiber order with the identity first, and ``vrows``
-    and ``drows`` are the sheet rows :func:`deck_group` builds: one row per
-    base vertex and per base dart, whose k-th entry is the vertex or dart
-    over it in sheet k.  ``table[i][j]`` is the index of the composite that
-    applies element j first and element i second.  Order, table, subgroups,
-    :meth:`indices_sending` and :meth:`vertex_map` read the automorphisms
-    and the rows; :meth:`element` builds one element as a morphism where
-    it is read, and none is kept.  No element but the identity has a fixed
-    point, as proved by the forced map
-    (:func:`~procover.freegroup._automorphisms`).
+    positions 0..n-1, in fiber order with the identity first; the
+    constructor keeps the covering and them, and the rest is read off
+    them and the covering's sheet rows (:attr:`Covering._sheets`) on first
+    read, and kept.  ``vrows`` and ``drows`` hold one row per base vertex
+    and per base dart, whose k-th entry is the vertex or dart over it in
+    sheet k, and ``table[i][j]`` is the index of the composite that
+    applies element j first and element i second.  :meth:`element` builds
+    one element as a morphism where it is read, and none is kept.  No
+    element but the identity has a fixed point, as proved by the forced
+    map (:func:`~procover.freegroup._automorphisms`).
     """
 
-    def __init__(self, covering: Covering, automorphisms, vrows, drows, table):
+    def __init__(self, covering: Covering, automorphisms):
         self.covering = covering
         self.automorphisms = tuple(automorphisms)
-        self.vrows = vrows
-        self.drows = drows
-        self.table = table
 
     @property
     def order(self) -> int:
         return len(self.automorphisms)
+
+    @cached_property
+    def vrows(self) -> list:
+        return list(self.covering._sheets[0].values())
+
+    @cached_property
+    def drows(self) -> list:
+        c = self.covering
+        rows, base, lifts = c._sheets[0], c.codomain, c.lifts
+        # the sheet-k dart over d starts at the sheet-k vertex over src(d)
+        return [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
+
+    @cached_property
+    def table(self) -> tuple:
+        # an element is fixed by its image of 0, and "j, then i" sends 0
+        # where i sends j's image of 0
+        phis = self.automorphisms
+        at = {phi[0]: i for i, phi in enumerate(phis)}
+        return tuple(tuple([at[phi[psi[0]]] for psi in phis]) for phi in phis)
 
     def is_subgroup(self, indices: Iterable[int]) -> bool:
         """Whether the indices form a subgroup: a nonempty subset of a
@@ -450,11 +462,10 @@ def deck_group(c: Covering) -> DeckGroup:
     monodromy action with that image of 0: the deck group is N(H)/H, and
     its elements come in the fiber order of the normalizer points
     (:func:`normalizer_points`), the identity first.  The sheet rows and
-    the monodromy are the covering's (:attr:`Covering._sheets`); the sheet-k
-    dart over a base dart ``d`` is the dart over ``d`` at the sheet-k vertex
-    over its source.  The element of an automorphism ``phi`` sends the
-    sheet-k vertex or dart over each base element to the sheet-``phi[k]``
-    one, so it covers the covering map by construction.
+    the monodromy are the covering's (:attr:`Covering._sheets`).  The
+    element of an automorphism ``phi`` sends the sheet-k vertex or dart
+    over each base element to the sheet-``phi[k]`` one, so it covers the
+    covering map by construction.
 
     Nothing is checked again here.  The rows partition the cover: a vertex
     row is the fiber over its base vertex, reached by lifting tree paths
@@ -465,21 +476,13 @@ def deck_group(c: Covering) -> DeckGroup:
     commutes with every sheet move ``s_d``: the identity on a tree dart, a
     monodromy move on a basis dart.  That, freeness and closure are proved
     where the automorphisms are found
-    (:func:`~procover.freegroup._automorphisms`).  The composition table is
-    read off the images of 0.  An element is built as a morphism, with no
-    check, only when it is read (:meth:`DeckGroup.element`).
+    (:func:`~procover.freegroup._automorphisms`).  The rows and the
+    composition table are derived where they are read (:class:`DeckGroup`),
+    and an element is built as a morphism, with no check, only when it is
+    read (:meth:`DeckGroup.element`).
     """
-    rows, rep = c._sheets
-    base, lifts = c.codomain, c.lifts
-    vrows = list(rows.values())
-    drows = [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
-    automorphisms = _automorphisms(rep)
-    images = sorted(automorphisms)
-    phis = list(map(automorphisms.__getitem__, images))
-    at = dict(zip(images, range(len(phis))))
-    table = tuple(tuple(map(at.__getitem__, map(phi.__getitem__, images)))
-                  for phi in phis)
-    return DeckGroup(c, phis, vrows, drows, table)
+    group = _automorphisms(c._sheets[1])
+    return DeckGroup(c, map(group.__getitem__, sorted(group)))
 
 
 def action_deck_indices(act: GroupAction, c: Covering) -> dict:
@@ -490,12 +493,14 @@ def action_deck_indices(act: GroupAction, c: Covering) -> dict:
     The action is free on a connected graph, so the orbit map is regular
     and its deck group is the acting group itself.  ``deck_group`` lists
     its elements in the fiber order of their images of the first vertex
-    ``a0``, so an element's index is the position of its image of ``a0``
-    in the fiber of ``a0``; no deck transformation is built.
+    ``a0``, and that fiber is the orbit of ``a0``, so an element's index is
+    the position of its image of ``a0`` in the sorted orbit; no deck
+    transformation is built and no fiber is scanned.
     """
     a0 = c.domain.vertices[0]
-    position = {a: k for k, a in enumerate(c.vertex_fibers[c.map.vmap[a0]])}
-    return {g: position[act.morphisms[g].vmap[a0]] for g in act.elements}
+    images = {g: act.morphisms[g].vmap[a0] for g in act.elements}
+    position = {a: k for k, a in enumerate(sorted(images.values()))}
+    return {g: position[a] for g, a in images.items()}
 
 
 @dataclass(frozen=True)
@@ -503,17 +508,14 @@ class RegularityReport:
     """Regularity of a connected cover with the numbers behind it.
 
     ``deck_order`` is [N(H) : H] for the monodromy image H, and the cover is
-    regular when it equals the degree.  ``image_normal`` (H is normal) and
-    ``fiber_transitive`` (deck transformations act transitively on every
-    fiber) are equivalent to that by the Galois correspondence, so they
-    always equal ``regular``.
+    regular when it equals the degree.  By the Galois correspondence that
+    is also when H is normal, and when the deck transformations act
+    transitively on every fiber, so ``regular`` answers all three.
     """
 
     regular: bool
     degree: int
     deck_order: int
-    image_normal: bool
-    fiber_transitive: bool
 
     def __bool__(self):
         return self.regular
@@ -530,10 +532,8 @@ def is_regular(c: Covering) -> RegularityReport:
     """
     rep = c._sheets[1]
     deck_order = len(normalizer_points(rep))
-    regular = deck_order == rep.degree
-    return RegularityReport(regular=regular, degree=rep.degree,
-                            deck_order=deck_order, image_normal=regular,
-                            fiber_transitive=regular)
+    return RegularityReport(regular=deck_order == rep.degree, degree=rep.degree,
+                            deck_order=deck_order)
 
 
 class GroupAction:

@@ -19,7 +19,8 @@ read of it: its vertex and dart id sets, the star of each vertex, its
 equality key, its component partition (a graph derived connected carries
 it from its construction), its edge table with the two indexes the
 document formats read, and its fundamental-group coordinates by
-basepoint (:func:`pi1_data`); a morphism keeps its hash.  A graph that
+basepoint (:func:`pi1_data`), whose :class:`Pi1Data` holds their spanning
+tree; a morphism keeps its hash.  A graph that
 is never walked derives none of them.  No kept fact refers back to its
 value, so a graph is freed with its last reference, without the cyclic
 collector.
@@ -336,35 +337,10 @@ def is_connected(g: FiniteGraph) -> bool:
     return len(components(g)) == 1
 
 
-class SpanningTreeData:
-    """A spanning tree of a connected graph, rooted and canonically ordered.
-
-    ``tree_darts`` holds both orientations of every tree edge, and
-    ``parent_dart[v]`` is the dart from ``v`` one step toward the root.
-    The ``parent_dart`` dict is taken over, not copied: :func:`pi1_data`
-    passes the one it keeps, which no code changes.
-    """
-
-    def __init__(self, graph, root, tree_darts, parent_dart):
-        self.graph = graph
-        self.root = root
-        self.tree_darts = frozenset(tree_darts)
-        self.parent_dart = parent_dart
-
-    def path_from_root(self, v: str) -> tuple[str, ...]:
-        """The darts of the unique tree path from the root to ``v``."""
-        g = self.graph
-        back = []
-        x = v
-        while x != self.root:
-            d = self.parent_dart[x]
-            back.append(g.inv[d])
-            x = g.target(d)
-        return tuple(reversed(back))
-
-
-def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
-    """Breadth-first spanning tree from ``root``, scanning darts by id.
+def spanning_tree(g: FiniteGraph, root: str) -> dict[str, str]:
+    """Breadth-first spanning tree from ``root``, scanning darts by id, as
+    ``{vertex: parent dart}``: the dart from the vertex one step toward the
+    root, for every vertex but the root, in breadth-first order.
 
     Deterministic: equal inputs give identical trees.  Raises GraphError on
     an unknown root or a disconnected graph.
@@ -386,41 +362,59 @@ def spanning_tree(g: FiniteGraph, root: str) -> SpanningTreeData:
     if len(seen) != len(g.vertices):
         raise GraphError("graph is not connected: %r unreachable from %r"
                          % (sorted(set(g.vertices) - seen)[0], root))
-    tree = set(parent.values())
-    tree.update(map(inv.__getitem__, parent.values()))
-    return SpanningTreeData(g, root, tree, parent)
+    return parent
 
 
 class Pi1Data:
     """Free-group coordinates on a connected graph.
 
-    A spanning tree plus one chosen orientation of each non-tree edge pair;
-    the k-th basis dart stands for the generator ``x_k`` of the fundamental
-    group at the basepoint.  rank = edge pairs - vertices + 1.
+    A spanning tree rooted at the basepoint plus one chosen orientation of
+    each non-tree edge pair; the k-th basis dart stands for the generator
+    ``x_k`` of the fundamental group at the basepoint.  rank = edge pairs -
+    vertices + 1.  ``tree_darts`` holds both orientations of every tree
+    edge, and ``parent_dart[v]`` is the dart from ``v`` one step toward the
+    basepoint.  Nothing given is copied: :func:`pi1_data` passes what it keeps.
 
     ``_letter`` maps each basis dart and its inverse to its letter.  It
     depends on the basis alone, so coordinates whose basis is the tuple
     :func:`pi1_data` keeps at the basepoint read the table kept with it,
-    and any other basis has its own built here.
+    and any other basis has its own built on first read.
     """
 
-    def __init__(self, graph, basepoint, tree, basis_darts):
+    def __init__(self, graph, basepoint, basis_darts, tree_darts, parent_dart):
         self.graph = graph
         self.basepoint = basepoint
-        self.tree = tree
         self.basis_darts = tuple(basis_darts)
-        self.rank = len(self.basis_darts)
-        kept = graph._pi1.get(basepoint)
+        self.tree_darts = frozenset(tree_darts)
+        self.parent_dart = parent_dart
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis_darts)
+
+    @cached_property
+    def _letter(self) -> dict[str, tuple[int, int]]:
+        kept = self.graph._pi1.get(self.basepoint)
         if kept is not None and kept[0] is self.basis_darts:
-            self._letter = kept[3]
-        else:
-            self._letter = _letters(graph, self.basis_darts)
+            return kept[3]
+        return _letters(self.graph, self.basis_darts)
 
     def letter(self, d: str) -> tuple[int, int] | None:
         """Generator letter carried by a dart; None on tree darts."""
-        if d in self.tree.tree_darts:
+        if d in self.tree_darts:
             return None
         return self._letter[d]
+
+    def path_from_root(self, v: str) -> tuple[str, ...]:
+        """The darts of the unique tree path from the basepoint to ``v``."""
+        g = self.graph
+        back = []
+        x = v
+        while x != self.basepoint:
+            d = self.parent_dart[x]
+            back.append(g.inv[d])
+            x = g.target(d)
+        return tuple(reversed(back))
 
     def basis_loop(self, k: int) -> tuple[str, ...]:
         """The closed path at the basepoint representing generator x_k:
@@ -431,8 +425,8 @@ class Pi1Data:
         """The closed path at the basepoint through dart ``d``: tree path
         out, ``d``, tree path back."""
         g = self.graph
-        out = self.tree.path_from_root(g.src[d])
-        back = self.tree.path_from_root(g.target(d))
+        out = self.path_from_root(g.src[d])
+        back = self.path_from_root(g.target(d))
         return out + (d,) + tuple(g.inv[x] for x in reversed(back))
 
 
@@ -453,21 +447,19 @@ def pi1_data(g: FiniteGraph, base: str) -> Pi1Data:
     built on the first call for ``base`` and kept on the graph (``_pi1``).
     They do not refer to the graph, so it is freed with its last
     reference.  Each call pairs ``g`` with them in a new :class:`Pi1Data`,
-    whose ``basis_darts`` is the kept tuple; neither it nor its
-    :class:`SpanningTreeData` copies what is kept, so a call at a kept
-    basepoint builds nothing whose size grows with the graph.
+    which copies none of them, so a call at a kept basepoint builds
+    nothing whose size grows with the graph.
     """
     kept = g._pi1.get(base)
     if kept is None:
-        tree, inv = spanning_tree(g, base), g.inv
+        parent, inv = spanning_tree(g, base), g.inv
+        tree = frozenset(parent.values()).union(map(inv.__getitem__, parent.values()))
         # the basis in id order: the smaller dart of each non-tree pair
-        basis = tuple(d for d in g.darts if d < inv[d] and d not in tree.tree_darts)
+        basis = tuple(d for d in g.darts if d < inv[d] and d not in tree)
         if len(basis) != g.edge_count() - len(g.vertices) + 1:
             raise RuntimeError("basis size is not the cycle rank (internal error)")
-        kept = g._pi1[base] = (basis, tree.tree_darts, tree.parent_dart,
-                               _letters(g, basis))
-    basis, tree_darts, parent_dart = kept[:3]
-    return Pi1Data(g, base, SpanningTreeData(g, base, tree_darts, parent_dart), basis)
+        kept = g._pi1[base] = (basis, tree, parent, _letters(g, basis))
+    return Pi1Data(g, base, *kept[:3])
 
 
 class GraphMorphism:

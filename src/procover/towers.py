@@ -374,7 +374,7 @@ def deck_tower(t: Tower) -> DeckTowerResult:
     for i in range(t.top):
         pv, upper = t.cover_steps[i].vmap, t.coverings[i + 1]
         x0 = upper.domain.vertices[0]
-        fiber = upper.vertex_fibers[upper.map.vmap[x0]]
+        fiber = upper.fiber(upper.map.vmap[x0])
         hom = tuple(decks[i].indices_sending(pv[x0], [pv[x] for x in fiber]))
         steps.append(DeckTowerStep(
             hom=hom, surjective=set(hom) == set(range(decks[i].order))))
@@ -520,7 +520,6 @@ class TrivialityRow:
 
     level: int
     rep: PermRep
-    index: int
     satisfied_at: int | None
 
 
@@ -572,8 +571,7 @@ def pi1_triviality_check(t: Tower, max_index: int,
             if _absorbs(rep, homs[-1]):
                 satisfied_at = next(j for j, images in enumerate(homs, i)
                                     if _absorbs(rep, images))
-            rows.append(TrivialityRow(level=i, rep=rep, index=rep.degree,
-                                      satisfied_at=satisfied_at))
+            rows.append(TrivialityRow(level=i, rep=rep, satisfied_at=satisfied_at))
     trivial = all(row.satisfied_at is not None for row in rows if row.level == 0)
     return TrivialityReport(max_index=max_index, depth=t.top, rows=rows,
                             trivial=trivial)
@@ -636,7 +634,7 @@ def limit_fiber_report(t: Tower, v: str) -> FiberReport:
     current = v
     previous_fiber = None
     for i in range(t.top + 1):
-        fiber = t.coverings[i].vertex_fibers[current]
+        fiber = t.coverings[i].fiber(current)
         onto = None
         missing = ()
         if i > 0:

@@ -92,10 +92,11 @@ def record_spanning_trees(monkeypatch) -> list:
     return calls
 
 
-def queued_spanning_tree(g: pc.FiniteGraph, root: str) -> pc.SpanningTreeData:
+def queued_spanning_tree(g: pc.FiniteGraph, root: str) -> tuple[dict, set]:
     """Oracle for ``spanning_tree``: the breadth-first search with a
     ``deque`` and the graph's ``star`` and ``target`` methods that it
-    replaced, which adds each tree dart pair as it is found."""
+    replaced, which adds each tree dart pair as it is found.  Returns the
+    parent darts and the tree darts."""
     if root not in g._vertex_set:
         raise pc.GraphError("unknown root vertex %r" % root)
     parent: dict = {}
@@ -115,7 +116,24 @@ def queued_spanning_tree(g: pc.FiniteGraph, root: str) -> pc.SpanningTreeData:
     if len(seen) != len(g.vertices):
         raise pc.GraphError("graph is not connected: %r unreachable from %r"
                             % (sorted(set(g.vertices) - seen)[0], root))
-    return pc.SpanningTreeData(g, root, tree, parent)
+    return parent, tree
+
+
+def scanned_fiber(c: pc.Covering, u: str) -> tuple:
+    """Oracle for ``Covering.fiber``: the vertices over ``u`` picked from
+    the items of the vertex map, then sorted."""
+    return tuple(sorted(v for v, w in c.map.vmap.items() if w == u))
+
+
+def grouped_fibers(f: pc.GraphMorphism) -> dict:
+    """{base vertex: the vertices over it, sorted}, every fiber grouped in
+    one pass over the cover's vertices, as the covering's
+    ``vertex_fibers`` grouped them before ``Covering.fiber`` read one fiber
+    at a time."""
+    fibers = {u: [] for u in f.codomain.vertices}
+    for v in f.domain.vertices:
+        fibers[f.vmap[v]].append(v)
+    return {u: tuple(sorted(vs)) for u, vs in fibers.items()}
 
 
 def wrap_morphism(n: int, m: int) -> pc.GraphMorphism:
@@ -211,7 +229,7 @@ def fiber_transport(c: pc.Covering, e: str) -> dict:
         raise pc.GraphError("unknown dart %r" % e)
     g = c.domain
     out = {g.src[d]: g.target(d) for d in g.darts if c.map.dmap[d] == e}
-    assert len(out) == len(c.vertex_fibers[c.codomain.src[e]])
+    assert len(out) == len(scanned_fiber(c, c.codomain.src[e]))
     assert len(set(out.values())) == len(out)
     return out
 
@@ -220,7 +238,7 @@ def transport_monodromy(c: pc.Covering, a: str, p: pc.Pi1Data) -> pc.PermRep:
     """The monodromy ``image_subgroup`` replaced: for each basis loop, the
     fiber transports of its darts composed one whole fiber at a time, with
     ``a`` labelled 0 and the other fiber points in fiber order."""
-    fiber = c.vertex_fibers[p.basepoint]
+    fiber = scanned_fiber(c, p.basepoint)
     label = {a: 0}
     for x in fiber:
         if x != a:
@@ -243,7 +261,7 @@ def walked_monodromy(c: pc.Covering, a: str, p: pc.Pi1Data) -> pc.PermRep:
     fiber point to the end of the lift of basis loop k that starts there,
     followed one dart at a time through ``c.lifts``, with ``a`` labelled 0
     and the other fiber points in fiber order."""
-    fiber = c.vertex_fibers[p.basepoint]
+    fiber = scanned_fiber(c, p.basepoint)
     label = {a: 0}
     for x in fiber:
         if x != a:
@@ -643,7 +661,7 @@ def composed_deck_oracle(cov: pc.Covering):
     """
     a0 = cov.domain.vertices[0]
     lifts = {}
-    for a in cov.vertex_fibers[cov.map.vmap[a0]]:
+    for a in scanned_fiber(cov, cov.map.vmap[a0]):
         try:
             lifts[a] = pc.lift(cov.map, cov, a0, a)
         except pc.LiftObstruction:
@@ -726,7 +744,7 @@ def lift_deck_group(c: pc.Covering) -> DeckRecord:
         raise ValueError("cover and base must be connected")
     a0 = c.domain.vertices[0]
     rep = pc.image_subgroup(c, a0, pc.pi1_data(c.codomain, c.map.vmap[a0]))
-    fiber = c.vertex_fibers[c.map.vmap[a0]]
+    fiber = scanned_fiber(c, c.map.vmap[a0])
     elements = [pc.lift(c.map, c, a0, fiber[k])
                 for k in per_point_normalizer_points(rep)]
     for h in elements[1:]:
@@ -747,8 +765,8 @@ def eager_deck_group(c: pc.Covering) -> DeckRecord:
     rep = walked_monodromy(c, a0, p)
     base, cover = c.codomain, c.domain
     lifts, src, inv = c.lifts, cover.src, cover.inv
-    ends = {p.basepoint: c.vertex_fibers[p.basepoint]}
-    for w, up in p.tree.parent_dart.items():
+    ends = {p.basepoint: scanned_fiber(c, p.basepoint)}
+    for w, up in p.parent_dart.items():
         down = base.inv[up]
         ends[w] = [src[inv[lifts[u][down]]] for u in ends[base.src[down]]]
     vrows = list(ends.values())
@@ -775,6 +793,24 @@ def eager_deck_group(c: pc.Covering) -> DeckRecord:
                   for hi in elements)
     assert c.degree % len(elements) == 0
     return DeckRecord(c, tuple(elements), table)
+
+
+def eager_deck_rows(c: pc.Covering) -> tuple:
+    """Oracle for the facts ``DeckGroup`` derives on first read: the body
+    of ``deck_group`` that built them up front, returning the
+    automorphisms, the vertex rows, the dart rows and the composition
+    table, read off the covering's sheet rows and monodromy."""
+    rows, rep = c._sheets
+    base, lifts = c.codomain, c.lifts
+    vrows = list(rows.values())
+    drows = [[lifts[u][d] for u in rows[base.src[d]]] for d in base.darts]
+    automorphisms = _automorphisms(rep)
+    images = sorted(automorphisms)
+    phis = list(map(automorphisms.__getitem__, images))
+    at = dict(zip(images, range(len(phis))))
+    table = tuple(tuple(map(at.__getitem__, map(phi.__getitem__, images)))
+                  for phi in phis)
+    return phis, vrows, drows, table
 
 
 def congruence_orbit_quotient(graph: pc.FiniteGraph, maps: list):
@@ -915,8 +951,9 @@ def old_as_covering(f: pc.GraphMorphism) -> SimpleNamespace:
     walks the sorted vertices, asks the graphs for each star and compares
     each image star with a fresh set, and which computed the fibers and
     degrees of every covering up front, checking that the fiber sizes
-    agree inside each component.  Returns those values by the names of
-    the ``Covering`` attributes."""
+    agree inside each component.  Returns those values by the names the
+    ``Covering`` attributes had (``vertex_fibers``, the grouped fibers,
+    is now read one fiber at a time by ``Covering.fiber``)."""
     dom, cod = f.domain, f.codomain
     lifts = {}
     for v in dom.vertices:
@@ -930,10 +967,7 @@ def old_as_covering(f: pc.GraphMorphism) -> SimpleNamespace:
             raise pc.NotACoveringError(
                 v, "star maps onto %d of %d darts at %r"
                 % (len(star), len(below), f.vmap[v]))
-    vertex_fibers = {u: [] for u in cod.vertices}
-    for v in dom.vertices:
-        vertex_fibers[f.vmap[v]].append(v)
-    vertex_fibers = {u: tuple(sorted(vs)) for u, vs in vertex_fibers.items()}
+    vertex_fibers = grouped_fibers(f)
     component_degrees = []
     for comp in pc.components(cod):
         sizes = {len(vertex_fibers[u]) for u in comp}
@@ -1022,7 +1056,8 @@ def three_way_regularity_oracle(cov: pc.Covering) -> pc.RegularityReport:
     (i) the order of the composed deck group equals the degree; (ii) the
     monodromy image subgroup passes :func:`schreier_is_normal`; (iii) the
     composed deck group is transitive on every vertex fiber.  The three
-    must agree; the report carries them in the layout of ``pc.is_regular``.
+    must agree; the report carries the verdict and the two numbers in the
+    layout of ``pc.is_regular``.
     """
     elements, _table, _inverse = composed_deck_oracle(cov)
     a0 = cov.domain.vertices[0]
@@ -1031,12 +1066,10 @@ def three_way_regularity_oracle(cov: pc.Covering) -> pc.RegularityReport:
     by_normal = schreier_is_normal(pc.image_subgroup(cov, a0, p))
     by_transitive = all(
         {h.vmap[fiber[0]] for h in elements} == set(fiber)
-        for fiber in cov.vertex_fibers.values())
+        for fiber in grouped_fibers(cov.map).values())
     assert by_order == by_normal == by_transitive
     return pc.RegularityReport(regular=by_order, degree=cov.degree,
-                               deck_order=len(elements),
-                               image_normal=by_normal,
-                               fiber_transitive=by_transitive)
+                               deck_order=len(elements))
 
 
 def composed_lift_oracle(g: pc.GraphMorphism, cov: pc.Covering,
@@ -1248,7 +1281,6 @@ def all_pairs_triviality_oracle(t: pc.Tower, max_index: int,
                     satisfied_at = j
                     break
             rows.append(towers.TrivialityRow(level=i, rep=rep,
-                                             index=rep.degree,
                                              satisfied_at=satisfied_at))
     trivial = all(row.satisfied_at is not None for row in rows if row.level == 0)
     return towers.TrivialityReport(max_index=max_index, depth=t.top,
@@ -1521,6 +1553,15 @@ def action_deck_isomorphism(act: pc.GroupAction, deck: pc.DeckGroup) -> dict:
                 raise pc.ActionError("composition tables do not correspond",
                                      witness=(g, h))
     return mapping
+
+
+def fiber_position_deck_indices(act: pc.GroupAction, c: pc.Covering) -> dict:
+    """Oracle for ``pc.action_deck_indices``: the read it replaced, the
+    position of each element's image of the first vertex in that vertex's
+    fiber, listed off the orbit map."""
+    a0 = c.domain.vertices[0]
+    position = {a: k for k, a in enumerate(scanned_fiber(c, c.map.vmap[a0]))}
+    return {g: position[act.morphisms[g].vmap[a0]] for g in act.elements}
 
 
 def deck_inverse(deck: pc.DeckGroup, i: int) -> int:

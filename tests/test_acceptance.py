@@ -49,6 +49,7 @@ from helpers import (
     rotation_action,
     s3_regular_rep,
     theta_graph,
+    three_way_regularity_oracle,
     wrap_morphism,
 )
 
@@ -127,9 +128,10 @@ def test_criterion_2():
 def test_criterion_3():
     seen = 0
     for _h, _base, cov in b2_covers():
-        report = is_regular(cov)  # raises if the three verdicts disagree
+        report = is_regular(cov)
         assert report.regular == (report.deck_order == report.degree)
-        assert report.regular == report.image_normal == report.fiber_transitive
+        # the oracle raises if its three verdicts disagree
+        assert report == three_way_regularity_oracle(cov)
         deck = deck_group(cov)
         for h in deck_elements(deck)[1:]:
             assert all(h.vmap[v] != v for v in cov.domain.vertices)
@@ -227,7 +229,7 @@ def test_criterion_6():
     assert pi1_triviality_check(doubling, 2).trivial
     three_report = pi1_triviality_check(doubling, 3)
     assert not three_report.trivial
-    index_three_rows = [r for r in three_report.rows if r.index == 3]
+    index_three_rows = [r for r in three_report.rows if r.rep.degree == 3]
     assert index_three_rows
     assert all(r.satisfied_at is None for r in index_three_rows)
 

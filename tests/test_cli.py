@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import procover as pc
-from procover import cli, covering, formats, freegroup
+from procover import cli, covering, formats, freegroup, towers
 from procover.cli import format_report, main
 from helpers import (
     action_deck_isomorphism,
@@ -785,6 +785,31 @@ class TestCommands:
             want = pc.is_regular(cov)
             assert (details["deck_order"], details["regular"]) == \
                 (want.deck_order, want.regular) == (4, True)
+
+    def test_deck_reports_derive_no_table_and_no_dart_rows(
+            self, tmp_path, monkeypatch):
+        """``deck`` and ``tower deck`` read a deck group's vertex rows and
+        automorphisms: the composition table and the dart rows, which
+        neither prints, are never derived."""
+        made, build = [], covering.deck_group
+
+        def recorded(c):
+            made.append(build(c))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "deck_group", recorded)
+        monkeypatch.setattr(towers, "deck_group", recorded)
+        path = str(tmp_path / "cover.json")
+        formats.save_morphism(path, pc.cover_from_subgroup(
+            pc.bouquet_graph(2), "v0", dihedral_regular_rep(6))[2].map)
+        manifest = formats.save_tower(str(tmp_path / "tower"),
+                                      pc.universal_tower(factorial_spec()))
+        for argv in (["deck", path], ["tower", "deck", manifest]):
+            del made[:]
+            assert run_cli(["--json"] + argv)[1] == 0
+            assert made
+            for deck in made:
+                assert "table" not in vars(deck) and "drows" not in vars(deck)
 
     def test_deck(self, data):
         out, code = run_cli(["deck", data["c6_to_c3"]])

@@ -31,7 +31,7 @@ from procover import (
 from procover import covering, freegroup
 from procover.formats import dump_json, morphism_to_obj
 from procover.freegroup import NotTransitiveError
-from procover.graphs import SpanningTreeData, edge_stem
+from procover.graphs import edge_stem
 from helpers import (
     TableCheckedAction,
     action_deck_isomorphism,
@@ -49,6 +49,7 @@ from helpers import (
     deck_action,
     deck_elements,
     free_actions,
+    grouped_fibers,
     deck_closure,
     deck_inverse,
     deck_subgroups,
@@ -56,6 +57,8 @@ from helpers import (
     dihedral_regular_rep,
     direct_orbit_quotient,
     eager_deck_group,
+    eager_deck_rows,
+    fiber_position_deck_indices,
     fiber_transport,
     is_bijective,
     is_normal_deck_subgroup,
@@ -92,7 +95,7 @@ class TestAsCovering:
     def test_wrap_is_degree_two(self):
         cov = as_covering(wrap_morphism(6, 3))
         assert cov.degree == 2
-        assert all(len(f) == 2 for f in cov.vertex_fibers.values())
+        assert all(len(cov.fiber(u)) == 2 for u in cov.codomain.vertices)
 
     def test_identity_is_degree_one(self):
         cov = as_covering(GraphMorphism.identity(pc.cycle_graph(3)))
@@ -389,7 +392,7 @@ class TestLiftTableOracle:
         base, cover = cov.codomain, cov.domain
         for u in base.vertices:
             p = pi1_data(base, u)
-            for a in cov.vertex_fibers[u]:
+            for a in cov.fiber(u):
                 rep = image_subgroup(cov, a, p)
                 assert rep == transport_monodromy(cov, a, p)
                 assert rep == walked_monodromy(cov, a, p)
@@ -472,7 +475,7 @@ class TestDeckGroupBySheetTransport:
             assert all(deck.element(i) == h for i, h in enumerate(want.elements))
             assert deck_elements(deck) == want.elements
         assert [h.vmap[cov.domain.vertices[0]] for h in deck_elements(deck)] == \
-            [cov.vertex_fibers[cov.map.vmap[cov.domain.vertices[0]]][phi[0]]
+            [cov.fiber(cov.map.vmap[cov.domain.vertices[0]])[phi[0]]
              for phi in deck.automorphisms]
         assert is_regular(cov).deck_order == deck.order
         return deck
@@ -726,9 +729,9 @@ class TestCarriedSheetCoordinates:
             assert carried == monodromy
             assert transports == []
             p = pi1_data(base, "b")
-            for x in cov.vertex_fibers["b"]:
+            for x in cov.fiber("b"):
                 assert image_subgroup(cov, x, p) == walked_monodromy(cov, x, p)
-            assert transports == list(cov.vertex_fibers["b"])
+            assert transports == list(cov.fiber("b"))
 
     def other_coordinates(self, base):
         """Pi1Data at v0 other than those ``pi1_data(base, "v0")`` pairs
@@ -736,13 +739,14 @@ class TestCarriedSheetCoordinates:
         tuple but not the kept one, and coordinates that differ in the
         basis order, in a basis orientation and, on theta, in the tree."""
         p = pi1_data(base, "v0")
-        out = [pc.Pi1Data(base, "v0", p.tree, list(p.basis_darts)),
-               pc.Pi1Data(base, "v0", p.tree, p.basis_darts[::-1]),
-               pc.Pi1Data(base, "v0", p.tree,
-                          (base.inv[p.basis_darts[0]],) + p.basis_darts[1:])]
+        tree = p.tree_darts, p.parent_dart
+        out = [pc.Pi1Data(base, "v0", list(p.basis_darts), *tree),
+               pc.Pi1Data(base, "v0", p.basis_darts[::-1], *tree),
+               pc.Pi1Data(base, "v0",
+                          (base.inv[p.basis_darts[0]],) + p.basis_darts[1:], *tree)]
         if base.name == "theta":
-            tree = SpanningTreeData(base, "v0", {"e1+", "e1-"}, {"v1": "e1-"})
-            out.append(pc.Pi1Data(base, "v0", tree, ("e0+", "e2+")))
+            out.append(pc.Pi1Data(base, "v0", ("e0+", "e2+"), {"e1+", "e1-"},
+                                  {"v1": "e1-"}))
         return out
 
     def test_other_points_and_coordinates_are_transported(self, monkeypatch):
@@ -753,7 +757,7 @@ class TestCarriedSheetCoordinates:
             a0, p = self.first_coordinates(cov)
             kept = cov._sheets[1]
             for q in [p] + self.other_coordinates(base):
-                for a in cov.vertex_fibers["v0"][:4]:
+                for a in cov.fiber("v0")[:4]:
                     del transports[:]
                     assert image_subgroup(cov, a, q) == \
                         walked_monodromy(cov, a, q)
@@ -780,6 +784,36 @@ class TestCarriedSheetCoordinates:
             assert image_subgroup(plain, a0, p) == walked_monodromy(cov, a0, p)
             assert image_subgroup(plain, a0, p) is plain._sheets[1]
             assert transports == [a0, a0]
+
+
+class TestDeckFactsWhereRead:
+    """A ``DeckGroup`` keeps its covering and its automorphisms and
+    derives the vertex rows, the dart rows and the composition table on
+    first read; the body of ``deck_group`` that built them up front
+    (``eager_deck_rows``) gives the same values in the same order."""
+
+    @staticmethod
+    def check(cov):
+        deck = deck_group(cov)
+        assert vars(deck).keys() == {"covering", "automorphisms"}
+        phis, vrows, drows, table = eager_deck_rows(cov)
+        assert list(deck.automorphisms) == phis
+        assert (deck.vrows, deck.drows, deck.table) == (vrows, drows, table)
+        assert vars(deck).keys() == {"covering", "automorphisms", "vrows",
+                                     "drows", "table"}
+
+    def test_b2_covers(self):
+        for _h, _base, cov in b2_covers():
+            self.check(cov)
+
+    def test_cyclic_family(self):
+        for cov in cyclic_family():
+            self.check(cov)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank2_covers(max_degree=12))
+    def test_generated_covers(self, cov):
+        self.check(cov)
 
 
 class TestDeckElementsWhereRead:
@@ -812,7 +846,7 @@ class TestDeckElementsWhereRead:
             cov = deck.covering
             for x in cov.domain.vertices:
                 reached = {h.vmap[x]: i for i, h in enumerate(deck_elements(deck))}
-                fiber = cov.vertex_fibers[cov.map.vmap[x]]
+                fiber = cov.fiber(cov.map.vmap[x])
                 ys = [y for y in fiber if y in reached]
                 assert deck.indices_sending(x, ys) == [reached[y] for y in ys]
                 for y in fiber:
@@ -934,9 +968,10 @@ class TestBuiltNotChecked:
             self, monkeypatch, constructed_values_equal_the_checked_ones):
         """With the guards off, the calls of one ``covers`` benchmark
         request derive no star on the cover graph, the deck-quotient graph
-        or the kernel-quotient graph, none of which they walk, and build
-        no fiber lists on the deck quotient's two coverings, whose degrees
-        they read: a degree is counted off the map.  The cover's own
+        or the kernel-quotient graph, none of which they walk, and no
+        covering holds its fibers grouped: the deck quotient's two
+        coverings count their degrees off the map, and the cover's
+        transport reads the one fiber over its basepoint.  The cover's own
         degree is the size of its monodromy's fiber, so it is not counted
         at all."""
         bases = (pc.bouquet_graph(2), theta_graph())
@@ -955,8 +990,8 @@ class TestBuiltNotChecked:
                 assert upper.degree * lower.degree == rep.degree
                 assert upper.degree == len(sub)
                 assert "_star" not in vars(mid)
-                assert "vertex_fibers" not in vars(upper)
-                assert "vertex_fibers" not in vars(lower)
+                for c in (cov, upper, lower):
+                    assert grouped_fibers(c.map) not in vars(c).values()
             assert "component_degrees" not in vars(cov)
             qg, _ = pc.quotient(cover, pc.kernel_congruence(cov.map))
             assert qg.edge_count() == base.edge_count()
@@ -997,7 +1032,8 @@ class TestConstructorsAgainstOracles:
     def same_covering(got, want):
         assert got.map == want.map
         assert got.lifts == want.lifts and list(got.lifts) == list(want.lifts)
-        assert got.vertex_fibers == want.vertex_fibers
+        assert {u: got.fiber(u) for u in got.codomain.vertices} == \
+            grouped_fibers(want.map)
         assert got.degree == want.degree
         assert got.component_degrees == want.component_degrees
 
@@ -1042,8 +1078,9 @@ class TestConstructorsAgainstOracles:
         map, equal the oracle's, taken from fiber lists grouped up front,
         over connected, disconnected and empty codomains: a component with
         nothing over it has degree 0, components of unequal degree give
-        none, and so does a codomain with no component.  The fiber lists,
-        built where they are read, agree too."""
+        none, and so does a codomain with no component.  Each fiber that
+        ``Covering.fiber`` lists where it is read agrees too, the empty
+        ones as well."""
         maps = [cov.map for _, _, cov in b2_covers()]
         maps += [c.map for c in cyclic_family()]
         maps += [cover_from_subgroup(theta_graph(), "v0", rep)[2].map
@@ -1058,14 +1095,16 @@ class TestConstructorsAgainstOracles:
                 ({}, {"a": 2}, {}),
                 ({}, {}, {})):
             maps.append(wrap_cycles(dom, cod, onto))
-        degrees = set()
+        degrees, empty = set(), 0
         for f in maps:
             got, want = as_covering(f), old_as_covering(f)
             assert got.component_degrees == want.component_degrees
             assert got.degree == want.degree
             degrees.add((got.degree, len(got.component_degrees)))
-            assert got.vertex_fibers == want.vertex_fibers
-        assert {(None, 2), (0, 1), (None, 0), (2, 1)} <= degrees
+            for u in got.codomain.vertices:
+                assert got.fiber(u) == want.vertex_fibers[u]
+                empty += not got.fiber(u)
+        assert {(None, 2), (0, 1), (None, 0), (2, 1)} <= degrees and empty > 2
 
     def test_as_covering_on_mutated_maps(self):
         b2 = pc.bouquet_graph(2)
@@ -1133,7 +1172,7 @@ class TestLiftOracle:
     @staticmethod
     def check(g, cov, base_c):
         made = 0
-        for a in cov.vertex_fibers[g.vmap[base_c]]:
+        for a in cov.fiber(g.vmap[base_c]):
             try:
                 h = lift(g, cov, base_c, a)
             except LiftObstruction:
@@ -1213,7 +1252,7 @@ def closed_walk_map(base, basepoint, rng, length):
         d = rng.choice(base.star(x))
         walk.append(d)
         x = base.target(d)
-    home = pi1_data(base, basepoint).tree.path_from_root(x)
+    home = pi1_data(base, basepoint).path_from_root(x)
     walk += [base.inv[d] for d in reversed(home)]
     if not walk:
         return GraphMorphism(pc.bouquet_graph(0), base, {"v0": basepoint}, {})
@@ -1269,7 +1308,7 @@ class TestLiftAgainstTheSearch:
     @staticmethod
     def compare(g, cov, rng, counts):
         for base_c in rng.sample(g.domain.vertices, min(2, len(g.domain.vertices))):
-            fiber = cov.vertex_fibers[g.vmap[base_c]]
+            fiber = cov.fiber(g.vmap[base_c])
             for base_a in rng.sample(fiber, min(2, len(fiber))):
                 got = lift_outcome(lift, g, cov, base_c, base_a)
                 assert got == lift_outcome(searched_lift, g, cov, base_c, base_a)
@@ -1294,17 +1333,13 @@ class TestLiftAgainstTheSearch:
 class TestRegularity:
     def test_wrap_regular(self):
         report = is_regular(as_covering(wrap_morphism(6, 3)))
-        assert report.regular
-        assert report.deck_order == report.degree == 2
-        assert report.image_normal and report.fiber_transitive
+        assert report == pc.RegularityReport(regular=True, degree=2, deck_order=2)
 
     def test_degree_three_not_regular(self):
         _, _, cov = cover_from_subgroup(
             pc.bouquet_graph(2), "v0", PermRep(2, 3, [(1, 0, 2), (0, 2, 1)]))
         report = is_regular(cov)
-        assert not report.regular
-        assert report.deck_order == 1
-        assert not report.image_normal and not report.fiber_transitive
+        assert report == pc.RegularityReport(regular=False, degree=3, deck_order=1)
 
     def test_degree_one_regular(self):
         assert is_regular(as_covering(GraphMorphism.identity(theta_graph()))).regular
@@ -1520,6 +1555,16 @@ class TestActionDeckIndices:
                 action_deck_isomorphism(act, deck_group(cov)), name
         # 8 + 6 + 5 actions, with C12 by 2 in both families
         assert len(free_actions()) == 18
+
+    def test_agrees_with_the_fiber_position_read(self):
+        """The sorted orbit of the first vertex is its fiber under the
+        orbit map: the indices, in element order, are the positions the
+        read it replaced found in the fiber listed off the map."""
+        for name, act in free_actions().items():
+            _, cov = quotient_by_group(act)
+            got = action_deck_indices(act, cov)
+            want = fiber_position_deck_indices(act, cov)
+            assert list(got.items()) == list(want.items()), name
 
     def test_is_a_bijection_onto_the_deck_indices(self):
         for act in free_actions().values():

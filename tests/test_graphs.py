@@ -17,6 +17,7 @@ from procover import (
     quotient,
     validate_graph,
 )
+from procover import graphs
 from procover.freegroup import NotTransitiveError
 from helpers import (
     b2_covers,
@@ -95,25 +96,33 @@ class TestConnectivity:
 
 
 class TestSpanningTree:
+    """``spanning_tree`` returns the parent darts, and the coordinates of
+    ``pi1_data`` hold the tree: no tree value of its own is left."""
+
     def test_cycle(self):
         t = pc.spanning_tree(pc.cycle_graph(3), "v0")
-        assert len(t.tree_darts) // 2 == 2
+        assert t == {"v1": "e0-", "v2": "e2+"}
+        assert len(pc.pi1_data(pc.cycle_graph(3), "v0").tree_darts) // 2 == 2
 
     def test_bouquet(self):
-        t = pc.spanning_tree(pc.bouquet_graph(2), "v0")
-        assert not t.tree_darts
+        assert pc.spanning_tree(pc.bouquet_graph(2), "v0") == {}
+        assert not pc.pi1_data(pc.bouquet_graph(2), "v0").tree_darts
 
     def test_path_all_tree(self):
         g = path_graph(3)
         t = pc.spanning_tree(g, "v0")
-        assert t.tree_darts == frozenset(g.darts)
+        assert set(t.values()) | {g.inv[d] for d in t.values()} == set(g.darts)
+        assert pc.pi1_data(g, "v0").tree_darts == frozenset(g.darts)
 
     def test_deterministic(self):
         g = pc.cycle_graph(6)
         t1 = pc.spanning_tree(g, "v0")
         t2 = pc.spanning_tree(g, "v0")
-        assert t1.tree_darts == t2.tree_darts
-        assert t1.parent_dart == t2.parent_dart
+        assert list(t1.items()) == list(t2.items())
+
+    def test_the_tree_value_is_gone(self):
+        assert not hasattr(pc, "SpanningTreeData")
+        assert not hasattr(graphs, "SpanningTreeData")
 
     def test_errors(self):
         with pytest.raises(GraphError):
@@ -125,7 +134,8 @@ class TestSpanningTree:
         """The tree, its parent darts in breadth-first order and the errors
         are those of the ``deque`` search it replaced, from every root of
         seeded random multigraphs (loops, parallel edges, disconnected
-        ones, edges to an undeclared vertex) and of the B2 covers."""
+        ones, edges to an undeclared vertex) and of the B2 covers; the
+        tree darts of ``pi1_data`` there are the pairs that search found."""
         rng = random.Random(5)
         graphs = [cov.domain for _h, _a, cov in b2_covers()]
         for _ in range(60):
@@ -140,19 +150,21 @@ class TestSpanningTree:
                 got = []
                 for build in (pc.spanning_tree, queued_spanning_tree):
                     try:
-                        t = build(g, root)
+                        got.append(build(g, root))
                     except GraphError as exc:
                         got.append(str(exc))
-                    else:
-                        got.append((list(t.parent_dart.items()), t.tree_darts))
-                assert got[0] == got[1]
+                if isinstance(got[0], dict):
+                    parent, tree = got[1]
+                    assert list(got[0].items()) == list(parent.items())
+                    assert pc.pi1_data(g, root).tree_darts == tree
+                else:
+                    assert got[0] == got[1]
                 outcomes.append(type(got[0]))
-        assert outcomes.count(str) > 100 and outcomes.count(tuple) > 100
+        assert outcomes.count(str) > 100 and outcomes.count(dict) > 100
 
     def test_path_from_root(self):
         g = pc.cycle_graph(6)
-        t = pc.spanning_tree(g, "v0")
-        path = t.path_from_root("v3")
+        path = pc.pi1_data(g, "v0").path_from_root("v3")
         assert g.src[path[0]] == "v0"
         assert g.target(path[-1]) == "v3"
         for a, b in zip(path, path[1:]):
@@ -184,11 +196,12 @@ class TestPi1DataAtAKeptBasepoint:
             tracemalloc.stop()
         assert grown < 2048 and trees == []
         assert again.basis_darts is first.basis_darts
-        assert again.tree.tree_darts is first.tree.tree_darts
-        assert again.tree.parent_dart is first.tree.parent_dart
+        assert again.tree_darts is first.tree_darts
+        assert again.parent_dart is first.parent_dart
         assert again._letter is first._letter
         assert len(first._letter) == 2 * first.rank
-        other = pc.Pi1Data(cover, base, first.tree, list(first.basis_darts))
+        other = pc.Pi1Data(cover, base, list(first.basis_darts),
+                           first.tree_darts, first.parent_dart)
         assert other._letter == first._letter and other._letter is not first._letter
         assert [other.letter(d) for d in cover.darts] == \
             [first.letter(d) for d in cover.darts]
@@ -523,7 +536,7 @@ class TestMorphismEquality:
                 continue
             a0 = cov.domain.vertices[0]
             maps = [rotation(6, k) for k in range(6)]
-            for a in cov.vertex_fibers[cov.map.vmap[a0]]:
+            for a in cov.fiber(cov.map.vmap[a0]):
                 try:
                     maps.append(pc.lift(cov.map, cov, a0, a))
                 except pc.LiftObstruction:

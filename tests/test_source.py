@@ -350,7 +350,7 @@ def test_a_covering_is_built_from_its_map():
     ``as_covering`` and ``cover_from_subgroup``, which build the lift table
     anyway, pass that too.  Fibers, degrees and sheet coordinates are read
     off the map on first read, so no construction site computes them, and
-    no library code but the class stores a covering's lift table, fibers,
+    no library code but the class stores a covering's lift table,
     component degrees or sheets (``degree`` is a ``PermRep`` field too)."""
     calls = {}
     for name, tree in library_trees():
@@ -367,12 +367,26 @@ def test_a_covering_is_built_from_its_map():
                           if isinstance(node, ast.ClassDef)
                           and node.name == "Covering")
     inside = {id(node) for node in ast.walk(covering_class)}
-    fields = {"lifts", "vertex_fibers", "component_degrees", "_sheets"}
+    fields = {"lifts", "component_degrees", "_sheets"}
     stored = ["%s:%d" % (name, node.lineno) for name, tree in library_trees()
               for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr in fields
               and isinstance(node.ctx, ast.Store) and id(node) not in inside]
     assert stored == []
+
+
+def test_a_deck_group_is_built_from_its_automorphisms():
+    """``DeckGroup.__init__`` stores the covering and the automorphisms
+    only: the rows and the composition table are read off them and the
+    covering's sheet rows on first read, so no construction site builds
+    them."""
+    deck_class = next(node for node in dict(library_trees())["covering.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "DeckGroup")
+    init = next(node for node in deck_class.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    stored = [node.attr for node in ast.walk(init)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    assert stored == ["covering", "automorphisms"]
 
 
 def test_values_store_attributes_only_while_constructed():

@@ -505,21 +505,22 @@ class TestTriviality:
         assert {row.level for row in report.rows} == set(range(t.top + 1))
         assert report.trivial
         for row in report.rows:
-            if row.index == 2 and row.level < t.top:
+            if row.rep.degree == 2 and row.level < t.top:
                 assert row.satisfied_at == row.level + 1
 
     def test_pro2_not_three_trivial(self):
         t = pro2_tower(4)
         report = pi1_triviality_check(t, 3)
         assert not report.trivial
-        threes = [r for r in report.rows if r.index == 3]
+        threes = [r for r in report.rows if r.rep.degree == 3]
         assert threes and all(r.satisfied_at is None for r in threes)
 
     def test_factorial_three_trivial(self):
         t = universal_tower(factorial_spec())
         report = pi1_triviality_check(t, 3)
         assert report.trivial
-        base_rows = {r.index: r.satisfied_at for r in report.rows if r.level == 0}
+        base_rows = {r.rep.degree: r.satisfied_at for r in report.rows
+                     if r.level == 0}
         assert base_rows == {1: 0, 2: 1, 3: 2}
 
     def test_monotone_in_index_bound(self):
