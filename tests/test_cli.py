@@ -88,6 +88,19 @@ class TestGolden:
         assert code == 0
         assert out == golden("low_index_rank2_deg3_normal.txt")
 
+    @pytest.mark.parametrize("rank, max_degree, flags", [
+        (2, 6, ["--normal"]), (3, 4, ["--normal"]), (2, 4, []), (1, 12, [])],
+        ids=["rank2-deg6-normal", "rank3-deg4-normal", "rank2-deg4",
+             "rank1-deg12"])
+    def test_low_index_json(self, rank, max_degree, flags):
+        """The ``--json`` low-index reports: every subgroup's table, byte
+        for byte and in the order of the search, normal only or all."""
+        out, code = run_cli(["--json", "low-index", "--rank", str(rank),
+                             "--max-degree", str(max_degree)] + flags)
+        assert code == 0
+        assert out == golden("low_index_rank%d_deg%d%s.json" % (
+            rank, max_degree, "_normal" if flags else ""))
+
     @pytest.mark.parametrize("name, base, rep", [
         ("regular_d6_b2", pc.bouquet_graph(2), dihedral_regular_rep(6)),
         ("dihedral12_theta", theta_graph(), dihedral_natural_rep(12))],
