@@ -13,24 +13,28 @@ coset action a unique table.  Two actions describe the same subgroup
 exactly when their canonical tables agree, and the low-index enumerator
 generates precisely the canonical tables, so each subgroup appears once.
 
-The enumerator is one iterative backtracking search (C. Sims, *Computation
-with Finitely Presented Groups*, 1994, ch. 5).  Asked for normal subgroups
-only, it prunes while searching: a partial table is cut as soon as some
-map 0 -> c forced by its defined edges fails to be well defined, because
-the action of a normal subgroup has an automorphism 0 -> c for every c.
+The enumerator is one iterative backtracking search to the largest degree
+asked (C. Sims, *Computation with Finitely Presented Groups*, 1994, ch. 5):
+a table of lower degree is the search's dead end where every created point
+is filled.  Asked for normal subgroups only, it prunes while searching.
+The action of a normal subgroup has an automorphism 0 -> c for every c, so
+the search keeps, for every created point c, the partial map 0 -> c that
+the defined edges force, extends it with each definition and undoes it on
+backtracking, and cuts a branch as soon as one of these maps is not a
+well-defined injection.
 
-That forced-map test (:func:`_forced_map`) asks whether the coset map
-0 -> c extends along the moves of one table into another, and returns the
-map when it does.  From a table into itself it passes exactly for the
+The forced-map test (:func:`_forced_map`) asks whether the coset map
+0 -> c extends along the moves of one complete table into another, and
+returns the map when it does.  From a table into itself it passes exactly for the
 cosets of H in its normalizer N(H), and the maps it returns are the
 automorphisms of the action, a group acting freely on the points whose
 orbit of 0 is N(H)/H (:func:`normalizer_points`).  An automorphism maps the
 x_k-cycle through 0 onto the x_k-cycle through its image, so the normalizer
 search runs the test only at points whose cycle lengths under every x_k are
-those of 0.  The search prunes with
-it, :func:`is_normal` tries it at the generators' images of 0, deck groups
-read the automorphisms themselves, and into another table with c = 0 it
-decides containment, equality and the containment of an image.
+those of 0.  :func:`is_normal` tries it at the generators' images of 0,
+deck groups read the automorphisms themselves, and into another table
+with c = 0 it decides containment, equality and the containment of an
+image.
 """
 
 from __future__ import annotations
@@ -532,17 +536,16 @@ def _factorial_power(n: int, exponent: int) -> int:
 
 def _forced_map(pairs, n: int, c: int) -> list[int] | None:
     """The map from the points of ``src`` to those of ``dst`` that sends
-    0 -> c and commutes with every move defined at both ends, as its list
-    of images (-1 where 0 does not reach), or None when no such map exists.
+    0 -> c and commutes with every move, as its list of images, or None
+    when no such map exists.
 
     ``pairs`` is ``list(zip(src, dst))``, zipped once by the caller: the
-    tables are in scan order (x0, x0^-1, x1, ...), -1 marking an entry
-    not yet defined, and ``src`` uses the points 0..n-1.  On complete
-    tables with ``src`` transitive, a map means Stab_src(0) <= Stab_dst(c);
-    for ``src`` = ``dst`` the indices agree, so Stab(0) = Stab(c) and the
-    map is the automorphism of the action sending 0 to c.  On a partial
-    table None rules out every completion with Stab(0) = Stab(c).  Callers
-    that want a yes or no read its truth value: the list is never empty.
+    complete tables of two actions in scan order (x0, x0^-1, x1, ...),
+    ``src`` transitive on the points 0..n-1.  A map means
+    Stab_src(0) <= Stab_dst(c); for ``src`` = ``dst`` the indices agree,
+    so Stab(0) = Stab(c) and the map is the automorphism of the action
+    sending 0 to c.  Callers that want a yes or no read its truth value:
+    the list is never empty.
     """
     image = [-1] * n
     image[0] = c
@@ -551,8 +554,6 @@ def _forced_map(pairs, n: int, c: int) -> list[int] | None:
         ma = image[a]
         for s, d in pairs:
             b, mb = s[a], d[ma]
-            if b < 0 or mb < 0:
-                continue
             if image[b] < 0:
                 image[b] = mb
                 queue.append(b)
@@ -561,82 +562,98 @@ def _forced_map(pairs, n: int, c: int) -> list[int] | None:
     return image
 
 
-def _canonical_tables(rank: int, degree: int, normal_only: bool):
-    """Yield every canonically-labelled transitive table of the given degree.
+def _canonical_tables(rank: int, max_degree: int, normal_only: bool):
+    """Yield ``(degree, table)`` for every canonically labelled transitive
+    table of degree at most ``max_degree``, in one search.
 
     A table is yielded as the ``2 * rank`` rows of ``PermRep._moves``,
     interned: a row equal to one yielded before by this call is that
-    row's tuple, so the tables of one degree share their rows (a degree-n
-    search has at most n! distinct ones).
+    row's tuple, so the tables of one degree share their rows (there are
+    at most n! distinct rows of length n), and rows of different degrees
+    differ in length.
 
     The table is filled slot by slot in scan order (point, generator, sign
     with forward before backward), and a fresh point may only receive the
-    next unused label.  A completed table is therefore labelled exactly in
-    breadth-first discovery order, which makes the output one table per
-    subgroup, in a fixed lexicographic order.  The search is a loop over a
-    slot cursor with an explicit stack of definitions, so its depth is not
-    bounded by the interpreter's recursion limit.
+    next unused label, while fewer than ``max_degree`` are used.  The
+    search is a loop over a slot cursor with an explicit stack of
+    definitions, so its depth is not bounded by the interpreter's
+    recursion limit; one more slot, past the last point, is never filled
+    and stops the cursor.
 
-    With ``normal_only`` every definition that closes onto an existing
-    point is followed by :func:`_forced_map` for each c in 1..used-1, and
-    the branch is cut as soon as one map 0 -> c fails to extend, since the
-    action of a normal subgroup has an automorphism 0 -> c for every c.
-    The last definition of a complete table always closes onto an existing
-    point, so exactly the normal tables are yielded.
+    A dead end is exactly a complete table of lower degree.  A definition
+    writes entries only at points already created (``table[p]`` with
+    ``p < used``, ``other[q]`` with ``q <= used``, and q becomes created),
+    and the slots run point by point, so the first empty slot lies at a
+    point ``p >= used`` exactly when every slot of the points 0..used-1 is
+    filled: a complete table of degree ``used``, where nothing more can be
+    defined.  The search yields it there and goes back; the slot past the
+    last point is the same dead end at degree ``max_degree``.
+
+    The order within a degree n is that of a search of degree n alone.
+    Both go depth first and offer at each slot the targets q in increasing
+    order, and they offer the same ones, except that at ``used == n`` this
+    search may also create the point n, below which every table has degree
+    above n.  So the tables of degree n come in the order of the search of
+    degree n, each labelled exactly in breadth-first discovery order,
+    which makes the output one table per subgroup, point-major
+    lexicographic within each degree.  The degrees interleave;
+    :func:`low_index_reps` sorts them apart.
+
+    With ``normal_only`` the search is :func:`_normal_tables`, which
+    yields the normal tables only, in the same order.
 
     Each yielded table is a transitive action, which
     :func:`low_index_reps` builds unchecked.  A definition fills
     ``table[p], other[q] = q, p`` only where both entries are empty, and
     backtracking empties both, so a row and its partner are always mutually
-    inverse partial injections, and total once every slot is filled.
-    Every point from 1 on is created as ``q == used`` from a point already
-    reached, so 0 reaches every point.
+    inverse partial injections, and total on 0..used-1 once every slot of
+    those points is filled.  Every point from 1 on is created as
+    ``q == used`` from a point already reached, so 0 reaches every point.
     """
     if rank == 0:
-        if degree == 1:
-            yield ()
+        yield 1, ()
         return
     # the layout of PermRep._moves: moves[2i] is x_i and moves[2i+1] its
     # inverse, partial while searching
-    moves = [[-1] * degree for _ in range(2 * rank)]
-    # the rows are filled in place, so one zip serves every forced map
-    pairs = list(zip(moves, moves))
+    moves = [[-1] * max_degree for _ in range(2 * rank)]
+    end = [-1] * (max_degree + 1)
     slots = [(p, moves[k], moves[k ^ 1])
-             for p in range(degree) for k in range(2 * rank)]
-    nslots = len(slots)
+             for p in range(max_degree) for k in range(2 * rank)]
+    slots.append((max_degree, end, end))
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def finished(used: int) -> tuple[tuple[int, ...], ...]:
+        # the rows cut to the degree; most tables have the largest, whose
+        # rows need no cut (a list, not a generator, per table: a generator
+        # object per table left about 0.3 MiB more peak RSS on the lattice
+        # benchmark)
+        cut = map(tuple, moves) if used == max_degree \
+            else [tuple(m[:used]) for m in moves]
+        return tuple([rows.setdefault(r, r) for r in cut])
+
+    if normal_only:
+        yield from _normal_tables(moves, slots, finished)
+        return
     stack: list[tuple[int, int, int]] = []  # (slot, point defined, used before)
     si, q, used = 0, 0, 1
     while True:
-        while si < nslots:
-            p, table, other = slots[si]
-            if table[p] < 0:
-                break
+        p, table, other = slots[si]
+        while table[p] >= 0:
             si += 1
-        if si == nslots:
-            # every slot is filled, so every point was created: used == degree
-            # (a list, not a generator, per table: a generator object per
-            # table left about 0.3 MiB more peak RSS on the lattice benchmark)
-            yield tuple([rows.setdefault(r, r) for r in map(tuple, moves)])
-        elif p < used:
-            # (p >= used: every created point is fully scanned, so no new
-            # point can ever appear and the branch is dead)
-            top = used + 1 if used < degree else degree
-            while q < top:
-                if other[q] < 0:
-                    table[p], other[q] = q, p
-                    if (q == used or not normal_only
-                            or all(_forced_map(pairs, used, c)
-                                   for c in range(1, used))):
-                        break
-                    table[p] = other[q] = -1
+            p, table, other = slots[si]
+        if p < used:
+            top = used + 1 if used < max_degree else max_degree
+            while q < top and other[q] >= 0:
                 q += 1
             if q < top:
+                table[p], other[q] = q, p
                 stack.append((si, q, used))
                 if q == used:
                     used += 1
                 si, q = si + 1, 0
                 continue
+        else:
+            yield used, finished(used)
         if not stack:
             return
         si, q, used = stack.pop()
@@ -645,15 +662,171 @@ def _canonical_tables(rank: int, degree: int, normal_only: bool):
         q += 1
 
 
+def _normal_tables(moves: list[list[int]], slots: list, finished):
+    """The search of :func:`_canonical_tables` over the same ``moves`` and
+    ``slots``, cut to the normal tables: it yields exactly those, in the
+    same order.
+
+    The action of a normal subgroup has, for every point c, an
+    automorphism 0 -> c.  The search keeps, for each created point
+    c >= 1, the closure of 0 -> c on the partial table: the least partial
+    map ``im`` with ``im[0] == c`` such that ``im[s[a]] == s[im[a]]``
+    wherever ``a`` is mapped and both entries are defined, with its
+    inverse ``pr``.  The closure fails when two such conditions give one
+    point two images, or give two points one image.  A definition is cut
+    when some closure fails, and kept otherwise.
+
+    The cut is sound: on a part of a normal table the automorphism
+    0 -> c of the table satisfies every condition, so by induction on the
+    order of assignment the closure agrees with it, and is well defined
+    and injective.  So no definition on the way to a normal table is cut.
+    At a dead end every slot of 0..used-1 is filled and every closure
+    holds, so each is an automorphism 0 -> c of a transitive action
+    (defined everywhere, since 0 reaches every point): Stab(c) = Stab(0)
+    for every c, and the table is normal.  So exactly the normal tables
+    are yielded, in the order of the uncut search.
+
+    The closures are kept up to date incrementally, and after every
+    definition each equals its closure computed from scratch, or the
+    definition fails both ways.  A condition is a point ``a`` and a move
+    ``s``; before the definition ``table[p], other[q] = q, p`` every
+    condition at a mapped point held.  The definition makes new only the
+    conditions that read one of its two entries: (p, table) and
+    (q, other) on the source side, (pr[p], table) and (pr[q], other) on
+    the image side.  :func:`_extend_maps` applies those four, and
+    :func:`_close` propagates each new assignment breadth first through
+    every move, as a search from scratch would, so every condition at a
+    newly mapped point is applied too.  Each assignment is forced by
+    0 -> c and the conditions, so a failure leaves no well-defined
+    injective map, and the closure from scratch fails as well.  Without a
+    failure every condition holds afterwards, so the map is the least one:
+    the closure from scratch.  A point's closure is computed when the
+    point is created.  Every assignment goes on a trail, and going back
+    undoes the trail down to the mark the definition pushed.
+    """
+    n = len(moves[0])
+    maps = [([-1] * n, [-1] * n) for _ in range(n)]  # (im, pr); 0 unused
+    trail: list[tuple[list[int], list[int], int]] = []
+    # (slot, point defined, used before, trail length before)
+    stack: list[tuple[int, int, int, int]] = []
+    si, q, used = 0, 0, 1
+    while True:
+        p, table, other = slots[si]
+        while table[p] >= 0:
+            si += 1
+            p, table, other = slots[si]
+        if p < used:
+            top = used + 1 if used < n else n
+            while q < top:
+                if other[q] < 0:
+                    mark = len(trail)
+                    table[p], other[q] = q, p
+                    if _extend_maps(maps, used, moves, table, other, p, q,
+                                    trail):
+                        break
+                    _undo(trail, mark)
+                    table[p] = other[q] = -1
+                q += 1
+            if q < top:
+                stack.append((si, q, used, mark))
+                if q == used:
+                    used += 1
+                si, q = si + 1, 0
+                continue
+        else:
+            yield used, finished(used)
+        if not stack:
+            return
+        si, q, used, mark = stack.pop()
+        _undo(trail, mark)
+        p, table, other = slots[si]
+        table[p] = other[q] = -1
+        q += 1
+
+
+def _extend_maps(maps, used: int, moves, table: list[int], other: list[int],
+                 p: int, q: int, trail: list) -> bool:
+    """Bring the closure 0 -> c of every created c >= 1 up to the new
+    entries ``table[p] == q`` and ``other[q] == p``, and give the point q
+    its closure when the definition creates it (``q == used``); False as
+    soon as one closure fails.  The conditions that read a new entry are
+    at p and q as sources, and at their preimages as images."""
+    for c in range(1, used):
+        im, pr = maps[c]
+        a = im[p]
+        if a >= 0 and table[a] >= 0 \
+                and not _close(im, pr, q, table[a], moves, trail):
+            return False
+        a = im[q]
+        if a >= 0 and other[a] >= 0 \
+                and not _close(im, pr, p, other[a], moves, trail):
+            return False
+        a = pr[p]
+        if a >= 0 and table[a] >= 0 \
+                and not _close(im, pr, table[a], q, moves, trail):
+            return False
+        a = pr[q]
+        if a >= 0 and other[a] >= 0 \
+                and not _close(im, pr, other[a], p, moves, trail):
+            return False
+    if q == used:
+        im, pr = maps[q]
+        return _close(im, pr, 0, q, moves, trail)
+    return True
+
+
+def _close(im: list[int], pr: list[int], b: int, mb: int,
+           moves: list[list[int]], trail: list) -> bool:
+    """Assign b -> mb in the partial injection ``im`` (inverse ``pr``),
+    then every image that forces, breadth first through every move at
+    each newly mapped point, recording each assignment on ``trail``;
+    False when a point would get a second image or an image a second
+    point."""
+    if im[b] >= 0:
+        return im[b] == mb
+    if pr[mb] >= 0:
+        return False
+    im[b], pr[mb] = mb, b
+    trail.append((im, pr, b))
+    queue = [b]
+    for a in queue:
+        ma = im[a]
+        for s in moves:
+            b, mb = s[a], s[ma]
+            if b < 0 or mb < 0:
+                continue
+            if im[b] < 0:
+                if pr[mb] >= 0:
+                    return False
+                im[b], pr[mb] = mb, b
+                trail.append((im, pr, b))
+                queue.append(b)
+            elif im[b] != mb:
+                return False
+    return True
+
+
+def _undo(trail: list, mark: int) -> None:
+    """Unassign every assignment on ``trail`` past ``mark``.  Each one set
+    an unassigned point and an unused image, so the order is free."""
+    for im, pr, b in trail[mark:]:
+        pr[im[b]] = -1
+        im[b] = -1
+    del trail[mark:]
+
+
 def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
                    max_work: int = DEFAULT_MAX_WORK) -> list[PermRep]:
     """All subgroups of index <= max_degree, one canonical action each.
 
     Results are ordered by degree and then lexicographically by table.
-    Each is built by :meth:`PermRep._of_moves` from a table of
-    :func:`_canonical_tables`, whose docstring proves it a transitive
-    action, and the tables of one degree share their rows.  With
-    ``normal_only`` the search cuts non-normal branches as it goes.
+    One search to ``max_degree`` (:func:`_canonical_tables`) finds every
+    degree, each in that order, and the results are sorted into one list
+    per degree.  Each is built by :meth:`PermRep._of_moves` from a table
+    of that search, whose docstring proves it a transitive action, and the
+    tables of one degree share their rows.  With ``normal_only`` the
+    search cuts non-normal branches as it goes, keeping the maps that
+    prune them up to date with each definition.
     Refuses with ResourceLimitError when the predicted number of subgroups
     exceeds ``max_work``; the bound counts all subgroups even when only
     normal ones are kept, so refusals do not depend on ``normal_only`` and
@@ -692,9 +865,10 @@ def low_index_reps(rank: int, max_degree: int, normal_only: bool = False,
             predicted += subgroup_count(rank, n)
             if predicted > max_work:
                 raise refuse(_count(predicted), n)
-    return [PermRep._of_moves(rank, degree, moves)
-            for degree in range(1, top + 1)
-            for moves in _canonical_tables(rank, degree, normal_only)]
+    found: list[list[PermRep]] = [[] for _ in range(top + 1)]
+    for degree, moves in _canonical_tables(rank, top, normal_only):
+        found[degree].append(PermRep._of_moves(rank, degree, moves))
+    return [rep for reps in found for rep in reps]
 
 
 def _count(n: int) -> str:

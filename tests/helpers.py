@@ -379,6 +379,89 @@ def recursive_canonical_tables(rank: int, degree: int) -> tuple:
     return tuple(rec(0, 1))
 
 
+def partial_forced_map(pairs, n: int, c: int):
+    """The forced map 0 -> c of ``freegroup._forced_map`` on partial
+    tables, as the per-degree search pruned with it: -1 marks an entry
+    not yet defined, and a move undefined at either end is skipped.  The
+    image list, or None when two moves force two images of one point."""
+    image = [-1] * n
+    image[0] = c
+    queue = [0]
+    for a in queue:
+        ma = image[a]
+        for s, d in pairs:
+            b, mb = s[a], d[ma]
+            if b < 0 or mb < 0:
+                continue
+            if image[b] < 0:
+                image[b] = mb
+                queue.append(b)
+            elif image[b] != mb:
+                return None
+    return image
+
+
+def per_degree_canonical_tables(rank: int, degree: int, normal_only: bool):
+    """Oracle for the one-pass low-index search: the search it replaced,
+    which yields the canonical tables of one degree, as ``_moves`` rows.
+
+    Slots are filled in scan order, a fresh point gets the next unused
+    label only while fewer than ``degree`` are used, and a table is
+    yielded when every slot is filled.  With ``normal_only`` every
+    definition that closes onto an existing point runs
+    :func:`partial_forced_map` 0 -> c for each created c >= 1 from
+    scratch, and the branch is cut when one fails."""
+    if rank == 0:
+        if degree == 1:
+            yield ()
+        return
+    moves = [[-1] * degree for _ in range(2 * rank)]
+    pairs = list(zip(moves, moves))
+    slots = [(p, moves[k], moves[k ^ 1])
+             for p in range(degree) for k in range(2 * rank)]
+    nslots = len(slots)
+    stack = []
+    si, q, used = 0, 0, 1
+    while True:
+        while si < nslots:
+            p, table, other = slots[si]
+            if table[p] < 0:
+                break
+            si += 1
+        if si == nslots:
+            yield tuple(map(tuple, moves))
+        elif p < used:
+            top = used + 1 if used < degree else degree
+            while q < top:
+                if other[q] < 0:
+                    table[p], other[q] = q, p
+                    if (q == used or not normal_only
+                            or all(partial_forced_map(pairs, used, c)
+                                   for c in range(1, used))):
+                        break
+                    table[p] = other[q] = -1
+                q += 1
+            if q < top:
+                stack.append((si, q, used))
+                if q == used:
+                    used += 1
+                si, q = si + 1, 0
+                continue
+        if not stack:
+            return
+        si, q, used = stack.pop()
+        p, table, other = slots[si]
+        table[p] = other[q] = -1
+        q += 1
+
+
+def per_degree_low_index(rank: int, max_degree: int, normal_only: bool) -> list:
+    """Oracle for ``pc.low_index_reps``: ``(degree, _moves)`` of every
+    subgroup of index <= max_degree, one search per degree, in order."""
+    return [(degree, moves) for degree in range(1, max_degree + 1)
+            for moves in per_degree_canonical_tables(rank, degree, normal_only)]
+
+
 def semiregular(tables) -> bool:
     """Whether every generator's permutation has all cycles of one length.
 

@@ -39,6 +39,7 @@ from helpers import (
     dihedral_regular_rep,
     injective_normalizer_points,
     normal_tables_oracle,
+    per_degree_low_index,
     per_point_normalizer_points,
     recursive_canonical_tables,
     recursive_subgroup_count,
@@ -407,9 +408,9 @@ class TestLowIndex:
             counted.append(args)
             raise AssertionError("subgroup_count%r was called" % (args,))
 
-        def recorded(rank, degree, normal_only):
-            searched.append((rank, degree))
-            return tables(rank, degree, normal_only)
+        def recorded(rank, max_degree, normal_only):
+            searched.append((rank, max_degree))
+            return tables(rank, max_degree, normal_only)
 
         monkeypatch.setattr(freegroup, "subgroup_count", no_count)
         monkeypatch.setattr(freegroup, "_canonical_tables", recorded)
@@ -422,7 +423,7 @@ class TestLowIndex:
             with pytest.raises(ResourceLimitError) as err:
                 low_index_reps(rank, max_degree, max_work=max_work)
             assert str(err.value) == want
-        assert {degree for rank, degree in searched if rank == 0} == {1}
+        assert {top for rank, top in searched if rank == 0} == {1}
         del searched[:]
         assert len(low_index_reps(0, 10 ** 9)) == 1
         assert searched == [(0, 1)]
@@ -431,6 +432,80 @@ class TestLowIndex:
         assert "at least 5000001 subgroups (those of degree <= 5000001)" \
             in str(err.value)
         assert counted == []
+
+
+def one_pass_grid() -> list:
+    """(rank, max_degree, normal_only) for the one-pass search against the
+    per-degree oracle: for each rank 0-7 and mode, the largest degree at
+    most 12 at which the subgroups of index <= max_degree number at most
+    35000 for all subgroups, or a million for normal ones, which the
+    oracle's pruning keeps cheap; then the named cases."""
+    grid = []
+    for rank in range(8):
+        for normal_only, cap in ((False, 35_000), (True, 1_000_000)):
+            top, total = 1, 1
+            while top < 12 and total + subgroup_count(rank, top + 1) <= cap:
+                top += 1
+                total += subgroup_count(rank, top)
+            grid.append((rank, top, normal_only))
+    for rank, max_degree in ((2, 7), (3, 5), (4, 4), (6, 3), (10, 2), (1, 12)):
+        for normal_only in (False, True):
+            total = sum(subgroup_count(rank, n)
+                        for n in range(1, max_degree + 1))
+            case = (rank, max_degree, normal_only)
+            if (normal_only or total <= 35_000) and case not in grid:
+                grid.append(case)
+    return grid
+
+
+class TestOnePassAgainstPerDegreeOracle:
+    """The one search to ``max_degree`` against the per-degree search it
+    replaced, with that search's pruning by the forced map from scratch:
+    identical ``(degree, _moves)`` lists in identical order."""
+
+    @pytest.mark.parametrize("rank, max_degree, normal_only", one_pass_grid())
+    def test_same_tables_in_the_same_order(self, rank, max_degree,
+                                           normal_only):
+        got = [(rep.degree, rep._moves)
+               for rep in low_index_reps(rank, max_degree, normal_only,
+                                         max_work=10 ** 6)]
+        assert got == per_degree_low_index(rank, max_degree, normal_only)
+
+    def test_normal_only_search_runs_no_forced_map(self, monkeypatch):
+        """The pruning keeps its maps up to date itself: the forced map,
+        which serves complete tables only, is never called."""
+        def refused(*args):
+            raise AssertionError("_forced_map called by the search")
+
+        monkeypatch.setattr(freegroup, "_forced_map", refused)
+        for rank, max_degree in ((1, 8), (2, 6), (3, 4), (5, 3), (10, 2)):
+            assert low_index_reps(rank, max_degree, normal_only=True)
+
+    @pytest.mark.parametrize("normal_only", [False, True])
+    def test_each_enumeration_makes_one_search(self, monkeypatch, normal_only):
+        """Every degree comes out of one search to the largest; ranks 0
+        and 1 search to the degree their closed form allows."""
+        tables, searched = freegroup._canonical_tables, []
+
+        def recorded(*args):
+            searched.append(args)
+            return tables(*args)
+
+        monkeypatch.setattr(freegroup, "_canonical_tables", recorded)
+        for rank, max_degree, top in ((0, 5, 1), (1, 9, 9), (2, 5, 5),
+                                      (4, 3, 3), (7, 1, 1)):
+            del searched[:]
+            low_index_reps(rank, max_degree, normal_only)
+            assert searched == [(rank, top, normal_only)]
+
+    def test_rank_one_is_quadratic(self):
+        """At rank 1 there is one subgroup per index, and the one search
+        creates each point once: index 500 takes milliseconds, where a
+        search per degree took about a second."""
+        start = time.perf_counter()
+        reps = low_index_reps(1, 500)
+        assert time.perf_counter() - start < 0.5
+        assert [rep.degree for rep in reps] == list(range(1, 501))
 
 
 class TestSearchAgainstRecursiveOracle:
