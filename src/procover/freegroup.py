@@ -25,10 +25,10 @@ well-defined injection.
 
 The forced-map test (:func:`_forced_map`) asks whether the coset map
 0 -> c extends along the moves of one complete table into another, and
-returns the map when it does.  From a table into itself it passes exactly for the
-cosets of H in its normalizer N(H), and the maps it returns are the
-automorphisms of the action, a group acting freely on the points whose
-orbit of 0 is N(H)/H (:func:`normalizer_points`).  An automorphism maps the
+returns the map when it does.  From a table into itself it passes exactly
+for the cosets of H in its normalizer N(H), and the maps it returns are
+the automorphisms of the action, a group acting freely on the points
+whose orbit of 0 is N(H)/H (:func:`normalizer_points`).  An automorphism maps the
 x_k-cycle through 0 onto the x_k-cycle through its image, so the normalizer
 search runs the test only at points whose cycle lengths under every x_k are
 those of 0.  :func:`is_normal` tries it at the generators' images of 0,

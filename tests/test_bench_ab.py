@@ -11,10 +11,15 @@ bench_ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_ab)
 
 
-def test_median():
-    assert bench_ab.median([3.0, 1.0, 2.0]) == 2.0
-    assert bench_ab.median([4.0, 1.0, 3.0, 2.0]) == 2.5
-    assert bench_ab.median([7.5]) == 7.5
+def test_summary_gives_each_metrics_median_and_iqr():
+    runs = [{"metrics": {"ops_per_s": v, "peak_rss_mb": m}}
+            for v, m in ((3.0, 24.0), (1.0, 25.0), (2.0, 24.0), (4.0, 24.5))]
+    assert bench_ab.summary(runs) == {
+        "ops_per_s": {"median": 2.5, "iqr": 1.5},
+        "peak_rss_mb": {"median": 24.25, "iqr": 0.625}}
+    assert bench_ab.summary(runs[:1]) == {
+        "ops_per_s": {"median": 3.0, "iqr": 0.0},
+        "peak_rss_mb": {"median": 24.0, "iqr": 0.0}}
 
 
 def test_iqr_reads_the_quartiles_off_the_values():

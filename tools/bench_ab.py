@@ -36,10 +36,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPEED_NOTE = re.compile(r"speed factor ([0-9.]+) .*set-up ([0-9.]+)")
 
 
-def median(values: list[float]) -> float:
-    return statistics.median(values)
-
-
 def iqr(values: list[float]) -> float:
     """The distance between the quartiles (inclusive method, so that it is
     read off the values themselves); 0 for a single value."""
@@ -87,10 +83,12 @@ def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
 
 
 def summary(runs: list[dict]) -> dict:
-    names = runs[0]["metrics"]
-    return {name: {"median": median([r["metrics"][name] for r in runs]),
-                   "iqr": iqr([r["metrics"][name] for r in runs])}
-            for name in names}
+    """The median and IQR of each metric over the runs of one side."""
+    out = {}
+    for name in runs[0]["metrics"]:
+        values = [r["metrics"][name] for r in runs]
+        out[name] = {"median": statistics.median(values), "iqr": iqr(values)}
+    return out
 
 
 def main(argv=None) -> int:
@@ -133,27 +131,28 @@ def main(argv=None) -> int:
                 git("worktree", "remove", "--force", path)
         shutil.rmtree(tmp, ignore_errors=True)
         git("worktree", "prune")
+    sums = [summary(runs[0]), summary(runs[1])]
     os.makedirs(args.out_dir, exist_ok=True)
     for side in (0, 1):
         doc = {"label": args.labels[side], "revision": revisions[side],
                "workload": args.workload, "seed": args.seed,
                "seconds": args.seconds, "pairs": args.pairs,
                "python": platform.python_version(), "cpus": os.cpu_count(),
-               "summary": summary(runs[side]), "runs": runs[side]}
+               "summary": sums[side], "runs": runs[side]}
         path = os.path.join(args.out_dir, "BENCH_%s.json" % args.labels[side])
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print("\n%-14s %24s %24s %8s" % ("metric", args.labels[0] + " median (IQR)",
                                       args.labels[1] + " median (IQR)", "wins"))
-    for name in runs[0][0]["metrics"]:
+    for name in sums[0]:
         a = [r["metrics"][name] for r in runs[0]]
         b = [r["metrics"][name] for r in runs[1]]
         won = "%d/%d" % (wins(a, b, better[name]), args.pairs) \
             if name in better else "-"
-        print("%-14s %24s %24s %8s" % (
-            name, "%.4g (%.3g)" % (median(a), iqr(a)),
-            "%.4g (%.3g)" % (median(b), iqr(b)), won))
+        print("%-14s %24s %24s %8s" % (name, *(
+            "%.4g (%.3g)" % (m[name]["median"], m[name]["iqr"]) for m in sums),
+            won))
     return 0
 
 
