@@ -705,7 +705,9 @@ def _normal_tables(moves: list[list[int]], slots: list, finished):
     undoes the trail down to the mark the definition pushed.
     """
     n = len(moves[0])
-    maps = [([-1] * n, [-1] * n) for _ in range(n)]  # (im, pr); 0 unused
+    # (im, pr) of each point from 1 on, made when the point is first
+    # created, so that the lists grow with the search, not with n
+    maps: list = [None]
     trail: list[tuple[list[int], list[int], int]] = []
     # (slot, point defined, used before, trail length before)
     stack: list[tuple[int, int, int, int]] = []
@@ -748,8 +750,8 @@ def _extend_maps(maps, used: int, moves, table: list[int], other: list[int],
                  p: int, q: int, trail: list) -> bool:
     """Bring the closure 0 -> c of every created c >= 1 up to the new
     entries ``table[p] == q`` and ``other[q] == p``, and give the point q
-    its closure when the definition creates it (``q == used``); False as
-    soon as one closure fails.  The conditions that read a new entry are
+    its closure when the definition creates it (``q == used``), making its
+    lists the first time; False as soon as one closure fails.  The conditions that read a new entry are
     at p and q as sources, and at their preimages as images."""
     for c in range(1, used):
         im, pr = maps[c]
@@ -770,6 +772,8 @@ def _extend_maps(maps, used: int, moves, table: list[int], other: list[int],
                 and not _close(im, pr, other[a], p, moves, trail):
             return False
     if q == used:
+        if len(maps) == q:
+            maps.append(([-1] * len(table), [-1] * len(table)))
         im, pr = maps[q]
         return _close(im, pr, 0, q, moves, trail)
     return True

@@ -498,7 +498,7 @@ class TestOnePassAgainstPerDegreeOracle:
             low_index_reps(rank, max_degree, normal_only)
             assert searched == [(rank, top, normal_only)]
 
-    def test_rank_one_is_quadratic(self):
+    def test_rank_one_to_index_500_takes_milliseconds(self):
         """At rank 1 there is one subgroup per index, and the one search
         creates each point once: index 500 takes milliseconds, where a
         search per degree took about a second."""
